@@ -68,9 +68,16 @@ class DmpConfig:
             object.__setattr__(self, name, value)
             if not np.isfinite(value) or value <= 0.0:
                 raise ValidationError(f"{name} must be strictly positive, got {value}")
-        object.__setattr__(self, "num_basis", int(self.num_basis))
-        if self.num_basis < 1:
-            raise ValidationError(f"num_basis must be positive, got {self.num_basis}")
+        try:
+            num_basis = float(self.num_basis)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"num_basis must be an integer, got {self.num_basis!r}") from exc
+        if not num_basis.is_integer():
+            raise ValidationError(f"num_basis must be an integer, got {self.num_basis!r}")
+        if num_basis < 2:
+            raise ValidationError(
+                f"num_basis must be at least 2 (width rule needs neighbors), got {num_basis:g}")
+        object.__setattr__(self, "num_basis", int(num_basis))
 
         grid_dt = self.duration / 3000.0 if self.grid_dt is None else float(self.grid_dt)
         if not np.isfinite(grid_dt) or grid_dt <= 0.0:
@@ -120,6 +127,8 @@ class DmpConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "DmpConfig":
+        if not isinstance(data, dict):
+            raise ValidationError(f"config must be a JSON object, got {type(data).__name__}")
         unknown = set(data) - set(_CONFIG_FIELDS)
         if unknown:
             raise ValidationError(f"unknown config keys: {sorted(unknown)}")
@@ -183,8 +192,6 @@ def make_forcing_basis(config: DmpConfig) -> ForcingBasis:
     neighbor's width.
     """
     n = config.num_basis
-    if n < 2:
-        raise ValidationError("num_basis must be at least 2 (width rule needs neighbors)")
     t_centers = np.linspace(0.0, config.duration, n)
     centers = np.exp(-config.alpha_x * t_centers / config.tau)
     gaps = np.diff(centers)

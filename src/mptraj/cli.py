@@ -31,6 +31,8 @@ from .trajectory import (BoundaryCondition, evaluate_position, evaluate_velocity
 
 
 def _reject_unknown(data: dict, allowed, what: str) -> None:
+    if not isinstance(data, dict):
+        raise ValidationError(f"{what} record must be a JSON object, got {type(data).__name__}")
     unknown = sorted(set(data) - set(allowed))
     if unknown:
         raise ValidationError(f"unknown {what} keys: {', '.join(unknown)}")
@@ -77,6 +79,8 @@ def _load_weights(path: str):
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed weights record: {exc}") from exc
     weight_blocks(weights, dofs, num_basis + 1)
+    if not np.isfinite(weights).all():
+        raise ValidationError(f"weights in {path} must be finite")
     return weights, dofs, num_basis
 
 

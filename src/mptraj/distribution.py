@@ -29,6 +29,10 @@ from .trajectory import BoundaryCondition, folded_basis
 # the observation white-noise default keeps pair covariances invertible
 DEFAULT_NOISE_VAR = 1e-6
 
+# pairs per stacked factorization in pair_nll; bounds its (block, 2D, D(N+1))
+# intermediate for any batch size
+PAIR_BLOCK = 256
+
 
 @dataclass(frozen=True)
 class WeightsDistribution:
@@ -48,6 +52,8 @@ class WeightsDistribution:
         if chol.shape != (mean.shape[0], mean.shape[0]):
             raise DimensionError(
                 f"Cholesky factor {chol.shape} does not match mean length {mean.shape[0]}")
+        if not (np.isfinite(mean).all() and np.isfinite(chol).all()):
+            raise ValidationError("weights mean and Cholesky factor must be finite")
         if np.any(np.triu(chol, k=1) != 0.0):
             raise ValidationError("Cholesky factor must be lower-triangular")
         diag = np.diag(chol)
@@ -228,11 +234,11 @@ def sample_trajectories(wdist: WeightsDistribution, bc: BoundaryCondition, times
     fold = folded_basis(bc, times, bank)
     base = fold.xi1 * bc.y_b[:, None] + fold.xi2 * bc.dy_b[:, None]
     blocks = draws.reshape(count, dofs, bank.weight_dim)
-    positions = base[None, :, :] + np.einsum("cdn,tn->cdt", blocks, fold.h_pos)
+    positions = base[None, :, :] + blocks @ fold.h_pos.T
     if not with_velocities:
         return positions
     vel_base = fold.dxi1 * bc.y_b[:, None] + fold.dxi2 * bc.dy_b[:, None]
-    velocities = vel_base[None, :, :] + np.einsum("cdn,tn->cdt", blocks, fold.h_vel)
+    velocities = vel_base[None, :, :] + blocks @ fold.h_vel.T
     return positions, velocities
 
 
@@ -291,17 +297,51 @@ def sample_time_pairs(times, count: int, seed) -> TimePairBatch:
 
 def pair_nll(batch: TimePairBatch, wdist: WeightsDistribution, bc: BoundaryCondition,
              bank: BasisBank, noise_var: float = DEFAULT_NOISE_VAR) -> float:
-    """Mean negative log-likelihood over the batch's 2D-dimensional pair Gaussians."""
+    """Mean negative log-likelihood over the batch's 2D-dimensional pair Gaussians.
+
+    All 2J pair times are folded once.  Pair j's covariance is
+    G_j G_j^T + noise_var I with G_j[(d, s), :] = h_{t_s} L_d, where L_d is
+    DoF d's row block of wdist.chol (rows DoF-major: dof0@t, dof0@t',
+    dof1@t, ...).  Pairs are scored PAIR_BLOCK at a time: each block's
+    covariances are built, Cholesky-factored and whitened as stacked arrays,
+    so memory stays bounded however large J is.  A singular pair covariance
+    (e.g. an equal-time pair at zero noise) raises NumericalError.
+    """
     if batch.values is None:
         raise ValidationError("pair batch carries no truth values")
     if batch.values.shape[1] != 2 * bc.dofs:
         raise DimensionError(
             f"truth vectors have {batch.values.shape[1]} entries, expected 2*{bc.dofs}")
+    if noise_var < 0.0:
+        raise ValidationError("noise_var must be >= 0")
+    dofs = _check_weights_dim(wdist, bc, bank)
+    count, wd, dim = batch.count, bank.weight_dim, wdist.dim
+    fold = folded_basis(bc, batch.times.ravel(), bank)
+
+    means = (fold.xi1 * bc.y_b[:, None] + fold.xi2 * bc.dy_b[:, None]
+             + wdist.mean.reshape(dofs, wd) @ fold.h_pos.T)
+    resid = batch.values - means.reshape(dofs, count, 2).transpose(1, 0, 2).reshape(
+        count, 2 * dofs)
+    chol_rows = wdist.chol.reshape(dofs, wd, dim)
+    noise = noise_var * np.eye(2 * dofs)
     total = 0.0
-    for j in range(batch.count):
-        dist = trajectory_distribution(wdist, bc, batch.times[j], bank, noise_var)
-        total += gaussian_nll(dist, batch.values[j])
-    return total / batch.count
+    for start in range(0, count, PAIR_BLOCK):
+        stop = min(start + PAIR_BLOCK, count)
+        block = stop - start
+        # (D, 2B, D(N+1)) -> (B, 2D, D(N+1)), rows DoF-major within each pair
+        gmat = fold.h_pos[2 * start:2 * stop] @ chol_rows
+        gmat = gmat.reshape(dofs, block, 2, dim).transpose(1, 0, 2, 3).reshape(
+            block, 2 * dofs, dim)
+        try:
+            factor = np.linalg.cholesky(gmat @ gmat.transpose(0, 2, 1) + noise)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(
+                "singular pair covariance; supply noise_var > 0 or distinct "
+                "pair times") from exc
+        white = np.linalg.solve(factor, resid[start:stop, :, None])
+        total += (2.0 * float(np.sum(np.log(np.diagonal(factor, axis1=1, axis2=2))))
+                  + float(np.sum(white * white)))
+    return 0.5 * (2 * dofs * math.log(2.0 * math.pi) + total / count)
 
 
 def _pack_lower(mat: np.ndarray) -> list:

@@ -47,6 +47,8 @@ class Demonstration:
         if positions.shape[1] != times.shape[0]:
             raise DimensionError(
                 f"positions must have shape (D, {times.shape[0]}), got {positions.shape}")
+        if not (np.isfinite(times).all() and np.isfinite(positions).all()):
+            raise ValidationError("demonstration times and positions must be finite")
         times.flags.writeable = False
         positions.flags.writeable = False
         object.__setattr__(self, "times", times)
@@ -57,6 +59,8 @@ class Demonstration:
                 raise DimensionError(
                     f"velocities shape {velocities.shape} does not match "
                     f"positions {positions.shape}")
+            if not np.isfinite(velocities).all():
+                raise ValidationError("demonstration velocities must be finite")
             velocities.flags.writeable = False
             object.__setattr__(self, "velocities", velocities)
 

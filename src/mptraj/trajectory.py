@@ -17,6 +17,7 @@ is t >= t_b (the exponential in xi then grows with t_b - t).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,13 +37,15 @@ class BoundaryCondition:
 
     def __post_init__(self):
         object.__setattr__(self, "t_b", float(self.t_b))
-        if self.t_b < 0.0:
-            raise ValidationError(f"boundary time must be >= 0, got {self.t_b}")
+        if not (math.isfinite(self.t_b) and self.t_b >= 0.0):
+            raise ValidationError(f"boundary time must be finite and >= 0, got {self.t_b}")
         y_b = np.atleast_1d(np.array(self.y_b, dtype=float))
         dy_b = np.atleast_1d(np.array(self.dy_b, dtype=float))
         if y_b.ndim != 1 or y_b.shape != dy_b.shape:
             raise DimensionError(
                 f"y_b {y_b.shape} and dy_b {dy_b.shape} must be equal-length vectors")
+        if not (np.isfinite(y_b).all() and np.isfinite(dy_b).all()):
+            raise ValidationError("boundary state y_b and dy_b must be finite")
         y_b.flags.writeable = False
         dy_b.flags.writeable = False
         object.__setattr__(self, "y_b", y_b)
@@ -259,13 +262,20 @@ def read_trajectory_csv(path: str):
         if name == "segment_id":
             continue
         kind = name.rsplit("_", 1)
-        if len(kind) != 2 or kind[1] not in ("pos", "vel") or not kind[0].startswith("dof"):
+        if (len(kind) != 2 or kind[1] not in ("pos", "vel") or not kind[0].startswith("dof")
+                or not kind[0][3:].isdecimal()):
             raise ValidationError(f"unrecognized trajectory column {name!r} in {path}")
         dof = int(kind[0][3:])
         (pos_cols if kind[1] == "pos" else vel_cols)[dof] = idx
     if sorted(pos_cols) != list(range(len(pos_cols))) or not pos_cols:
         raise ValidationError(f"missing position columns in {path}")
-    data = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    try:
+        data = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    except ValueError as exc:
+        raise ValidationError(f"malformed trajectory row in {path}: {exc}") from exc
+    if data.ndim != 2 or data.shape[1] != len(header):
+        raise ValidationError(
+            f"trajectory rows in {path} must each have {len(header)} values")
     times = data[:, 0]
     positions = data[:, [pos_cols[d] for d in range(len(pos_cols))]].T
     velocities = None

@@ -47,6 +47,19 @@ class TestDmpConfig:
             DmpConfig(alpha=25.0, tau=3.0, alpha_x=2.0, num_basis=25,
                       duration=3.0, grid_dt=0.1)
 
+    @pytest.mark.parametrize("num_basis, message", [
+        (1, "at least 2"), (0, "at least 2"), (-3, "at least 2"),
+        (25.7, "integer"), (float("nan"), "integer"), ("five", "integer")])
+    def test_num_basis_is_an_integer_of_at_least_two(self, num_basis, message):
+        with pytest.raises(ValidationError, match=message):
+            DmpConfig(alpha=25.0, tau=3.0, alpha_x=2.0, num_basis=num_basis,
+                      duration=3.0)
+
+    def test_integral_num_basis_is_normalized(self):
+        cfg = DmpConfig(alpha=25.0, tau=3.0, alpha_x=2.0, num_basis=25.0,
+                        duration=3.0)
+        assert cfg.num_basis == 25 and isinstance(cfg.num_basis, int)
+
     def test_from_dict_rejects_unknown_keys(self):
         data = dict(alpha=25.0, tau=3.0, alpha_x=2.0, num_basis=5, duration=3.0)
         assert DmpConfig.from_dict(data).num_basis == 5
@@ -54,6 +67,8 @@ class TestDmpConfig:
             DmpConfig.from_dict({**data, "gamma": 1.0})
         with pytest.raises(ValidationError):
             DmpConfig.from_dict({"alpha": 25.0})
+        with pytest.raises(ValidationError, match="JSON object"):
+            DmpConfig.from_dict([["alpha", 25.0]])
 
     def test_digest_depends_on_values_only(self, reference_config):
         clone = DmpConfig(**{k: getattr(reference_config, k)
@@ -82,10 +97,10 @@ class TestPhase:
 
 class TestForcingBasis:
     def test_needs_two_functions(self):
-        cfg = DmpConfig(alpha=25.0, tau=3.0, alpha_x=2.0, num_basis=1,
-                        duration=3.0)
+        # the width rule needs a neighbor; the config refuses a lone function
         with pytest.raises(ValidationError, match="basis"):
-            make_forcing_basis(cfg)
+            make_forcing_basis(DmpConfig(alpha=25.0, tau=3.0, alpha_x=2.0,
+                                         num_basis=1, duration=3.0))
 
     def test_centers_are_phase_values(self, reference_config):
         basis = make_forcing_basis(reference_config)

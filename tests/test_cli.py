@@ -360,6 +360,55 @@ class TestErrorReporting:
         assert code == 2
         assert "unknown weights keys: label" in stderr
 
+    @pytest.mark.parametrize("text", ["t,dofx_pos\n0.0,1.0\n0.5,2.0\n",
+                                      "t,dof0_pos\n0.0,1.0\n0.5,abc\n"],
+                             ids=["bad-column", "non-numeric-cell"])
+    def test_malformed_demo_csv_is_validation_error(self, env, capsys, tmp_path,
+                                                    text):
+        demo = tmp_path / "demo.csv"
+        demo.write_text(text)
+        code, _, stderr = _run(capsys, [
+            "fit", "--bank", str(env["bank"]), "--demo", str(demo),
+            "--out", str(tmp_path / "w.json")])
+        assert code == 2
+        assert stderr.startswith("error[validation]:")
+        assert str(demo) in stderr
+        assert stderr.count("\n") == 1
+
+    def test_non_finite_boundary_state_rejected(self, env, capsys, tmp_path):
+        bc = tmp_path / "bc.json"
+        bc.write_text('{"t_b": 0.0, "y_b": [NaN, 0.0], "dy_b": [0.0, 0.0]}')
+        out = tmp_path / "x.csv"
+        code, _, stderr = _run(capsys, [
+            "generate", "--bank", str(env["bank"]), "--weights",
+            str(env["weights"]), "--bc", str(bc), "--out", str(out)])
+        assert code == 2
+        assert stderr.startswith("error[validation]:")
+        assert "finite" in stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["precompute", "--config", "{bad}"],
+        ["generate", "--bank", "{bank}", "--config", "{bad}", "--weights", "{weights}"],
+        ["generate", "--bank", "{bank}", "--weights", "{bad}"],
+        ["generate", "--bank", "{bank}", "--weights", "{weights}", "--bc", "{bad}"],
+        ["sample", "--bank", "{bank}", "--wdist", "{bad}"],
+        ["combine", "--bank", "{bank}", "--wdist", "{wdist}", "--bc", "{bc}",
+         "--activations", "{bad}"],
+        ["replan", "--bank", "{bank}", "--scenario", "{bad}"],
+    ], ids=["config", "bank-config", "weights", "bc", "wdist", "activations",
+            "scenario"])
+    def test_json_input_must_be_an_object(self, env, capsys, tmp_path, argv):
+        bad = tmp_path / "array.json"
+        bad.write_text("[1.0, 2.0]")
+        paths = {key: str(env[key]) for key in ("bank", "weights", "wdist", "bc")}
+        argv = [arg.format(bad=bad, **paths) for arg in argv]
+        code, _, stderr = _run(capsys, argv + ["--out", str(tmp_path / "x.out")])
+        assert code == 2
+        assert stderr.startswith("error[validation]:")
+        assert "JSON object" in stderr
+        assert stderr.count("\n") == 1
+
     def test_failed_command_leaves_no_output(self, env, capsys, tmp_path):
         out = tmp_path / "never.csv"
         code, _, _ = _run(capsys, [

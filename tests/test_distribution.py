@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from mptraj import (BoundaryCondition, DimensionError, NumericalError,
@@ -9,7 +11,7 @@ from mptraj import (BoundaryCondition, DimensionError, NumericalError,
                     WeightsDistribution, evaluate_position, gaussian_nll,
                     marginal, pair_nll, per_time_marginals, sample_time_pairs,
                     sample_trajectories, trajectory_distribution)
-from mptraj.distribution import (trajectory_distribution_json_dict,
+from mptraj.distribution import (PAIR_BLOCK, trajectory_distribution_json_dict,
                                  weights_distribution_from_dict,
                                  weights_distribution_json_dict)
 from tests.conftest import random_weights_distribution
@@ -25,11 +27,36 @@ def _case(bank, dofs=2, seed=0, t_b=0.0):
     return wdist, bc
 
 
+def _pair_nll_loop(batch, wdist, bc, bank, noise_var):
+    """Per-pair reference route: one joint distribution and one NLL per pair."""
+    total = 0.0
+    for j in range(batch.count):
+        dist = trajectory_distribution(wdist, bc, batch.times[j], bank, noise_var)
+        total += gaussian_nll(dist, batch.values[j])
+    return total / batch.count
+
+
+def _rollout_pairs(wdist, bc, bank, times, noise_var, rng):
+    """Pair batch whose truth values are one weight-space draw at the pair
+    times plus observation noise, DoF-major per pair."""
+    count, dofs = times.shape[0], bc.dofs
+    draw = sample_trajectories(wdist, bc, times.ravel(), bank, 1, rng)[0]
+    values = draw.reshape(dofs, count, 2).transpose(1, 0, 2).reshape(count, 2 * dofs)
+    values = values + math.sqrt(noise_var) * rng.standard_normal(values.shape)
+    return TimePairBatch(times, values)
+
+
 class TestWeightsDistribution:
     def test_rejects_upper_entries(self):
         chol = np.array([[1.0, 0.5], [0.0, 1.0]])
         with pytest.raises(ValidationError, match="lower-triangular"):
             WeightsDistribution(np.zeros(2), chol)
+
+    @pytest.mark.parametrize("mean, chol", [
+        ([np.nan, 0.0], np.eye(2)), ([0.0, 0.0], np.diag([1.0, np.inf]))])
+    def test_rejects_non_finite(self, mean, chol):
+        with pytest.raises(ValidationError, match="finite"):
+            WeightsDistribution(np.array(mean), chol)
 
     def test_rejects_zero_diagonal(self):
         with pytest.raises(ValidationError, match="strictly positive"):
@@ -259,6 +286,65 @@ class TestTimePairs:
         batch = sample_time_pairs(np.linspace(0, 1, 6), 3, seed=0)
         with pytest.raises(ValidationError, match="truth values"):
             pair_nll(batch, wdist, bc, small_bank)
+
+
+class TestBatchedPairNll:
+    # the constant term 2D ln(2 pi) / 2 sets the rounding scale, so a mean
+    # NLL that happens to cancel to near zero is held to the same absolute
+    # error as every other case
+    @staticmethod
+    def _assert_matches(got, expected, dofs):
+        assert got == pytest.approx(expected, rel=1e-12, abs=1e-12 * dofs * LN_TWO_PI)
+
+    @settings(max_examples=40, deadline=None)
+    @given(dofs=st.integers(1, 4), count=st.integers(1, 64),
+           t_b=st.floats(1e-3, 0.9), noise_var=st.floats(1e-8, 1.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_per_pair_loop(self, small_bank, dofs, count, t_b, noise_var,
+                                   seed):
+        rng = np.random.default_rng(seed)
+        wdist, bc = _case(small_bank, dofs=dofs, seed=seed, t_b=t_b)
+        times = rng.uniform(t_b, small_bank.duration, size=(count, 2))
+        batch = _rollout_pairs(wdist, bc, small_bank, times, noise_var, rng)
+        self._assert_matches(pair_nll(batch, wdist, bc, small_bank, noise_var),
+                             _pair_nll_loop(batch, wdist, bc, small_bank, noise_var),
+                             dofs)
+
+    def test_batch_larger_than_block(self, small_bank):
+        rng = np.random.default_rng(29)
+        wdist, bc = _case(small_bank, dofs=3, seed=29, t_b=0.1)
+        times = sample_time_pairs(np.linspace(0.1, 1.0, 901), PAIR_BLOCK + 17, rng).times
+        batch = _rollout_pairs(wdist, bc, small_bank, times, 1e-6, rng)
+        self._assert_matches(pair_nll(batch, wdist, bc, small_bank, 1e-6),
+                             _pair_nll_loop(batch, wdist, bc, small_bank, 1e-6), 3)
+
+    def test_negative_noise_rejected(self, small_bank):
+        wdist, bc = _case(small_bank)
+        batch = TimePairBatch(np.array([[0.2, 0.7]]), np.zeros((1, 4)))
+        with pytest.raises(ValidationError, match="noise_var"):
+            pair_nll(batch, wdist, bc, small_bank, noise_var=-1e-9)
+
+    def test_value_width_and_weights_dimension(self, small_bank):
+        wdist, bc = _case(small_bank)
+        batch = TimePairBatch(np.array([[0.2, 0.7]]), np.zeros((1, 2)))
+        with pytest.raises(DimensionError, match="truth vectors"):
+            pair_nll(batch, wdist, bc, small_bank)
+        one_dof = BoundaryCondition(0.0, np.zeros(1), np.zeros(1))
+        with pytest.raises(DimensionError, match="weights distribution"):
+            pair_nll(batch, wdist, one_dof, small_bank)
+
+    def test_singular_equal_time_pair_at_zero_noise(self, small_bank):
+        # the pair at t_b has zero variance for any weights, so its
+        # covariance is exactly singular once the noise is zero; the regular
+        # pair before it must not mask the failure
+        dim = small_bank.weight_dim
+        chol = np.diag(np.r_[np.ones(dim - 1), 0.0])
+        wdist = WeightsDistribution(np.zeros(dim), chol, allow_semidefinite=True)
+        bc = BoundaryCondition(0.25, np.zeros(1), np.zeros(1))
+        batch = TimePairBatch(np.array([[0.3, 0.8], [0.25, 0.25]]),
+                              np.zeros((2, 2)), allow_equal=True)
+        with pytest.raises(NumericalError, match="singular pair covariance"):
+            pair_nll(batch, wdist, bc, small_bank, noise_var=0.0)
 
 
 class TestJson:

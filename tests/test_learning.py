@@ -19,6 +19,15 @@ class TestDemonstration:
         with pytest.raises(ValidationError, match="at least 2"):
             Demonstration(np.array([0.0]), np.array([[1.0]]))
 
+    @pytest.mark.parametrize("times, positions, velocities", [
+        ([0.0, 0.5, np.nan], [[1.0, 2.0, 3.0]], None),
+        ([0.0, 0.5, 1.0], [[1.0, np.nan, 3.0]], None),
+        ([0.0, 0.5, 1.0], [[1.0, 2.0, 3.0]], [[0.0, np.inf, 0.0]])])
+    def test_non_finite_rejected(self, times, positions, velocities):
+        with pytest.raises(ValidationError, match="finite"):
+            Demonstration(np.array(times), np.array(positions),
+                          None if velocities is None else np.array(velocities))
+
     def test_needs_increasing_times(self):
         with pytest.raises(ValidationError, match="strictly increasing"):
             Demonstration(np.array([0.0, 0.0]), np.zeros((1, 2)))

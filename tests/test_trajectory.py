@@ -68,6 +68,13 @@ class TestBoundaryCondition:
         with pytest.raises(ValidationError):
             BoundaryCondition(-1.0, np.zeros(2), np.zeros(2))
 
+    @pytest.mark.parametrize("t_b, y_b, dy_b", [
+        (np.nan, [0.0], [0.0]), (np.inf, [0.0], [0.0]),
+        (0.0, [np.nan], [0.0]), (0.0, [0.0], [-np.inf])])
+    def test_non_finite_rejected(self, t_b, y_b, dy_b):
+        with pytest.raises(ValidationError, match="finite"):
+            BoundaryCondition(t_b, y_b, dy_b)
+
     def test_arrays_read_only(self):
         bc = BoundaryCondition(0.0, np.zeros(2), np.zeros(2))
         with pytest.raises(ValueError):
@@ -207,6 +214,16 @@ class TestCsv:
         t2, p2, v2 = read_trajectory_csv(path)
         assert v2 is None
         assert np.array_equal(p2, np.ones((1, 2)))
+
+    @pytest.mark.parametrize("text", ["t,dof0_pos\n",
+                                      "t,dof0_pos\n0.0,1.0\n0.5\n",
+                                      "t,dof0_pos,dof0_vel\n0.0,1.0\n0.5,2.0\n"],
+                             ids=["header-only", "ragged", "short-rows"])
+    def test_rows_must_match_header(self, tmp_path, text):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ValidationError, match="bad.csv"):
+            read_trajectory_csv(str(path))
 
     def test_misaligned_rejected(self, tmp_path):
         with pytest.raises(DimensionError):

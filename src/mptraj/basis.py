@@ -285,9 +285,10 @@ class BasisBank:
         t = np.atleast_1d(np.asarray(t, dtype=float))
         if t.size == 0:
             return np.empty((0, values.shape[1]))
-        if t.min() < self.times[0] or t.max() > self.times[-1]:
+        # negated so that NaN fails the check
+        if not (t.min() >= self.times[0] and t.max() <= self.times[-1]):
             raise ValidationError(
-                f"query time outside bank range [0, {self.duration}]: "
+                f"query time not finite or outside bank range [0, {self.duration}]: "
                 f"[{t.min()}, {t.max()}]")
         idx = np.searchsorted(self.times, t, side="right") - 1
         idx = np.clip(idx, 0, self.times.shape[0] - 2)

@@ -9,6 +9,7 @@ written atomically.  Failures print one line to stderr in the form
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -26,7 +27,7 @@ from .probops import (ActivationProfile, GaussianSequence, blend, combine,
                       falling_ramp, write_gaussian_sequence_json)
 from .replan import run_chain, smoothness_metric
 from .svgplot import line_plot
-from .trajectory import (BoundaryCondition, evaluate_position, evaluate_velocity,
+from .trajectory import (BoundaryCondition, TrajectoryGenerator, evaluate_position,
                          read_trajectory_csv, weight_blocks, write_trajectory_csv)
 
 
@@ -103,12 +104,13 @@ def _default_bc(dofs: int) -> BoundaryCondition:
 
 
 def _grid(rate: float, start: float, stop: float, bank: BasisBank) -> np.ndarray:
-    if not rate > 0.0:
-        raise ValidationError(f"--rate must be > 0, got {rate}")
-    if start < 0.0 or stop > bank.duration * (1.0 + 1e-12):
+    if not 0.0 < rate < math.inf:
+        raise ValidationError(f"--rate must be finite and > 0, got {rate}")
+    # negated so that NaN fails the check
+    if not 0.0 <= start <= stop <= bank.duration * (1.0 + 1e-12):
         raise ValidationError(
-            f"query window [{start:g}, {stop:g}] outside the bank horizon "
-            f"[0, {bank.duration:g}]")
+            f"query window [{start:g}, {stop:g}] is not an ordered window inside "
+            f"the bank horizon [0, {bank.duration:g}]")
     steps = int(round((stop - start) * rate))
     if steps < 1:
         raise ValidationError(
@@ -159,8 +161,8 @@ def _cmd_generate(args) -> int:
     start = bc.t_b if args.start is None else args.start
     stop = bank.duration if args.until is None else args.until
     times = _grid(args.rate, start, stop, bank)
-    positions = evaluate_position(weights, bc, times, bank)
-    velocities = evaluate_velocity(weights, bc, times, bank)
+    gen = TrajectoryGenerator(bc, times, bank)
+    positions, velocities = gen.positions(weights), gen.velocities(weights)
     write_trajectory_csv(args.out, times, positions, velocities)
     print(f"trajectory written: {args.out} ({times.shape[0]} samples, {dofs} DoFs)")
     if args.svg:
@@ -292,8 +294,8 @@ def _cmd_blend(args) -> int:
     return 0
 
 
-_SCENARIO_KEYS = ("initial", "rate_hz", "segments", "anchor", "mode", "noise_var",
-                  "stale_bc", "seed")
+_SCENARIO_KEYS = ("initial", "rate_hz", "segments", "anchor", "mode", "stale_bc",
+                  "seed")
 
 
 def _cmd_replan(args) -> int:
@@ -329,7 +331,6 @@ def _cmd_replan(args) -> int:
     plan = run_chain(initial, segments, bank, rate,
                      anchor=scenario.get("anchor", "local"),
                      mode=scenario.get("mode", "mean"), seed=seed,
-                     noise_var=float(scenario.get("noise_var", DEFAULT_NOISE_VAR)),
                      stale_bc=bool(scenario.get("stale_bc", False)))
     write_trajectory_csv(args.out, plan.times, plan.positions, plan.velocities,
                          segment_ids=plan.segment_ids)

@@ -4,7 +4,10 @@ A weights distribution N(mu_wg, L L^T) maps through the boundary-folded basis
 H to a joint Gaussian over any selected (time, DoF) indices:
 
     mu  = xi1 y_b + xi2 dy_b + H^T mu_wg
-    cov = H^T (L L^T) H + noise_var I
+    cov = G G^T + noise_var I,   G = H^T L
+
+where the offset xi1 y_b + xi2 dy_b comes from the fold and G is formed per
+DoF block, G_d = H^T L_d with L_d DoF d's row block of L.
 
 The joint covariance is materialized only over caller-selected times (probe
 points, random pairs); full-horizon materialization is deliberately not the
@@ -141,15 +144,10 @@ def trajectory_distribution(wdist: WeightsDistribution, bc: BoundaryCondition,
     t_count = fold.times.shape[0]
     wd = bank.weight_dim
 
-    mu_blocks = wdist.mean.reshape(dofs, wd)
-    mean = (fold.xi1 * bc.y_b[:, None] + fold.xi2 * bc.dy_b[:, None]
-            + mu_blocks @ fold.h_pos.T).ravel()
-
-    h_full = np.zeros((wdist.dim, dofs * t_count))
-    for d in range(dofs):
-        h_full[d * wd:(d + 1) * wd, d * t_count:(d + 1) * t_count] = fold.h_pos.T
-    gmat = wdist.chol.T @ h_full
-    cov = gmat.T @ gmat
+    mean = (fold.pos_offset + wdist.mean.reshape(dofs, wd) @ fold.h_pos.T).ravel()
+    gmat = (fold.h_pos @ wdist.chol.reshape(dofs, wd, wdist.dim)).reshape(
+        dofs * t_count, wdist.dim)
+    cov = gmat @ gmat.T
     cov = 0.5 * (cov + cov.T)
     cov[np.diag_indices_from(cov)] += noise_var
 
@@ -166,18 +164,12 @@ def per_time_marginals(wdist: WeightsDistribution, bc: BoundaryCondition, times,
         raise ValidationError("noise_var must be >= 0")
     dofs = _check_weights_dim(wdist, bc, bank)
     fold = folded_basis(bc, times, bank)
-    t_count = fold.times.shape[0]
     wd = bank.weight_dim
 
-    mu_blocks = wdist.mean.reshape(dofs, wd)
-    means = (fold.xi1 * bc.y_b[:, None] + fold.xi2 * bc.dy_b[:, None]
-             + mu_blocks @ fold.h_pos.T).T
-
-    h_t = np.zeros((t_count, wdist.dim, dofs))
-    for d in range(dofs):
-        h_t[:, d * wd:(d + 1) * wd, d] = fold.h_pos
-    gmat = np.einsum("qp,tqd->tpd", wdist.chol, h_t)
-    covs = np.einsum("tpd,tpe->tde", gmat, gmat)
+    means = (fold.pos_offset + wdist.mean.reshape(dofs, wd) @ fold.h_pos.T).T
+    # (D, T, D(N+1)) -> (T, D, D(N+1)): row d of step t is h_t L_d
+    gmat = (fold.h_pos @ wdist.chol.reshape(dofs, wd, wdist.dim)).transpose(1, 0, 2)
+    covs = gmat @ gmat.transpose(0, 2, 1)
     covs = 0.5 * (covs + covs.transpose(0, 2, 1))
     covs[:, np.arange(dofs), np.arange(dofs)] += noise_var
     return fold.times.copy(), means, covs
@@ -232,20 +224,19 @@ def sample_trajectories(wdist: WeightsDistribution, bc: BoundaryCondition, times
     draws = wdist.mean + z @ wdist.chol.T
 
     fold = folded_basis(bc, times, bank)
-    base = fold.xi1 * bc.y_b[:, None] + fold.xi2 * bc.dy_b[:, None]
     blocks = draws.reshape(count, dofs, bank.weight_dim)
-    positions = base[None, :, :] + blocks @ fold.h_pos.T
+    positions = fold.pos_offset[None, :, :] + blocks @ fold.h_pos.T
     if not with_velocities:
         return positions
-    vel_base = fold.dxi1 * bc.y_b[:, None] + fold.dxi2 * bc.dy_b[:, None]
-    velocities = vel_base[None, :, :] + blocks @ fold.h_vel.T
+    velocities = fold.vel_offset[None, :, :] + blocks @ fold.h_vel.T
     return positions, velocities
 
 
 @dataclass(frozen=True)
 class TimePairBatch:
     """J time pairs, optionally with per-pair truth vectors (2D entries,
-    DoF-major: dof0@t, dof0@t', dof1@t, ...)."""
+    DoF-major: dof0@t, dof0@t', dof1@t, ...).  Times and values must be
+    finite."""
 
     times: np.ndarray
     values: np.ndarray | None = None
@@ -255,6 +246,8 @@ class TimePairBatch:
         times = np.array(self.times, dtype=float)
         if times.ndim != 2 or times.shape[1] != 2 or times.shape[0] < 1:
             raise DimensionError(f"pair times must have shape (J, 2), got {times.shape}")
+        if not np.isfinite(times).all():
+            raise ValidationError("pair times must be finite")
         if not self.allow_equal and np.any(times[:, 0] == times[:, 1]):
             raise ValidationError(
                 "pairs with t == t' are forbidden (their covariance is singular at "
@@ -266,6 +259,8 @@ class TimePairBatch:
             if values.ndim != 2 or values.shape[0] != times.shape[0] or values.shape[1] % 2:
                 raise DimensionError(
                     f"truth values must have shape (J, 2*D), got {values.shape}")
+            if not np.isfinite(values).all():
+                raise ValidationError("pair truth values must be finite")
             values.flags.writeable = False
             object.__setattr__(self, "values", values)
 
@@ -318,8 +313,7 @@ def pair_nll(batch: TimePairBatch, wdist: WeightsDistribution, bc: BoundaryCondi
     count, wd, dim = batch.count, bank.weight_dim, wdist.dim
     fold = folded_basis(bc, batch.times.ravel(), bank)
 
-    means = (fold.xi1 * bc.y_b[:, None] + fold.xi2 * bc.dy_b[:, None]
-             + wdist.mean.reshape(dofs, wd) @ fold.h_pos.T)
+    means = fold.pos_offset + wdist.mean.reshape(dofs, wd) @ fold.h_pos.T
     resid = batch.values - means.reshape(dofs, count, 2).transpose(1, 0, 2).reshape(
         count, 2 * dofs)
     chol_rows = wdist.chol.reshape(dofs, wd, dim)
@@ -357,19 +351,6 @@ def _unpack_lower(values, dim: int) -> np.ndarray:
     mat = np.zeros((dim, dim))
     mat[np.tril_indices(dim)] = values
     return mat
-
-
-def trajectory_distribution_json_dict(dist: TrajectoryDistribution) -> dict:
-    return {
-        "index_set": [[t, d] for (t, d) in dist.index_set],
-        "mean": dist.mean.tolist(),
-        "cov_lower": _pack_lower(dist.cov),
-        "noise_var": dist.noise_var,
-    }
-
-
-def write_trajectory_distribution_json(path: str, dist: TrajectoryDistribution) -> None:
-    atomic_write_json(path, trajectory_distribution_json_dict(dist))
 
 
 def weights_distribution_json_dict(wdist: WeightsDistribution, dofs: int,

@@ -109,8 +109,7 @@ def fit_weights(demo: Demonstration, bank: BasisBank,
         raise ValidationError(f"ridge must be >= 0, got {ridge}")
 
     fold = folded_basis(bc, demo.times, bank)
-    target = (demo.positions - fold.xi1 * bc.y_b[:, None]
-              - fold.xi2 * bc.dy_b[:, None])
+    target = demo.positions - fold.pos_offset
     if ridge is None:
         ridge = (RIDGE_SCALE * float(np.einsum("ij,ij->", fold.h_pos, fold.h_pos))
                  / bank.weight_dim)

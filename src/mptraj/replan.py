@@ -11,9 +11,14 @@ instead (anchor="follow" in run_chain) keeps the phase and forcing where the
 unsegmented trajectory would have them, which is the mode where replanning
 with unchanged parameters continues the original path; it requires the chain
 to fit inside the bank horizon.
+
+A chain computes only the executed trace: each segment is one boundary fold
+and two matrix products.  replan_segment additionally returns the segment's
+trajectory distribution.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +27,7 @@ from .basis import BasisBank
 from .distribution import (DEFAULT_NOISE_VAR, TrajectoryDistribution,
                            WeightsDistribution, trajectory_distribution)
 from .errors import DimensionError, ValidationError
-from .trajectory import (BoundaryCondition, evaluate_position, evaluate_velocity)
+from .trajectory import BoundaryCondition, TrajectoryGenerator
 
 
 @dataclass(frozen=True)
@@ -64,19 +69,29 @@ class SegmentPlan:
             raise ValidationError("switch times must be strictly increasing")
 
 
-def _segment_offsets(horizon: float, rate: float) -> np.ndarray:
-    if not horizon > 0.0:
-        raise ValidationError(f"horizon must be > 0, got {horizon}")
-    if not rate > 0.0:
-        raise ValidationError(f"rate must be > 0, got {rate}")
+def _segment_frame(current: BoundaryCondition, horizon: float, bank: BasisBank,
+                   rate: float, bank_anchor: float):
+    """(global times, bank times, bank-time boundary condition) of the segment
+    that starts at the current state and lasts horizon, sampled at rate."""
+    if not 0.0 < horizon < math.inf:
+        raise ValidationError(f"horizon must be finite and > 0, got {horizon}")
+    if not 0.0 < rate < math.inf:
+        raise ValidationError(f"rate must be finite and > 0, got {rate}")
     steps = int(round(horizon * rate))
     if steps < 1 or abs(steps / rate - horizon) > 1e-9 * max(1.0, horizon):
         raise ValidationError(
             f"horizon {horizon} is not a positive multiple of the sample period "
             f"1/{rate}")
+    if bank_anchor < 0.0 or bank_anchor + horizon > bank.duration * (1.0 + 1e-12):
+        raise ValidationError(
+            f"segment [{bank_anchor:.6g}, {bank_anchor + horizon:.6g}] exceeds the "
+            f"bank horizon {bank.duration:.6g}; shorten the horizon or precompute "
+            f"a longer bank")
     offsets = np.arange(steps + 1) / rate
     offsets[-1] = horizon
-    return offsets
+    local_times = np.minimum(bank_anchor + offsets, bank.duration)
+    local_bc = BoundaryCondition(t_b=bank_anchor, y_b=current.y_b, dy_b=current.dy_b)
+    return current.t_b + offsets, local_times, local_bc
 
 
 def replan_segment(current: BoundaryCondition, wdist: WeightsDistribution,
@@ -85,32 +100,23 @@ def replan_segment(current: BoundaryCondition, wdist: WeightsDistribution,
                    bank_anchor: float = 0.0) -> ReplanSegment:
     """Distribution and mean trace over [t_b, t_b + horizon], starting exactly
     at the current state.  bank_anchor maps the switch instant into bank time."""
-    offsets = _segment_offsets(horizon, rate)
-    if bank_anchor < 0.0 or bank_anchor + horizon > bank.duration * (1.0 + 1e-12):
-        raise ValidationError(
-            f"segment [{bank_anchor:.6g}, {bank_anchor + horizon:.6g}] exceeds the "
-            f"bank horizon {bank.duration:.6g}; shorten the horizon or precompute "
-            f"a longer bank")
-    local_times = np.minimum(bank_anchor + offsets, bank.duration)
-    local_bc = BoundaryCondition(t_b=bank_anchor, y_b=current.y_b, dy_b=current.dy_b)
-
+    global_times, local_times, local_bc = _segment_frame(current, horizon, bank,
+                                                         rate, bank_anchor)
     dist = trajectory_distribution(wdist, local_bc, local_times, bank, noise_var)
-    global_times = current.t_b + offsets
     index_set = tuple((float(t), d) for d in range(current.dofs)
                       for t in global_times)
     dist = TrajectoryDistribution(index_set=index_set, mean=dist.mean, cov=dist.cov,
                                   noise_var=dist.noise_var)
-    positions = evaluate_position(wdist.mean, local_bc, local_times, bank)
-    velocities = evaluate_velocity(wdist.mean, local_bc, local_times, bank)
-    return ReplanSegment(times=global_times, positions=positions,
-                         velocities=velocities, distribution=dist)
+    gen = TrajectoryGenerator(local_bc, local_times, bank)
+    return ReplanSegment(times=global_times, positions=gen.positions(wdist.mean),
+                         velocities=gen.velocities(wdist.mean), distribution=dist)
 
 
 def run_chain(initial: BoundaryCondition, segments, bank: BasisBank, rate: float,
               anchor: str = "local", mode: str = "mean", seed=None,
-              noise_var: float = DEFAULT_NOISE_VAR,
               stale_bc: bool = False) -> SegmentPlan:
-    """Execute a chain of (wdist, horizon) segments.
+    """Execute a chain of (wdist, horizon) segments and return the executed
+    trace; no segment distribution is built.
 
     mode "mean" follows each segment's mean; mode "sample" draws one weight
     vector per segment.  stale_bc=True is the negative control: every segment
@@ -136,29 +142,28 @@ def run_chain(initial: BoundaryCondition, segments, bank: BasisBank, rate: float
         bc = initial if stale_bc else state
         bc = BoundaryCondition(t_b=state.t_b, y_b=bc.y_b, dy_b=bc.dy_b)
         bank_anchor = 0.0 if anchor == "local" else state.t_b
+        times, local_times, local_bc = _segment_frame(bc, horizon, bank, rate,
+                                                      bank_anchor)
+        w = wdist.mean
         if mode == "sample":
             w = wdist.mean + wdist.chol @ rng.standard_normal(wdist.dim)
-            wdist = WeightsDistribution(mean=w, chol=np.zeros_like(wdist.chol),
-                                        allow_semidefinite=True)
-        segment = replan_segment(bc, wdist, horizon, bank, rate,
-                                 noise_var=noise_var, bank_anchor=bank_anchor)
+        gen = TrajectoryGenerator(local_bc, local_times, bank)
+        positions, velocities = gen.positions(w), gen.velocities(w)
         switch_times.append(state.t_b)
 
         if k > 0:
-            pos_jumps.append(float(np.max(np.abs(segment.positions[:, 0]
-                                                 - prev_end_pos))))
-            vel_jumps.append(float(np.max(np.abs(segment.velocities[:, 0]
-                                                 - prev_end_vel))))
-        prev_end_pos = segment.positions[:, -1]
-        prev_end_vel = segment.velocities[:, -1]
+            pos_jumps.append(float(np.max(np.abs(positions[:, 0] - prev_end_pos))))
+            vel_jumps.append(float(np.max(np.abs(velocities[:, 0] - prev_end_vel))))
+        prev_end_pos = positions[:, -1]
+        prev_end_vel = velocities[:, -1]
 
         drop = 1 if k > 0 else 0
-        chunks_t.append(segment.times[drop:])
-        chunks_p.append(segment.positions[:, drop:])
-        chunks_v.append(segment.velocities[:, drop:])
-        chunks_id.append(np.full(segment.times.shape[0] - drop, k, dtype=int))
+        chunks_t.append(times[drop:])
+        chunks_p.append(positions[:, drop:])
+        chunks_v.append(velocities[:, drop:])
+        chunks_id.append(np.full(times.shape[0] - drop, k, dtype=int))
 
-        state = BoundaryCondition(t_b=float(segment.times[-1]),
+        state = BoundaryCondition(t_b=float(times[-1]),
                                   y_b=prev_end_pos, dy_b=prev_end_vel)
 
     return SegmentPlan(

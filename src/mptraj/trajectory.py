@@ -98,14 +98,16 @@ def weight_blocks(w_g, dofs: int, weight_dim: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FoldedBasis:
-    """Boundary fold of the bank at fixed (bc, times); shared by the
-    deterministic, distribution, and sampling paths."""
+    """Boundary fold of the bank at fixed (bc, times), the one place the
+    boundary state enters: y(t) = pos_offset + W h_pos^T and yd(t) =
+    vel_offset + W h_vel^T for weight blocks W of shape (D, N+1).  Offsets
+    are (D, T), the folded rows (T, N+1).  Shared by the deterministic,
+    distribution, sampling and fitting paths; a replanning chain computes
+    only the trace from it, one fold per segment."""
 
     times: np.ndarray
-    xi1: np.ndarray
-    xi2: np.ndarray
-    dxi1: np.ndarray
-    dxi2: np.ndarray
+    pos_offset: np.ndarray
+    vel_offset: np.ndarray
     h_pos: np.ndarray
     h_vel: np.ndarray
 
@@ -119,10 +121,12 @@ def folded_basis(bc: BoundaryCondition, times, bank: BasisBank) -> FoldedBasis:
     k = bank.config.decay_rate
     xi1, xi2 = _xi_arrays(times, bc.t_b, k)
     dxi1, dxi2 = _dxi_arrays(times, bc.t_b, k)
-    h_pos = phi - xi1[:, None] * phi_b - xi2[:, None] * dphi_b
-    h_vel = dphi - dxi1[:, None] * phi_b - dxi2[:, None] * dphi_b
-    return FoldedBasis(times=times, xi1=xi1, xi2=xi2, dxi1=dxi1, dxi2=dxi2,
-                       h_pos=h_pos, h_vel=h_vel)
+    return FoldedBasis(
+        times=times,
+        pos_offset=xi1 * bc.y_b[:, None] + xi2 * bc.dy_b[:, None],
+        vel_offset=dxi1 * bc.y_b[:, None] + dxi2 * bc.dy_b[:, None],
+        h_pos=phi - xi1[:, None] * phi_b - xi2[:, None] * dphi_b,
+        h_vel=dphi - dxi1[:, None] * phi_b - dxi2[:, None] * dphi_b)
 
 
 def solve_coefficients(bc: BoundaryCondition, w_g, bank: BasisBank):
@@ -190,8 +194,8 @@ class TrajectoryGenerator:
         self.bc = bc
         self.bank = bank
         self.times = fold.times
-        self._pos_offset = fold.xi1 * bc.y_b[:, None] + fold.xi2 * bc.dy_b[:, None]
-        self._vel_offset = fold.dxi1 * bc.y_b[:, None] + fold.dxi2 * bc.dy_b[:, None]
+        self._pos_offset = fold.pos_offset
+        self._vel_offset = fold.vel_offset
         self._h_pos_t = fold.h_pos.T.copy()
         self._h_vel_t = fold.h_vel.T.copy()
 

@@ -236,6 +236,12 @@ class TestBankInterp:
         expected = 0.5 * (small_bank.pos_basis[10] + small_bank.pos_basis[11])
         np.testing.assert_allclose(row, expected, rtol=0, atol=1e-15)
 
+    def test_nan_query_rejected(self, small_bank):
+        with pytest.raises(ValidationError, match="not finite"):
+            small_bank.pos_rows([np.nan])
+        with pytest.raises(ValidationError, match="not finite"):
+            small_bank.vel_rows([0.5, np.nan])
+
     def test_out_of_range_rejected(self, small_bank):
         with pytest.raises(ValidationError):
             small_bank.pos_rows(np.array([-0.01]))

@@ -303,12 +303,14 @@ class TestReplan:
         assert a.read_bytes() != b.read_bytes()
 
     def test_unknown_scenario_key_rejected(self, env, capsys, tmp_path):
-        path = self._scenario(env, tmp_path, extra=1)
-        code, _, stderr = _run(capsys, [
-            "replan", "--bank", str(env["bank"]), "--scenario", str(path),
-            "--out", str(tmp_path / "x.csv")])
-        assert code == 2
-        assert "unknown scenario keys: extra" in stderr
+        # noise_var was a scenario key while chains built segment covariances
+        for key in ("extra", "noise_var"):
+            path = self._scenario(env, tmp_path, **{key: 1})
+            code, _, stderr = _run(capsys, [
+                "replan", "--bank", str(env["bank"]), "--scenario", str(path),
+                "--out", str(tmp_path / "x.csv")])
+            assert code == 2
+            assert f"unknown scenario keys: {key}" in stderr
 
 
 class TestBench:
@@ -408,6 +410,27 @@ class TestErrorReporting:
         assert stderr.startswith("error[validation]:")
         assert "JSON object" in stderr
         assert stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("flag, value", [("--start", "nan"), ("--until", "nan"),
+                                             ("--start", "inf"), ("--until", "-inf"),
+                                             ("--rate", "inf")])
+    @pytest.mark.parametrize("command", [
+        ["generate", "--weights", "{weights}"],
+        ["sample", "--wdist", "{wdist}"],
+        ["blend", "--wdist", "{wdist}", "--bc", "{bc}", "--wdist", "{wdist}",
+         "--bc", "{bc}", "--ramp-start", "0.25", "--ramp-end", "0.75"],
+    ], ids=["generate", "sample", "blend"])
+    def test_non_finite_query_window_is_validation_error(self, env, capsys, tmp_path,
+                                                         command, flag, value):
+        paths = {key: str(env[key]) for key in ("weights", "wdist", "bc")}
+        argv = [command[0], "--bank", str(env["bank"])]
+        argv += [arg.format(**paths) for arg in command[1:]]
+        out = tmp_path / "x.out"
+        code, _, stderr = _run(capsys, argv + [f"{flag}={value}", "--out", str(out)])
+        assert code == 2
+        assert stderr.startswith("error[validation]:")
+        assert stderr.count("\n") == 1
+        assert not out.exists()
 
     def test_failed_command_leaves_no_output(self, env, capsys, tmp_path):
         out = tmp_path / "never.csv"

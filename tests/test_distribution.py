@@ -11,8 +11,7 @@ from mptraj import (BoundaryCondition, DimensionError, NumericalError,
                     WeightsDistribution, evaluate_position, gaussian_nll,
                     marginal, pair_nll, per_time_marginals, sample_time_pairs,
                     sample_trajectories, trajectory_distribution)
-from mptraj.distribution import (PAIR_BLOCK, trajectory_distribution_json_dict,
-                                 weights_distribution_from_dict,
+from mptraj.distribution import (PAIR_BLOCK, weights_distribution_from_dict,
                                  weights_distribution_json_dict)
 from tests.conftest import random_weights_distribution
 
@@ -239,6 +238,11 @@ class TestSampling:
         with pytest.raises(ValidationError):
             sample_trajectories(wdist, bc, [0.5], small_bank, 0, seed=0)
 
+    def test_nan_time_rejected(self, small_bank):
+        wdist, bc = _case(small_bank)
+        with pytest.raises(ValidationError, match="not finite"):
+            sample_trajectories(wdist, bc, [np.nan], small_bank, 2, seed=0)
+
 
 class TestTimePairs:
     def test_equal_times_rejected(self):
@@ -248,6 +252,15 @@ class TestTimePairs:
     def test_allow_equal_override(self):
         batch = TimePairBatch(np.array([[0.5, 0.5]]), allow_equal=True)
         assert batch.count == 1
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_times_and_values_rejected(self, small_bank, bad):
+        # a NaN pair would otherwise score as a NaN mean NLL, with no error
+        with pytest.raises(ValidationError, match="pair times must be finite"):
+            TimePairBatch(np.array([[0.2, bad]]))
+        batch = TimePairBatch(np.array([[0.2, 0.7]]))
+        with pytest.raises(ValidationError, match="values must be finite"):
+            batch.with_values(np.array([[0.0, bad, 0.0, 0.0]]))
 
     def test_sampled_pairs_are_distinct_and_sorted(self, small_bank):
         times = np.linspace(0.0, 1.0, 11)
@@ -357,11 +370,3 @@ class TestJson:
         assert (dofs, num_basis) == (2, small_bank.config.num_basis)
         assert np.array_equal(back.mean, wdist.mean)
         assert np.array_equal(back.chol, wdist.chol)
-
-    def test_trajectory_dict_schema(self, small_bank):
-        wdist, bc = _case(small_bank)
-        dist = trajectory_distribution(wdist, bc, [0.25, 0.75], small_bank)
-        data = trajectory_distribution_json_dict(dist)
-        assert data["noise_var"] == dist.noise_var
-        assert len(data["index_set"]) == dist.dim
-        assert len(data["cov_lower"]) == dist.dim * (dist.dim + 1) // 2

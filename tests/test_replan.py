@@ -44,6 +44,13 @@ class TestReplanSegment:
         with pytest.raises(ValidationError, match="multiple of the sample period"):
             replan_segment(initial, wdists[0], 0.55, small_bank, rate=3.0)
 
+    @pytest.mark.parametrize("horizon, rate", [(np.inf, 10.0), (0.5, np.inf),
+                                               (np.nan, 10.0), (0.5, np.nan)])
+    def test_horizon_and_rate_must_be_finite(self, small_bank, horizon, rate):
+        wdists, initial = _setup(small_bank)
+        with pytest.raises(ValidationError, match="must be finite"):
+            replan_segment(initial, wdists[0], horizon, small_bank, rate=rate)
+
 
 class TestRunChain:
     def test_mean_mode_joins_without_jumps(self, small_bank):
@@ -107,6 +114,27 @@ class TestRunChain:
         assert plan.switch_times == (0.0, 0.25, 0.5)
         counts = np.bincount(plan.segment_ids)
         assert counts.tolist() == [11, 10, 10]
+
+    @pytest.mark.parametrize("anchor", ["local", "follow"])
+    def test_trace_equals_replan_segment(self, small_bank, anchor):
+        # every segment of the chain is the mean trace replan_segment plans
+        # from the same executed state, bit for bit
+        wdists, initial = _setup(small_bank)
+        horizons = (0.25, 0.25, 0.5)
+        plan = run_chain(initial, list(zip(wdists, horizons)), small_bank,
+                         rate=40.0, anchor=anchor)
+        for k, (wdist, horizon) in enumerate(zip(wdists, horizons)):
+            rows = np.flatnonzero(plan.segment_ids == k)
+            start = rows[0] - 1 if k > 0 else 0
+            t_b = plan.switch_times[k]
+            state = BoundaryCondition(t_b, plan.positions[:, start],
+                                      plan.velocities[:, start])
+            seg = replan_segment(state, wdist, horizon, small_bank, rate=40.0,
+                                 bank_anchor=0.0 if anchor == "local" else t_b)
+            drop = 1 if k > 0 else 0
+            assert np.array_equal(seg.times[drop:], plan.times[rows])
+            assert np.array_equal(seg.positions[:, drop:], plan.positions[:, rows])
+            assert np.array_equal(seg.velocities[:, drop:], plan.velocities[:, rows])
 
     def test_sample_mode_is_seeded(self, small_bank):
         wdists, initial = _setup(small_bank)

@@ -182,6 +182,14 @@ class TestFoldedBasis:
         assert np.all(fold.h_pos[0] == 0.0)
         assert np.all(fold.h_vel[0] == 0.0)
 
+    def test_offsets_equal_boundary_state_at_boundary(self, reference_bank):
+        rng = np.random.default_rng(4)
+        bc = BoundaryCondition(0.75, rng.standard_normal(3), rng.standard_normal(3))
+        fold = folded_basis(bc, np.array([0.5, 0.75, 2.0]), reference_bank)
+        assert fold.pos_offset.shape == fold.vel_offset.shape == (3, 3)
+        assert np.array_equal(fold.pos_offset[:, 1], bc.y_b)
+        assert np.array_equal(fold.vel_offset[:, 1], bc.dy_b)
+
 
 class TestCsv:
     def test_round_trip_bit_exact(self, tmp_path):

@@ -5,8 +5,8 @@ boundary-conditioned trajectories, trajectory distributions, and replanning
 chains as cheap linear algebra against the bank.
 """
 
-from .basis import (BasisBank, DmpConfig, ForcingBasis, complementary,
-                    make_forcing_basis, phase, precompute_basis, q_terms)
+from .basis import (BasisBank, DmpConfig, ForcingBasis, make_forcing_basis,
+                    phase, precompute_basis)
 from .bench import BenchReport, BenchScenario, run_benchmark
 from .distribution import (TimePairBatch, TrajectoryDistribution,
                            WeightsDistribution, gaussian_nll, marginal,
@@ -22,8 +22,7 @@ from .probops import (ActivationProfile, GaussianSequence, blend, combine,
 from .replan import (ReplanSegment, SegmentPlan, replan_segment, run_chain,
                      smoothness_metric)
 from .trajectory import (BoundaryCondition, TrajectoryGenerator,
-                         evaluate_position, evaluate_velocity, folded_basis,
-                         solve_coefficients, xi_terms)
+                         evaluate_position, evaluate_velocity, folded_basis)
 
 __version__ = "0.1.0"
 
@@ -34,12 +33,10 @@ __all__ = [
     "LatentGaussian", "MptrajError", "NumericalError", "ReplanSegment",
     "SegmentPlan", "TimePairBatch", "TrajectoryDistribution",
     "TrajectoryGenerator", "ValidationError", "WeightsDistribution",
-    "bayesian_aggregate", "blend", "combine", "complementary",
-    "evaluate_position", "evaluate_velocity", "falling_ramp", "fit_distribution",
-    "fit_weights", "folded_basis", "gaussian_nll", "integrate_dmp",
-    "make_forcing_basis", "marginal", "pair_nll", "per_time_marginals", "phase",
-    "precompute_basis", "q_terms", "replan_segment", "run_benchmark",
-    "run_chain", "sample_time_pairs", "sample_trajectories",
-    "smoothness_metric", "solve_coefficients", "trajectory_distribution",
-    "xi_terms",
+    "bayesian_aggregate", "blend", "combine", "evaluate_position",
+    "evaluate_velocity", "falling_ramp", "fit_distribution", "fit_weights",
+    "folded_basis", "gaussian_nll", "integrate_dmp", "make_forcing_basis",
+    "marginal", "pair_nll", "per_time_marginals", "phase", "precompute_basis",
+    "replan_segment", "run_benchmark", "run_chain", "sample_time_pairs",
+    "sample_trajectories", "smoothness_metric", "trajectory_distribution",
 ]

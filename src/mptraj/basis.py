@@ -1,5 +1,5 @@
-"""Phase variable, RBF forcing basis, complementary functions, and the
-offline position/velocity basis bank.
+"""Phase variable, RBF forcing basis, and the offline position/velocity
+basis bank.
 
 The trajectory model is the critically damped spring-damper ODE
 
@@ -38,8 +38,8 @@ import numpy as np
 from .errors import DimensionError, NumericalError, ValidationError
 from .fileio import atomic_write_bytes
 
-# exp() overflow guard for the raw q-terms (double range with margin)
-MAX_EXP_ARG = 700.0
+# version of the bank file layout; load() rejects any other
+BANK_FORMAT = 2
 
 _CONFIG_FIELDS = ("alpha", "beta", "tau", "alpha_x", "num_basis", "duration",
                   "grid_dt", "basis_overlap")
@@ -138,21 +138,14 @@ class DmpConfig:
         return cls(**data)
 
 
-@dataclass(frozen=True)
-class PhaseValue:
-    t: float
-    x: float
-
-
-def phase(t, config: DmpConfig) -> PhaseValue:
-    """Exponentially decaying phase x = exp(-alpha_x t / tau); accepts arrays."""
+def phase(t, config: DmpConfig) -> float | np.ndarray:
+    """Exponentially decaying phase x = exp(-alpha_x t / tau): a float for a
+    scalar t, an array of t's shape otherwise."""
     t = np.asarray(t, dtype=float)
     if np.any(t < 0.0):
         raise ValidationError("phase is undefined for negative time")
     x = np.exp(-config.alpha_x * t / config.tau)
-    if t.ndim == 0:
-        return PhaseValue(float(t), float(x))
-    return PhaseValue(t, x)
+    return float(x) if t.ndim == 0 else x
 
 
 @dataclass(frozen=True)
@@ -193,7 +186,7 @@ def make_forcing_basis(config: DmpConfig) -> ForcingBasis:
     """
     n = config.num_basis
     t_centers = np.linspace(0.0, config.duration, n)
-    centers = np.exp(-config.alpha_x * t_centers / config.tau)
+    centers = phase(t_centers, config)
     gaps = np.diff(centers)
     widths = -np.log(config.basis_overlap) / gaps**2
     widths = np.append(widths, widths[-1])
@@ -201,57 +194,14 @@ def make_forcing_basis(config: DmpConfig) -> ForcingBasis:
 
 
 @dataclass(frozen=True)
-class ComplementarySample:
-    t: float
-    y1: float
-    y2: float
-    dy1: float
-    dy2: float
-
-    @property
-    def wronskian(self) -> float:
-        return self.y1 * self.dy2 - self.dy1 * self.y2
-
-
-def complementary(t: float, config: DmpConfig) -> ComplementarySample:
-    """Homogeneous solutions y1 = e^{-kt}, y2 = t e^{-kt} and their derivatives."""
-    t = float(t)
-    if t < 0.0:
-        raise ValidationError("complementary functions are evaluated for t >= 0 only")
-    k = config.decay_rate
-    e = np.exp(-k * t)
-    return ComplementarySample(t=t, y1=e, y2=t * e, dy1=-k * e, dy2=(1.0 - k * t) * e)
-
-
-def q_terms(t: float, config: DmpConfig) -> tuple[float, float]:
-    """Closed-form goal integrals q1 = (kt - 1) e^{kt} + 1, q2 = k (e^{kt} - 1).
-
-    These grow like e^{kt}; arguments beyond the overflow guard raise instead
-    of silently producing infinities.  The bank never uses this growing route.
-    """
-    t = float(t)
-    if t < 0.0:
-        raise ValidationError("q_terms are evaluated for t >= 0 only")
-    k = config.decay_rate
-    arg = k * t
-    if arg > MAX_EXP_ARG:
-        raise NumericalError(
-            f"q_terms overflow: exponent argument {arg:.6g} exceeds {MAX_EXP_ARG:.0f}")
-    grow = np.exp(arg)
-    return (arg - 1.0) * grow + 1.0, k * (grow - 1.0)
-
-
-@dataclass(frozen=True)
 class BasisBank:
     """Immutable offline artifact: per grid time, the (N+1) position basis row
-    (N weight columns plus the goal column), the velocity analog, and the
-    complementary-function values (columns y1, y2, dy1, dy2)."""
+    (N weight columns plus the goal column) and the velocity analog."""
 
     config: DmpConfig
     times: np.ndarray
     pos_basis: np.ndarray
     vel_basis: np.ndarray
-    complementary: np.ndarray
 
     def __post_init__(self):
         n_pts = self.times.shape[0]
@@ -259,10 +209,7 @@ class BasisBank:
         if self.pos_basis.shape != (n_pts, dim) or self.vel_basis.shape != (n_pts, dim):
             raise DimensionError(
                 f"basis arrays {self.pos_basis.shape} do not match grid/config {(n_pts, dim)}")
-        if self.complementary.shape != (n_pts, 4):
-            raise DimensionError(
-                f"complementary array {self.complementary.shape} must be {(n_pts, 4)}")
-        for arr in (self.times, self.pos_basis, self.vel_basis, self.complementary):
+        for arr in (self.times, self.pos_basis, self.vel_basis):
             arr.flags.writeable = False
 
     @property
@@ -305,7 +252,7 @@ class BasisBank:
 
     def content_checksum(self) -> str:
         digest = hashlib.sha256(self.config.canonical_json().encode("utf-8"))
-        for arr in (self.times, self.pos_basis, self.vel_basis, self.complementary):
+        for arr in (self.times, self.pos_basis, self.vel_basis):
             digest.update(np.ascontiguousarray(arr).tobytes())
         return digest.hexdigest()
 
@@ -316,8 +263,8 @@ class BasisBank:
                                    dtype=np.uint8)
         checksum_raw = np.frombuffer(self.content_checksum().encode("ascii"),
                                      dtype=np.uint8)
-        np.savez(buffer, times=self.times, pos_basis=self.pos_basis,
-                 vel_basis=self.vel_basis, complementary=self.complementary,
+        np.savez(buffer, format=np.array(BANK_FORMAT), times=self.times,
+                 pos_basis=self.pos_basis, vel_basis=self.vel_basis,
                  config_json=config_raw, checksum=checksum_raw)
         atomic_write_bytes(path, buffer.getvalue())
 
@@ -326,13 +273,16 @@ class BasisBank:
         from .errors import IoError
         try:
             with np.load(path, allow_pickle=False) as data:
+                if "format" not in data.files or data["format"].tolist() != BANK_FORMAT:
+                    raise ValidationError(
+                        f"bank file {path} is not in format {BANK_FORMAT}, which this "
+                        f"version reads; re-run mptraj precompute to rebuild it")
                 config = DmpConfig.from_dict(
                     json.loads(data["config_json"].tobytes().decode("utf-8")))
                 bank = cls(config=config,
                            times=data["times"].copy(),
                            pos_basis=data["pos_basis"].copy(),
-                           vel_basis=data["vel_basis"].copy(),
-                           complementary=data["complementary"].copy())
+                           vel_basis=data["vel_basis"].copy())
                 stored = data["checksum"].tobytes().decode("ascii")
         except OSError as exc:
             raise IoError(f"cannot read bank {path}: {exc}") from exc
@@ -358,7 +308,7 @@ def precompute_basis(config: DmpConfig) -> BasisBank:
     times = np.linspace(0.0, config.duration, m + 1)
     k = config.decay_rate
 
-    x = np.exp(-config.alpha_x * times / config.tau)
+    x = phase(times, config)
     f = forcing.normalized_scaled(x) / config.tau**2      # (M+1, N) integrand
     g = times[:, None] * f
     decay = np.exp(-k * dt)
@@ -386,8 +336,6 @@ def precompute_basis(config: DmpConfig) -> BasisBank:
     pos_basis[:, n] = 1.0 - (1.0 + kt) * env
     vel_basis[:, n] = k * k * times * env
 
-    comp = np.column_stack([env, times * env, -k * env, (1.0 - kt) * env])
-
     fd = (pos_basis[2:] - pos_basis[:-2]) / (2.0 * dt)
     deviation = float(np.max(np.abs(fd - vel_basis[1:-1])))
     tol = 10.0 * dt
@@ -399,4 +347,4 @@ def precompute_basis(config: DmpConfig) -> BasisBank:
             f"alpha={config.alpha}, tau={config.tau}, num_basis={config.num_basis}")
 
     return BasisBank(config=config, times=times, pos_basis=pos_basis,
-                     vel_basis=vel_basis, complementary=comp)
+                     vel_basis=vel_basis)

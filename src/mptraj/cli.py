@@ -28,7 +28,8 @@ from .probops import (ActivationProfile, GaussianSequence, blend, combine,
 from .replan import run_chain, smoothness_metric
 from .svgplot import line_plot
 from .trajectory import (BoundaryCondition, TrajectoryGenerator, evaluate_position,
-                         read_trajectory_csv, weight_blocks, write_trajectory_csv)
+                         read_trajectory_csv, weight_blocks, window_steps,
+                         write_trajectory_csv)
 
 
 def _reject_unknown(data: dict, allowed, what: str) -> None:
@@ -103,7 +104,12 @@ def _default_bc(dofs: int) -> BoundaryCondition:
     return BoundaryCondition(t_b=0.0, y_b=np.zeros(dofs), dy_b=np.zeros(dofs))
 
 
-def _grid(rate: float, start: float, stop: float, bank: BasisBank) -> np.ndarray:
+def _grid(args, start_default: float, bank: BasisBank) -> np.ndarray:
+    """Query times from --rate, --start (default start_default) and --until
+    (default the bank horizon)."""
+    rate = args.rate
+    start = start_default if args.start is None else args.start
+    stop = bank.duration if args.until is None else args.until
     if not 0.0 < rate < math.inf:
         raise ValidationError(f"--rate must be finite and > 0, got {rate}")
     # negated so that NaN fails the check
@@ -111,7 +117,7 @@ def _grid(rate: float, start: float, stop: float, bank: BasisBank) -> np.ndarray
         raise ValidationError(
             f"query window [{start:g}, {stop:g}] is not an ordered window inside "
             f"the bank horizon [0, {bank.duration:g}]")
-    steps = int(round((stop - start) * rate))
+    steps = window_steps(stop - start, rate)
     if steps < 1:
         raise ValidationError(
             f"query window [{start:g}, {stop:g}] shorter than one sample period")
@@ -158,9 +164,7 @@ def _cmd_generate(args) -> int:
     if bc.dofs != dofs:
         raise DimensionError(
             f"boundary condition has {bc.dofs} DoFs, weights have {dofs}")
-    start = bc.t_b if args.start is None else args.start
-    stop = bank.duration if args.until is None else args.until
-    times = _grid(args.rate, start, stop, bank)
+    times = _grid(args, bc.t_b, bank)
     gen = TrajectoryGenerator(bc, times, bank)
     positions, velocities = gen.positions(weights), gen.velocities(weights)
     write_trajectory_csv(args.out, times, positions, velocities)
@@ -179,9 +183,7 @@ def _cmd_sample(args) -> int:
     if bc.dofs != dofs:
         raise DimensionError(
             f"boundary condition has {bc.dofs} DoFs, distribution has {dofs}")
-    start = bc.t_b if args.start is None else args.start
-    stop = bank.duration if args.until is None else args.until
-    times = _grid(args.rate, start, stop, bank)
+    times = _grid(args, bc.t_b, bank)
     samples = sample_trajectories(wdist, bc, times, bank, args.count, args.seed)
     write_samples_csv(args.out, times, samples)
     print(f"samples written: {args.out} ({args.count} x {dofs} DoFs x "
@@ -276,9 +278,7 @@ def _cmd_blend(args) -> int:
     if len(primitives) != 2:
         raise ValidationError(
             f"blend needs exactly 2 primitives, got {len(primitives)}")
-    start = args.start if args.start is not None else 0.0
-    stop = args.until if args.until is not None else bank.duration
-    times = _grid(args.rate, start, stop, bank)
+    times = _grid(args, 0.0, bank)
     activation = falling_ramp(times, args.ramp_start, args.ramp_end)
     seq_a = _marginal_sequence(primitives[0][0], primitives[0][1], times, bank,
                                args.noise_var)
@@ -370,6 +370,13 @@ def _add_io_flags(sub, bank=True, seed=True, svg=True):
         sub.add_argument("--svg", help="also write an SVG plot to this path")
 
 
+def _add_window_flags(sub, start_default: str):
+    sub.add_argument("--rate", type=float, default=100.0, help="samples per second")
+    sub.add_argument("--start", type=float,
+                     help=f"first query time (default: {start_default})")
+    sub.add_argument("--until", type=float, help="last query time (default: bank horizon)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mptraj",
@@ -387,9 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_flags(p, seed=False)
     p.add_argument("--weights", required=True, help="weights JSON")
     p.add_argument("--bc", help="boundary-condition JSON (default: rest at 0)")
-    p.add_argument("--rate", type=float, default=100.0, help="samples per second")
-    p.add_argument("--start", type=float, help="first query time (default: bc time)")
-    p.add_argument("--until", type=float, help="last query time (default: bank horizon)")
+    _add_window_flags(p, "bc time")
     p.set_defaults(func=_cmd_generate)
 
     p = subs.add_parser("sample", help="draw trajectories from a weights distribution")
@@ -397,9 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--wdist", required=True, help="weights-distribution JSON")
     p.add_argument("--bc", help="boundary-condition JSON (default: rest at 0)")
     p.add_argument("--count", type=int, default=10, help="number of samples")
-    p.add_argument("--rate", type=float, default=100.0, help="samples per second")
-    p.add_argument("--start", type=float, help="first query time (default: bc time)")
-    p.add_argument("--until", type=float, help="last query time (default: bank horizon)")
+    _add_window_flags(p, "bc time")
     p.add_argument("--noise-var", type=float, default=DEFAULT_NOISE_VAR,
                    help="observation noise variance for the plotted band")
     p.set_defaults(func=_cmd_sample)
@@ -432,9 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bc", action="append", required=True, help="exactly two")
     p.add_argument("--ramp-start", type=float, required=True)
     p.add_argument("--ramp-end", type=float, required=True)
-    p.add_argument("--rate", type=float, default=100.0)
-    p.add_argument("--start", type=float)
-    p.add_argument("--until", type=float)
+    _add_window_flags(p, "0")
     p.add_argument("--noise-var", type=float, default=DEFAULT_NOISE_VAR)
     p.set_defaults(func=_cmd_blend)
 

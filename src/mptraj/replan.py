@@ -27,7 +27,7 @@ from .basis import BasisBank
 from .distribution import (DEFAULT_NOISE_VAR, TrajectoryDistribution,
                            WeightsDistribution, trajectory_distribution)
 from .errors import DimensionError, ValidationError
-from .trajectory import BoundaryCondition, TrajectoryGenerator
+from .trajectory import BoundaryCondition, TrajectoryGenerator, window_steps
 
 
 @dataclass(frozen=True)
@@ -77,7 +77,7 @@ def _segment_frame(current: BoundaryCondition, horizon: float, bank: BasisBank,
         raise ValidationError(f"horizon must be finite and > 0, got {horizon}")
     if not 0.0 < rate < math.inf:
         raise ValidationError(f"rate must be finite and > 0, got {rate}")
-    steps = int(round(horizon * rate))
+    steps = window_steps(horizon, rate)
     if steps < 1 or abs(steps / rate - horizon) > 1e-9 * max(1.0, horizon):
         raise ValidationError(
             f"horizon {horizon} is not a positive multiple of the sample period "

@@ -8,8 +8,8 @@ boundary state (y_b, dy_b) at time t_b is
 
 with xi1 = (1 + k dt) e^{-k dt}, xi2 = dt e^{-k dt}, dt = t - t_b and
 k = alpha / (2 tau).  These are the stable simplifications of the
-complementary-function ratios (the third and fourth ratio are identically
-the negated first and second, for every t_b, not just t_b = 0).  Adherence at
+homogeneous-solution ratios over the Wronskian at t_b, whose factor 1/W
+grows like e^{2 k t_b} and cancels against the numerators.  Adherence at
 t_b is exact to the bit because the folded basis row vanishes there.
 
 Querying t < t_b is permitted; the formulas stay valid but the intended use
@@ -22,9 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisBank, DmpConfig
+from .basis import BasisBank
 from .errors import DimensionError, ValidationError
 from .fileio import atomic_write_text
+
+# bound on samples per query window or replanning segment: a 1 kHz controller
+# over 1000 s
+MAX_QUERY_SAMPLES = 10**6
 
 
 @dataclass(frozen=True)
@@ -56,34 +60,27 @@ class BoundaryCondition:
         return self.y_b.shape[0]
 
 
-@dataclass(frozen=True)
-class XiTerms:
-    t: float
-    xi1: float
-    xi2: float
-    xi3: float
-    xi4: float
+def window_steps(span: float, rate: float) -> int:
+    """Sample periods in a window of length span sampled at rate, both finite.
 
-
-def xi_terms(t: float, t_b: float, config: DmpConfig) -> XiTerms:
-    """The four boundary-coupling coefficients at time t for a boundary at t_b."""
-    if t < 0.0 or t_b < 0.0:
-        raise ValidationError("xi_terms require t >= 0 and t_b >= 0")
-    xi1, xi2 = _xi_arrays(np.asarray(float(t)), float(t_b), config.decay_rate)
-    return XiTerms(t=float(t), xi1=float(xi1), xi2=float(xi2),
-                   xi3=-float(xi1), xi4=-float(xi2))
+    Raises ValidationError, before any grid is allocated, when the window
+    would hold more than MAX_QUERY_SAMPLES samples.
+    """
+    # min() first, so that a product overflowing to inf still rounds
+    steps = int(round(min(span * rate, MAX_QUERY_SAMPLES)))
+    if steps + 1 > MAX_QUERY_SAMPLES:
+        raise ValidationError(
+            f"a {span:g} s window at {rate:g} Hz holds more than {MAX_QUERY_SAMPLES} "
+            f"samples; lower the rate or shorten the window")
+    return steps
 
 
 def _xi_arrays(times: np.ndarray, t_b: float, k: float):
+    """xi1, xi2 and their time derivatives dxi1, dxi2 at times."""
     rel = times - t_b
     env = np.exp(-k * rel)
-    return (1.0 + k * rel) * env, rel * env
-
-
-def _dxi_arrays(times: np.ndarray, t_b: float, k: float):
-    rel = times - t_b
-    env = np.exp(-k * rel)
-    return -k * k * rel * env, (1.0 - k * rel) * env
+    return ((1.0 + k * rel) * env, rel * env,
+            -k * k * rel * env, (1.0 - k * rel) * env)
 
 
 def weight_blocks(w_g, dofs: int, weight_dim: int) -> np.ndarray:
@@ -118,58 +115,13 @@ def folded_basis(bc: BoundaryCondition, times, bank: BasisBank) -> FoldedBasis:
     dphi_b = bank.vel_rows(bc.t_b)[0]
     phi = bank.pos_rows(times)
     dphi = bank.vel_rows(times)
-    k = bank.config.decay_rate
-    xi1, xi2 = _xi_arrays(times, bc.t_b, k)
-    dxi1, dxi2 = _dxi_arrays(times, bc.t_b, k)
+    xi1, xi2, dxi1, dxi2 = _xi_arrays(times, bc.t_b, bank.config.decay_rate)
     return FoldedBasis(
         times=times,
         pos_offset=xi1 * bc.y_b[:, None] + xi2 * bc.dy_b[:, None],
         vel_offset=dxi1 * bc.y_b[:, None] + dxi2 * bc.dy_b[:, None],
         h_pos=phi - xi1[:, None] * phi_b - xi2[:, None] * dphi_b,
         h_vel=dphi - dxi1[:, None] * phi_b - dxi2[:, None] * dphi_b)
-
-
-def solve_coefficients(bc: BoundaryCondition, w_g, bank: BasisBank):
-    """Per-DoF constants (c1, c2) of the complementary-function form.
-
-    Solved from the boundary state and the basis values at t_b.  Note the
-    1/Wronskian factor grows like e^{2 k t_b}; the folded xi route used by
-    evaluate_position avoids this, which is why it is the production path.
-    """
-    blocks = weight_blocks(w_g, bc.dofs, bank.weight_dim)
-    phi_b = bank.pos_rows(bc.t_b)[0]
-    dphi_b = bank.vel_rows(bc.t_b)[0]
-    k = bank.config.decay_rate
-    env = np.exp(-k * bc.t_b)
-    y1b, y2b = env, bc.t_b * env
-    dy1b, dy2b = -k * env, (1.0 - k * bc.t_b) * env
-    wronskian = y1b * dy2b - y2b * dy1b
-    c1 = (dy2b * bc.y_b - y2b * bc.dy_b + blocks @ (y2b * dphi_b - dy2b * phi_b)) / wronskian
-    c2 = (y1b * bc.dy_b - dy1b * bc.y_b + blocks @ (dy1b * phi_b - y1b * dphi_b)) / wronskian
-    return c1, c2
-
-
-def position_from_coefficients(c1, c2, w_g, times, bank: BasisBank) -> np.ndarray:
-    """Direct evaluation y = c1 y1 + c2 y2 + Phi^T w_g (cross-check route)."""
-    c1 = np.atleast_1d(np.asarray(c1, dtype=float))
-    c2 = np.atleast_1d(np.asarray(c2, dtype=float))
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    blocks = weight_blocks(w_g, c1.shape[0], bank.weight_dim)
-    k = bank.config.decay_rate
-    env = np.exp(-k * times)
-    return (c1[:, None] * env + c2[:, None] * (times * env)
-            + blocks @ bank.pos_rows(times).T)
-
-
-def velocity_from_coefficients(c1, c2, w_g, times, bank: BasisBank) -> np.ndarray:
-    c1 = np.atleast_1d(np.asarray(c1, dtype=float))
-    c2 = np.atleast_1d(np.asarray(c2, dtype=float))
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    blocks = weight_blocks(w_g, c1.shape[0], bank.weight_dim)
-    k = bank.config.decay_rate
-    env = np.exp(-k * times)
-    return (c1[:, None] * (-k * env) + c2[:, None] * ((1.0 - k * times) * env)
-            + blocks @ bank.vel_rows(times).T)
 
 
 def evaluate_position(w_g, bc: BoundaryCondition, times, bank: BasisBank) -> np.ndarray:

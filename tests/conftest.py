@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -38,3 +40,21 @@ def random_weights_distribution(dofs, weight_dim, rng, scale=0.5):
     mat = rng.standard_normal((dim, dim)) * scale
     cov = mat @ mat.T + 1e-6 * np.eye(dim)
     return WeightsDistribution.from_covariance(rng.standard_normal(dim) * 2.0, cov)
+
+
+def write_unversioned_bank(bank, path):
+    """Write bank in the layout that preceded the format key: no format entry,
+    a fifth array of homogeneous-solution columns (y1, y2, dy1, dy2), and a
+    checksum that covers it too.  path must end in .npz."""
+    k = bank.config.decay_rate
+    env = np.exp(-k * bank.times)
+    comp = np.column_stack([env, bank.times * env, -k * env,
+                            (1.0 - k * bank.times) * env])
+    digest = hashlib.sha256(bank.config.canonical_json().encode("utf-8"))
+    for arr in (bank.times, bank.pos_basis, bank.vel_basis, comp):
+        digest.update(np.ascontiguousarray(arr).tobytes())
+    np.savez(path, times=bank.times, pos_basis=bank.pos_basis,
+             vel_basis=bank.vel_basis, complementary=comp,
+             config_json=np.frombuffer(bank.config.canonical_json().encode("utf-8"),
+                                       dtype=np.uint8),
+             checksum=np.frombuffer(digest.hexdigest().encode("ascii"), dtype=np.uint8))

@@ -1,13 +1,20 @@
+import contextlib
+import io
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mptraj import BoundaryCondition, precompute_basis
+from mptraj.basis import BasisBank
 from mptraj.cli import main
 from mptraj.distribution import write_weights_distribution_json
-from mptraj.trajectory import read_trajectory_csv
-from tests.conftest import SMALL_CONFIG, random_weights_distribution
+from mptraj.trajectory import MAX_QUERY_SAMPLES, read_trajectory_csv
+from tests.conftest import (SMALL_CONFIG, random_weights_distribution,
+                            write_unversioned_bank)
 
 CONFIG = {"alpha": 25.0, "tau": 1.0, "alpha_x": 2.0, "num_basis": 5,
           "duration": 1.0, "grid_dt": 0.0025}
@@ -302,6 +309,17 @@ class TestReplan:
         capsys.readouterr()
         assert a.read_bytes() != b.read_bytes()
 
+    def test_oversized_rate_is_validation_error(self, env, capsys, tmp_path):
+        path = self._scenario(env, tmp_path, rate_hz=1e300)
+        out = tmp_path / "never.csv"
+        code, _, stderr = _run(capsys, [
+            "replan", "--bank", str(env["bank"]), "--scenario", str(path),
+            "--out", str(out)])
+        assert code == 2
+        assert stderr.startswith("error[validation]:")
+        assert stderr.count("\n") == 1
+        assert not out.exists()
+
     def test_unknown_scenario_key_rejected(self, env, capsys, tmp_path):
         # noise_var was a scenario key while chains built segment covariances
         for key in ("extra", "noise_var"):
@@ -322,6 +340,26 @@ class TestBench:
         assert code == 0
         assert "speed-up" in stdout
         assert json.loads(out.read_text())["repetitions"] == 2
+
+
+WINDOW_COMMANDS = pytest.mark.parametrize("command", [
+    ["generate", "--weights", "{weights}"],
+    ["sample", "--wdist", "{wdist}"],
+    ["blend", "--wdist", "{wdist}", "--bc", "{bc}", "--wdist", "{wdist}",
+     "--bc", "{bc}", "--ramp-start", "0.25", "--ramp-end", "0.75"],
+], ids=["generate", "sample", "blend"])
+
+
+def _assert_window_rejected(env, capsys, tmp_path, command, window_arg):
+    paths = {key: str(env[key]) for key in ("weights", "wdist", "bc")}
+    argv = [command[0], "--bank", str(env["bank"])]
+    argv += [arg.format(**paths) for arg in command[1:]]
+    out = tmp_path / "x.out"
+    code, _, stderr = _run(capsys, argv + [window_arg, "--out", str(out)])
+    assert code == 2
+    assert stderr.startswith("error[validation]:")
+    assert stderr.count("\n") == 1
+    assert not out.exists()
 
 
 class TestErrorReporting:
@@ -414,22 +452,29 @@ class TestErrorReporting:
     @pytest.mark.parametrize("flag, value", [("--start", "nan"), ("--until", "nan"),
                                              ("--start", "inf"), ("--until", "-inf"),
                                              ("--rate", "inf")])
-    @pytest.mark.parametrize("command", [
-        ["generate", "--weights", "{weights}"],
-        ["sample", "--wdist", "{wdist}"],
-        ["blend", "--wdist", "{wdist}", "--bc", "{bc}", "--wdist", "{wdist}",
-         "--bc", "{bc}", "--ramp-start", "0.25", "--ramp-end", "0.75"],
-    ], ids=["generate", "sample", "blend"])
+    @WINDOW_COMMANDS
     def test_non_finite_query_window_is_validation_error(self, env, capsys, tmp_path,
                                                          command, flag, value):
-        paths = {key: str(env[key]) for key in ("weights", "wdist", "bc")}
-        argv = [command[0], "--bank", str(env["bank"])]
-        argv += [arg.format(**paths) for arg in command[1:]]
-        out = tmp_path / "x.out"
-        code, _, stderr = _run(capsys, argv + [f"{flag}={value}", "--out", str(out)])
+        _assert_window_rejected(env, capsys, tmp_path, command, f"{flag}={value}")
+
+    # 1e6 Hz over the 1 s window is one sample more than the bound
+    @pytest.mark.parametrize("rate", ["1e300", str(MAX_QUERY_SAMPLES)])
+    @WINDOW_COMMANDS
+    def test_oversized_query_window_is_validation_error(self, env, capsys, tmp_path,
+                                                        command, rate):
+        _assert_window_rejected(env, capsys, tmp_path, command, f"--rate={rate}")
+
+    def test_unversioned_bank_is_validation_error(self, env, capsys, tmp_path):
+        old = tmp_path / "old.npz"
+        write_unversioned_bank(BasisBank.load(str(env["bank"])), str(old))
+        out = tmp_path / "never.csv"
+        code, _, stderr = _run(capsys, [
+            "generate", "--bank", str(old), "--weights", str(env["weights"]),
+            "--out", str(out)])
         assert code == 2
         assert stderr.startswith("error[validation]:")
         assert stderr.count("\n") == 1
+        assert "precompute" in stderr
         assert not out.exists()
 
     def test_failed_command_leaves_no_output(self, env, capsys, tmp_path):
@@ -439,6 +484,37 @@ class TestErrorReporting:
             str(env["weights"]), "--rate", "100", "--until", "5.0",
             "--out", str(out)])
         assert code == 2
+        assert not out.exists()
+
+
+SPECIAL = [math.nan, math.inf, -math.inf]
+WINDOW_BOUND = st.one_of(st.none(), st.floats(0.0, 1.0),
+                         st.floats(allow_nan=False, allow_infinity=False),
+                         st.sampled_from(SPECIAL + [-1.0]))
+# floats(1, 1e3) weights the draw towards rates that sample a window at all,
+# so that about one run in seven succeeds
+RATE = st.one_of(st.floats(1e-3, 1e4), st.floats(1.0, 1e3),
+                 st.sampled_from(SPECIAL + [0.0, -1.0, 1e7, 1e300]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(start=WINDOW_BOUND, until=WINDOW_BOUND, rate=RATE)
+def test_generate_query_window_fuzz(env, tmp_path_factory, start, until, rate):
+    # every query window either succeeds or ends in one validation line
+    out = tmp_path_factory.mktemp("fuzz") / "traj.csv"
+    argv = ["generate", "--bank", str(env["bank"]), "--weights", str(env["weights"]),
+            "--bc", str(env["bc"]), f"--rate={rate!r}", "--out", str(out)]
+    argv += [f"--{flag}={value!r}" for flag, value in (("start", start), ("until", until))
+             if value is not None]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    if code == 0:
+        assert out.exists() and stderr.getvalue() == ""
+    else:
+        assert code == 2, stderr.getvalue()
+        assert stderr.getvalue().startswith("error[validation]:")
+        assert stderr.getvalue().count("\n") == 1
         assert not out.exists()
 
 

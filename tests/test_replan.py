@@ -3,6 +3,7 @@ import pytest
 
 from mptraj import (BoundaryCondition, ValidationError, evaluate_position,
                     replan_segment, run_chain, smoothness_metric)
+from mptraj.trajectory import MAX_QUERY_SAMPLES
 from tests.conftest import random_weights_distribution
 
 
@@ -50,6 +51,18 @@ class TestReplanSegment:
         wdists, initial = _setup(small_bank)
         with pytest.raises(ValidationError, match="must be finite"):
             replan_segment(initial, wdists[0], horizon, small_bank, rate=rate)
+
+
+    # 1e300 Hz rounds past the bound, 1e300 s at 1e300 Hz overflows to inf,
+    # and 0.5 s at 2e6 Hz is one sample more than the bound
+    @pytest.mark.parametrize("horizon, rate", [(0.5, 1e300), (1e300, 1e300),
+                                               (0.5, 2.0 * MAX_QUERY_SAMPLES)])
+    def test_sample_count_is_bounded(self, small_bank, horizon, rate):
+        wdists, initial = _setup(small_bank)
+        with pytest.raises(ValidationError, match="samples"):
+            replan_segment(initial, wdists[0], horizon, small_bank, rate=rate)
+        with pytest.raises(ValidationError, match="samples"):
+            run_chain(initial, [(wdists[0], horizon)], small_bank, rate=rate)
 
 
 class TestRunChain:

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from mptraj import (BoundaryCondition, DimensionError, TrajectoryGenerator,
-                    ValidationError, evaluate_position, evaluate_velocity,
-                    solve_coefficients, xi_terms)
-from mptraj.trajectory import (folded_basis, position_from_coefficients,
-                               read_trajectory_csv, velocity_from_coefficients,
-                               weight_blocks, write_trajectory_csv)
+                    ValidationError, evaluate_position, evaluate_velocity)
+from mptraj.trajectory import (MAX_QUERY_SAMPLES, folded_basis, read_trajectory_csv,
+                               weight_blocks, window_steps, write_trajectory_csv)
+from tests.reference import (complementary, position_from_coefficients,
+                             solve_coefficients, velocity_from_coefficients)
 
 # frozen mpmath values for alpha=25, tau=3 (k = 25/6), t=1, t_b=0
 XI1_AT_1 = 0.08010324359488148
@@ -20,45 +20,44 @@ def _random_case(rng, dofs, weight_dim, t_b=0.0):
     return bc, w
 
 
+def _xi(t, t_b, bank):
+    """(xi1, xi2) at t for a boundary at t_b, read off the production fold:
+    with y_b = 1, dy_b = 0 its position offset is exactly xi1, and with
+    y_b = 0, dy_b = 1 exactly xi2."""
+    def offset(y_b, dy_b):
+        bc = BoundaryCondition(t_b, [y_b], [dy_b])
+        return folded_basis(bc, [t], bank).pos_offset[0, 0]
+    return offset(1.0, 0.0), offset(0.0, 1.0)
+
+
 class TestXiTerms:
-    def test_frozen_values(self, reference_config):
-        terms = xi_terms(1.0, 0.0, reference_config)
-        assert terms.xi1 == pytest.approx(XI1_AT_1, rel=1e-14)
-        assert terms.xi2 == pytest.approx(XI2_AT_1, rel=1e-14)
+    def test_frozen_values(self, reference_bank):
+        xi1, xi2 = _xi(1.0, 0.0, reference_bank)
+        assert xi1 == pytest.approx(XI1_AT_1, rel=1e-14)
+        assert xi2 == pytest.approx(XI2_AT_1, rel=1e-14)
 
-    def test_negated_pair_for_any_boundary_time(self, reference_config):
-        # xi3/xi4 equal -xi1/-xi2 identically, not only at t_b = 0: their
-        # numerators are the negations of the xi1/xi2 numerators
-        for t_b in (0.0, 0.4, 1.7, 2.9):
-            for t in (t_b, t_b + 0.05, t_b + 1.0):
-                terms = xi_terms(t, t_b, reference_config)
-                assert terms.xi3 == -terms.xi1
-                assert terms.xi4 == -terms.xi2
+    def test_boundary_instant(self, reference_bank):
+        assert _xi(0.7, 0.7, reference_bank) == (1.0, 0.0)
 
-    def test_boundary_instant(self, reference_config):
-        terms = xi_terms(0.7, 0.7, reference_config)
-        assert terms.xi1 == 1.0
-        assert terms.xi2 == 0.0
-
-    def test_wronskian_definition(self, reference_config):
+    def test_wronskian_definition(self, reference_config, reference_bank):
         # independent route: assemble the xi terms from the complementary
         # functions at t and t_b as defined, divided by the Wronskian
-        from mptraj import complementary
         for t_b, t in ((0.0, 1.0), (0.5, 0.8), (1.2, 2.9)):
             at_b = complementary(t_b, reference_config)
             at_t = complementary(t, reference_config)
             wron = at_b.wronskian
             xi1 = (at_b.dy2 * at_t.y1 - at_b.dy1 * at_t.y2) / wron
             xi2 = (at_b.y1 * at_t.y2 - at_b.y2 * at_t.y1) / wron
-            terms = xi_terms(t, t_b, reference_config)
-            assert terms.xi1 == pytest.approx(xi1, rel=1e-10)
-            assert terms.xi2 == pytest.approx(xi2, rel=1e-10)
+            fold_xi1, fold_xi2 = _xi(t, t_b, reference_bank)
+            assert fold_xi1 == pytest.approx(xi1, rel=1e-10)
+            assert fold_xi2 == pytest.approx(xi2, rel=1e-10)
 
-    def test_validation(self, reference_config):
-        with pytest.raises(ValidationError):
-            xi_terms(-0.1, 0.0, reference_config)
-        with pytest.raises(ValidationError):
-            xi_terms(1.0, -0.5, reference_config)
+
+def test_window_steps_bound():
+    assert window_steps(1.0, MAX_QUERY_SAMPLES - 1) == MAX_QUERY_SAMPLES - 1
+    for span, rate in ((1.0, MAX_QUERY_SAMPLES), (1.0, 1e300), (1e300, 1e300)):
+        with pytest.raises(ValidationError, match="samples"):
+            window_steps(span, rate)
 
 
 class TestBoundaryCondition:

@@ -14,6 +14,7 @@ asserted independently of the (naturally noisy) timings.
 from __future__ import annotations
 
 import hashlib
+import math
 import time
 from dataclasses import dataclass
 
@@ -23,7 +24,7 @@ from .basis import BasisBank, DmpConfig, precompute_basis
 from .errors import ValidationError
 from .fileio import atomic_write_json
 from .oracle import IntegratorSpec, integrate_dmp
-from .trajectory import BoundaryCondition, TrajectoryGenerator
+from .trajectory import BoundaryCondition, TrajectoryGenerator, window_steps
 
 
 @dataclass(frozen=True)
@@ -41,16 +42,19 @@ class BenchScenario:
     def __post_init__(self):
         if self.dofs < 1:
             raise ValidationError(f"dofs must be >= 1, got {self.dofs}")
-        if not self.rate_hz > 0.0:
-            raise ValidationError(f"rate_hz must be > 0, got {self.rate_hz}")
+        # negated so that NaN fails the checks
+        if not 0.0 < self.duration < math.inf:
+            raise ValidationError(f"duration must be finite and > 0, got {self.duration}")
+        if not 0.0 < self.rate_hz < math.inf:
+            raise ValidationError(f"rate_hz must be finite and > 0, got {self.rate_hz}")
+        window_steps(self.duration, self.rate_hz)
 
     def config(self) -> DmpConfig:
         return DmpConfig(alpha=self.alpha, tau=self.duration, alpha_x=self.alpha_x,
                          num_basis=self.num_basis, duration=self.duration)
 
     def query_times(self) -> np.ndarray:
-        count = int(round(self.duration * self.rate_hz))
-        return np.arange(count) / self.rate_hz
+        return np.arange(window_steps(self.duration, self.rate_hz)) / self.rate_hz
 
     @property
     def weight_dim(self) -> int:

@@ -27,9 +27,9 @@ from .probops import (ActivationProfile, GaussianSequence, blend, combine,
                       falling_ramp, write_gaussian_sequence_json)
 from .replan import run_chain, smoothness_metric
 from .svgplot import line_plot
-from .trajectory import (BoundaryCondition, TrajectoryGenerator, evaluate_position,
-                         read_trajectory_csv, weight_blocks, window_steps,
-                         write_trajectory_csv)
+from .trajectory import (MAX_QUERY_SAMPLES, BoundaryCondition, TrajectoryGenerator,
+                         evaluate_position, read_trajectory_csv, weight_blocks,
+                         window_steps, write_trajectory_csv)
 
 
 def _reject_unknown(data: dict, allowed, what: str) -> None:
@@ -184,12 +184,15 @@ def _cmd_sample(args) -> int:
         raise DimensionError(
             f"boundary condition has {bc.dofs} DoFs, distribution has {dofs}")
     times = _grid(args, bc.t_b, bank)
+    if args.count * times.shape[0] > MAX_QUERY_SAMPLES:
+        raise ValidationError(f"{args.count} samples x {times.shape[0]} times exceed "
+                              f"{MAX_QUERY_SAMPLES} rows; lower --count or --rate")
     samples = sample_trajectories(wdist, bc, times, bank, args.count, args.seed)
+    seq = _marginal_sequence(wdist, bc, times, bank, args.noise_var) if args.svg else None
     write_samples_csv(args.out, times, samples)
     print(f"samples written: {args.out} ({args.count} x {dofs} DoFs x "
           f"{times.shape[0]} samples)")
-    if args.svg:
-        seq = _marginal_sequence(wdist, bc, times, bank, args.noise_var)
+    if seq is not None:
         _svg_sequence(args.svg, seq, "sampled distribution (mean +/- 2 sigma)")
         print(f"plot written: {args.svg}")
     return 0
@@ -280,10 +283,8 @@ def _cmd_blend(args) -> int:
             f"blend needs exactly 2 primitives, got {len(primitives)}")
     times = _grid(args, 0.0, bank)
     activation = falling_ramp(times, args.ramp_start, args.ramp_end)
-    seq_a = _marginal_sequence(primitives[0][0], primitives[0][1], times, bank,
-                               args.noise_var)
-    seq_b = _marginal_sequence(primitives[1][0], primitives[1][1], times, bank,
-                               args.noise_var)
+    seq_a, seq_b = (_marginal_sequence(wdist, bc, times, bank, args.noise_var)
+                    for wdist, bc in primitives)
     result = blend(seq_a, seq_b, activation)
     write_gaussian_sequence_json(args.out, result)
     print(f"blended sequence written: {args.out} "

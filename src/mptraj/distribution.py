@@ -9,9 +9,10 @@ H to a joint Gaussian over any selected (time, DoF) indices:
 where the offset xi1 y_b + xi2 dy_b comes from the fold and G is formed per
 DoF block, G_d = H^T L_d with L_d DoF d's row block of L.
 
-The joint covariance is materialized only over caller-selected times (probe
-points, random pairs); full-horizon materialization is deliberately not the
-default path.  Index layout is DoF-major: all times of DoF 0, then DoF 1, ...
+Every read takes it over consecutive groups of caller-selected times (all
+times, each time, each pair); full-horizon materialization is deliberately
+not the default path.  Index layout is DoF-major within a group: all its
+times of DoF 0, then DoF 1, ...
 
 Covariances are carried as Cholesky factors end-to-end; sampling happens in
 weight space (w = mu + L z), so every sample satisfies the boundary condition
@@ -26,7 +27,7 @@ import numpy as np
 
 from .basis import BasisBank
 from .errors import DimensionError, NumericalError, ValidationError
-from .fileio import atomic_write_json, atomic_write_text
+from .fileio import atomic_write_json, write_csv_table
 from .trajectory import BoundaryCondition, folded_basis
 
 # the observation white-noise default keeps pair covariances invertible
@@ -108,10 +109,9 @@ class TrajectoryDistribution:
             raise DimensionError(
                 f"index set ({len(self.index_set)}), mean ({mean.shape}) and "
                 f"cov ({cov.shape}) do not align")
+        _check_noise_var(self.noise_var)
         if not np.array_equal(cov, cov.T):
             raise ValidationError("trajectory covariance must be symmetric")
-        if self.noise_var < 0.0:
-            raise ValidationError("noise_var must be >= 0")
         mean.flags.writeable = False
         cov.flags.writeable = False
         object.__setattr__(self, "index_set", tuple(self.index_set))
@@ -121,6 +121,12 @@ class TrajectoryDistribution:
     @property
     def dim(self) -> int:
         return self.mean.shape[0]
+
+
+def _check_noise_var(noise_var: float) -> None:
+    # negated so that NaN fails the check
+    if not 0.0 <= noise_var < math.inf:
+        raise ValidationError(f"noise_var must be finite and >= 0, got {noise_var}")
 
 
 def _check_weights_dim(wdist: WeightsDistribution, bc: BoundaryCondition,
@@ -133,26 +139,50 @@ def _check_weights_dim(wdist: WeightsDistribution, bc: BoundaryCondition,
     return dofs
 
 
+def _group_gaussians(wdist: WeightsDistribution, pos_offset: np.ndarray,
+                     h_pos: np.ndarray, group: int, noise_var: float):
+    """Gaussians of consecutive groups of `group` folded times: means
+    (B, D*group) and covariances (B, D*group, D*group) = G G^T + noise_var I,
+    rows DoF-major within each group (dof0@t1..ts, dof1@t1..ts, ...)."""
+    _check_noise_var(noise_var)
+    dofs, t_count = pos_offset.shape
+    # an empty query is one empty group
+    count = t_count // group if group else 1
+    means = pos_offset + wdist.mean.reshape(dofs, -1) @ h_pos.T
+    means = means.reshape(dofs, count, group).transpose(1, 0, 2).reshape(
+        count, dofs * group)
+    # (D, T, D(N+1)) -> (B, D*group, D(N+1)): row (d, s) of group b is h_t L_d
+    gmat = (h_pos @ wdist.chol.reshape(dofs, -1, wdist.dim)).reshape(
+        dofs, count, group, -1).transpose(1, 0, 2, 3).reshape(count, dofs * group, -1)
+    covs = gmat @ gmat.transpose(0, 2, 1)
+    covs = 0.5 * (covs + covs.transpose(0, 2, 1))
+    diag = np.arange(dofs * group)
+    covs[:, diag, diag] += noise_var
+    return means, covs
+
+
+def _nll_sum(covs: np.ndarray, resid: np.ndarray, singular: str) -> float:
+    """Sum over the stack of log det(cov) + resid^T cov^-1 resid, without the
+    2 pi constant; raises NumericalError(singular) if a cov is not positive definite."""
+    try:
+        factor = np.linalg.cholesky(covs)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(singular) from exc
+    white = np.linalg.solve(factor, resid[:, :, None])
+    return (2.0 * float(np.sum(np.log(np.diagonal(factor, axis1=1, axis2=2))))
+            + float(np.sum(white * white)))
+
+
 def trajectory_distribution(wdist: WeightsDistribution, bc: BoundaryCondition,
                             times, bank: BasisBank,
                             noise_var: float = DEFAULT_NOISE_VAR) -> TrajectoryDistribution:
     """Joint Gaussian over all (requested time, DoF) pairs, DoF-major."""
-    if noise_var < 0.0:
-        raise ValidationError("noise_var must be >= 0")
     dofs = _check_weights_dim(wdist, bc, bank)
     fold = folded_basis(bc, times, bank)
-    t_count = fold.times.shape[0]
-    wd = bank.weight_dim
-
-    mean = (fold.pos_offset + wdist.mean.reshape(dofs, wd) @ fold.h_pos.T).ravel()
-    gmat = (fold.h_pos @ wdist.chol.reshape(dofs, wd, wdist.dim)).reshape(
-        dofs * t_count, wdist.dim)
-    cov = gmat @ gmat.T
-    cov = 0.5 * (cov + cov.T)
-    cov[np.diag_indices_from(cov)] += noise_var
-
+    means, covs = _group_gaussians(wdist, fold.pos_offset, fold.h_pos,
+                                   fold.times.shape[0], noise_var)
     index_set = tuple((float(t), d) for d in range(dofs) for t in fold.times)
-    return TrajectoryDistribution(index_set=index_set, mean=mean, cov=cov,
+    return TrajectoryDistribution(index_set=index_set, mean=means[0], cov=covs[0],
                                   noise_var=noise_var)
 
 
@@ -160,18 +190,9 @@ def per_time_marginals(wdist: WeightsDistribution, bc: BoundaryCondition, times,
                        bank: BasisBank, noise_var: float = DEFAULT_NOISE_VAR):
     """Per-time D x D Gaussians (means (T, D), covs (T, D, D)) computed
     blockwise, without materializing the joint covariance."""
-    if noise_var < 0.0:
-        raise ValidationError("noise_var must be >= 0")
-    dofs = _check_weights_dim(wdist, bc, bank)
+    _check_weights_dim(wdist, bc, bank)
     fold = folded_basis(bc, times, bank)
-    wd = bank.weight_dim
-
-    means = (fold.pos_offset + wdist.mean.reshape(dofs, wd) @ fold.h_pos.T).T
-    # (D, T, D(N+1)) -> (T, D, D(N+1)): row d of step t is h_t L_d
-    gmat = (fold.h_pos @ wdist.chol.reshape(dofs, wd, wdist.dim)).transpose(1, 0, 2)
-    covs = gmat @ gmat.transpose(0, 2, 1)
-    covs = 0.5 * (covs + covs.transpose(0, 2, 1))
-    covs[:, np.arange(dofs), np.arange(dofs)] += noise_var
+    means, covs = _group_gaussians(wdist, fold.pos_offset, fold.h_pos, 1, noise_var)
     return fold.times.copy(), means, covs
 
 
@@ -197,14 +218,9 @@ def gaussian_nll(dist: TrajectoryDistribution, values) -> float:
     if values.shape[0] != dist.dim:
         raise DimensionError(
             f"observation length {values.shape[0]} does not match dimension {dist.dim}")
-    try:
-        chol = np.linalg.cholesky(dist.cov)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            "singular trajectory covariance; supply noise_var > 0 or a jitter") from exc
-    white = np.linalg.solve(chol, values - dist.mean)
-    log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
-    return 0.5 * (dist.dim * math.log(2.0 * math.pi) + log_det + float(white @ white))
+    total = _nll_sum(dist.cov[None], (values - dist.mean)[None],
+                     "singular trajectory covariance; supply noise_var > 0 or a jitter")
+    return 0.5 * (dist.dim * math.log(2.0 * math.pi) + total)
 
 
 def sample_trajectories(wdist: WeightsDistribution, bc: BoundaryCondition, times,
@@ -307,35 +323,17 @@ def pair_nll(batch: TimePairBatch, wdist: WeightsDistribution, bc: BoundaryCondi
     if batch.values.shape[1] != 2 * bc.dofs:
         raise DimensionError(
             f"truth vectors have {batch.values.shape[1]} entries, expected 2*{bc.dofs}")
-    if noise_var < 0.0:
-        raise ValidationError("noise_var must be >= 0")
     dofs = _check_weights_dim(wdist, bc, bank)
-    count, wd, dim = batch.count, bank.weight_dim, wdist.dim
     fold = folded_basis(bc, batch.times.ravel(), bank)
-
-    means = fold.pos_offset + wdist.mean.reshape(dofs, wd) @ fold.h_pos.T
-    resid = batch.values - means.reshape(dofs, count, 2).transpose(1, 0, 2).reshape(
-        count, 2 * dofs)
-    chol_rows = wdist.chol.reshape(dofs, wd, dim)
-    noise = noise_var * np.eye(2 * dofs)
     total = 0.0
-    for start in range(0, count, PAIR_BLOCK):
-        stop = min(start + PAIR_BLOCK, count)
-        block = stop - start
-        # (D, 2B, D(N+1)) -> (B, 2D, D(N+1)), rows DoF-major within each pair
-        gmat = fold.h_pos[2 * start:2 * stop] @ chol_rows
-        gmat = gmat.reshape(dofs, block, 2, dim).transpose(1, 0, 2, 3).reshape(
-            block, 2 * dofs, dim)
-        try:
-            factor = np.linalg.cholesky(gmat @ gmat.transpose(0, 2, 1) + noise)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(
-                "singular pair covariance; supply noise_var > 0 or distinct "
-                "pair times") from exc
-        white = np.linalg.solve(factor, resid[start:stop, :, None])
-        total += (2.0 * float(np.sum(np.log(np.diagonal(factor, axis1=1, axis2=2))))
-                  + float(np.sum(white * white)))
-    return 0.5 * (2 * dofs * math.log(2.0 * math.pi) + total / count)
+    for start in range(0, batch.count, PAIR_BLOCK):
+        stop = min(start + PAIR_BLOCK, batch.count)
+        means, covs = _group_gaussians(wdist, fold.pos_offset[:, 2 * start:2 * stop],
+                                       fold.h_pos[2 * start:2 * stop], 2, noise_var)
+        total += _nll_sum(covs, batch.values[start:stop] - means,
+                          "singular pair covariance; supply noise_var > 0 or "
+                          "distinct pair times")
+    return 0.5 * (2 * dofs * math.log(2.0 * math.pi) + total / batch.count)
 
 
 def _pack_lower(mat: np.ndarray) -> list:
@@ -391,12 +389,8 @@ def write_samples_csv(path: str, times, samples: np.ndarray) -> None:
     if samples.ndim != 3 or samples.shape[2] != times.shape[0]:
         raise DimensionError(
             f"samples must have shape (count, D, {times.shape[0]}), got {samples.shape}")
-    count, dofs, _ = samples.shape
+    count, dofs, t_count = samples.shape
     header = ["sample_id", "t"] + [f"dof{d}_pos" for d in range(dofs)]
-    lines = [",".join(header)]
-    for c in range(count):
-        for j, t in enumerate(times):
-            row = [str(c), f"{t:.17g}"]
-            row += [f"{samples[c, d, j]:.17g}" for d in range(dofs)]
-            lines.append(",".join(row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    table = np.column_stack([np.repeat(np.arange(count), t_count), np.tile(times, count),
+                             samples.transpose(0, 2, 1).reshape(count * t_count, dofs)])
+    write_csv_table(path, header, table)

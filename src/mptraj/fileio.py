@@ -9,7 +9,10 @@ import json
 import os
 import tempfile
 
-from .errors import IoError
+from .errors import IoError, ValidationError
+
+# rows per format operation in write_csv_table; one for the whole table costs memory
+CSV_BLOCK_ROWS = 4096
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -23,6 +26,18 @@ def atomic_write_bytes(path: str, data: bytes) -> None:
 def atomic_write_json(path: str, obj) -> None:
     # indent=1 keeps large float arrays diffable without bloating the file
     atomic_write_text(path, json.dumps(obj, indent=1) + "\n")
+
+
+def write_csv_table(path: str, header, table) -> None:
+    """A header line, then one line per row of the 2-D float array table,
+    every value written with 17 significant digits (lossless double
+    round-trip; integral values below 2**53 print as integers)."""
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    parts = [",".join(header) + "\n"]
+    for start in range(0, table.shape[0], CSV_BLOCK_ROWS):
+        block = table[start:start + CSV_BLOCK_ROWS]
+        parts.append(row * block.shape[0] % tuple(block.ravel().tolist()))
+    atomic_write_text(path, "".join(parts))
 
 
 def _atomic_write(path: str, data: bytes) -> None:
@@ -50,8 +65,6 @@ def read_text(path: str) -> str:
 
 
 def read_json(path: str):
-    from .errors import ValidationError
-
     text = read_text(path)
     try:
         return json.loads(text)

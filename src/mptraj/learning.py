@@ -14,6 +14,7 @@ the result bit-exactly invariant to the order observations arrive in.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,8 +106,9 @@ def fit_weights(demo: Demonstration, bank: BasisBank,
     elif bc.dofs != demo.dofs:
         raise DimensionError(
             f"boundary condition has {bc.dofs} DoFs, demonstration has {demo.dofs}")
-    if ridge is not None and ridge < 0.0:
-        raise ValidationError(f"ridge must be >= 0, got {ridge}")
+    # negated so that NaN fails the check
+    if ridge is not None and not 0.0 <= ridge < math.inf:
+        raise ValidationError(f"ridge must be finite and >= 0, got {ridge}")
 
     fold = folded_basis(bc, demo.times, bank)
     target = demo.positions - fold.pos_offset
@@ -125,8 +127,8 @@ def fit_distribution(demos, bank: BasisBank, ridge: float | None = None,
     if len(demos) < 2:
         raise ValidationError(
             f"distribution fitting needs >= 2 demonstrations, got {len(demos)}")
-    if cov_floor < 0.0:
-        raise ValidationError(f"cov_floor must be >= 0, got {cov_floor}")
+    if not 0.0 <= cov_floor < math.inf:
+        raise ValidationError(f"cov_floor must be finite and >= 0, got {cov_floor}")
     dofs = demos[0].dofs
     for i, demo in enumerate(demos[1:], start=1):
         if demo.dofs != dofs:

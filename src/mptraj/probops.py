@@ -75,7 +75,8 @@ class ActivationProfile:
             raise DimensionError(
                 f"activation values must have shape (K, {times.shape[0]}), "
                 f"got {values.shape}")
-        if np.any(values < 0.0) or np.any(values > 1.0):
+        # negated so that NaN fails the check
+        if not np.all((values >= 0.0) & (values <= 1.0)):
             raise ValidationError("activations must lie in [0, 1]")
         dead = np.flatnonzero(values.max(axis=0) <= 0.0)
         if dead.size:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .basis import BasisBank
 from .errors import DimensionError, ValidationError
-from .fileio import atomic_write_text
+from .fileio import read_text, write_csv_table
 
 # bound on samples per query window or replanning segment: a 1 kHz controller
 # over 1000 s
@@ -175,28 +175,21 @@ def write_trajectory_csv(path: str, times, positions, velocities,
     if positions.shape[1] != times.shape[0]:
         raise DimensionError(
             f"positions {positions.shape} and times {times.shape} do not align")
-    dofs = positions.shape[0]
     header = ["t"]
-    for d in range(dofs):
+    columns = [times]
+    for d in range(positions.shape[0]):
         header.append(f"dof{d}_pos")
+        columns.append(positions[d])
         if velocities is not None:
             header.append(f"dof{d}_vel")
+            columns.append(velocities[d])
     if segment_ids is not None:
-        segment_ids = np.asarray(segment_ids)
+        segment_ids = np.asarray(segment_ids).astype(np.int64)
         if segment_ids.shape[0] != times.shape[0]:
             raise DimensionError("segment_ids must align with times")
         header.append("segment_id")
-    lines = [",".join(header)]
-    for j, t in enumerate(times):
-        row = [f"{t:.17g}"]
-        for d in range(dofs):
-            row.append(f"{positions[d, j]:.17g}")
-            if velocities is not None:
-                row.append(f"{velocities[d, j]:.17g}")
-        if segment_ids is not None:
-            row.append(str(int(segment_ids[j])))
-        lines.append(",".join(row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+        columns.append(segment_ids)
+    write_csv_table(path, header, np.column_stack(columns))
 
 
 def read_trajectory_csv(path: str):
@@ -205,7 +198,6 @@ def read_trajectory_csv(path: str):
     Velocity columns are optional (demonstrations may carry positions only);
     absent velocities come back as None.
     """
-    from .fileio import read_text
     text = read_text(path).strip()
     if not text:
         raise ValidationError(f"empty trajectory file: {path}")

@@ -6,10 +6,15 @@ derivation: the homogeneous solutions, the growing goal integrals q1/q2 and
 the constants c1/c2 solved through 1/Wronskian.  Their factors grow like
 exp(k t), so they are usable only on short horizons, which is why they serve
 as independent cross-checks and not as production code.
+
+Beside them sit routes that the package replaced with faster ones: the pair
+NLL through a dense block design matrix and scipy, and the per-value CSV
+writers.
 """
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.stats import multivariate_normal
 
 from mptraj.trajectory import weight_blocks
 
@@ -75,3 +80,73 @@ def velocity_from_coefficients(c1, c2, w_g, times, bank) -> np.ndarray:
     env = np.exp(-k * times)
     return (c1[:, None] * (-k * env) + c2[:, None] * ((1.0 - k * times) * env)
             + blocks @ bank.vel_rows(times).T)
+
+
+def pair_nll_dense(batch, wdist, bc, bank, noise_var) -> float:
+    """Mean pair NLL through an explicit (2D, D(N+1)) block design matrix per
+    pair, built from the bank rows and the closed-form xi1/xi2 (not through
+    folded_basis), scored by scipy's multivariate_normal."""
+    dofs, wd = bc.dofs, bank.weight_dim
+    k = bank.config.decay_rate
+    phi_b = bank.pos_rows(bc.t_b)[0]
+    dphi_b = bank.vel_rows(bc.t_b)[0]
+    cov_w = wdist.chol @ wdist.chol.T
+    mean_blocks = wdist.mean.reshape(dofs, wd)
+    total = 0.0
+    for times, values in zip(batch.times, batch.values):
+        rel = times - bc.t_b
+        env = np.exp(-k * rel)
+        xi1, xi2 = (1.0 + k * rel) * env, rel * env
+        h_pair = bank.pos_rows(times) - xi1[:, None] * phi_b - xi2[:, None] * dphi_b
+        design = np.zeros((2 * dofs, dofs * wd))
+        for d in range(dofs):
+            design[2 * d:2 * d + 2, d * wd:(d + 1) * wd] = h_pair
+        mean = (xi1 * bc.y_b[:, None] + xi2 * bc.dy_b[:, None]
+                + mean_blocks @ h_pair.T).ravel()
+        cov = design @ cov_w @ design.T + noise_var * np.eye(2 * dofs)
+        total -= multivariate_normal(mean, cov).logpdf(values)
+    return total / batch.count
+
+
+def write_trajectory_csv(path, times, positions, velocities, segment_ids=None):
+    """Per-value writer of the trajectory CSV schema: t, dof0_pos, dof0_vel,
+    ..., [segment_id], each float formatted on its own with 17 digits."""
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    positions = np.atleast_2d(np.asarray(positions, dtype=float))
+    if velocities is not None:
+        velocities = np.atleast_2d(np.asarray(velocities, dtype=float))
+    header = ["t"]
+    for d in range(positions.shape[0]):
+        header.append(f"dof{d}_pos")
+        if velocities is not None:
+            header.append(f"dof{d}_vel")
+    if segment_ids is not None:
+        header.append("segment_id")
+    lines = [",".join(header)]
+    for j, t in enumerate(times):
+        row = [f"{t:.17g}"]
+        for d in range(positions.shape[0]):
+            row.append(f"{positions[d, j]:.17g}")
+            if velocities is not None:
+                row.append(f"{velocities[d, j]:.17g}")
+        if segment_ids is not None:
+            row.append(str(int(segment_ids[j])))
+        lines.append(",".join(row))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def write_samples_csv(path, times, samples):
+    """Per-value writer of the long-format sample CSV: sample_id, t,
+    dof0_pos, ..., each float formatted on its own with 17 digits."""
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    samples = np.asarray(samples, dtype=float)
+    count, dofs, _ = samples.shape
+    lines = [",".join(["sample_id", "t"] + [f"dof{d}_pos" for d in range(dofs)])]
+    for c in range(count):
+        for j, t in enumerate(times):
+            row = [str(c), f"{t:.17g}"]
+            row += [f"{samples[c, d, j]:.17g}" for d in range(dofs)]
+            lines.append(",".join(row))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")

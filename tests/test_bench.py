@@ -23,6 +23,18 @@ class TestScenario:
         with pytest.raises(ValidationError):
             BenchScenario(rate_hz=0.0)
 
+    @pytest.mark.parametrize("rate", [np.inf, np.nan, 1e300, 1e6 + 1.0])
+    def test_rate_must_be_finite_and_bounded(self, rate):
+        # checked before anything is precomputed: inf overflowed in
+        # query_times, 1e300 asked for an impossible grid
+        with pytest.raises(ValidationError):
+            BenchScenario(duration=1.0, rate_hz=rate, num_basis=5)
+
+    @pytest.mark.parametrize("duration", [0.0, np.inf, np.nan])
+    def test_duration_must_be_finite_and_positive(self, duration):
+        with pytest.raises(ValidationError, match="duration"):
+            BenchScenario(duration=duration)
+
     def test_config_spans_duration(self):
         config = TINY.config()
         assert config.duration == TINY.duration

@@ -29,7 +29,8 @@ def env(tmp_path_factory):
              "bank": root / "bank.npz",
              "weights": root / "weights.json",
              "wdist": root / "wdist.json",
-             "bc": root / "bc.json"}
+             "bc": root / "bc.json",
+             "activations": root / "activations.json"}
     paths["config"].write_text(json.dumps(CONFIG))
     assert main(["precompute", "--config", str(paths["config"]),
                  "--out", str(paths["bank"])]) == 0
@@ -42,6 +43,8 @@ def env(tmp_path_factory):
         {"t_b": 0.0, "y_b": [0.5, -0.25], "dy_b": [0.0, 1.0]}))
     wdist = random_weights_distribution(2, 6, rng)
     write_weights_distribution_json(str(paths["wdist"]), wdist, 2, 5)
+    paths["activations"].write_text(json.dumps({
+        "times": [0.0, 0.5, 1.0], "values": [[1.0, 0.5, 0.0], [0.0, 0.5, 1.0]]}))
     paths["weights_array"] = weights
     return paths
 
@@ -209,6 +212,16 @@ class TestSample:
         assert "plot written" in stdout
         assert svg.read_text().startswith("<svg")
 
+    # 10**19 overflowed numpy's normal draw; 10**4 samples x 101 times is
+    # one file of more than 10**6 rows
+    @pytest.mark.parametrize("count", ["10000000000000000000", "10000"])
+    def test_row_bound_is_validation_error(self, env, tmp_path, count):
+        argv = ["sample", "--bank", str(env["bank"]), "--wdist", str(env["wdist"]),
+                "--count", count, "--rate", "100"]
+        code, stderr = _run_to(argv, tmp_path / "s.csv")
+        assert code == 2
+        assert f"exceed {MAX_QUERY_SAMPLES} rows" in stderr
+
     def test_long_format_schema(self, env, tmp_path):
         out = tmp_path / "s.csv"
         assert main(["sample", "--bank", str(env["bank"]), "--wdist",
@@ -237,6 +250,16 @@ class TestCombineAndBlend:
         data = json.loads(out.read_text())
         assert data["dofs"] == 2
         assert len(data["records"]) == 5
+
+    def test_nan_activation_is_validation_error(self, env, tmp_path):
+        act = tmp_path / "act.json"
+        act.write_text('{"times": [0.0, 0.5, 1.0], '
+                       '"values": [[1.0, NaN, 0.5], [0.0, NaN, 0.5]]}')
+        argv = ["combine", "--bank", str(env["bank"])]
+        argv += ["--wdist", str(env["wdist"]), "--bc", str(env["bc"])] * 2
+        code, stderr = _run_to(argv + ["--activations", str(act)], tmp_path / "x.json")
+        assert code == 2
+        assert "activations must lie in [0, 1]" in stderr
 
     def test_combine_row_count_mismatch(self, env, capsys, tmp_path):
         act = tmp_path / "act.json"
@@ -340,6 +363,14 @@ class TestBench:
         assert code == 0
         assert "speed-up" in stdout
         assert json.loads(out.read_text())["repetitions"] == 2
+
+    @pytest.mark.parametrize("rate", ["inf", "1e300", "nan"])
+    def test_unbounded_rate_is_validation_error(self, tmp_path, rate):
+        # inf overflowed and 1e300 asked numpy for an impossible grid
+        argv = ["bench", "--duration", "1", "--num-basis", "5", "--reps", "1",
+                f"--rate={rate}"]
+        code, _ = _run_to(argv, tmp_path / "bench.json")
+        assert code == 2
 
 
 WINDOW_COMMANDS = pytest.mark.parametrize("command", [
@@ -516,6 +547,89 @@ def test_generate_query_window_fuzz(env, tmp_path_factory, start, until, rate):
         assert stderr.getvalue().startswith("error[validation]:")
         assert stderr.getvalue().count("\n") == 1
         assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def demos(env, tmp_path_factory):
+    """Three demonstration CSVs generated from random weights at 400 Hz."""
+    root = tmp_path_factory.mktemp("demos")
+    paths = []
+    for seed in (1, 2, 3):
+        weights = root / f"w{seed}.json"
+        weights.write_text(json.dumps({
+            "dofs": 2, "num_basis": 5,
+            "weights": np.random.default_rng(seed).standard_normal(12).tolist()}))
+        demo = root / f"demo{seed}.csv"
+        assert main(["generate", "--bank", str(env["bank"]), "--weights", str(weights),
+                     "--bc", str(env["bc"]), "--rate", "400", "--out", str(demo)]) == 0
+        paths.append(str(demo))
+    return paths
+
+
+def _command(env, demos, name):
+    """argv of a command that reads the flag under test, without --out."""
+    bank = ["--bank", str(env["bank"])]
+    pair = ["--wdist", str(env["wdist"]), "--bc", str(env["bc"])]
+    return {
+        "blend": ["blend"] + bank + pair + pair + ["--ramp-start", "0.25",
+                                                   "--ramp-end", "0.75"],
+        "combine": ["combine"] + bank + pair + pair + ["--activations",
+                                                       str(env["activations"])],
+        "sample": ["sample"] + bank + ["--wdist", str(env["wdist"]), "--count", "2"],
+        "fit": ["fit"] + bank + ["--demo", demos[0]],
+        "fit-multi": ["fit"] + bank + [arg for demo in demos for arg in ("--demo", demo)],
+    }[name]
+
+
+EXIT_CODES = {"validation": 2, "io": 3, "numerical": 4, "dimension": 5}
+
+
+def _run_to(argv, out, svg=None):
+    """Run argv writing to out (and svg); returns (code, stderr) after checking
+    the output contract: exit 0 with every output written and nothing on
+    stderr, or one "error[category]" line with its exit code and no output."""
+    argv = argv + ["--out", str(out)] + (["--svg", str(svg)] if svg else [])
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    outputs = [path for path in (out, svg) if path is not None]
+    if code == 0:
+        assert all(path.exists() for path in outputs) and stderr.getvalue() == ""
+    else:
+        assert stderr.getvalue().count("\n") == 1, stderr.getvalue()
+        category = stderr.getvalue().split("]")[0].removeprefix("error[")
+        assert code == EXIT_CODES[category], stderr.getvalue()
+        assert not any(path.exists() for path in outputs)
+    return code, stderr.getvalue()
+
+
+class TestNonFiniteFlags:
+    # inf was accepted and written out as Infinity or failed deep in a
+    # solver; nan was accepted, ignored or reported as something else
+    @pytest.mark.parametrize("value", ["inf", "nan", "-1"])
+    @pytest.mark.parametrize("command, flag", [
+        ("blend", "--noise-var"), ("combine", "--noise-var"), ("sample", "--noise-var"),
+        ("fit", "--ridge"), ("fit-multi", "--ridge"), ("fit-multi", "--cov-floor")])
+    def test_rejected_with_one_validation_line(self, env, demos, tmp_path,
+                                               command, flag, value):
+        # sample reads --noise-var only for its plot
+        svg = tmp_path / "x.svg" if command == "sample" else None
+        code, stderr = _run_to(_command(env, demos, command) + [f"{flag}={value}"],
+                               tmp_path / "x.out", svg)
+        assert code == 2
+        assert f"{flag[2:].replace('-', '_')} must be finite and >= 0" in stderr
+
+
+@settings(max_examples=25, deadline=None)
+@given(value=st.floats())
+@pytest.mark.parametrize("command, flag", [
+    ("blend", "--noise-var"), ("fit", "--ridge"), ("fit-multi", "--cov-floor")])
+def test_numeric_flag_fuzz(env, demos, tmp_path_factory, command, flag, value):
+    # every value either succeeds or ends in one error line, with no output
+    out = tmp_path_factory.mktemp("fuzz") / "x.out"
+    code, _ = _run_to(_command(env, demos, command) + [f"{flag}={value!r}"], out)
+    if not (value >= 0.0 and math.isfinite(value)):
+        assert code == 2
 
 
 def test_small_config_matches_fixture():

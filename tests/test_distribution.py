@@ -14,6 +14,7 @@ from mptraj import (BoundaryCondition, DimensionError, NumericalError,
 from mptraj.distribution import (PAIR_BLOCK, weights_distribution_from_dict,
                                  weights_distribution_json_dict)
 from tests.conftest import random_weights_distribution
+from tests.reference import pair_nll_dense
 
 LN_TWO_PI = 1.8378770664093455
 
@@ -112,6 +113,12 @@ class TestTrajectoryDistribution:
         expected = hmat @ wdist.covariance() @ hmat.T + 1e-4 * np.eye(8)
         scale = np.max(np.abs(expected))
         np.testing.assert_allclose(dist.cov, expected, atol=1e-12 * scale)
+        # the per-time blocks are the (t, t) entries of both DoFs
+        _, _, covs = per_time_marginals(wdist, bc, times, small_bank, noise_var=1e-4)
+        for j in range(times.shape[0]):
+            idx = [j, times.shape[0] + j]
+            np.testing.assert_allclose(covs[j], expected[np.ix_(idx, idx)],
+                                       atol=1e-12 * scale)
 
     def test_positive_semidefinite_without_noise(self, small_bank):
         wdist, bc = _case(small_bank, seed=7)
@@ -133,6 +140,20 @@ class TestTrajectoryDistribution:
         wdist, bc = _case(small_bank)
         with pytest.raises(ValidationError):
             trajectory_distribution(wdist, bc, [0.5], small_bank, noise_var=-1.0)
+
+    @pytest.mark.parametrize("noise_var", [np.inf, np.nan], ids=["inf", "nan"])
+    def test_non_finite_noise_rejected_by_every_read(self, small_bank, noise_var):
+        wdist, bc = _case(small_bank)
+        batch = TimePairBatch(np.array([[0.2, 0.7]]), np.zeros((1, 4)))
+        for read in (lambda: trajectory_distribution(wdist, bc, [0.5], small_bank,
+                                                     noise_var=noise_var),
+                     lambda: per_time_marginals(wdist, bc, [0.5], small_bank,
+                                                noise_var=noise_var),
+                     lambda: pair_nll(batch, wdist, bc, small_bank, noise_var=noise_var),
+                     lambda: TrajectoryDistribution(((0.0, 0),), np.zeros(1), np.eye(1),
+                                                    noise_var)):
+            with pytest.raises(ValidationError, match="noise_var must be finite"):
+                read()
 
     def test_asymmetric_cov_rejected(self):
         cov = np.array([[1.0, 0.1], [0.2, 1.0]])
@@ -306,8 +327,8 @@ class TestBatchedPairNll:
     # NLL that happens to cancel to near zero is held to the same absolute
     # error as every other case
     @staticmethod
-    def _assert_matches(got, expected, dofs):
-        assert got == pytest.approx(expected, rel=1e-12, abs=1e-12 * dofs * LN_TWO_PI)
+    def _assert_matches(got, expected, dofs, tol=1e-12):
+        assert got == pytest.approx(expected, rel=tol, abs=tol * dofs * LN_TWO_PI)
 
     @settings(max_examples=40, deadline=None)
     @given(dofs=st.integers(1, 4), count=st.integers(1, 64),
@@ -319,9 +340,14 @@ class TestBatchedPairNll:
         wdist, bc = _case(small_bank, dofs=dofs, seed=seed, t_b=t_b)
         times = rng.uniform(t_b, small_bank.duration, size=(count, 2))
         batch = _rollout_pairs(wdist, bc, small_bank, times, noise_var, rng)
-        self._assert_matches(pair_nll(batch, wdist, bc, small_bank, noise_var),
-                             _pair_nll_loop(batch, wdist, bc, small_bank, noise_var),
+        got = pair_nll(batch, wdist, bc, small_bank, noise_var)
+        self._assert_matches(got, _pair_nll_loop(batch, wdist, bc, small_bank, noise_var),
                              dofs)
+        # the dense route scores through scipy's eigendecomposition, which
+        # resolves a pair covariance with eigenvalues 1e-8 and ~1 only to
+        # ~1e-9 relative (worst of 1200 draws over this domain: 6.5e-9)
+        self._assert_matches(got, pair_nll_dense(batch, wdist, bc, small_bank, noise_var),
+                             dofs, tol=1e-7)
 
     def test_batch_larger_than_block(self, small_bank):
         rng = np.random.default_rng(29)

@@ -3,11 +3,22 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mptraj import DimensionError, IoError, ValidationError
-from mptraj.fileio import (atomic_write_bytes, atomic_write_json,
+from mptraj.distribution import write_samples_csv
+from mptraj.fileio import (CSV_BLOCK_ROWS, atomic_write_bytes, atomic_write_json,
                            atomic_write_text, read_json, read_text)
 from mptraj.svgplot import line_plot
+from mptraj.trajectory import write_trajectory_csv
+from tests import reference
+
+# doubles whose text is easy to get wrong: signed zero, the smallest
+# subnormal, the first integer a double cannot follow by +1, a value with no
+# short exact decimal, and the non-finite values
+AWKWARD = np.array([-0.0, 5e-324, 2.0**53, 0.1, -1.0 / 3.0, 1e300, np.nan,
+                    np.inf, -np.inf, 0.0, -2.5e-310, 123456789.0])
 
 
 class TestAtomicWrites:
@@ -48,6 +59,55 @@ class TestAtomicWrites:
         path.write_text("{not json")
         with pytest.raises(ValidationError, match="malformed JSON"):
             read_json(str(path))
+
+
+@given(st.floats(allow_nan=True, allow_infinity=True))
+def test_row_format_matches_per_value_format(value):
+    assert "%.17g" % value == f"{value:.17g}"
+
+
+def _rows(seed, count, width):
+    """count x width doubles: random magnitudes over 600 decades, with the
+    AWKWARD values spread through them."""
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((count, width)) * 10.0 ** rng.integers(-300, 300, (count, width))
+    flat = values.reshape(-1)
+    flat[rng.choice(flat.size, AWKWARD.size, replace=False)] = AWKWARD
+    return values
+
+
+class TestCsvTable:
+    # byte-for-byte against the per-value writers the table writer replaced;
+    # the larger tables span two formatting blocks
+    @pytest.mark.parametrize("rows", [2, CSV_BLOCK_ROWS + 904])
+    @pytest.mark.parametrize("velocities", [False, True])
+    @pytest.mark.parametrize("segments", [False, True])
+    def test_trajectory_csv_matches_per_value_writer(self, tmp_path, rows, velocities,
+                                                     segments):
+        data = _rows(1, 7, rows)
+        vel = data[4:7] if velocities else None
+        ids = np.arange(rows) // 3 if segments else None
+        write_trajectory_csv(str(tmp_path / "new.csv"), data[0], data[1:4], vel,
+                             segment_ids=ids)
+        reference.write_trajectory_csv(str(tmp_path / "old.csv"), data[0], data[1:4],
+                                       vel, segment_ids=ids)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    @pytest.mark.parametrize("count, t_count", [(2, 3), (3, CSV_BLOCK_ROWS // 2 + 5)])
+    def test_samples_csv_matches_per_value_writer(self, tmp_path, count, t_count):
+        data = _rows(2, count * 2 + 1, t_count)
+        samples = data[1:].reshape(count, 2, t_count)
+        write_samples_csv(str(tmp_path / "new.csv"), data[0], samples)
+        reference.write_samples_csv(str(tmp_path / "old.csv"), data[0], samples)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_integral_ids_below_two_to_the_53_print_as_integers(self, tmp_path):
+        ids = np.array([0, 7, -3, 2**53 - 1, 2**53])
+        write_trajectory_csv(str(tmp_path / "ids.csv"), np.zeros(5), np.zeros((1, 5)),
+                             None, segment_ids=ids)
+        column = [line.rsplit(",", 1)[1] for line in
+                  (tmp_path / "ids.csv").read_text().splitlines()[1:]]
+        assert column == [str(int(i)) for i in ids]
 
 
 class TestLinePlot:

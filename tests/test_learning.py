@@ -112,8 +112,23 @@ class TestFitWeights:
         with pytest.raises(ValidationError):
             fit_weights(demo, small_bank, ridge=-1.0)
 
+    @pytest.mark.parametrize("ridge", [np.inf, np.nan], ids=["inf", "nan"])
+    def test_non_finite_ridge_rejected(self, small_bank, ridge):
+        # an infinite ridge ended in an SVD that did not converge; a NaN
+        # ridge fitted with no ridge at all
+        demo = Demonstration(np.arange(401) / 400, np.zeros((1, 401)))
+        with pytest.raises(ValidationError, match="ridge must be finite and >= 0"):
+            fit_weights(demo, small_bank, ridge=ridge)
+
 
 class TestFitDistribution:
+    @pytest.mark.parametrize("cov_floor", [-1.0, np.inf, np.nan],
+                             ids=["neg", "inf", "nan"])
+    def test_negative_or_non_finite_cov_floor_rejected(self, small_bank, cov_floor):
+        demo = Demonstration(np.arange(401) / 400, np.zeros((1, 401)))
+        with pytest.raises(ValidationError, match="cov_floor must be finite and >= 0"):
+            fit_distribution([demo, demo], small_bank, cov_floor=cov_floor)
+
     def test_matches_weight_space_moments(self, small_bank):
         # dual route: fitting noiseless demos synthesized from known weight
         # draws must reproduce the draws' empirical mean and covariance

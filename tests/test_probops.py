@@ -33,6 +33,13 @@ class TestContainers:
         with pytest.raises(ValidationError, match="vanish at t = 1"):
             ActivationProfile(times, np.array([[1.0, 0.0], [0.5, 0.0]]))
 
+    def test_nan_activation_rejected(self):
+        # NaN compares false both ways, so a one-sided range test let it
+        # through and combine wrote a zero-precision Gaussian
+        times = np.array([0.0, 0.5, 1.0])
+        with pytest.raises(ValidationError, match=r"\[0, 1\]"):
+            ActivationProfile(times, np.array([[1.0, np.nan, 0.5], [0.0, np.nan, 0.5]]))
+
     def test_falling_ramp(self):
         times = np.array([0.0, 1.0, 1.5, 2.0, 3.0])
         ramp = falling_ramp(times, 1.0, 2.0)

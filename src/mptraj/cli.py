@@ -360,6 +360,18 @@ def _cmd_bench(args) -> int:
     return 0
 
 
+def _finite_nonneg(name: str):
+    """argparse type for a flag that must be finite and >= 0, checked while
+    parsing so that no command path can skip it."""
+    def number(text: str) -> float:
+        value = float(text)
+        # negated so that NaN fails the check
+        if not 0.0 <= value < math.inf:
+            raise ValidationError(f"{name} must be finite and >= 0, got {value}")
+        return value
+    return number
+
+
 def _add_io_flags(sub, bank=True, seed=True, svg=True):
     if bank:
         sub.add_argument("--bank", required=True, help="precomputed bank file (.npz)")
@@ -404,7 +416,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bc", help="boundary-condition JSON (default: rest at 0)")
     p.add_argument("--count", type=int, default=10, help="number of samples")
     _add_window_flags(p, "bc time")
-    p.add_argument("--noise-var", type=float, default=DEFAULT_NOISE_VAR,
+    p.add_argument("--noise-var", type=_finite_nonneg("noise_var"),
+                   default=DEFAULT_NOISE_VAR,
                    help="observation noise variance for the plotted band")
     p.set_defaults(func=_cmd_sample)
 
@@ -413,8 +426,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--demo", action="append", required=True,
                    help="demonstration CSV (t, dofN_pos[, dofN_vel]); repeatable")
     p.add_argument("--bc", help="boundary-condition override (single demo only)")
-    p.add_argument("--ridge", type=float, help="ridge strength (default: scale-free)")
-    p.add_argument("--cov-floor", type=float, default=1e-8,
+    p.add_argument("--ridge", type=_finite_nonneg("ridge"),
+                   help="ridge strength (default: scale-free)")
+    p.add_argument("--cov-floor", type=_finite_nonneg("cov_floor"), default=1e-8,
                    help="diagonal floor for the empirical covariance")
     p.set_defaults(func=_cmd_fit)
 
@@ -426,7 +440,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="boundary-condition JSON; repeat per primitive")
     p.add_argument("--activations", required=True,
                    help="JSON with 'times' and per-primitive 'values' rows")
-    p.add_argument("--noise-var", type=float, default=DEFAULT_NOISE_VAR)
+    p.add_argument("--noise-var", type=_finite_nonneg("noise_var"),
+                   default=DEFAULT_NOISE_VAR)
     p.set_defaults(func=_cmd_combine)
 
     p = subs.add_parser("blend", help="ramp from one primitive to another")
@@ -437,7 +452,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ramp-start", type=float, required=True)
     p.add_argument("--ramp-end", type=float, required=True)
     _add_window_flags(p, "0")
-    p.add_argument("--noise-var", type=float, default=DEFAULT_NOISE_VAR)
+    p.add_argument("--noise-var", type=_finite_nonneg("noise_var"),
+                   default=DEFAULT_NOISE_VAR)
     p.set_defaults(func=_cmd_blend)
 
     p = subs.add_parser("replan", help="run a scripted replanning chain")
@@ -462,8 +478,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except MptrajError as err:
         print(f"error[{err.category}]: {err}", file=sys.stderr)

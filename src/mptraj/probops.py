@@ -6,8 +6,14 @@ Combination follows the activated product of Gaussians:
     cov*(t) = (sum_k a_k(t) cov_k(t)^-1)^-1
     mu*(t)  = cov*(t) sum_k a_k(t) cov_k(t)^-1 mu_k(t)
 
-Components with zero activation at a time step drop out of the sums exactly,
-and a lone component with activation 1 is passed through bit for bit.
+The sums run batched over (primitive, time): one Cholesky factorization and
+one solve invert every active covariance at once, and one more pair inverts
+the combined precisions.  Components with zero activation at a time step drop
+out of the sums exactly, and a lone component with activation 1 is passed
+through bit for bit (at activation a < 1 its covariance is divided by a).
+A stack whose factorization fails is retried slice by slice, and each slice
+that needs a diagonal jitter counts once in meta["jitter_applied"].  A
+combined mean or covariance that is not finite raises NumericalError.
 """
 from __future__ import annotations
 
@@ -47,6 +53,9 @@ class GaussianSequence:
         if covs.shape != (t_count, dofs, dofs):
             raise DimensionError(
                 f"covs must have shape ({t_count}, {dofs}, {dofs}), got {covs.shape}")
+        for name, arr in (("times", times), ("means", means), ("covs", covs)):
+            if not np.isfinite(arr).all():
+                raise ValidationError(f"{name} must be finite")
         if not np.array_equal(covs, covs.transpose(0, 2, 1)):
             raise ValidationError("per-time covariances must be symmetric")
         for arr in (times, means, covs):
@@ -94,8 +103,10 @@ class ActivationProfile:
 
 def falling_ramp(times, t_start: float, t_end: float) -> np.ndarray:
     """Activation 1 before t_start, linear to 0 at t_end, 0 after."""
-    if not t_end > t_start:
-        raise ValidationError(f"ramp needs t_end > t_start, got [{t_start}, {t_end}]")
+    # an infinite end made the slope inf / inf; negated so that NaN fails
+    if not -np.inf < t_start < t_end < np.inf:
+        raise ValidationError(
+            f"ramp needs finite t_start < t_end, got [{t_start}, {t_end}]")
     times = np.atleast_1d(np.asarray(times, dtype=float))
     return np.clip((t_end - times) / (t_end - t_start), 0.0, 1.0)
 
@@ -113,10 +124,20 @@ def _chol_with_jitter(mat: np.ndarray, counter: list, what: str) -> np.ndarray:
                 f"{what} is singular even after {PRECISION_JITTER:g} jitter") from exc
 
 
-def _inverse_from_chol(chol: np.ndarray) -> np.ndarray:
-    inv_l = np.linalg.solve(chol, np.eye(chol.shape[0]))
-    inv = inv_l.T @ inv_l
-    return 0.5 * (inv + inv.T)
+def _inverse_stack(stack: np.ndarray, counter: list, what) -> np.ndarray:
+    """Symmetric inverses of a stack (..., D, D) of SPD matrices through one
+    batched Cholesky factorization.  When that fails, every slice is factored
+    alone, so jitter is added, and counted, only where a slice needs it;
+    what(*index) names a slice in the error."""
+    try:
+        chol = np.linalg.cholesky(stack)
+    except np.linalg.LinAlgError:
+        chol = np.empty_like(stack)
+        for index in np.ndindex(stack.shape[:-2]):
+            chol[index] = _chol_with_jitter(stack[index], counter, what(*index))
+    inv_l = np.linalg.solve(chol, np.eye(stack.shape[-1]))
+    inv = np.swapaxes(inv_l, -1, -2) @ inv_l
+    return 0.5 * (inv + np.swapaxes(inv, -1, -2))
 
 
 def combine(sequences, profile: ActivationProfile) -> GaussianSequence:
@@ -136,39 +157,37 @@ def combine(sequences, profile: ActivationProfile) -> GaussianSequence:
     if not np.array_equal(profile.times, base.times):
         raise ValidationError("activation profile grid does not match the sequences")
 
-    t_count = base.times.shape[0]
-    dofs = base.dofs
-    means = np.empty((t_count, dofs))
-    covs = np.empty((t_count, dofs, dofs))
+    act = profile.values
+    in_means = np.stack([seq.means for seq in sequences])
+    in_covs = np.stack([seq.covs for seq in sequences])
+    active = act > 0.0
+    lone = active.sum(axis=0) == 1
+    # only primitives active beside another one are factored; the identity in
+    # every other slot factors cleanly and its zero or discarded weight adds
+    # nothing to the sums below
+    factored = active & ~lone
     jitter_events = [0]
-
-    for i in range(t_count):
-        weights = profile.values[:, i]
-        active = np.flatnonzero(weights > 0.0)
-        if active.size == 1:
-            k = active[0]
-            a = weights[k]
-            if a == 1.0:
-                means[i] = sequences[k].means[i]
-                covs[i] = sequences[k].covs[i]
-            else:
-                means[i] = sequences[k].means[i]
-                covs[i] = sequences[k].covs[i] / a
-            continue
-        precision = np.zeros((dofs, dofs))
-        scaled_mean = np.zeros(dofs)
-        for k in active:
-            chol = _chol_with_jitter(sequences[k].covs[i], jitter_events,
-                                     f"covariance of primitive {k} at index {i}")
-            prec_k = _inverse_from_chol(chol)
-            precision += weights[k] * prec_k
-            scaled_mean += weights[k] * (prec_k @ sequences[k].means[i])
-        chol = _chol_with_jitter(precision, jitter_events,
-                                 f"combined precision at index {i}")
-        covs[i] = _inverse_from_chol(chol)
-        means[i] = covs[i] @ scaled_mean
-        covs[i] = 0.5 * (covs[i] + covs[i].T)
-
+    with np.errstate(over="ignore", invalid="ignore"):
+        prec = _inverse_stack(
+            np.where(factored[..., None, None], in_covs, np.eye(base.dofs)),
+            jitter_events, lambda k, i: f"covariance of primitive {k} at index {i}")
+        precision = np.zeros(prec.shape[1:])
+        shift = np.zeros(in_means.shape[1:])
+        for a_k, prec_k, mean_k in zip(act, prec, in_means):
+            precision += a_k[:, None, None] * prec_k
+            shift += a_k[:, None] * (prec_k @ mean_k[..., None])[..., 0]
+        covs = _inverse_stack(precision, jitter_events,
+                              lambda i: f"combined precision at index {i}")
+        means = (covs @ shift[..., None])[..., 0]
+        # a lone primitive passes through; its covariance widens by 1/a
+        k_lone = act.argmax(axis=0)[lone]
+        means[lone] = in_means[k_lone, lone]
+        covs[lone] = in_covs[k_lone, lone] / act[k_lone, lone][:, None, None]
+    finite = np.isfinite(means).all(axis=1) & np.isfinite(covs).all(axis=(1, 2))
+    if not finite.all():
+        i = np.flatnonzero(~finite)[0]
+        raise NumericalError(
+            f"combined Gaussian at index {i} (t = {base.times[i]:.6g}) is not finite")
     return GaussianSequence(times=base.times, means=means, covs=covs,
                             meta={"jitter_applied": jitter_events[0]})
 
@@ -208,16 +227,18 @@ def gaussian_sequence_from_dict(data: dict) -> GaussianSequence:
         records = data["records"]
         times = np.array([rec["t"] for rec in records], dtype=float)
         means = np.array([rec["mean"] for rec in records], dtype=float)
+        lower = [rec["cov_lower"] for rec in records]
+        width = dofs * (dofs + 1) // 2
+        short = next((i for i, packed in enumerate(lower) if len(packed) != width), None)
+        if short is not None:
+            raise ValidationError(
+                f"record {short}: packed covariance has {len(lower[short])} entries, "
+                f"expected {width}")
+        lower = np.array(lower, dtype=float)
+        rows, cols = np.tril_indices(dofs)
         covs = np.zeros((len(records), dofs, dofs))
-        tril = np.tril_indices(dofs)
-        for i, rec in enumerate(records):
-            packed = np.asarray(rec["cov_lower"], dtype=float)
-            if packed.shape != (dofs * (dofs + 1) // 2,):
-                raise ValidationError(
-                    f"record {i}: packed covariance has {packed.shape[0]} entries, "
-                    f"expected {dofs * (dofs + 1) // 2}")
-            covs[i][tril] = packed
-            covs[i] = covs[i] + np.tril(covs[i], -1).T
+        covs[:, rows, cols] = lower
+        covs[:, cols, rows] = lower
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed Gaussian-sequence record: {exc}") from exc
     return GaussianSequence(times=times, means=means, covs=covs,

@@ -8,14 +8,15 @@ exp(k t), so they are usable only on short horizons, which is why they serve
 as independent cross-checks and not as production code.
 
 Beside them sit routes that the package replaced with faster ones: the pair
-NLL through a dense block design matrix and scipy, and the per-value CSV
-writers.
+NLL through a dense block design matrix and scipy, the per-time combination
+loop, and the per-value CSV writers.
 """
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import multivariate_normal
 
+from mptraj.probops import GaussianSequence, _chol_with_jitter
 from mptraj.trajectory import weight_blocks
 
 
@@ -106,6 +107,46 @@ def pair_nll_dense(batch, wdist, bc, bank, noise_var) -> float:
         cov = design @ cov_w @ design.T + noise_var * np.eye(2 * dofs)
         total -= multivariate_normal(mean, cov).logpdf(values)
     return total / batch.count
+
+
+def combine_loop(sequences, profile) -> GaussianSequence:
+    """Activated product of per-time Gaussians, one time step and one active
+    primitive at a time: a lone active primitive passes through (its
+    covariance divided by its activation), every other time sums the
+    activation-weighted precisions of its active primitives."""
+    def inverse(mat, counter, what):
+        inv_l = np.linalg.solve(_chol_with_jitter(mat, counter, what),
+                                np.eye(mat.shape[0]))
+        inv = inv_l.T @ inv_l
+        return 0.5 * (inv + inv.T)
+
+    base = sequences[0]
+    t_count, dofs = base.means.shape
+    means = np.empty((t_count, dofs))
+    covs = np.empty((t_count, dofs, dofs))
+    jitter_events = [0]
+    for i in range(t_count):
+        weights = profile.values[:, i]
+        active = np.flatnonzero(weights > 0.0)
+        if active.size == 1:
+            k = active[0]
+            means[i] = sequences[k].means[i]
+            if weights[k] == 1.0:
+                covs[i] = sequences[k].covs[i]
+            else:
+                covs[i] = sequences[k].covs[i] / weights[k]
+            continue
+        precision = np.zeros((dofs, dofs))
+        scaled_mean = np.zeros(dofs)
+        for k in active:
+            prec_k = inverse(sequences[k].covs[i], jitter_events,
+                             f"covariance of primitive {k} at index {i}")
+            precision += weights[k] * prec_k
+            scaled_mean += weights[k] * (prec_k @ sequences[k].means[i])
+        covs[i] = inverse(precision, jitter_events, f"combined precision at index {i}")
+        means[i] = covs[i] @ scaled_mean
+    return GaussianSequence(times=base.times, means=means, covs=covs,
+                            meta={"jitter_applied": jitter_events[0]})
 
 
 def write_trajectory_csv(path, times, positions, velocities, segment_ids=None):

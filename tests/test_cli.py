@@ -283,6 +283,26 @@ class TestCombineAndBlend:
         assert code == 2
         assert "exactly 2" in stderr
 
+    def test_overflowing_blend_is_numerical_error(self, env, tmp_path):
+        # the precision round trip overflows; this wrote NaN and Infinity
+        # values and exited 0
+        argv = ["blend", "--bank", str(env["bank"])]
+        argv += ["--wdist", str(env["wdist"]), "--bc", str(env["bc"])] * 2
+        argv += ["--ramp-start", "0.25", "--ramp-end", "0.75", "--noise-var", "1e308"]
+        code, stderr = _run_to(argv, tmp_path / "x.json")
+        assert code == 4
+        assert "is not finite" in stderr
+
+    @pytest.mark.parametrize("flag", ["--ramp-start", "--ramp-end"])
+    def test_infinite_ramp_is_validation_error(self, env, tmp_path, flag):
+        # an infinite ramp end printed numpy's divide warning before the error
+        argv = ["blend", "--bank", str(env["bank"])]
+        argv += ["--wdist", str(env["wdist"]), "--bc", str(env["bc"])] * 2
+        argv += ["--ramp-start", "0.25", "--ramp-end", "0.75", f"{flag}=inf"]
+        code, stderr = _run_to(argv, tmp_path / "x.json")
+        assert code == 2
+        assert "ramp needs finite" in stderr
+
     def test_blend_writes_sequence(self, env, capsys, tmp_path):
         out = tmp_path / "blend.json"
         code, stdout, _ = _run(capsys, [
@@ -616,6 +636,17 @@ class TestNonFiniteFlags:
         svg = tmp_path / "x.svg" if command == "sample" else None
         code, stderr = _run_to(_command(env, demos, command) + [f"{flag}={value}"],
                                tmp_path / "x.out", svg)
+        assert code == 2
+        assert f"{flag[2:].replace('-', '_')} must be finite and >= 0" in stderr
+
+    # sample without --svg and a single-demo fit never read these flags, and
+    # exited 0 ignoring them
+    @pytest.mark.parametrize("value", ["inf", "nan", "-1"])
+    @pytest.mark.parametrize("command, flag", [("sample", "--noise-var"),
+                                               ("fit", "--cov-floor")])
+    def test_rejected_where_unread(self, env, demos, tmp_path, command, flag, value):
+        code, stderr = _run_to(_command(env, demos, command) + [f"{flag}={value}"],
+                               tmp_path / "x.out")
         assert code == 2
         assert f"{flag[2:].replace('-', '_')} must be finite and >= 0" in stderr
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mptraj import (ActivationProfile, DimensionError, GaussianSequence,
-                    ValidationError, blend, combine, falling_ramp)
+                    NumericalError, ValidationError, blend, combine, falling_ramp)
 from mptraj.probops import (gaussian_sequence_from_dict,
                             gaussian_sequence_json_dict)
 
@@ -26,6 +26,17 @@ class TestContainers:
             GaussianSequence(times, np.zeros((2, 2)),
                              np.array([[[1.0, 0.3], [0.2, 1.0]]] * 2))
 
+    @pytest.mark.parametrize("field", ["times", "means", "covs"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_sequence_rejected(self, field, value):
+        # a NaN mean was accepted, and a NaN covariance was reported as
+        # asymmetric
+        arrays = {"times": np.array([0.0, 1.0]), "means": np.zeros((2, 2)),
+                  "covs": np.array([np.eye(2)] * 2)}
+        arrays[field].flat[-1] = value
+        with pytest.raises(ValidationError, match=f"{field} must be finite"):
+            GaussianSequence(**arrays)
+
     def test_activation_range_checks(self):
         times = np.array([0.0, 1.0])
         with pytest.raises(ValidationError, match=r"\[0, 1\]"):
@@ -44,8 +55,9 @@ class TestContainers:
         times = np.array([0.0, 1.0, 1.5, 2.0, 3.0])
         ramp = falling_ramp(times, 1.0, 2.0)
         np.testing.assert_array_equal(ramp, [1.0, 1.0, 0.5, 0.0, 0.0])
-        with pytest.raises(ValidationError):
-            falling_ramp(times, 2.0, 1.0)
+        for t_start, t_end in ((2.0, 1.0), (1.0, np.inf), (-np.inf, 1.0), (np.nan, 1.0)):
+            with pytest.raises(ValidationError, match="ramp needs"):
+                falling_ramp(times, t_start, t_end)
 
 
 class TestCombine:
@@ -101,8 +113,62 @@ class TestCombine:
         healthy = GaussianSequence(times, np.ones((1, 2)), np.eye(2)[None])
         profile = ActivationProfile(times, np.ones((2, 1)))
         out = combine([singular, healthy], profile)
-        assert out.meta["jitter_applied"] >= 1
+        assert out.meta["jitter_applied"] == 1
         assert np.all(np.isfinite(out.covs))
+
+    def test_singular_covariance_in_inactive_slot_needs_no_jitter(self):
+        times = np.array([0.0, 1.0])
+        singular = GaussianSequence(times, np.zeros((2, 2)),
+                                    np.array([[[1.0, 1.0], [1.0, 1.0]]] * 2))
+        healthy = GaussianSequence(times, np.ones((2, 2)), np.array([np.eye(2)] * 2))
+        # the singular primitive is off at both times, once beside two others
+        profile = ActivationProfile(times, np.array([[0.0, 0.0], [0.5, 1.0],
+                                                     [0.5, 0.0]]))
+        out = combine([singular, healthy, healthy], profile)
+        assert out.meta["jitter_applied"] == 0
+        np.testing.assert_allclose(out.covs[0], np.eye(2), rtol=1e-15)
+
+    def test_each_singular_slice_counts_once(self):
+        times = np.array([0.0, 0.5, 1.0])
+        covs = np.array([[[1.0, 1.0], [1.0, 1.0]], np.eye(2), [[4.0, 2.0], [2.0, 1.0]]])
+        singular = GaussianSequence(times, np.zeros((3, 2)), covs)
+        healthy = GaussianSequence(times, np.ones((3, 2)), np.array([np.eye(2)] * 3))
+        profile = ActivationProfile(times, np.full((2, 3), 0.5))
+        out = combine([singular, healthy], profile)
+        assert out.meta["jitter_applied"] == 2
+
+    def test_lone_indefinite_covariance_passes_through(self):
+        # a lone primitive is never factored, so its covariance is copied even
+        # where no Cholesky factor exists
+        times = np.array([0.0, 1.0])
+        odd = GaussianSequence(times, np.ones((2, 2)),
+                               np.array([[[1.0, 0.0], [0.0, -1.0]]] * 2))
+        healthy = GaussianSequence(times, np.zeros((2, 2)), np.array([np.eye(2)] * 2))
+        profile = ActivationProfile(times, np.array([[1.0, 0.5], [0.0, 0.0]]))
+        out = combine([odd, healthy], profile)
+        assert np.array_equal(out.means, odd.means)
+        assert np.array_equal(out.covs[0], odd.covs[0])
+        assert np.array_equal(out.covs[1], odd.covs[1] / 0.5)
+        assert out.meta["jitter_applied"] == 0
+
+    def test_unrepairable_slice_is_named(self):
+        times = np.array([0.0])
+        odd = GaussianSequence(times, np.zeros((1, 2)),
+                               np.array([[[1.0, 0.0], [0.0, -1.0]]]))
+        healthy = GaussianSequence(times, np.ones((1, 2)), np.eye(2)[None])
+        profile = ActivationProfile(times, np.ones((2, 1)))
+        with pytest.raises(NumericalError, match="primitive 0 at index 0"):
+            combine([odd, healthy], profile)
+
+    def test_non_finite_result_is_numerical_error(self):
+        # the precision round trip of covariances near the float limit
+        # overflows; the result used to be returned full of inf and NaN
+        times = np.array([0.0, 0.5, 1.0])
+        seq = GaussianSequence(times, np.ones((3, 2)), np.array([1e308 * np.eye(2)] * 3))
+        profile = ActivationProfile(times, np.array([[1.0, 0.5, 0.0],
+                                                     [0.0, 0.5, 1.0]]))
+        with pytest.raises(NumericalError, match=r"index 1 \(t = 0.5\) is not finite"):
+            combine([seq, seq], profile)
 
     def test_grid_mismatch_rejected(self):
         rng = np.random.default_rng(4)

@@ -310,22 +310,19 @@ def precompute_basis(config: DmpConfig) -> BasisBank:
 
     x = phase(times, config)
     f = forcing.normalized_scaled(x) / config.tau**2      # (M+1, N) integrand
-    g = times[:, None] * f
+    fg = np.hstack([f, times[:, None] * f])               # A and B integrands
     decay = np.exp(-k * dt)
 
-    n = config.num_basis
-    big_a = np.empty((m + 1, n))
-    big_b = np.empty((m + 1, n))
-    big_a[0] = 0.0
-    big_b[0] = 0.0
-    acc_a = np.zeros(n)
-    acc_b = np.zeros(n)
-    half = 0.5 * dt
+    # A and B advance together as one 2N-wide recurrence; the trapezoid
+    # increments do not depend on the accumulator, so each row starts as its
+    # increment and the loop adds the decayed previous row
+    big_ab = np.zeros_like(fg)
+    big_ab[1:] = 0.5 * dt * (decay * fg[:-1] + fg[1:])
+    acc = big_ab[0]
     for j in range(1, m + 1):
-        acc_a = decay * acc_a + half * (decay * f[j - 1] + f[j])
-        acc_b = decay * acc_b + half * (decay * g[j - 1] + g[j])
-        big_a[j] = acc_a
-        big_b[j] = acc_b
+        big_ab[j] = acc = decay * acc + big_ab[j]
+    n = config.num_basis
+    big_a, big_b = big_ab[:, :n], big_ab[:, n:]
 
     kt = k * times
     env = np.exp(-kt)

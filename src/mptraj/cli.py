@@ -2,9 +2,9 @@
 
 Commands: precompute, generate, sample, fit, combine, blend, replan, bench.
 Every command is deterministic given its inputs and --seed; outputs are
-written atomically.  Failures print one line to stderr in the form
-"error[category]: message" and exit with the category's code (2 validation,
-3 I/O, 4 numerical, 5 dimension mismatch).
+written atomically.  Failures, usage errors included, print one line to
+stderr in the form "error[category]: message" and exit with the category's
+code (2 validation, 3 I/O, 4 numerical, 5 dimension mismatch).
 """
 from __future__ import annotations
 
@@ -71,7 +71,7 @@ def _load_bc(path: str) -> BoundaryCondition:
     return _bc_from_dict(read_json(path))
 
 
-def _load_weights(path: str):
+def _load_weights(path: str, bank: BasisBank):
     data = read_json(path)
     _reject_unknown(data, ("dofs", "num_basis", "weights"), "weights")
     try:
@@ -83,14 +83,17 @@ def _load_weights(path: str):
     weight_blocks(weights, dofs, num_basis + 1)
     if not np.isfinite(weights).all():
         raise ValidationError(f"weights in {path} must be finite")
-    return weights, dofs, num_basis
+    _check_num_basis(num_basis, bank, path)
+    return weights, dofs
 
 
-def _load_wdist(path: str):
+def _load_wdist(path: str, bank: BasisBank):
     data = read_json(path)
     _reject_unknown(data, ("dofs", "num_basis", "mean", "chol_lower"),
                     "weights-distribution")
-    return weights_distribution_from_dict(data)
+    wdist, dofs, num_basis = weights_distribution_from_dict(data)
+    _check_num_basis(num_basis, bank, path)
+    return wdist, dofs
 
 
 def _check_num_basis(num_basis: int, bank: BasisBank, source: str) -> None:
@@ -158,8 +161,7 @@ def _cmd_precompute(args) -> int:
 
 def _cmd_generate(args) -> int:
     bank = _load_bank(args)
-    weights, dofs, num_basis = _load_weights(args.weights)
-    _check_num_basis(num_basis, bank, args.weights)
+    weights, dofs = _load_weights(args.weights, bank)
     bc = _load_bc(args.bc) if args.bc else _default_bc(dofs)
     if bc.dofs != dofs:
         raise DimensionError(
@@ -177,8 +179,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_sample(args) -> int:
     bank = _load_bank(args)
-    wdist, dofs, num_basis = _load_wdist(args.wdist)
-    _check_num_basis(num_basis, bank, args.wdist)
+    wdist, dofs = _load_wdist(args.wdist, bank)
     bc = _load_bc(args.bc) if args.bc else _default_bc(dofs)
     if bc.dofs != dofs:
         raise DimensionError(
@@ -240,8 +241,7 @@ def _paired_primitives(args, bank: BasisBank):
             f"each primitive needs both")
     primitives = []
     for wpath, bpath in zip(args.wdist, args.bc):
-        wdist, dofs, num_basis = _load_wdist(wpath)
-        _check_num_basis(num_basis, bank, wpath)
+        wdist, dofs = _load_wdist(wpath, bank)
         bc = _load_bc(bpath)
         if bc.dofs != dofs:
             raise DimensionError(
@@ -320,8 +320,7 @@ def _cmd_replan(args) -> int:
             raise ValidationError(f"malformed scenario segment {i}: {exc}") from exc
         if not os.path.isabs(wdist_path):
             wdist_path = os.path.join(base_dir, wdist_path)
-        wdist, dofs, num_basis = _load_wdist(wdist_path)
-        _check_num_basis(num_basis, bank, wdist_path)
+        wdist, dofs = _load_wdist(wdist_path, bank)
         if dofs != initial.dofs:
             raise DimensionError(
                 f"scenario segment {i} has {dofs} DoFs, initial state has "
@@ -372,13 +371,10 @@ def _finite_nonneg(name: str):
     return number
 
 
-def _add_io_flags(sub, bank=True, seed=True, svg=True):
-    if bank:
-        sub.add_argument("--bank", required=True, help="precomputed bank file (.npz)")
-        sub.add_argument("--config", help="optional config JSON; must hash-match the bank")
+def _add_io_flags(sub, svg=True):
+    sub.add_argument("--bank", required=True, help="precomputed bank file (.npz)")
+    sub.add_argument("--config", help="optional config JSON; must hash-match the bank")
     sub.add_argument("--out", required=True, help="output path")
-    if seed:
-        sub.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     if svg:
         sub.add_argument("--svg", help="also write an SVG plot to this path")
 
@@ -390,8 +386,17 @@ def _add_window_flags(sub, start_default: str):
     sub.add_argument("--until", type=float, help="last query time (default: bank horizon)")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors (unknown command, missing or malformed flag) raise
+    ValidationError, so they end in the one-line error form like any other
+    invalid input.  Subparsers inherit the class."""
+
+    def error(self, message):
+        raise ValidationError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mptraj",
         description="Movement-primitive trajectory distributions: precompute the "
                     "basis bank once, then generate, sample, fit, combine, blend, "
@@ -401,17 +406,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("precompute", help="build and store a basis bank")
     p.add_argument("--config", required=True, help="DMP configuration JSON")
     p.add_argument("--out", required=True, help="bank output path (.npz)")
-    p.set_defaults(func=_cmd_precompute)
 
     p = subs.add_parser("generate", help="mean trajectory from a weights vector")
-    _add_io_flags(p, seed=False)
+    _add_io_flags(p)
     p.add_argument("--weights", required=True, help="weights JSON")
     p.add_argument("--bc", help="boundary-condition JSON (default: rest at 0)")
     _add_window_flags(p, "bc time")
-    p.set_defaults(func=_cmd_generate)
 
     p = subs.add_parser("sample", help="draw trajectories from a weights distribution")
     _add_io_flags(p)
+    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     p.add_argument("--wdist", required=True, help="weights-distribution JSON")
     p.add_argument("--bc", help="boundary-condition JSON (default: rest at 0)")
     p.add_argument("--count", type=int, default=10, help="number of samples")
@@ -419,10 +423,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise-var", type=_finite_nonneg("noise_var"),
                    default=DEFAULT_NOISE_VAR,
                    help="observation noise variance for the plotted band")
-    p.set_defaults(func=_cmd_sample)
 
     p = subs.add_parser("fit", help="fit weights (1 demo) or a distribution (>= 2)")
-    _add_io_flags(p, seed=False, svg=False)
+    _add_io_flags(p, svg=False)
     p.add_argument("--demo", action="append", required=True,
                    help="demonstration CSV (t, dofN_pos[, dofN_vel]); repeatable")
     p.add_argument("--bc", help="boundary-condition override (single demo only)")
@@ -430,10 +433,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="ridge strength (default: scale-free)")
     p.add_argument("--cov-floor", type=_finite_nonneg("cov_floor"), default=1e-8,
                    help="diagonal floor for the empirical covariance")
-    p.set_defaults(func=_cmd_fit)
 
     p = subs.add_parser("combine", help="co-activate primitives on a shared grid")
-    _add_io_flags(p, seed=False)
+    _add_io_flags(p)
     p.add_argument("--wdist", action="append", required=True,
                    help="weights-distribution JSON; repeat per primitive")
     p.add_argument("--bc", action="append", required=True,
@@ -442,10 +444,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="JSON with 'times' and per-primitive 'values' rows")
     p.add_argument("--noise-var", type=_finite_nonneg("noise_var"),
                    default=DEFAULT_NOISE_VAR)
-    p.set_defaults(func=_cmd_combine)
 
     p = subs.add_parser("blend", help="ramp from one primitive to another")
-    _add_io_flags(p, seed=False)
+    _add_io_flags(p)
     p.add_argument("--wdist", action="append", required=True,
                    help="exactly two, in blend order")
     p.add_argument("--bc", action="append", required=True, help="exactly two")
@@ -454,13 +455,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_window_flags(p, "0")
     p.add_argument("--noise-var", type=_finite_nonneg("noise_var"),
                    default=DEFAULT_NOISE_VAR)
-    p.set_defaults(func=_cmd_blend)
 
     p = subs.add_parser("replan", help="run a scripted replanning chain")
-    _add_io_flags(p, seed=False)
+    _add_io_flags(p)
     p.add_argument("--scenario", required=True, help="scenario JSON")
     p.add_argument("--seed", type=int, help="overrides the scenario seed")
-    p.set_defaults(func=_cmd_replan)
 
     p = subs.add_parser("bench", help="time bank generation against Euler stepping")
     p.add_argument("--dofs", type=int, default=2)
@@ -472,15 +471,19 @@ def build_parser() -> argparse.ArgumentParser:
                    help="rebuild the boundary fold inside the timed call")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="optional JSON report path")
-    p.set_defaults(func=_cmd_bench)
 
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        return args.func(args)
+        args = _PARSER.parse_args(argv)
+        # resolved by name at call time, so a wrapper installed on the module
+        # attribute sees the call
+        return globals()[f"_cmd_{args.command}"](args)
     except MptrajError as err:
         print(f"error[{err.category}]: {err}", file=sys.stderr)
         return err.exit_code

@@ -234,18 +234,15 @@ def sample_trajectories(wdist: WeightsDistribution, bc: BoundaryCondition, times
     """
     if count < 1:
         raise ValidationError(f"count must be >= 1, got {count}")
-    dofs = _check_weights_dim(wdist, bc, bank)
+    _check_weights_dim(wdist, bc, bank)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     z = rng.standard_normal((count, wdist.dim))
     draws = wdist.mean + z @ wdist.chol.T
 
     fold = folded_basis(bc, times, bank)
-    blocks = draws.reshape(count, dofs, bank.weight_dim)
-    positions = fold.pos_offset[None, :, :] + blocks @ fold.h_pos.T
     if not with_velocities:
-        return positions
-    velocities = fold.vel_offset[None, :, :] + blocks @ fold.h_vel.T
-    return positions, velocities
+        return fold.positions(draws)
+    return fold.positions(draws), fold.velocities(draws)
 
 
 @dataclass(frozen=True)

@@ -93,35 +93,55 @@ def weight_blocks(w_g, dofs: int, weight_dim: int) -> np.ndarray:
     return w_g.reshape(dofs, weight_dim)
 
 
-@dataclass(frozen=True)
-class FoldedBasis:
+class TrajectoryGenerator:
     """Boundary fold of the bank at fixed (bc, times), the one place the
     boundary state enters: y(t) = pos_offset + W h_pos^T and yd(t) =
     vel_offset + W h_vel^T for weight blocks W of shape (D, N+1).  Offsets
     are (D, T), the folded rows (T, N+1).  Shared by the deterministic,
     distribution, sampling and fitting paths; a replanning chain computes
-    only the trace from it, one fold per segment."""
+    only the trace from it, one fold per segment.
 
-    times: np.ndarray
-    pos_offset: np.ndarray
-    vel_offset: np.ndarray
-    h_pos: np.ndarray
-    h_vel: np.ndarray
+    positions()/velocities() then cost one (D, N+1) x (N+1, T) product per
+    weight vector, which is the online generation path worth benchmarking.
+    """
+
+    def __init__(self, bc: BoundaryCondition, times, bank: BasisBank):
+        times = np.atleast_1d(np.asarray(times, dtype=float))
+        if times.ndim != 1:
+            raise DimensionError(f"query times must be a vector, got shape {times.shape}")
+        # row 0 is the boundary row; the lerp is elementwise, so sharing one
+        # lookup leaves every row unchanged
+        query = np.concatenate(([bc.t_b], times))
+        phi = bank.pos_rows(query)
+        dphi = bank.vel_rows(query)
+        xi1, xi2, dxi1, dxi2 = _xi_arrays(times, bc.t_b, bank.config.decay_rate)
+        self.bc = bc
+        self.times = times
+        self.pos_offset = xi1 * bc.y_b[:, None] + xi2 * bc.dy_b[:, None]
+        self.vel_offset = dxi1 * bc.y_b[:, None] + dxi2 * bc.dy_b[:, None]
+        self.h_pos = phi[1:] - xi1[:, None] * phi[0] - xi2[:, None] * dphi[0]
+        self.h_vel = dphi[1:] - dxi1[:, None] * phi[0] - dxi2[:, None] * dphi[0]
+
+    def _blocks(self, w_g) -> np.ndarray:
+        """Weight blocks (..., D, N+1) of one vector or a stack (..., D*(N+1))."""
+        dofs, weight_dim = self.bc.dofs, self.h_pos.shape[1]
+        w_g = np.asarray(w_g, dtype=float)
+        if w_g.ndim > 1 and w_g.shape[-1] == dofs * weight_dim:
+            return w_g.reshape(w_g.shape[:-1] + (dofs, weight_dim))
+        # one vector, or a stack with the wrong last axis: DimensionError
+        return weight_blocks(w_g, dofs, weight_dim)
+
+    def positions(self, w_g) -> np.ndarray:
+        """Positions (..., D, T) of one weights vector or a stack of them."""
+        return self.pos_offset + self._blocks(w_g) @ self.h_pos.T
+
+    def velocities(self, w_g) -> np.ndarray:
+        """Velocities (..., D, T), as positions()."""
+        return self.vel_offset + self._blocks(w_g) @ self.h_vel.T
 
 
-def folded_basis(bc: BoundaryCondition, times, bank: BasisBank) -> FoldedBasis:
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    phi_b = bank.pos_rows(bc.t_b)[0]
-    dphi_b = bank.vel_rows(bc.t_b)[0]
-    phi = bank.pos_rows(times)
-    dphi = bank.vel_rows(times)
-    xi1, xi2, dxi1, dxi2 = _xi_arrays(times, bc.t_b, bank.config.decay_rate)
-    return FoldedBasis(
-        times=times,
-        pos_offset=xi1 * bc.y_b[:, None] + xi2 * bc.dy_b[:, None],
-        vel_offset=dxi1 * bc.y_b[:, None] + dxi2 * bc.dy_b[:, None],
-        h_pos=phi - xi1[:, None] * phi_b - xi2[:, None] * dphi_b,
-        h_vel=dphi - dxi1[:, None] * phi_b - dxi2[:, None] * dphi_b)
+def folded_basis(bc: BoundaryCondition, times, bank: BasisBank) -> TrajectoryGenerator:
+    return TrajectoryGenerator(bc, times, bank)
 
 
 def evaluate_position(w_g, bc: BoundaryCondition, times, bank: BasisBank) -> np.ndarray:
@@ -132,32 +152,6 @@ def evaluate_position(w_g, bc: BoundaryCondition, times, bank: BasisBank) -> np.
 def evaluate_velocity(w_g, bc: BoundaryCondition, times, bank: BasisBank) -> np.ndarray:
     """Velocities, shape (D, len(times)); equals dy_b exactly at t_b."""
     return TrajectoryGenerator(bc, times, bank).velocities(w_g)
-
-
-class TrajectoryGenerator:
-    """Boundary fold precomputed once for fixed (bc, times).
-
-    positions()/velocities() then cost one (D, N+1) x (N+1, T) product each,
-    which is the online generation path worth benchmarking.
-    """
-
-    def __init__(self, bc: BoundaryCondition, times, bank: BasisBank):
-        fold = folded_basis(bc, times, bank)
-        self.bc = bc
-        self.bank = bank
-        self.times = fold.times
-        self._pos_offset = fold.pos_offset
-        self._vel_offset = fold.vel_offset
-        self._h_pos_t = fold.h_pos.T.copy()
-        self._h_vel_t = fold.h_vel.T.copy()
-
-    def positions(self, w_g) -> np.ndarray:
-        blocks = weight_blocks(w_g, self.bc.dofs, self.bank.weight_dim)
-        return self._pos_offset + blocks @ self._h_pos_t
-
-    def velocities(self, w_g) -> np.ndarray:
-        blocks = weight_blocks(w_g, self.bc.dofs, self.bank.weight_dim)
-        return self._vel_offset + blocks @ self._h_vel_t
 
 
 def write_trajectory_csv(path: str, times, positions, velocities,

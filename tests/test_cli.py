@@ -651,6 +651,37 @@ class TestNonFiniteFlags:
         assert f"{flag[2:].replace('-', '_')} must be finite and >= 0" in stderr
 
 
+# argparse printed its usage text and raised SystemExit(2) for these
+USAGE_ERRORS = {
+    "non-numeric flag": lambda env, demos: (_command(env, demos, "fit-multi")
+                                            + ["--cov-floor", "abc"]),
+    "missing required flag": lambda env, demos: ["generate", "--bank", str(env["bank"])],
+    "unknown command": lambda env, demos: ["frobnicate"],
+    "no command": lambda env, demos: [],
+}
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("case", sorted(USAGE_ERRORS))
+    def test_one_validation_line(self, env, demos, tmp_path, case):
+        # _run_to fails on SystemExit, and checks the one line and no output
+        code, stderr = _run_to(USAGE_ERRORS[case](env, demos), tmp_path / "x.out")
+        assert code == 2
+        assert stderr.startswith("error[validation]: ")
+
+    def test_empty_argv(self, capsys):
+        code, out, err = _run(capsys, [])
+        assert (code, out) == (2, "")
+        assert err.startswith("error[validation]: ") and err.count("\n") == 1
+        assert "command" in err
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert "precompute" in capsys.readouterr().out
+
+
 @settings(max_examples=25, deadline=None)
 @given(value=st.floats())
 @pytest.mark.parametrize("command, flag", [

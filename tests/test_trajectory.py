@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mptraj import (BoundaryCondition, DimensionError, TrajectoryGenerator,
+from mptraj import (BasisBank, BoundaryCondition, DimensionError, TrajectoryGenerator,
                     ValidationError, evaluate_position, evaluate_velocity)
 from mptraj.trajectory import (MAX_QUERY_SAMPLES, folded_basis, read_trajectory_csv,
                                weight_blocks, window_steps, write_trajectory_csv)
@@ -167,6 +167,9 @@ class TestGenerator:
             evaluate_position(np.zeros(13), bc, np.array([0.0]), reference_bank)
         with pytest.raises(DimensionError):
             weight_blocks(np.zeros(10), 3, 4)
+        # a numpy broadcasting ValueError before query times were checked
+        with pytest.raises(DimensionError):
+            evaluate_position(np.zeros(52), bc, np.full((2, 3), 0.5), reference_bank)
 
     def test_times_outside_bank_rejected(self, reference_bank):
         bc = BoundaryCondition(0.0, np.zeros(1), np.zeros(1))
@@ -188,6 +191,41 @@ class TestFoldedBasis:
         assert fold.pos_offset.shape == fold.vel_offset.shape == (3, 3)
         assert np.array_equal(fold.pos_offset[:, 1], bc.y_b)
         assert np.array_equal(fold.vel_offset[:, 1], bc.dy_b)
+
+    def test_fold_is_the_generator(self, reference_bank):
+        bc = BoundaryCondition(0.5, np.zeros(2), np.zeros(2))
+        assert isinstance(folded_basis(bc, [1.0], reference_bank), TrajectoryGenerator)
+
+    def test_one_lookup_per_row_kind(self, reference_bank, monkeypatch):
+        calls = []
+        for name in ("pos_rows", "vel_rows"):
+            def counted(bank, t, _name=name, _rows=getattr(BasisBank, name)):
+                calls.append(_name)
+                return _rows(bank, t)
+            monkeypatch.setattr(BasisBank, name, counted)
+        bc = BoundaryCondition(0.5, np.zeros(2), np.zeros(2))
+        folded_basis(bc, np.linspace(0.5, 2.5, 9), reference_bank)
+        assert sorted(calls) == ["pos_rows", "vel_rows"]
+
+    def test_stack_equals_single_calls(self, reference_bank):
+        rng = np.random.default_rng(8)
+        bc, _ = _random_case(rng, 3, reference_bank.weight_dim, t_b=0.4)
+        fold = folded_basis(bc, np.linspace(0.4, 2.8, 50), reference_bank)
+        stack = rng.standard_normal((6, 3 * reference_bank.weight_dim))
+        assert np.array_equal(fold.positions(stack),
+                              np.stack([fold.positions(w) for w in stack]))
+        assert np.array_equal(fold.velocities(stack),
+                              np.stack([fold.velocities(w) for w in stack]))
+
+    @pytest.mark.parametrize("shape", [(4, 77), (2, 4, 79), (1, 0)])
+    def test_stack_with_wrong_last_axis_rejected(self, reference_bank, shape):
+        # 3 DoFs x 26 parameters = 78 per weights vector
+        bc = BoundaryCondition(0.0, np.zeros(3), np.zeros(3))
+        fold = folded_basis(bc, [1.0, 2.0], reference_bank)
+        with pytest.raises(DimensionError):
+            fold.positions(np.zeros(shape))
+        with pytest.raises(DimensionError):
+            fold.velocities(np.zeros(shape))
 
 
 class TestCsv:

@@ -1,15 +1,19 @@
 """Online-generation benchmark: closed-form bank versus per-step integration.
 
 The timed comparison is a full trajectory at the playback rate, generated from
-one weight vector.  The bank path is a matrix-vector product against folded
-basis rows; the baseline is explicit Euler stepping at the same rate.  Bank
-precomputation happens before any clock starts (it is the offline stage), and
-with_bc_recompute toggles whether the boundary fold is rebuilt on every call,
-which is what an online boundary-condition update costs.
+one weight vector.  One run times three paths over the same weight draws:
 
-Timings are medians over the repetitions, after one untimed warm-up call per
-path.  Trajectory checksums are carried in the report so determinism can be
-asserted independently of the (naturally noisy) timings.
+- explicit Euler stepping at the playback rate, the baseline;
+- the bank with the boundary fold built once and reused, a matrix-vector
+  product against the folded basis rows;
+- the bank with the fold rebuilt on every call, which is what an online
+  boundary-condition update costs.
+
+Bank precomputation happens before any clock starts (it is the offline
+stage).  Timings are medians over the repetitions, after one untimed warm-up
+call per path.  Trajectory checksums are carried in the report so
+determinism, and the equality of the two bank paths, can be asserted
+independently of the (naturally noisy) timings.
 """
 from __future__ import annotations
 
@@ -22,9 +26,12 @@ import numpy as np
 
 from .basis import BasisBank, DmpConfig, precompute_basis
 from .errors import ValidationError
-from .fileio import atomic_write_json
 from .oracle import IntegratorSpec, integrate_dmp
 from .trajectory import BoundaryCondition, TrajectoryGenerator, window_steps
+
+# spring gain and phase decay rate of the benchmarked DMP
+ALPHA = 25.0
+ALPHA_X = 2.0
 
 
 @dataclass(frozen=True)
@@ -36,8 +43,6 @@ class BenchScenario:
     duration: float = 6.0
     rate_hz: float = 1000.0
     num_basis: int = 10
-    alpha: float = 25.0
-    alpha_x: float = 2.0
 
     def __post_init__(self):
         if self.dofs < 1:
@@ -50,7 +55,7 @@ class BenchScenario:
         window_steps(self.duration, self.rate_hz)
 
     def config(self) -> DmpConfig:
-        return DmpConfig(alpha=self.alpha, tau=self.duration, alpha_x=self.alpha_x,
+        return DmpConfig(alpha=ALPHA, tau=self.duration, alpha_x=ALPHA_X,
                          num_basis=self.num_basis, duration=self.duration)
 
     def query_times(self) -> np.ndarray:
@@ -67,21 +72,31 @@ class BenchScenario:
 
 @dataclass(frozen=True)
 class BenchReport:
+    """Median seconds and last-output checksums of the three timed paths:
+    Euler (oracle), the bank with the fold reused (basis) and the bank with
+    the fold rebuilt per call (rebuilt)."""
+
     scenario: BenchScenario
     repetitions: int
-    with_bc_recompute: bool
     oracle_time: float
     basis_time: float
+    rebuilt_time: float
     oracle_checksum: str
     basis_checksum: str
+    rebuilt_checksum: str
 
     def __post_init__(self):
-        if not (self.oracle_time > 0.0 and self.basis_time > 0.0):
+        if not (self.oracle_time > 0.0 and self.basis_time > 0.0
+                and self.rebuilt_time > 0.0):
             raise ValidationError("benchmark timings must be positive")
 
     @property
     def speedup(self) -> float:
         return self.oracle_time / self.basis_time
+
+    @property
+    def rebuilt_speedup(self) -> float:
+        return self.oracle_time / self.rebuilt_time
 
     def to_json_dict(self) -> dict:
         return {
@@ -93,12 +108,14 @@ class BenchReport:
                 "weight_dim": self.scenario.weight_dim,
             },
             "repetitions": self.repetitions,
-            "with_bc_recompute": self.with_bc_recompute,
             "oracle_time_s": self.oracle_time,
             "basis_time_s": self.basis_time,
+            "rebuilt_time_s": self.rebuilt_time,
             "speedup": self.speedup,
+            "rebuilt_speedup": self.rebuilt_speedup,
             "oracle_checksum": self.oracle_checksum,
             "basis_checksum": self.basis_checksum,
+            "rebuilt_checksum": self.rebuilt_checksum,
             "note": "forward generation only; per-step baseline is explicit Euler "
                     "at the playback rate",
         }
@@ -106,26 +123,32 @@ class BenchReport:
     def to_text(self) -> str:
         rows = [
             ("scenario", self.scenario.describe()),
-            ("bc recompute", "yes" if self.with_bc_recompute else "no"),
             ("repetitions", str(self.repetitions)),
             ("euler baseline", f"{self.oracle_time:.6e} s"),
             ("basis bank", f"{self.basis_time:.6e} s"),
+            ("basis bank, fold rebuilt", f"{self.rebuilt_time:.6e} s"),
             ("speed-up", f"{self.speedup:.1f}x"),
+            ("speed-up, fold rebuilt", f"{self.rebuilt_speedup:.1f}x"),
         ]
         width = max(len(name) for name, _ in rows)
         return "\n".join(f"{name.ljust(width)}  {value}" for name, value in rows)
 
 
-def _checksum(*arrays) -> str:
-    digest = hashlib.sha256()
-    for arr in arrays:
-        digest.update(np.ascontiguousarray(arr).tobytes())
-    return digest.hexdigest()
+def _time_path(call, draws):
+    """(median seconds of call(w) over the draws, checksum of the last
+    output), after one untimed warm-up call."""
+    call(draws[0])
+    seconds = []
+    for w in draws:
+        start = time.perf_counter()
+        out = call(w)
+        seconds.append(time.perf_counter() - start)
+    return (float(np.median(seconds)),
+            hashlib.sha256(np.ascontiguousarray(out).tobytes()).hexdigest())
 
 
 def run_benchmark(scenario: BenchScenario, repetitions: int = 7,
-                  with_bc_recompute: bool = False, bank: BasisBank | None = None,
-                  seed: int = 0) -> BenchReport:
+                  bank: BasisBank | None = None, seed: int = 0) -> BenchReport:
     if repetitions < 1:
         raise ValidationError(f"repetitions must be >= 1, got {repetitions}")
     config = scenario.config()
@@ -142,45 +165,14 @@ def run_benchmark(scenario: BenchScenario, repetitions: int = 7,
     times = scenario.query_times()
     euler = IntegratorSpec(method="explicit-euler", dt=1.0 / scenario.rate_hz)
 
-    if with_bc_recompute:
-        def basis_call(w):
-            return TrajectoryGenerator(bc, times, bank).positions(w)
-    else:
-        generator = TrajectoryGenerator(bc, times, bank)
-
-        def basis_call(w):
-            return generator.positions(w)
-
-    def oracle_call(w):
-        return integrate_dmp(w, y0, dy0, config, euler)[1]
-
-    basis_call(draws[0])
-    oracle_call(draws[0])
-
-    basis_times = []
-    basis_out = None
-    for w in draws:
-        start = time.perf_counter()
-        basis_out = basis_call(w)
-        basis_times.append(time.perf_counter() - start)
-
-    oracle_times = []
-    oracle_out = None
-    for w in draws:
-        start = time.perf_counter()
-        oracle_out = oracle_call(w)
-        oracle_times.append(time.perf_counter() - start)
-
-    return BenchReport(
-        scenario=scenario,
-        repetitions=repetitions,
-        with_bc_recompute=with_bc_recompute,
-        oracle_time=float(np.median(oracle_times)),
-        basis_time=float(np.median(basis_times)),
-        oracle_checksum=_checksum(oracle_out),
-        basis_checksum=_checksum(basis_out),
-    )
-
-
-def write_bench_report_json(path: str, report: BenchReport) -> None:
-    atomic_write_json(path, report.to_json_dict())
+    generator = TrajectoryGenerator(bc, times, bank)
+    oracle_time, oracle_checksum = _time_path(
+        lambda w: integrate_dmp(w, y0, dy0, config, euler)[1], draws)
+    basis_time, basis_checksum = _time_path(generator.positions, draws)
+    rebuilt_time, rebuilt_checksum = _time_path(
+        lambda w: TrajectoryGenerator(bc, times, bank).positions(w), draws)
+    return BenchReport(scenario=scenario, repetitions=repetitions,
+                       oracle_time=oracle_time, basis_time=basis_time,
+                       rebuilt_time=rebuilt_time, oracle_checksum=oracle_checksum,
+                       basis_checksum=basis_checksum,
+                       rebuilt_checksum=rebuilt_checksum)

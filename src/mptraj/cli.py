@@ -16,11 +16,12 @@ import sys
 import numpy as np
 
 from .basis import BasisBank, DmpConfig, precompute_basis
-from .bench import BenchScenario, run_benchmark, write_bench_report_json
+from .bench import BenchScenario, run_benchmark
 from .distribution import (DEFAULT_NOISE_VAR, per_time_marginals,
                            sample_trajectories, weights_distribution_from_dict,
                            write_samples_csv, write_weights_distribution_json)
-from .errors import DimensionError, MptrajError, ValidationError
+from .errors import (DimensionError, MptrajError, ValidationError,
+                     check_finite_nonneg, check_int)
 from .fileio import atomic_write_json, read_json
 from .learning import Demonstration, fit_distribution, fit_weights
 from .probops import (ActivationProfile, GaussianSequence, blend, combine,
@@ -75,8 +76,8 @@ def _load_weights(path: str, bank: BasisBank):
     data = read_json(path)
     _reject_unknown(data, ("dofs", "num_basis", "weights"), "weights")
     try:
-        dofs = int(data["dofs"])
-        num_basis = int(data["num_basis"])
+        dofs = check_int("dofs", data["dofs"])
+        num_basis = check_int("num_basis", data["num_basis"])
         weights = np.asarray(data["weights"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed weights record: {exc}") from exc
@@ -295,8 +296,7 @@ def _cmd_blend(args) -> int:
     return 0
 
 
-_SCENARIO_KEYS = ("initial", "rate_hz", "segments", "anchor", "mode", "stale_bc",
-                  "seed")
+_SCENARIO_KEYS = ("initial", "rate_hz", "segments", "anchor", "mode", "seed")
 
 
 def _cmd_replan(args) -> int:
@@ -308,6 +308,7 @@ def _cmd_replan(args) -> int:
         initial = _bc_from_dict(scenario["initial"])
         rate = float(scenario["rate_hz"])
         segment_specs = list(scenario["segments"])
+        seed = _seed(check_int("seed", scenario.get("seed", 0)))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed scenario: {exc}") from exc
     segments = []
@@ -327,11 +328,10 @@ def _cmd_replan(args) -> int:
                 f"{initial.dofs}")
         segments.append((wdist, horizon))
 
-    seed = args.seed if args.seed is not None else int(scenario.get("seed", 0))
     plan = run_chain(initial, segments, bank, rate,
                      anchor=scenario.get("anchor", "local"),
-                     mode=scenario.get("mode", "mean"), seed=seed,
-                     stale_bc=bool(scenario.get("stale_bc", False)))
+                     mode=scenario.get("mode", "mean"),
+                     seed=seed if args.seed is None else args.seed)
     write_trajectory_csv(args.out, plan.times, plan.positions, plan.velocities,
                          segment_ids=plan.segment_ids)
     print(f"trace written: {args.out} ({len(segments)} segments, "
@@ -349,25 +349,28 @@ def _cmd_replan(args) -> int:
 def _cmd_bench(args) -> int:
     scenario = BenchScenario(dofs=args.dofs, duration=args.duration,
                              rate_hz=args.rate, num_basis=args.num_basis)
-    report = run_benchmark(scenario, repetitions=args.reps,
-                           with_bc_recompute=args.with_bc_recompute,
-                           seed=args.seed)
+    report = run_benchmark(scenario, repetitions=args.reps, seed=args.seed)
     print(report.to_text())
     if args.out:
-        write_bench_report_json(args.out, report)
+        atomic_write_json(args.out, report.to_json_dict())
         print(f"report written: {args.out}")
     return 0
+
+
+def _seed(value) -> int:
+    """argparse type for --seed, also applied to the scenario seed; numpy
+    raises a bare ValueError for a negative one."""
+    seed = int(value)
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
+    return seed
 
 
 def _finite_nonneg(name: str):
     """argparse type for a flag that must be finite and >= 0, checked while
     parsing so that no command path can skip it."""
     def number(text: str) -> float:
-        value = float(text)
-        # negated so that NaN fails the check
-        if not 0.0 <= value < math.inf:
-            raise ValidationError(f"{name} must be finite and >= 0, got {value}")
-        return value
+        return check_finite_nonneg(name, float(text))
     return number
 
 
@@ -415,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("sample", help="draw trajectories from a weights distribution")
     _add_io_flags(p)
-    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    p.add_argument("--seed", type=_seed, default=0, help="RNG seed (default 0)")
     p.add_argument("--wdist", required=True, help="weights-distribution JSON")
     p.add_argument("--bc", help="boundary-condition JSON (default: rest at 0)")
     p.add_argument("--count", type=int, default=10, help="number of samples")
@@ -459,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("replan", help="run a scripted replanning chain")
     _add_io_flags(p)
     p.add_argument("--scenario", required=True, help="scenario JSON")
-    p.add_argument("--seed", type=int, help="overrides the scenario seed")
+    p.add_argument("--seed", type=_seed, help="overrides the scenario seed")
 
     p = subs.add_parser("bench", help="time bank generation against Euler stepping")
     p.add_argument("--dofs", type=int, default=2)
@@ -467,9 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rate", type=float, default=1000.0)
     p.add_argument("--num-basis", type=int, default=10)
     p.add_argument("--reps", type=int, default=7)
-    p.add_argument("--with-bc-recompute", action="store_true",
-                   help="rebuild the boundary fold inside the timed call")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", help="optional JSON report path")
 
     return parser

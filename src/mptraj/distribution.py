@@ -26,9 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import BasisBank
-from .errors import DimensionError, NumericalError, ValidationError
+from .errors import (DimensionError, NumericalError, ValidationError,
+                     check_finite_nonneg, check_int)
 from .fileio import atomic_write_json, write_csv_table
-from .trajectory import BoundaryCondition, folded_basis
+from .trajectory import BoundaryCondition, TrajectoryGenerator, folded_basis
 
 # the observation white-noise default keeps pair covariances invertible
 DEFAULT_NOISE_VAR = 1e-6
@@ -41,12 +42,10 @@ PAIR_BLOCK = 256
 @dataclass(frozen=True)
 class WeightsDistribution:
     """Gaussian over the stacked weights-and-goal vector, as mean + lower
-    Cholesky factor.  allow_semidefinite permits a zero diagonal (degenerate
-    covariance), used as a deterministic-limit test hook."""
+    Cholesky factor with a strictly positive diagonal."""
 
     mean: np.ndarray
     chol: np.ndarray
-    allow_semidefinite: bool = False
 
     def __post_init__(self):
         mean = np.atleast_1d(np.array(self.mean, dtype=float))
@@ -60,14 +59,9 @@ class WeightsDistribution:
             raise ValidationError("weights mean and Cholesky factor must be finite")
         if np.any(np.triu(chol, k=1) != 0.0):
             raise ValidationError("Cholesky factor must be lower-triangular")
-        diag = np.diag(chol)
-        if self.allow_semidefinite:
-            if np.any(diag < 0.0):
-                raise ValidationError("Cholesky diagonal must be non-negative")
-        elif np.any(diag <= 0.0):
+        if np.any(np.diag(chol) <= 0.0):
             raise ValidationError(
-                "Cholesky diagonal must be strictly positive (use from_covariance, "
-                "or allow_semidefinite for the degenerate test hook)")
+                "Cholesky diagonal must be strictly positive (use from_covariance)")
         mean.flags.writeable = False
         chol.flags.writeable = False
         object.__setattr__(self, "mean", mean)
@@ -109,7 +103,7 @@ class TrajectoryDistribution:
             raise DimensionError(
                 f"index set ({len(self.index_set)}), mean ({mean.shape}) and "
                 f"cov ({cov.shape}) do not align")
-        _check_noise_var(self.noise_var)
+        check_finite_nonneg("noise_var", self.noise_var)
         if not np.array_equal(cov, cov.T):
             raise ValidationError("trajectory covariance must be symmetric")
         mean.flags.writeable = False
@@ -121,12 +115,6 @@ class TrajectoryDistribution:
     @property
     def dim(self) -> int:
         return self.mean.shape[0]
-
-
-def _check_noise_var(noise_var: float) -> None:
-    # negated so that NaN fails the check
-    if not 0.0 <= noise_var < math.inf:
-        raise ValidationError(f"noise_var must be finite and >= 0, got {noise_var}")
 
 
 def _check_weights_dim(wdist: WeightsDistribution, bc: BoundaryCondition,
@@ -144,7 +132,7 @@ def _group_gaussians(wdist: WeightsDistribution, pos_offset: np.ndarray,
     """Gaussians of consecutive groups of `group` folded times: means
     (B, D*group) and covariances (B, D*group, D*group) = G G^T + noise_var I,
     rows DoF-major within each group (dof0@t1..ts, dof1@t1..ts, ...)."""
-    _check_noise_var(noise_var)
+    check_finite_nonneg("noise_var", noise_var)
     dofs, t_count = pos_offset.shape
     # an empty query is one empty group
     count = t_count // group if group else 1
@@ -173,17 +161,24 @@ def _nll_sum(covs: np.ndarray, resid: np.ndarray, singular: str) -> float:
             + float(np.sum(white * white)))
 
 
+def _fold_distribution(wdist: WeightsDistribution, fold: TrajectoryGenerator,
+                       noise_var: float, index_times) -> TrajectoryDistribution:
+    """Joint Gaussian over all times of an existing fold, DoF-major, with
+    index_times naming the fold's times in the index set."""
+    means, covs = _group_gaussians(wdist, fold.pos_offset, fold.h_pos,
+                                   fold.times.shape[0], noise_var)
+    index_set = tuple((float(t), d) for d in range(fold.bc.dofs) for t in index_times)
+    return TrajectoryDistribution(index_set=index_set, mean=means[0], cov=covs[0],
+                                  noise_var=noise_var)
+
+
 def trajectory_distribution(wdist: WeightsDistribution, bc: BoundaryCondition,
                             times, bank: BasisBank,
                             noise_var: float = DEFAULT_NOISE_VAR) -> TrajectoryDistribution:
     """Joint Gaussian over all (requested time, DoF) pairs, DoF-major."""
-    dofs = _check_weights_dim(wdist, bc, bank)
+    _check_weights_dim(wdist, bc, bank)
     fold = folded_basis(bc, times, bank)
-    means, covs = _group_gaussians(wdist, fold.pos_offset, fold.h_pos,
-                                   fold.times.shape[0], noise_var)
-    index_set = tuple((float(t), d) for d in range(dofs) for t in fold.times)
-    return TrajectoryDistribution(index_set=index_set, mean=means[0], cov=covs[0],
-                                  noise_var=noise_var)
+    return _fold_distribution(wdist, fold, noise_var, fold.times)
 
 
 def per_time_marginals(wdist: WeightsDistribution, bc: BoundaryCondition, times,
@@ -249,11 +244,10 @@ def sample_trajectories(wdist: WeightsDistribution, bc: BoundaryCondition, times
 class TimePairBatch:
     """J time pairs, optionally with per-pair truth vectors (2D entries,
     DoF-major: dof0@t, dof0@t', dof1@t, ...).  Times and values must be
-    finite."""
+    finite, and the two times of a pair distinct."""
 
     times: np.ndarray
     values: np.ndarray | None = None
-    allow_equal: bool = False
 
     def __post_init__(self):
         times = np.array(self.times, dtype=float)
@@ -261,10 +255,10 @@ class TimePairBatch:
             raise DimensionError(f"pair times must have shape (J, 2), got {times.shape}")
         if not np.isfinite(times).all():
             raise ValidationError("pair times must be finite")
-        if not self.allow_equal and np.any(times[:, 0] == times[:, 1]):
+        if np.any(times[:, 0] == times[:, 1]):
             raise ValidationError(
                 "pairs with t == t' are forbidden (their covariance is singular at "
-                "zero noise); pass allow_equal=True to override")
+                "zero noise)")
         times.flags.writeable = False
         object.__setattr__(self, "times", times)
         if self.values is not None:
@@ -282,8 +276,7 @@ class TimePairBatch:
         return self.times.shape[0]
 
     def with_values(self, values) -> "TimePairBatch":
-        return TimePairBatch(times=self.times, values=values,
-                             allow_equal=self.allow_equal)
+        return TimePairBatch(times=self.times, values=values)
 
 
 def sample_time_pairs(times, count: int, seed) -> TimePairBatch:
@@ -313,7 +306,7 @@ def pair_nll(batch: TimePairBatch, wdist: WeightsDistribution, bc: BoundaryCondi
     dof1@t, ...).  Pairs are scored PAIR_BLOCK at a time: each block's
     covariances are built, Cholesky-factored and whitened as stacked arrays,
     so memory stays bounded however large J is.  A singular pair covariance
-    (e.g. an equal-time pair at zero noise) raises NumericalError.
+    (e.g. a pair time at t_b at zero noise) raises NumericalError.
     """
     if batch.values is None:
         raise ValidationError("pair batch carries no truth values")
@@ -366,8 +359,8 @@ def write_weights_distribution_json(path: str, wdist: WeightsDistribution,
 def weights_distribution_from_dict(data: dict):
     """Returns (WeightsDistribution, dofs, num_basis)."""
     try:
-        dofs = int(data["dofs"])
-        num_basis = int(data["num_basis"])
+        dofs = check_int("dofs", data["dofs"])
+        num_basis = check_int("num_basis", data["num_basis"])
         mean = np.asarray(data["mean"], dtype=float)
         chol = _unpack_lower(data["chol_lower"], mean.shape[0])
     except (KeyError, TypeError, ValueError) as exc:

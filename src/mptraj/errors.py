@@ -1,7 +1,10 @@
-"""Exception hierarchy shared by the library and the CLI.
+"""Exception hierarchy shared by the library and the CLI, and the value
+checks that the readers of user input share.
 
 Each error category carries the process exit code the CLI maps it to.
 """
+import math
+import numbers
 
 
 class MptrajError(Exception):
@@ -37,3 +40,19 @@ class DimensionError(MptrajError):
 
     exit_code = 5
     category = "dimension"
+
+
+def check_finite_nonneg(name: str, value: float) -> float:
+    """value, if it is finite and >= 0; ValidationError otherwise."""
+    # negated so that NaN fails the check
+    if not 0.0 <= value < math.inf:
+        raise ValidationError(f"{name} must be finite and >= 0, got {value}")
+    return value
+
+
+def check_int(name: str, value) -> int:
+    """value as an int, if it is an integer; a float, bool or string (as JSON
+    may carry) is rejected instead of being truncated or parsed."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return int(value)

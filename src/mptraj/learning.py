@@ -14,14 +14,14 @@ the result bit-exactly invariant to the order observations arrive in.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .basis import BasisBank
 from .distribution import WeightsDistribution
-from .errors import DimensionError, NumericalError, ValidationError
+from .errors import (DimensionError, NumericalError, ValidationError,
+                     check_finite_nonneg)
 from .trajectory import BoundaryCondition, folded_basis
 
 DEFAULT_COV_FLOOR = 1e-8
@@ -106,9 +106,8 @@ def fit_weights(demo: Demonstration, bank: BasisBank,
     elif bc.dofs != demo.dofs:
         raise DimensionError(
             f"boundary condition has {bc.dofs} DoFs, demonstration has {demo.dofs}")
-    # negated so that NaN fails the check
-    if ridge is not None and not 0.0 <= ridge < math.inf:
-        raise ValidationError(f"ridge must be finite and >= 0, got {ridge}")
+    if ridge is not None:
+        check_finite_nonneg("ridge", ridge)
 
     fold = folded_basis(bc, demo.times, bank)
     target = demo.positions - fold.pos_offset
@@ -127,8 +126,7 @@ def fit_distribution(demos, bank: BasisBank, ridge: float | None = None,
     if len(demos) < 2:
         raise ValidationError(
             f"distribution fitting needs >= 2 demonstrations, got {len(demos)}")
-    if not 0.0 <= cov_floor < math.inf:
-        raise ValidationError(f"cov_floor must be finite and >= 0, got {cov_floor}")
+    check_finite_nonneg("cov_floor", cov_floor)
     dofs = demos[0].dofs
     for i, demo in enumerate(demos[1:], start=1):
         if demo.dofs != dofs:

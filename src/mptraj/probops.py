@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, NumericalError, ValidationError
+from .errors import DimensionError, NumericalError, ValidationError, check_int
 from .fileio import atomic_write_json
 
 # fallback added to a covariance diagonal when its Cholesky factorization fails
@@ -223,7 +223,7 @@ def write_gaussian_sequence_json(path: str, seq: GaussianSequence) -> None:
 
 def gaussian_sequence_from_dict(data: dict) -> GaussianSequence:
     try:
-        dofs = int(data["dofs"])
+        dofs = check_int("dofs", data["dofs"])
         records = data["records"]
         times = np.array([rec["t"] for rec in records], dtype=float)
         means = np.array([rec["mean"] for rec in records], dtype=float)

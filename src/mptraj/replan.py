@@ -14,7 +14,7 @@ to fit inside the bank horizon.
 
 A chain computes only the executed trace: each segment is one boundary fold
 and two matrix products.  replan_segment additionally returns the segment's
-trajectory distribution.
+trajectory distribution, read from the same fold as its mean trace.
 """
 from __future__ import annotations
 
@@ -25,7 +25,8 @@ import numpy as np
 
 from .basis import BasisBank
 from .distribution import (DEFAULT_NOISE_VAR, TrajectoryDistribution,
-                           WeightsDistribution, trajectory_distribution)
+                           WeightsDistribution, _check_weights_dim,
+                           _fold_distribution)
 from .errors import DimensionError, ValidationError
 from .trajectory import BoundaryCondition, TrajectoryGenerator, window_steps
 
@@ -102,26 +103,22 @@ def replan_segment(current: BoundaryCondition, wdist: WeightsDistribution,
     at the current state.  bank_anchor maps the switch instant into bank time."""
     global_times, local_times, local_bc = _segment_frame(current, horizon, bank,
                                                          rate, bank_anchor)
-    dist = trajectory_distribution(wdist, local_bc, local_times, bank, noise_var)
-    index_set = tuple((float(t), d) for d in range(current.dofs)
-                      for t in global_times)
-    dist = TrajectoryDistribution(index_set=index_set, mean=dist.mean, cov=dist.cov,
-                                  noise_var=dist.noise_var)
-    gen = TrajectoryGenerator(local_bc, local_times, bank)
-    return ReplanSegment(times=global_times, positions=gen.positions(wdist.mean),
-                         velocities=gen.velocities(wdist.mean), distribution=dist)
+    _check_weights_dim(wdist, local_bc, bank)
+    fold = TrajectoryGenerator(local_bc, local_times, bank)
+    return ReplanSegment(times=global_times, positions=fold.positions(wdist.mean),
+                         velocities=fold.velocities(wdist.mean),
+                         distribution=_fold_distribution(wdist, fold, noise_var,
+                                                         global_times))
 
 
 def run_chain(initial: BoundaryCondition, segments, bank: BasisBank, rate: float,
-              anchor: str = "local", mode: str = "mean", seed=None,
-              stale_bc: bool = False) -> SegmentPlan:
+              anchor: str = "local", mode: str = "mean", seed=None) -> SegmentPlan:
     """Execute a chain of (wdist, horizon) segments and return the executed
-    trace; no segment distribution is built.
+    trace; no segment distribution is built.  Each segment starts at the
+    executed state of the one before it.
 
     mode "mean" follows each segment's mean; mode "sample" draws one weight
-    vector per segment.  stale_bc=True is the negative control: every segment
-    reuses the initial boundary condition instead of the executed state, which
-    reproduces the discontinuities of replanning without boundary handling.
+    vector per segment.
     """
     segments = list(segments)
     if not segments:
@@ -139,10 +136,8 @@ def run_chain(initial: BoundaryCondition, segments, bank: BasisBank, rate: float
     prev_end_pos = prev_end_vel = None
 
     for k, (wdist, horizon) in enumerate(segments):
-        bc = initial if stale_bc else state
-        bc = BoundaryCondition(t_b=state.t_b, y_b=bc.y_b, dy_b=bc.dy_b)
         bank_anchor = 0.0 if anchor == "local" else state.t_b
-        times, local_times, local_bc = _segment_frame(bc, horizon, bank, rate,
+        times, local_times, local_bc = _segment_frame(state, horizon, bank, rate,
                                                       bank_anchor)
         w = wdist.mean
         if mode == "sample":

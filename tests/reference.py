@@ -9,13 +9,15 @@ as independent cross-checks and not as production code.
 
 Beside them sit routes that the package replaced with faster ones: the pair
 NLL through a dense block design matrix and scipy, the per-time combination
-loop, and the per-value CSV writers.
+loop, and the per-value CSV writers.  stale_chain is the negative control of
+replanning: a chain that ignores the executed state.
 """
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import multivariate_normal
 
+from mptraj import BoundaryCondition, run_chain
 from mptraj.probops import GaussianSequence, _chol_with_jitter
 from mptraj.trajectory import weight_blocks
 
@@ -107,6 +109,22 @@ def pair_nll_dense(batch, wdist, bc, bank, noise_var) -> float:
         cov = design @ cov_w @ design.T + noise_var * np.eye(2 * dofs)
         total -= multivariate_normal(mean, cov).logpdf(values)
     return total / batch.count
+
+
+def stale_chain(initial, segments, bank, rate) -> np.ndarray:
+    """Position jumps at the interior switches of a chain whose segments each
+    restart from the initial y_b/dy_b at their switch time, instead of the
+    executed state: the discontinuities of replanning without boundary
+    handling.  Each segment is a one-segment run_chain."""
+    t_b, prev_end, jumps = initial.t_b, None, []
+    for wdist, horizon in segments:
+        bc = BoundaryCondition(t_b, initial.y_b, initial.dy_b)
+        plan = run_chain(bc, [(wdist, horizon)], bank, rate)
+        if prev_end is not None:
+            jumps.append(float(np.max(np.abs(plan.positions[:, 0] - prev_end))))
+        prev_end = plan.positions[:, -1]
+        t_b = float(plan.times[-1])
+    return np.asarray(jumps)
 
 
 def combine_loop(sequences, profile) -> GaussianSequence:

@@ -5,7 +5,7 @@ import pytest
 
 from mptraj import (BenchScenario, ValidationError, precompute_basis,
                     run_benchmark)
-from mptraj.bench import write_bench_report_json
+from mptraj.fileio import atomic_write_json
 
 TINY = BenchScenario(dofs=1, duration=1.0, rate_hz=200.0, num_basis=5)
 
@@ -39,6 +39,7 @@ class TestScenario:
         config = TINY.config()
         assert config.duration == TINY.duration
         assert config.tau == TINY.duration
+        assert (config.alpha, config.alpha_x) == (25.0, 2.0)
 
 
 class TestRunBenchmark:
@@ -46,6 +47,7 @@ class TestRunBenchmark:
         report = run_benchmark(TINY, repetitions=3)
         assert report.oracle_time > 0.0
         assert report.basis_time > 0.0
+        assert report.rebuilt_time > 0.0
         assert report.speedup > 0.0
         assert len(report.basis_checksum) == 64
         assert len(report.oracle_checksum) == 64
@@ -60,11 +62,10 @@ class TestRunBenchmark:
         assert c.basis_checksum != a.basis_checksum
 
     def test_bc_recompute_changes_timing_not_output(self):
-        cached = run_benchmark(TINY, repetitions=3, seed=5)
-        rebuilt = run_benchmark(TINY, repetitions=3, seed=5,
-                                with_bc_recompute=True)
-        assert rebuilt.basis_checksum == cached.basis_checksum
-        assert rebuilt.oracle_checksum == cached.oracle_checksum
+        # the path that rebuilds the boundary fold per call generates the
+        # same trajectories as the one that reuses it
+        report = run_benchmark(TINY, repetitions=3, seed=5)
+        assert report.rebuilt_checksum == report.basis_checksum
 
     def test_supplied_bank_must_match(self):
         other = precompute_basis(BenchScenario(dofs=1, duration=2.0,
@@ -88,11 +89,14 @@ class TestReport:
     def test_json_schema(self, tmp_path):
         report = run_benchmark(TINY, repetitions=2)
         path = tmp_path / "bench.json"
-        write_bench_report_json(str(path), report)
+        atomic_write_json(str(path), report.to_json_dict())
         data = json.loads(path.read_text())
         assert data["scenario"]["weight_dim"] == 6
         assert data["speedup"] == pytest.approx(report.speedup)
         assert data["oracle_time_s"] == report.oracle_time
+        assert data["rebuilt_speedup"] == pytest.approx(report.rebuilt_speedup)
+        assert data["rebuilt_checksum"] == report.basis_checksum
+        assert "with_bc_recompute" not in data
         assert "explicit Euler" in data["note"]
 
     def test_text_table(self):
@@ -100,3 +104,4 @@ class TestReport:
         text = report.to_text()
         assert "speed-up" in text
         assert "euler baseline" in text
+        assert "speed-up, fold rebuilt" in text

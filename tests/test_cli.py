@@ -364,14 +364,27 @@ class TestReplan:
         assert not out.exists()
 
     def test_unknown_scenario_key_rejected(self, env, capsys, tmp_path):
-        # noise_var was a scenario key while chains built segment covariances
-        for key in ("extra", "noise_var"):
+        # noise_var was a scenario key while chains built segment covariances;
+        # stale_bc ran a negative control, even when given as "false"
+        for key in ("extra", "noise_var", "stale_bc"):
             path = self._scenario(env, tmp_path, **{key: 1})
             code, _, stderr = _run(capsys, [
                 "replan", "--bank", str(env["bank"]), "--scenario", str(path),
                 "--out", str(tmp_path / "x.csv")])
             assert code == 2
             assert f"unknown scenario keys: {key}" in stderr
+
+
+    # "abc" and [1] ended in a traceback, 1.5 ran as seed 1, -1 reached
+    # numpy as a traceback
+    @pytest.mark.parametrize("seed", ["abc", [1], 1.5, True, -1],
+                             ids=["string", "list", "float", "bool", "negative"])
+    def test_malformed_seed_is_validation_error(self, env, tmp_path, seed):
+        path = self._scenario(env, tmp_path, seed=seed)
+        code, stderr = _run_to(["replan", "--bank", str(env["bank"]),
+                                "--scenario", str(path)], tmp_path / "plan.csv")
+        assert code == 2
+        assert "seed must be" in stderr
 
 
 class TestBench:
@@ -391,6 +404,24 @@ class TestBench:
                 f"--rate={rate}"]
         code, _ = _run_to(argv, tmp_path / "bench.json")
         assert code == 2
+
+
+# numpy raised a bare ValueError traceback for a negative seed
+@pytest.mark.parametrize("command", [["sample", "--wdist", "{wdist}"],
+                                     ["replan", "--scenario", "{scenario}"],
+                                     ["bench", "--duration", "1", "--num-basis", "5"]],
+                         ids=["sample", "replan", "bench"])
+def test_negative_seed_flag_is_validation_error(env, tmp_path, command):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({
+        "initial": {"t_b": 0.0, "y_b": [0.0, 0.0], "dy_b": [0.0, 0.0]},
+        "rate_hz": 100.0, "segments": [{"horizon": 0.5, "wdist": str(env["wdist"])}]}))
+    argv = [arg.format(wdist=env["wdist"], scenario=scenario) for arg in command]
+    if command[0] != "bench":
+        argv[1:1] = ["--bank", str(env["bank"])]
+    code, stderr = _run_to(argv + ["--seed", "-1"], tmp_path / "x.out")
+    assert code == 2
+    assert "seed must be >= 0" in stderr
 
 
 WINDOW_COMMANDS = pytest.mark.parametrize("command", [
@@ -431,6 +462,19 @@ class TestErrorReporting:
             "--out", str(tmp_path / "x.csv")])
         assert code == 5
         assert "num_basis=7" in stderr
+
+    # int() truncated 1.9 and 5.7, and read true as 1: generate exited 0
+    @pytest.mark.parametrize("field, value", [
+        ("dofs", 1.9), ("num_basis", 5.7), ("dofs", True), ("num_basis", "5")])
+    def test_weights_integer_fields_must_be_integers(self, env, tmp_path, field,
+                                                     value):
+        record = {"dofs": 1, "num_basis": 5, "weights": [0.0] * 6, field: value}
+        weights = tmp_path / "weights.json"
+        weights.write_text(json.dumps(record))
+        code, stderr = _run_to(["generate", "--bank", str(env["bank"]),
+                                "--weights", str(weights)], tmp_path / "x.csv")
+        assert code == 2
+        assert f"{field} must be an integer" in stderr
 
     def test_malformed_json_is_validation_error(self, env, capsys, tmp_path):
         broken = tmp_path / "broken.json"

@@ -62,11 +62,6 @@ class TestWeightsDistribution:
         with pytest.raises(ValidationError, match="strictly positive"):
             WeightsDistribution(np.zeros(2), np.zeros((2, 2)))
 
-    def test_semidefinite_hook(self):
-        wdist = WeightsDistribution(np.ones(2), np.zeros((2, 2)),
-                                    allow_semidefinite=True)
-        assert np.all(wdist.covariance() == 0.0)
-
     def test_from_covariance_round_trip(self):
         rng = np.random.default_rng(0)
         a = rng.standard_normal((4, 4))
@@ -270,10 +265,6 @@ class TestTimePairs:
         with pytest.raises(ValidationError, match="t == t'"):
             TimePairBatch(np.array([[0.5, 0.5]]))
 
-    def test_allow_equal_override(self):
-        batch = TimePairBatch(np.array([[0.5, 0.5]]), allow_equal=True)
-        assert batch.count == 1
-
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
     def test_non_finite_times_and_values_rejected(self, small_bank, bad):
         # a NaN pair would otherwise score as a NaN mean NLL, with no error
@@ -304,10 +295,10 @@ class TestTimePairs:
 
     def test_pair_nll_identity_case(self, small_bank):
         # degenerate weights plus unit observation noise: at the mean each
-        # 2-entry pair contributes exactly ln(2 pi)
+        # 2-entry pair contributes exactly ln(2 pi); the factor's G G^T
+        # underflows to exactly 0
         dim = small_bank.weight_dim
-        wdist = WeightsDistribution(np.zeros(dim), np.zeros((dim, dim)),
-                                    allow_semidefinite=True)
+        wdist = WeightsDistribution(np.zeros(dim), 1e-200 * np.eye(dim))
         bc = BoundaryCondition(0.0, np.zeros(1), np.zeros(1))
         batch = TimePairBatch(np.array([[0.2, 0.7], [0.1, 0.9]]))
         means = np.zeros((2, 2))
@@ -372,16 +363,16 @@ class TestBatchedPairNll:
         with pytest.raises(DimensionError, match="weights distribution"):
             pair_nll(batch, wdist, one_dof, small_bank)
 
-    def test_singular_equal_time_pair_at_zero_noise(self, small_bank):
-        # the pair at t_b has zero variance for any weights, so its
-        # covariance is exactly singular once the noise is zero; the regular
-        # pair before it must not mask the failure
+    def test_singular_boundary_pair_at_zero_noise(self, small_bank):
+        # the folded row vanishes at t_b, so a pair time there has zero
+        # variance for any weights and the pair covariance is exactly
+        # singular once the noise is zero; the regular pair before it must
+        # not mask the failure
         dim = small_bank.weight_dim
-        chol = np.diag(np.r_[np.ones(dim - 1), 0.0])
-        wdist = WeightsDistribution(np.zeros(dim), chol, allow_semidefinite=True)
+        wdist = WeightsDistribution(np.zeros(dim), np.eye(dim))
         bc = BoundaryCondition(0.25, np.zeros(1), np.zeros(1))
-        batch = TimePairBatch(np.array([[0.3, 0.8], [0.25, 0.25]]),
-                              np.zeros((2, 2)), allow_equal=True)
+        batch = TimePairBatch(np.array([[0.3, 0.8], [0.25, 0.9]]),
+                              np.zeros((2, 2)))
         with pytest.raises(NumericalError, match="singular pair covariance"):
             pair_nll(batch, wdist, bc, small_bank, noise_var=0.0)
 
@@ -396,3 +387,15 @@ class TestJson:
         assert (dofs, num_basis) == (2, small_bank.config.num_basis)
         assert np.array_equal(back.mean, wdist.mean)
         assert np.array_equal(back.chol, wdist.chol)
+
+    @pytest.mark.parametrize("field, value", [
+        ("dofs", 1.9), ("dofs", True), ("dofs", "2"), ("num_basis", 5.0)])
+    def test_integer_fields_must_be_integers(self, small_bank, field, value):
+        # int() truncated 1.9 to 1 and read true as 1
+        rng = np.random.default_rng(24)
+        wdist = random_weights_distribution(1, small_bank.weight_dim, rng)
+        data = weights_distribution_json_dict(wdist, dofs=1,
+                                              num_basis=small_bank.config.num_basis)
+        data[field] = value
+        with pytest.raises(ValidationError, match=f"{field} must be an integer"):
+            weights_distribution_from_dict(data)

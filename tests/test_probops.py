@@ -236,3 +236,11 @@ class TestJson:
                                         "cov_lower": [1.0, 0.0]}], "meta": {}}
         with pytest.raises(ValidationError, match="packed covariance"):
             gaussian_sequence_from_dict(data)
+
+    @pytest.mark.parametrize("dofs", [1.5, 2.0, True, "2"])
+    def test_dofs_must_be_an_integer(self, dofs):
+        # int() truncated 1.5 to 1 and read true as 1
+        data = {"dofs": dofs, "records": [{"t": 0.0, "mean": [0.0],
+                                           "cov_lower": [1.0]}], "meta": {}}
+        with pytest.raises(ValidationError, match="dofs must be an integer"):
+            gaussian_sequence_from_dict(data)

@@ -5,6 +5,7 @@ from mptraj import (BoundaryCondition, ValidationError, evaluate_position,
                     replan_segment, run_chain, smoothness_metric)
 from mptraj.trajectory import MAX_QUERY_SAMPLES
 from tests.conftest import random_weights_distribution
+from tests.reference import stale_chain
 
 
 def _setup(bank, dofs=2, seed=7):
@@ -85,9 +86,10 @@ class TestRunChain:
         # negative control: reusing the initial state as every segment's
         # boundary reproduces the discontinuities replanning is meant to fix
         wdists, initial = _setup(small_bank)
-        plan = run_chain(initial, [(w, 0.25) for w in wdists], small_bank,
-                         rate=100.0, stale_bc=True)
-        assert plan.pos_jumps.max() > 1e-3
+        jumps = stale_chain(initial, [(w, 0.25) for w in wdists], small_bank,
+                            rate=100.0)
+        assert jumps.shape == (2,)
+        assert jumps.max() > 1e-3
 
     def test_follow_anchor_continues_one_trajectory(self, small_bank):
         # unchanged weights, boundary refreshed at every switch: with the

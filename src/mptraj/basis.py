@@ -29,20 +29,23 @@ from __future__ import annotations
 import hashlib
 import io
 import json
-import math
 import zipfile
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, NumericalError, ValidationError
+from .errors import (DimensionError, NumericalError, ValidationError,
+                     check_finite_positive, check_int, check_number, check_record)
 from .fileio import atomic_write_bytes
 
 # version of the bank file layout; load() rejects any other
 BANK_FORMAT = 2
 
-_CONFIG_FIELDS = ("alpha", "beta", "tau", "alpha_x", "num_basis", "duration",
-                  "grid_dt", "basis_overlap")
+# bound on bank grid points, checked before precompute_basis allocates them
+MAX_GRID_POINTS = 10**6
+
+_CONFIG_REQUIRED = ("alpha", "tau", "alpha_x", "num_basis", "duration")
+_CONFIG_OPTIONAL = ("grid_dt", "basis_overlap", "beta")
 
 
 @dataclass(frozen=True)
@@ -50,7 +53,7 @@ class DmpConfig:
     """ODE and basis hyperparameters.
 
     beta is fixed to alpha/4 (critical damping); passing any other value is an
-    error.  grid_dt defaults to duration/3000.
+    error.  grid_dt defaults to duration/3000; at most MAX_GRID_POINTS grid points.
     """
 
     alpha: float
@@ -64,25 +67,19 @@ class DmpConfig:
 
     def __post_init__(self):
         for name in ("alpha", "tau", "alpha_x", "duration"):
-            value = float(getattr(self, name))
-            object.__setattr__(self, name, value)
-            if not np.isfinite(value) or value <= 0.0:
-                raise ValidationError(f"{name} must be strictly positive, got {value}")
-        try:
-            num_basis = float(self.num_basis)
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"num_basis must be an integer, got {self.num_basis!r}") from exc
-        if not num_basis.is_integer():
-            raise ValidationError(f"num_basis must be an integer, got {self.num_basis!r}")
+            object.__setattr__(self, name,
+                               check_finite_positive(name, float(getattr(self, name))))
+        num_basis = self.num_basis
+        if isinstance(num_basis, float) and num_basis.is_integer():
+            num_basis = int(num_basis)
+        num_basis = check_int("num_basis", num_basis)
         if num_basis < 2:
             raise ValidationError(
-                f"num_basis must be at least 2 (width rule needs neighbors), got {num_basis:g}")
-        object.__setattr__(self, "num_basis", int(num_basis))
+                f"num_basis must be at least 2 (width rule needs neighbors), got {num_basis}")
+        object.__setattr__(self, "num_basis", num_basis)
 
         grid_dt = self.duration / 3000.0 if self.grid_dt is None else float(self.grid_dt)
-        if not np.isfinite(grid_dt) or grid_dt <= 0.0:
-            raise ValidationError(f"grid_dt must be strictly positive, got {grid_dt}")
-        object.__setattr__(self, "grid_dt", grid_dt)
+        object.__setattr__(self, "grid_dt", check_finite_positive("grid_dt", grid_dt))
 
         overlap = float(self.basis_overlap)
         if not 0.0 < overlap < 1.0:
@@ -95,6 +92,10 @@ class DmpConfig:
                 f"beta must equal alpha/4 = {self.alpha / 4.0} (critical damping), got {beta}")
         object.__setattr__(self, "beta", beta)
 
+        if self.grid_points > MAX_GRID_POINTS:
+            raise ValidationError(
+                f"grid too fine: duration/grid_dt yields more than {MAX_GRID_POINTS} "
+                f"points; raise grid_dt")
         if self.grid_points < 4 * self.num_basis:
             raise ValidationError(
                 f"grid too coarse: duration/grid_dt yields {self.grid_points} points, "
@@ -107,7 +108,8 @@ class DmpConfig:
 
     @property
     def grid_intervals(self) -> int:
-        return int(round(self.duration / self.grid_dt))
+        # min() first, so that a quotient overflowing to inf still rounds
+        return int(round(min(self.duration / self.grid_dt, MAX_GRID_POINTS)))
 
     @property
     def grid_points(self) -> int:
@@ -119,23 +121,18 @@ class DmpConfig:
         return self.num_basis + 1
 
     def canonical_json(self) -> str:
-        return json.dumps({name: getattr(self, name) for name in _CONFIG_FIELDS},
+        return json.dumps({name: getattr(self, name)
+                           for name in _CONFIG_REQUIRED + _CONFIG_OPTIONAL},
                           sort_keys=True, separators=(",", ":"))
 
     def digest(self) -> str:
         return hashlib.sha256(self.canonical_json().encode("utf-8")).hexdigest()
 
     @classmethod
-    def from_dict(cls, data: dict) -> "DmpConfig":
-        if not isinstance(data, dict):
-            raise ValidationError(f"config must be a JSON object, got {type(data).__name__}")
-        unknown = set(data) - set(_CONFIG_FIELDS)
-        if unknown:
-            raise ValidationError(f"unknown config keys: {sorted(unknown)}")
-        missing = {"alpha", "tau", "alpha_x", "num_basis", "duration"} - set(data)
-        if missing:
-            raise ValidationError(f"missing config keys: {sorted(missing)}")
-        return cls(**data)
+    def from_dict(cls, data) -> "DmpConfig":
+        check_record(data, "config", _CONFIG_REQUIRED, _CONFIG_OPTIONAL)
+        return cls(**{name: check_int(name, value) if name == "num_basis"
+                      else check_number(name, value) for name, value in data.items()})
 
 
 def phase(t, config: DmpConfig) -> float | np.ndarray:
@@ -293,6 +290,8 @@ class BasisBank:
         return bank
 
 
+# overflow, 0/0 and x/0 leave a non-finite bank, which the self-check rejects
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def precompute_basis(config: DmpConfig) -> BasisBank:
     """Assemble the basis bank on the uniform grid (the offline step).
 
@@ -309,7 +308,8 @@ def precompute_basis(config: DmpConfig) -> BasisBank:
     k = config.decay_rate
 
     x = phase(times, config)
-    f = forcing.normalized_scaled(x) / config.tau**2      # (M+1, N) integrand
+    # numpy's pow overflows to inf where Python's raises OverflowError
+    f = forcing.normalized_scaled(x) / np.float64(config.tau)**2  # (M+1, N) integrand
     fg = np.hstack([f, times[:, None] * f])               # A and B integrands
     decay = np.exp(-k * dt)
 
@@ -336,7 +336,8 @@ def precompute_basis(config: DmpConfig) -> BasisBank:
     fd = (pos_basis[2:] - pos_basis[:-2]) / (2.0 * dt)
     deviation = float(np.max(np.abs(fd - vel_basis[1:-1])))
     tol = 10.0 * dt
-    if not math.isfinite(deviation) or deviation > tol:
+    # negated so that NaN fails the check
+    if not (deviation <= tol and np.isfinite(vel_basis).all()):
         raise NumericalError(
             f"precomputation self-check failed: finite-difference derivative of the "
             f"position basis deviates from the velocity basis by {deviation:.3e} "

@@ -18,14 +18,13 @@ independently of the (naturally noisy) timings.
 from __future__ import annotations
 
 import hashlib
-import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .basis import BasisBank, DmpConfig, precompute_basis
-from .errors import ValidationError
+from .errors import ValidationError, check_finite_positive
 from .oracle import IntegratorSpec, integrate_dmp
 from .trajectory import BoundaryCondition, TrajectoryGenerator, window_steps
 
@@ -47,11 +46,8 @@ class BenchScenario:
     def __post_init__(self):
         if self.dofs < 1:
             raise ValidationError(f"dofs must be >= 1, got {self.dofs}")
-        # negated so that NaN fails the checks
-        if not 0.0 < self.duration < math.inf:
-            raise ValidationError(f"duration must be finite and > 0, got {self.duration}")
-        if not 0.0 < self.rate_hz < math.inf:
-            raise ValidationError(f"rate_hz must be finite and > 0, got {self.rate_hz}")
+        check_finite_positive("duration", self.duration)
+        check_finite_positive("rate_hz", self.rate_hz)
         window_steps(self.duration, self.rate_hz)
 
     def config(self) -> DmpConfig:

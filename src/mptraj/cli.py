@@ -9,7 +9,6 @@ code (2 validation, 3 I/O, 4 numerical, 5 dimension mismatch).
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 
@@ -20,8 +19,9 @@ from .bench import BenchScenario, run_benchmark
 from .distribution import (DEFAULT_NOISE_VAR, per_time_marginals,
                            sample_trajectories, weights_distribution_from_dict,
                            write_samples_csv, write_weights_distribution_json)
-from .errors import (DimensionError, MptrajError, ValidationError,
-                     check_finite_nonneg, check_int)
+from .errors import (DimensionError, MptrajError, NumericalError, ValidationError,
+                     check_finite_nonneg, check_finite_positive, check_int,
+                     check_number, check_numbers, check_record, check_type)
 from .fileio import atomic_write_json, read_json
 from .learning import Demonstration, fit_distribution, fit_weights
 from .probops import (ActivationProfile, GaussianSequence, blend, combine,
@@ -33,24 +33,10 @@ from .trajectory import (MAX_QUERY_SAMPLES, BoundaryCondition, TrajectoryGenerat
                          window_steps, write_trajectory_csv)
 
 
-def _reject_unknown(data: dict, allowed, what: str) -> None:
-    if not isinstance(data, dict):
-        raise ValidationError(f"{what} record must be a JSON object, got {type(data).__name__}")
-    unknown = sorted(set(data) - set(allowed))
-    if unknown:
-        raise ValidationError(f"unknown {what} keys: {', '.join(unknown)}")
-
-
-def _load_config(path: str) -> DmpConfig:
-    return DmpConfig.from_dict(read_json(path))
-
-
 def _load_bank(args) -> BasisBank:
-    if not args.bank:
-        raise ValidationError("--bank is required for this command")
     bank = BasisBank.load(args.bank)
-    if getattr(args, "config", None):
-        config = _load_config(args.config)
+    if args.config:
+        config = DmpConfig.from_dict(read_json(args.config))
         if config.digest() != bank.config.digest():
             raise ValidationError(
                 f"bank {args.bank} was precomputed for a different configuration "
@@ -58,14 +44,11 @@ def _load_bank(args) -> BasisBank:
     return bank
 
 
-def _bc_from_dict(data: dict) -> BoundaryCondition:
-    _reject_unknown(data, ("t_b", "y_b", "dy_b"), "boundary-condition")
-    try:
-        return BoundaryCondition(t_b=float(data["t_b"]),
-                                 y_b=np.asarray(data["y_b"], dtype=float),
-                                 dy_b=np.asarray(data["dy_b"], dtype=float))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed boundary condition: {exc}") from exc
+def _bc_from_dict(data) -> BoundaryCondition:
+    check_record(data, "boundary-condition", ("t_b", "y_b", "dy_b"))
+    return BoundaryCondition(t_b=check_number("t_b", data["t_b"]),
+                             y_b=check_numbers("y_b", data["y_b"]),
+                             dy_b=check_numbers("dy_b", data["dy_b"]))
 
 
 def _load_bc(path: str) -> BoundaryCondition:
@@ -73,35 +56,26 @@ def _load_bc(path: str) -> BoundaryCondition:
 
 
 def _load_weights(path: str, bank: BasisBank):
-    data = read_json(path)
-    _reject_unknown(data, ("dofs", "num_basis", "weights"), "weights")
-    try:
-        dofs = check_int("dofs", data["dofs"])
-        num_basis = check_int("num_basis", data["num_basis"])
-        weights = np.asarray(data["weights"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed weights record: {exc}") from exc
-    weight_blocks(weights, dofs, num_basis + 1)
+    data = check_record(read_json(path), "weights", ("dofs", "num_basis", "weights"))
+    dofs = check_int("dofs", data["dofs"])
+    _check_num_basis(check_int("num_basis", data["num_basis"]), bank, path)
+    weights = check_numbers("weights", data["weights"])
+    weight_blocks(weights, dofs, bank.weight_dim)
     if not np.isfinite(weights).all():
         raise ValidationError(f"weights in {path} must be finite")
-    _check_num_basis(num_basis, bank, path)
     return weights, dofs
 
 
 def _load_wdist(path: str, bank: BasisBank):
-    data = read_json(path)
-    _reject_unknown(data, ("dofs", "num_basis", "mean", "chol_lower"),
-                    "weights-distribution")
-    wdist, dofs, num_basis = weights_distribution_from_dict(data)
+    wdist, dofs, num_basis = weights_distribution_from_dict(read_json(path))
     _check_num_basis(num_basis, bank, path)
     return wdist, dofs
 
 
 def _check_num_basis(num_basis: int, bank: BasisBank, source: str) -> None:
     if num_basis != bank.num_basis:
-        raise DimensionError(
-            f"{source} was fit with num_basis={num_basis}, the bank has "
-            f"{bank.num_basis}")
+        raise DimensionError(f"{source} was fit with num_basis={num_basis}, "
+                             f"the bank has {bank.num_basis}")
 
 
 def _default_bc(dofs: int) -> BoundaryCondition:
@@ -111,11 +85,9 @@ def _default_bc(dofs: int) -> BoundaryCondition:
 def _grid(args, start_default: float, bank: BasisBank) -> np.ndarray:
     """Query times from --rate, --start (default start_default) and --until
     (default the bank horizon)."""
-    rate = args.rate
+    rate = check_finite_positive("--rate", args.rate)
     start = start_default if args.start is None else args.start
     stop = bank.duration if args.until is None else args.until
-    if not 0.0 < rate < math.inf:
-        raise ValidationError(f"--rate must be finite and > 0, got {rate}")
     # negated so that NaN fails the check
     if not 0.0 <= start <= stop <= bank.duration * (1.0 + 1e-12):
         raise ValidationError(
@@ -150,8 +122,7 @@ def _marginal_sequence(wdist, bc, times, bank, noise_var) -> GaussianSequence:
 
 
 def _cmd_precompute(args) -> int:
-    config = _load_config(args.config)
-    bank = precompute_basis(config)
+    bank = precompute_basis(DmpConfig.from_dict(read_json(args.config)))
     bank.save(args.out)
     print(f"bank written: {args.out}")
     print(f"grid points: {bank.times.shape[0]}")
@@ -254,13 +225,9 @@ def _paired_primitives(args, bank: BasisBank):
 def _cmd_combine(args) -> int:
     bank = _load_bank(args)
     primitives = _paired_primitives(args, bank)
-    act = read_json(args.activations)
-    _reject_unknown(act, ("times", "values"), "activation")
-    try:
-        profile = ActivationProfile(times=np.asarray(act["times"], dtype=float),
-                                    values=np.asarray(act["values"], dtype=float))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed activation profile: {exc}") from exc
+    act = check_record(read_json(args.activations), "activation", ("times", "values"))
+    profile = ActivationProfile(times=check_numbers("times", act["times"]),
+                                values=check_numbers("values", act["values"]))
     if profile.count != len(primitives):
         raise DimensionError(
             f"{profile.count} activation rows for {len(primitives)} primitives")
@@ -296,42 +263,35 @@ def _cmd_blend(args) -> int:
     return 0
 
 
+# the first three are required
 _SCENARIO_KEYS = ("initial", "rate_hz", "segments", "anchor", "mode", "seed")
 
 
 def _cmd_replan(args) -> int:
     bank = _load_bank(args)
-    scenario = read_json(args.scenario)
-    _reject_unknown(scenario, _SCENARIO_KEYS, "scenario")
+    scenario = check_record(read_json(args.scenario), "scenario",
+                            _SCENARIO_KEYS[:3], _SCENARIO_KEYS[3:])
+    initial = _bc_from_dict(scenario["initial"])
+    rate = check_number("rate_hz", scenario["rate_hz"])
+    seed = _seed(check_int("seed", scenario.get("seed", 0)))
     base_dir = os.path.dirname(os.path.abspath(args.scenario))
-    try:
-        initial = _bc_from_dict(scenario["initial"])
-        rate = float(scenario["rate_hz"])
-        segment_specs = list(scenario["segments"])
-        seed = _seed(check_int("seed", scenario.get("seed", 0)))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed scenario: {exc}") from exc
     segments = []
-    for i, spec in enumerate(segment_specs):
-        _reject_unknown(spec, ("horizon", "wdist"), f"scenario segment {i}")
-        try:
-            horizon = float(spec["horizon"])
-            wdist_path = spec["wdist"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"malformed scenario segment {i}: {exc}") from exc
-        if not os.path.isabs(wdist_path):
-            wdist_path = os.path.join(base_dir, wdist_path)
-        wdist, dofs = _load_wdist(wdist_path, bank)
+    for i, spec in enumerate(check_type("segments", scenario["segments"], list)):
+        what = f"scenario segment {i}"
+        check_record(spec, what, ("horizon", "wdist"))
+        horizon = check_number(f"{what} horizon", spec["horizon"])
+        # an absolute wdist path replaces base_dir
+        wdist, dofs = _load_wdist(os.path.join(
+            base_dir, check_type(f"{what} wdist", spec["wdist"], str)), bank)
         if dofs != initial.dofs:
-            raise DimensionError(
-                f"scenario segment {i} has {dofs} DoFs, initial state has "
-                f"{initial.dofs}")
+            raise DimensionError(f"{what} has {dofs} DoFs, initial state has {initial.dofs}")
         segments.append((wdist, horizon))
 
     plan = run_chain(initial, segments, bank, rate,
                      anchor=scenario.get("anchor", "local"),
                      mode=scenario.get("mode", "mean"),
                      seed=seed if args.seed is None else args.seed)
+    smoothness = smoothness_metric(plan.positions, 1.0 / rate)
     write_trajectory_csv(args.out, plan.times, plan.positions, plan.velocities,
                          segment_ids=plan.segment_ids)
     print(f"trace written: {args.out} ({len(segments)} segments, "
@@ -339,7 +299,7 @@ def _cmd_replan(args) -> int:
     if plan.pos_jumps.size:
         print(f"max position jump: {plan.pos_jumps.max():.3e}")
         print(f"max velocity jump: {plan.vel_jumps.max():.3e}")
-    print(f"average squared acceleration: {smoothness_metric(plan.positions, 1.0 / rate):.6e}")
+    print(f"average squared acceleration: {smoothness:.6e}")
     if args.svg:
         _svg_trajectory(args.svg, plan.times, plan.positions, "replanned trace")
         print(f"plot written: {args.svg}")
@@ -482,11 +442,16 @@ _PARSER = build_parser()
 def main(argv=None) -> int:
     try:
         args = _PARSER.parse_args(argv)
-        # resolved by name at call time, so a wrapper installed on the module
-        # attribute sees the call
-        return globals()[f"_cmd_{args.command}"](args)
-    except MptrajError as err:
-        print(f"error[{err.category}]: {err}", file=sys.stderr)
+        # numpy overflow and invalid operations raise, so that no inf or NaN
+        # they leave reaches an output; the command is resolved by name at
+        # call time, so a wrapper installed on the module attribute sees it
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return globals()[f"_cmd_{args.command}"](args)
+    except (MptrajError, FloatingPointError) as exc:
+        err = exc if isinstance(exc, MptrajError) else NumericalError(f"floating-point {exc}")
+        # a path may carry a line break; the message stays one line
+        message = "\\n".join(str(err).splitlines())
+        print(f"error[{err.category}]: {message}", file=sys.stderr)
         return err.exit_code
 
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from .basis import BasisBank
 from .errors import (DimensionError, NumericalError, ValidationError,
-                     check_finite_nonneg, check_int)
+                     check_finite_nonneg, check_int, check_numbers, check_record)
 from .fileio import atomic_write_json, write_csv_table
 from .trajectory import BoundaryCondition, TrajectoryGenerator, folded_basis
 
@@ -330,12 +330,11 @@ def _pack_lower(mat: np.ndarray) -> list:
     return mat[np.tril_indices(mat.shape[0])].tolist()
 
 
-def _unpack_lower(values, dim: int) -> np.ndarray:
-    values = np.asarray(values, dtype=float)
+def _unpack_lower(values: np.ndarray, dim: int) -> np.ndarray:
     if values.shape != (dim * (dim + 1) // 2,):
         raise DimensionError(
-            f"packed lower triangle has {values.shape[0]} entries, "
-            f"expected {dim * (dim + 1) // 2} for dimension {dim}")
+            f"packed lower triangle has shape {values.shape}, "
+            f"expected ({dim * (dim + 1) // 2},) for dimension {dim}")
     mat = np.zeros((dim, dim))
     mat[np.tril_indices(dim)] = values
     return mat
@@ -356,19 +355,17 @@ def write_weights_distribution_json(path: str, wdist: WeightsDistribution,
     atomic_write_json(path, weights_distribution_json_dict(wdist, dofs, num_basis))
 
 
-def weights_distribution_from_dict(data: dict):
+def weights_distribution_from_dict(data):
     """Returns (WeightsDistribution, dofs, num_basis)."""
-    try:
-        dofs = check_int("dofs", data["dofs"])
-        num_basis = check_int("num_basis", data["num_basis"])
-        mean = np.asarray(data["mean"], dtype=float)
-        chol = _unpack_lower(data["chol_lower"], mean.shape[0])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed weights-distribution record: {exc}") from exc
-    if mean.shape[0] != dofs * (num_basis + 1):
+    check_record(data, "weights-distribution", ("dofs", "num_basis", "mean", "chol_lower"))
+    dofs = check_int("dofs", data["dofs"])
+    num_basis = check_int("num_basis", data["num_basis"])
+    mean = check_numbers("mean", data["mean"])
+    dim = dofs * (num_basis + 1)
+    if mean.shape != (dim,):
         raise DimensionError(
-            f"mean length {mean.shape[0]} does not match dofs*(num_basis+1) = "
-            f"{dofs * (num_basis + 1)}")
+            f"mean has shape {mean.shape}, dofs*(num_basis+1) = {dim} entries expected")
+    chol = _unpack_lower(check_numbers("chol_lower", data["chol_lower"]), dim)
     return WeightsDistribution(mean=mean, chol=chol), dofs, num_basis
 
 

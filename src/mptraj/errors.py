@@ -1,10 +1,13 @@
-"""Exception hierarchy shared by the library and the CLI, and the value
-checks that the readers of user input share.
+"""Exception hierarchy shared by the library and the CLI, and the checks that
+every reader of user input shares, so that a malformed value fails the same
+way everywhere: a ValidationError naming the field.
 
 Each error category carries the process exit code the CLI maps it to.
 """
 import math
 import numbers
+
+import numpy as np
 
 
 class MptrajError(Exception):
@@ -50,9 +53,66 @@ def check_finite_nonneg(name: str, value: float) -> float:
     return value
 
 
+def check_finite_positive(name: str, value: float) -> float:
+    """value, if it is finite and > 0; ValidationError otherwise."""
+    # negated so that NaN fails the check
+    if not 0.0 < value < math.inf:
+        raise ValidationError(f"{name} must be finite and > 0, got {value}")
+    return value
+
+
 def check_int(name: str, value) -> int:
     """value as an int, if it is an integer; a float, bool or string (as JSON
     may carry) is rejected instead of being truncated or parsed."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
+        raise ValidationError(f"{name} must be an integer, got {value!r:.40}")
     return int(value)
+
+
+# JSON's names for the types json.loads returns
+_JSON_TYPES = {dict: "object", list: "array", str: "string", bool: "boolean",
+               int: "number", float: "number", type(None): "null"}
+
+
+def check_type(name: str, value, kind: type):
+    """value, if it is a kind: dict, list or str for a JSON object, array or string."""
+    if not isinstance(value, kind):
+        found = _JSON_TYPES.get(type(value), type(value).__name__)
+        raise ValidationError(f"{name} must be a JSON {_JSON_TYPES[kind]}, got {found}")
+    return value
+
+
+def check_record(data, what: str, required, optional=()) -> dict:
+    """data, if it is a JSON object with every required key and no key
+    outside required and optional."""
+    check_type(what, data, dict)
+    unknown = sorted(set(data) - set(required) - set(optional))
+    if unknown:
+        raise ValidationError(f"unknown {what} keys: {', '.join(unknown)}")
+    missing = [key for key in required if key not in data]
+    if missing:
+        raise ValidationError(f"missing {what} keys: {', '.join(missing)}")
+    return data
+
+
+def check_number(name: str, value) -> float:
+    """value as a float, if it is one number as check_numbers takes it."""
+    arr = check_numbers(name, value)
+    if arr.ndim:
+        raise ValidationError(f"{name} must be a JSON number, got an array")
+    return float(arr)
+
+
+def check_numbers(name: str, value) -> np.ndarray:
+    """value as a float array, if it is a number or a rectangular nest of lists
+    of numbers; a bool, string, null or integer too large for a float is not."""
+    arr = np.array(value, dtype=object)
+    # a ragged nest leaves lists among the elements
+    if not all(issubclass(kind, numbers.Real) and kind is not bool
+               for kind in set(map(type, arr.reshape(-1)))):
+        raise ValidationError(f"{name} must be a JSON number or a rectangular array "
+                              f"of numbers, got {value!r:.40}")
+    try:
+        return arr.astype(float)
+    except OverflowError as exc:
+        raise ValidationError(f"{name} holds an integer too large for a float") from exc

@@ -60,7 +60,8 @@ def read_text(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    # ValueError: a NUL byte in the path, or contents that are not UTF-8
+    except (OSError, ValueError) as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
 
 
@@ -68,5 +69,6 @@ def read_json(path: str):
     text = read_text(path)
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    # beyond JSONDecodeError: integers over 4300 digits and too deep nesting
+    except (ValueError, RecursionError) as exc:
         raise ValidationError(f"malformed JSON in {path}: {exc}") from exc

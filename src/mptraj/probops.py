@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, NumericalError, ValidationError, check_int
+from .errors import (DimensionError, NumericalError, ValidationError, check_int,
+                     check_number, check_numbers, check_record, check_type)
 from .fileio import atomic_write_json
 
 # fallback added to a covariance diagonal when its Cholesky factorization fails
@@ -80,10 +81,10 @@ class ActivationProfile:
     def __post_init__(self):
         times = np.atleast_1d(np.array(self.times, dtype=float))
         values = np.atleast_2d(np.array(self.values, dtype=float))
-        if values.shape[1] != times.shape[0]:
+        if times.ndim != 1 or values.ndim != 2 or values.shape[1] != times.shape[0]:
             raise DimensionError(
-                f"activation values must have shape (K, {times.shape[0]}), "
-                f"got {values.shape}")
+                f"activation times and values must have shapes (T,) and (K, T), "
+                f"got {times.shape} and {values.shape}")
         # negated so that NaN fails the check
         if not np.all((values >= 0.0) & (values <= 1.0)):
             raise ValidationError("activations must lie in [0, 1]")
@@ -221,25 +222,24 @@ def write_gaussian_sequence_json(path: str, seq: GaussianSequence) -> None:
     atomic_write_json(path, gaussian_sequence_json_dict(seq))
 
 
-def gaussian_sequence_from_dict(data: dict) -> GaussianSequence:
-    try:
-        dofs = check_int("dofs", data["dofs"])
-        records = data["records"]
-        times = np.array([rec["t"] for rec in records], dtype=float)
-        means = np.array([rec["mean"] for rec in records], dtype=float)
-        lower = [rec["cov_lower"] for rec in records]
-        width = dofs * (dofs + 1) // 2
-        short = next((i for i, packed in enumerate(lower) if len(packed) != width), None)
-        if short is not None:
-            raise ValidationError(
-                f"record {short}: packed covariance has {len(lower[short])} entries, "
-                f"expected {width}")
-        lower = np.array(lower, dtype=float)
-        rows, cols = np.tril_indices(dofs)
-        covs = np.zeros((len(records), dofs, dofs))
-        covs[:, rows, cols] = lower
-        covs[:, cols, rows] = lower
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed Gaussian-sequence record: {exc}") from exc
-    return GaussianSequence(times=times, means=means, covs=covs,
-                            meta=dict(data.get("meta", {})))
+def gaussian_sequence_from_dict(data) -> GaussianSequence:
+    check_record(data, "Gaussian-sequence", ("dofs", "records"), ("meta",))
+    dofs = check_int("dofs", data["dofs"])
+    if dofs < 1:
+        raise ValidationError(f"dofs must be >= 1, got {dofs}")
+    meta = check_type("meta", data.get("meta", {}), dict)
+    records = check_type("records", data["records"], list)
+    for i, rec in enumerate(records):
+        check_record(rec, f"Gaussian-sequence record {i}", ("t", "mean", "cov_lower"))
+    times = np.array([check_number("t", rec["t"]) for rec in records])
+    means = check_numbers("mean", [rec["mean"] for rec in records])
+    lower = check_numbers("cov_lower", [rec["cov_lower"] for rec in records])
+    width = dofs * (dofs + 1) // 2
+    if lower.shape != (len(records), width):
+        raise ValidationError(f"packed covariances have shape {lower.shape}, "
+                              f"expected ({len(records)}, {width})")
+    rows, cols = np.tril_indices(dofs)
+    covs = np.zeros((len(records), dofs, dofs))
+    covs[:, rows, cols] = lower
+    covs[:, cols, rows] = lower
+    return GaussianSequence(times=times, means=means, covs=covs, meta=dict(meta))

@@ -18,7 +18,6 @@ trajectory distribution, read from the same fold as its mean trace.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +26,7 @@ from .basis import BasisBank
 from .distribution import (DEFAULT_NOISE_VAR, TrajectoryDistribution,
                            WeightsDistribution, _check_weights_dim,
                            _fold_distribution)
-from .errors import DimensionError, ValidationError
+from .errors import DimensionError, ValidationError, check_finite_positive
 from .trajectory import BoundaryCondition, TrajectoryGenerator, window_steps
 
 
@@ -74,10 +73,8 @@ def _segment_frame(current: BoundaryCondition, horizon: float, bank: BasisBank,
                    rate: float, bank_anchor: float):
     """(global times, bank times, bank-time boundary condition) of the segment
     that starts at the current state and lasts horizon, sampled at rate."""
-    if not 0.0 < horizon < math.inf:
-        raise ValidationError(f"horizon must be finite and > 0, got {horizon}")
-    if not 0.0 < rate < math.inf:
-        raise ValidationError(f"rate must be finite and > 0, got {rate}")
+    check_finite_positive("horizon", horizon)
+    check_finite_positive("rate", rate)
     steps = window_steps(horizon, rate)
     if steps < 1 or abs(steps / rate - horizon) > 1e-9 * max(1.0, horizon):
         raise ValidationError(
@@ -177,7 +174,6 @@ def smoothness_metric(positions, dt: float) -> float:
     positions = np.atleast_2d(np.asarray(positions, dtype=float))
     if positions.shape[1] < 3:
         raise ValidationError("smoothness metric needs at least 3 samples")
-    if not dt > 0.0:
-        raise ValidationError(f"dt must be > 0, got {dt}")
+    check_finite_positive("dt", dt)
     second = positions[:, 2:] - 2.0 * positions[:, 1:-1] + positions[:, :-2]
     return float(np.mean((second / dt ** 2) ** 2))

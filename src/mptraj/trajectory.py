@@ -17,13 +17,13 @@ is t >= t_b (the exponential in xi then grows with t_b - t).
 """
 from __future__ import annotations
 
-import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from .basis import BasisBank
-from .errors import DimensionError, ValidationError
+from .errors import DimensionError, ValidationError, check_finite_nonneg
 from .fileio import read_text, write_csv_table
 
 # bound on samples per query window or replanning segment: a 1 kHz controller
@@ -40,14 +40,12 @@ class BoundaryCondition:
     dy_b: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "t_b", float(self.t_b))
-        if not (math.isfinite(self.t_b) and self.t_b >= 0.0):
-            raise ValidationError(f"boundary time must be finite and >= 0, got {self.t_b}")
+        object.__setattr__(self, "t_b", check_finite_nonneg("boundary time", float(self.t_b)))
         y_b = np.atleast_1d(np.array(self.y_b, dtype=float))
         dy_b = np.atleast_1d(np.array(self.dy_b, dtype=float))
-        if y_b.ndim != 1 or y_b.shape != dy_b.shape:
-            raise DimensionError(
-                f"y_b {y_b.shape} and dy_b {dy_b.shape} must be equal-length vectors")
+        if y_b.ndim != 1 or y_b.shape != dy_b.shape or not y_b.size:
+            raise DimensionError(f"y_b {y_b.shape} and dy_b {dy_b.shape} must be "
+                                 f"equal-length vectors of at least one DoF")
         if not (np.isfinite(y_b).all() and np.isfinite(dy_b).all()):
             raise ValidationError("boundary state y_b and dy_b must be finite")
         y_b.flags.writeable = False
@@ -203,21 +201,23 @@ def read_trajectory_csv(path: str):
     for idx, name in enumerate(header[1:], start=1):
         if name == "segment_id":
             continue
-        kind = name.rsplit("_", 1)
-        if (len(kind) != 2 or kind[1] not in ("pos", "vel") or not kind[0].startswith("dof")
-                or not kind[0][3:].isdecimal()):
+        column = re.fullmatch(r"dof(\d{1,9})_(pos|vel)", name)
+        if column is None:
             raise ValidationError(f"unrecognized trajectory column {name!r} in {path}")
-        dof = int(kind[0][3:])
-        (pos_cols if kind[1] == "pos" else vel_cols)[dof] = idx
+        (pos_cols if column[2] == "pos" else vel_cols)[int(column[1])] = idx
     if sorted(pos_cols) != list(range(len(pos_cols))) or not pos_cols:
         raise ValidationError(f"missing position columns in {path}")
-    try:
-        data = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
-    except ValueError as exc:
-        raise ValidationError(f"malformed trajectory row in {path}: {exc}") from exc
-    if data.ndim != 2 or data.shape[1] != len(header):
+    rows = lines[1:]
+    # counted per row: a flat reshape would take a short row and a long one
+    if not rows or any(row.count(",") != len(header) - 1 for row in rows):
         raise ValidationError(
             f"trajectory rows in {path} must each have {len(header)} values")
+    cells = ",".join(rows).split(",")
+    try:
+        data = np.fromiter(map(float, cells), dtype=float, count=len(cells))
+    except ValueError as exc:
+        raise ValidationError(f"malformed trajectory row in {path}: {exc}") from exc
+    data = data.reshape(len(rows), len(header))
     times = data[:, 0]
     positions = data[:, [pos_cols[d] for d in range(len(pos_cols))]].T
     velocities = None

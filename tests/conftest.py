@@ -1,9 +1,16 @@
 import hashlib
+import shutil
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import configuration, settings
 
 from mptraj import DmpConfig, precompute_basis
+
+# every run draws the same examples and keeps no example database
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 # alpha=25, tau=3, alpha_x=2, 25 basis functions over 3 s: the configuration
 # most tests and all acceptance checks run against
@@ -12,6 +19,14 @@ REFERENCE_CONFIG = dict(alpha=25.0, tau=3.0, alpha_x=2.0, num_basis=25, duration
 # deliberately small and well conditioned (short horizon, few basis functions)
 SMALL_CONFIG = dict(alpha=25.0, tau=1.0, alpha_x=2.0, num_basis=5, duration=1.0,
                     grid_dt=1.0 / 400.0)
+
+
+def pytest_configure(config):
+    # hypothesis still caches the constants it reads from the source; the
+    # cache goes to a directory removed after the run, not into the tree
+    home = tempfile.mkdtemp(prefix="hypothesis-")
+    config.add_cleanup(lambda: shutil.rmtree(home, ignore_errors=True))
+    configuration.set_hypothesis_home_dir(home)
 
 
 @pytest.fixture(scope="session")

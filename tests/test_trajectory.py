@@ -270,6 +270,29 @@ class TestCsv:
         with pytest.raises(ValidationError, match="bad.csv"):
             read_trajectory_csv(str(path))
 
+    def test_rows_short_and_long_by_the_same_count(self, tmp_path):
+        # 3 and 5 cells under a 4-column header hold 8 cells, as 2 rows of 4 do
+        path = tmp_path / "bad.csv"
+        path.write_text("t,dof0_pos,dof0_vel,dof1_pos\n0,1,2\n1,2,3,4,5\n")
+        with pytest.raises(ValidationError, match="must each have 4 values"):
+            read_trajectory_csv(str(path))
+
+    # spellings that a parser other than float() might read differently
+    @pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "Infinity", "-inf", " 1.5",
+                                      "1_0", "+1", "0x10", "\u0661", "", "1e400", "1e"])
+    def test_cells_parse_as_float_does(self, tmp_path, cell):
+        path = tmp_path / "cell.csv"
+        path.write_text(f"t,dof0_pos\n0.0,{cell}\n", encoding="utf-8")
+        try:
+            expected = float(cell)
+        except ValueError:
+            with pytest.raises(ValidationError, match="cell.csv"):
+                read_trajectory_csv(str(path))
+            return
+        _, positions, _ = read_trajectory_csv(str(path))
+        assert positions[0, 0] == expected or (np.isnan(expected)
+                                               and np.isnan(positions[0, 0]))
+
     def test_misaligned_rejected(self, tmp_path):
         with pytest.raises(DimensionError):
             write_trajectory_csv(str(tmp_path / "x.csv"), np.zeros(3),

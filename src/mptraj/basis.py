@@ -19,10 +19,15 @@ the decayed integrals
     B(t) = (1/tau^2) * int_0^t exp(-k (t - s)) s x(s) phi_n(s) ds
 
 advanced by the exact decay recurrence
-A(t+dt) = exp(-k dt) A(t) + (dt/2) (exp(-k dt) f(t) + f(t+dt)), so every
-evaluated exponent is <= 0.  The weight columns are then t*A - B (position)
-and (1 - k t)*A + k*B (velocity); the goal columns have exact closed forms
-1 - (1 + k t) exp(-k t) and k^2 t exp(-k t).
+A(t+dt) = d A(t) + u(t+dt), with d = exp(-k dt) and the trapezoid increment
+u(t+dt) = (dt/2) (d f(t) + f(t+dt)).  The recurrence is evaluated as a blocked
+scan: within a block of b rows, A at row i of the block is
+sum_{l <= i} d^(i-l) u_l + d^(i+1) A_prev, one product with the b x b
+lower-triangular matrix of powers d^(i-l), where A_prev is the last row of the
+previous block.  Every power of d is at most 1, so every evaluated exponent is
+<= 0.  The weight columns are then t*A - B (position) and (1 - k t)*A + k*B
+(velocity); the goal columns have exact closed forms 1 - (1 + k t) exp(-k t)
+and k^2 t exp(-k t).
 """
 from __future__ import annotations
 
@@ -41,8 +46,13 @@ from .fileio import atomic_write_bytes
 # version of the bank file layout; load() rejects any other
 BANK_FORMAT = 2
 
-# bound on bank grid points, checked before precompute_basis allocates them
+# bounds on bank grid points and on grid points x weight_dim (the cells of
+# one basis array), checked before precompute_basis allocates them
 MAX_GRID_POINTS = 10**6
+MAX_BANK_CELLS = 2 * 10**7
+
+# rows per block of the blocked scan in precompute_basis
+_SCAN_BLOCK = 64
 
 _CONFIG_REQUIRED = ("alpha", "tau", "alpha_x", "num_basis", "duration")
 _CONFIG_OPTIONAL = ("grid_dt", "basis_overlap", "beta")
@@ -53,7 +63,8 @@ class DmpConfig:
     """ODE and basis hyperparameters.
 
     beta is fixed to alpha/4 (critical damping); passing any other value is an
-    error.  grid_dt defaults to duration/3000; at most MAX_GRID_POINTS grid points.
+    error.  grid_dt defaults to duration/3000; at most MAX_GRID_POINTS grid points
+    and MAX_BANK_CELLS cells (grid points x weight_dim).
     """
 
     alpha: float
@@ -96,6 +107,12 @@ class DmpConfig:
             raise ValidationError(
                 f"grid too fine: duration/grid_dt yields more than {MAX_GRID_POINTS} "
                 f"points; raise grid_dt")
+        cells = self.grid_points * self.weight_dim
+        if cells > MAX_BANK_CELLS:
+            raise ValidationError(
+                f"bank too large: {self.grid_points} grid points x {self.weight_dim} "
+                f"columns = {cells} cells, more than {MAX_BANK_CELLS}; raise grid_dt "
+                f"or lower num_basis")
         if self.grid_points < 4 * self.num_basis:
             raise ValidationError(
                 f"grid too coarse: duration/grid_dt yields {self.grid_points} points, "
@@ -296,7 +313,7 @@ def precompute_basis(config: DmpConfig) -> BasisBank:
     """Assemble the basis bank on the uniform grid (the offline step).
 
     The p-integrals have no closed form and are computed by trapezoidal
-    quadrature through the decay recurrence described in the module docstring;
+    quadrature through the blocked decay scan described in the module docstring;
     no evaluated exponent is ever positive.  A finite-difference
     self-consistency check (d/dt position rows == velocity rows) guards
     against a grid too coarse for the configured dynamics.
@@ -315,12 +332,20 @@ def precompute_basis(config: DmpConfig) -> BasisBank:
 
     # A and B advance together as one 2N-wide recurrence; the trapezoid
     # increments do not depend on the accumulator, so each row starts as its
-    # increment and the loop adds the decayed previous row
+    # increment and the blocked scan overwrites it, block by block, with
+    # scan @ increments + carry * (last row of the previous block)
     big_ab = np.zeros_like(fg)
     big_ab[1:] = 0.5 * dt * (decay * fg[:-1] + fg[1:])
+    powers = decay ** np.arange(_SCAN_BLOCK + 1)         # all <= 1; 0**0 is 1
+    lag = np.arange(_SCAN_BLOCK)
+    scan = np.tril(powers[np.abs(lag[:, None] - lag)])   # decay^(i-l), i >= l
+    carry = powers[1:, None]                             # decay^(i+1)
     acc = big_ab[0]
-    for j in range(1, m + 1):
-        big_ab[j] = acc = decay * acc + big_ab[j]
+    for start in range(1, m + 1, _SCAN_BLOCK):
+        block = big_ab[start:start + _SCAN_BLOCK]
+        r = block.shape[0]
+        block[:] = scan[:r, :r] @ block + carry[:r] * acc
+        acc = block[-1]
     n = config.num_basis
     big_a, big_b = big_ab[:, :n], big_ab[:, n:]
 

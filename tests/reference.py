@@ -7,17 +7,18 @@ the constants c1/c2 solved through 1/Wronskian.  Their factors grow like
 exp(k t), so they are usable only on short horizons, which is why they serve
 as independent cross-checks and not as production code.
 
-Beside them sit routes that the package replaced with faster ones: the pair
-NLL through a dense block design matrix and scipy, the per-time combination
-loop, and the per-value CSV writers.  stale_chain is the negative control of
-replanning: a chain that ignores the executed state.
+Beside them sit routes that the package replaced with faster ones: the
+row-by-row precompute recurrence, the pair NLL through a dense block design
+matrix and scipy, the per-time combination loop, and the per-value CSV
+writers.  stale_chain is the negative control of replanning: a chain that
+ignores the executed state.
 """
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import multivariate_normal
 
-from mptraj import BoundaryCondition, run_chain
+from mptraj import BasisBank, BoundaryCondition, make_forcing_basis, phase, run_chain
 from mptraj.probops import GaussianSequence, _chol_with_jitter
 from mptraj.trajectory import weight_blocks
 
@@ -83,6 +84,34 @@ def velocity_from_coefficients(c1, c2, w_g, times, bank) -> np.ndarray:
     env = np.exp(-k * times)
     return (c1[:, None] * (-k * env) + c2[:, None] * ((1.0 - k * times) * env)
             + blocks @ bank.vel_rows(times).T)
+
+
+def sequential_bank(config) -> BasisBank:
+    """The basis bank with the decay recurrence advanced one grid row at a
+    time, acc = exp(-k dt) * acc + increment: the sequential route that
+    precompute_basis's blocked scan replaces.  No self-check."""
+    m = config.grid_intervals
+    dt = config.duration / m
+    times = np.linspace(0.0, config.duration, m + 1)
+    k = config.decay_rate
+    f = (make_forcing_basis(config).normalized_scaled(phase(times, config))
+         / np.float64(config.tau)**2)
+    fg = np.hstack([f, times[:, None] * f])
+    decay = np.exp(-k * dt)
+    big_ab = np.zeros_like(fg)
+    big_ab[1:] = 0.5 * dt * (decay * fg[:-1] + fg[1:])
+    acc = big_ab[0]
+    for j in range(1, m + 1):
+        big_ab[j] = acc = decay * acc + big_ab[j]
+    n = config.num_basis
+    big_a, big_b = big_ab[:, :n], big_ab[:, n:]
+    kt = k * times
+    env = np.exp(-kt)
+    pos_basis = np.column_stack([times[:, None] * big_a - big_b, 1.0 - (1.0 + kt) * env])
+    vel_basis = np.column_stack([(1.0 - kt)[:, None] * big_a + k * big_b,
+                                 k * k * times * env])
+    return BasisBank(config=config, times=times, pos_basis=pos_basis,
+                     vel_basis=vel_basis)
 
 
 def pair_nll_dense(batch, wdist, bc, bank, noise_var) -> float:

@@ -1,13 +1,28 @@
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mptraj
 from mptraj import (DimensionError, DmpConfig, IoError, NumericalError,
                     ValidationError, make_forcing_basis, phase, precompute_basis)
-from mptraj.basis import BANK_FORMAT, BasisBank
-from tests.conftest import SMALL_CONFIG, write_unversioned_bank
-from tests.reference import complementary, q_terms
+from mptraj.basis import BANK_FORMAT, MAX_BANK_CELLS, BasisBank
+from tests.conftest import REFERENCE_CONFIG, SMALL_CONFIG, write_unversioned_bank
+from tests.reference import complementary, q_terms, sequential_bank
+
+# the bank of perfbench's online_replan workload: 10 001 points, N = 10
+ONLINE_REPLAN_CONFIG = dict(alpha=25.0, tau=10.0, alpha_x=2.0, num_basis=10,
+                            duration=10.0, grid_dt=1e-3)
+
+# 800 001 points x 200 001 columns: within the grid bound and the 4*N rule,
+# but a 1.16 TiB basis array
+OVERSIZED_BANK_CONFIG = dict(alpha=25.0, tau=1.0, alpha_x=2.0, num_basis=200000,
+                             duration=1.0, grid_dt=1.25e-6)
 
 # frozen from a 40-digit mpmath evaluation of the closed forms (alpha=25,
 # tau=3, so k = 25/6)
@@ -70,6 +85,18 @@ class TestDmpConfig:
             DmpConfig.from_dict({"alpha": 25.0})
         with pytest.raises(ValidationError, match="JSON object"):
             DmpConfig.from_dict([["alpha", 25.0]])
+
+    def test_bank_cells_are_bounded(self):
+        cfg = OVERSIZED_BANK_CONFIG
+        assert 4 * cfg["num_basis"] <= round(cfg["duration"] / cfg["grid_dt"]) + 1
+        with pytest.raises(ValidationError, match="bank too large"):
+            DmpConfig(**cfg)
+        # 10 001 points: 1999 columns fit in MAX_BANK_CELLS, 2000 do not
+        largest = DmpConfig(**dict(ONLINE_REPLAN_CONFIG, num_basis=1998))
+        assert largest.grid_points * largest.weight_dim <= MAX_BANK_CELLS
+        assert largest.grid_points * (largest.weight_dim + 1) > MAX_BANK_CELLS
+        with pytest.raises(ValidationError, match="bank too large"):
+            DmpConfig(**dict(ONLINE_REPLAN_CONFIG, num_basis=1999))
 
     def test_digest_depends_on_values_only(self, reference_config):
         clone = DmpConfig(**{k: getattr(reference_config, k)
@@ -169,6 +196,21 @@ class TestClosedForms:
             assert row_vel[-1] == pytest.approx(vel_goal, abs=1e-10)
 
 
+# grid point counts of 64k, 64k + 1, 64k + 63 and 64k + 2 (the scan's last
+# block one row long), then the reference, online_replan and a 100 s horizon
+# with N = 25
+SCAN_CONFIGS = {
+    "points-mod-64-is-0": (dict(SMALL_CONFIG, grid_dt=1.0 / 447.0), 0),
+    "points-mod-64-is-1": (dict(SMALL_CONFIG, grid_dt=1.0 / 448.0), 1),
+    "points-mod-64-is-63": (dict(SMALL_CONFIG, grid_dt=1.0 / 446.0), 63),
+    "points-mod-64-is-2": (dict(SMALL_CONFIG, grid_dt=1.0 / 449.0), 2),
+    "reference": (REFERENCE_CONFIG, None),
+    "online-replan": (ONLINE_REPLAN_CONFIG, None),
+    "long-horizon": (dict(alpha=25.0, tau=1.0, alpha_x=2.0, num_basis=25,
+                          duration=100.0, grid_dt=0.01), None),
+}
+
+
 class TestPrecompute:
     def test_weight_columns_match_naive_quadrature(self, small_config, small_bank):
         # independent route: trapezoid quadrature of the growing integrands
@@ -210,9 +252,46 @@ class TestPrecompute:
         with pytest.raises(NumericalError, match="too coarse"):
             precompute_basis(cfg)
 
+    @pytest.mark.parametrize("name", SCAN_CONFIGS)
+    def test_blocked_scan_matches_sequential_recurrence(self, name):
+        kwargs, points_mod_64 = SCAN_CONFIGS[name]
+        cfg = DmpConfig(**kwargs)
+        if points_mod_64 is not None:
+            assert cfg.grid_points % 64 == points_mod_64
+        blocked, sequential = precompute_basis(cfg), sequential_bank(cfg)
+        assert np.array_equal(blocked.times, sequential.times)
+        for kind in ("pos_basis", "vel_basis"):
+            ref = getattr(sequential, kind)
+            drift = np.max(np.abs(getattr(blocked, kind) - ref))
+            assert drift <= 1e-14 * np.max(np.abs(ref)), (kind, drift)
+
+    def test_decay_underflow_fails_self_check(self):
+        # k dt = 1250, so exp(-k dt) is 0 and every power of it past the
+        # zeroth too; the scan must not warn, and the bank must be refused
+        cfg = DmpConfig(**dict(SMALL_CONFIG, alpha=1e6))
+        assert np.exp(-cfg.decay_rate * cfg.duration / cfg.grid_intervals) == 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="self-check failed"):
+                precompute_basis(cfg)
+
     def test_deterministic_checksum(self, small_config, small_bank):
         again = precompute_basis(small_config)
         assert again.content_checksum() == small_bank.content_checksum()
+
+    def test_checksum_independent_of_blas_threads(self):
+        script = ("import mptraj\n"
+                  f"config = mptraj.DmpConfig(**{ONLINE_REPLAN_CONFIG!r})\n"
+                  "print(mptraj.precompute_basis(config).content_checksum())\n")
+        src = str(Path(mptraj.__file__).resolve().parents[1])
+        checksums = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+            result = subprocess.run([sys.executable, "-c", script], env=env,
+                                    capture_output=True, text=True, timeout=120,
+                                    check=True)
+            checksums.append(result.stdout.strip())
+        assert len(checksums[0]) == 64 and checksums[0] == checksums[1]
 
     def test_all_exponents_bounded(self, reference_bank):
         # stability contract: every stored value stays O(1); nothing grows

@@ -8,13 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mptraj import BoundaryCondition, precompute_basis
+from mptraj import BoundaryCondition, DmpConfig, precompute_basis
 from mptraj.basis import BasisBank
 from mptraj.cli import main
 from mptraj.distribution import write_weights_distribution_json
 from mptraj.trajectory import MAX_QUERY_SAMPLES, read_trajectory_csv
 from tests.conftest import (SMALL_CONFIG, random_weights_distribution,
                             write_unversioned_bank)
+from tests.reference import sequential_bank
 
 CONFIG = {"alpha": 25.0, "tau": 1.0, "alpha_x": 2.0, "num_basis": 5,
           "duration": 1.0, "grid_dt": 0.0025}
@@ -126,6 +127,26 @@ class TestGenerate:
             str(env["config"]), "--weights", str(env["weights"]),
             "--out", str(out)])
         assert code == 0
+
+    def test_sequential_recurrence_bank_accepted(self, env, capsys, tmp_path):
+        # a bank saved before the blocked scan: same format, other last bits,
+        # and a checksum over its own arrays
+        old = sequential_bank(DmpConfig(**CONFIG))
+        old.save(str(tmp_path / "old.npz"))
+        loaded = BasisBank.load(str(tmp_path / "old.npz"))
+        assert np.array_equal(loaded.pos_basis, old.pos_basis)
+        assert np.array_equal(loaded.vel_basis, old.vel_basis)
+        trajectories = []
+        for bank in (tmp_path / "old.npz", env["bank"]):
+            out = tmp_path / f"{bank.stem}.csv"
+            code, _, stderr = _run(capsys, [
+                "generate", "--bank", str(bank), "--weights", str(env["weights"]),
+                "--bc", str(env["bc"]), "--out", str(out)])
+            assert code == 0 and stderr == ""
+            trajectories.append(read_trajectory_csv(str(out)))
+        (_, old_pos, old_vel), (_, new_pos, new_vel) = trajectories
+        np.testing.assert_allclose(old_pos, new_pos, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(old_vel, new_vel, rtol=0, atol=1e-11)
 
 
 class TestFitRoundTrip:

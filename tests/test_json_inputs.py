@@ -183,6 +183,15 @@ def test_bank_grid_is_bounded(files, tmp_path, config):
     assert code == 2 and "grid too fine" in stderr
 
 
+def test_bank_cells_are_bounded(tmp_path):
+    # 800 001 points x 200 001 columns asked numpy for 1.16 TiB
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"alpha": 25, "tau": 1, "alpha_x": 2, "num_basis": 200000,
+                                "duration": 1, "grid_dt": 1.25e-6}))
+    code, stderr = _run_to(["precompute", "--config", str(path)], tmp_path / "bank.npz")
+    assert code == 2 and "bank too large" in stderr
+
+
 class TestReaders:
     """Each library reader rejects a string, a bool, null and a huge integer
     in a numeric field, naming the field."""

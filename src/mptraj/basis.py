@@ -242,10 +242,11 @@ class BasisBank:
     def grid_step(self) -> float:
         return self.config.duration / (self.times.shape[0] - 1)
 
-    def _interp(self, values: np.ndarray, t) -> np.ndarray:
+    def _interp(self, t, *arrays) -> tuple:
+        """Each of arrays at query times t, from one index pass over t."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
         if t.size == 0:
-            return np.empty((0, values.shape[1]))
+            return tuple(np.empty((0, values.shape[1])) for values in arrays)
         # negated so that NaN fails the check
         if not (t.min() >= self.times[0] and t.max() <= self.times[-1]):
             raise ValidationError(
@@ -255,14 +256,19 @@ class BasisBank:
         idx = np.clip(idx, 0, self.times.shape[0] - 2)
         frac = (t - self.times[idx]) / (self.times[idx + 1] - self.times[idx])
         # endpoint-exact lerp: frac 0 or 1 returns the stored row bitwise
-        return (1.0 - frac)[:, None] * values[idx] + frac[:, None] * values[idx + 1]
+        lo, hi = (1.0 - frac)[:, None], frac[:, None]
+        return tuple(lo * values[idx] + hi * values[idx + 1] for values in arrays)
+
+    def rows(self, t) -> tuple[np.ndarray, np.ndarray]:
+        """(pos_rows(t), vel_rows(t)) from one index pass over t, bit for bit."""
+        return self._interp(t, self.pos_basis, self.vel_basis)
 
     def pos_rows(self, t) -> np.ndarray:
         """Position basis rows at query times (linear interpolation off-grid)."""
-        return self._interp(self.pos_basis, t)
+        return self._interp(t, self.pos_basis)[0]
 
     def vel_rows(self, t) -> np.ndarray:
-        return self._interp(self.vel_basis, t)
+        return self._interp(t, self.vel_basis)[0]
 
     def content_checksum(self) -> str:
         digest = hashlib.sha256(self.config.canonical_json().encode("utf-8"))

@@ -26,7 +26,8 @@ import numpy as np
 from .basis import BasisBank, DmpConfig, precompute_basis
 from .errors import ValidationError, check_finite_positive
 from .oracle import IntegratorSpec, integrate_dmp
-from .trajectory import BoundaryCondition, TrajectoryGenerator, window_steps
+from .trajectory import (MAX_QUERY_SAMPLES, BoundaryCondition, TrajectoryGenerator,
+                         window_steps)
 
 # spring gain and phase decay rate of the benchmarked DMP
 ALPHA = 25.0
@@ -48,7 +49,10 @@ class BenchScenario:
             raise ValidationError(f"dofs must be >= 1, got {self.dofs}")
         check_finite_positive("duration", self.duration)
         check_finite_positive("rate_hz", self.rate_hz)
-        window_steps(self.duration, self.rate_hz)
+        steps = window_steps(self.duration, self.rate_hz)
+        if self.dofs * steps > MAX_QUERY_SAMPLES:
+            raise ValidationError(f"{self.dofs} DoFs x {steps} times exceed "
+                                  f"{MAX_QUERY_SAMPLES} samples; lower dofs or the rate")
 
     def config(self) -> DmpConfig:
         return DmpConfig(alpha=ALPHA, tau=self.duration, alpha_x=ALPHA_X,

@@ -171,14 +171,9 @@ def _cmd_sample(args) -> int:
     return 0
 
 
-def _read_demo(path: str) -> Demonstration:
-    times, positions, velocities = read_trajectory_csv(path)
-    return Demonstration(times=times, positions=positions, velocities=velocities)
-
-
 def _cmd_fit(args) -> int:
     bank = _load_bank(args)
-    demos = [_read_demo(path) for path in args.demo]
+    demos = [Demonstration(*read_trajectory_csv(path)) for path in args.demo]
     bc = _load_bc(args.bc) if args.bc else None
     if len(demos) == 1:
         weights = fit_weights(demos[0], bank, ridge=args.ridge, bc=bc)

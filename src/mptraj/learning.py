@@ -3,8 +3,9 @@ factorized Gaussian observations.
 
 fit_weights inverts the linear trajectory model per DoF: with the boundary
 offset subtracted from the demonstrated positions, the weights solve a ridge
-least-squares problem against the folded basis rows.  The default ridge is
-scale-free (1e-9 * trace(H^T H) / dim) so near-singular Gram matrices stay
+least-squares problem against the folded basis rows; fit_distribution solves
+it once per time grid, for every DoF of every demo on it.  The default ridge
+is scale-free (1e-9 * trace(H^T H) / dim) so near-singular Gram matrices stay
 factorizable without visibly biasing well-posed fits.
 
 bayesian_aggregate fuses elementwise-independent Gaussians by precision
@@ -93,46 +94,54 @@ def _ridge_lstsq(design: np.ndarray, target: np.ndarray, ridge: float) -> np.nda
     return solution
 
 
+def _fit_grid(demos, bcs, bank: BasisBank, ridge: float | None) -> np.ndarray:
+    """Weights (K, D*(N+1)) of K demos sampled at the same times: one fold of their
+    boundary states bcs (one t_b) stacked along the DoF axis, whose offset rows are
+    each demo's own, and one least squares with K*D right-hand sides."""
+    if demos[0].times.shape[0] < bank.weight_dim:
+        raise ValidationError(
+            f"demonstration has {demos[0].times.shape[0]} samples but the basis has "
+            f"{bank.weight_dim} parameters per DoF; the fit would be underdetermined")
+    stacked = BoundaryCondition(bcs[0].t_b, np.concatenate([bc.y_b for bc in bcs]),
+                                np.concatenate([bc.dy_b for bc in bcs]))
+    fold = folded_basis(stacked, demos[0].times, bank)
+    target = np.concatenate([demo.positions for demo in demos]) - fold.pos_offset
+    if ridge is None:
+        ridge = RIDGE_SCALE * np.einsum("ij,ij->", fold.h_pos, fold.h_pos) / bank.weight_dim
+    check_finite_nonneg("ridge", ridge)
+    return _ridge_lstsq(fold.h_pos, target.T, ridge).T.reshape(len(demos), -1)
+
+
 def fit_weights(demo: Demonstration, bank: BasisBank,
                 ridge: float | None = None,
                 bc: BoundaryCondition | None = None) -> np.ndarray:
     """Least-squares weights-and-goal vector (flat, DoF blocks) for one demo."""
-    if demo.times.shape[0] < bank.weight_dim:
-        raise ValidationError(
-            f"demonstration has {demo.times.shape[0]} samples but the basis has "
-            f"{bank.weight_dim} parameters per DoF; the fit would be underdetermined")
     if bc is None:
         bc = demo.boundary_condition()
     elif bc.dofs != demo.dofs:
         raise DimensionError(
             f"boundary condition has {bc.dofs} DoFs, demonstration has {demo.dofs}")
-    if ridge is not None:
-        check_finite_nonneg("ridge", ridge)
-
-    fold = folded_basis(bc, demo.times, bank)
-    target = demo.positions - fold.pos_offset
-    if ridge is None:
-        ridge = (RIDGE_SCALE * float(np.einsum("ij,ij->", fold.h_pos, fold.h_pos))
-                 / bank.weight_dim)
-    solution = _ridge_lstsq(fold.h_pos, target.T, ridge)
-    return solution.T.ravel()
+    return _fit_grid([demo], [bc], bank, ridge)[0]
 
 
 def fit_distribution(demos, bank: BasisBank, ridge: float | None = None,
                      cov_floor: float = DEFAULT_COV_FLOOR) -> WeightsDistribution:
-    """Empirical Gaussian over per-demonstration fits: mean of the fits,
-    unbiased covariance plus cov_floor on the diagonal."""
+    """Empirical Gaussian over per-demonstration fits, one fold per time grid: mean
+    of the fits, unbiased covariance plus cov_floor on the diagonal."""
     demos = list(demos)
     if len(demos) < 2:
         raise ValidationError(
             f"distribution fitting needs >= 2 demonstrations, got {len(demos)}")
     check_finite_nonneg("cov_floor", cov_floor)
-    dofs = demos[0].dofs
-    for i, demo in enumerate(demos[1:], start=1):
+    dofs, grids = demos[0].dofs, {}
+    for i, demo in enumerate(demos):
         if demo.dofs != dofs:
-            raise DimensionError(
-                f"demonstration {i} has {demo.dofs} DoFs, expected {dofs}")
-    fits = np.stack([fit_weights(demo, bank, ridge) for demo in demos])
+            raise DimensionError(f"demonstration {i} has {demo.dofs} DoFs, expected {dofs}")
+        grids.setdefault(demo.times.tobytes(), []).append(i)
+    fits = np.empty((len(demos), dofs * bank.weight_dim))
+    for members in grids.values():
+        group = [demos[i] for i in members]
+        fits[members] = _fit_grid(group, [d.boundary_condition() for d in group], bank, ridge)
     mean = fits.mean(axis=0)
     centered = fits - mean
     cov = (centered.T @ centered) / (len(demos) - 1)

@@ -109,9 +109,7 @@ class TrajectoryGenerator:
             raise DimensionError(f"query times must be a vector, got shape {times.shape}")
         # row 0 is the boundary row; the lerp is elementwise, so sharing one
         # lookup leaves every row unchanged
-        query = np.concatenate(([bc.t_b], times))
-        phi = bank.pos_rows(query)
-        dphi = bank.vel_rows(query)
+        phi, dphi = bank.rows(np.concatenate(([bc.t_b], times)))
         xi1, xi2, dxi1, dxi2 = _xi_arrays(times, bc.t_b, bank.config.decay_rate)
         self.bc = bc
         self.times = times
@@ -204,7 +202,10 @@ def read_trajectory_csv(path: str):
         column = re.fullmatch(r"dof(\d{1,9})_(pos|vel)", name)
         if column is None:
             raise ValidationError(f"unrecognized trajectory column {name!r} in {path}")
-        (pos_cols if column[2] == "pos" else vel_cols)[int(column[1])] = idx
+        cols, dof = (pos_cols if column[2] == "pos" else vel_cols), int(column[1])
+        if dof in cols:  # dof0_pos and dof00_pos both name DoF 0
+            raise ValidationError(f"column {name!r} repeats DoF {dof} {column[2]} in {path}")
+        cols[dof] = idx
     if sorted(pos_cols) != list(range(len(pos_cols))) or not pos_cols:
         raise ValidationError(f"missing position columns in {path}")
     rows = lines[1:]

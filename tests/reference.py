@@ -9,16 +9,17 @@ as independent cross-checks and not as production code.
 
 Beside them sit routes that the package replaced with faster ones: the
 row-by-row precompute recurrence, the pair NLL through a dense block design
-matrix and scipy, the per-time combination loop, and the per-value CSV
-writers.  stale_chain is the negative control of replanning: a chain that
-ignores the executed state.
+matrix and scipy, the per-time combination loop, the per-demo fit loop, and
+the per-value CSV writers.  stale_chain is the negative control of
+replanning: a chain that ignores the executed state.
 """
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import multivariate_normal
 
-from mptraj import BasisBank, BoundaryCondition, make_forcing_basis, phase, run_chain
+from mptraj import (BasisBank, BoundaryCondition, fit_weights, make_forcing_basis, phase,
+                    run_chain)
 from mptraj.probops import GaussianSequence, _chol_with_jitter
 from mptraj.trajectory import weight_blocks
 
@@ -154,6 +155,12 @@ def stale_chain(initial, segments, bank, rate) -> np.ndarray:
         prev_end = plan.positions[:, -1]
         t_b = float(plan.times[-1])
     return np.asarray(jumps)
+
+
+def per_demo_fits(demos, bank, ridge=None) -> np.ndarray:
+    """Weights (K, D*(N+1)) of K demos, one fit_weights call (one fold, one
+    least squares) per demo: the loop that fit_distribution replaced."""
+    return np.stack([fit_weights(demo, bank, ridge) for demo in demos])
 
 
 def combine_loop(sequences, profile) -> GaussianSequence:

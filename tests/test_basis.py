@@ -326,6 +326,29 @@ class TestBankInterp:
         with pytest.raises(ValidationError):
             small_bank.vel_rows(np.array([1.01]))
 
+    def test_rows_equal_single_kind_lookups(self, small_bank):
+        # grid points, midpoints, both ends, and arbitrary times in between
+        grid = small_bank.times
+        t = np.concatenate([grid[[0, 1, 17, 200, -2, -1]],
+                            0.5 * (grid[[0, 17, 399]] + grid[[1, 18, 400]]),
+                            np.random.default_rng(3).uniform(0.0, grid[-1], 50)])
+        pos, vel = small_bank.rows(t)
+        assert np.array_equal(pos, small_bank.pos_rows(t))
+        assert np.array_equal(vel, small_bank.vel_rows(t))
+        assert np.array_equal(small_bank.rows(grid[-1])[0], small_bank.pos_basis[-1:])
+        empty = small_bank.rows([])
+        assert [rows.shape for rows in empty] == [(0, small_bank.weight_dim)] * 2
+
+    @pytest.mark.parametrize("t", [[np.nan], [0.5, np.nan], [-0.01], [1.01]],
+                             ids=["nan", "nan-after-valid", "before-start", "after-end"])
+    def test_rows_reject_like_single_kind_lookups(self, small_bank, t):
+        errors = []
+        for lookup in (small_bank.rows, small_bank.pos_rows, small_bank.vel_rows):
+            with pytest.raises(ValidationError) as info:
+                lookup(t)
+            errors.append(str(info.value))
+        assert errors[0] == errors[1] == errors[2]
+
 
 class TestOffGridAccuracy:
     """Ceilings of linear interpolation between bank nodes, measured against a

@@ -6,6 +6,7 @@ import pytest
 from mptraj import (BenchScenario, ValidationError, precompute_basis,
                     run_benchmark)
 from mptraj.fileio import atomic_write_json
+from mptraj.trajectory import MAX_QUERY_SAMPLES
 
 TINY = BenchScenario(dofs=1, duration=1.0, rate_hz=200.0, num_basis=5)
 
@@ -29,6 +30,16 @@ class TestScenario:
         # query_times, 1e300 asked for an impossible grid
         with pytest.raises(ValidationError):
             BenchScenario(duration=1.0, rate_hz=rate, num_basis=5)
+
+    def test_dofs_times_bounded_before_allocation(self):
+        # 10^8 DoFs asked for an 8.2 GiB weight draw; construction allocates
+        # nothing, so the rejection costs nothing either
+        with pytest.raises(ValidationError, match="DoFs x 6000 times exceed"):
+            BenchScenario(dofs=10**8)
+        at_bound = BenchScenario(dofs=MAX_QUERY_SAMPLES // 1000, duration=1.0)
+        assert at_bound.dofs * at_bound.query_times().shape[0] == MAX_QUERY_SAMPLES
+        with pytest.raises(ValidationError, match="exceed"):
+            BenchScenario(dofs=MAX_QUERY_SAMPLES // 1000 + 1, duration=1.0)
 
     @pytest.mark.parametrize("duration", [0.0, np.inf, np.nan])
     def test_duration_must_be_finite_and_positive(self, duration):

@@ -418,6 +418,13 @@ class TestBench:
         assert "speed-up" in stdout
         assert json.loads(out.read_text())["repetitions"] == 2
 
+    def test_too_many_dofs_is_validation_error(self, tmp_path):
+        # allocated 8.2 GiB of weight draws, or ended in a MemoryError traceback
+        code, stderr = _run_to(["bench", "--dofs", "100000000", "--reps", "1"],
+                               tmp_path / "bench.json")
+        assert code == 2
+        assert "100000000 DoFs x 6000 times exceed" in stderr
+
     @pytest.mark.parametrize("rate", ["inf", "1e300", "nan"])
     def test_unbounded_rate_is_validation_error(self, tmp_path, rate):
         # inf overflowed and 1e300 asked numpy for an impossible grid
@@ -764,3 +771,56 @@ def test_small_config_matches_fixture():
     assert CONFIG["alpha"] == SMALL_CONFIG["alpha"]
     assert CONFIG["num_basis"] == SMALL_CONFIG["num_basis"]
     assert CONFIG["grid_dt"] == SMALL_CONFIG["grid_dt"]
+
+
+DEMO_T = np.arange(41) / 40
+
+
+def _demo_csv(header, *columns, newline="\n"):
+    rows = [",".join(f"{value:.17g}" for value in row) for row in zip(*columns)]
+    return newline.join([header] + rows) + newline
+
+
+_SIN, _COS = np.sin(DEMO_T), np.cos(DEMO_T)
+_CLEAN_DEMO = _demo_csv("t,dof0_pos", DEMO_T, _SIN)
+_CLEAN_LINES = _CLEAN_DEMO.splitlines(keepends=True)
+
+# header and row cases of a one-DoF demo on the 1 s test bank: each either
+# fits the clean demo's data (exit 0, the clean fit's output byte for byte)
+# or ends in one error line naming the fault
+DEMO_CSV_CASES = {
+    "duplicate-pos": (_demo_csv("t,dof0_pos,dof0_pos", DEMO_T, _SIN, _COS),
+                      2, "column 'dof0_pos' repeats DoF 0 pos"),
+    "duplicate-vel": (_demo_csv("t,dof0_pos,dof0_vel,dof0_vel", DEMO_T, _SIN, _COS, -_SIN),
+                      2, "column 'dof0_vel' repeats DoF 0 vel"),
+    "dof00-next-to-dof0": (_demo_csv("t,dof0_pos,dof00_pos", DEMO_T, _SIN, _COS),
+                           2, "column 'dof00_pos' repeats DoF 0 pos"),
+    "utf8-bom": ("\ufeff" + _CLEAN_DEMO, 2, "must start with a 't' column"),
+    "crlf": (_demo_csv("t,dof0_pos", DEMO_T, _SIN, newline="\r\n"), 0, None),
+    "blank-line": ("".join(_CLEAN_LINES[:4] + ["\n"] + _CLEAN_LINES[4:]),
+                   2, "must each have 2 values"),
+    "one-row": (_demo_csv("t,dof0_pos", DEMO_T[:1], _SIN[:1]), 2, "at least 2 time samples"),
+    "header-only": ("t,dof0_pos\n", 2, "must each have 2 values"),
+    "nan-time": (_demo_csv("t,dof0_pos", np.where(DEMO_T == 0.5, np.nan, DEMO_T), _SIN),
+                 2, "must be finite"),
+    "times-outside-bank": (_demo_csv("t,dof0_pos", DEMO_T + 0.5, _SIN),
+                           2, "outside bank range"),
+}
+
+
+@pytest.mark.parametrize("case", list(DEMO_CSV_CASES))
+def test_demo_csv_fuzz(env, tmp_path, case):
+    text, expected_code, message = DEMO_CSV_CASES[case]
+    demo = tmp_path / "demo.csv"
+    demo.write_bytes(text.encode("utf-8"))
+    code, stderr = _run_to(["fit", "--bank", str(env["bank"]), "--demo", str(demo)],
+                           tmp_path / "w.json")
+    assert code == expected_code, stderr
+    if code:
+        assert message in stderr
+        return
+    clean = tmp_path / "clean.csv"
+    clean.write_text(_CLEAN_DEMO)
+    assert _run_to(["fit", "--bank", str(env["bank"]), "--demo", str(clean)],
+                   tmp_path / "clean.json") == (0, "")
+    assert (tmp_path / "w.json").read_bytes() == (tmp_path / "clean.json").read_bytes()

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
-from mptraj import (BoundaryCondition, Demonstration, DimensionError,
+import mptraj.learning
+from mptraj import (BoundaryCondition, Demonstration, DimensionError, DmpConfig,
                     LatentGaussian, NumericalError, ValidationError,
                     bayesian_aggregate, evaluate_position, evaluate_velocity,
-                    fit_distribution, fit_weights)
+                    fit_distribution, fit_weights, precompute_basis,
+                    sample_trajectories)
 from tests.conftest import random_weights_distribution
+from tests.reference import per_demo_fits
 
 
 def _synth_demo(w, bc, times, bank, with_velocities=True):
@@ -167,6 +170,111 @@ class TestFitDistribution:
         two = Demonstration(times, np.zeros((2, 401)))
         with pytest.raises(DimensionError):
             fit_distribution([one, two], small_bank)
+
+
+def _count_folds(monkeypatch) -> list:
+    """Records the times of every fold the learning module makes; fails on
+    any fit_weights call."""
+    folds, fold = [], mptraj.learning.folded_basis
+
+    def counted(bc, times, bank):
+        folds.append(np.asarray(times))
+        return fold(bc, times, bank)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("fit_distribution called fit_weights")
+
+    monkeypatch.setattr(mptraj.learning, "folded_basis", counted)
+    monkeypatch.setattr(mptraj.learning, "fit_weights", forbidden)
+    return folds
+
+
+def _assert_matches_per_demo_fits(fitted, demos, bank, cov_floor):
+    """fit_distribution's moments against those of one fit per demo: weights
+    to 1e-10 of max|w| (the shared least squares blocks its right-hand sides
+    differently, so the last bits move with cond(h_pos)), the covariance to
+    the same bound times the spread of the fits, and the mean trajectory on
+    each demo's grid to 1e-12 of max|y|."""
+    fits = per_demo_fits(demos, bank)
+    mean = fits.mean(axis=0)
+    centered = fits - mean
+    cov = centered.T @ centered / (len(demos) - 1) + cov_floor * np.eye(mean.shape[0])
+    scale = np.max(np.abs(fits))
+    assert np.max(np.abs(fitted.mean - mean)) <= 1e-10 * scale
+    assert (np.max(np.abs(fitted.covariance() - cov))
+            <= 1e-10 * scale * np.max(np.abs(centered)))
+    for demo in demos:
+        bc = demo.boundary_condition()
+        recon = evaluate_position(fitted.mean, bc, demo.times, bank)
+        reference = evaluate_position(mean, bc, demo.times, bank)
+        assert np.max(np.abs(recon - reference)) <= 1e-12 * np.max(np.abs(demo.positions))
+
+
+class TestSharedGridFit:
+    @pytest.fixture(scope="class")
+    def bank(self):
+        # the policy-update workload's bank: 3001 grid points, N = 10
+        return precompute_basis(DmpConfig(alpha=25.0, tau=3.0, alpha_x=2.0,
+                                          num_basis=10, duration=3.0))
+
+    @staticmethod
+    def _rollouts(bank, dofs, times, count, seed):
+        """count demos drawn from one weights distribution, each from its own
+        boundary state; every other demo carries no velocities, so its
+        boundary velocity is a first difference."""
+        rng = np.random.default_rng(seed)
+        wdist = random_weights_distribution(dofs, bank.weight_dim, rng, scale=2.0)
+        demos = []
+        for i in range(count):
+            bc = BoundaryCondition(float(times[0]), rng.standard_normal(dofs),
+                                   rng.standard_normal(dofs))
+            pos, vel = sample_trajectories(wdist, bc, times, bank, 1, rng,
+                                           with_velocities=True)
+            demos.append(Demonstration(times, pos[0], vel[0] if i % 2 else None))
+        return demos
+
+    def test_policy_update_shape_is_one_fold(self, bank, monkeypatch):
+        # 8 demos x 7 DoF x 3001 t, as each policy update refits them
+        demos = self._rollouts(bank, 7, np.arange(3001) / 1000, 8, seed=61)
+        folds = _count_folds(monkeypatch)
+        fitted = fit_distribution(demos, bank, cov_floor=1e-4)
+        assert len(folds) == 1
+        monkeypatch.undo()
+        _assert_matches_per_demo_fits(fitted, demos, bank, 1e-4)
+
+    def test_interleaved_grids_fold_once_each(self, bank, monkeypatch):
+        # two grids with different boundary times, listed A, B, A, B, ...
+        grid_a = np.arange(3001) / 1000
+        grid_b = 0.5 + np.arange(2001) / 1000
+        demos_a = self._rollouts(bank, 3, grid_a, 3, seed=62)
+        demos_b = self._rollouts(bank, 3, grid_b, 3, seed=63)
+        demos = [demo for pair in zip(demos_a, demos_b) for demo in pair]
+        folds = _count_folds(monkeypatch)
+        fitted = fit_distribution(demos, bank, cov_floor=1e-6)
+        assert len(folds) == 2
+        assert sorted(times[0] for times in folds) == [0.0, 0.5]
+        monkeypatch.undo()
+        _assert_matches_per_demo_fits(fitted, demos, bank, 1e-6)
+
+    def test_shared_fit_equals_per_demo_fit_for_one_demo_per_grid(self, bank):
+        # each grid holds one demo, so each least squares has the right-hand
+        # sides of one fit_weights call
+        demos = [self._rollouts(bank, 2, np.arange(1000 + i) / 1000, 1, seed=64 + i)[0]
+                 for i in range(3)]
+        fitted = fit_distribution(demos, bank)
+        assert np.array_equal(fitted.mean, per_demo_fits(demos, bank).mean(axis=0))
+
+    def test_underdetermined_grid_rejected(self, small_bank):
+        times = np.linspace(0.0, 1.0, small_bank.weight_dim - 1)
+        demo = Demonstration(times, np.zeros((1, times.size)))
+        with pytest.raises(ValidationError, match="underdetermined"):
+            fit_distribution([demo, demo], small_bank)
+
+    @pytest.mark.parametrize("ridge", [-1.0, np.inf, np.nan], ids=["neg", "inf", "nan"])
+    def test_invalid_ridge_rejected(self, small_bank, ridge):
+        demo = Demonstration(np.arange(401) / 400, np.zeros((1, 401)))
+        with pytest.raises(ValidationError, match="ridge must be finite and >= 0"):
+            fit_distribution([demo, demo], small_bank, ridge=ridge)
 
 
 class TestBayesianAggregate:

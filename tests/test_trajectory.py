@@ -196,16 +196,16 @@ class TestFoldedBasis:
         bc = BoundaryCondition(0.5, np.zeros(2), np.zeros(2))
         assert isinstance(folded_basis(bc, [1.0], reference_bank), TrajectoryGenerator)
 
-    def test_one_lookup_per_row_kind(self, reference_bank, monkeypatch):
+    def test_one_lookup_for_both_row_kinds(self, reference_bank, monkeypatch):
         calls = []
-        for name in ("pos_rows", "vel_rows"):
+        for name in ("rows", "pos_rows", "vel_rows"):
             def counted(bank, t, _name=name, _rows=getattr(BasisBank, name)):
                 calls.append(_name)
                 return _rows(bank, t)
             monkeypatch.setattr(BasisBank, name, counted)
         bc = BoundaryCondition(0.5, np.zeros(2), np.zeros(2))
         folded_basis(bc, np.linspace(0.5, 2.5, 9), reference_bank)
-        assert sorted(calls) == ["pos_rows", "vel_rows"]
+        assert calls == ["rows"]
 
     def test_stack_equals_single_calls(self, reference_bank):
         rng = np.random.default_rng(8)

@@ -7,7 +7,7 @@ chains as cheap linear algebra against the bank.
 
 from .basis import (BasisBank, DmpConfig, ForcingBasis, make_forcing_basis,
                     phase, precompute_basis)
-from .bench import BenchReport, BenchScenario, run_benchmark
+from .bench import BenchScenario, run_benchmark
 from .distribution import (TimePairBatch, TrajectoryDistribution,
                            WeightsDistribution, gaussian_nll, marginal,
                            pair_nll, per_time_marginals, sample_time_pairs,
@@ -27,7 +27,7 @@ from .trajectory import (BoundaryCondition, TrajectoryGenerator,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ActivationProfile", "BasisBank", "BenchReport", "BenchScenario",
+    "ActivationProfile", "BasisBank", "BenchScenario",
     "BoundaryCondition", "Demonstration", "DimensionError", "DmpConfig",
     "ForcingBasis", "GaussianSequence", "IntegratorSpec", "IoError",
     "LatentGaussian", "MptrajError", "NumericalError", "ReplanSegment",

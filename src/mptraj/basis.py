@@ -238,10 +238,6 @@ class BasisBank:
     def weight_dim(self) -> int:
         return self.config.weight_dim
 
-    @property
-    def grid_step(self) -> float:
-        return self.config.duration / (self.times.shape[0] - 1)
-
     def _interp(self, t, *arrays) -> tuple:
         """Each of arrays at query times t, from one index pass over t."""
         t = np.atleast_1d(np.asarray(t, dtype=float))

@@ -9,6 +9,7 @@ code (2 validation, 3 I/O, 4 numerical, 5 dimension mismatch).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -304,10 +305,16 @@ def _cmd_replan(args) -> int:
 def _cmd_bench(args) -> int:
     scenario = BenchScenario(dofs=args.dofs, duration=args.duration,
                              rate_hz=args.rate, num_basis=args.num_basis)
-    report = run_benchmark(scenario, repetitions=args.reps, seed=args.seed)
-    print(report.to_text())
+    stages = run_benchmark(scenario, repetitions=args.reps, seed=args.seed)
+    print(f"scenario: {scenario.describe()}, {args.reps} repetitions")
+    print(f"{'stage':<16}{'median s':>14}{'speed-up':>11}  checksum")
+    for name, row in stages.items():
+        print(f"{name:<16}{row['median_s']:>14.6e}{row['speedup']:>10.1f}x  "
+              f"{row['checksum'][:16]}")
     if args.out:
-        atomic_write_json(args.out, report.to_json_dict())
+        atomic_write_json(args.out, {
+            "scenario": {**dataclasses.asdict(scenario), "weight_dim": scenario.weight_dim},
+            "repetitions": args.reps, "stages": stages})
         print(f"report written: {args.out}")
     return 0
 

@@ -142,8 +142,8 @@ def _group_gaussians(wdist: WeightsDistribution, pos_offset: np.ndarray,
     # (D, T, D(N+1)) -> (B, D*group, D(N+1)): row (d, s) of group b is h_t L_d
     gmat = (h_pos @ wdist.chol.reshape(dofs, -1, wdist.dim)).reshape(
         dofs, count, group, -1).transpose(1, 0, 2, 3).reshape(count, dofs * group, -1)
+    # exactly symmetric as computed: numpy evaluates G G^T as a symmetric rank-k update
     covs = gmat @ gmat.transpose(0, 2, 1)
-    covs = 0.5 * (covs + covs.transpose(0, 2, 1))
     diag = np.arange(dofs * group)
     covs[:, diag, diag] += noise_var
     return means, covs

@@ -57,8 +57,10 @@ def _atomic_write(path: str, data: bytes) -> None:
 
 
 def read_text(path: str) -> str:
+    """The UTF-8 text of path, without the byte-order mark that spreadsheet
+    programs write."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             return fh.read()
     # ValueError: a NUL byte in the path, or contents that are not UTF-8
     except (OSError, ValueError) as exc:

@@ -3,7 +3,7 @@ import mptraj
 # the package surface; a name joins it deliberately, by editing this list.
 # Routes that only cross-check production live in tests/reference.py.
 EXPECTED_API = [
-    "ActivationProfile", "BasisBank", "BenchReport", "BenchScenario",
+    "ActivationProfile", "BasisBank", "BenchScenario",
     "BoundaryCondition", "Demonstration", "DimensionError", "DmpConfig",
     "ForcingBasis", "GaussianSequence", "IntegratorSpec", "IoError",
     "LatentGaussian", "MptrajError", "NumericalError", "ReplanSegment",

@@ -239,7 +239,7 @@ class TestPrecompute:
                                    rtol=0, atol=1e-12)
 
     def test_velocity_columns_are_position_derivatives(self, small_bank):
-        dt = small_bank.grid_step
+        dt = small_bank.config.duration / small_bank.config.grid_intervals
         fd = (small_bank.pos_basis[2:] - small_bank.pos_basis[:-2]) / (2 * dt)
         dev = np.max(np.abs(fd - small_bank.vel_basis[1:-1]))
         assert dev < 10.0 * dt

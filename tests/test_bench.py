@@ -3,9 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from mptraj import (BenchScenario, ValidationError, precompute_basis,
-                    run_benchmark)
-from mptraj.fileio import atomic_write_json
+from mptraj import BenchScenario, ValidationError, run_benchmark
+from mptraj.cli import main
 from mptraj.trajectory import MAX_QUERY_SAMPLES
 
 TINY = BenchScenario(dofs=1, duration=1.0, rate_hz=200.0, num_basis=5)
@@ -53,43 +52,33 @@ class TestScenario:
         assert (config.alpha, config.alpha_x) == (25.0, 2.0)
 
 
+STAGES = ["euler", "positions", "fold_positions"]
+
+
 class TestRunBenchmark:
     def test_report_invariants(self):
-        report = run_benchmark(TINY, repetitions=3)
-        assert report.oracle_time > 0.0
-        assert report.basis_time > 0.0
-        assert report.rebuilt_time > 0.0
-        assert report.speedup > 0.0
-        assert len(report.basis_checksum) == 64
-        assert len(report.oracle_checksum) == 64
-        assert report.basis_checksum != report.oracle_checksum
+        table = run_benchmark(TINY, repetitions=3)
+        assert list(table) == STAGES
+        for row in table.values():
+            assert set(row) == {"median_s", "checksum", "speedup"}
+            assert row["median_s"] > 0.0 and row["speedup"] > 0.0
+            assert len(row["checksum"]) == 64
+        assert table["euler"]["speedup"] == 1.0
+        assert table["positions"]["checksum"] != table["euler"]["checksum"]
 
     def test_outputs_deterministic_under_seed(self):
         a = run_benchmark(TINY, repetitions=3, seed=5)
         b = run_benchmark(TINY, repetitions=3, seed=5)
         c = run_benchmark(TINY, repetitions=3, seed=6)
-        assert a.basis_checksum == b.basis_checksum
-        assert a.oracle_checksum == b.oracle_checksum
-        assert c.basis_checksum != a.basis_checksum
+        for stage in STAGES:
+            assert a[stage]["checksum"] == b[stage]["checksum"]
+            assert c[stage]["checksum"] != a[stage]["checksum"]
 
     def test_bc_recompute_changes_timing_not_output(self):
-        # the path that rebuilds the boundary fold per call generates the
+        # the stage that rebuilds the boundary fold per call generates the
         # same trajectories as the one that reuses it
-        report = run_benchmark(TINY, repetitions=3, seed=5)
-        assert report.rebuilt_checksum == report.basis_checksum
-
-    def test_supplied_bank_must_match(self):
-        other = precompute_basis(BenchScenario(dofs=1, duration=2.0,
-                                               rate_hz=200.0,
-                                               num_basis=5).config())
-        with pytest.raises(ValidationError, match="different scenario"):
-            run_benchmark(TINY, repetitions=1, bank=other)
-
-    def test_supplied_bank_reproduces_auto_bank(self):
-        bank = precompute_basis(TINY.config())
-        auto = run_benchmark(TINY, repetitions=2, seed=1)
-        manual = run_benchmark(TINY, repetitions=2, seed=1, bank=bank)
-        assert manual.basis_checksum == auto.basis_checksum
+        table = run_benchmark(TINY, repetitions=3, seed=5)
+        assert table["fold_positions"]["checksum"] == table["positions"]["checksum"]
 
     def test_repetitions_validated(self):
         with pytest.raises(ValidationError):
@@ -97,22 +86,33 @@ class TestRunBenchmark:
 
 
 class TestReport:
-    def test_json_schema(self, tmp_path):
-        report = run_benchmark(TINY, repetitions=2)
-        path = tmp_path / "bench.json"
-        atomic_write_json(str(path), report.to_json_dict())
-        data = json.loads(path.read_text())
-        assert data["scenario"]["weight_dim"] == 6
-        assert data["speedup"] == pytest.approx(report.speedup)
-        assert data["oracle_time_s"] == report.oracle_time
-        assert data["rebuilt_speedup"] == pytest.approx(report.rebuilt_speedup)
-        assert data["rebuilt_checksum"] == report.basis_checksum
-        assert "with_bc_recompute" not in data
-        assert "explicit Euler" in data["note"]
+    """The command renders the stage table as text and as --out JSON."""
 
-    def test_text_table(self):
-        report = run_benchmark(TINY, repetitions=2)
-        text = report.to_text()
-        assert "speed-up" in text
-        assert "euler baseline" in text
-        assert "speed-up, fold rebuilt" in text
+    def _bench(self, tmp_path, capsys):
+        out = tmp_path / "bench.json"
+        assert main(["bench", "--dofs", "1", "--duration", "1", "--rate", "200",
+                     "--num-basis", "5", "--reps", "2", "--out", str(out)]) == 0
+        return capsys.readouterr().out, json.loads(out.read_text())
+
+    def test_json_schema(self, tmp_path, capsys):
+        _, data = self._bench(tmp_path, capsys)
+        assert list(data) == ["scenario", "repetitions", "stages"]
+        assert data["scenario"] == {"dofs": 1, "duration": 1.0, "rate_hz": 200.0,
+                                    "num_basis": 5, "weight_dim": 6}
+        assert data["repetitions"] == 2
+        stages = data["stages"]
+        assert list(stages) == STAGES
+        assert stages["euler"]["speedup"] == 1.0
+        assert stages["positions"]["speedup"] == pytest.approx(
+            stages["euler"]["median_s"] / stages["positions"]["median_s"])
+        assert stages["fold_positions"]["checksum"] == stages["positions"]["checksum"]
+
+    def test_text_table(self, tmp_path, capsys):
+        text, data = self._bench(tmp_path, capsys)
+        lines = text.splitlines()
+        assert "speed-up" in lines[1]
+        for line, stage in zip(lines[2:], STAGES):
+            name, _, speedup, checksum = line.split()
+            assert name == stage
+            assert speedup == f"{data['stages'][stage]['speedup']:.1f}x"
+            assert data["stages"][stage]["checksum"].startswith(checksum)

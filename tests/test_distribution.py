@@ -8,10 +8,12 @@ from scipy import stats
 
 from mptraj import (BoundaryCondition, DimensionError, NumericalError,
                     TimePairBatch, TrajectoryDistribution, ValidationError,
-                    WeightsDistribution, evaluate_position, gaussian_nll,
-                    marginal, pair_nll, per_time_marginals, sample_time_pairs,
-                    sample_trajectories, trajectory_distribution)
-from mptraj.distribution import (PAIR_BLOCK, weights_distribution_from_dict,
+                    WeightsDistribution, evaluate_position, folded_basis,
+                    gaussian_nll, marginal, pair_nll, per_time_marginals,
+                    sample_time_pairs, sample_trajectories,
+                    trajectory_distribution)
+from mptraj.distribution import (PAIR_BLOCK, _group_gaussians,
+                                 weights_distribution_from_dict,
                                  weights_distribution_json_dict)
 from tests.conftest import random_weights_distribution
 from tests.reference import pair_nll_dense
@@ -82,6 +84,19 @@ class TestTrajectoryDistribution:
         dist = trajectory_distribution(wdist, bc, times, small_bank)
         assert dist.index_set == ((0.0, 0), (0.5, 0), (1.0, 0),
                                   (0.0, 1), (0.5, 1), (1.0, 1))
+
+    @pytest.mark.parametrize("dofs", [1, 2, 7])
+    def test_covariances_exactly_symmetric(self, small_bank, dofs):
+        # nothing symmetrizes the Gram products G G^T: numpy forms them exactly
+        # symmetric, per time, per pair block and over the whole window
+        wdist, bc = _case(small_bank, dofs=dofs, seed=dofs)
+        times = np.linspace(0.0, 1.0, 25)
+        _, _, covs = per_time_marginals(wdist, bc, times, small_bank)
+        fold = folded_basis(bc, times[1:], small_bank)
+        _, pair_covs = _group_gaussians(wdist, fold.pos_offset, fold.h_pos, 2, 0.0)
+        joint = trajectory_distribution(wdist, bc, times, small_bank).cov
+        for stack in (covs, pair_covs, joint[None]):
+            np.testing.assert_array_equal(stack, stack.transpose(0, 2, 1))
 
     def test_mean_is_mean_weight_trajectory(self, small_bank):
         wdist, bc = _case(small_bank, seed=3)

@@ -1,11 +1,12 @@
 """README command-line usage stays in step with the parser: every flag it
-shows exists, and the scenario keys it names are the ones replan accepts."""
+shows exists, the scenario keys it names are the ones replan accepts, and
+the benchmark stages it lists are the ones bench reports."""
 import argparse
 import json
 import re
 from pathlib import Path
 
-from mptraj import cli
+from mptraj import BenchScenario, cli, run_benchmark
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
@@ -39,3 +40,10 @@ def test_scenario_keys_match_the_replan_reader():
     optional = re.findall(r"^- `(\w+)`:", replan, flags=re.MULTILINE)
     assert optional
     assert set(example) | set(optional) == set(cli._SCENARIO_KEYS)
+
+
+def test_bench_stages_match_the_stage_table():
+    bench = _section("\n### 7. Benchmark", "\n### ")
+    listed = re.findall(r"^- `(\w+)`:", bench, flags=re.MULTILINE)
+    tiny = BenchScenario(dofs=1, duration=1.0, rate_hz=200.0, num_basis=5)
+    assert listed == list(run_benchmark(tiny, repetitions=1))

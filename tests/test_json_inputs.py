@@ -158,6 +158,17 @@ def test_activation_shapes(files, tmp_path, record):
     assert code == 5 and "shapes (T,) and (K, T)" in stderr
 
 
+def test_byte_order_mark_is_read_past(files, tmp_path):
+    # spreadsheet programs and some editors start a UTF-8 file with one
+    root, records = files
+    path = root / "bom-bc.json"
+    path.write_bytes(b"\xef\xbb\xbf" + json.dumps(records["bc"]).encode())
+    argv = _argv(root, "bc", path)
+    assert _run_to(argv, tmp_path / "bom.csv") == (0, "")
+    assert _run_to(_argv(root, "bc", root / "bc.json"), tmp_path / "plain.csv") == (0, "")
+    assert (tmp_path / "bom.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+
+
 def test_nul_in_segment_path_is_io_error(files, tmp_path):
     code, stderr = _check(files, tmp_path, "scenario", ("segments", 1, "wdist"),
                           "wd\x00.json")

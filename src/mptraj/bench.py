@@ -50,6 +50,9 @@ class BenchScenario:
         check_finite_positive("duration", self.duration)
         check_finite_positive("rate_hz", self.rate_hz)
         steps = window_steps(self.duration, self.rate_hz)
+        if steps < 1:
+            raise ValidationError(f"a {self.duration:g} s trajectory at {self.rate_hz:g} Hz "
+                                  f"is shorter than one sample period")
         if self.dofs * steps > MAX_QUERY_SAMPLES:
             raise ValidationError(f"{self.dofs} DoFs x {steps} times exceed "
                                   f"{MAX_QUERY_SAMPLES} samples; lower dofs or the rate")

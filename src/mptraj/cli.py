@@ -104,17 +104,15 @@ def _grid(args, start_default: float, bank: BasisBank) -> np.ndarray:
 
 
 def _svg_trajectory(path: str, times, positions, title: str) -> None:
-    curves = [(f"dof{d}", positions[d]) for d in range(positions.shape[0])]
-    line_plot(path, times, curves, title=title)
+    line_plot(path, times, positions, [f"dof{d}" for d in range(positions.shape[0])],
+              title=title)
 
 
 def _svg_sequence(path: str, seq: GaussianSequence, title: str) -> None:
-    curves, bands = [], []
-    for d in range(seq.dofs):
-        std = np.sqrt(seq.covs[:, d, d])
-        curves.append((f"dof{d}", seq.means[:, d]))
-        bands.append((seq.means[:, d] - 2.0 * std, seq.means[:, d] + 2.0 * std))
-    line_plot(path, seq.times, curves, bands=bands, title=title)
+    means = seq.means.T
+    spread = 2.0 * np.sqrt(np.diagonal(seq.covs, axis1=1, axis2=2)).T
+    line_plot(path, seq.times, means, [f"dof{d}" for d in range(seq.dofs)],
+              bands=(means - spread, means + spread), title=title)
 
 
 def _marginal_sequence(wdist, bc, times, bank, noise_var) -> GaussianSequence:

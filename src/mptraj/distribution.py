@@ -134,8 +134,7 @@ def _group_gaussians(wdist: WeightsDistribution, pos_offset: np.ndarray,
     rows DoF-major within each group (dof0@t1..ts, dof1@t1..ts, ...)."""
     check_finite_nonneg("noise_var", noise_var)
     dofs, t_count = pos_offset.shape
-    # an empty query is one empty group
-    count = t_count // group if group else 1
+    count = t_count // group
     means = pos_offset + wdist.mean.reshape(dofs, -1) @ h_pos.T
     means = means.reshape(dofs, count, group).transpose(1, 0, 2).reshape(
         count, dofs * group)
@@ -326,10 +325,6 @@ def pair_nll(batch: TimePairBatch, wdist: WeightsDistribution, bc: BoundaryCondi
     return 0.5 * (2 * dofs * math.log(2.0 * math.pi) + total / batch.count)
 
 
-def _pack_lower(mat: np.ndarray) -> list:
-    return mat[np.tril_indices(mat.shape[0])].tolist()
-
-
 def _unpack_lower(values: np.ndarray, dim: int) -> np.ndarray:
     if values.shape != (dim * (dim + 1) // 2,):
         raise DimensionError(
@@ -346,7 +341,7 @@ def weights_distribution_json_dict(wdist: WeightsDistribution, dofs: int,
         "dofs": int(dofs),
         "num_basis": int(num_basis),
         "mean": wdist.mean.tolist(),
-        "chol_lower": _pack_lower(wdist.chol),
+        "chol_lower": wdist.chol[np.tril_indices(wdist.dim)].tolist(),
     }
 
 

@@ -207,14 +207,9 @@ def blend(seq_a: GaussianSequence, seq_b: GaussianSequence,
 
 
 def gaussian_sequence_json_dict(seq: GaussianSequence) -> dict:
-    tril = np.tril_indices(seq.dofs)
-    records = []
-    for i, t in enumerate(seq.times):
-        records.append({
-            "t": float(t),
-            "mean": seq.means[i].tolist(),
-            "cov_lower": seq.covs[i][tril].tolist(),
-        })
+    rows, cols = np.tril_indices(seq.dofs)
+    records = [{"t": t, "mean": mean, "cov_lower": lower} for t, mean, lower in
+               zip(seq.times.tolist(), seq.means.tolist(), seq.covs[:, rows, cols].tolist())]
     return {"dofs": seq.dofs, "records": records, "meta": dict(seq.meta)}
 
 

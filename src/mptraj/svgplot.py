@@ -16,72 +16,46 @@ _WIDTH, _HEIGHT = 640, 380
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 56, 16, 34, 40
 
 
-class _Mapper:
-    def __init__(self, x_low, x_high, y_low, y_high):
-        if x_high <= x_low:
-            x_high = x_low + 1.0
-        if y_high <= y_low:
-            pad = max(1.0, abs(y_low)) * 0.5
-            y_low, y_high = y_low - pad, y_high + pad
-        else:
-            pad = 0.05 * (y_high - y_low)
-            y_low, y_high = y_low - pad, y_high + pad
-        self.x_low, self.x_high = x_low, x_high
-        self.y_low, self.y_high = y_low, y_high
-
-    def x(self, value):
-        span = _WIDTH - _MARGIN_L - _MARGIN_R
-        return _MARGIN_L + span * (value - self.x_low) / (self.x_high - self.x_low)
-
-    def y(self, value):
-        span = _HEIGHT - _MARGIN_T - _MARGIN_B
-        return _HEIGHT - _MARGIN_B - span * (value - self.y_low) / (self.y_high - self.y_low)
+def _points(xs, ys) -> str:
+    """'x,y x,y ...' to two decimals, one format operation over all points."""
+    pairs = np.column_stack([xs, ys])
+    return " ".join(["%.2f,%.2f"] * pairs.shape[0]) % tuple(pairs.ravel().tolist())
 
 
-def _points(mapper, times, values):
-    return " ".join(f"{mapper.x(t):.2f},{mapper.y(v):.2f}"
-                    for t, v in zip(times, values))
-
-
-def line_plot(path: str, times, curves, bands=None, title: str = "") -> None:
-    """Write an SVG with one polyline per curve.
-
-    curves: list of (label, values); bands: optional aligned list of
-    (lower, upper) tuples or None entries, drawn as translucent fills.
-    """
+def line_plot(path: str, times, values, labels, bands=None, title: str = "") -> None:
+    """Write an SVG with one polyline per row of values (K, T), labelled by
+    the K labels; bands, an optional (lower, upper) pair of (K, T) arrays,
+    are drawn as translucent fills."""
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    curves = [(str(label), np.atleast_1d(np.asarray(vals, dtype=float)))
-              for label, vals in curves]
-    if not curves:
+    values = np.atleast_2d(np.asarray(values, dtype=float))
+    labels = [str(label) for label in labels]
+    if not labels:
         raise ValidationError("plot needs at least one curve")
-    if bands is None:
-        bands = [None] * len(curves)
-    if len(bands) != len(curves):
-        raise DimensionError(f"{len(bands)} bands for {len(curves)} curves")
-
-    y_values = []
-    for _, vals in curves:
-        if vals.shape != times.shape:
-            raise DimensionError(
-                f"curve length {vals.shape} does not match times {times.shape}")
-        y_values.append(vals)
-    clean_bands = []
-    for band in bands:
-        if band is None:
-            clean_bands.append(None)
-            continue
-        low = np.atleast_1d(np.asarray(band[0], dtype=float))
-        high = np.atleast_1d(np.asarray(band[1], dtype=float))
-        if low.shape != times.shape or high.shape != times.shape:
-            raise DimensionError("band arrays do not match the time grid")
-        clean_bands.append((low, high))
-        y_values += [low, high]
-    stacked = np.concatenate(y_values)
-    if not (np.all(np.isfinite(times)) and np.all(np.isfinite(stacked))):
+    if values.shape != (len(labels),) + times.shape:
+        raise DimensionError(f"curve array {values.shape} for {len(labels)} labels "
+                             f"does not match times {times.shape}")
+    y_values = values.ravel()
+    if bands is not None:
+        bands = np.asarray(bands, dtype=float)
+        if bands.shape != (2,) + values.shape:
+            raise DimensionError(f"bands {bands.shape} do not match curves {values.shape}")
+        # curves, then each lower and upper row: a 0.0/-0.0 tie goes by position
+        y_values = np.concatenate([y_values, bands.transpose(1, 0, 2).ravel()])
+    if not (np.all(np.isfinite(times)) and np.all(np.isfinite(y_values))):
         raise ValidationError("plot data must be finite")
 
-    mapper = _Mapper(float(times.min()), float(times.max()),
-                     float(stacked.min()), float(stacked.max()))
+    x_low, x_high = float(times.min()), float(times.max())
+    y_low, y_high = float(y_values.min()), float(y_values.max())
+    if x_high <= x_low:
+        x_high = x_low + 1.0
+    pad = max(1.0, abs(y_low)) * 0.5 if y_high <= y_low else 0.05 * (y_high - y_low)
+    y_low, y_high = y_low - pad, y_high + pad
+    xs = _MARGIN_L + (_WIDTH - _MARGIN_L - _MARGIN_R) * (times - x_low) / (x_high - x_low)
+
+    def y_of(data):
+        return (_HEIGHT - _MARGIN_B
+                - (_HEIGHT - _MARGIN_T - _MARGIN_B) * (data - y_low) / (y_high - y_low))
+
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
         f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
@@ -91,34 +65,32 @@ def line_plot(path: str, times, curves, bands=None, title: str = "") -> None:
         parts.append(f'<text x="{_WIDTH / 2:.0f}" y="20" text-anchor="middle" '
                      f'font-family="sans-serif" font-size="14">{title}</text>')
 
-    for i, band in enumerate(clean_bands):
-        if band is None:
-            continue
-        low, high = band
-        ring = (_points(mapper, times, high) + " "
-                + _points(mapper, times[::-1], low[::-1]))
-        color = _PALETTE[i % len(_PALETTE)]
-        parts.append(f'<polygon points="{ring}" fill="{color}" fill-opacity="0.22" '
-                     f'stroke="none"/>')
+    if bands is not None:
+        for i, (low, high) in enumerate(zip(*y_of(bands))):
+            # out along the upper edge, back along the lower one
+            ring = _points(np.concatenate([xs, xs[::-1]]), np.concatenate([high, low[::-1]]))
+            color = _PALETTE[i % len(_PALETTE)]
+            parts.append(f'<polygon points="{ring}" fill="{color}" fill-opacity="0.22" '
+                         f'stroke="none"/>')
 
-    axis_y = mapper.y(mapper.y_low)
+    axis_y = y_of(y_low)
     parts.append(f'<line x1="{_MARGIN_L}" y1="{_MARGIN_T}" x2="{_MARGIN_L}" '
                  f'y2="{axis_y:.2f}" stroke="#444" stroke-width="1"/>')
     parts.append(f'<line x1="{_MARGIN_L}" y1="{axis_y:.2f}" x2="{_WIDTH - _MARGIN_R}" '
                  f'y2="{axis_y:.2f}" stroke="#444" stroke-width="1"/>')
     label_style = 'font-family="sans-serif" font-size="11" fill="#444"'
     parts.append(f'<text x="{_MARGIN_L}" y="{_HEIGHT - 12}" {label_style}>'
-                 f'{mapper.x_low:.3g}</text>')
+                 f'{x_low:.3g}</text>')
     parts.append(f'<text x="{_WIDTH - _MARGIN_R}" y="{_HEIGHT - 12}" '
-                 f'text-anchor="end" {label_style}>{mapper.x_high:.3g}</text>')
+                 f'text-anchor="end" {label_style}>{x_high:.3g}</text>')
     parts.append(f'<text x="{_MARGIN_L - 6}" y="{axis_y:.2f}" text-anchor="end" '
-                 f'{label_style}>{mapper.y_low:.3g}</text>')
+                 f'{label_style}>{y_low:.3g}</text>')
     parts.append(f'<text x="{_MARGIN_L - 6}" y="{_MARGIN_T + 4}" text-anchor="end" '
-                 f'{label_style}>{mapper.y_high:.3g}</text>')
+                 f'{label_style}>{y_high:.3g}</text>')
 
-    for i, (label, vals) in enumerate(curves):
+    for i, (label, ys) in enumerate(zip(labels, y_of(values))):
         color = _PALETTE[i % len(_PALETTE)]
-        parts.append(f'<polyline points="{_points(mapper, times, vals)}" '
+        parts.append(f'<polyline points="{_points(xs, ys)}" '
                      f'fill="none" stroke="{color}" stroke-width="1.5"/>')
         legend_y = _MARGIN_T + 14 * i
         parts.append(f'<line x1="{_WIDTH - _MARGIN_R - 90}" y1="{legend_y}" '

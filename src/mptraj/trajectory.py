@@ -107,6 +107,8 @@ class TrajectoryGenerator:
         times = np.atleast_1d(np.asarray(times, dtype=float))
         if times.ndim != 1:
             raise DimensionError(f"query times must be a vector, got shape {times.shape}")
+        if not times.size:
+            raise ValidationError("query times must hold at least one time")
         # row 0 is the boundary row; the lerp is elementwise, so sharing one
         # lookup leaves every row unchanged
         phi, dphi = bank.rows(np.concatenate(([bc.t_b], times)))

@@ -10,7 +10,8 @@ as independent cross-checks and not as production code.
 Beside them sit routes that the package replaced with faster ones: the
 row-by-row precompute recurrence, the pair NLL through a dense block design
 matrix and scipy, the per-time combination loop, the per-demo fit loop, and
-the per-value CSV writers.  stale_chain is the negative control of
+the per-value CSV writers, the per-point SVG plot and the per-record
+Gaussian-sequence JSON.  stale_chain is the negative control of
 replanning: a chain that ignores the executed state.
 """
 from dataclasses import dataclass
@@ -21,6 +22,8 @@ from scipy.stats import multivariate_normal
 from mptraj import (BasisBank, BoundaryCondition, fit_weights, make_forcing_basis, phase,
                     run_chain)
 from mptraj.probops import GaussianSequence, _chol_with_jitter
+from mptraj.svgplot import (_HEIGHT, _MARGIN_B, _MARGIN_L, _MARGIN_R, _MARGIN_T, _PALETTE,
+                            _WIDTH)
 from mptraj.trajectory import weight_blocks
 
 
@@ -245,3 +248,110 @@ def write_samples_csv(path, times, samples):
             lines.append(",".join(row))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def gaussian_sequence_json_dict(seq):
+    """The JSON record list of a Gaussian sequence, one record and one
+    indexing per time."""
+    tril = np.tril_indices(seq.dofs)
+    records = []
+    for i, t in enumerate(seq.times):
+        records.append({
+            "t": float(t),
+            "mean": seq.means[i].tolist(),
+            "cov_lower": seq.covs[i][tril].tolist(),
+        })
+    return {"dofs": seq.dofs, "records": records, "meta": dict(seq.meta)}
+
+
+class _Mapper:
+    def __init__(self, x_low, x_high, y_low, y_high):
+        if x_high <= x_low:
+            x_high = x_low + 1.0
+        if y_high <= y_low:
+            pad = max(1.0, abs(y_low)) * 0.5
+            y_low, y_high = y_low - pad, y_high + pad
+        else:
+            pad = 0.05 * (y_high - y_low)
+            y_low, y_high = y_low - pad, y_high + pad
+        self.x_low, self.x_high = x_low, x_high
+        self.y_low, self.y_high = y_low, y_high
+
+    def x(self, value):
+        span = _WIDTH - _MARGIN_L - _MARGIN_R
+        return _MARGIN_L + span * (value - self.x_low) / (self.x_high - self.x_low)
+
+    def y(self, value):
+        span = _HEIGHT - _MARGIN_T - _MARGIN_B
+        return _HEIGHT - _MARGIN_B - span * (value - self.y_low) / (self.y_high - self.y_low)
+
+
+def _points(mapper, times, values):
+    return " ".join(f"{mapper.x(t):.2f},{mapper.y(v):.2f}"
+                    for t, v in zip(times, values))
+
+
+def line_plot(path, times, curves, bands=None, title=""):
+    """Per-point writer of the SVG plot: curves is a list of (label, values),
+    bands an aligned list of (lower, upper) tuples or None entries; every
+    coordinate is mapped and formatted on its own.  No validation."""
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    curves = [(str(label), np.atleast_1d(np.asarray(vals, dtype=float)))
+              for label, vals in curves]
+    if bands is None:
+        bands = [None] * len(curves)
+    y_values = [vals for _, vals in curves]
+    for band in bands:
+        if band is not None:
+            y_values += [np.asarray(band[0], dtype=float), np.asarray(band[1], dtype=float)]
+    stacked = np.concatenate(y_values)
+    mapper = _Mapper(float(times.min()), float(times.max()),
+                     float(stacked.min()), float(stacked.max()))
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
+        f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
+    ]
+    if title:
+        parts.append(f'<text x="{_WIDTH / 2:.0f}" y="20" text-anchor="middle" '
+                     f'font-family="sans-serif" font-size="14">{title}</text>')
+
+    for i, band in enumerate(bands):
+        if band is None:
+            continue
+        low, high = (np.asarray(b, dtype=float) for b in band)
+        ring = (_points(mapper, times, high) + " "
+                + _points(mapper, times[::-1], low[::-1]))
+        color = _PALETTE[i % len(_PALETTE)]
+        parts.append(f'<polygon points="{ring}" fill="{color}" fill-opacity="0.22" '
+                     f'stroke="none"/>')
+
+    axis_y = mapper.y(mapper.y_low)
+    parts.append(f'<line x1="{_MARGIN_L}" y1="{_MARGIN_T}" x2="{_MARGIN_L}" '
+                 f'y2="{axis_y:.2f}" stroke="#444" stroke-width="1"/>')
+    parts.append(f'<line x1="{_MARGIN_L}" y1="{axis_y:.2f}" x2="{_WIDTH - _MARGIN_R}" '
+                 f'y2="{axis_y:.2f}" stroke="#444" stroke-width="1"/>')
+    label_style = 'font-family="sans-serif" font-size="11" fill="#444"'
+    parts.append(f'<text x="{_MARGIN_L}" y="{_HEIGHT - 12}" {label_style}>'
+                 f'{mapper.x_low:.3g}</text>')
+    parts.append(f'<text x="{_WIDTH - _MARGIN_R}" y="{_HEIGHT - 12}" '
+                 f'text-anchor="end" {label_style}>{mapper.x_high:.3g}</text>')
+    parts.append(f'<text x="{_MARGIN_L - 6}" y="{axis_y:.2f}" text-anchor="end" '
+                 f'{label_style}>{mapper.y_low:.3g}</text>')
+    parts.append(f'<text x="{_MARGIN_L - 6}" y="{_MARGIN_T + 4}" text-anchor="end" '
+                 f'{label_style}>{mapper.y_high:.3g}</text>')
+
+    for i, (label, vals) in enumerate(curves):
+        color = _PALETTE[i % len(_PALETTE)]
+        parts.append(f'<polyline points="{_points(mapper, times, vals)}" '
+                     f'fill="none" stroke="{color}" stroke-width="1.5"/>')
+        legend_y = _MARGIN_T + 14 * i
+        parts.append(f'<line x1="{_WIDTH - _MARGIN_R - 90}" y1="{legend_y}" '
+                     f'x2="{_WIDTH - _MARGIN_R - 70}" y2="{legend_y}" '
+                     f'stroke="{color}" stroke-width="2"/>')
+        parts.append(f'<text x="{_WIDTH - _MARGIN_R - 64}" y="{legend_y + 4}" '
+                     f'{label_style}>{label}</text>')
+
+    parts.append("</svg>")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(parts) + "\n")

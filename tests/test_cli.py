@@ -282,6 +282,17 @@ class TestCombineAndBlend:
         assert code == 2
         assert "activations must lie in [0, 1]" in stderr
 
+    def test_empty_activation_grid_is_validation_error(self, env, tmp_path):
+        # ended in a ValueError traceback from the fold's group reshape
+        act = tmp_path / "act.json"
+        act.write_text(json.dumps({"times": [], "values": [[], []]}))
+        argv = ["combine", "--bank", str(env["bank"])]
+        argv += ["--wdist", str(env["wdist"]), "--bc", str(env["bc"])] * 2
+        code, stderr = _run_to(argv + ["--activations", str(act)], tmp_path / "x.json",
+                               tmp_path / "x.svg")
+        assert code == 2
+        assert "query times must hold at least one time" in stderr
+
     def test_combine_row_count_mismatch(self, env, capsys, tmp_path):
         act = tmp_path / "act.json"
         act.write_text(json.dumps({"times": [0.0, 1.0],
@@ -431,6 +442,15 @@ class TestBench:
         code, stderr = _run_to(["bench", "--reps", "10000000000"], tmp_path / "bench.json")
         assert code == 2
         assert "10000000000 repetitions x 22 weights exceed" in stderr
+
+    def test_trajectory_under_one_sample_is_validation_error(self, tmp_path):
+        # 0.4 samples rounded down to an empty trajectory, whose checksum was
+        # the SHA-256 of zero bytes, and the run exited 0
+        argv = ["bench", "--duration", "1", "--rate", "0.4", "--num-basis", "5",
+                "--reps", "2"]
+        code, stderr = _run_to(argv, tmp_path / "bench.json")
+        assert code == 2
+        assert "shorter than one sample period" in stderr
 
     @pytest.mark.parametrize("rate", ["inf", "1e300", "nan"])
     def test_unbounded_rate_is_validation_error(self, tmp_path, rate):

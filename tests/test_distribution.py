@@ -165,6 +165,18 @@ class TestTrajectoryDistribution:
             with pytest.raises(ValidationError, match="noise_var must be finite"):
                 read()
 
+    def test_empty_query_rejected_by_every_read(self, small_bank):
+        # the fold's group reshapes raised a bare ValueError on zero times;
+        # sampling and positions returned empty arrays
+        wdist, bc = _case(small_bank)
+        for read in (lambda: trajectory_distribution(wdist, bc, [], small_bank),
+                     lambda: per_time_marginals(wdist, bc, [], small_bank),
+                     lambda: sample_trajectories(wdist, bc, [], small_bank, 2, seed=0),
+                     lambda: evaluate_position(wdist.mean, bc, [], small_bank)):
+            with pytest.raises(ValidationError, match="at least one time"):
+                read()
+        assert small_bank.rows([])[0].shape == (0, small_bank.weight_dim)
+
     def test_asymmetric_cov_rejected(self):
         cov = np.array([[1.0, 0.1], [0.2, 1.0]])
         with pytest.raises(ValidationError, match="symmetric"):

@@ -114,7 +114,7 @@ class TestLinePlot:
     def test_writes_valid_svg(self, tmp_path):
         path = str(tmp_path / "plot.svg")
         times = np.linspace(0.0, 1.0, 20)
-        line_plot(path, times, [("a", np.sin(times)), ("b", np.cos(times))],
+        line_plot(path, times, np.stack([np.sin(times), np.cos(times)]), ["a", "b"],
                   title="demo")
         text = read_text(path)
         assert text.startswith("<svg")
@@ -125,17 +125,55 @@ class TestLinePlot:
     def test_bands_render_polygons(self, tmp_path):
         path = str(tmp_path / "band.svg")
         times = np.linspace(0.0, 1.0, 10)
-        mean = np.sin(times)
-        line_plot(path, times, [("m", mean)],
-                  bands=[(mean - 0.5, mean + 0.5)])
+        mean = np.sin(times)[None]
+        line_plot(path, times, mean, ["m"], bands=(mean - 0.5, mean + 0.5))
         assert "polygon" in read_text(path)
 
     def test_rejects_non_finite_values(self, tmp_path):
         times = np.linspace(0.0, 1.0, 5)
         bad = np.array([0.0, 1.0, np.nan, 0.5, 0.2])
         with pytest.raises(ValidationError):
-            line_plot(str(tmp_path / "x.svg"), times, [("bad", bad)])
+            line_plot(str(tmp_path / "x.svg"), times, bad[None], ["bad"])
 
     def test_rejects_misaligned_curve(self, tmp_path):
         with pytest.raises(DimensionError, match="does not match times"):
-            line_plot(str(tmp_path / "x.svg"), np.zeros(4), [("c", np.zeros(3))])
+            line_plot(str(tmp_path / "x.svg"), np.zeros(4), np.zeros((1, 3)), ["c"])
+
+    def test_rejects_misaligned_band_and_labels(self, tmp_path):
+        times = np.linspace(0.0, 1.0, 5)
+        curves = np.zeros((2, 5))
+        with pytest.raises(DimensionError, match="does not match times"):
+            line_plot(str(tmp_path / "x.svg"), times, curves, ["only one"])
+        with pytest.raises(DimensionError, match="do not match curves"):
+            line_plot(str(tmp_path / "x.svg"), times, curves, ["a", "b"],
+                      bands=(curves[:1], curves[:1]))
+        with pytest.raises(ValidationError, match="at least one curve"):
+            line_plot(str(tmp_path / "x.svg"), times, np.zeros((0, 5)), [])
+        assert not list(tmp_path.iterdir())
+
+    # one time (zero x range), two, a few, many; flat and constant curves
+    # (zero y range, at 0 and away from it) beside wavy ones
+    @pytest.mark.parametrize("t_count", [1, 2, 5, 200, 3001])
+    @pytest.mark.parametrize("curve_count", [1, 3, 7])
+    @pytest.mark.parametrize("shape", ["plain", "banded", "flat", "constant"])
+    def test_bytes_equal_per_point_writer(self, tmp_path, t_count, curve_count, shape):
+        rng = np.random.default_rng(t_count * 10 + curve_count)
+        times = np.linspace(0.25, 3.5, t_count)
+        curves = np.cumsum(rng.standard_normal((curve_count, t_count)), axis=1)
+        if shape == "flat":
+            curves = np.zeros((curve_count, t_count))
+        elif shape == "constant":
+            curves = np.full((curve_count, t_count), -7.25)
+        labels = [f"dof{k}" for k in range(curve_count)]
+        bands = None
+        if shape != "plain":
+            spread = np.abs(rng.standard_normal((curve_count, t_count)))
+            if shape == "flat":
+                spread[:] = 0.0
+            bands = (curves - spread, curves + spread)
+        line_plot(str(tmp_path / "new.svg"), times, curves, labels, bands=bands,
+                  title="mean +/- 2 sigma")
+        reference.line_plot(
+            str(tmp_path / "old.svg"), times, list(zip(labels, curves)),
+            bands=None if bands is None else list(zip(*bands)), title="mean +/- 2 sigma")
+        assert (tmp_path / "new.svg").read_bytes() == (tmp_path / "old.svg").read_bytes()

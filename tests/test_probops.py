@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from mptraj import (ActivationProfile, DimensionError, GaussianSequence,
                     NumericalError, ValidationError, blend, combine, falling_ramp)
 from mptraj.probops import (gaussian_sequence_from_dict,
                             gaussian_sequence_json_dict)
+from tests import reference
 
 
 def _random_sequence(rng, times, dofs=2, scale=1.0):
@@ -230,6 +233,14 @@ class TestJson:
         assert np.array_equal(back.times, seq.times)
         assert np.array_equal(back.means, seq.means)
         assert np.array_equal(back.covs, seq.covs)
+
+    @pytest.mark.parametrize("dofs", [1, 2, 7])
+    def test_json_equals_per_record_writer(self, dofs):
+        rng = np.random.default_rng(dofs)
+        seq = _random_sequence(rng, np.linspace(0.0, 1.0, 41), dofs=dofs)
+        seq.meta["jitter_applied"] = 3
+        assert (json.dumps(gaussian_sequence_json_dict(seq), indent=1)
+                == json.dumps(reference.gaussian_sequence_json_dict(seq), indent=1))
 
     def test_packed_length_checked(self):
         data = {"dofs": 2, "records": [{"t": 0.0, "mean": [0.0, 0.0],

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DimensionError, NumericalError, ValidationError,
-                     check_finite_positive, check_int, check_number, check_record)
+                     check_finite_positive, check_int, check_number, check_record, freeze)
 from .fileio import atomic_write_bytes
 
 # version of the bank file layout; load() rejects any other
@@ -170,10 +170,8 @@ class ForcingBasis:
     widths: np.ndarray
 
     def __post_init__(self):
-        for name in ("centers", "widths"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        freeze(self, centers=np.array(self.centers, dtype=float),
+               widths=np.array(self.widths, dtype=float))
 
     @property
     def num_basis(self) -> int:
@@ -223,8 +221,8 @@ class BasisBank:
         if self.pos_basis.shape != (n_pts, dim) or self.vel_basis.shape != (n_pts, dim):
             raise DimensionError(
                 f"basis arrays {self.pos_basis.shape} do not match grid/config {(n_pts, dim)}")
-        for arr in (self.times, self.pos_basis, self.vel_basis):
-            arr.flags.writeable = False
+        # no copy: a bank load or precompute pays for none
+        freeze(self, times=self.times, pos_basis=self.pos_basis, vel_basis=self.vel_basis)
 
     @property
     def duration(self) -> float:

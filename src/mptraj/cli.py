@@ -1,15 +1,18 @@
 """Command-line front end.
 
 Commands: precompute, generate, sample, fit, combine, blend, replan, bench.
-Every command is deterministic given its inputs and --seed; outputs are
-written atomically.  Failures, usage errors included, print one line to
-stderr in the form "error[category]: message" and exit with the category's
-code (2 validation, 3 I/O, 4 numerical, 5 dimension mismatch).
+Every command is deterministic given its inputs and --seed.  A command
+writes all of its outputs or none, and prints its report once they are in
+place.  Failures, usage errors included, print one line to stderr in the form
+"error[category]: message" and exit with the category's code (2 validation,
+3 I/O, 4 numerical, 5 dimension mismatch).
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import io
 import os
 import sys
 
@@ -23,7 +26,7 @@ from .distribution import (DEFAULT_NOISE_VAR, per_time_marginals,
 from .errors import (DimensionError, MptrajError, NumericalError, ValidationError,
                      check_finite_nonneg, check_finite_positive, check_int,
                      check_number, check_numbers, check_record, check_type)
-from .fileio import atomic_write_json, read_json
+from .fileio import atomic_write_json, read_json, staged_writes
 from .learning import Demonstration, fit_distribution, fit_weights
 from .probops import (ActivationProfile, GaussianSequence, blend, combine,
                       falling_ramp, write_gaussian_sequence_json)
@@ -79,8 +82,16 @@ def _check_num_basis(num_basis: int, bank: BasisBank, source: str) -> None:
                              f"the bank has {bank.num_basis}")
 
 
-def _default_bc(dofs: int) -> BoundaryCondition:
-    return BoundaryCondition(t_b=0.0, y_b=np.zeros(dofs), dy_b=np.zeros(dofs))
+def _primitive(params_path: str, bc_path: str, bank: BasisBank, load):
+    """(params, bc): params from load(params_path, bank), which returns them with
+    their DoFs, and the bc from bc_path, or rest at 0 when bc_path is empty."""
+    params, dofs = load(params_path, bank)
+    if not bc_path:
+        return params, BoundaryCondition(t_b=0.0, y_b=np.zeros(dofs), dy_b=np.zeros(dofs))
+    bc = _load_bc(bc_path)
+    if bc.dofs != dofs:
+        raise DimensionError(f"{bc_path} has {bc.dofs} DoFs, {params_path} has {dofs}")
+    return params, bc
 
 
 def _grid(args, start_default: float, bank: BasisBank) -> np.ndarray:
@@ -103,16 +114,20 @@ def _grid(args, start_default: float, bank: BasisBank) -> np.ndarray:
     return times
 
 
-def _svg_trajectory(path: str, times, positions, title: str) -> None:
-    line_plot(path, times, positions, [f"dof{d}" for d in range(positions.shape[0])],
-              title=title)
+def _plot(args, times, curves, title: str, bands=None) -> None:
+    """The --svg plot of curves (D, T) over times, when one was asked for."""
+    if args.svg:
+        line_plot(args.svg, times, curves, [f"dof{d}" for d in range(curves.shape[0])],
+                  bands=bands, title=title)
+        print(f"plot written: {args.svg}")
 
 
-def _svg_sequence(path: str, seq: GaussianSequence, title: str) -> None:
-    means = seq.means.T
-    spread = 2.0 * np.sqrt(np.diagonal(seq.covs, axis1=1, axis2=2)).T
-    line_plot(path, seq.times, means, [f"dof{d}" for d in range(seq.dofs)],
-              bands=(means - spread, means + spread), title=title)
+def _plot_sequence(args, seq: GaussianSequence, title: str) -> None:
+    """_plot of seq's means with a band of +/- 2 sigma, computed for --svg only."""
+    if args.svg:
+        means = seq.means.T
+        spread = 2.0 * np.sqrt(np.diagonal(seq.covs, axis1=1, axis2=2)).T
+        _plot(args, seq.times, means, title, bands=(means - spread, means + spread))
 
 
 def _marginal_sequence(wdist, bc, times, bank, noise_var) -> GaussianSequence:
@@ -132,41 +147,30 @@ def _cmd_precompute(args) -> int:
 
 def _cmd_generate(args) -> int:
     bank = _load_bank(args)
-    weights, dofs = _load_weights(args.weights, bank)
-    bc = _load_bc(args.bc) if args.bc else _default_bc(dofs)
-    if bc.dofs != dofs:
-        raise DimensionError(
-            f"boundary condition has {bc.dofs} DoFs, weights have {dofs}")
+    weights, bc = _primitive(args.weights, args.bc, bank, _load_weights)
     times = _grid(args, bc.t_b, bank)
     gen = TrajectoryGenerator(bc, times, bank)
     positions, velocities = gen.positions(weights), gen.velocities(weights)
     write_trajectory_csv(args.out, times, positions, velocities)
-    print(f"trajectory written: {args.out} ({times.shape[0]} samples, {dofs} DoFs)")
-    if args.svg:
-        _svg_trajectory(args.svg, times, positions, "generated trajectory")
-        print(f"plot written: {args.svg}")
+    print(f"trajectory written: {args.out} ({times.shape[0]} samples, {bc.dofs} DoFs)")
+    _plot(args, times, positions, "generated trajectory")
     return 0
 
 
 def _cmd_sample(args) -> int:
     bank = _load_bank(args)
-    wdist, dofs = _load_wdist(args.wdist, bank)
-    bc = _load_bc(args.bc) if args.bc else _default_bc(dofs)
-    if bc.dofs != dofs:
-        raise DimensionError(
-            f"boundary condition has {bc.dofs} DoFs, distribution has {dofs}")
+    wdist, bc = _primitive(args.wdist, args.bc, bank, _load_wdist)
     times = _grid(args, bc.t_b, bank)
     if args.count * times.shape[0] > MAX_QUERY_SAMPLES:
         raise ValidationError(f"{args.count} samples x {times.shape[0]} times exceed "
                               f"{MAX_QUERY_SAMPLES} rows; lower --count or --rate")
     samples = sample_trajectories(wdist, bc, times, bank, args.count, args.seed)
-    seq = _marginal_sequence(wdist, bc, times, bank, args.noise_var) if args.svg else None
     write_samples_csv(args.out, times, samples)
-    print(f"samples written: {args.out} ({args.count} x {dofs} DoFs x "
+    print(f"samples written: {args.out} ({args.count} x {bc.dofs} DoFs x "
           f"{times.shape[0]} samples)")
-    if seq is not None:
-        _svg_sequence(args.svg, seq, "sampled distribution (mean +/- 2 sigma)")
-        print(f"plot written: {args.svg}")
+    if args.svg:  # the marginals feed the plot only
+        _plot_sequence(args, _marginal_sequence(wdist, bc, times, bank, args.noise_var),
+                       "sampled distribution (mean +/- 2 sigma)")
     return 0
 
 
@@ -205,15 +209,8 @@ def _paired_primitives(args, bank: BasisBank):
         raise ValidationError(
             f"{len(args.wdist)} --wdist flags but {len(args.bc)} --bc flags; "
             f"each primitive needs both")
-    primitives = []
-    for wpath, bpath in zip(args.wdist, args.bc):
-        wdist, dofs = _load_wdist(wpath, bank)
-        bc = _load_bc(bpath)
-        if bc.dofs != dofs:
-            raise DimensionError(
-                f"{bpath} has {bc.dofs} DoFs, {wpath} has {dofs}")
-        primitives.append((wdist, bc))
-    return primitives
+    return [_primitive(wpath, bpath, bank, _load_wdist)
+            for wpath, bpath in zip(args.wdist, args.bc)]
 
 
 def _cmd_combine(args) -> int:
@@ -231,9 +228,7 @@ def _cmd_combine(args) -> int:
     write_gaussian_sequence_json(args.out, result)
     print(f"combined sequence written: {args.out} "
           f"(jitter fallbacks: {result.meta.get('jitter_applied', 0)})")
-    if args.svg:
-        _svg_sequence(args.svg, result, "combined distribution (mean +/- 2 sigma)")
-        print(f"plot written: {args.svg}")
+    _plot_sequence(args, result, "combined distribution (mean +/- 2 sigma)")
     return 0
 
 
@@ -251,9 +246,7 @@ def _cmd_blend(args) -> int:
     write_gaussian_sequence_json(args.out, result)
     print(f"blended sequence written: {args.out} "
           f"(ramp [{args.ramp_start:g}, {args.ramp_end:g}])")
-    if args.svg:
-        _svg_sequence(args.svg, result, "blended distribution (mean +/- 2 sigma)")
-        print(f"plot written: {args.svg}")
+    _plot_sequence(args, result, "blended distribution (mean +/- 2 sigma)")
     return 0
 
 
@@ -294,9 +287,7 @@ def _cmd_replan(args) -> int:
         print(f"max position jump: {plan.pos_jumps.max():.3e}")
         print(f"max velocity jump: {plan.vel_jumps.max():.3e}")
     print(f"average squared acceleration: {smoothness:.6e}")
-    if args.svg:
-        _svg_trajectory(args.svg, plan.times, plan.positions, "replanned trace")
-        print(f"plot written: {args.svg}")
+    _plot(args, plan.times, plan.positions, "replanned trace")
     return 0
 
 
@@ -444,9 +435,13 @@ def main(argv=None) -> int:
         args = _PARSER.parse_args(argv)
         # numpy overflow and invalid operations raise, so that no inf or NaN
         # they leave reaches an output; the command is resolved by name at
-        # call time, so a wrapper installed on the module attribute sees it
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            return globals()[f"_cmd_{args.command}"](args)
+        # call time, so a wrapper installed on the module attribute sees it;
+        # its files and its report appear only once all of it has succeeded
+        with (np.errstate(over="raise", invalid="raise", divide="raise"), staged_writes(),
+              contextlib.redirect_stdout(io.StringIO()) as report):
+            code = globals()[f"_cmd_{args.command}"](args)
+        sys.stdout.write(report.getvalue())
+        return code
     except (MptrajError, FloatingPointError) as exc:
         err = exc if isinstance(exc, MptrajError) else NumericalError(f"floating-point {exc}")
         # a path may carry a line break; the message stays one line

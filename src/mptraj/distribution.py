@@ -27,7 +27,7 @@ import numpy as np
 
 from .basis import BasisBank
 from .errors import (DimensionError, NumericalError, ValidationError,
-                     check_finite_nonneg, check_int, check_numbers, check_record)
+                     check_finite_nonneg, check_int, check_numbers, check_record, freeze)
 from .fileio import atomic_write_json, write_csv_table
 from .trajectory import BoundaryCondition, TrajectoryGenerator, folded_basis
 
@@ -62,10 +62,7 @@ class WeightsDistribution:
         if np.any(np.diag(chol) <= 0.0):
             raise ValidationError(
                 "Cholesky diagonal must be strictly positive (use from_covariance)")
-        mean.flags.writeable = False
-        chol.flags.writeable = False
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "chol", chol)
+        freeze(self, mean=mean, chol=chol)
 
     @property
     def dim(self) -> int:
@@ -106,11 +103,8 @@ class TrajectoryDistribution:
         check_finite_nonneg("noise_var", self.noise_var)
         if not np.array_equal(cov, cov.T):
             raise ValidationError("trajectory covariance must be symmetric")
-        mean.flags.writeable = False
-        cov.flags.writeable = False
         object.__setattr__(self, "index_set", tuple(self.index_set))
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
+        freeze(self, mean=mean, cov=cov)
 
     @property
     def dim(self) -> int:
@@ -258,8 +252,7 @@ class TimePairBatch:
             raise ValidationError(
                 "pairs with t == t' are forbidden (their covariance is singular at "
                 "zero noise)")
-        times.flags.writeable = False
-        object.__setattr__(self, "times", times)
+        freeze(self, times=times)
         if self.values is not None:
             values = np.array(self.values, dtype=float)
             if values.ndim != 2 or values.shape[0] != times.shape[0] or values.shape[1] % 2:
@@ -267,8 +260,7 @@ class TimePairBatch:
                     f"truth values must have shape (J, 2*D), got {values.shape}")
             if not np.isfinite(values).all():
                 raise ValidationError("pair truth values must be finite")
-            values.flags.writeable = False
-            object.__setattr__(self, "values", values)
+            freeze(self, values=values)
 
     @property
     def count(self) -> int:

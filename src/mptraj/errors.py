@@ -1,6 +1,6 @@
-"""Exception hierarchy shared by the library and the CLI, and the checks that
+"""Exception hierarchy shared by the library and the CLI, the checks that
 every reader of user input shares, so that a malformed value fails the same
-way everywhere: a ValidationError naming the field.
+way everywhere (a ValidationError naming the field), and record freezing.
 
 Each error category carries the process exit code the CLI maps it to.
 """
@@ -116,3 +116,11 @@ def check_numbers(name: str, value) -> np.ndarray:
         return arr.astype(float)
     except OverflowError as exc:
         raise ValidationError(f"{name} holds an integer too large for a float") from exc
+
+
+def freeze(record, **arrays) -> None:
+    """Set each array read-only and store it on the frozen dataclass record
+    under its keyword's name."""
+    for name, arr in arrays.items():
+        arr.flags.writeable = False
+        object.__setattr__(record, name, arr)

@@ -1,10 +1,12 @@
 """Atomic file writing helpers.
 
 Every artifact the library writes goes through a temp-file-plus-rename so a
-failure mid-write never leaves a partial output behind.
+failure mid-write leaves no partial output; staged_writes makes a block's
+writes all or none.
 """
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import tempfile
@@ -13,6 +15,9 @@ from .errors import IoError, ValidationError
 
 # rows per format operation in write_csv_table; one for the whole table costs memory
 CSV_BLOCK_ROWS = 4096
+
+# the rename that completes an atomic write; staged_writes holds it back
+_rename = os.replace
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -47,13 +52,34 @@ def _atomic_write(path: str, data: bytes) -> None:
         try:
             with os.fdopen(fd, "wb") as fh:
                 fh.write(data)
-            os.replace(tmp, path)
+            _rename(tmp, path)
         except BaseException:
             if os.path.exists(tmp):
                 os.unlink(tmp)
             raise
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
+
+
+@contextlib.contextmanager
+def staged_writes():
+    """Hold back the renames of the atomic writes inside the block until its
+    clean exit; on any error remove every temp file and touch no destination."""
+    global _rename
+    held = []
+    _rename = lambda tmp, path: held.append((tmp, path))
+    try:
+        yield
+        try:
+            for tmp, path in held:
+                os.replace(tmp, path)
+        except OSError as exc:
+            raise IoError(f"cannot write {path}: {exc}") from exc
+    finally:
+        _rename = os.replace
+        for tmp, _ in held:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
 
 
 def read_text(path: str) -> str:

@@ -22,7 +22,7 @@ import numpy as np
 from .basis import BasisBank
 from .distribution import WeightsDistribution
 from .errors import (DimensionError, NumericalError, ValidationError,
-                     check_finite_nonneg)
+                     check_finite_nonneg, freeze)
 from .trajectory import BoundaryCondition, folded_basis
 
 DEFAULT_COV_FLOOR = 1e-8
@@ -51,10 +51,7 @@ class Demonstration:
                 f"positions must have shape (D, {times.shape[0]}), got {positions.shape}")
         if not (np.isfinite(times).all() and np.isfinite(positions).all()):
             raise ValidationError("demonstration times and positions must be finite")
-        times.flags.writeable = False
-        positions.flags.writeable = False
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "positions", positions)
+        freeze(self, times=times, positions=positions)
         if self.velocities is not None:
             velocities = np.atleast_2d(np.array(self.velocities, dtype=float))
             if velocities.shape != positions.shape:
@@ -63,8 +60,7 @@ class Demonstration:
                     f"positions {positions.shape}")
             if not np.isfinite(velocities).all():
                 raise ValidationError("demonstration velocities must be finite")
-            velocities.flags.writeable = False
-            object.__setattr__(self, "velocities", velocities)
+            freeze(self, velocities=velocities)
 
     @property
     def dofs(self) -> int:
@@ -164,10 +160,7 @@ class LatentGaussian:
                 f"mean {mean.shape} and var {var.shape} must be equal-length vectors")
         if np.any(var <= 0.0):
             raise ValidationError("variances must be strictly positive")
-        mean.flags.writeable = False
-        var.flags.writeable = False
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "var", var)
+        freeze(self, mean=mean, var=var)
 
     @property
     def dim(self) -> int:

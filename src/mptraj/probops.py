@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (DimensionError, NumericalError, ValidationError, check_int,
-                     check_number, check_numbers, check_record, check_type)
+                     check_number, check_numbers, check_record, check_type, freeze)
 from .fileio import atomic_write_json
 
 # fallback added to a covariance diagonal when its Cholesky factorization fails
@@ -59,11 +59,7 @@ class GaussianSequence:
                 raise ValidationError(f"{name} must be finite")
         if not np.array_equal(covs, covs.transpose(0, 2, 1)):
             raise ValidationError("per-time covariances must be symmetric")
-        for arr in (times, means, covs):
-            arr.flags.writeable = False
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "means", means)
-        object.__setattr__(self, "covs", covs)
+        freeze(self, times=times, means=means, covs=covs)
 
     @property
     def dofs(self) -> int:
@@ -92,10 +88,7 @@ class ActivationProfile:
         if dead.size:
             raise ValidationError(
                 f"all activations vanish at t = {times[dead[0]]:.6g}")
-        times.flags.writeable = False
-        values.flags.writeable = False
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "values", values)
+        freeze(self, times=times, values=values)
 
     @property
     def count(self) -> int:

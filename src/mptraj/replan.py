@@ -127,12 +127,8 @@ def run_chain(initial: BoundaryCondition, segments, bank: BasisBank, rate: float
     rng = np.random.default_rng(seed)
 
     state = initial
-    switch_times = []
-    chunks_t, chunks_p, chunks_v, chunks_id = [], [], [], []
-    pos_jumps, vel_jumps = [], []
-    prev_end_pos = prev_end_vel = None
-
-    for k, (wdist, horizon) in enumerate(segments):
+    traces = []
+    for wdist, horizon in segments:
         bank_anchor = 0.0 if anchor == "local" else state.t_b
         times, local_times, local_bc = _segment_frame(state, horizon, bank, rate,
                                                       bank_anchor)
@@ -141,31 +137,25 @@ def run_chain(initial: BoundaryCondition, segments, bank: BasisBank, rate: float
             w = wdist.mean + wdist.chol @ rng.standard_normal(wdist.dim)
         gen = TrajectoryGenerator(local_bc, local_times, bank)
         positions, velocities = gen.positions(w), gen.velocities(w)
-        switch_times.append(state.t_b)
-
-        if k > 0:
-            pos_jumps.append(float(np.max(np.abs(positions[:, 0] - prev_end_pos))))
-            vel_jumps.append(float(np.max(np.abs(velocities[:, 0] - prev_end_vel))))
-        prev_end_pos = positions[:, -1]
-        prev_end_vel = velocities[:, -1]
-
-        drop = 1 if k > 0 else 0
-        chunks_t.append(times[drop:])
-        chunks_p.append(positions[:, drop:])
-        chunks_v.append(velocities[:, drop:])
-        chunks_id.append(np.full(times.shape[0] - drop, k, dtype=int))
-
+        traces.append((times, positions, velocities))
         state = BoundaryCondition(t_b=float(times[-1]),
-                                  y_b=prev_end_pos, dy_b=prev_end_vel)
+                                  y_b=positions[:, -1], dy_b=velocities[:, -1])
+
+    times, positions, velocities = zip(*traces)
+
+    # an interior switch sample repeats the last sample of the segment before:
+    # the trace drops it, and the jumps are measured across it
+    def stitched(arrays):
+        return np.concatenate([arrays[0], *(a[..., 1:] for a in arrays[1:])], axis=-1)
+
+    def jumps(arrays):
+        return np.array([np.max(np.abs(b[:, 0] - a[:, -1])) for a, b in zip(arrays, arrays[1:])])
 
     return SegmentPlan(
-        times=np.concatenate(chunks_t),
-        positions=np.concatenate(chunks_p, axis=1),
-        velocities=np.concatenate(chunks_v, axis=1),
-        segment_ids=np.concatenate(chunks_id),
-        switch_times=tuple(switch_times),
-        pos_jumps=np.asarray(pos_jumps),
-        vel_jumps=np.asarray(vel_jumps))
+        times=stitched(times), positions=stitched(positions), velocities=stitched(velocities),
+        segment_ids=np.repeat(np.arange(len(times)), [t.size - (k > 0) for k, t in enumerate(times)]),
+        switch_times=tuple(float(t[0]) for t in times),
+        pos_jumps=jumps(positions), vel_jumps=jumps(velocities))
 
 
 def smoothness_metric(positions, dt: float) -> float:

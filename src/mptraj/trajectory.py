@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import BasisBank
-from .errors import DimensionError, ValidationError, check_finite_nonneg
+from .errors import DimensionError, ValidationError, check_finite_nonneg, freeze
 from .fileio import read_text, write_csv_table
 
 # bound on samples per query window or replanning segment: a 1 kHz controller
@@ -48,10 +48,7 @@ class BoundaryCondition:
                                  f"equal-length vectors of at least one DoF")
         if not (np.isfinite(y_b).all() and np.isfinite(dy_b).all()):
             raise ValidationError("boundary state y_b and dy_b must be finite")
-        y_b.flags.writeable = False
-        dy_b.flags.writeable = False
-        object.__setattr__(self, "y_b", y_b)
-        object.__setattr__(self, "dy_b", dy_b)
+        freeze(self, y_b=y_b, dy_b=dy_b)
 
     @property
     def dofs(self) -> int:

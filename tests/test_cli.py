@@ -706,7 +706,8 @@ EXIT_CODES = {"validation": 2, "io": 3, "numerical": 4, "dimension": 5}
 def _run_to(argv, out, svg=None):
     """Run argv writing to out (and svg); returns (code, stderr) after checking
     the output contract: exit 0 with every output written and nothing on
-    stderr, or one "error[category]" line with its exit code and no output."""
+    stderr, or one "error[category]" line with its exit code, no output and
+    nothing on stdout; either way no temp file is left beside an output."""
     argv = argv + ["--out", str(out)] + (["--svg", str(svg)] if svg else [])
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
@@ -719,7 +720,72 @@ def _run_to(argv, out, svg=None):
         category = stderr.getvalue().split("]")[0].removeprefix("error[")
         assert code == EXIT_CODES[category], stderr.getvalue()
         assert not any(path.exists() for path in outputs)
+        assert stdout.getvalue() == ""
+    for path in outputs:
+        if path.parent.is_dir():
+            assert not list(path.parent.glob(".tmp-*")), path.parent
     return code, stderr.getvalue()
+
+
+class TestAllOrNoOutputs:
+    # generate wrote --out, printed its report, then failed on the plot,
+    # leaving the CSV behind
+    @pytest.fixture(scope="class")
+    def huge(self, tmp_path_factory):
+        """A 3 s, N = 8 bank and 2-DoF weights of +/-1e306, whose trace is
+        finite but too wide for the plot's scale."""
+        root = tmp_path_factory.mktemp("huge")
+        config = root / "config.json"
+        config.write_text(json.dumps({"alpha": 25.0, "tau": 3.0, "alpha_x": 2.0,
+                                      "num_basis": 8, "duration": 3.0}))
+        assert main(["precompute", "--config", str(config),
+                     "--out", str(root / "bank.npz")]) == 0
+        (root / "weights.json").write_text(json.dumps(
+            {"dofs": 2, "num_basis": 8, "weights": [1e306 * (-1) ** i for i in range(18)]}))
+        return root
+
+    def test_plot_overflow_leaves_no_output(self, huge, tmp_path):
+        code, stderr = _run_to(["generate", "--bank", str(huge / "bank.npz"), "--weights",
+                                str(huge / "weights.json"), "--rate", "100"],
+                               tmp_path / "g.csv", tmp_path / "g.svg")
+        assert code == 4 and "overflow" in stderr
+
+    def test_plot_into_missing_directory_leaves_no_output(self, env, tmp_path):
+        code, stderr = _run_to(["generate", "--bank", str(env["bank"]),
+                                "--weights", str(env["weights"])],
+                               tmp_path / "g.csv", tmp_path / "missing" / "g.svg")
+        assert code == 3 and "missing" in stderr
+
+    def test_failed_run_keeps_existing_output(self, env, tmp_path):
+        out = tmp_path / "g.csv"
+        out.write_bytes(b"earlier run\n")
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(["generate", "--bank", str(env["bank"]), "--weights",
+                         str(env["weights"]), "--out", str(out),
+                         "--svg", str(tmp_path / "missing" / "g.svg")])
+        assert code == 3 and stdout.getvalue() == ""
+        assert out.read_bytes() == b"earlier run\n"
+        assert not list(tmp_path.glob(".tmp-*"))
+
+
+class TestDofMismatch:
+    @pytest.mark.parametrize("command", ["generate", "sample", "combine", "blend"])
+    def test_one_dimension_line_naming_both_files(self, env, demos, tmp_path, command):
+        bc = tmp_path / "bc3.json"
+        bc.write_text(json.dumps({"t_b": 0.0, "y_b": [0.0] * 3, "dy_b": [0.0] * 3}))
+        params = env["weights"] if command == "generate" else env["wdist"]
+        flag = "--weights" if command == "generate" else "--wdist"
+        argv = [command, "--bank", str(env["bank"]), flag, str(params), "--bc", str(bc)]
+        if command == "combine":
+            argv += [flag, str(params), "--bc", str(env["bc"]),
+                     "--activations", str(env["activations"])]
+        if command == "blend":
+            argv += [flag, str(params), "--bc", str(env["bc"]),
+                     "--ramp-start", "0.25", "--ramp-end", "0.75"]
+        code, stderr = _run_to(argv, tmp_path / "x.out", tmp_path / "x.svg")
+        assert code == 5
+        assert stderr == f"error[dimension]: {bc} has 3 DoFs, {params} has 2\n"
 
 
 class TestNonFiniteFlags:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from mptraj import DimensionError, IoError, ValidationError
 from mptraj.distribution import write_samples_csv
 from mptraj.fileio import (CSV_BLOCK_ROWS, atomic_write_bytes, atomic_write_json,
-                           atomic_write_text, read_json, read_text)
+                           atomic_write_text, read_json, read_text, staged_writes)
 from mptraj.svgplot import line_plot
 from mptraj.trajectory import write_trajectory_csv
 from tests import reference
@@ -59,6 +59,34 @@ class TestAtomicWrites:
         path.write_text("{not json")
         with pytest.raises(ValidationError, match="malformed JSON"):
             read_json(str(path))
+
+
+class TestStagedWrites:
+    def test_renames_wait_for_clean_exit(self, tmp_path):
+        with staged_writes():
+            atomic_write_text(str(tmp_path / "a.txt"), "a")
+            atomic_write_text(str(tmp_path / "b.txt"), "b")
+            assert len(list(tmp_path.glob(".tmp-*"))) == len(list(tmp_path.iterdir())) == 2
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["a.txt", "b.txt"]
+        assert (tmp_path / "b.txt").read_text() == "b"
+
+    def test_error_touches_no_destination(self, tmp_path):
+        (tmp_path / "b.txt").write_text("earlier")
+        with pytest.raises(RuntimeError), staged_writes():
+            atomic_write_text(str(tmp_path / "a.txt"), "a")
+            atomic_write_text(str(tmp_path / "b.txt"), "b")
+            raise RuntimeError("command failed")
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["b.txt"]
+        assert (tmp_path / "b.txt").read_text() == "earlier"
+
+    def test_failed_rename_is_io_error(self, tmp_path):
+        (tmp_path / "dir").mkdir()
+        with pytest.raises(IoError, match="cannot write"), staged_writes():
+            atomic_write_text(str(tmp_path / "dir"), "a")
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["dir"]
+        # writes after the block rename at once again
+        atomic_write_text(str(tmp_path / "c.txt"), "c")
+        assert (tmp_path / "c.txt").read_text() == "c"
 
 
 @given(st.floats(allow_nan=True, allow_infinity=True))

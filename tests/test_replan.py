@@ -151,6 +151,19 @@ class TestRunChain:
             assert np.array_equal(seg.positions[:, drop:], plan.positions[:, rows])
             assert np.array_equal(seg.velocities[:, drop:], plan.velocities[:, rows])
 
+    def test_one_segment_chain_is_replan_segment_mean(self, small_bank):
+        # no interior switch: nothing dropped, no jump measured
+        wdists, initial = _setup(small_bank)
+        start = BoundaryCondition(0.3, initial.y_b, initial.dy_b)
+        plan = run_chain(start, [(wdists[0], 0.5)], small_bank, rate=40.0)
+        seg = replan_segment(start, wdists[0], 0.5, small_bank, rate=40.0)
+        assert np.all(plan.segment_ids == 0)
+        assert plan.pos_jumps.shape == plan.vel_jumps.shape == (0,)
+        assert plan.switch_times == (start.t_b,)
+        assert np.array_equal(plan.times, seg.times)
+        assert np.array_equal(plan.positions, seg.positions)
+        assert np.array_equal(plan.velocities, seg.velocities)
+
     def test_sample_mode_is_seeded(self, small_bank):
         wdists, initial = _setup(small_bank)
         segments = [(w, 0.25) for w in wdists]

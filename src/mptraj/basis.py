@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DimensionError, NumericalError, ValidationError,
+from .errors import (DimensionError, IoError, NumericalError, ValidationError,
                      check_finite_positive, check_int, check_number, check_record, freeze)
 from .fileio import atomic_write_bytes
 
@@ -284,7 +284,6 @@ class BasisBank:
 
     @classmethod
     def load(cls, path: str) -> "BasisBank":
-        from .errors import IoError
         try:
             with np.load(path, allow_pickle=False) as data:
                 if "format" not in data.files or data["format"].tolist() != BANK_FORMAT:

@@ -99,7 +99,7 @@ def run_benchmark(scenario: BenchScenario, repetitions: int = 7,
     bank = precompute_basis(config)
 
     rng = np.random.default_rng(seed)
-    draws = [rng.standard_normal(scenario.weight_dim) for _ in range(repetitions)]
+    draws = rng.standard_normal((repetitions, scenario.weight_dim))
     y0 = rng.standard_normal(scenario.dofs)
     dy0 = np.zeros(scenario.dofs)
     bc = BoundaryCondition(t_b=0.0, y_b=y0, dy_b=dy0)

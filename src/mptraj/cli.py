@@ -278,7 +278,6 @@ def _cmd_replan(args) -> int:
                      anchor=scenario.get("anchor", "local"),
                      mode=scenario.get("mode", "mean"),
                      seed=seed if args.seed is None else args.seed)
-    smoothness = smoothness_metric(plan.positions, 1.0 / rate)
     write_trajectory_csv(args.out, plan.times, plan.positions, plan.velocities,
                          segment_ids=plan.segment_ids)
     print(f"trace written: {args.out} ({len(segments)} segments, "
@@ -286,7 +285,9 @@ def _cmd_replan(args) -> int:
     if plan.pos_jumps.size:
         print(f"max position jump: {plan.pos_jumps.max():.3e}")
         print(f"max velocity jump: {plan.vel_jumps.max():.3e}")
-    print(f"average squared acceleration: {smoothness:.6e}")
+    if plan.times.shape[0] >= 3:
+        smoothness = smoothness_metric(plan.positions, 1.0 / rate)
+        print(f"average squared acceleration: {smoothness:.6e}")
     _plot(args, plan.times, plan.positions, "replanned trace")
     return 0
 

@@ -223,7 +223,7 @@ def sample_trajectories(wdist: WeightsDistribution, bc: BoundaryCondition, times
     if count < 1:
         raise ValidationError(f"count must be >= 1, got {count}")
     _check_weights_dim(wdist, bc, bank)
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     z = rng.standard_normal((count, wdist.dim))
     draws = wdist.mean + z @ wdist.chol.T
 
@@ -277,7 +277,7 @@ def sample_time_pairs(times, count: int, seed) -> TimePairBatch:
         raise ValidationError("pair sampling needs at least 2 distinct times")
     if count < 1:
         raise ValidationError(f"count must be >= 1, got {count}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     n = times.size
     first = rng.integers(0, n, size=count)
     second = rng.integers(0, n - 1, size=count)

@@ -57,8 +57,9 @@ def _atomic_write(path: str, data: bytes) -> None:
             if os.path.exists(tmp):
                 os.unlink(tmp)
             raise
+    # strerror, not the text of exc, which can name the random temp file
     except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+        raise IoError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 @contextlib.contextmanager
@@ -74,7 +75,7 @@ def staged_writes():
             for tmp, path in held:
                 os.replace(tmp, path)
         except OSError as exc:
-            raise IoError(f"cannot write {path}: {exc}") from exc
+            raise IoError(f"cannot write {path}: {exc.strerror or exc}") from exc
     finally:
         _rename = os.replace
         for tmp, _ in held:

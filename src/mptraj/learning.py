@@ -182,11 +182,11 @@ def bayesian_aggregate(prior: LatentGaussian, observations) -> LatentGaussian:
                 f"observation {i} has dimension {obs.dim}, prior has {prior.dim}")
     # canonical order makes the float sums independent of arrival order
     observations.sort(key=lambda obs: (obs.mean.tobytes(), obs.var.tobytes()))
-    prec_sum = np.zeros(prior.dim)
-    shift_sum = np.zeros(prior.dim)
-    for obs in observations:
-        prec_sum = prec_sum + 1.0 / obs.var
-        shift_sum = shift_sum + (obs.mean - prior.mean) / obs.var
+    obs_mean = np.stack([obs.mean for obs in observations])
+    obs_var = np.stack([obs.var for obs in observations])
+    # accumulate adds the rows strictly in order; sum may pair them up
+    prec_sum = np.add.accumulate(1.0 / obs_var)[-1]
+    shift_sum = np.add.accumulate((obs_mean - prior.mean) / obs_var)[-1]
     var = 1.0 / (1.0 / prior.var + prec_sum)
     mean = prior.mean + var * shift_sum
     return LatentGaussian(mean=mean, var=var)

@@ -70,6 +70,23 @@ def integrate_dmp(w_g, y0, dy0, config: DmpConfig, spec: IntegratorSpec):
         forcing = wmat @ _scaled_row(basis, math.exp(-x_rate * t))
         return (alpha * (beta * (goal - pos) - tau * vel) + forcing) * inv_tau_sq
 
+    def euler_step(t, y, v):
+        return y + dt * v, v + dt * accel(t, y, v)
+
+    half, sixth = 0.5 * dt, dt / 6.0
+
+    def rk4_step(t, y, v):
+        a1 = accel(t, y, v)
+        y2, v2 = y + half * v, v + half * a1
+        a2 = accel(t + half, y2, v2)
+        y3, v3 = y + half * v2, v + half * a2
+        a3 = accel(t + half, y3, v3)
+        y4, v4 = y + dt * v3, v + dt * a3
+        a4 = accel(t + dt, y4, v4)
+        return (y + sixth * (v + 2.0 * (v2 + v3) + v4),
+                v + sixth * (a1 + 2.0 * (a2 + a3) + a4))
+
+    step = euler_step if spec.method == "explicit-euler" else rk4_step
     steps = int(math.ceil(config.duration / dt - 1e-12))
     times = dt * np.arange(steps + 1)
     if abs(times[-1] - config.duration) <= 1e-9 * max(1.0, config.duration):
@@ -79,34 +96,11 @@ def integrate_dmp(w_g, y0, dy0, config: DmpConfig, spec: IntegratorSpec):
     positions[:, 0] = y
     velocities[:, 0] = v
 
-    if spec.method == "explicit-euler":
-        for i in range(steps):
-            a = accel(times[i], y, v)
-            y = y + dt * v
-            v = v + dt * a
-            if not (np.all(np.isfinite(y)) and np.all(np.isfinite(v))):
-                raise NumericalError(
-                    f"explicit-euler diverged at step {i + 1} (t = {times[i + 1]:.6g})")
-            positions[:, i + 1] = y
-            velocities[:, i + 1] = v
-    else:
-        half = 0.5 * dt
-        sixth = dt / 6.0
-        for i in range(steps):
-            t = times[i]
-            a1 = accel(t, y, v)
-            y2, v2 = y + half * v, v + half * a1
-            a2 = accel(t + half, y2, v2)
-            y3, v3 = y + half * v2, v + half * a2
-            a3 = accel(t + half, y3, v3)
-            y4, v4 = y + dt * v3, v + dt * a3
-            a4 = accel(t + dt, y4, v4)
-            y = y + sixth * (v + 2.0 * (v2 + v3) + v4)
-            v = v + sixth * (a1 + 2.0 * (a2 + a3) + a4)
-            if not (np.all(np.isfinite(y)) and np.all(np.isfinite(v))):
-                raise NumericalError(
-                    f"rk4 diverged at step {i + 1} (t = {times[i + 1]:.6g})")
-            positions[:, i + 1] = y
-            velocities[:, i + 1] = v
-
+    for i in range(steps):
+        y, v = step(times[i], y, v)
+        if not (np.all(np.isfinite(y)) and np.all(np.isfinite(v))):
+            raise NumericalError(
+                f"{spec.method} diverged at step {i + 1} (t = {times[i + 1]:.6g})")
+        positions[:, i + 1] = y
+        velocities[:, i + 1] = v
     return times, positions, velocities

@@ -134,6 +134,12 @@ def _inverse_stack(stack: np.ndarray, counter: list, what) -> np.ndarray:
     return 0.5 * (inv + np.swapaxes(inv, -1, -2))
 
 
+def _primitive_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum over axis 0, bit for bit the loop adding each term to zeros: sum may
+    pair terms up, accumulate adds in order; + 0.0 makes a -0.0 total +0.0."""
+    return np.add.accumulate(terms)[-1] + 0.0
+
+
 def combine(sequences, profile: ActivationProfile) -> GaussianSequence:
     """Activated product of the per-time Gaussians of several primitives."""
     sequences = list(sequences)
@@ -165,11 +171,8 @@ def combine(sequences, profile: ActivationProfile) -> GaussianSequence:
         prec = _inverse_stack(
             np.where(factored[..., None, None], in_covs, np.eye(base.dofs)),
             jitter_events, lambda k, i: f"covariance of primitive {k} at index {i}")
-        precision = np.zeros(prec.shape[1:])
-        shift = np.zeros(in_means.shape[1:])
-        for a_k, prec_k, mean_k in zip(act, prec, in_means):
-            precision += a_k[:, None, None] * prec_k
-            shift += a_k[:, None] * (prec_k @ mean_k[..., None])[..., 0]
+        precision = _primitive_sum(act[..., None, None] * prec)
+        shift = _primitive_sum(act[..., None] * (prec @ in_means[..., None])[..., 0])
         covs = _inverse_stack(precision, jitter_events,
                               lambda i: f"combined precision at index {i}")
         means = (covs @ shift[..., None])[..., 0]

@@ -9,7 +9,8 @@ as independent cross-checks and not as production code.
 
 Beside them sit routes that the package replaced with faster ones: the
 row-by-row precompute recurrence, the pair NLL through a dense block design
-matrix and scipy, the per-time combination loop, the per-demo fit loop, and
+matrix and scipy, the per-time combination loop, the per-demo fit loop, the
+loops that add per-primitive or per-observation terms one at a time, and
 the per-value CSV writers, the per-point SVG plot and the per-record
 Gaussian-sequence JSON.  stale_chain is the negative control of
 replanning: a chain that ignores the executed state.
@@ -19,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import multivariate_normal
 
-from mptraj import (BasisBank, BoundaryCondition, fit_weights, make_forcing_basis, phase,
-                    run_chain)
+from mptraj import (BasisBank, BoundaryCondition, LatentGaussian, fit_weights,
+                    make_forcing_basis, phase, run_chain)
 from mptraj.probops import GaussianSequence, _chol_with_jitter
 from mptraj.svgplot import (_HEIGHT, _MARGIN_B, _MARGIN_L, _MARGIN_R, _MARGIN_T, _PALETTE,
                             _WIDTH)
@@ -204,6 +205,28 @@ def combine_loop(sequences, profile) -> GaussianSequence:
         means[i] = covs[i] @ scaled_mean
     return GaussianSequence(times=base.times, means=means, covs=covs,
                             meta={"jitter_applied": jitter_events[0]})
+
+
+def sum_loop(terms) -> np.ndarray:
+    """Sum of the rows of terms, each added in order to zeros."""
+    total = np.zeros(terms.shape[1:])
+    for term in terms:
+        total = total + term
+    return total
+
+
+def bayesian_aggregate_loop(prior, observations) -> LatentGaussian:
+    """Elementwise precision addition, one observation at a time, in the
+    canonical order that bayesian_aggregate sorts into."""
+    observations = sorted(observations,
+                          key=lambda obs: (obs.mean.tobytes(), obs.var.tobytes()))
+    prec_sum = np.zeros(prior.dim)
+    shift_sum = np.zeros(prior.dim)
+    for obs in observations:
+        prec_sum = prec_sum + 1.0 / obs.var
+        shift_sum = shift_sum + (obs.mean - prior.mean) / obs.var
+    var = 1.0 / (1.0 / prior.var + prec_sum)
+    return LatentGaussian(mean=prior.mean + var * shift_sum, var=var)
 
 
 def write_trajectory_csv(path, times, positions, velocities, segment_ids=None):

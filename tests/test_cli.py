@@ -1,7 +1,9 @@
 import contextlib
+import errno
 import io
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -372,6 +374,18 @@ class TestReplan:
         assert "average squared acceleration:" in stdout
         header = out.read_text().splitlines()[0]
         assert header.endswith(",segment_id")
+
+    # a 2-sample plan exited 2 on the smoothness metric and wrote nothing
+    def test_two_sample_plan_is_written_without_smoothness(self, env, capsys, tmp_path):
+        path = self._scenario(env, tmp_path, segments=[
+            {"horizon": 0.01, "wdist": str(env["wdist"])}])
+        out = tmp_path / "plan.csv"
+        code, stdout, stderr = _run(capsys, [
+            "replan", "--bank", str(env["bank"]), "--scenario", str(path),
+            "--out", str(out)])
+        assert code == 0 and stderr == ""
+        assert stdout == f"trace written: {out} (1 segments, 2 samples)\n"
+        assert len(out.read_text().splitlines()) == 3
 
     def test_sample_mode_seed_override(self, env, capsys, tmp_path):
         path = self._scenario(env, tmp_path, mode="sample")
@@ -755,6 +769,14 @@ class TestAllOrNoOutputs:
                                 "--weights", str(env["weights"])],
                                tmp_path / "g.csv", tmp_path / "missing" / "g.svg")
         assert code == 3 and "missing" in stderr
+
+    # the message named the random temp file, so reruns printed different text
+    def test_missing_directory_error_is_deterministic(self, env, tmp_path):
+        out = tmp_path / "missing" / "x.csv"
+        runs = [_run_to(["generate", "--bank", str(env["bank"]),
+                         "--weights", str(env["weights"])], out) for _ in range(2)]
+        assert runs[0] == runs[1]
+        assert runs[0] == (3, f"error[io]: cannot write {out}: {os.strerror(errno.ENOENT)}\n")
 
     def test_failed_run_keeps_existing_output(self, env, tmp_path):
         out = tmp_path / "g.csv"

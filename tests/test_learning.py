@@ -8,7 +8,7 @@ from mptraj import (BoundaryCondition, Demonstration, DimensionError, DmpConfig,
                     fit_distribution, fit_weights, precompute_basis,
                     sample_trajectories)
 from tests.conftest import random_weights_distribution
-from tests.reference import per_demo_fits
+from tests.reference import bayesian_aggregate_loop, per_demo_fits
 
 
 def _synth_demo(w, bc, times, bank, with_velocities=True):
@@ -297,6 +297,23 @@ class TestBayesianAggregate:
             state = bayesian_aggregate(state, [o])
         assert np.max(np.abs(batch.mean - state.mean)) < 1e-10
         assert np.max(np.abs(batch.var - state.var)) < 1e-10
+
+    # one observation axis: numpy sums the terms pairwise, not in order
+    @pytest.mark.parametrize("dim, count", [(1, 200), (1, 9), (4, 50)])
+    def test_sums_match_the_observation_loop_bit_for_bit(self, dim, count):
+        rng = np.random.default_rng(47)
+        prior = LatentGaussian(rng.standard_normal(dim), rng.uniform(0.1, 2.0, dim))
+        obs = [LatentGaussian(rng.standard_normal(dim) * 10.0 ** rng.integers(-6, 6),
+                              np.exp(3.0 * rng.standard_normal(dim)))
+               for _ in range(count)]
+        # -0.0 observed against a +0.0 prior mean leaves only -0.0 shift terms
+        zero = LatentGaussian(np.zeros(dim), np.ones(dim))
+        signed = LatentGaussian(np.full(dim, -0.0), np.ones(dim))
+        for prior, obs in ((prior, obs), (zero, [signed, signed])):
+            got = bayesian_aggregate(prior, obs)
+            want = bayesian_aggregate_loop(prior, obs)
+            assert got.mean.tobytes() == want.mean.tobytes()
+            assert got.var.tobytes() == want.var.tobytes()
 
     def test_permutation_invariance_is_bit_exact(self):
         rng = np.random.default_rng(43)

@@ -122,9 +122,18 @@ class TestDivergence:
         # the error amplifies ~11.5x per step and overflows within 3 seconds
         config = DmpConfig(alpha=2500.0, tau=1.0, alpha_x=2.0, num_basis=5,
                            duration=3.0)
-        with pytest.raises(NumericalError, match="diverged at step"):
+        with pytest.raises(NumericalError,
+                           match=r"^explicit-euler diverged at step \d+ \(t = "):
             integrate_dmp(np.zeros(6), [1.0], [0.0], config,
                           IntegratorSpec("explicit-euler", 0.01))
+
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    def test_unstable_rk4_step_size_reported(self):
+        # k*dt = 12.5 also lies far outside the rk4 stability region
+        config = DmpConfig(alpha=2500.0, tau=1.0, alpha_x=2.0, num_basis=5,
+                           duration=3.0)
+        with pytest.raises(NumericalError, match=r"^rk4 diverged at step \d+ \(t = "):
+            integrate_dmp(np.zeros(6), [1.0], [0.0], config, IntegratorSpec("rk4", 0.01))
 
     def test_same_config_fine_dt_is_stable(self):
         config = DmpConfig(alpha=2500.0, tau=1.0, alpha_x=2.0, num_basis=5,

@@ -5,7 +5,7 @@ import pytest
 
 from mptraj import (ActivationProfile, DimensionError, GaussianSequence,
                     NumericalError, ValidationError, blend, combine, falling_ramp)
-from mptraj.probops import (gaussian_sequence_from_dict,
+from mptraj.probops import (_primitive_sum, gaussian_sequence_from_dict,
                             gaussian_sequence_json_dict)
 from tests import reference
 
@@ -180,6 +180,17 @@ class TestCombine:
         profile = ActivationProfile(np.array([0.0, 1.0]), np.ones((2, 2)))
         with pytest.raises(ValidationError, match="time grid"):
             combine([seq_a, seq_b], profile)
+
+    # a trailing axis of one: numpy sums the terms pairwise, not in order
+    @pytest.mark.parametrize("shape", [(3, 40, 2, 2), (9, 1, 1, 1), (30, 1, 1),
+                                       (12, 3, 1), (2, 5, 3)])
+    def test_primitive_sum_matches_the_loop_bit_for_bit(self, shape):
+        rng = np.random.default_rng(9)
+        terms = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
+        terms[rng.random(shape) < 0.2] = -0.0
+        for terms in (terms, np.full(shape, -0.0)):
+            got = _primitive_sum(terms)
+            assert got.tobytes() == reference.sum_loop(terms).tobytes()
 
     def test_count_mismatch_rejected(self):
         rng = np.random.default_rng(5)

@@ -205,10 +205,24 @@ def make_forcing_basis(config: DmpConfig) -> ForcingBasis:
     return ForcingBasis(centers, widths)
 
 
+def _is_view(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether a and b view the same elements in the same order."""
+    return (a.shape == b.shape and a.strides == b.strides
+            and a.__array_interface__["data"][0] == b.__array_interface__["data"][0])
+
+
 @dataclass(frozen=True)
 class BasisBank:
     """Immutable offline artifact: per grid time, the (N+1) position basis row
-    (N weight columns plus the goal column) and the velocity analog."""
+    (N weight columns plus the goal column) and the velocity analog.
+
+    Both row kinds live in one read-only, time-major table of shape
+    (2, N+1, M), the attribute `table`: row kind (position, velocity), then
+    basis column, then grid point.  pos_basis and vel_basis are its (M, N+1)
+    views.  lookup() gathers and interpolates both kinds at once, so every
+    elementwise step of it, and of the boundary fold that consumes it, runs
+    along the time axis.  Bank files keep the C-ordered (M, N+1) arrays.
+    """
 
     config: DmpConfig
     times: np.ndarray
@@ -221,8 +235,17 @@ class BasisBank:
         if self.pos_basis.shape != (n_pts, dim) or self.vel_basis.shape != (n_pts, dim):
             raise DimensionError(
                 f"basis arrays {self.pos_basis.shape} do not match grid/config {(n_pts, dim)}")
-        # no copy: a bank load or precompute pays for none
-        freeze(self, times=self.times, pos_basis=self.pos_basis, vel_basis=self.vel_basis)
+        # the (M, N+1) views of one (2, N+1, M) table, as precompute_basis
+        # builds them, are adopted as they are; other arrays are copied in
+        table = self.pos_basis.base
+        if not (isinstance(table, np.ndarray) and table.shape == (2, dim, n_pts)
+                and table.flags.c_contiguous
+                and all(_is_view(rows, plane.T) for rows, plane
+                        in zip((self.pos_basis, self.vel_basis), table))):
+            table = np.empty((2, dim, n_pts))
+            table[0], table[1] = self.pos_basis.T, self.vel_basis.T
+        freeze(self, times=self.times, table=table)
+        freeze(self, pos_basis=table[0].T, vel_basis=table[1].T)
 
     @property
     def duration(self) -> float:
@@ -236,38 +259,48 @@ class BasisBank:
     def weight_dim(self) -> int:
         return self.config.weight_dim
 
-    def _interp(self, t, *arrays) -> tuple:
-        """Each of arrays at query times t, from one index pass over t."""
+    def _lerp(self, t, table: np.ndarray) -> np.ndarray:
+        """table (..., M) at query times t, interpolated along its last axis:
+        shape (..., T), from one range check and one searchsorted."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
         if t.size == 0:
-            return tuple(np.empty((0, values.shape[1])) for values in arrays)
+            return np.empty(table.shape[:-1] + (0,))
+        times = self.times
         # negated so that NaN fails the check
-        if not (t.min() >= self.times[0] and t.max() <= self.times[-1]):
+        if not (t.min() >= times[0] and t.max() <= times[-1]):
             raise ValidationError(
                 f"query time not finite or outside bank range [0, {self.duration}]: "
                 f"[{t.min()}, {t.max()}]")
-        idx = np.searchsorted(self.times, t, side="right") - 1
-        idx = np.clip(idx, 0, self.times.shape[0] - 2)
-        frac = (t - self.times[idx]) / (self.times[idx + 1] - self.times[idx])
+        # t >= times[0] makes idx >= 0, so only the end needs bounding
+        idx = np.minimum(np.searchsorted(times, t, side="right") - 1, times.shape[0] - 2)
+        upper = idx + 1
+        start = times[idx]
+        frac = (t - start) / (times[upper] - start)
         # endpoint-exact lerp: frac 0 or 1 returns the stored row bitwise
-        lo, hi = (1.0 - frac)[:, None], frac[:, None]
-        return tuple(lo * values[idx] + hi * values[idx + 1] for values in arrays)
+        return (1.0 - frac) * table[..., idx] + frac * table[..., upper]
+
+    def lookup(self, t) -> np.ndarray:
+        """Both row kinds at query times t, time-major: shape (2, N+1, T),
+        position rows first (linear interpolation off-grid)."""
+        return self._lerp(t, self.table)
 
     def rows(self, t) -> tuple[np.ndarray, np.ndarray]:
-        """(pos_rows(t), vel_rows(t)) from one index pass over t, bit for bit."""
-        return self._interp(t, self.pos_basis, self.vel_basis)
+        """(pos_rows(t), vel_rows(t)) from one lookup, bit for bit."""
+        pos, vel = self.lookup(t)
+        return pos.T, vel.T
 
     def pos_rows(self, t) -> np.ndarray:
-        """Position basis rows at query times (linear interpolation off-grid)."""
-        return self._interp(t, self.pos_basis)[0]
+        """Position basis rows (T, N+1) at query times (linear interpolation
+        off-grid)."""
+        return self._lerp(t, self.table[0]).T
 
     def vel_rows(self, t) -> np.ndarray:
-        return self._interp(t, self.vel_basis)[0]
+        return self._lerp(t, self.table[1]).T
 
     def content_checksum(self) -> str:
         digest = hashlib.sha256(self.config.canonical_json().encode("utf-8"))
         for arr in (self.times, self.pos_basis, self.vel_basis):
-            digest.update(np.ascontiguousarray(arr).tobytes())
+            digest.update(np.ascontiguousarray(arr))
         return digest.hexdigest()
 
     def save(self, path: str) -> None:
@@ -277,8 +310,11 @@ class BasisBank:
                                    dtype=np.uint8)
         checksum_raw = np.frombuffer(self.content_checksum().encode("ascii"),
                                      dtype=np.uint8)
+        # C-ordered (M, N+1) copies of the table's views: the file layout
+        # predates the table and does not depend on it
         np.savez(buffer, format=np.array(BANK_FORMAT), times=self.times,
-                 pos_basis=self.pos_basis, vel_basis=self.vel_basis,
+                 pos_basis=np.ascontiguousarray(self.pos_basis),
+                 vel_basis=np.ascontiguousarray(self.vel_basis),
                  config_json=config_raw, checksum=checksum_raw)
         atomic_write_bytes(path, buffer.getvalue())
 
@@ -292,10 +328,17 @@ class BasisBank:
                         f"version reads; re-run mptraj precompute to rebuild it")
                 config = DmpConfig.from_dict(
                     json.loads(data["config_json"].tobytes().decode("utf-8")))
-                bank = cls(config=config,
-                           times=data["times"].copy(),
-                           pos_basis=data["pos_basis"].copy(),
-                           vel_basis=data["vel_basis"].copy())
+                times = data["times"]
+                # one row kind read at a time, straight into the table
+                table = np.empty((2, config.weight_dim, times.shape[0]))
+                for plane, name in zip(table, ("pos_basis", "vel_basis")):
+                    rows = data[name]
+                    if rows.shape != plane.T.shape:
+                        raise DimensionError(f"basis arrays {rows.shape} do not match "
+                                             f"grid/config {plane.T.shape}")
+                    plane.T[...] = rows
+                bank = cls(config=config, times=times, pos_basis=table[0].T,
+                           vel_basis=table[1].T)
                 stored = data["checksum"].tobytes().decode("ascii")
         except OSError as exc:
             raise IoError(f"cannot read bank {path}: {exc}") from exc
@@ -350,8 +393,9 @@ def precompute_basis(config: DmpConfig) -> BasisBank:
 
     kt = k * times
     env = np.exp(-kt)
-    pos_basis = np.empty((m + 1, n + 1))
-    vel_basis = np.empty((m + 1, n + 1))
+    # filled through its (M, N+1) views, the table becomes the bank's own
+    table = np.empty((2, n + 1, m + 1))
+    pos_basis, vel_basis = table[0].T, table[1].T
     pos_basis[:, :n] = times[:, None] * big_a - big_b
     vel_basis[:, :n] = (1.0 - kt)[:, None] * big_a + k * big_b
     pos_basis[:, n] = 1.0 - (1.0 + kt) * env

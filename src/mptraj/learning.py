@@ -102,10 +102,13 @@ def _fit_grid(demos, bcs, bank: BasisBank, ridge: float | None) -> np.ndarray:
                                 np.concatenate([bc.dy_b for bc in bcs]))
     fold = folded_basis(stacked, demos[0].times, bank)
     target = np.concatenate([demo.positions for demo in demos]) - fold.pos_offset
+    # einsum sums in memory order, so the default ridge is taken over C-ordered
+    # (T, N+1) rows, not over the fold's transposed view
+    design = np.ascontiguousarray(fold.h_pos)
     if ridge is None:
-        ridge = RIDGE_SCALE * np.einsum("ij,ij->", fold.h_pos, fold.h_pos) / bank.weight_dim
+        ridge = RIDGE_SCALE * np.einsum("ij,ij->", design, design) / bank.weight_dim
     check_finite_nonneg("ridge", ridge)
-    return _ridge_lstsq(fold.h_pos, target.T, ridge).T.reshape(len(demos), -1)
+    return _ridge_lstsq(design, target.T, ridge).T.reshape(len(demos), -1)
 
 
 def fit_weights(demo: Demonstration, bank: BasisBank,

@@ -12,9 +12,12 @@ unsegmented trajectory would have them, which is the mode where replanning
 with unchanged parameters continues the original path; it requires the chain
 to fit inside the bank horizon.
 
-A chain computes only the executed trace: each segment is one boundary fold
-and two matrix products.  replan_segment additionally returns the segment's
-trajectory distribution, read from the same fold as its mean trace.
+A chain computes only the executed trace: each segment is two matrix
+products on a boundary fold.  Local-anchored segments of one horizon share
+one fold, whose rows depend on bank time and horizon alone, and refold only
+the offsets from each executed state.  replan_segment additionally returns
+the segment's trajectory distribution, read from the same fold as its mean
+trace.
 """
 from __future__ import annotations
 
@@ -115,7 +118,8 @@ def run_chain(initial: BoundaryCondition, segments, bank: BasisBank, rate: float
     executed state of the one before it.
 
     mode "mean" follows each segment's mean; mode "sample" draws one weight
-    vector per segment.
+    vector per segment.  With anchor "local", segments of equal horizon share
+    one fold (TrajectoryGenerator.with_state), bit for bit.
     """
     segments = list(segments)
     if not segments:
@@ -128,6 +132,9 @@ def run_chain(initial: BoundaryCondition, segments, bank: BasisBank, rate: float
 
     state = initial
     traces = []
+    # local segments of one horizon all sit at bank time 0 over the same bank
+    # times, so they share one fold's rows; each refolds only its offsets
+    folds = {}
     for wdist, horizon in segments:
         bank_anchor = 0.0 if anchor == "local" else state.t_b
         times, local_times, local_bc = _segment_frame(state, horizon, bank, rate,
@@ -135,7 +142,10 @@ def run_chain(initial: BoundaryCondition, segments, bank: BasisBank, rate: float
         w = wdist.mean
         if mode == "sample":
             w = wdist.mean + wdist.chol @ rng.standard_normal(wdist.dim)
-        gen = TrajectoryGenerator(local_bc, local_times, bank)
+        if anchor == "local" and horizon in folds:
+            gen = folds[horizon].with_state(local_bc)
+        else:
+            gen = folds[horizon] = TrajectoryGenerator(local_bc, local_times, bank)
         positions, velocities = gen.positions(w), gen.velocities(w)
         traces.append((times, positions, velocities))
         state = BoundaryCondition(t_b=float(times[-1]),

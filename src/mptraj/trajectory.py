@@ -17,6 +17,7 @@ is t >= t_b (the exponential in xi then grows with t_b - t).
 """
 from __future__ import annotations
 
+import copy
 import re
 from dataclasses import dataclass
 
@@ -71,11 +72,17 @@ def window_steps(span: float, rate: float) -> int:
 
 
 def _xi_arrays(times: np.ndarray, t_b: float, k: float):
-    """xi1, xi2 and their time derivatives dxi1, dxi2 at times."""
+    """(xi1, dxi1) and (xi2, dxi2) at times: the factors of the boundary
+    position and velocity, each pair of shape (2, 1, T), position kind first."""
     rel = times - t_b
-    env = np.exp(-k * rel)
-    return ((1.0 + k * rel) * env, rel * env,
-            -k * k * rel * env, (1.0 - k * rel) * env)
+    krel = k * rel
+    env = np.exp(-krel)
+    first, second = np.empty((2, 2, 1, times.shape[0]))
+    first[0, 0] = (1.0 + krel) * env
+    first[1, 0] = -k * k * rel * env
+    second[0, 0] = rel * env
+    second[1, 0] = (1.0 - krel) * env
+    return first, second
 
 
 def weight_blocks(w_g, dofs: int, weight_dim: int) -> np.ndarray:
@@ -91,13 +98,21 @@ def weight_blocks(w_g, dofs: int, weight_dim: int) -> np.ndarray:
 class TrajectoryGenerator:
     """Boundary fold of the bank at fixed (bc, times), the one place the
     boundary state enters: y(t) = pos_offset + W h_pos^T and yd(t) =
-    vel_offset + W h_vel^T for weight blocks W of shape (D, N+1).  Offsets
-    are (D, T), the folded rows (T, N+1).  Shared by the deterministic,
-    distribution, sampling and fitting paths; a replanning chain computes
-    only the trace from it, one fold per segment.
+    vel_offset + W h_vel^T for weight blocks W of shape (D, N+1).  Shared by
+    the deterministic, distribution, sampling and fitting paths; a replanning
+    chain computes only the trace from it.
+
+    The fold is time-major, like the bank's table: `rows` is one contiguous
+    (2, N+1, T) array of folded position and velocity rows, and `offsets` one
+    (2, D, T) array.  pos_offset/vel_offset are its (D, T) slices and
+    h_pos/h_vel the (T, N+1) transposed views of `rows`.  The rows depend on
+    (t_b, times) only and the offsets on the boundary state as well, so
+    with_state() refolds another state at the same t_b and times by
+    rebuilding the offsets alone.
 
     positions()/velocities() then cost one (D, N+1) x (N+1, T) product per
-    weight vector, which is the online generation path worth benchmarking.
+    weight vector against a contiguous row slice, which is the online
+    generation path worth benchmarking.
     """
 
     def __init__(self, bc: BoundaryCondition, times, bank: BasisBank):
@@ -106,20 +121,34 @@ class TrajectoryGenerator:
             raise DimensionError(f"query times must be a vector, got shape {times.shape}")
         if not times.size:
             raise ValidationError("query times must hold at least one time")
-        # row 0 is the boundary row; the lerp is elementwise, so sharing one
-        # lookup leaves every row unchanged
-        phi, dphi = bank.rows(np.concatenate(([bc.t_b], times)))
-        xi1, xi2, dxi1, dxi2 = _xi_arrays(times, bc.t_b, bank.config.decay_rate)
-        self.bc = bc
+        # column 0 is the boundary time; the lerp is elementwise, so sharing
+        # one lookup leaves every row unchanged
+        table = bank.lookup(np.concatenate(([bc.t_b], times)))
+        self._xi = first, second = _xi_arrays(times, bc.t_b, bank.config.decay_rate)
         self.times = times
-        self.pos_offset = xi1 * bc.y_b[:, None] + xi2 * bc.dy_b[:, None]
-        self.vel_offset = dxi1 * bc.y_b[:, None] + dxi2 * bc.dy_b[:, None]
-        self.h_pos = phi[1:] - xi1[:, None] * phi[0] - xi2[:, None] * dphi[0]
-        self.h_vel = dphi[1:] - dxi1[:, None] * phi[0] - dxi2[:, None] * dphi[0]
+        self.rows = table[:, :, 1:] - first * table[0, :, :1] - second * table[1, :, :1]
+        self.h_pos, self.h_vel = self.rows.transpose(0, 2, 1)
+        self._set_state(bc)
+
+    def _set_state(self, bc: BoundaryCondition) -> None:
+        first, second = self._xi
+        self.bc = bc
+        self.offsets = first * bc.y_b[:, None] + second * bc.dy_b[:, None]
+        self.pos_offset, self.vel_offset = self.offsets
+
+    def with_state(self, bc: BoundaryCondition) -> "TrajectoryGenerator":
+        """The fold of boundary state bc at the same t_b and times, bit for
+        bit: it shares this fold's rows and rebuilds only the offsets."""
+        if bc.t_b != self.bc.t_b:
+            raise ValidationError(
+                f"boundary time {bc.t_b} differs from the fold's {self.bc.t_b}")
+        gen = copy.copy(self)
+        gen._set_state(bc)
+        return gen
 
     def _blocks(self, w_g) -> np.ndarray:
         """Weight blocks (..., D, N+1) of one vector or a stack (..., D*(N+1))."""
-        dofs, weight_dim = self.bc.dofs, self.h_pos.shape[1]
+        dofs, weight_dim = self.bc.dofs, self.rows.shape[1]
         w_g = np.asarray(w_g, dtype=float)
         if w_g.ndim > 1 and w_g.shape[-1] == dofs * weight_dim:
             return w_g.reshape(w_g.shape[:-1] + (dofs, weight_dim))
@@ -128,11 +157,11 @@ class TrajectoryGenerator:
 
     def positions(self, w_g) -> np.ndarray:
         """Positions (..., D, T) of one weights vector or a stack of them."""
-        return self.pos_offset + self._blocks(w_g) @ self.h_pos.T
+        return self.pos_offset + self._blocks(w_g) @ self.rows[0]
 
     def velocities(self, w_g) -> np.ndarray:
         """Velocities (..., D, T), as positions()."""
-        return self.vel_offset + self._blocks(w_g) @ self.h_vel.T
+        return self.vel_offset + self._blocks(w_g) @ self.rows[1]
 
 
 def folded_basis(bc: BoundaryCondition, times, bank: BasisBank) -> TrajectoryGenerator:

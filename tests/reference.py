@@ -8,7 +8,8 @@ exp(k t), so they are usable only on short horizons, which is why they serve
 as independent cross-checks and not as production code.
 
 Beside them sit routes that the package replaced with faster ones: the
-row-by-row precompute recurrence, the pair NLL through a dense block design
+row-major boundary fold and the bank file writer of the (M, N+1) row
+layout, the row-by-row precompute recurrence, the pair NLL through a dense block design
 matrix and scipy, the per-time combination loop, the per-demo fit loop, the
 loops that add per-primitive or per-observation terms one at a time, and
 the per-value CSV writers, the per-point SVG plot and the per-record
@@ -22,6 +23,8 @@ from scipy.stats import multivariate_normal
 
 from mptraj import (BasisBank, BoundaryCondition, LatentGaussian, fit_weights,
                     make_forcing_basis, phase, run_chain)
+from mptraj.basis import BANK_FORMAT
+from mptraj.learning import RIDGE_SCALE, _ridge_lstsq
 from mptraj.probops import GaussianSequence, _chol_with_jitter
 from mptraj.svgplot import (_HEIGHT, _MARGIN_B, _MARGIN_L, _MARGIN_R, _MARGIN_T, _PALETTE,
                             _WIDTH)
@@ -117,6 +120,72 @@ def sequential_bank(config) -> BasisBank:
                                  k * k * times * env])
     return BasisBank(config=config, times=times, pos_basis=pos_basis,
                      vel_basis=vel_basis)
+
+
+class RowMajorFold:
+    """The boundary fold computed row-major, one time per row: each row kind
+    gathered and lerped on its own from C-ordered (M, N+1) copies of the bank
+    arrays, and the folded rows h_pos/h_vel built as C-ordered (T, N+1)
+    arrays.  The layout the package folded in before its time-major table;
+    the same formulas, so every value must agree bit for bit wherever the
+    products take the same BLAS path."""
+
+    def __init__(self, bc, times, bank):
+        times = np.atleast_1d(np.asarray(times, dtype=float))
+        grid = bank.times
+        t = np.concatenate(([bc.t_b], times))
+        idx = np.clip(np.searchsorted(grid, t, side="right") - 1, 0, grid.shape[0] - 2)
+        frac = (t - grid[idx]) / (grid[idx + 1] - grid[idx])
+        lo, hi = (1.0 - frac)[:, None], frac[:, None]
+        phi, dphi = (lo * values[idx] + hi * values[idx + 1]
+                     for values in (np.ascontiguousarray(bank.pos_basis),
+                                    np.ascontiguousarray(bank.vel_basis)))
+        k = bank.config.decay_rate
+        rel = times - bc.t_b
+        env = np.exp(-k * rel)
+        xi1, xi2 = (1.0 + k * rel) * env, rel * env
+        dxi1, dxi2 = -k * k * rel * env, (1.0 - k * rel) * env
+        self.bc = bc
+        self.pos_offset = xi1 * bc.y_b[:, None] + xi2 * bc.dy_b[:, None]
+        self.vel_offset = dxi1 * bc.y_b[:, None] + dxi2 * bc.dy_b[:, None]
+        self.h_pos = phi[1:] - xi1[:, None] * phi[0] - xi2[:, None] * dphi[0]
+        self.h_vel = dphi[1:] - dxi1[:, None] * phi[0] - dxi2[:, None] * dphi[0]
+
+    def _blocks(self, w_g):
+        w_g = np.asarray(w_g, dtype=float)
+        return w_g.reshape(w_g.shape[:-1] + (self.bc.dofs, self.h_pos.shape[1]))
+
+    def positions(self, w_g):
+        return self.pos_offset + self._blocks(w_g) @ self.h_pos.T
+
+    def velocities(self, w_g):
+        return self.vel_offset + self._blocks(w_g) @ self.h_vel.T
+
+
+def row_major_fits(demos, bank) -> np.ndarray:
+    """Weights (K, D*(N+1)) of K demos sampled at the same times, with the
+    default ridge: the shared-grid fit on a RowMajorFold of the stacked
+    boundary states, the ridge summed over its C-ordered rows."""
+    bcs = [demo.boundary_condition() for demo in demos]
+    stacked = BoundaryCondition(bcs[0].t_b, np.concatenate([bc.y_b for bc in bcs]),
+                                np.concatenate([bc.dy_b for bc in bcs]))
+    fold = RowMajorFold(stacked, demos[0].times, bank)
+    target = np.concatenate([demo.positions for demo in demos]) - fold.pos_offset
+    ridge = RIDGE_SCALE * np.einsum("ij,ij->", fold.h_pos, fold.h_pos) / bank.weight_dim
+    return _ridge_lstsq(fold.h_pos, target.T, ridge).T.reshape(len(demos), -1)
+
+
+def save_row_major(bank, path) -> None:
+    """Write bank in the file layout of the (M, N+1) row arrays: the format
+    key, times, C-ordered pos_basis and vel_basis, the config echo and the
+    content checksum, as np.savez stores them."""
+    np.savez(path, format=np.array(BANK_FORMAT), times=bank.times,
+             pos_basis=np.array(bank.pos_basis, order="C"),
+             vel_basis=np.array(bank.vel_basis, order="C"),
+             config_json=np.frombuffer(bank.config.canonical_json().encode("utf-8"),
+                                       dtype=np.uint8),
+             checksum=np.frombuffer(bank.content_checksum().encode("ascii"),
+                                    dtype=np.uint8))
 
 
 def pair_nll_dense(batch, wdist, bc, bank, noise_var) -> float:

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import warnings
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ from mptraj import (DimensionError, DmpConfig, IoError, NumericalError,
                     ValidationError, make_forcing_basis, phase, precompute_basis)
 from mptraj.basis import BANK_FORMAT, MAX_BANK_CELLS, BasisBank
 from tests.conftest import REFERENCE_CONFIG, SMALL_CONFIG, write_unversioned_bank
-from tests.reference import complementary, q_terms, sequential_bank
+from tests.reference import complementary, q_terms, save_row_major, sequential_bank
 
 # the bank of perfbench's online_replan workload: 10 001 points, N = 10
 ONLINE_REPLAN_CONFIG = dict(alpha=25.0, tau=10.0, alpha_x=2.0, num_basis=10,
@@ -438,6 +439,93 @@ class TestBankFile:
     def test_arrays_are_read_only(self, small_bank):
         with pytest.raises(ValueError):
             small_bank.pos_basis[0, 0] = 1.0
+
+
+# a bank (alpha=25, tau=1, alpha_x=2, num_basis=3, duration=1, grid_dt=0.02)
+# saved before the bank held its rows in one time-major table
+ROW_LAYOUT_BANK = Path(__file__).resolve().parent / "data" / "bank_rows_v2.npz"
+
+
+class TestBankTable:
+    def test_basis_arrays_view_one_read_only_table(self, small_bank, tmp_path):
+        path = str(tmp_path / "bank.npz")
+        small_bank.save(path)
+        for bank in (small_bank, BasisBank.load(path)):
+            table = bank.table
+            assert table.shape == (2, bank.weight_dim, bank.times.size)
+            assert table.flags.c_contiguous and table.flags.owndata
+            assert not table.flags.writeable
+            # the bank holds one copy of its rows
+            assert bank.pos_basis.base is table and bank.vel_basis.base is table
+            assert np.array_equal(bank.pos_basis, table[0].T)
+            assert np.array_equal(bank.vel_basis, table[1].T)
+
+    def test_other_arrays_are_copied_in(self, small_bank):
+        pos, vel = np.array(small_bank.pos_basis), np.array(small_bank.vel_basis)
+        bank = BasisBank(config=small_bank.config, times=small_bank.times,
+                         pos_basis=pos, vel_basis=vel)
+        assert not np.shares_memory(bank.table, pos)
+        pos += 1.0
+        assert np.array_equal(bank.pos_basis, small_bank.pos_basis)
+        assert np.array_equal(bank.vel_basis, vel)
+        # the views of another bank's table are adopted, not copied
+        again = BasisBank(config=small_bank.config, times=small_bank.times,
+                          pos_basis=small_bank.pos_basis, vel_basis=small_bank.vel_basis)
+        assert again.table is small_bank.table
+
+    def test_lookup_is_both_row_kinds_time_major(self, small_bank):
+        grid = small_bank.times
+        t = np.concatenate([grid[[0, 17, -1]], 0.5 * (grid[[3, 99]] + grid[[4, 100]])])
+        rows = small_bank.lookup(t)
+        assert rows.shape == (2, small_bank.weight_dim, t.size)
+        assert np.array_equal(rows[0].T, small_bank.pos_rows(t))
+        assert np.array_equal(rows[1].T, small_bank.vel_rows(t))
+        assert np.array_equal(rows[:, :, :3], small_bank.table[:, :, [0, 17, -1]])
+        assert small_bank.lookup([]).shape == (2, small_bank.weight_dim, 0)
+
+
+class TestBankFileStability:
+    def test_save_load_save_gives_identical_bytes(self, small_bank, tmp_path):
+        first, second = tmp_path / "first.npz", tmp_path / "second.npz"
+        small_bank.save(str(first))
+        BasisBank.load(str(first)).save(str(second))
+        assert first.read_bytes() == second.read_bytes()
+
+    def test_members_are_c_ordered(self, small_bank, tmp_path):
+        path = tmp_path / "bank.npz"
+        small_bank.save(str(path))
+        readers = {(1, 0): np.lib.format.read_array_header_1_0,
+                   (2, 0): np.lib.format.read_array_header_2_0}
+        with zipfile.ZipFile(path) as archive:
+            for name in archive.namelist():
+                with archive.open(name) as fh:
+                    _, fortran_order, _ = readers[np.lib.format.read_magic(fh)](fh)
+                assert fortran_order is False, name
+
+    def test_file_is_the_row_layout(self, small_bank, tmp_path):
+        ours, rows = tmp_path / "ours.npz", tmp_path / "rows.npz"
+        small_bank.save(str(ours))
+        save_row_major(small_bank, str(rows))
+        assert ours.read_bytes() == rows.read_bytes()
+
+    @pytest.mark.parametrize("name", ["pos_basis", "vel_basis"])
+    def test_rows_of_another_shape_rejected(self, small_bank, tmp_path, name):
+        path = tmp_path / "bank.npz"
+        small_bank.save(str(path))
+        with np.load(path) as data:
+            arrays = {key: data[key] for key in data.files}
+        np.savez(path, **{**arrays, name: arrays[name][:, :-1]})
+        with pytest.raises(DimensionError, match="do not match"):
+            BasisBank.load(str(path))
+
+    def test_row_layout_file_still_loads(self, tmp_path):
+        # load checks the stored checksum against content_checksum, and the
+        # file saved again holds that checksum too
+        bank = BasisBank.load(str(ROW_LAYOUT_BANK))
+        assert bank.times.shape == (51,) and bank.weight_dim == 4
+        resaved = tmp_path / "resaved.npz"
+        bank.save(str(resaved))
+        assert resaved.read_bytes() == ROW_LAYOUT_BANK.read_bytes()
 
 
 def test_bank_shape_validation(small_config, small_bank):

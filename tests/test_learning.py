@@ -8,7 +8,7 @@ from mptraj import (BoundaryCondition, Demonstration, DimensionError, DmpConfig,
                     fit_distribution, fit_weights, precompute_basis,
                     sample_trajectories)
 from tests.conftest import random_weights_distribution
-from tests.reference import bayesian_aggregate_loop, per_demo_fits
+from tests.reference import bayesian_aggregate_loop, per_demo_fits, row_major_fits
 
 
 def _synth_demo(w, bc, times, bank, with_velocities=True):
@@ -263,6 +263,21 @@ class TestSharedGridFit:
                  for i in range(3)]
         fitted = fit_distribution(demos, bank)
         assert np.array_equal(fitted.mean, per_demo_fits(demos, bank).mean(axis=0))
+
+    @pytest.mark.parametrize("dofs", [1, 2, 7])
+    def test_default_ridge_is_summed_over_c_ordered_rows(self, bank, dofs):
+        # einsum sums in memory order: a ridge summed over the fold's
+        # transposed rows moves the fits in their last bits
+        demos = self._rollouts(bank, dofs, np.arange(3001) / 1000, 4, seed=70 + dofs)
+        fits = row_major_fits(demos, bank)
+        assert np.array_equal(fit_weights(demos[0], bank), row_major_fits(demos[:1], bank)[0])
+        fitted = fit_distribution(demos, bank, cov_floor=1e-4)
+        mean = fits.mean(axis=0)
+        centered = fits - mean
+        cov = centered.T @ centered / (len(demos) - 1)
+        cov[np.diag_indices_from(cov)] += 1e-4
+        assert np.array_equal(fitted.mean, mean)
+        assert np.array_equal(fitted.chol, np.linalg.cholesky(cov))
 
     def test_underdetermined_grid_rejected(self, small_bank):
         times = np.linspace(0.0, 1.0, small_bank.weight_dim - 1)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from mptraj import (BoundaryCondition, ValidationError, evaluate_position,
-                    replan_segment, run_chain, smoothness_metric)
+from mptraj import (BasisBank, BoundaryCondition, TrajectoryGenerator, ValidationError,
+                    evaluate_position, replan_segment, run_chain, smoothness_metric)
 from mptraj.trajectory import MAX_QUERY_SAMPLES
 from tests.conftest import random_weights_distribution
 from tests.reference import stale_chain
@@ -150,6 +150,31 @@ class TestRunChain:
             assert np.array_equal(seg.times[drop:], plan.times[rows])
             assert np.array_equal(seg.positions[:, drop:], plan.positions[:, rows])
             assert np.array_equal(seg.velocities[:, drop:], plan.velocities[:, rows])
+
+    @pytest.mark.parametrize("mode", ["mean", "sample"])
+    @pytest.mark.parametrize("anchor", ["local", "follow"])
+    def test_local_chain_folds_once_per_horizon(self, small_bank, monkeypatch,
+                                                anchor, mode):
+        # equal-horizon local segments share one fold and refold only their
+        # offsets; the plan equals that of a fresh fold per segment, bit for bit
+        wdists, initial = _setup(small_bank, dofs=7)
+        horizons = (0.1, 0.1, 0.2, 0.1, 0.2)
+        segments = [(wdists[k % 3], h) for k, h in enumerate(horizons)]
+        lookups = []
+        lookup = BasisBank.lookup
+        monkeypatch.setattr(BasisBank, "lookup",
+                            lambda bank, t: lookups.append(len(t)) or lookup(bank, t))
+        plan = run_chain(initial, segments, small_bank, rate=40.0, anchor=anchor,
+                         mode=mode, seed=3)
+        assert len(lookups) == (2 if anchor == "local" else 5)
+        monkeypatch.setattr(TrajectoryGenerator, "with_state",
+                            lambda fold, bc: TrajectoryGenerator(bc, fold.times, small_bank))
+        fresh = run_chain(initial, segments, small_bank, rate=40.0, anchor=anchor,
+                          mode=mode, seed=3)
+        assert len(lookups) == (2 if anchor == "local" else 5) + 5
+        for name in ("times", "positions", "velocities", "segment_ids",
+                     "pos_jumps", "vel_jumps"):
+            assert np.array_equal(getattr(plan, name), getattr(fresh, name)), name
 
     def test_one_segment_chain_is_replan_segment_mean(self, small_bank):
         # no interior switch: nothing dropped, no jump measured

@@ -5,7 +5,7 @@ from mptraj import (BasisBank, BoundaryCondition, DimensionError, TrajectoryGene
                     ValidationError, evaluate_position, evaluate_velocity)
 from mptraj.trajectory import (MAX_QUERY_SAMPLES, folded_basis, read_trajectory_csv,
                                weight_blocks, window_steps, write_trajectory_csv)
-from tests.reference import (complementary, position_from_coefficients,
+from tests.reference import (RowMajorFold, complementary, position_from_coefficients,
                              solve_coefficients, velocity_from_coefficients)
 
 # frozen mpmath values for alpha=25, tau=3 (k = 25/6), t=1, t_b=0
@@ -198,14 +198,14 @@ class TestFoldedBasis:
 
     def test_one_lookup_for_both_row_kinds(self, reference_bank, monkeypatch):
         calls = []
-        for name in ("rows", "pos_rows", "vel_rows"):
+        for name in ("lookup", "rows", "pos_rows", "vel_rows"):
             def counted(bank, t, _name=name, _rows=getattr(BasisBank, name)):
                 calls.append(_name)
                 return _rows(bank, t)
             monkeypatch.setattr(BasisBank, name, counted)
         bc = BoundaryCondition(0.5, np.zeros(2), np.zeros(2))
         folded_basis(bc, np.linspace(0.5, 2.5, 9), reference_bank)
-        assert calls == ["rows"]
+        assert calls == ["lookup"]
 
     def test_stack_equals_single_calls(self, reference_bank):
         rng = np.random.default_rng(8)
@@ -297,3 +297,84 @@ class TestCsv:
         with pytest.raises(DimensionError):
             write_trajectory_csv(str(tmp_path / "x.csv"), np.zeros(3),
                                  np.zeros((1, 4)), None)
+
+
+class TestTimeMajorFold:
+    """The time-major fold against the row-major formulas of RowMajorFold."""
+
+    @staticmethod
+    def _case(bank, dofs, on_grid, seed):
+        rng = np.random.default_rng(seed)
+        grid, end = bank.times, bank.duration
+        # grid point 700 of the reference bank, or a third of the way past it
+        t_b = grid[700] if on_grid else grid[700] + (grid[701] - grid[700]) / 3.0
+        bc, _ = _random_case(rng, dofs, bank.weight_dim, t_b=t_b)
+        # off-grid times, grid points, and the bank end, where the upper
+        # bound on the interval index applies
+        times = np.concatenate([[t_b], rng.uniform(t_b, end, 40), grid[[701, 1500, -2]],
+                                [end]])
+        stack = rng.standard_normal((3, 2, dofs * bank.weight_dim)) * 5.0
+        return bc, times, stack
+
+    @pytest.mark.parametrize("on_grid", [True, False], ids=["on-grid", "off-grid"])
+    @pytest.mark.parametrize("dofs", [2, 3, 7])
+    def test_bit_identical_to_row_major_fold(self, reference_bank, dofs, on_grid):
+        bc, times, stack = self._case(reference_bank, dofs, on_grid, seed=dofs)
+        assert times[-1] == reference_bank.times[-1]
+        fold = TrajectoryGenerator(bc, times, reference_bank)
+        ref = RowMajorFold(bc, times, reference_bank)
+        for name in ("h_pos", "h_vel", "pos_offset", "vel_offset"):
+            assert np.array_equal(getattr(fold, name), getattr(ref, name)), name
+        for w in (stack, stack[0, 0]):
+            assert np.array_equal(fold.positions(w), ref.positions(w))
+            assert np.array_equal(fold.velocities(w), ref.velocities(w))
+
+    @pytest.mark.parametrize("on_grid", [True, False], ids=["on-grid", "off-grid"])
+    def test_one_dof_drifts_only_in_the_last_bits(self, reference_bank, on_grid):
+        # one DoF is a matrix-vector product, whose BLAS path sums the N+1
+        # terms in another order than the matrix product of the row-major fold
+        bc, times, stack = self._case(reference_bank, 1, on_grid, seed=11)
+        fold = TrajectoryGenerator(bc, times, reference_bank)
+        ref = RowMajorFold(bc, times, reference_bank)
+        for name in ("h_pos", "h_vel", "pos_offset", "vel_offset"):
+            assert np.array_equal(getattr(fold, name), getattr(ref, name)), name
+        for w in (stack, stack[0, 0]):
+            for ours, theirs, state in ((fold.positions(w), ref.positions(w), bc.y_b),
+                                        (fold.velocities(w), ref.velocities(w), bc.dy_b)):
+                assert np.array_equal(ours[..., 0], np.broadcast_to(state, ours[..., 0].shape))
+                scale = np.max(np.abs(theirs), axis=-1, keepdims=True)
+                assert np.all(np.abs(ours - theirs) <= 1e-14 * scale)
+
+    def test_rows_are_one_contiguous_time_major_array(self, reference_bank):
+        bc, times, _ = self._case(reference_bank, 3, False, seed=5)
+        fold = TrajectoryGenerator(bc, times, reference_bank)
+        assert fold.rows.shape == (2, reference_bank.weight_dim, times.size)
+        assert fold.rows.flags.c_contiguous
+        assert fold.offsets.shape == (2, 3, times.size)
+        assert np.shares_memory(fold.h_pos, fold.rows)
+        assert np.shares_memory(fold.pos_offset, fold.offsets)
+
+
+class TestWithState:
+    def test_equals_a_fresh_fold(self, reference_bank):
+        rng = np.random.default_rng(21)
+        times = np.linspace(0.0, 1.5, 31)
+        first, _ = _random_case(rng, 3, reference_bank.weight_dim)
+        second, w = _random_case(rng, 3, reference_bank.weight_dim)
+        fold = TrajectoryGenerator(first, times, reference_bank)
+        refold = fold.with_state(second)
+        fresh = TrajectoryGenerator(second, times, reference_bank)
+        assert refold.bc is second and fold.bc is first
+        assert refold.rows is fold.rows
+        for name in ("pos_offset", "vel_offset", "h_pos", "h_vel"):
+            assert np.array_equal(getattr(refold, name), getattr(fresh, name)), name
+        assert np.array_equal(refold.positions(w), fresh.positions(w))
+        assert np.array_equal(refold.velocities(w), fresh.velocities(w))
+        # the fold it came from keeps its own state
+        assert np.array_equal(fold.pos_offset,
+                              TrajectoryGenerator(first, times, reference_bank).pos_offset)
+
+    def test_other_boundary_time_rejected(self, reference_bank):
+        fold = folded_basis(BoundaryCondition(0.0, [0.0], [0.0]), [0.5], reference_bank)
+        with pytest.raises(ValidationError, match="boundary time"):
+            fold.with_state(BoundaryCondition(0.1, [0.0], [0.0]))

@@ -9,7 +9,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
-import tempfile
+import secrets
 
 from .errors import IoError, ValidationError
 
@@ -47,8 +47,12 @@ def write_csv_table(path: str, header, table) -> None:
 
 def _atomic_write(path: str, data: bytes) -> None:
     directory = os.path.dirname(os.path.abspath(path))
+    tmp = os.path.join(directory, f".tmp-{secrets.token_hex(8)}~")
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+        # 0o666 under the umask, the mode open(path, "w") gives a new file;
+        # tempfile.mkstemp would make it 0o600
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL
+                     | getattr(os, "O_BINARY", 0), 0o666)
         try:
             with os.fdopen(fd, "wb") as fh:
                 fh.write(data)

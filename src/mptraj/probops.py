@@ -6,11 +6,13 @@ Combination follows the activated product of Gaussians:
     cov*(t) = (sum_k a_k(t) cov_k(t)^-1)^-1
     mu*(t)  = cov*(t) sum_k a_k(t) cov_k(t)^-1 mu_k(t)
 
-The sums run batched over (primitive, time): one Cholesky factorization and
-one solve invert every active covariance at once, and one more pair inverts
-the combined precisions.  Components with zero activation at a time step drop
-out of the sums exactly, and a lone component with activation 1 is passed
-through bit for bit (at activation a < 1 its covariance is divided by a).
+Only the times with two or more active primitives are combined.  One
+Cholesky factorization and one solve invert the active covariances at those
+times, gathered into one flat stack, and one more pair inverts the combined
+precisions there.  Components with zero activation at a time step drop out
+of the sums exactly, and at a time with one active component that component
+is passed through bit for bit (at activation a < 1 its covariance is divided
+by a) without being factored.
 A stack whose factorization fails is retried slice by slice, and each slice
 that needs a diagonal jitter counts once in meta["jitter_applied"].  A
 combined mean or covariance that is not finite raises NumericalError.
@@ -119,17 +121,19 @@ def _chol_with_jitter(mat: np.ndarray, counter: list, what: str) -> np.ndarray:
 
 
 def _inverse_stack(stack: np.ndarray, counter: list, what) -> np.ndarray:
-    """Symmetric inverses of a stack (..., D, D) of SPD matrices through one
+    """Symmetric inverses of a flat stack (n, D, D) of SPD matrices through one
     batched Cholesky factorization.  When that fails, every slice is factored
     alone, so jitter is added, and counted, only where a slice needs it;
-    what(*index) names a slice in the error."""
+    what(j) names slice j in the error."""
     try:
         chol = np.linalg.cholesky(stack)
     except np.linalg.LinAlgError:
         chol = np.empty_like(stack)
-        for index in np.ndindex(stack.shape[:-2]):
-            chol[index] = _chol_with_jitter(stack[index], counter, what(*index))
-    inv_l = np.linalg.solve(chol, np.eye(stack.shape[-1]))
+        for j, mat in enumerate(stack):
+            chol[j] = _chol_with_jitter(mat, counter, what(j))
+    # an identity per slice: numpy < 2 reads a (D, D) right-hand side beside a
+    # 3-D stack as D vectors
+    inv_l = np.linalg.solve(chol, np.broadcast_to(np.eye(stack.shape[-1]), stack.shape))
     inv = np.swapaxes(inv_l, -1, -2) @ inv_l
     return 0.5 * (inv + np.swapaxes(inv, -1, -2))
 
@@ -162,20 +166,26 @@ def combine(sequences, profile: ActivationProfile) -> GaussianSequence:
     in_covs = np.stack([seq.covs for seq in sequences])
     active = act > 0.0
     lone = active.sum(axis=0) == 1
-    # only primitives active beside another one are factored; the identity in
-    # every other slot factors cleanly and its zero or discarded weight adds
-    # nothing to the sums below
-    factored = active & ~lone
+    # only the active slots at mixed times are factored; the zero precision
+    # of every other slot there adds nothing to the sums below
+    mixed = np.flatnonzero(~lone)
+    slot_k, slot_m = np.nonzero(active[:, mixed])
+    act_mixed = act[:, mixed]
     jitter_events = [0]
+    means = np.empty_like(base.means)
+    covs = np.empty_like(base.covs)
     with np.errstate(over="ignore", invalid="ignore"):
-        prec = _inverse_stack(
-            np.where(factored[..., None, None], in_covs, np.eye(base.dofs)),
-            jitter_events, lambda k, i: f"covariance of primitive {k} at index {i}")
-        precision = _primitive_sum(act[..., None, None] * prec)
-        shift = _primitive_sum(act[..., None] * (prec @ in_means[..., None])[..., 0])
-        covs = _inverse_stack(precision, jitter_events,
-                              lambda i: f"combined precision at index {i}")
-        means = (covs @ shift[..., None])[..., 0]
+        prec = np.zeros((len(sequences), mixed.size, base.dofs, base.dofs))
+        prec[slot_k, slot_m] = _inverse_stack(
+            in_covs[slot_k, mixed[slot_m]], jitter_events,
+            lambda j: f"covariance of primitive {slot_k[j]} at index {mixed[slot_m[j]]}")
+        precision = _primitive_sum(act_mixed[..., None, None] * prec)
+        shift = _primitive_sum(
+            act_mixed[..., None] * (prec @ in_means[:, mixed, :, None])[..., 0])
+        cov_mixed = _inverse_stack(precision, jitter_events,
+                                   lambda j: f"combined precision at index {mixed[j]}")
+        covs[mixed] = cov_mixed
+        means[mixed] = (cov_mixed @ shift[..., None])[..., 0]
         # a lone primitive passes through; its covariance widens by 1/a
         k_lone = act.argmax(axis=0)[lone]
         means[lone] = in_means[k_lone, lone]

@@ -21,11 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import multivariate_normal
 
-from mptraj import (BasisBank, BoundaryCondition, LatentGaussian, fit_weights,
-                    make_forcing_basis, phase, run_chain)
+from mptraj import (BasisBank, BoundaryCondition, LatentGaussian, NumericalError,
+                    fit_weights, make_forcing_basis, phase, run_chain)
 from mptraj.basis import BANK_FORMAT
 from mptraj.learning import RIDGE_SCALE, _ridge_lstsq
-from mptraj.probops import GaussianSequence, _chol_with_jitter
+from mptraj.probops import GaussianSequence
 from mptraj.svgplot import (_HEIGHT, _MARGIN_B, _MARGIN_L, _MARGIN_R, _MARGIN_T, _PALETTE,
                             _WIDTH)
 from mptraj.trajectory import weight_blocks
@@ -242,8 +242,16 @@ def combine_loop(sequences, profile) -> GaussianSequence:
     covariance divided by its activation), every other time sums the
     activation-weighted precisions of its active primitives."""
     def inverse(mat, counter, what):
-        inv_l = np.linalg.solve(_chol_with_jitter(mat, counter, what),
-                                np.eye(mat.shape[0]))
+        # a 1e-12 diagonal jitter where the factorization fails, counted once
+        try:
+            chol = np.linalg.cholesky(mat)
+        except np.linalg.LinAlgError:
+            counter[0] += 1
+            try:
+                chol = np.linalg.cholesky(mat + 1e-12 * np.eye(mat.shape[0]))
+            except np.linalg.LinAlgError as exc:
+                raise NumericalError(f"{what} is singular even after 1e-12 jitter") from exc
+        inv_l = np.linalg.solve(chol, np.eye(mat.shape[0]))
         inv = inv_l.T @ inv_l
         return 0.5 * (inv + inv.T)
 

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import stat
 
 import numpy as np
 import pytest
@@ -940,3 +941,21 @@ def test_demo_csv_fuzz(env, tmp_path, case):
     assert _run_to(["fit", "--bank", str(env["bank"]), "--demo", str(clean)],
                    tmp_path / "clean.json") == (0, "")
     assert (tmp_path / "w.json").read_bytes() == (tmp_path / "clean.json").read_bytes()
+
+
+class TestFileMode:
+    def test_outputs_take_the_mode_of_the_umask(self, env, capsys, tmp_path):
+        # the temp file behind every atomic write was created 0o600
+        bank = tmp_path / "bank.npz"
+        out = tmp_path / "traj.csv"
+        old = os.umask(0o022)
+        try:
+            BasisBank.load(str(env["bank"])).save(str(bank))
+            code, _, stderr = _run(capsys, [
+                "generate", "--bank", str(env["bank"]), "--weights", str(env["weights"]),
+                "--bc", str(env["bc"]), "--out", str(out)])
+        finally:
+            os.umask(old)
+        assert code == 0 and stderr == ""
+        for path in (bank, out):
+            assert stat.S_IMODE(path.stat().st_mode) == 0o644, path

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -162,6 +163,55 @@ class TestCombine:
         profile = ActivationProfile(times, np.ones((2, 1)))
         with pytest.raises(NumericalError, match="primitive 0 at index 0"):
             combine([odd, healthy], profile)
+
+    # the slots factored are gathered from the mixed times only, so an error
+    # after lone times must still name the primitive and index of the input
+    def test_slot_after_lone_times_is_named(self):
+        times = np.array([0.0, 0.5, 1.0])
+        covs = np.array([np.eye(2), np.eye(2), [[1.0, 0.0], [0.0, -1.0]]])
+        odd = GaussianSequence(times, np.zeros((3, 2)), covs)
+        healthy = GaussianSequence(times, np.ones((3, 2)), np.array([np.eye(2)] * 3))
+        profile = ActivationProfile(times, np.array([[1.0, 1.0, 0.5], [0.0, 0.0, 0.5]]))
+        with pytest.raises(NumericalError, match=re.escape(
+                "covariance of primitive 1 at index 2 is singular even after 1e-12 jitter")):
+            combine([healthy, odd], profile)
+
+    def test_non_finite_result_after_lone_times_is_named(self):
+        times = np.array([0.0, 0.5, 1.0])
+        tiny = GaussianSequence(times, np.ones((3, 2)), np.array([1e-310 * np.eye(2)] * 3))
+        healthy = GaussianSequence(times, np.ones((3, 2)), np.array([np.eye(2)] * 3))
+        profile = ActivationProfile(times, np.array([[1.0, 1.0, 0.5], [0.0, 0.0, 0.5]]))
+        with pytest.raises(NumericalError, match=re.escape(
+                "combined Gaussian at index 2 (t = 1) is not finite")):
+            combine([healthy, tiny], profile)
+
+    def test_every_time_lone_factors_nothing(self):
+        # every covariance is indefinite, so factoring any of them would raise
+        times = np.linspace(0.0, 1.0, 5)
+        rng = np.random.default_rng(7)
+        seqs = [GaussianSequence(times, rng.standard_normal((5, 2)),
+                                 np.array([[[1.0, 0.5], [0.5, -1.0]]] * 5) * (k + 1))
+                for k in range(3)]
+        owner = np.array([0, 2, 1, 1, 0])
+        values = np.zeros((3, 5))
+        values[owner, np.arange(5)] = 1.0
+        out = combine(seqs, ActivationProfile(times, values))
+        for i, k in enumerate(owner):
+            assert out.means[i].tobytes() == seqs[k].means[i].tobytes()
+            assert out.covs[i].tobytes() == seqs[k].covs[i].tobytes()
+        assert out.meta["jitter_applied"] == 0
+
+    @pytest.mark.parametrize("dofs", [1, 2, 3])
+    def test_every_slot_active_matches_the_loop_bit_for_bit(self, dofs):
+        rng = np.random.default_rng(8)
+        times = np.linspace(0.0, 1.0, 20)
+        seqs = [_random_sequence(rng, times, dofs) for _ in range(3)]
+        profile = ActivationProfile(times, rng.uniform(0.05, 1.0, size=(3, 20)))
+        out = combine(seqs, profile)
+        ref = reference.combine_loop(seqs, profile)
+        assert out.means.tobytes() == ref.means.tobytes()
+        assert out.covs.tobytes() == ref.covs.tobytes()
+        assert out.meta["jitter_applied"] == ref.meta["jitter_applied"] == 0
 
     def test_non_finite_result_is_numerical_error(self):
         # the precision round trip of covariances near the float limit

@@ -205,47 +205,49 @@ def make_forcing_basis(config: DmpConfig) -> ForcingBasis:
     return ForcingBasis(centers, widths)
 
 
-def _is_view(a: np.ndarray, b: np.ndarray) -> bool:
-    """Whether a and b view the same elements in the same order."""
-    return (a.shape == b.shape and a.strides == b.strides
-            and a.__array_interface__["data"][0] == b.__array_interface__["data"][0])
-
-
 @dataclass(frozen=True)
 class BasisBank:
     """Immutable offline artifact: per grid time, the (N+1) position basis row
     (N weight columns plus the goal column) and the velocity analog.
 
-    Both row kinds live in one read-only, time-major table of shape
-    (2, N+1, M), the attribute `table`: row kind (position, velocity), then
-    basis column, then grid point.  pos_basis and vel_basis are its (M, N+1)
-    views.  lookup() gathers and interpolates both kinds at once, so every
-    elementwise step of it, and of the boundary fold that consumes it, runs
-    along the time axis.  Bank files keep the C-ordered (M, N+1) arrays.
+    `times` is the config's grid: M finite times, strictly increasing from 0
+    to duration.  Both row kinds live in one read-only, time-major table of
+    shape (2, N+1, M), the field `table`: row kind (position, velocity), then
+    basis column, then grid point.  The properties pos_basis and vel_basis are
+    its (M, N+1) views.  lookup() gathers and interpolates both kinds at once,
+    so every elementwise step of it, and of the boundary fold that consumes
+    it, runs along the time axis.  Bank files keep the C-ordered (M, N+1) arrays.
     """
 
     config: DmpConfig
     times: np.ndarray
-    pos_basis: np.ndarray
-    vel_basis: np.ndarray
+    table: np.ndarray
 
     def __post_init__(self):
-        n_pts = self.times.shape[0]
-        dim = self.config.weight_dim
-        if self.pos_basis.shape != (n_pts, dim) or self.vel_basis.shape != (n_pts, dim):
+        times = np.asarray(self.times, dtype=float)
+        n_pts, dim = self.config.grid_points, self.config.weight_dim
+        if times.shape != (n_pts,):
             raise DimensionError(
-                f"basis arrays {self.pos_basis.shape} do not match grid/config {(n_pts, dim)}")
-        # the (M, N+1) views of one (2, N+1, M) table, as precompute_basis
-        # builds them, are adopted as they are; other arrays are copied in
-        table = self.pos_basis.base
-        if not (isinstance(table, np.ndarray) and table.shape == (2, dim, n_pts)
-                and table.flags.c_contiguous
-                and all(_is_view(rows, plane.T) for rows, plane
-                        in zip((self.pos_basis, self.vel_basis), table))):
-            table = np.empty((2, dim, n_pts))
-            table[0], table[1] = self.pos_basis.T, self.vel_basis.T
-        freeze(self, times=self.times, table=table)
-        freeze(self, pos_basis=table[0].T, vel_basis=table[1].T)
+                f"bank times {times.shape} do not match the config's grid ({n_pts},)")
+        # negated comparisons only: NaN fails them, and no inf - inf is evaluated
+        if not (times[0] == 0.0 and times[-1] == self.config.duration
+                and np.all(times[1:] > times[:-1])):
+            raise ValidationError(
+                f"bank times are not the config's grid: they must be finite and "
+                f"strictly increasing from 0 to duration {self.config.duration}")
+        table = np.ascontiguousarray(self.table, dtype=float)
+        if table.shape != (2, dim, n_pts):
+            raise DimensionError(
+                f"basis table {table.shape} does not match grid/config {(2, dim, n_pts)}")
+        freeze(self, times=times, table=table)
+
+    @property
+    def pos_basis(self) -> np.ndarray:
+        return self.table[0].T
+
+    @property
+    def vel_basis(self) -> np.ndarray:
+        return self.table[1].T
 
     @property
     def duration(self) -> float:
@@ -259,10 +261,12 @@ class BasisBank:
     def weight_dim(self) -> int:
         return self.config.weight_dim
 
-    def _lerp(self, t, table: np.ndarray) -> np.ndarray:
-        """table (..., M) at query times t, interpolated along its last axis:
-        shape (..., T), from one range check and one searchsorted."""
+    def lookup(self, t) -> np.ndarray:
+        """Both row kinds at query times t, time-major: shape (2, N+1, T),
+        position rows first, from one range check and one searchsorted
+        (linear interpolation off-grid)."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
+        table = self.table
         if t.size == 0:
             return np.empty(table.shape[:-1] + (0,))
         times = self.times
@@ -279,23 +283,13 @@ class BasisBank:
         # endpoint-exact lerp: frac 0 or 1 returns the stored row bitwise
         return (1.0 - frac) * table[..., idx] + frac * table[..., upper]
 
-    def lookup(self, t) -> np.ndarray:
-        """Both row kinds at query times t, time-major: shape (2, N+1, T),
-        position rows first (linear interpolation off-grid)."""
-        return self._lerp(t, self.table)
-
-    def rows(self, t) -> tuple[np.ndarray, np.ndarray]:
-        """(pos_rows(t), vel_rows(t)) from one lookup, bit for bit."""
-        pos, vel = self.lookup(t)
-        return pos.T, vel.T
-
     def pos_rows(self, t) -> np.ndarray:
         """Position basis rows (T, N+1) at query times (linear interpolation
         off-grid)."""
-        return self._lerp(t, self.table[0]).T
+        return self.lookup(t)[0].T
 
     def vel_rows(self, t) -> np.ndarray:
-        return self._lerp(t, self.table[1]).T
+        return self.lookup(t)[1].T
 
     def content_checksum(self) -> str:
         digest = hashlib.sha256(self.config.canonical_json().encode("utf-8"))
@@ -328,17 +322,15 @@ class BasisBank:
                         f"version reads; re-run mptraj precompute to rebuild it")
                 config = DmpConfig.from_dict(
                     json.loads(data["config_json"].tobytes().decode("utf-8")))
-                times = data["times"]
                 # one row kind read at a time, straight into the table
-                table = np.empty((2, config.weight_dim, times.shape[0]))
+                table = np.empty((2, config.weight_dim, config.grid_points))
                 for plane, name in zip(table, ("pos_basis", "vel_basis")):
                     rows = data[name]
                     if rows.shape != plane.T.shape:
                         raise DimensionError(f"basis arrays {rows.shape} do not match "
                                              f"grid/config {plane.T.shape}")
                     plane.T[...] = rows
-                bank = cls(config=config, times=times, pos_basis=table[0].T,
-                           vel_basis=table[1].T)
+                bank = cls(config=config, times=data["times"], table=table)
                 stored = data["checksum"].tobytes().decode("ascii")
         except OSError as exc:
             raise IoError(f"cannot read bank {path}: {exc}") from exc
@@ -412,5 +404,4 @@ def precompute_basis(config: DmpConfig) -> BasisBank:
             f"(allowed {tol:.3e}); the grid step {dt:.3e} is too coarse for "
             f"alpha={config.alpha}, tau={config.tau}, num_basis={config.num_basis}")
 
-    return BasisBank(config=config, times=times, pos_basis=pos_basis,
-                     vel_basis=vel_basis)
+    return BasisBank(config=config, times=times, table=table)

@@ -27,7 +27,7 @@ from .errors import (DimensionError, MptrajError, NumericalError, ValidationErro
                      check_finite_nonneg, check_finite_positive, check_int,
                      check_number, check_numbers, check_record, check_type)
 from .fileio import atomic_write_json, read_json, staged_writes
-from .learning import Demonstration, fit_distribution, fit_weights
+from .learning import DEFAULT_COV_FLOOR, Demonstration, fit_distribution, fit_weights
 from .probops import (ActivationProfile, GaussianSequence, blend, combine,
                       falling_ramp, write_gaussian_sequence_json)
 from .replan import run_chain, smoothness_metric
@@ -386,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bc", help="boundary-condition override (single demo only)")
     p.add_argument("--ridge", type=_finite_nonneg("ridge"),
                    help="ridge strength (default: scale-free)")
-    p.add_argument("--cov-floor", type=_finite_nonneg("cov_floor"), default=1e-8,
+    p.add_argument("--cov-floor", type=_finite_nonneg("cov_floor"), default=DEFAULT_COV_FLOOR,
                    help="diagonal floor for the empirical covariance")
 
     p = subs.add_parser("combine", help="co-activate primitives on a shared grid")

@@ -1,12 +1,13 @@
 import hashlib
 import shutil
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import configuration, settings
 
-from mptraj import DmpConfig, precompute_basis
+from mptraj import DimensionError, DmpConfig, ValidationError, precompute_basis
 
 # every run draws the same examples and keeps no example database
 settings.register_profile("deterministic", derandomize=True, database=None)
@@ -73,3 +74,47 @@ def write_unversioned_bank(bank, path):
              config_json=np.frombuffer(bank.config.canonical_json().encode("utf-8"),
                                        dtype=np.uint8),
              checksum=np.frombuffer(digest.hexdigest().encode("ascii"), dtype=np.uint8))
+
+
+# a bank (alpha=25, tau=1, alpha_x=2, num_basis=3, duration=1, grid_dt=0.02)
+# saved before the bank held its rows in one time-major table
+ROW_LAYOUT_BANK = Path(__file__).resolve().parent / "data" / "bank_rows_v2.npz"
+
+
+def _swap_two_times(times, pos, vel):
+    times = times.copy()
+    times[[10, 11]] = times[[11, 10]]
+    return times, pos, vel
+
+
+def _nan_time(times, pos, vel):
+    times = times.copy()
+    times[20] = np.nan
+    return times, pos, vel
+
+
+# edits of a format-2 bank file's (times, pos_basis, vel_basis) that leave a
+# grid other than the config's, with the error loading it raises: two grid
+# times swapped, the first 46 of 51 grid points (a bank that reported a
+# duration of 0.9), and a NaN time
+GRID_DEFECTS = {
+    "swapped-times": (_swap_two_times, ValidationError),
+    "46-of-51-points": (lambda times, pos, vel: (times[:46], pos[:46], vel[:46]),
+                        DimensionError),
+    "nan-time": (_nan_time, ValidationError),
+}
+
+
+def write_edited_bank(source, path, edit):
+    """Write the format-2 bank file source to path with its arrays replaced by
+    edit(times, pos_basis, vel_basis) and its checksum recomputed over them,
+    as BasisBank.content_checksum computes it."""
+    with np.load(source) as data:
+        arrays = {name: data[name] for name in data.files}
+    times, pos, vel = edit(arrays["times"], arrays["pos_basis"], arrays["vel_basis"])
+    digest = hashlib.sha256(arrays["config_json"].tobytes())
+    for arr in (times, pos, vel):
+        digest.update(np.ascontiguousarray(arr).tobytes())
+    np.savez(path, **{**arrays, "times": times, "pos_basis": pos, "vel_basis": vel,
+                      "checksum": np.frombuffer(digest.hexdigest().encode("ascii"),
+                                                dtype=np.uint8)})

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -13,7 +14,8 @@ import mptraj
 from mptraj import (DimensionError, DmpConfig, IoError, NumericalError,
                     ValidationError, make_forcing_basis, phase, precompute_basis)
 from mptraj.basis import BANK_FORMAT, MAX_BANK_CELLS, BasisBank
-from tests.conftest import REFERENCE_CONFIG, SMALL_CONFIG, write_unversioned_bank
+from tests.conftest import (GRID_DEFECTS, REFERENCE_CONFIG, ROW_LAYOUT_BANK, SMALL_CONFIG,
+                            write_edited_bank, write_unversioned_bank)
 from tests.reference import complementary, q_terms, save_row_major, sequential_bank
 
 # the bank of perfbench's online_replan workload: 10 001 points, N = 10
@@ -333,18 +335,19 @@ class TestBankInterp:
         t = np.concatenate([grid[[0, 1, 17, 200, -2, -1]],
                             0.5 * (grid[[0, 17, 399]] + grid[[1, 18, 400]]),
                             np.random.default_rng(3).uniform(0.0, grid[-1], 50)])
-        pos, vel = small_bank.rows(t)
-        assert np.array_equal(pos, small_bank.pos_rows(t))
-        assert np.array_equal(vel, small_bank.vel_rows(t))
-        assert np.array_equal(small_bank.rows(grid[-1])[0], small_bank.pos_basis[-1:])
-        empty = small_bank.rows([])
-        assert [rows.shape for rows in empty] == [(0, small_bank.weight_dim)] * 2
+        pos, vel = small_bank.lookup(t)
+        assert np.array_equal(pos.T, small_bank.pos_rows(t))
+        assert np.array_equal(vel.T, small_bank.vel_rows(t))
+        assert np.array_equal(small_bank.lookup(grid[-1])[0].T, small_bank.pos_basis[-1:])
+        assert small_bank.lookup([]).shape == (2, small_bank.weight_dim, 0)
+        for rows in (small_bank.pos_rows, small_bank.vel_rows):
+            assert rows([]).shape == (0, small_bank.weight_dim)
 
     @pytest.mark.parametrize("t", [[np.nan], [0.5, np.nan], [-0.01], [1.01]],
                              ids=["nan", "nan-after-valid", "before-start", "after-end"])
     def test_rows_reject_like_single_kind_lookups(self, small_bank, t):
         errors = []
-        for lookup in (small_bank.rows, small_bank.pos_rows, small_bank.vel_rows):
+        for lookup in (small_bank.lookup, small_bank.pos_rows, small_bank.vel_rows):
             with pytest.raises(ValidationError) as info:
                 lookup(t)
             errors.append(str(info.value))
@@ -441,11 +444,6 @@ class TestBankFile:
             small_bank.pos_basis[0, 0] = 1.0
 
 
-# a bank (alpha=25, tau=1, alpha_x=2, num_basis=3, duration=1, grid_dt=0.02)
-# saved before the bank held its rows in one time-major table
-ROW_LAYOUT_BANK = Path(__file__).resolve().parent / "data" / "bank_rows_v2.npz"
-
-
 class TestBankTable:
     def test_basis_arrays_view_one_read_only_table(self, small_bank, tmp_path):
         path = str(tmp_path / "bank.npz")
@@ -460,18 +458,19 @@ class TestBankTable:
             assert np.array_equal(bank.pos_basis, table[0].T)
             assert np.array_equal(bank.vel_basis, table[1].T)
 
-    def test_other_arrays_are_copied_in(self, small_bank):
-        pos, vel = np.array(small_bank.pos_basis), np.array(small_bank.vel_basis)
-        bank = BasisBank(config=small_bank.config, times=small_bank.times,
-                         pos_basis=pos, vel_basis=vel)
-        assert not np.shares_memory(bank.table, pos)
-        pos += 1.0
-        assert np.array_equal(bank.pos_basis, small_bank.pos_basis)
-        assert np.array_equal(bank.vel_basis, vel)
-        # the views of another bank's table are adopted, not copied
+    def test_table_is_the_only_stored_array_besides_times(self, small_bank):
+        assert [field.name for field in dataclasses.fields(BasisBank)] == [
+            "config", "times", "table"]
+        # a C-ordered float table is adopted as it is; another is made one
         again = BasisBank(config=small_bank.config, times=small_bank.times,
-                          pos_basis=small_bank.pos_basis, vel_basis=small_bank.vel_basis)
+                          table=small_bank.table)
         assert again.table is small_bank.table
+        fortran = np.asfortranarray(small_bank.table)
+        bank = BasisBank(config=small_bank.config, times=small_bank.times, table=fortran)
+        assert bank.table.flags.c_contiguous and not np.shares_memory(bank.table, fortran)
+        assert np.array_equal(bank.table, small_bank.table)
+        with pytest.raises(AttributeError):
+            small_bank.pos_basis = small_bank.vel_basis
 
     def test_lookup_is_both_row_kinds_time_major(self, small_bank):
         grid = small_bank.times
@@ -529,7 +528,47 @@ class TestBankFileStability:
 
 
 def test_bank_shape_validation(small_config, small_bank):
-    with pytest.raises(DimensionError):
-        BasisBank(config=small_config, times=small_bank.times,
-                  pos_basis=small_bank.pos_basis[:, :-1],
-                  vel_basis=small_bank.vel_basis)
+    for table in (small_bank.table[:, :-1], small_bank.table[:1], small_bank.table[0]):
+        with pytest.raises(DimensionError, match="does not match"):
+            BasisBank(config=small_config, times=small_bank.times, table=table)
+
+
+class TestBankGrid:
+    """The bank's times are the config's grid; bank files whose grid is not
+    still pass their checksum, which is a content hash, not a seal."""
+
+    @pytest.mark.parametrize("times", [lambda t: t[:-1], lambda t: t[:, None],
+                                       lambda t: t[0]],
+                             ids=["short", "2-d", "scalar"])
+    def test_times_of_another_shape_rejected(self, small_bank, times):
+        with pytest.raises(DimensionError, match="config's grid"):
+            BasisBank(config=small_bank.config, times=times(small_bank.times),
+                      table=small_bank.table)
+
+    @pytest.mark.parametrize("index,value", [(0, 1e-9), (-1, 1.0 + 1e-9), (-1, math.inf),
+                                             (7, math.nan), (7, math.inf),
+                                             (7, -math.inf), (7, 0.5)],
+                             ids=["start", "end", "inf-end", "nan", "inf", "-inf",
+                                  "not-increasing"])
+    def test_times_off_the_grid_rejected(self, small_bank, index, value):
+        times = np.array(small_bank.times)
+        times[index] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="not the config's grid"):
+                BasisBank(config=small_bank.config, times=times, table=small_bank.table)
+
+    def test_unedited_copy_loads(self, tmp_path):
+        # the edited files below fail on their grid, not on their checksum
+        path = tmp_path / "copy.npz"
+        write_edited_bank(ROW_LAYOUT_BANK, path, lambda *arrays: arrays)
+        assert (BasisBank.load(str(path)).content_checksum()
+                == BasisBank.load(str(ROW_LAYOUT_BANK)).content_checksum())
+
+    @pytest.mark.parametrize("defect", GRID_DEFECTS)
+    def test_file_off_the_grid_rejected(self, tmp_path, defect):
+        path = tmp_path / "bank.npz"
+        edit, error = GRID_DEFECTS[defect]
+        write_edited_bank(ROW_LAYOUT_BANK, path, edit)
+        with pytest.raises(error, match="config's grid|do not match grid/config"):
+            BasisBank.load(str(path))

@@ -16,7 +16,8 @@ from mptraj.basis import BasisBank
 from mptraj.cli import main
 from mptraj.distribution import write_weights_distribution_json
 from mptraj.trajectory import MAX_QUERY_SAMPLES, read_trajectory_csv
-from tests.conftest import (SMALL_CONFIG, random_weights_distribution,
+from tests.conftest import (GRID_DEFECTS, ROW_LAYOUT_BANK, SMALL_CONFIG,
+                            random_weights_distribution, write_edited_bank,
                             write_unversioned_bank)
 from tests.reference import sequential_bank
 
@@ -740,6 +741,22 @@ def _run_to(argv, out, svg=None):
         if path.parent.is_dir():
             assert not list(path.parent.glob(".tmp-*")), path.parent
     return code, stderr.getvalue()
+
+
+@pytest.mark.parametrize("defect", GRID_DEFECTS)
+def test_bank_off_the_grid_is_one_error_line(tmp_path, defect):
+    # the checksum is recomputed over the edited arrays, so only the grid
+    # check stands between such a file and a trajectory
+    edit, error = GRID_DEFECTS[defect]
+    bank = tmp_path / "bank.npz"
+    write_edited_bank(ROW_LAYOUT_BANK, bank, edit)
+    weights = tmp_path / "weights.json"
+    weights.write_text(json.dumps({"dofs": 1, "num_basis": 3,
+                                   "weights": [1.0, -0.5, 0.25, 2.0]}))
+    code, stderr = _run_to(["generate", "--bank", str(bank), "--weights", str(weights)],
+                           tmp_path / "traj.csv")
+    assert code == EXIT_CODES[error.category]
+    assert stderr.startswith(f"error[{error.category}]: ") and "Traceback" not in stderr
 
 
 class TestAllOrNoOutputs:

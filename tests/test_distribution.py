@@ -175,7 +175,7 @@ class TestTrajectoryDistribution:
                      lambda: evaluate_position(wdist.mean, bc, [], small_bank)):
             with pytest.raises(ValidationError, match="at least one time"):
                 read()
-        assert small_bank.rows([])[0].shape == (0, small_bank.weight_dim)
+        assert small_bank.lookup([]).shape == (2, small_bank.weight_dim, 0)
 
     def test_asymmetric_cov_rejected(self):
         cov = np.array([[1.0, 0.1], [0.2, 1.0]])

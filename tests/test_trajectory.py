@@ -198,7 +198,7 @@ class TestFoldedBasis:
 
     def test_one_lookup_for_both_row_kinds(self, reference_bank, monkeypatch):
         calls = []
-        for name in ("lookup", "rows", "pos_rows", "vel_rows"):
+        for name in ("lookup", "pos_rows", "vel_rows"):
             def counted(bank, t, _name=name, _rows=getattr(BasisBank, name)):
                 calls.append(_name)
                 return _rows(bank, t)

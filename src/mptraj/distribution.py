@@ -220,6 +220,7 @@ def sample_trajectories(wdist: WeightsDistribution, bc: BoundaryCondition, times
     Every sample adheres to the boundary condition exactly.  `seed` is an int
     seed or a numpy Generator; identical seeds give bit-identical output.
     """
+    count = check_int("count", count)
     if count < 1:
         raise ValidationError(f"count must be >= 1, got {count}")
     _check_weights_dim(wdist, bc, bank)
@@ -275,6 +276,7 @@ def sample_time_pairs(times, count: int, seed) -> TimePairBatch:
     times = np.unique(np.asarray(times, dtype=float))
     if times.size < 2:
         raise ValidationError("pair sampling needs at least 2 distinct times")
+    count = check_int("count", count)
     if count < 1:
         raise ValidationError(f"count must be >= 1, got {count}")
     rng = np.random.default_rng(seed)

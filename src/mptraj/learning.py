@@ -3,10 +3,11 @@ factorized Gaussian observations.
 
 fit_weights inverts the linear trajectory model per DoF: with the boundary
 offset subtracted from the demonstrated positions, the weights solve a ridge
-least-squares problem against the folded basis rows; fit_distribution solves
-it once per time grid, for every DoF of every demo on it.  The default ridge
-is scale-free (1e-9 * trace(H^T H) / dim) so near-singular Gram matrices stay
-factorizable without visibly biasing well-posed fits.
+least-squares problem against the folded basis rows H, through one thin SVD
+of H; fit_distribution folds each time grid once and solves for every DoF of
+every demo on it, each demo's offsets built from that fold's xi factors.  The
+default ridge is scale-free (1e-9 * trace(H^T H) / dim) so near-singular Gram
+matrices stay factorizable without visibly biasing well-posed fits.
 
 bayesian_aggregate fuses elementwise-independent Gaussians by precision
 addition.  Observations are canonically sorted (lexicographically on the raw
@@ -77,38 +78,50 @@ class Demonstration:
 
 
 def _ridge_lstsq(design: np.ndarray, target: np.ndarray, ridge: float) -> np.ndarray:
-    # augmented least squares keeps the conditioning of the design matrix
-    # itself; forming the normal equations would square it
-    dim = design.shape[1]
-    if ridge > 0.0:
-        design = np.vstack([design, np.sqrt(ridge) * np.eye(dim)])
-        target = np.vstack([target, np.zeros((dim, target.shape[1]))])
-    solution, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
+    # ridge least squares through one thin SVD H = U S V^T of the design itself:
+    # x = V diag(s / (s^2 + ridge)) U^T b.  Like least squares on the augmented
+    # [H; sqrt(ridge) I], whose singular values are sqrt(s^2 + ridge), it keeps
+    # the conditioning of H; forming the normal equations would square it
+    u, s, vt = np.linalg.svd(design, full_matrices=False)
+    rows, dim = design.shape
+    # hypot neither overflows nor underflows where s^2 would
+    augmented = np.hypot(s, np.sqrt(ridge))
+    # lstsq's rank rule (rcond=None) on the augmented matrix, ridge rows and all
+    rcond = np.finfo(float).eps * max(rows + dim if ridge > 0.0 else rows, dim)
+    rank = np.count_nonzero(augmented > rcond * augmented[0])
     if rank < dim:
         raise NumericalError(
             f"design matrix is rank deficient ({rank} < {dim}); supply ridge > 0")
-    return solution
+    gain = s / augmented / augmented
+    return vt.T @ (gain[:, None] * (u.T @ target))
 
 
 def _fit_grid(demos, bcs, bank: BasisBank, ridge: float | None) -> np.ndarray:
-    """Weights (K, D*(N+1)) of K demos sampled at the same times: one fold of their
-    boundary states bcs (one t_b) stacked along the DoF axis, whose offset rows are
-    each demo's own, and one least squares with K*D right-hand sides."""
+    """Weights (K, D*(N+1)) of K demos sampled at the same times: one fold at the
+    first boundary state (one t_b for all), the position offsets of every demo's
+    own state from its xi factors, and one ridge solve with K*D right-hand
+    sides."""
     if demos[0].times.shape[0] < bank.weight_dim:
         raise ValidationError(
             f"demonstration has {demos[0].times.shape[0]} samples but the basis has "
             f"{bank.weight_dim} parameters per DoF; the fit would be underdetermined")
-    stacked = BoundaryCondition(bcs[0].t_b, np.concatenate([bc.y_b for bc in bcs]),
-                                np.concatenate([bc.dy_b for bc in bcs]))
-    fold = folded_basis(stacked, demos[0].times, bank)
-    target = np.concatenate([demo.positions for demo in demos]) - fold.pos_offset
+    fold = folded_basis(bcs[0], demos[0].times, bank)
+    offsets = fold.position_offsets(np.concatenate([bc.y_b for bc in bcs]),
+                                    np.concatenate([bc.dy_b for bc in bcs]))
+    # the target is written over the offsets: two (K*D, T) arrays at most
+    target = np.subtract(np.concatenate([demo.positions for demo in demos]), offsets,
+                         out=offsets)
     # einsum sums in memory order, so the default ridge is taken over C-ordered
     # (T, N+1) rows, not over the fold's transposed view
     design = np.ascontiguousarray(fold.h_pos)
     if ridge is None:
         ridge = RIDGE_SCALE * np.einsum("ij,ij->", design, design) / bank.weight_dim
     check_finite_nonneg("ridge", ridge)
-    return _ridge_lstsq(design, target.T, ridge).T.reshape(len(demos), -1)
+    weights = _ridge_lstsq(design, target.T, ridge).T.reshape(len(demos), -1)
+    if not np.isfinite(weights).all():
+        raise NumericalError(
+            "fitted weights are not finite; the demonstrations' values overflow the solve")
+    return weights
 
 
 def fit_weights(demo: Demonstration, bank: BasisBank,

@@ -85,6 +85,15 @@ def _xi_arrays(times: np.ndarray, t_b: float, k: float):
     return first, second
 
 
+def _offsets(first: np.ndarray, second: np.ndarray, y_b: np.ndarray,
+             dy_b: np.ndarray) -> np.ndarray:
+    """first * y_b + second * dy_b over the states' axis, (..., S, T), with the
+    second product added into the first."""
+    out = first * y_b[:, None]
+    out += second * dy_b[:, None]
+    return out
+
+
 def weight_blocks(w_g, dofs: int, weight_dim: int) -> np.ndarray:
     """Validate a stacked weights-and-goal vector and view it as (D, N+1)."""
     w_g = np.asarray(w_g, dtype=float)
@@ -108,11 +117,12 @@ class TrajectoryGenerator:
     h_pos/h_vel the (T, N+1) transposed views of `rows`.  The rows depend on
     (t_b, times) only and the offsets on the boundary state as well, so
     with_state() refolds another state at the same t_b and times by
-    rebuilding the offsets alone.
+    rebuilding the offsets alone, and position_offsets() gives the position
+    offsets of any number of states at once, as the fit reads them.
 
     positions()/velocities() then cost one (D, N+1) x (N+1, T) product per
-    weight vector against a contiguous row slice, which is the online
-    generation path worth benchmarking.
+    weight vector against a contiguous row slice, with the offset added into
+    it, which is the online generation path worth benchmarking.
     """
 
     def __init__(self, bc: BoundaryCondition, times, bank: BasisBank):
@@ -133,8 +143,16 @@ class TrajectoryGenerator:
     def _set_state(self, bc: BoundaryCondition) -> None:
         first, second = self._xi
         self.bc = bc
-        self.offsets = first * bc.y_b[:, None] + second * bc.dy_b[:, None]
+        self.offsets = _offsets(first, second, bc.y_b, bc.dy_b)
         self.pos_offset, self.vel_offset = self.offsets
+
+    def position_offsets(self, y_b, dy_b) -> np.ndarray:
+        """Position offsets (S, T) of S boundary positions y_b and velocities
+        dy_b at this fold's t_b and times, bit for bit the pos_offset rows a
+        fold of those states would hold: several states, such as those of
+        demos sharing a grid, cost one (S, T) array and no velocity offsets."""
+        first, second = self._xi
+        return _offsets(first[0], second[0], np.asarray(y_b), np.asarray(dy_b))
 
     def with_state(self, bc: BoundaryCondition) -> "TrajectoryGenerator":
         """The fold of boundary state bc at the same t_b and times, bit for
@@ -157,11 +175,17 @@ class TrajectoryGenerator:
 
     def positions(self, w_g) -> np.ndarray:
         """Positions (..., D, T) of one weights vector or a stack of them."""
-        return self.pos_offset + self._blocks(w_g) @ self.rows[0]
+        # the offset is added into the product, which allocates only the output;
+        # IEEE addition commutes, so every bit is that of offset + product
+        out = self._blocks(w_g) @ self.rows[0]
+        out += self.pos_offset
+        return out
 
     def velocities(self, w_g) -> np.ndarray:
         """Velocities (..., D, T), as positions()."""
-        return self.vel_offset + self._blocks(w_g) @ self.rows[1]
+        out = self._blocks(w_g) @ self.rows[1]
+        out += self.vel_offset
+        return out
 
 
 def folded_basis(bc: BoundaryCondition, times, bank: BasisBank) -> TrajectoryGenerator:

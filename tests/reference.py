@@ -11,10 +11,11 @@ Beside them sit routes that the package replaced with faster ones: the
 row-major boundary fold and the bank file writer of the (M, N+1) row
 layout, the row-by-row precompute recurrence, the pair NLL through a dense block design
 matrix and scipy, the per-time combination loop, the per-demo fit loop, the
-loops that add per-primitive or per-observation terms one at a time, and
-the per-value CSV writers, the per-point SVG plot and the per-record
-Gaussian-sequence JSON.  stale_chain is the negative control of
-replanning: a chain that ignores the executed state.
+ridge least squares on the augmented design matrix, the loops that add
+per-primitive or per-observation terms one at a time, and the per-value CSV
+writers, the per-point SVG plot and the per-record Gaussian-sequence JSON.
+stale_chain is the negative control of replanning: a chain that ignores the
+executed state.
 """
 from dataclasses import dataclass
 
@@ -164,7 +165,8 @@ class RowMajorFold:
 def row_major_fits(demos, bank) -> np.ndarray:
     """Weights (K, D*(N+1)) of K demos sampled at the same times, with the
     default ridge: the shared-grid fit on a RowMajorFold of the stacked
-    boundary states, the ridge summed over its C-ordered rows."""
+    boundary states, whose offsets include velocity rows no fit reads, the
+    ridge summed over its C-ordered rows, and the package's own ridge solve."""
     bcs = [demo.boundary_condition() for demo in demos]
     stacked = BoundaryCondition(bcs[0].t_b, np.concatenate([bc.y_b for bc in bcs]),
                                 np.concatenate([bc.dy_b for bc in bcs]))
@@ -172,6 +174,22 @@ def row_major_fits(demos, bank) -> np.ndarray:
     target = np.concatenate([demo.positions for demo in demos]) - fold.pos_offset
     ridge = RIDGE_SCALE * np.einsum("ij,ij->", fold.h_pos, fold.h_pos) / bank.weight_dim
     return _ridge_lstsq(fold.h_pos, target.T, ridge).T.reshape(len(demos), -1)
+
+
+def augmented_lstsq(design, target, ridge) -> np.ndarray:
+    """Ridge least squares as lstsq (LAPACK gelsd) on the augmented design
+    [H; sqrt(ridge) I] and the target padded with zeros, with the package's
+    rank check: the route that the package's thin-SVD solve replaced, and the
+    fit reference it is held to."""
+    dim = design.shape[1]
+    if ridge > 0.0:
+        design = np.vstack([design, np.sqrt(ridge) * np.eye(dim)])
+        target = np.vstack([target, np.zeros((dim, target.shape[1]))])
+    solution, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
+    if rank < dim:
+        raise NumericalError(
+            f"design matrix is rank deficient ({rank} < {dim}); supply ridge > 0")
+    return solution
 
 
 def save_row_major(bank, path) -> None:

@@ -960,6 +960,29 @@ def test_demo_csv_fuzz(env, tmp_path, case):
     assert (tmp_path / "w.json").read_bytes() == (tmp_path / "clean.json").read_bytes()
 
 
+_HUGE = 1.7e308
+
+# demos whose values reach the largest doubles: a fit of one or of two of them
+# ends in one error[numerical] line, exit 4, and writes nothing
+EXTREME_DEMOS = {
+    "alternating-positions": _demo_csv("t,dof0_pos", DEMO_T,
+                                       np.where(np.arange(41) % 2, _HUGE, -_HUGE)),
+    "constant-positions": _demo_csv("t,dof0_pos", DEMO_T, np.full(41, _HUGE)),
+    "one-spike": _demo_csv("t,dof0_pos", DEMO_T, np.where(np.arange(41) == 20, _HUGE, 0.0)),
+    "huge-velocities": _demo_csv("t,dof0_pos,dof0_vel", DEMO_T, _SIN, np.full(41, _HUGE)),
+}
+
+
+@pytest.mark.parametrize("copies", [1, 2], ids=["one-demo", "two-demos"])
+@pytest.mark.parametrize("case", list(EXTREME_DEMOS))
+def test_extreme_demo_fit_is_one_numerical_error(env, tmp_path, case, copies):
+    demo = tmp_path / "demo.csv"
+    demo.write_text(EXTREME_DEMOS[case])
+    argv = ["fit", "--bank", str(env["bank"])] + ["--demo", str(demo)] * copies
+    code, stderr = _run_to(argv, tmp_path / "w.json")
+    assert code == 4 and stderr.startswith("error[numerical]: "), stderr
+
+
 class TestFileMode:
     def test_outputs_take_the_mode_of_the_umask(self, env, capsys, tmp_path):
         # the temp file behind every atomic write was created 0o600

@@ -281,6 +281,15 @@ class TestSampling:
         with pytest.raises(ValidationError):
             sample_trajectories(wdist, bc, [0.5], small_bank, 0, seed=0)
 
+    # each ended in a bare numpy TypeError
+    @pytest.mark.parametrize("count", [2.5, True, "3", 1e20], ids=repr)
+    def test_non_integer_count_rejected(self, small_bank, count):
+        wdist, bc = _case(small_bank)
+        with pytest.raises(ValidationError, match="count must be an integer, got"):
+            sample_trajectories(wdist, bc, [0.5], small_bank, count, seed=0)
+        with pytest.raises(ValidationError, match="count must be an integer, got"):
+            sample_time_pairs(np.linspace(0.0, 1.0, 5), count, seed=0)
+
     def test_nan_time_rejected(self, small_bank):
         wdist, bc = _case(small_bank)
         with pytest.raises(ValidationError, match="not finite"):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,10 +7,12 @@ import mptraj.learning
 from mptraj import (BoundaryCondition, Demonstration, DimensionError, DmpConfig,
                     LatentGaussian, NumericalError, ValidationError,
                     bayesian_aggregate, evaluate_position, evaluate_velocity,
-                    fit_distribution, fit_weights, precompute_basis,
+                    fit_distribution, fit_weights, folded_basis, precompute_basis,
                     sample_trajectories)
+from mptraj.learning import RIDGE_SCALE
 from tests.conftest import random_weights_distribution
-from tests.reference import bayesian_aggregate_loop, per_demo_fits, row_major_fits
+from tests.reference import (augmented_lstsq, bayesian_aggregate_loop, per_demo_fits,
+                             row_major_fits)
 
 
 def _synth_demo(w, bc, times, bank, with_velocities=True):
@@ -106,9 +110,30 @@ class TestFitWeights:
         times = np.linspace(0.0, 1.0, small_bank.weight_dim)
         demo = _synth_demo(rng.standard_normal(small_bank.weight_dim), bc,
                            times, small_bank)
-        with pytest.raises(NumericalError, match="rank deficient"):
+        with pytest.raises(NumericalError, match="rank deficient") as err:
             fit_weights(demo, small_bank, ridge=0.0, bc=bc)
+        # the rank is lstsq's on the same design, so the message is its message
+        fold = folded_basis(bc, times, small_bank)
+        with pytest.raises(NumericalError) as ref:
+            augmented_lstsq(np.ascontiguousarray(fold.h_pos),
+                            (demo.positions - fold.pos_offset).T, 0.0)
+        assert str(err.value) == str(ref.value)
         fit_weights(demo, small_bank, bc=bc)  # default ridge handles it
+
+    @pytest.mark.parametrize("positions, velocities", [
+        (np.full(401, 1.7e308), None), (np.zeros(401), np.full(401, 1.7e308))],
+        ids=["positions", "velocities"])
+    def test_overflowing_fit_raises(self, small_bank, positions, velocities):
+        # demos near the largest double overflow the solve and raise, never
+        # returning inf or NaN weights (lstsq on the augmented design returned
+        # NaN weights for the second)
+        demo = Demonstration(np.arange(401) / 400, positions[None],
+                             None if velocities is None else velocities[None])
+        with np.errstate(all="ignore"):
+            with pytest.raises(NumericalError, match="fitted weights are not finite"):
+                fit_weights(demo, small_bank)
+            with pytest.raises(NumericalError, match="fitted weights are not finite"):
+                fit_distribution([demo, demo], small_bank)
 
     def test_negative_ridge_rejected(self, small_bank):
         demo = Demonstration(np.arange(401) / 400, np.zeros((1, 401)))
@@ -122,6 +147,55 @@ class TestFitWeights:
         demo = Demonstration(np.arange(401) / 400, np.zeros((1, 401)))
         with pytest.raises(ValidationError, match="ridge must be finite and >= 0"):
             fit_weights(demo, small_bank, ridge=ridge)
+
+
+def _ridge_objective(design, target, weights, ridge) -> np.ndarray:
+    """||H x - b||^2 + ridge ||x||^2 per right-hand side, in np.longdouble."""
+    design, target, weights = (np.asarray(a, dtype=np.longdouble)
+                               for a in (design, target, weights))
+    residual = design @ weights - target
+    return ((residual * residual).sum(axis=0)
+            + np.longdouble(ridge) * (weights * weights).sum(axis=0))
+
+
+class TestRidgeSolve:
+    """The thin-SVD ridge solve against lstsq on the augmented design, the fit
+    reference, on fine-grid banks whose designs grow ill-conditioned with N."""
+
+    @pytest.fixture(scope="class", params=[5, 10, 20], ids=lambda n: f"N={n}")
+    def problem(self, request):
+        """A 3-DoF noisy demo on a bank with grid_dt 1e-4: the demo, the bank and
+        the fit's design, target and default ridge, built as the fit builds them."""
+        bank = precompute_basis(DmpConfig(alpha=25.0, tau=1.0, alpha_x=2.0,
+                                          num_basis=request.param, duration=1.0,
+                                          grid_dt=1e-4))
+        rng = np.random.default_rng(request.param)
+        times = np.arange(1001) / 1000
+        bc = BoundaryCondition(0.0, rng.standard_normal(3), rng.standard_normal(3))
+        clean = evaluate_position(rng.standard_normal(3 * bank.weight_dim) * 3.0, bc,
+                                  times, bank)
+        demo = Demonstration(times, clean + 1e-3 * rng.standard_normal(clean.shape))
+        fold = folded_basis(demo.boundary_condition(), times, bank)
+        design = np.ascontiguousarray(fold.h_pos)
+        target = (demo.positions - fold.pos_offset).T
+        ridge = RIDGE_SCALE * np.einsum("ij,ij->", design, design) / bank.weight_dim
+        return demo, bank, design, target, ridge
+
+    def test_fits_agree_with_the_reference(self, problem):
+        demo, bank, design, target, ridge = problem
+        fit = fit_weights(demo, bank).reshape(3, -1).T
+        reference = augmented_lstsq(design, target, ridge)
+        assert np.max(np.abs(fit - reference)) <= 1e-9 * np.max(np.abs(reference))
+
+    @pytest.mark.parametrize("default_ridge", [True, False], ids=["default-ridge", "ridge-0"])
+    def test_objective_no_larger_than_the_reference(self, problem, default_ridge):
+        demo, bank, design, target, ridge = problem
+        ridge = ridge if default_ridge else 0.0
+        fit = fit_weights(demo, bank, ridge=ridge).reshape(3, -1).T
+        reference = augmented_lstsq(design, target, ridge)
+        ours = _ridge_objective(design, target, fit, ridge)
+        theirs = _ridge_objective(design, target, reference, ridge)
+        assert np.all(ours <= theirs * (1 + np.longdouble(1e-12)))
 
 
 class TestFitDistribution:
@@ -269,15 +343,41 @@ class TestSharedGridFit:
         # einsum sums in memory order: a ridge summed over the fold's
         # transposed rows moves the fits in their last bits
         demos = self._rollouts(bank, dofs, np.arange(3001) / 1000, 4, seed=70 + dofs)
-        fits = row_major_fits(demos, bank)
         assert np.array_equal(fit_weights(demos[0], bank), row_major_fits(demos[:1], bank)[0])
-        fitted = fit_distribution(demos, bank, cov_floor=1e-4)
+        self._assert_equals_row_major_fits(demos, bank)
+
+    def test_unstacked_target_keeps_its_bits(self, bank):
+        # 8 demos x 7 DoF, as each policy update refits them: the reference
+        # folds the stacked boundary states, the fit one state and the offsets
+        demos = self._rollouts(bank, 7, np.arange(3001) / 1000, 8, seed=69)
+        self._assert_equals_row_major_fits(demos, bank)
+
+    @staticmethod
+    def _assert_equals_row_major_fits(demos, bank, cov_floor=1e-4):
+        """fit_distribution's mean and Cholesky factor equal, bit for bit,
+        those it would form from reference.row_major_fits."""
+        fits = row_major_fits(demos, bank)
+        fitted = fit_distribution(demos, bank, cov_floor=cov_floor)
         mean = fits.mean(axis=0)
         centered = fits - mean
         cov = centered.T @ centered / (len(demos) - 1)
-        cov[np.diag_indices_from(cov)] += 1e-4
+        cov[np.diag_indices_from(cov)] += cov_floor
         assert np.array_equal(fitted.mean, mean)
         assert np.array_equal(fitted.chol, np.linalg.cholesky(cov))
+
+    def test_refit_peaks_below_three_targets(self, bank):
+        # the target is written over the position offsets, and neither a
+        # stacked fold nor velocity offsets are built: the fit's peak stays
+        # below three (K*D, T) arrays, numpy's buffers as tracemalloc sees them
+        demos = self._rollouts(bank, 7, np.arange(3001) / 1000, 8, seed=61)
+        fit_distribution(demos, bank)
+        tracemalloc.start()
+        try:
+            fit_distribution(demos, bank)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * (8 * 7) * 3001 * 8
 
     def test_underdetermined_grid_rejected(self, small_bank):
         times = np.linspace(0.0, 1.0, small_bank.weight_dim - 1)

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from mptraj import (BasisBank, BoundaryCondition, DimensionError, TrajectoryGenerator,
-                    ValidationError, evaluate_position, evaluate_velocity)
+from mptraj import (BasisBank, BoundaryCondition, DimensionError, DmpConfig,
+                    TrajectoryGenerator, ValidationError, evaluate_position,
+                    evaluate_velocity, precompute_basis)
 from mptraj.trajectory import (MAX_QUERY_SAMPLES, folded_basis, read_trajectory_csv,
                                weight_blocks, window_steps, write_trajectory_csv)
 from tests.reference import (RowMajorFold, complementary, position_from_coefficients,
@@ -344,6 +347,55 @@ class TestTimeMajorFold:
                 assert np.array_equal(ours[..., 0], np.broadcast_to(state, ours[..., 0].shape))
                 scale = np.max(np.abs(theirs), axis=-1, keepdims=True)
                 assert np.all(np.abs(ours - theirs) <= 1e-14 * scale)
+
+    @pytest.fixture(scope="class")
+    def policy_bank(self):
+        # the policy-update workload's bank, N = 10: with 11 columns the products
+        # of both layouts take the same BLAS path (with N = 25 and a few hundred
+        # times they need not)
+        return precompute_basis(DmpConfig(alpha=25.0, tau=3.0, alpha_x=2.0,
+                                          num_basis=10, duration=3.0))
+
+    @staticmethod
+    def _sampling_case(bank):
+        # the sampling path's shape: 16 draws x 7 DoF on a 3001-point grid
+        rng = np.random.default_rng(16)
+        bc, _ = _random_case(rng, 7, bank.weight_dim)
+        times = np.arange(3001) / 1000
+        stack = rng.standard_normal((16, 7 * bank.weight_dim)) * 5.0
+        return TrajectoryGenerator(bc, times, bank), RowMajorFold(bc, times, bank), stack
+
+    def test_sixteen_draws_bit_identical_to_row_major_fold(self, policy_bank):
+        fold, ref, stack = self._sampling_case(policy_bank)
+        for w in (stack, stack[0]):
+            assert np.array_equal(fold.positions(w), ref.positions(w))
+            assert np.array_equal(fold.velocities(w), ref.velocities(w))
+
+    def test_products_allocate_only_their_output(self, policy_bank):
+        # the offset is added into the product, so no second (16, 7, T) buffer
+        # is made; numpy reports its data buffers to tracemalloc
+        fold, _, stack = self._sampling_case(policy_bank)
+        for product in (fold.positions, fold.velocities):
+            product(stack)
+            tracemalloc.start()
+            try:
+                out = product(stack)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert out.nbytes == 16 * 7 * 3001 * 8
+            assert peak <= 1.05 * out.nbytes, product.__name__
+
+    def test_position_offsets_equal_a_fold_of_each_state(self, reference_bank):
+        rng = np.random.default_rng(23)
+        times = np.linspace(0.5, 2.0, 41)
+        states = [_random_case(rng, 3, reference_bank.weight_dim, t_b=0.5)[0]
+                  for _ in range(4)]
+        fold = TrajectoryGenerator(states[0], times, reference_bank)
+        offsets = fold.position_offsets(np.concatenate([bc.y_b for bc in states]),
+                                        np.concatenate([bc.dy_b for bc in states]))
+        assert np.array_equal(offsets, np.concatenate(
+            [TrajectoryGenerator(bc, times, reference_bank).pos_offset for bc in states]))
 
     def test_rows_are_one_contiguous_time_major_array(self, reference_bank):
         bc, times, _ = self._case(reference_bank, 3, False, seed=5)

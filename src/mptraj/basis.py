@@ -62,9 +62,9 @@ _CONFIG_OPTIONAL = ("grid_dt", "basis_overlap", "beta")
 class DmpConfig:
     """ODE and basis hyperparameters.
 
-    beta is fixed to alpha/4 (critical damping); passing any other value is an
-    error.  grid_dt defaults to duration/3000; at most MAX_GRID_POINTS grid points
-    and MAX_BANK_CELLS cells (grid points x weight_dim).
+    beta is the property alpha/4 (critical damping); from_dict accepts a "beta"
+    key of that value only.  grid_dt defaults to duration/3000; at most
+    MAX_GRID_POINTS grid points and MAX_BANK_CELLS cells (grid points x weight_dim).
     """
 
     alpha: float
@@ -74,7 +74,6 @@ class DmpConfig:
     duration: float
     grid_dt: float | None = None
     basis_overlap: float = 0.3
-    beta: float | None = None
 
     def __post_init__(self):
         for name in ("alpha", "tau", "alpha_x", "duration"):
@@ -97,12 +96,6 @@ class DmpConfig:
             raise ValidationError(f"basis_overlap must lie in (0, 1), got {overlap}")
         object.__setattr__(self, "basis_overlap", overlap)
 
-        beta = self.alpha / 4.0 if self.beta is None else float(self.beta)
-        if beta != self.alpha / 4.0:
-            raise ValidationError(
-                f"beta must equal alpha/4 = {self.alpha / 4.0} (critical damping), got {beta}")
-        object.__setattr__(self, "beta", beta)
-
         if self.grid_points > MAX_GRID_POINTS:
             raise ValidationError(
                 f"grid too fine: duration/grid_dt yields more than {MAX_GRID_POINTS} "
@@ -117,6 +110,10 @@ class DmpConfig:
             raise ValidationError(
                 f"grid too coarse: duration/grid_dt yields {self.grid_points} points, "
                 f"need at least 4*num_basis = {4 * self.num_basis}")
+
+    @property
+    def beta(self) -> float:
+        return self.alpha / 4.0
 
     @property
     def decay_rate(self) -> float:
@@ -137,6 +134,9 @@ class DmpConfig:
         """Per-DoF parameter count: N weights plus the goal."""
         return self.num_basis + 1
 
+    def grid(self) -> np.ndarray:
+        return np.linspace(0.0, self.duration, self.grid_points)
+
     def canonical_json(self) -> str:
         return json.dumps({name: getattr(self, name)
                            for name in _CONFIG_REQUIRED + _CONFIG_OPTIONAL},
@@ -148,8 +148,13 @@ class DmpConfig:
     @classmethod
     def from_dict(cls, data) -> "DmpConfig":
         check_record(data, "config", _CONFIG_REQUIRED, _CONFIG_OPTIONAL)
-        return cls(**{name: check_int(name, value) if name == "num_basis"
-                      else check_number(name, value) for name, value in data.items()})
+        values = {name: check_int(name, value) if name == "num_basis"
+                  else check_number(name, value) for name, value in data.items()}
+        config = cls(**{name: value for name, value in values.items() if name != "beta"})
+        if values.get("beta", config.beta) != config.beta:
+            raise ValidationError(f"beta must equal alpha/4 = {config.beta} "
+                                  f"(critical damping), got {values['beta']}")
+        return config
 
 
 def phase(t, config: DmpConfig) -> float | np.ndarray:
@@ -210,36 +215,25 @@ class BasisBank:
     """Immutable offline artifact: per grid time, the (N+1) position basis row
     (N weight columns plus the goal column) and the velocity analog.
 
-    `times` is the config's grid: M finite times, strictly increasing from 0
-    to duration.  Both row kinds live in one read-only, time-major table of
-    shape (2, N+1, M), the field `table`: row kind (position, velocity), then
-    basis column, then grid point.  The properties pos_basis and vel_basis are
-    its (M, N+1) views.  lookup() gathers and interpolates both kinds at once,
-    so every elementwise step of it, and of the boundary fold that consumes
-    it, runs along the time axis.  Bank files keep the C-ordered (M, N+1) arrays.
+    A bank is its config and its table; `times` is config.grid(), not a field.
+    Both row kinds live in one read-only, time-major table of shape
+    (2, N+1, M): row kind (position, velocity), then basis column, then grid
+    point.  The properties pos_basis and vel_basis are its (M, N+1) views.
+    lookup() gathers and interpolates both kinds at once, so every elementwise
+    step of it, and of the boundary fold that consumes it, runs along the time
+    axis.  Bank files keep the C-ordered (M, N+1) arrays.
     """
 
     config: DmpConfig
-    times: np.ndarray
     table: np.ndarray
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        n_pts, dim = self.config.grid_points, self.config.weight_dim
-        if times.shape != (n_pts,):
-            raise DimensionError(
-                f"bank times {times.shape} do not match the config's grid ({n_pts},)")
-        # negated comparisons only: NaN fails them, and no inf - inf is evaluated
-        if not (times[0] == 0.0 and times[-1] == self.config.duration
-                and np.all(times[1:] > times[:-1])):
-            raise ValidationError(
-                f"bank times are not the config's grid: they must be finite and "
-                f"strictly increasing from 0 to duration {self.config.duration}")
+        shape = (2, self.config.weight_dim, self.config.grid_points)
         table = np.ascontiguousarray(self.table, dtype=float)
-        if table.shape != (2, dim, n_pts):
+        if table.shape != shape:
             raise DimensionError(
-                f"basis table {table.shape} does not match grid/config {(2, dim, n_pts)}")
-        freeze(self, times=times, table=table)
+                f"basis table {table.shape} does not match grid/config {shape}")
+        freeze(self, times=self.config.grid(), table=table)
 
     @property
     def pos_basis(self) -> np.ndarray:
@@ -251,7 +245,7 @@ class BasisBank:
 
     @property
     def duration(self) -> float:
-        return float(self.times[-1])
+        return self.config.duration
 
     @property
     def num_basis(self) -> int:
@@ -330,12 +324,18 @@ class BasisBank:
                         raise DimensionError(f"basis arrays {rows.shape} do not match "
                                              f"grid/config {plane.T.shape}")
                     plane.T[...] = rows
-                bank = cls(config=config, times=data["times"], table=table)
+                bank = cls(config=config, table=table)
+                times = np.asarray(data["times"], dtype=float)
                 stored = data["checksum"].tobytes().decode("ascii")
         except OSError as exc:
             raise IoError(f"cannot read bank {path}: {exc}") from exc
         except (KeyError, ValueError, zipfile.BadZipFile) as exc:
             raise ValidationError(f"not a bank file: {path}: {exc}") from exc
+        if times.shape != bank.times.shape:
+            raise DimensionError(
+                f"bank times {times.shape} do not match the config's grid {bank.times.shape}")
+        if not np.array_equal(times, bank.times):
+            raise ValidationError(f"bank file {path}: its times are not the config's grid")
         if bank.content_checksum() != stored:
             raise ValidationError(f"bank file {path} failed its checksum")
         return bank
@@ -355,7 +355,7 @@ def precompute_basis(config: DmpConfig) -> BasisBank:
     forcing = make_forcing_basis(config)
     m = config.grid_intervals
     dt = config.duration / m
-    times = np.linspace(0.0, config.duration, m + 1)
+    times = config.grid()
     k = config.decay_rate
 
     x = phase(times, config)
@@ -404,4 +404,4 @@ def precompute_basis(config: DmpConfig) -> BasisBank:
             f"(allowed {tol:.3e}); the grid step {dt:.3e} is too coarse for "
             f"alpha={config.alpha}, tau={config.tau}, num_basis={config.num_basis}")
 
-    return BasisBank(config=config, times=times, table=table)
+    return BasisBank(config=config, table=table)

@@ -101,6 +101,8 @@ class TrajectoryDistribution:
                 f"index set ({len(self.index_set)}), mean ({mean.shape}) and "
                 f"cov ({cov.shape}) do not align")
         check_finite_nonneg("noise_var", self.noise_var)
+        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+            raise ValidationError("trajectory mean and covariance must be finite")
         if not np.array_equal(cov, cov.T):
             raise ValidationError("trajectory covariance must be symmetric")
         object.__setattr__(self, "index_set", tuple(self.index_set))

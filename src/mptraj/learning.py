@@ -163,7 +163,9 @@ def fit_distribution(demos, bank: BasisBank, ridge: float | None = None,
 
 @dataclass(frozen=True)
 class LatentGaussian:
-    """Factorized Gaussian: elementwise mean and strictly positive variance."""
+    """Factorized Gaussian: elementwise finite mean and strictly positive
+    variance.  A variance of +inf is a precision of 0: an observation that
+    carries no information."""
 
     mean: np.ndarray
     var: np.ndarray
@@ -174,7 +176,10 @@ class LatentGaussian:
         if mean.shape != var.shape or mean.ndim != 1:
             raise DimensionError(
                 f"mean {mean.shape} and var {var.shape} must be equal-length vectors")
-        if np.any(var <= 0.0):
+        if not np.isfinite(mean).all():
+            raise ValidationError("latent means must be finite")
+        # negated so that NaN fails the check
+        if not np.all(var > 0.0):
             raise ValidationError("variances must be strictly positive")
         freeze(self, mean=mean, var=var)
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import DmpConfig, ForcingBasis, make_forcing_basis
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, check_finite_positive
 from .trajectory import weight_blocks
 
 _METHODS = ("explicit-euler", "rk4")
@@ -33,8 +33,7 @@ class IntegratorSpec:
         if self.method not in _METHODS:
             raise ValidationError(
                 f"unknown integrator '{self.method}'; expected one of {_METHODS}")
-        if not self.dt > 0.0:
-            raise ValidationError(f"dt must be > 0, got {self.dt}")
+        check_finite_positive("dt", self.dt)
 
 
 def _scaled_row(basis: ForcingBasis, x: float) -> np.ndarray:

@@ -93,15 +93,21 @@ def _nan_time(times, pos, vel):
     return times, pos, vel
 
 
+def _warp_interior(times, pos, vel):
+    # still strictly increasing from 0 to the same end, but not uniform
+    return times[-1] * (times / times[-1]) ** 1.25, pos, vel
+
+
 # edits of a format-2 bank file's (times, pos_basis, vel_basis) that leave a
 # grid other than the config's, with the error loading it raises: two grid
 # times swapped, the first 46 of 51 grid points (a bank that reported a
-# duration of 0.9), and a NaN time
+# duration of 0.9), a NaN time, and a warped interior with both ends kept
 GRID_DEFECTS = {
     "swapped-times": (_swap_two_times, ValidationError),
     "46-of-51-points": (lambda times, pos, vel: (times[:46], pos[:46], vel[:46]),
                         DimensionError),
     "nan-time": (_nan_time, ValidationError),
+    "warped-interior": (_warp_interior, ValidationError),
 }
 
 

@@ -119,7 +119,7 @@ def sequential_bank(config) -> BasisBank:
     pos_basis = np.column_stack([times[:, None] * big_a - big_b, 1.0 - (1.0 + kt) * env])
     vel_basis = np.column_stack([(1.0 - kt)[:, None] * big_a + k * big_b,
                                  k * k * times * env])
-    return BasisBank(config=config, times=times, table=np.stack([pos_basis.T, vel_basis.T]))
+    return BasisBank(config=config, table=np.stack([pos_basis.T, vel_basis.T]))
 
 
 class RowMajorFold:

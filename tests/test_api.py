@@ -1,3 +1,5 @@
+import dataclasses
+
 import mptraj
 
 # the package surface; a name joins it deliberately, by editing this list.
@@ -17,9 +19,40 @@ EXPECTED_API = [
     "sample_trajectories", "smoothness_metric", "trajectory_distribution",
 ]
 
+# the ledger of settable values: every field of every public dataclass, in
+# order.  A new option joins deliberately, by editing this table; a value the
+# record can derive (a bank's grid, a config's beta) is a property, not a field.
+EXPECTED_FIELDS = {
+    "ActivationProfile": ["times", "values"],
+    "BasisBank": ["config", "table"],
+    "BenchScenario": ["dofs", "duration", "rate_hz", "num_basis"],
+    "BoundaryCondition": ["t_b", "y_b", "dy_b"],
+    "Demonstration": ["times", "positions", "velocities"],
+    "DmpConfig": ["alpha", "tau", "alpha_x", "num_basis", "duration", "grid_dt",
+                  "basis_overlap"],
+    "ForcingBasis": ["centers", "widths"],
+    "GaussianSequence": ["times", "means", "covs", "meta"],
+    "IntegratorSpec": ["method", "dt"],
+    "LatentGaussian": ["mean", "var"],
+    "ReplanSegment": ["times", "positions", "velocities", "distribution"],
+    "SegmentPlan": ["times", "positions", "velocities", "segment_ids", "switch_times",
+                    "pos_jumps", "vel_jumps"],
+    "TimePairBatch": ["times", "values"],
+    "TrajectoryDistribution": ["index_set", "mean", "cov", "noise_var"],
+    "WeightsDistribution": ["mean", "chol"],
+}
+
 
 def test_public_api_is_pinned():
     assert sorted(mptraj.__all__) == EXPECTED_API
     assert len(set(mptraj.__all__)) == len(mptraj.__all__)
     for name in mptraj.__all__:
         assert getattr(mptraj, name) is not None
+
+
+def test_public_record_fields_are_pinned():
+    records = {name: getattr(mptraj, name) for name in mptraj.__all__
+               if dataclasses.is_dataclass(getattr(mptraj, name))}
+    assert {name: [field.name for field in dataclasses.fields(record)]
+            for name, record in records.items()} == EXPECTED_FIELDS
+    assert (len(EXPECTED_FIELDS), sum(map(len, EXPECTED_FIELDS.values()))) == (15, 50)

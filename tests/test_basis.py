@@ -1,6 +1,8 @@
 import dataclasses
+import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -37,21 +39,49 @@ WRONSKIAN_AT_0P1 = 0.4345982085070782
 PHASE_AT_3 = 0.1353352832366127
 
 
+# the bytes every bank checksum and config hash start from
+CANONICAL_CONFIGS = [
+    (REFERENCE_CONFIG,
+     '{"alpha":25.0,"alpha_x":2.0,"basis_overlap":0.3,"beta":6.25,"duration":3.0,'
+     '"grid_dt":0.001,"num_basis":25,"tau":3.0}',
+     "679efdb633a8f7fa886d50b471e607d21b7ed593a3015b5c56a8d15dc03aa7a5"),
+    (SMALL_CONFIG,
+     '{"alpha":25.0,"alpha_x":2.0,"basis_overlap":0.3,"beta":6.25,"duration":1.0,'
+     '"grid_dt":0.0025,"num_basis":5,"tau":1.0}',
+     "4d22d76cfea876decde81cb06b18fac74ee5ccd4a227fe5c009b8b1da4ca2810"),
+]
+
+
 class TestDmpConfig:
     def test_beta_is_quarter_alpha(self, reference_config):
         assert reference_config.beta == 25.0 / 4.0
+        # beta is derived, not stored, so it follows a replaced alpha
+        assert "beta" not in {field.name for field in dataclasses.fields(DmpConfig)}
+        assert dataclasses.replace(reference_config, alpha=30.0).beta == 7.5
 
     def test_explicit_beta_must_match(self):
-        with pytest.raises(ValidationError, match="beta"):
-            DmpConfig(alpha=25.0, tau=3.0, alpha_x=2.0, num_basis=25,
-                      duration=3.0, beta=6.0)
-        cfg = DmpConfig(alpha=25.0, tau=3.0, alpha_x=2.0, num_basis=25,
-                        duration=3.0, beta=6.25)
-        assert cfg.beta == 6.25
+        # the constructor takes no beta; a config file may name the one value
+        with pytest.raises(TypeError, match="beta"):
+            DmpConfig(**REFERENCE_CONFIG, beta=6.25)
+        for beta in (6.0, math.nan):
+            with pytest.raises(ValidationError, match=re.escape(
+                    f"beta must equal alpha/4 = 6.25 (critical damping), got {beta}")):
+                DmpConfig.from_dict({**REFERENCE_CONFIG, "beta": beta})
+        cfg = DmpConfig.from_dict({**REFERENCE_CONFIG, "beta": 6.25})
+        assert cfg == DmpConfig(**REFERENCE_CONFIG) and cfg.beta == 6.25
+
+    @pytest.mark.parametrize("config, canonical, digest", CANONICAL_CONFIGS,
+                             ids=["reference", "small"])
+    def test_canonical_json_and_digest_are_pinned(self, config, canonical, digest):
+        cfg = DmpConfig(**config)
+        assert cfg.canonical_json() == canonical
+        assert cfg.digest() == digest
+        assert DmpConfig.from_dict(json.loads(canonical)) == cfg
 
     def test_grid_default(self, reference_config):
         assert reference_config.grid_dt == 3.0 / 3000.0
         assert reference_config.grid_points == 3001
+        assert np.array_equal(reference_config.grid(), np.linspace(0.0, 3.0, 3001))
 
     def test_positivity_checks(self):
         for field in ("alpha", "tau", "alpha_x", "duration"):
@@ -459,14 +489,18 @@ class TestBankTable:
             assert np.array_equal(bank.vel_basis, table[1].T)
 
     def test_table_is_the_only_stored_array_besides_times(self, small_bank):
-        assert [field.name for field in dataclasses.fields(BasisBank)] == [
-            "config", "times", "table"]
+        # a bank is its config and its table; the times are the config's grid
+        assert [field.name for field in dataclasses.fields(BasisBank)] == ["config", "table"]
+        with pytest.raises(TypeError, match="times"):
+            BasisBank(config=small_bank.config, times=small_bank.times, table=small_bank.table)
+        assert np.array_equal(small_bank.times, small_bank.config.grid())
+        assert not small_bank.times.flags.writeable
+        assert small_bank.duration == small_bank.config.duration == small_bank.times[-1]
         # a C-ordered float table is adopted as it is; another is made one
-        again = BasisBank(config=small_bank.config, times=small_bank.times,
-                          table=small_bank.table)
+        again = BasisBank(config=small_bank.config, table=small_bank.table)
         assert again.table is small_bank.table
         fortran = np.asfortranarray(small_bank.table)
-        bank = BasisBank(config=small_bank.config, times=small_bank.times, table=fortran)
+        bank = BasisBank(config=small_bank.config, table=fortran)
         assert bank.table.flags.c_contiguous and not np.shares_memory(bank.table, fortran)
         assert np.array_equal(bank.table, small_bank.table)
         with pytest.raises(AttributeError):
@@ -530,33 +564,44 @@ class TestBankFileStability:
 def test_bank_shape_validation(small_config, small_bank):
     for table in (small_bank.table[:, :-1], small_bank.table[:1], small_bank.table[0]):
         with pytest.raises(DimensionError, match="does not match"):
-            BasisBank(config=small_config, times=small_bank.times, table=table)
+            BasisBank(config=small_config, table=table)
 
 
 class TestBankGrid:
-    """The bank's times are the config's grid; bank files whose grid is not
-    still pass their checksum, which is a content hash, not a seal."""
+    """A bank's times are its config's grid, derived, not taken.  A bank file
+    stores them too, and load refuses a file whose stored times are not that
+    grid, also when its checksum, a content hash and not a seal, was
+    recomputed over the edited times."""
+
+    @staticmethod
+    def _edited_times(tmp_path, edit):
+        path = tmp_path / "bank.npz"
+        write_edited_bank(ROW_LAYOUT_BANK, path, lambda times, pos, vel: (edit(times), pos, vel))
+        return str(path)
 
     @pytest.mark.parametrize("times", [lambda t: t[:-1], lambda t: t[:, None],
                                        lambda t: t[0]],
                              ids=["short", "2-d", "scalar"])
-    def test_times_of_another_shape_rejected(self, small_bank, times):
+    def test_times_of_another_shape_rejected(self, tmp_path, times):
+        # the row arrays keep their shape, so only the stored grid is wrong
         with pytest.raises(DimensionError, match="config's grid"):
-            BasisBank(config=small_bank.config, times=times(small_bank.times),
-                      table=small_bank.table)
+            BasisBank.load(self._edited_times(tmp_path, times))
 
     @pytest.mark.parametrize("index,value", [(0, 1e-9), (-1, 1.0 + 1e-9), (-1, math.inf),
                                              (7, math.nan), (7, math.inf),
                                              (7, -math.inf), (7, 0.5)],
                              ids=["start", "end", "inf-end", "nan", "inf", "-inf",
                                   "not-increasing"])
-    def test_times_off_the_grid_rejected(self, small_bank, index, value):
-        times = np.array(small_bank.times)
-        times[index] = value
+    def test_times_off_the_grid_rejected(self, tmp_path, index, value):
+        def edit(times):
+            times = times.copy()
+            times[index] = value
+            return times
+        path = self._edited_times(tmp_path, edit)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValidationError, match="not the config's grid"):
-                BasisBank(config=small_bank.config, times=times, table=small_bank.table)
+                BasisBank.load(path)
 
     def test_unedited_copy_loads(self, tmp_path):
         # the edited files below fail on their grid, not on their checksum

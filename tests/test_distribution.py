@@ -177,6 +177,15 @@ class TestTrajectoryDistribution:
                 read()
         assert small_bank.lookup([]).shape == (2, small_bank.weight_dim, 0)
 
+    @pytest.mark.parametrize("mean, cov", [
+        ([math.nan], [[1.0]]), ([math.inf], [[1.0]]),
+        ([0.0], [[math.inf]]), ([0.0], [[math.nan]])],
+        ids=["nan-mean", "inf-mean", "inf-cov", "nan-cov"])
+    def test_non_finite_rejected(self, mean, cov):
+        # each once reached gaussian_nll, which returned nan or inf
+        with pytest.raises(ValidationError, match="must be finite"):
+            TrajectoryDistribution(((0.0, 0),), mean, cov, 0.0)
+
     def test_asymmetric_cov_rejected(self):
         cov = np.array([[1.0, 0.1], [0.2, 1.0]])
         with pytest.raises(ValidationError, match="symmetric"):

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -475,3 +476,20 @@ class TestBayesianAggregate:
     def test_variance_must_be_positive(self):
         with pytest.raises(ValidationError):
             LatentGaussian(np.zeros(2), np.array([1.0, 0.0]))
+
+    @pytest.mark.parametrize("mean, var, message", [
+        ([math.nan], [1.0], "means must be finite"),
+        ([math.inf], [1.0], "means must be finite"),
+        ([-math.inf], [1.0], "means must be finite"),
+        ([1.0], [math.nan], "variances must be strictly positive")],
+        ids=["nan-mean", "inf-mean", "-inf-mean", "nan-var"])
+    def test_non_finite_rejected(self, mean, var, message):
+        # each once gave a posterior mean of nan or inf
+        with pytest.raises(ValidationError, match=message):
+            LatentGaussian(mean, var)
+
+    def test_infinite_variance_drops_out_exactly(self):
+        # a variance of +inf is a precision of 0: no information
+        prior = LatentGaussian(np.array([2.0, -1.0]), np.array([1.0, 3.0]))
+        post = bayesian_aggregate(prior, [LatentGaussian([-50.0, 7.0], [math.inf] * 2)])
+        assert np.array_equal(post.mean, prior.mean) and np.array_equal(post.var, prior.var)

@@ -22,6 +22,12 @@ class TestIntegratorSpec:
         with pytest.raises(ValidationError):
             IntegratorSpec("rk4", 0.0)
 
+    @pytest.mark.parametrize("dt", [np.inf, np.nan, -np.inf], ids=["inf", "nan", "-inf"])
+    def test_rejects_non_finite_dt(self, dt):
+        # an infinite step once passed and gave times [nan]
+        with pytest.raises(ValidationError, match="dt must be finite"):
+            IntegratorSpec("rk4", dt)
+
 
 class TestGrid:
     def test_divisible_dt_lands_on_duration(self, reference_config):

@@ -53,5 +53,6 @@ def test_bank_arrays_are_read_only(small_bank, tmp_path):
     small_bank.save(str(tmp_path / "bank.npz"))
     for bank in (small_bank, BasisBank.load(str(tmp_path / "bank.npz"))):
         stored = _array_fields(bank)
-        assert set(stored) == {"times", "table"}
-        assert not any(arr.flags.writeable for arr in stored.values())
+        assert set(stored) == {"table"}
+        # the times are derived from the config, and frozen as well
+        assert not any(arr.flags.writeable for arr in (*stored.values(), bank.times))

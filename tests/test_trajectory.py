@@ -348,6 +348,27 @@ class TestTimeMajorFold:
                 scale = np.max(np.abs(theirs), axis=-1, keepdims=True)
                 assert np.all(np.abs(ours - theirs) <= 1e-14 * scale)
 
+    @pytest.mark.parametrize("count", [201, 1001, 3001])
+    @pytest.mark.parametrize("dofs", [1, 3, 7])
+    def test_drift_from_row_major_fold_at_n25(self, reference_bank, dofs, count):
+        # with N = 25 and a few hundred times or more, the contiguous (N+1, T)
+        # product and the row-major fold's transposed one take different BLAS
+        # paths, so they agree only to the last bits (measured: <= 2.0e-16 of
+        # the largest value for positions and <= 1.3e-16 for velocities)
+        rng = np.random.default_rng(100 * dofs + count)
+        grid = reference_bank.times
+        t_b = grid[700] + (grid[701] - grid[700]) / 3.0
+        bc, _ = _random_case(rng, dofs, reference_bank.weight_dim, t_b=t_b)
+        times = np.linspace(t_b, reference_bank.duration, count)
+        stack = rng.standard_normal((16, dofs * reference_bank.weight_dim)) * 5.0
+        fold = TrajectoryGenerator(bc, times, reference_bank)
+        ref = RowMajorFold(bc, times, reference_bank)
+        for w in (stack, stack[0]):
+            for ours, theirs, state in ((fold.positions(w), ref.positions(w), bc.y_b),
+                                        (fold.velocities(w), ref.velocities(w), bc.dy_b)):
+                assert np.array_equal(ours[..., 0], np.broadcast_to(state, ours[..., 0].shape))
+                assert np.max(np.abs(ours - theirs)) <= 1e-15 * np.max(np.abs(theirs))
+
     @pytest.fixture(scope="class")
     def policy_bank(self):
         # the policy-update workload's bank, N = 10: with 11 columns the products

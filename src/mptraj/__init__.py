@@ -5,8 +5,7 @@ boundary-conditioned trajectories, trajectory distributions, and replanning
 chains as cheap linear algebra against the bank.
 """
 
-from .basis import (BasisBank, DmpConfig, ForcingBasis, make_forcing_basis,
-                    phase, precompute_basis)
+from .basis import BasisBank, DmpConfig, ForcingBasis, phase, precompute_basis
 from .bench import BenchScenario, run_benchmark
 from .distribution import (TimePairBatch, TrajectoryDistribution,
                            WeightsDistribution, gaussian_nll, marginal,
@@ -35,8 +34,8 @@ __all__ = [
     "TrajectoryGenerator", "ValidationError", "WeightsDistribution",
     "bayesian_aggregate", "blend", "combine", "evaluate_position",
     "evaluate_velocity", "falling_ramp", "fit_distribution", "fit_weights",
-    "folded_basis", "gaussian_nll", "integrate_dmp", "make_forcing_basis",
-    "marginal", "pair_nll", "per_time_marginals", "phase", "precompute_basis",
+    "folded_basis", "gaussian_nll", "integrate_dmp", "marginal",
+    "pair_nll", "per_time_marginals", "phase", "precompute_basis",
     "replan_segment", "run_benchmark", "run_chain", "sample_time_pairs",
     "sample_trajectories", "smoothness_metric", "trajectory_distribution",
 ]

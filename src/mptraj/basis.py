@@ -169,18 +169,23 @@ def phase(t, config: DmpConfig) -> float | np.ndarray:
 
 @dataclass(frozen=True)
 class ForcingBasis:
-    """Gaussian RBFs over the phase domain."""
+    """Gaussian RBFs over the phase domain, fixed by the config: centered at
+    the phase images of N time-uniform points on [0, duration], with width
+    h_i = -ln(overlap) / (c_{i+1} - c_i)^2, so each basis evaluates to
+    basis_overlap at its next neighbor's center; the last basis reuses its
+    neighbor's width.  centers and widths are derived, read-only attributes."""
 
-    centers: np.ndarray
-    widths: np.ndarray
+    config: DmpConfig
 
     def __post_init__(self):
-        freeze(self, centers=np.array(self.centers, dtype=float),
-               widths=np.array(self.widths, dtype=float))
+        config = self.config
+        centers = phase(np.linspace(0.0, config.duration, config.num_basis), config)
+        widths = -np.log(config.basis_overlap) / np.diff(centers)**2
+        freeze(self, centers=centers, widths=np.append(widths, widths[-1]))
 
     @property
     def num_basis(self) -> int:
-        return self.centers.shape[0]
+        return self.config.num_basis
 
     def raw(self, x) -> np.ndarray:
         """Unnormalized activations, shape (..., N)."""
@@ -192,22 +197,6 @@ class ForcingBasis:
         x = np.asarray(x, dtype=float)
         raw = self.raw(x)
         return x[..., None] * raw / raw.sum(axis=-1, keepdims=True)
-
-
-def make_forcing_basis(config: DmpConfig) -> ForcingBasis:
-    """RBFs centered at the phase images of N time-uniform points on [0, duration].
-
-    Width h_i = -ln(overlap) / (c_{i+1} - c_i)^2, so each basis evaluates to
-    basis_overlap at its next neighbor's center; the last basis reuses its
-    neighbor's width.
-    """
-    n = config.num_basis
-    t_centers = np.linspace(0.0, config.duration, n)
-    centers = phase(t_centers, config)
-    gaps = np.diff(centers)
-    widths = -np.log(config.basis_overlap) / gaps**2
-    widths = np.append(widths, widths[-1])
-    return ForcingBasis(centers, widths)
 
 
 @dataclass(frozen=True)
@@ -352,7 +341,7 @@ def precompute_basis(config: DmpConfig) -> BasisBank:
     self-consistency check (d/dt position rows == velocity rows) guards
     against a grid too coarse for the configured dynamics.
     """
-    forcing = make_forcing_basis(config)
+    forcing = ForcingBasis(config)
     m = config.grid_intervals
     dt = config.duration / m
     times = config.grid()

@@ -25,7 +25,7 @@ from .distribution import (DEFAULT_NOISE_VAR, per_time_marginals,
                            write_samples_csv, write_weights_distribution_json)
 from .errors import (DimensionError, MptrajError, NumericalError, ValidationError,
                      check_finite_nonneg, check_finite_positive, check_int,
-                     check_number, check_numbers, check_record, check_type)
+                     check_number, check_numbers, check_record, check_seed, check_type)
 from .fileio import atomic_write_json, read_json, staged_writes
 from .learning import DEFAULT_COV_FLOOR, Demonstration, fit_distribution, fit_weights
 from .probops import (ActivationProfile, GaussianSequence, blend, combine,
@@ -310,12 +310,8 @@ def _cmd_bench(args) -> int:
 
 
 def _seed(value) -> int:
-    """argparse type for --seed, also applied to the scenario seed; numpy
-    raises a bare ValueError for a negative one."""
-    seed = int(value)
-    if seed < 0:
-        raise ValidationError(f"seed must be >= 0, got {seed}")
-    return seed
+    """argparse type for --seed, also applied to the scenario seed."""
+    return check_seed(int(value))
 
 
 def _finite_nonneg(name: str):

@@ -21,13 +21,15 @@ exactly, bit for bit.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .basis import BasisBank
 from .errors import (DimensionError, NumericalError, ValidationError,
-                     check_finite_nonneg, check_int, check_numbers, check_record, freeze)
+                     check_finite_nonneg, check_int, check_numbers, check_record,
+                     check_seed, freeze)
 from .fileio import atomic_write_json, write_csv_table
 from .trajectory import BoundaryCondition, TrajectoryGenerator, folded_basis
 
@@ -127,20 +129,30 @@ def _group_gaussians(wdist: WeightsDistribution, pos_offset: np.ndarray,
                      h_pos: np.ndarray, group: int, noise_var: float):
     """Gaussians of consecutive groups of `group` folded times: means
     (B, D*group) and covariances (B, D*group, D*group) = G G^T + noise_var I,
-    rows DoF-major within each group (dof0@t1..ts, dof1@t1..ts, ...)."""
+    rows DoF-major within each group (dof0@t1..ts, dof1@t1..ts, ...).
+
+    pos_offset is a fold's (D, T) position offsets and h_pos its (T, N+1)
+    folded position rows.  A weights distribution too wide for float64
+    overflows here, which raises NumericalError."""
     check_finite_nonneg("noise_var", noise_var)
     dofs, t_count = pos_offset.shape
     count = t_count // group
-    means = pos_offset + wdist.mean.reshape(dofs, -1) @ h_pos.T
-    means = means.reshape(dofs, count, group).transpose(1, 0, 2).reshape(
-        count, dofs * group)
-    # (D, T, D(N+1)) -> (B, D*group, D(N+1)): row (d, s) of group b is h_t L_d
-    gmat = (h_pos @ wdist.chol.reshape(dofs, -1, wdist.dim)).reshape(
-        dofs, count, group, -1).transpose(1, 0, 2, 3).reshape(count, dofs * group, -1)
-    # exactly symmetric as computed: numpy evaluates G G^T as a symmetric rank-k update
-    covs = gmat @ gmat.transpose(0, 2, 1)
     diag = np.arange(dofs * group)
-    covs[:, diag, diag] += noise_var
+    # an overflow leaves inf or NaN, reported once below
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = pos_offset + wdist.mean.reshape(dofs, -1) @ h_pos.T
+        means = means.reshape(dofs, count, group).transpose(1, 0, 2).reshape(
+            count, dofs * group)
+        # (D, T, D(N+1)) -> (B, D*group, D(N+1)): row (d, s) of group b is h_t L_d
+        gmat = (h_pos @ wdist.chol.reshape(dofs, -1, wdist.dim)).reshape(
+            dofs, count, group, -1).transpose(1, 0, 2, 3).reshape(count, dofs * group, -1)
+        # exactly symmetric as computed: numpy evaluates G G^T as a symmetric rank-k update
+        covs = gmat @ gmat.transpose(0, 2, 1)
+        covs[:, diag, diag] += noise_var
+    if not (np.isfinite(means).all() and np.isfinite(covs).all()):
+        raise NumericalError(
+            "trajectory mean or covariance overflows float64; the weights "
+            "distribution is too wide")
     return means, covs
 
 
@@ -160,7 +172,7 @@ def _fold_distribution(wdist: WeightsDistribution, fold: TrajectoryGenerator,
                        noise_var: float, index_times) -> TrajectoryDistribution:
     """Joint Gaussian over all times of an existing fold, DoF-major, with
     index_times naming the fold's times in the index set."""
-    means, covs = _group_gaussians(wdist, fold.pos_offset, fold.h_pos,
+    means, covs = _group_gaussians(wdist, fold.offsets[0], fold.rows[0].T,
                                    fold.times.shape[0], noise_var)
     index_set = tuple((float(t), d) for d in range(fold.bc.dofs) for t in index_times)
     return TrajectoryDistribution(index_set=index_set, mean=means[0], cov=covs[0],
@@ -182,19 +194,28 @@ def per_time_marginals(wdist: WeightsDistribution, bc: BoundaryCondition, times,
     blockwise, without materializing the joint covariance."""
     _check_weights_dim(wdist, bc, bank)
     fold = folded_basis(bc, times, bank)
-    means, covs = _group_gaussians(wdist, fold.pos_offset, fold.h_pos, 1, noise_var)
+    means, covs = _group_gaussians(wdist, fold.offsets[0], fold.rows[0].T, 1, noise_var)
     return fold.times.copy(), means, covs
 
 
 def marginal(dist: TrajectoryDistribution, subset) -> TrajectoryDistribution:
-    """Sub-vector and sub-matrix at integer positions into the index set."""
-    subset = np.atleast_1d(np.asarray(subset, dtype=int))
+    """Sub-vector and sub-matrix at distinct integer positions into the index
+    set; a float or bool position is rejected, not truncated or cast."""
+    subset = np.atleast_1d(np.asarray(subset, dtype=object))
     if subset.ndim != 1 or subset.size == 0:
         raise ValidationError("subset must be a non-empty index list")
+    # numpy's bool is no Integral; Python's is
+    if not all(issubclass(kind, numbers.Integral) and kind is not bool
+               for kind in set(map(type, subset))):
+        raise ValidationError(f"marginal indices must be integers, got {subset.tolist()!r:.60}")
     if subset.min() < 0 or subset.max() >= dist.dim:
         raise ValidationError(
             f"marginal index out of range: {subset.min()}..{subset.max()} "
             f"for dimension {dist.dim}")
+    subset = subset.astype(np.intp)
+    if np.unique(subset).size != subset.size:
+        raise ValidationError("marginal indices must be distinct (a repeated one "
+                              "makes the covariance singular)")
     return TrajectoryDistribution(
         index_set=tuple(dist.index_set[i] for i in subset),
         mean=dist.mean[subset],
@@ -203,11 +224,13 @@ def marginal(dist: TrajectoryDistribution, subset) -> TrajectoryDistribution:
 
 
 def gaussian_nll(dist: TrajectoryDistribution, values) -> float:
-    """Negative log density of `values` under the distribution."""
+    """Negative log density of finite `values` under the distribution."""
     values = np.asarray(values, dtype=float).ravel()
     if values.shape[0] != dist.dim:
         raise DimensionError(
             f"observation length {values.shape[0]} does not match dimension {dist.dim}")
+    if not np.isfinite(values).all():
+        raise ValidationError("observation values must be finite")
     total = _nll_sum(dist.cov[None], (values - dist.mean)[None],
                      "singular trajectory covariance; supply noise_var > 0 or a jitter")
     return 0.5 * (dist.dim * math.log(2.0 * math.pi) + total)
@@ -226,7 +249,7 @@ def sample_trajectories(wdist: WeightsDistribution, bc: BoundaryCondition, times
     if count < 1:
         raise ValidationError(f"count must be >= 1, got {count}")
     _check_weights_dim(wdist, bc, bank)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     z = rng.standard_normal((count, wdist.dim))
     draws = wdist.mean + z @ wdist.chol.T
 
@@ -281,7 +304,7 @@ def sample_time_pairs(times, count: int, seed) -> TimePairBatch:
     count = check_int("count", count)
     if count < 1:
         raise ValidationError(f"count must be >= 1, got {count}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     n = times.size
     first = rng.integers(0, n, size=count)
     second = rng.integers(0, n - 1, size=count)
@@ -310,11 +333,12 @@ def pair_nll(batch: TimePairBatch, wdist: WeightsDistribution, bc: BoundaryCondi
             f"truth vectors have {batch.values.shape[1]} entries, expected 2*{bc.dofs}")
     dofs = _check_weights_dim(wdist, bc, bank)
     fold = folded_basis(bc, batch.times.ravel(), bank)
+    offsets, h_pos = fold.offsets[0], fold.rows[0].T
     total = 0.0
     for start in range(0, batch.count, PAIR_BLOCK):
         stop = min(start + PAIR_BLOCK, batch.count)
-        means, covs = _group_gaussians(wdist, fold.pos_offset[:, 2 * start:2 * stop],
-                                       fold.h_pos[2 * start:2 * stop], 2, noise_var)
+        means, covs = _group_gaussians(wdist, offsets[:, 2 * start:2 * stop],
+                                       h_pos[2 * start:2 * stop], 2, noise_var)
         total += _nll_sum(covs, batch.values[start:stop] - means,
                           "singular pair covariance; supply noise_var > 0 or "
                           "distinct pair times")

@@ -69,6 +69,18 @@ def check_int(name: str, value) -> int:
     return int(value)
 
 
+def check_seed(value):
+    """value, if it is a seed the package takes: None, a numpy Generator, or
+    an integer >= 0 that is not a bool.  numpy would raise its own ValueError
+    or TypeError for a negative or a fractional one."""
+    if value is None or isinstance(value, np.random.Generator):
+        return value
+    seed = check_int("seed", value)
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 # JSON's names for the types json.loads returns
 _JSON_TYPES = {dict: "object", list: "array", str: "string", bool: "boolean",
                int: "number", float: "number", type(None): "null"}

@@ -113,7 +113,7 @@ def _fit_grid(demos, bcs, bank: BasisBank, ridge: float | None) -> np.ndarray:
                          out=offsets)
     # einsum sums in memory order, so the default ridge is taken over C-ordered
     # (T, N+1) rows, not over the fold's transposed view
-    design = np.ascontiguousarray(fold.h_pos)
+    design = np.ascontiguousarray(fold.rows[0].T)
     if ridge is None:
         ridge = RIDGE_SCALE * np.einsum("ij,ij->", design, design) / bank.weight_dim
     check_finite_nonneg("ridge", ridge)

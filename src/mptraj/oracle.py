@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import DmpConfig, ForcingBasis, make_forcing_basis
+from .basis import DmpConfig, ForcingBasis
 from .errors import NumericalError, ValidationError, check_finite_positive
 from .trajectory import weight_blocks
 
@@ -59,7 +59,7 @@ def integrate_dmp(w_g, y0, dy0, config: DmpConfig, spec: IntegratorSpec):
     wmat = blocks[:, :-1]
     goal = blocks[:, -1]
 
-    basis = make_forcing_basis(config)
+    basis = ForcingBasis(config)
     alpha, beta, tau = config.alpha, config.beta, config.tau
     inv_tau_sq = 1.0 / tau ** 2
     x_rate = config.alpha_x / tau

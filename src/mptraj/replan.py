@@ -16,8 +16,7 @@ A chain computes only the executed trace: each segment is two matrix
 products on a boundary fold.  Local-anchored segments of one horizon share
 one fold, whose rows depend on bank time and horizon alone, and refold only
 the offsets from each executed state.  replan_segment additionally returns
-the segment's trajectory distribution, read from the same fold as its mean
-trace.
+the segment's trajectory distribution, whose mean is its position trace.
 """
 from __future__ import annotations
 
@@ -29,37 +28,40 @@ from .basis import BasisBank
 from .distribution import (DEFAULT_NOISE_VAR, TrajectoryDistribution,
                            WeightsDistribution, _check_weights_dim,
                            _fold_distribution)
-from .errors import DimensionError, ValidationError, check_finite_positive
+from .errors import DimensionError, ValidationError, check_finite_positive, check_seed
 from .trajectory import BoundaryCondition, TrajectoryGenerator, window_steps
 
 
 @dataclass(frozen=True)
 class ReplanSegment:
-    """One planned segment: global times, mean trace, and the trajectory
-    distribution (index set in global time)."""
+    """One planned segment: global times, mean velocities, and the trajectory
+    distribution (index set in global time), whose mean is the position trace."""
 
     times: np.ndarray
-    positions: np.ndarray
     velocities: np.ndarray
     distribution: TrajectoryDistribution
 
     def __post_init__(self):
-        if (self.positions.shape != self.velocities.shape
-                or self.positions.shape[1] != self.times.shape[0]):
+        if (self.velocities.shape[1] != self.times.shape[0]
+                or self.velocities.size != self.distribution.dim):
             raise DimensionError("segment trace arrays do not align")
+
+    @property
+    def positions(self) -> np.ndarray:
+        """Mean positions (D, T), a read-only view of the DoF-major mean."""
+        return self.distribution.mean.reshape(self.velocities.shape)
 
 
 @dataclass(frozen=True)
 class SegmentPlan:
     """Executed chain: concatenated trace (duplicate switch samples dropped),
     per-sample segment ids, and the jumps measured at each interior switch
-    before deduplication."""
+    before deduplication.  The switch times are derived from the trace."""
 
     times: np.ndarray
     positions: np.ndarray
     velocities: np.ndarray
     segment_ids: np.ndarray
-    switch_times: tuple
     pos_jumps: np.ndarray
     vel_jumps: np.ndarray
 
@@ -68,8 +70,13 @@ class SegmentPlan:
         if (self.positions.shape[1] != t_count or self.velocities.shape[1] != t_count
                 or self.segment_ids.shape[0] != t_count):
             raise DimensionError("plan trace arrays do not align")
-        if np.any(np.diff(np.asarray(self.switch_times)) <= 0.0):
-            raise ValidationError("switch times must be strictly increasing")
+
+    @property
+    def switch_times(self) -> tuple:
+        """Start time of each segment: the first sample, then each switch
+        sample the trace keeps (the last of the segment before)."""
+        starts = np.concatenate(([0], np.flatnonzero(np.diff(self.segment_ids))))
+        return tuple(self.times[starts].tolist())
 
 
 def _segment_frame(current: BoundaryCondition, horizon: float, bank: BasisBank,
@@ -105,8 +112,7 @@ def replan_segment(current: BoundaryCondition, wdist: WeightsDistribution,
                                                          rate, bank_anchor)
     _check_weights_dim(wdist, local_bc, bank)
     fold = TrajectoryGenerator(local_bc, local_times, bank)
-    return ReplanSegment(times=global_times, positions=fold.positions(wdist.mean),
-                         velocities=fold.velocities(wdist.mean),
+    return ReplanSegment(times=global_times, velocities=fold.velocities(wdist.mean),
                          distribution=_fold_distribution(wdist, fold, noise_var,
                                                          global_times))
 
@@ -128,7 +134,7 @@ def run_chain(initial: BoundaryCondition, segments, bank: BasisBank, rate: float
         raise ValidationError(f"anchor must be 'local' or 'follow', got '{anchor}'")
     if mode not in ("mean", "sample"):
         raise ValidationError(f"mode must be 'mean' or 'sample', got '{mode}'")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
 
     state = initial
     traces = []
@@ -164,7 +170,6 @@ def run_chain(initial: BoundaryCondition, segments, bank: BasisBank, rate: float
     return SegmentPlan(
         times=stitched(times), positions=stitched(positions), velocities=stitched(velocities),
         segment_ids=np.repeat(np.arange(len(times)), [t.size - (k > 0) for k, t in enumerate(times)]),
-        switch_times=tuple(float(t[0]) for t in times),
         pos_jumps=jumps(positions), vel_jumps=jumps(velocities))
 
 

@@ -106,19 +106,19 @@ def weight_blocks(w_g, dofs: int, weight_dim: int) -> np.ndarray:
 
 class TrajectoryGenerator:
     """Boundary fold of the bank at fixed (bc, times), the one place the
-    boundary state enters: y(t) = pos_offset + W h_pos^T and yd(t) =
-    vel_offset + W h_vel^T for weight blocks W of shape (D, N+1).  Shared by
+    boundary state enters: y(t) = offsets[0] + W rows[0] and yd(t) =
+    offsets[1] + W rows[1] for weight blocks W of shape (D, N+1).  Shared by
     the deterministic, distribution, sampling and fitting paths; a replanning
     chain computes only the trace from it.
 
-    The fold is time-major, like the bank's table: `rows` is one contiguous
-    (2, N+1, T) array of folded position and velocity rows, and `offsets` one
-    (2, D, T) array.  pos_offset/vel_offset are its (D, T) slices and
-    h_pos/h_vel the (T, N+1) transposed views of `rows`.  The rows depend on
-    (t_b, times) only and the offsets on the boundary state as well, so
-    with_state() refolds another state at the same t_b and times by
-    rebuilding the offsets alone, and position_offsets() gives the position
-    offsets of any number of states at once, as the fit reads them.
+    The fold is time-major, like the bank's table, and stores two arrays:
+    `rows`, one contiguous (2, N+1, T) array of folded position and velocity
+    rows, and `offsets`, one (2, D, T) array; readers index them directly.
+    The rows depend on (t_b, times) only and the offsets on the boundary
+    state as well, so with_state() refolds another state at the same t_b and
+    times by rebuilding the offsets alone from the stored xi factors, and
+    position_offsets() gives the position offsets of any number of states at
+    once, as the fit reads them.
 
     positions()/velocities() then cost one (D, N+1) x (N+1, T) product per
     weight vector against a contiguous row slice, with the offset added into
@@ -137,18 +137,16 @@ class TrajectoryGenerator:
         self._xi = first, second = _xi_arrays(times, bc.t_b, bank.config.decay_rate)
         self.times = times
         self.rows = table[:, :, 1:] - first * table[0, :, :1] - second * table[1, :, :1]
-        self.h_pos, self.h_vel = self.rows.transpose(0, 2, 1)
         self._set_state(bc)
 
     def _set_state(self, bc: BoundaryCondition) -> None:
         first, second = self._xi
         self.bc = bc
         self.offsets = _offsets(first, second, bc.y_b, bc.dy_b)
-        self.pos_offset, self.vel_offset = self.offsets
 
     def position_offsets(self, y_b, dy_b) -> np.ndarray:
         """Position offsets (S, T) of S boundary positions y_b and velocities
-        dy_b at this fold's t_b and times, bit for bit the pos_offset rows a
+        dy_b at this fold's t_b and times, bit for bit the offsets[0] rows a
         fold of those states would hold: several states, such as those of
         demos sharing a grid, cost one (S, T) array and no velocity offsets."""
         first, second = self._xi
@@ -178,13 +176,13 @@ class TrajectoryGenerator:
         # the offset is added into the product, which allocates only the output;
         # IEEE addition commutes, so every bit is that of offset + product
         out = self._blocks(w_g) @ self.rows[0]
-        out += self.pos_offset
+        out += self.offsets[0]
         return out
 
     def velocities(self, w_g) -> np.ndarray:
         """Velocities (..., D, T), as positions()."""
         out = self._blocks(w_g) @ self.rows[1]
-        out += self.vel_offset
+        out += self.offsets[1]
         return out
 
 

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import multivariate_normal
 
-from mptraj import (BasisBank, BoundaryCondition, LatentGaussian, NumericalError,
-                    fit_weights, make_forcing_basis, phase, run_chain)
+from mptraj import (BasisBank, BoundaryCondition, ForcingBasis, LatentGaussian,
+                    NumericalError, fit_weights, phase, run_chain)
 from mptraj.basis import BANK_FORMAT
 from mptraj.learning import RIDGE_SCALE, _ridge_lstsq
 from mptraj.probops import GaussianSequence
@@ -103,7 +103,7 @@ def sequential_bank(config) -> BasisBank:
     dt = config.duration / m
     times = np.linspace(0.0, config.duration, m + 1)
     k = config.decay_rate
-    f = (make_forcing_basis(config).normalized_scaled(phase(times, config))
+    f = (ForcingBasis(config).normalized_scaled(phase(times, config))
          / np.float64(config.tau)**2)
     fg = np.hstack([f, times[:, None] * f])
     decay = np.exp(-k * dt)

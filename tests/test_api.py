@@ -1,5 +1,7 @@
 import dataclasses
 
+import numpy as np
+
 import mptraj
 
 # the package surface; a name joins it deliberately, by editing this list.
@@ -13,15 +15,15 @@ EXPECTED_API = [
     "TrajectoryGenerator", "ValidationError", "WeightsDistribution",
     "bayesian_aggregate", "blend", "combine", "evaluate_position",
     "evaluate_velocity", "falling_ramp", "fit_distribution", "fit_weights",
-    "folded_basis", "gaussian_nll", "integrate_dmp", "make_forcing_basis",
-    "marginal", "pair_nll", "per_time_marginals", "phase", "precompute_basis",
+    "folded_basis", "gaussian_nll", "integrate_dmp", "marginal", "pair_nll", "per_time_marginals", "phase", "precompute_basis",
     "replan_segment", "run_benchmark", "run_chain", "sample_time_pairs",
     "sample_trajectories", "smoothness_metric", "trajectory_distribution",
 ]
 
 # the ledger of settable values: every field of every public dataclass, in
 # order.  A new option joins deliberately, by editing this table; a value the
-# record can derive (a bank's grid, a config's beta) is a property, not a field.
+# record can derive (a bank's grid, a config's beta, a forcing basis's centers,
+# a plan's switch times, a segment's mean positions) is a property, not a field.
 EXPECTED_FIELDS = {
     "ActivationProfile": ["times", "values"],
     "BasisBank": ["config", "table"],
@@ -30,13 +32,13 @@ EXPECTED_FIELDS = {
     "Demonstration": ["times", "positions", "velocities"],
     "DmpConfig": ["alpha", "tau", "alpha_x", "num_basis", "duration", "grid_dt",
                   "basis_overlap"],
-    "ForcingBasis": ["centers", "widths"],
+    "ForcingBasis": ["config"],
     "GaussianSequence": ["times", "means", "covs", "meta"],
     "IntegratorSpec": ["method", "dt"],
     "LatentGaussian": ["mean", "var"],
-    "ReplanSegment": ["times", "positions", "velocities", "distribution"],
-    "SegmentPlan": ["times", "positions", "velocities", "segment_ids", "switch_times",
-                    "pos_jumps", "vel_jumps"],
+    "ReplanSegment": ["times", "velocities", "distribution"],
+    "SegmentPlan": ["times", "positions", "velocities", "segment_ids", "pos_jumps",
+                    "vel_jumps"],
     "TimePairBatch": ["times", "values"],
     "TrajectoryDistribution": ["index_set", "mean", "cov", "noise_var"],
     "WeightsDistribution": ["mean", "chol"],
@@ -45,6 +47,7 @@ EXPECTED_FIELDS = {
 
 def test_public_api_is_pinned():
     assert sorted(mptraj.__all__) == EXPECTED_API
+    assert len(EXPECTED_API) == 44
     assert len(set(mptraj.__all__)) == len(mptraj.__all__)
     for name in mptraj.__all__:
         assert getattr(mptraj, name) is not None
@@ -55,4 +58,14 @@ def test_public_record_fields_are_pinned():
                if dataclasses.is_dataclass(getattr(mptraj, name))}
     assert {name: [field.name for field in dataclasses.fields(record)]
             for name, record in records.items()} == EXPECTED_FIELDS
-    assert (len(EXPECTED_FIELDS), sum(map(len, EXPECTED_FIELDS.values()))) == (15, 50)
+    assert (len(EXPECTED_FIELDS), sum(map(len, EXPECTED_FIELDS.values()))) == (15, 47)
+
+
+def test_fold_stores_only_its_arrays_and_state(small_bank):
+    # the fold keeps its rows and offsets, the xi factors that refold the
+    # offsets, and its inputs; no view of them is stored under another name
+    bc = mptraj.BoundaryCondition(0.25, [0.1, -0.2], [0.3, 0.0])
+    gen = mptraj.TrajectoryGenerator(bc, np.linspace(0.25, 0.75, 11), small_bank)
+    moved = gen.with_state(mptraj.BoundaryCondition(0.25, [1.0, 2.0], [0.0, 0.5]))
+    for fold in (gen, moved):
+        assert sorted(vars(fold)) == ["_xi", "bc", "offsets", "rows", "times"]

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 import mptraj
-from mptraj import (DimensionError, DmpConfig, IoError, NumericalError,
-                    ValidationError, make_forcing_basis, phase, precompute_basis)
+from mptraj import (DimensionError, DmpConfig, ForcingBasis, IoError, NumericalError,
+                    ValidationError, phase, precompute_basis)
 from mptraj.basis import BANK_FORMAT, MAX_BANK_CELLS, BasisBank
 from tests.conftest import (GRID_DEFECTS, REFERENCE_CONFIG, ROW_LAYOUT_BANK, SMALL_CONFIG,
                             write_edited_bank, write_unversioned_bank)
@@ -164,29 +164,29 @@ class TestForcingBasis:
     def test_needs_two_functions(self):
         # the width rule needs a neighbor; the config refuses a lone function
         with pytest.raises(ValidationError, match="basis"):
-            make_forcing_basis(DmpConfig(alpha=25.0, tau=3.0, alpha_x=2.0,
-                                         num_basis=1, duration=3.0))
+            ForcingBasis(DmpConfig(alpha=25.0, tau=3.0, alpha_x=2.0,
+                                   num_basis=1, duration=3.0))
 
     def test_centers_are_phase_values(self, reference_config):
-        basis = make_forcing_basis(reference_config)
+        basis = ForcingBasis(reference_config)
         expected = phase(np.linspace(0.0, 3.0, reference_config.num_basis),
                          reference_config)
         assert np.array_equal(basis.centers, expected)
 
     def test_last_width_copied(self, reference_config):
-        basis = make_forcing_basis(reference_config)
+        basis = ForcingBasis(reference_config)
         assert basis.widths[-1] == basis.widths[-2]
         assert np.all(basis.widths > 0.0)
 
     def test_normalized_rows_sum_to_phase(self, reference_config):
-        basis = make_forcing_basis(reference_config)
+        basis = ForcingBasis(reference_config)
         t = np.linspace(0.0, 3.0, 33)
         x = phase(t, reference_config)
         rows = basis.normalized_scaled(x)
         np.testing.assert_allclose(rows.sum(axis=1), x, rtol=0, atol=1e-14)
 
     def test_overlap_at_neighbor_center(self, reference_config):
-        basis = make_forcing_basis(reference_config)
+        basis = ForcingBasis(reference_config)
         # by construction each raw RBF evaluates to the overlap value at the
         # next center
         val = np.exp(-basis.widths[0] * (basis.centers[1] - basis.centers[0]) ** 2)
@@ -252,7 +252,7 @@ class TestPrecompute:
         cfg = small_config
         k = cfg.decay_rate
         times = small_bank.times
-        basis = make_forcing_basis(cfg)
+        basis = ForcingBasis(cfg)
         x = phase(times, cfg)
         forcing = basis.normalized_scaled(x) / cfg.tau ** 2
         y1 = np.exp(-k * times)
@@ -388,8 +388,9 @@ class TestOffGridAccuracy:
     """Ceilings of linear interpolation between bank nodes, measured against a
     bank on a 16x finer grid (whose nodes include every small_bank node).
     Errors are relative to the largest fine-bank value; measured: position
-    1.18e-4 and velocity 6.48e-4 at midpoints, position 2.85e-7 and velocity
-    1.37e-6 on the nodes."""
+    1.183e-4 and velocity 6.483e-4 at midpoints, position 2.851e-7 and
+    velocity 1.373e-6 on the nodes.  Each ceiling sits 23-46 % above its
+    measured value."""
 
     @pytest.fixture(scope="class")
     def fine_bank(self):
@@ -405,13 +406,13 @@ class TestOffGridAccuracy:
 
     def test_midpoints(self, small_bank, fine_bank):
         mid = 0.5 * (small_bank.times[1:] + small_bank.times[:-1])
-        assert self._error(small_bank, fine_bank, "pos", mid) <= 2e-4
-        assert self._error(small_bank, fine_bank, "vel", mid) <= 1e-3
+        assert self._error(small_bank, fine_bank, "pos", mid) <= 1.5e-4
+        assert self._error(small_bank, fine_bank, "vel", mid) <= 8e-4
 
     def test_nodes(self, small_bank, fine_bank):
         assert np.array_equal(fine_bank.times[::16], small_bank.times)
-        assert self._error(small_bank, fine_bank, "pos", small_bank.times) <= 1e-6
-        assert self._error(small_bank, fine_bank, "vel", small_bank.times) <= 1e-5
+        assert self._error(small_bank, fine_bank, "pos", small_bank.times) <= 4e-7
+        assert self._error(small_bank, fine_bank, "vel", small_bank.times) <= 2e-6
 
 
 class TestBankFile:

@@ -93,7 +93,7 @@ class TestTrajectoryDistribution:
         times = np.linspace(0.0, 1.0, 25)
         _, _, covs = per_time_marginals(wdist, bc, times, small_bank)
         fold = folded_basis(bc, times[1:], small_bank)
-        _, pair_covs = _group_gaussians(wdist, fold.pos_offset, fold.h_pos, 2, 0.0)
+        _, pair_covs = _group_gaussians(wdist, fold.offsets[0], fold.rows[0].T, 2, 0.0)
         joint = trajectory_distribution(wdist, bc, times, small_bank).cov
         for stack in (covs, pair_covs, joint[None]):
             np.testing.assert_array_equal(stack, stack.transpose(0, 2, 1))
@@ -192,6 +192,36 @@ class TestTrajectoryDistribution:
             TrajectoryDistribution(((0.0, 0), (1.0, 0)), np.zeros(2), cov, 0.0)
 
 
+def _overflowing_case(bank):
+    """A weights distribution whose covariance G G^T overflows float64 at any
+    time after a rest state's boundary time."""
+    wdist = WeightsDistribution(np.zeros(bank.weight_dim), 1e200 * np.eye(bank.weight_dim))
+    return wdist, BoundaryCondition(0.0, [0.0], [0.0]), [0.5, 0.7]
+
+
+class TestOverflow:
+    """Each read forms its means and covariances in one place and reports an
+    overflow there.  The joint reads once raised ValidationError from the
+    record; per_time_marginals returned infinite covariances and pair_nll
+    returned inf, each after a RuntimeWarning."""
+
+    def test_trajectory_distribution(self, small_bank):
+        wdist, bc, times = _overflowing_case(small_bank)
+        with pytest.raises(NumericalError, match="overflows"):
+            trajectory_distribution(wdist, bc, times, small_bank)
+
+    def test_per_time_marginals(self, small_bank):
+        wdist, bc, times = _overflowing_case(small_bank)
+        with pytest.raises(NumericalError, match="overflows"):
+            per_time_marginals(wdist, bc, times, small_bank)
+
+    def test_pair_nll(self, small_bank):
+        wdist, bc, times = _overflowing_case(small_bank)
+        batch = TimePairBatch(np.array([times]), np.zeros((1, 2)))
+        with pytest.raises(NumericalError, match="overflows"):
+            pair_nll(batch, wdist, bc, small_bank)
+
+
 class TestMarginal:
     def test_sub_block_is_bit_exact(self, small_bank):
         wdist, bc = _case(small_bank, seed=11)
@@ -207,6 +237,37 @@ class TestMarginal:
         dist = trajectory_distribution(wdist, bc, [0.5], small_bank)
         with pytest.raises(ValidationError, match="out of range"):
             marginal(dist, [0, 2])
+        # once a RuntimeWarning and a bound of -9223372036854775808
+        with pytest.raises(ValidationError, match="out of range: 0..10000000000000000000 "):
+            marginal(dist, [0, 10**19])
+
+    # cast to int: [0.7, 2.9] selected (0, 2), [True, False] (1, 0), and
+    # [-0.5] passed the range check as 0
+    @pytest.mark.parametrize("subset", [[0.7, 2.9], [True, False], [-0.5],
+                                        np.array([1.0]), np.array([True]), [1e20]],
+                             ids=repr)
+    def test_non_integer_indices_rejected(self, small_bank, subset):
+        wdist, bc = _case(small_bank)
+        dist = trajectory_distribution(wdist, bc, [0.5, 0.7], small_bank)
+        with pytest.raises(ValidationError, match="must be integers"):
+            marginal(dist, subset)
+
+    def test_repeated_index_rejected(self, small_bank):
+        # [0, 0] once returned an exactly singular covariance
+        wdist, bc = _case(small_bank)
+        dist = trajectory_distribution(wdist, bc, [0.5, 0.7], small_bank)
+        with pytest.raises(ValidationError, match="distinct"):
+            marginal(dist, [0, 0])
+        with pytest.raises(ValidationError, match="distinct"):
+            marginal(dist, np.array([3, 1, 3]))
+
+    def test_numpy_integer_indices_accepted(self, small_bank):
+        wdist, bc = _case(small_bank)
+        dist = trajectory_distribution(wdist, bc, [0.5, 0.7], small_bank)
+        for subset in (np.array([2, 0], dtype=np.int32), [np.int64(2), 0], np.uint8(3)):
+            sub = marginal(dist, subset)
+            picked = np.atleast_1d(np.asarray(subset, dtype=int))
+            assert np.array_equal(sub.mean, dist.mean[picked])
 
     def test_per_time_marginals_match_joint(self, small_bank):
         wdist, bc = _case(small_bank, seed=13)
@@ -251,6 +312,13 @@ class TestNll:
         dist = TrajectoryDistribution(((0.0, 0),), np.zeros(1), np.eye(1), 0.0)
         with pytest.raises(DimensionError):
             gaussian_nll(dist, np.zeros(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=repr)
+    def test_non_finite_observation_rejected(self, bad):
+        # once returned nan
+        dist = TrajectoryDistribution(((0.0, 0), (1.0, 0)), np.zeros(2), np.eye(2), 1.0)
+        with pytest.raises(ValidationError, match="must be finite"):
+            gaussian_nll(dist, [0.0, bad])
 
 
 class TestSampling:
@@ -303,6 +371,26 @@ class TestSampling:
         wdist, bc = _case(small_bank)
         with pytest.raises(ValidationError, match="not finite"):
             sample_trajectories(wdist, bc, [np.nan], small_bank, 2, seed=0)
+
+    # -1 ended in numpy's ValueError, 1.5 in a TypeError; True ran as seed 1
+    @pytest.mark.parametrize("seed, message", [(-1, "seed must be >= 0"),
+                                               (1.5, "seed must be an integer"),
+                                               (True, "seed must be an integer")],
+                             ids=repr)
+    def test_bad_seed_rejected(self, small_bank, seed, message):
+        wdist, bc = _case(small_bank)
+        with pytest.raises(ValidationError, match=message):
+            sample_trajectories(wdist, bc, [0.5], small_bank, 2, seed=seed)
+        with pytest.raises(ValidationError, match=message):
+            sample_time_pairs(np.linspace(0.0, 1.0, 5), 3, seed=seed)
+
+    def test_generator_and_none_seeds_accepted(self, small_bank):
+        wdist, bc = _case(small_bank)
+        a = sample_trajectories(wdist, bc, [0.5], small_bank, 2, np.random.default_rng(4))
+        b = sample_trajectories(wdist, bc, [0.5], small_bank, 2, np.int64(4))
+        assert np.array_equal(a, b)
+        assert sample_trajectories(wdist, bc, [0.5], small_bank, 2, None).shape == (2, 2, 1)
+        assert sample_time_pairs(np.linspace(0.0, 1.0, 5), 3, None).count == 3
 
 
 class TestTimePairs:

@@ -116,8 +116,8 @@ class TestFitWeights:
         # the rank is lstsq's on the same design, so the message is its message
         fold = folded_basis(bc, times, small_bank)
         with pytest.raises(NumericalError) as ref:
-            augmented_lstsq(np.ascontiguousarray(fold.h_pos),
-                            (demo.positions - fold.pos_offset).T, 0.0)
+            augmented_lstsq(np.ascontiguousarray(fold.rows[0].T),
+                            (demo.positions - fold.offsets[0]).T, 0.0)
         assert str(err.value) == str(ref.value)
         fit_weights(demo, small_bank, bc=bc)  # default ridge handles it
 
@@ -177,8 +177,8 @@ class TestRidgeSolve:
                                   times, bank)
         demo = Demonstration(times, clean + 1e-3 * rng.standard_normal(clean.shape))
         fold = folded_basis(demo.boundary_condition(), times, bank)
-        design = np.ascontiguousarray(fold.h_pos)
-        target = (demo.positions - fold.pos_offset).T
+        design = np.ascontiguousarray(fold.rows[0].T)
+        target = (demo.positions - fold.offsets[0]).T
         ridge = RIDGE_SCALE * np.einsum("ij,ij->", design, design) / bank.weight_dim
         return demo, bank, design, target, ridge
 

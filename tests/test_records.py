@@ -21,7 +21,6 @@ RECORDS = {
                             covs=[[[1.0]], [[2.0]]]), {}),
     ActivationProfile: (dict(times=[0.0, 0.1], values=[[1.0, 0.5]]), {}),
     BoundaryCondition: (dict(y_b=[1.0, 2.0], dy_b=[0.0, 1.0]), dict(t_b=0.0)),
-    ForcingBasis: (dict(centers=[1.0, 0.5], widths=[2.0, 3.0]), {}),
 }
 
 
@@ -56,3 +55,13 @@ def test_bank_arrays_are_read_only(small_bank, tmp_path):
         assert set(stored) == {"table"}
         # the times are derived from the config, and frozen as well
         assert not any(arr.flags.writeable for arr in (*stored.values(), bank.times))
+
+
+def test_forcing_basis_arrays_are_read_only(small_config):
+    # the basis is its config; centers and widths are derived, and frozen
+    basis = ForcingBasis(small_config)
+    assert _array_fields(basis) == {}
+    for arr in (basis.centers, basis.widths):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[...] = 0.0

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from mptraj import (BasisBank, BoundaryCondition, TrajectoryGenerator, ValidationError,
+from mptraj import (BasisBank, BoundaryCondition, NumericalError, ReplanSegment,
+                    TrajectoryGenerator, ValidationError, WeightsDistribution,
                     evaluate_position, replan_segment, run_chain, smoothness_metric)
+from mptraj.errors import DimensionError
 from mptraj.trajectory import MAX_QUERY_SAMPLES
 from tests.conftest import random_weights_distribution
 from tests.reference import stale_chain
@@ -32,6 +34,34 @@ class TestReplanSegment:
         np.testing.assert_allclose(seg.times, 4.0 + np.arange(6) / 10.0)
         assert seg.distribution.index_set[0] == (4.0, 0)
         assert seg.distribution.index_set[-1] == (4.5, 1)
+
+    def test_positions_are_a_read_only_view_of_the_mean(self, small_bank):
+        wdists, initial = _setup(small_bank)
+        current = BoundaryCondition(0.2, initial.y_b, initial.dy_b)
+        seg = replan_segment(current, wdists[0], 0.5, small_bank, rate=20.0)
+        # the segment's bank times: anchored at 0, sampled at 20 Hz
+        local_times = np.arange(11) / 20.0
+        fold = TrajectoryGenerator(BoundaryCondition(0.0, initial.y_b, initial.dy_b),
+                                   local_times, small_bank)
+        assert np.array_equal(seg.positions, fold.positions(wdists[0].mean))
+        assert np.shares_memory(seg.positions, seg.distribution.mean)
+        assert not seg.positions.flags.writeable
+
+    def test_trace_must_match_times_and_distribution(self, small_bank):
+        wdists, initial = _setup(small_bank)
+        seg = replan_segment(initial, wdists[0], 0.5, small_bank, rate=10.0)
+        with pytest.raises(DimensionError, match="do not align"):
+            ReplanSegment(seg.times[:-1], seg.velocities, seg.distribution)
+        with pytest.raises(DimensionError, match="do not align"):
+            ReplanSegment(seg.times, np.vstack([seg.velocities] * 2), seg.distribution)
+
+    def test_overflowing_distribution_is_numerical_error(self, small_bank):
+        # once a ValidationError from the distribution record
+        wdist = WeightsDistribution(np.zeros(small_bank.weight_dim),
+                                    1e200 * np.eye(small_bank.weight_dim))
+        rest = BoundaryCondition(0.5, [0.0], [0.0])
+        with pytest.raises(NumericalError, match="overflows"):
+            replan_segment(rest, wdist, 0.2, small_bank, 10.0)
 
     def test_horizon_must_fit_bank(self, small_bank):
         wdists, initial = _setup(small_bank)
@@ -200,6 +230,17 @@ class TestRunChain:
                       seed=12)
         assert np.array_equal(a.positions, b.positions)
         assert not np.array_equal(a.positions, c.positions)
+
+    # -1 ended in numpy's ValueError, 1.5 in a TypeError
+    @pytest.mark.parametrize("seed, message", [(-1, "seed must be >= 0"),
+                                               (1.5, "seed must be an integer"),
+                                               (False, "seed must be an integer")],
+                             ids=repr)
+    def test_bad_seed_rejected(self, small_bank, seed, message):
+        wdists, initial = _setup(small_bank)
+        with pytest.raises(ValidationError, match=message):
+            run_chain(initial, [(wdists[0], 0.5)], small_bank, rate=10.0,
+                      mode="sample", seed=seed)
 
     def test_argument_validation(self, small_bank):
         wdists, initial = _setup(small_bank)

@@ -29,8 +29,15 @@ def _xi(t, t_b, bank):
     y_b = 0, dy_b = 1 exactly xi2."""
     def offset(y_b, dy_b):
         bc = BoundaryCondition(t_b, [y_b], [dy_b])
-        return folded_basis(bc, [t], bank).pos_offset[0, 0]
+        return folded_basis(bc, [t], bank).offsets[0, 0, 0]
     return offset(1.0, 0.0), offset(0.0, 1.0)
+
+
+def _reference_views(fold) -> dict:
+    """The fold's rows as (T, N+1) views and its (D, T) offsets, under the
+    names the row-major reference fold stores them by."""
+    return {"h_pos": fold.rows[0].T, "h_vel": fold.rows[1].T,
+            "pos_offset": fold.offsets[0], "vel_offset": fold.offsets[1]}
 
 
 class TestXiTerms:
@@ -184,16 +191,16 @@ class TestFoldedBasis:
     def test_h_rows_vanish_at_boundary(self, reference_bank):
         bc = BoundaryCondition(1.25, np.array([0.3]), np.array([0.1]))
         fold = folded_basis(bc, np.array([1.25, 2.0]), reference_bank)
-        assert np.all(fold.h_pos[0] == 0.0)
-        assert np.all(fold.h_vel[0] == 0.0)
+        assert np.all(fold.rows[0][:, 0] == 0.0)
+        assert np.all(fold.rows[1][:, 0] == 0.0)
 
     def test_offsets_equal_boundary_state_at_boundary(self, reference_bank):
         rng = np.random.default_rng(4)
         bc = BoundaryCondition(0.75, rng.standard_normal(3), rng.standard_normal(3))
         fold = folded_basis(bc, np.array([0.5, 0.75, 2.0]), reference_bank)
-        assert fold.pos_offset.shape == fold.vel_offset.shape == (3, 3)
-        assert np.array_equal(fold.pos_offset[:, 1], bc.y_b)
-        assert np.array_equal(fold.vel_offset[:, 1], bc.dy_b)
+        assert fold.offsets.shape == (2, 3, 3)
+        assert np.array_equal(fold.offsets[0][:, 1], bc.y_b)
+        assert np.array_equal(fold.offsets[1][:, 1], bc.dy_b)
 
     def test_fold_is_the_generator(self, reference_bank):
         bc = BoundaryCondition(0.5, np.zeros(2), np.zeros(2))
@@ -326,8 +333,8 @@ class TestTimeMajorFold:
         assert times[-1] == reference_bank.times[-1]
         fold = TrajectoryGenerator(bc, times, reference_bank)
         ref = RowMajorFold(bc, times, reference_bank)
-        for name in ("h_pos", "h_vel", "pos_offset", "vel_offset"):
-            assert np.array_equal(getattr(fold, name), getattr(ref, name)), name
+        for name, view in _reference_views(fold).items():
+            assert np.array_equal(view, getattr(ref, name)), name
         for w in (stack, stack[0, 0]):
             assert np.array_equal(fold.positions(w), ref.positions(w))
             assert np.array_equal(fold.velocities(w), ref.velocities(w))
@@ -339,8 +346,8 @@ class TestTimeMajorFold:
         bc, times, stack = self._case(reference_bank, 1, on_grid, seed=11)
         fold = TrajectoryGenerator(bc, times, reference_bank)
         ref = RowMajorFold(bc, times, reference_bank)
-        for name in ("h_pos", "h_vel", "pos_offset", "vel_offset"):
-            assert np.array_equal(getattr(fold, name), getattr(ref, name)), name
+        for name, view in _reference_views(fold).items():
+            assert np.array_equal(view, getattr(ref, name)), name
         for w in (stack, stack[0, 0]):
             for ours, theirs, state in ((fold.positions(w), ref.positions(w), bc.y_b),
                                         (fold.velocities(w), ref.velocities(w), bc.dy_b)):
@@ -416,7 +423,7 @@ class TestTimeMajorFold:
         offsets = fold.position_offsets(np.concatenate([bc.y_b for bc in states]),
                                         np.concatenate([bc.dy_b for bc in states]))
         assert np.array_equal(offsets, np.concatenate(
-            [TrajectoryGenerator(bc, times, reference_bank).pos_offset for bc in states]))
+            [TrajectoryGenerator(bc, times, reference_bank).offsets[0] for bc in states]))
 
     def test_rows_are_one_contiguous_time_major_array(self, reference_bank):
         bc, times, _ = self._case(reference_bank, 3, False, seed=5)
@@ -424,8 +431,7 @@ class TestTimeMajorFold:
         assert fold.rows.shape == (2, reference_bank.weight_dim, times.size)
         assert fold.rows.flags.c_contiguous
         assert fold.offsets.shape == (2, 3, times.size)
-        assert np.shares_memory(fold.h_pos, fold.rows)
-        assert np.shares_memory(fold.pos_offset, fold.offsets)
+        assert fold.offsets.flags.c_contiguous
 
 
 class TestWithState:
@@ -439,13 +445,13 @@ class TestWithState:
         fresh = TrajectoryGenerator(second, times, reference_bank)
         assert refold.bc is second and fold.bc is first
         assert refold.rows is fold.rows
-        for name in ("pos_offset", "vel_offset", "h_pos", "h_vel"):
-            assert np.array_equal(getattr(refold, name), getattr(fresh, name)), name
+        assert np.array_equal(refold.offsets, fresh.offsets)
+        assert np.array_equal(refold.rows, fresh.rows)
         assert np.array_equal(refold.positions(w), fresh.positions(w))
         assert np.array_equal(refold.velocities(w), fresh.velocities(w))
         # the fold it came from keeps its own state
-        assert np.array_equal(fold.pos_offset,
-                              TrajectoryGenerator(first, times, reference_bank).pos_offset)
+        assert np.array_equal(fold.offsets,
+                              TrajectoryGenerator(first, times, reference_bank).offsets)
 
     def test_other_boundary_time_rejected(self, reference_bank):
         fold = folded_basis(BoundaryCondition(0.0, [0.0], [0.0]), [0.5], reference_bank)

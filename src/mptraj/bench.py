@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import DmpConfig, precompute_basis
-from .errors import ValidationError, check_finite_positive
+from .errors import ValidationError, check_count, check_finite_positive, check_seed
 from .oracle import IntegratorSpec, integrate_dmp
 from .trajectory import (MAX_QUERY_SAMPLES, BoundaryCondition, TrajectoryGenerator,
                          window_steps)
@@ -45,8 +45,7 @@ class BenchScenario:
     num_basis: int = 10
 
     def __post_init__(self):
-        if self.dofs < 1:
-            raise ValidationError(f"dofs must be >= 1, got {self.dofs}")
+        check_count("dofs", self.dofs)
         check_finite_positive("duration", self.duration)
         check_finite_positive("rate_hz", self.rate_hz)
         steps = window_steps(self.duration, self.rate_hz)
@@ -56,6 +55,8 @@ class BenchScenario:
         if self.dofs * steps > MAX_QUERY_SAMPLES:
             raise ValidationError(f"{self.dofs} DoFs x {steps} times exceed "
                                   f"{MAX_QUERY_SAMPLES} samples; lower dofs or the rate")
+        # last, so that the duration and rate messages come first
+        self.config()
 
     def config(self) -> DmpConfig:
         return DmpConfig(alpha=ALPHA, tau=self.duration, alpha_x=ALPHA_X,
@@ -90,15 +91,14 @@ def run_benchmark(scenario: BenchScenario, repetitions: int = 7,
                   seed: int = 0) -> dict:
     """{stage: {"median_s", "checksum", "speedup"}} of the timed stages, with
     speedup = Euler's median / the stage's median (1.0 for euler)."""
-    if repetitions < 1:
-        raise ValidationError(f"repetitions must be >= 1, got {repetitions}")
+    repetitions = check_count("repetitions", repetitions)
     if repetitions * scenario.weight_dim > MAX_QUERY_SAMPLES:
         raise ValidationError(f"{repetitions} repetitions x {scenario.weight_dim} weights "
                               f"exceed {MAX_QUERY_SAMPLES} samples; lower the repetitions")
     config = scenario.config()
     bank = precompute_basis(config)
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     draws = rng.standard_normal((repetitions, scenario.weight_dim))
     y0 = rng.standard_normal(scenario.dofs)
     dy0 = np.zeros(scenario.dofs)

@@ -28,10 +28,11 @@ import numpy as np
 
 from .basis import BasisBank
 from .errors import (DimensionError, NumericalError, ValidationError,
-                     check_finite_nonneg, check_int, check_numbers, check_record,
-                     check_seed, freeze)
+                     check_count, check_finite_nonneg, check_int, check_numbers,
+                     check_record, check_seed, freeze)
 from .fileio import atomic_write_json, write_csv_table
-from .trajectory import BoundaryCondition, TrajectoryGenerator, folded_basis
+from .trajectory import (BoundaryCondition, TrajectoryGenerator, folded_basis,
+                         weight_blocks)
 
 # the observation white-noise default keeps pair covariances invertible
 DEFAULT_NOISE_VAR = 1e-6
@@ -115,36 +116,34 @@ class TrajectoryDistribution:
         return self.mean.shape[0]
 
 
-def _check_weights_dim(wdist: WeightsDistribution, bc: BoundaryCondition,
-                       bank: BasisBank) -> int:
-    dofs = bc.dofs
-    if wdist.dim != dofs * bank.weight_dim:
+def _group_gaussians(wdist: WeightsDistribution, fold: TrajectoryGenerator,
+                     group: int, noise_var: float, columns=slice(None)):
+    """Gaussians of consecutive groups of `group` of the fold's times, taken
+    at `columns`: means (B, D*group) and covariances (B, D*group, D*group) =
+    G G^T + noise_var I, rows DoF-major within each group (dof0@t1..ts,
+    dof1@t1..ts, ...).
+
+    The one reader of a fold's arrays here: it takes the position offsets
+    (D, T) and folded position rows (N+1, T) as stored.  A weights
+    distribution of another dimension than the fold's D x (N+1) raises
+    DimensionError, and one too wide for float64 overflows, which raises
+    NumericalError."""
+    check_finite_nonneg("noise_var", noise_var)
+    offsets, rows = fold.offsets[0][:, columns], fold.rows[0][:, columns]
+    dofs = fold.bc.dofs
+    if wdist.dim != dofs * rows.shape[0]:
         raise DimensionError(
             f"weights distribution dimension {wdist.dim} does not match "
-            f"{dofs} DoFs x {bank.weight_dim} parameters")
-    return dofs
-
-
-def _group_gaussians(wdist: WeightsDistribution, pos_offset: np.ndarray,
-                     h_pos: np.ndarray, group: int, noise_var: float):
-    """Gaussians of consecutive groups of `group` folded times: means
-    (B, D*group) and covariances (B, D*group, D*group) = G G^T + noise_var I,
-    rows DoF-major within each group (dof0@t1..ts, dof1@t1..ts, ...).
-
-    pos_offset is a fold's (D, T) position offsets and h_pos its (T, N+1)
-    folded position rows.  A weights distribution too wide for float64
-    overflows here, which raises NumericalError."""
-    check_finite_nonneg("noise_var", noise_var)
-    dofs, t_count = pos_offset.shape
-    count = t_count // group
+            f"{dofs} DoFs x {rows.shape[0]} parameters")
+    count = rows.shape[1] // group
     diag = np.arange(dofs * group)
     # an overflow leaves inf or NaN, reported once below
     with np.errstate(over="ignore", invalid="ignore"):
-        means = pos_offset + wdist.mean.reshape(dofs, -1) @ h_pos.T
+        means = offsets + wdist.mean.reshape(dofs, -1) @ rows
         means = means.reshape(dofs, count, group).transpose(1, 0, 2).reshape(
             count, dofs * group)
         # (D, T, D(N+1)) -> (B, D*group, D(N+1)): row (d, s) of group b is h_t L_d
-        gmat = (h_pos @ wdist.chol.reshape(dofs, -1, wdist.dim)).reshape(
+        gmat = (rows.T @ wdist.chol.reshape(dofs, -1, wdist.dim)).reshape(
             dofs, count, group, -1).transpose(1, 0, 2, 3).reshape(count, dofs * group, -1)
         # exactly symmetric as computed: numpy evaluates G G^T as a symmetric rank-k update
         covs = gmat @ gmat.transpose(0, 2, 1)
@@ -172,8 +171,7 @@ def _fold_distribution(wdist: WeightsDistribution, fold: TrajectoryGenerator,
                        noise_var: float, index_times) -> TrajectoryDistribution:
     """Joint Gaussian over all times of an existing fold, DoF-major, with
     index_times naming the fold's times in the index set."""
-    means, covs = _group_gaussians(wdist, fold.offsets[0], fold.rows[0].T,
-                                   fold.times.shape[0], noise_var)
+    means, covs = _group_gaussians(wdist, fold, fold.times.shape[0], noise_var)
     index_set = tuple((float(t), d) for d in range(fold.bc.dofs) for t in index_times)
     return TrajectoryDistribution(index_set=index_set, mean=means[0], cov=covs[0],
                                   noise_var=noise_var)
@@ -183,7 +181,6 @@ def trajectory_distribution(wdist: WeightsDistribution, bc: BoundaryCondition,
                             times, bank: BasisBank,
                             noise_var: float = DEFAULT_NOISE_VAR) -> TrajectoryDistribution:
     """Joint Gaussian over all (requested time, DoF) pairs, DoF-major."""
-    _check_weights_dim(wdist, bc, bank)
     fold = folded_basis(bc, times, bank)
     return _fold_distribution(wdist, fold, noise_var, fold.times)
 
@@ -192,9 +189,8 @@ def per_time_marginals(wdist: WeightsDistribution, bc: BoundaryCondition, times,
                        bank: BasisBank, noise_var: float = DEFAULT_NOISE_VAR):
     """Per-time D x D Gaussians (means (T, D), covs (T, D, D)) computed
     blockwise, without materializing the joint covariance."""
-    _check_weights_dim(wdist, bc, bank)
     fold = folded_basis(bc, times, bank)
-    means, covs = _group_gaussians(wdist, fold.offsets[0], fold.rows[0].T, 1, noise_var)
+    means, covs = _group_gaussians(wdist, fold, 1, noise_var)
     return fold.times.copy(), means, covs
 
 
@@ -245,10 +241,9 @@ def sample_trajectories(wdist: WeightsDistribution, bc: BoundaryCondition, times
     Every sample adheres to the boundary condition exactly.  `seed` is an int
     seed or a numpy Generator; identical seeds give bit-identical output.
     """
-    count = check_int("count", count)
-    if count < 1:
-        raise ValidationError(f"count must be >= 1, got {count}")
-    _check_weights_dim(wdist, bc, bank)
+    count = check_count("count", count)
+    # a wrong-sized distribution fails before the count x dim normals are drawn
+    weight_blocks(wdist.mean, bc.dofs, bank.weight_dim)
     rng = np.random.default_rng(check_seed(seed))
     z = rng.standard_normal((count, wdist.dim))
     draws = wdist.mean + z @ wdist.chol.T
@@ -301,9 +296,7 @@ def sample_time_pairs(times, count: int, seed) -> TimePairBatch:
     times = np.unique(np.asarray(times, dtype=float))
     if times.size < 2:
         raise ValidationError("pair sampling needs at least 2 distinct times")
-    count = check_int("count", count)
-    if count < 1:
-        raise ValidationError(f"count must be >= 1, got {count}")
+    count = check_count("count", count)
     rng = np.random.default_rng(check_seed(seed))
     n = times.size
     first = rng.integers(0, n, size=count)
@@ -331,18 +324,16 @@ def pair_nll(batch: TimePairBatch, wdist: WeightsDistribution, bc: BoundaryCondi
     if batch.values.shape[1] != 2 * bc.dofs:
         raise DimensionError(
             f"truth vectors have {batch.values.shape[1]} entries, expected 2*{bc.dofs}")
-    dofs = _check_weights_dim(wdist, bc, bank)
     fold = folded_basis(bc, batch.times.ravel(), bank)
-    offsets, h_pos = fold.offsets[0], fold.rows[0].T
     total = 0.0
     for start in range(0, batch.count, PAIR_BLOCK):
         stop = min(start + PAIR_BLOCK, batch.count)
-        means, covs = _group_gaussians(wdist, offsets[:, 2 * start:2 * stop],
-                                       h_pos[2 * start:2 * stop], 2, noise_var)
+        means, covs = _group_gaussians(wdist, fold, 2, noise_var,
+                                       slice(2 * start, 2 * stop))
         total += _nll_sum(covs, batch.values[start:stop] - means,
                           "singular pair covariance; supply noise_var > 0 or "
                           "distinct pair times")
-    return 0.5 * (2 * dofs * math.log(2.0 * math.pi) + total / batch.count)
+    return 0.5 * (2 * bc.dofs * math.log(2.0 * math.pi) + total / batch.count)
 
 
 def _unpack_lower(values: np.ndarray, dim: int) -> np.ndarray:

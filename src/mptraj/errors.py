@@ -46,17 +46,17 @@ class DimensionError(MptrajError):
 
 
 def check_finite_nonneg(name: str, value: float) -> float:
-    """value, if it is finite and >= 0; ValidationError otherwise."""
+    """value, if it is finite and >= 0 and not a bool; ValidationError otherwise."""
     # negated so that NaN fails the check
-    if not 0.0 <= value < math.inf:
+    if isinstance(value, (bool, np.bool_)) or not 0.0 <= value < math.inf:
         raise ValidationError(f"{name} must be finite and >= 0, got {value}")
     return value
 
 
 def check_finite_positive(name: str, value: float) -> float:
-    """value, if it is finite and > 0; ValidationError otherwise."""
+    """value, if it is finite and > 0 and not a bool; ValidationError otherwise."""
     # negated so that NaN fails the check
-    if not 0.0 < value < math.inf:
+    if isinstance(value, (bool, np.bool_)) or not 0.0 < value < math.inf:
         raise ValidationError(f"{name} must be finite and > 0, got {value}")
     return value
 
@@ -67,6 +67,14 @@ def check_int(name: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValidationError(f"{name} must be an integer, got {value!r:.40}")
     return int(value)
+
+
+def check_count(name: str, value) -> int:
+    """value as an int, if it is an integer as check_int takes it and >= 1."""
+    count = check_int(name, value)
+    if count < 1:
+        raise ValidationError(f"{name} must be >= 1, got {count}")
+    return count
 
 
 def check_seed(value):

@@ -19,7 +19,7 @@ import numpy as np
 
 from .basis import DmpConfig, ForcingBasis
 from .errors import NumericalError, ValidationError, check_finite_positive
-from .trajectory import weight_blocks
+from .trajectory import MAX_QUERY_SAMPLES, weight_blocks
 
 _METHODS = ("explicit-euler", "rk4")
 
@@ -46,8 +46,10 @@ def integrate_dmp(w_g, y0, dy0, config: DmpConfig, spec: IntegratorSpec):
     """Integrate the second-order system from (y0, dy0).
 
     Returns (times, positions, velocities) on the integrator grid i*dt,
-    i = 0..ceil(duration/dt).  Raises NumericalError with the step index if
-    the state leaves the finite range (divergence).
+    i = 0..ceil(duration/dt).  Non-finite inputs, and a grid of more than
+    MAX_QUERY_SAMPLES times, raise ValidationError before anything is
+    integrated; NumericalError with the step index reports a state that
+    leaves the finite range (divergence).
     """
     y = np.atleast_1d(np.asarray(y0, dtype=float)).copy()
     v = np.atleast_1d(np.asarray(dy0, dtype=float)).copy()
@@ -56,6 +58,15 @@ def integrate_dmp(w_g, y0, dy0, config: DmpConfig, spec: IntegratorSpec):
             f"y0 and dy0 must be equal-length vectors, got {y.shape} and {v.shape}")
     dofs = y.shape[0]
     blocks = weight_blocks(w_g, dofs, config.weight_dim)
+    if not (np.isfinite(blocks).all() and np.isfinite(y).all() and np.isfinite(v).all()):
+        raise ValidationError("integrator inputs w_g, y0 and dy0 must be finite")
+    dt = spec.dt
+    # min() first, so that a quotient overflowing to inf still fails here
+    steps = int(math.ceil(min(config.duration / dt, MAX_QUERY_SAMPLES) - 1e-12))
+    if steps + 1 > MAX_QUERY_SAMPLES:
+        raise ValidationError(
+            f"a {config.duration:g} s integration at dt = {dt:g} takes more than "
+            f"{MAX_QUERY_SAMPLES} steps; raise dt")
     wmat = blocks[:, :-1]
     goal = blocks[:, -1]
 
@@ -63,7 +74,6 @@ def integrate_dmp(w_g, y0, dy0, config: DmpConfig, spec: IntegratorSpec):
     alpha, beta, tau = config.alpha, config.beta, config.tau
     inv_tau_sq = 1.0 / tau ** 2
     x_rate = config.alpha_x / tau
-    dt = spec.dt
 
     def accel(t, pos, vel):
         forcing = wmat @ _scaled_row(basis, math.exp(-x_rate * t))
@@ -86,7 +96,6 @@ def integrate_dmp(w_g, y0, dy0, config: DmpConfig, spec: IntegratorSpec):
                 v + sixth * (a1 + 2.0 * (a2 + a3) + a4))
 
     step = euler_step if spec.method == "explicit-euler" else rk4_step
-    steps = int(math.ceil(config.duration / dt - 1e-12))
     times = dt * np.arange(steps + 1)
     if abs(times[-1] - config.duration) <= 1e-9 * max(1.0, config.duration):
         times[-1] = config.duration

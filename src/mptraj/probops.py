@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (DimensionError, NumericalError, ValidationError, check_int,
+from .errors import (DimensionError, NumericalError, ValidationError, check_count,
                      check_number, check_numbers, check_record, check_type, freeze)
 from .fileio import atomic_write_json
 
@@ -225,9 +225,7 @@ def write_gaussian_sequence_json(path: str, seq: GaussianSequence) -> None:
 
 def gaussian_sequence_from_dict(data) -> GaussianSequence:
     check_record(data, "Gaussian-sequence", ("dofs", "records"), ("meta",))
-    dofs = check_int("dofs", data["dofs"])
-    if dofs < 1:
-        raise ValidationError(f"dofs must be >= 1, got {dofs}")
+    dofs = check_count("dofs", data["dofs"])
     meta = check_type("meta", data.get("meta", {}), dict)
     records = check_type("records", data["records"], list)
     for i, rec in enumerate(records):

@@ -26,8 +26,7 @@ import numpy as np
 
 from .basis import BasisBank
 from .distribution import (DEFAULT_NOISE_VAR, TrajectoryDistribution,
-                           WeightsDistribution, _check_weights_dim,
-                           _fold_distribution)
+                           WeightsDistribution, _fold_distribution)
 from .errors import DimensionError, ValidationError, check_finite_positive, check_seed
 from .trajectory import BoundaryCondition, TrajectoryGenerator, window_steps
 
@@ -110,7 +109,6 @@ def replan_segment(current: BoundaryCondition, wdist: WeightsDistribution,
     at the current state.  bank_anchor maps the switch instant into bank time."""
     global_times, local_times, local_bc = _segment_frame(current, horizon, bank,
                                                          rate, bank_anchor)
-    _check_weights_dim(wdist, local_bc, bank)
     fold = TrajectoryGenerator(local_bc, local_times, bank)
     return ReplanSegment(times=global_times, velocities=fold.velocities(wdist.mean),
                          distribution=_fold_distribution(wdist, fold, noise_var,
@@ -179,6 +177,8 @@ def smoothness_metric(positions, dt: float) -> float:
     positions = np.atleast_2d(np.asarray(positions, dtype=float))
     if positions.shape[1] < 3:
         raise ValidationError("smoothness metric needs at least 3 samples")
+    if not np.isfinite(positions).all():
+        raise ValidationError("smoothness metric needs finite positions")
     check_finite_positive("dt", dt)
     second = positions[:, 2:] - 2.0 * positions[:, 1:-1] + positions[:, :-2]
     return float(np.mean((second / dt ** 2) ** 2))

@@ -45,6 +45,15 @@ class TestScenario:
         with pytest.raises(ValidationError, match="duration"):
             BenchScenario(duration=duration)
 
+    # 1.5 and "2" ended in a TypeError from run_benchmark or the constructor;
+    # num_basis=1 constructed and failed only inside run_benchmark
+    @pytest.mark.parametrize("field, value, message", [
+        ("dofs", 1.5, "dofs must be an integer"), ("dofs", "2", "dofs must be an integer"),
+        ("dofs", True, "dofs must be an integer"), ("num_basis", 1, "num_basis")], ids=repr)
+    def test_bad_field_rejected_at_construction(self, field, value, message):
+        with pytest.raises(ValidationError, match=message):
+            BenchScenario(**{"duration": 1.0, "rate_hz": 200.0, "num_basis": 5, field: value})
+
     def test_config_spans_duration(self):
         config = TINY.config()
         assert config.duration == TINY.duration
@@ -83,6 +92,17 @@ class TestRunBenchmark:
     def test_repetitions_validated(self):
         with pytest.raises(ValidationError):
             run_benchmark(TINY, repetitions=0)
+
+    # 2.5 and True ended in a TypeError, -1 in numpy's ValueError and 1.5 in
+    # a TypeError, each escaping the package's errors
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"repetitions": 2.5}, "repetitions must be an integer"),
+        ({"repetitions": True}, "repetitions must be an integer"),
+        ({"seed": -1}, "seed must be >= 0"),
+        ({"seed": 1.5}, "seed must be an integer")], ids=repr)
+    def test_bad_argument_rejected(self, kwargs, message):
+        with pytest.raises(ValidationError, match=message):
+            run_benchmark(TINY, **kwargs)
 
 
 class TestReport:

@@ -10,7 +10,7 @@ from mptraj import (BoundaryCondition, DimensionError, NumericalError,
                     TimePairBatch, TrajectoryDistribution, ValidationError,
                     WeightsDistribution, evaluate_position, folded_basis,
                     gaussian_nll, marginal, pair_nll, per_time_marginals,
-                    sample_time_pairs, sample_trajectories,
+                    replan_segment, sample_time_pairs, sample_trajectories,
                     trajectory_distribution)
 from mptraj.distribution import (PAIR_BLOCK, _group_gaussians,
                                  weights_distribution_from_dict,
@@ -93,7 +93,7 @@ class TestTrajectoryDistribution:
         times = np.linspace(0.0, 1.0, 25)
         _, _, covs = per_time_marginals(wdist, bc, times, small_bank)
         fold = folded_basis(bc, times[1:], small_bank)
-        _, pair_covs = _group_gaussians(wdist, fold.offsets[0], fold.rows[0].T, 2, 0.0)
+        _, pair_covs = _group_gaussians(wdist, fold, 2, 0.0)
         joint = trajectory_distribution(wdist, bc, times, small_bank).cov
         for stack in (covs, pair_covs, joint[None]):
             np.testing.assert_array_equal(stack, stack.transpose(0, 2, 1))
@@ -220,6 +220,44 @@ class TestOverflow:
         batch = TimePairBatch(np.array([times]), np.zeros((1, 2)))
         with pytest.raises(NumericalError, match="overflows"):
             pair_nll(batch, wdist, bc, small_bank)
+
+
+# every read of a weights distribution, as (wdist, bc, bank) -> result
+READS = {
+    "trajectory_distribution": lambda wdist, bc, bank: trajectory_distribution(
+        wdist, bc, [0.2, 0.6], bank),
+    "per_time_marginals": lambda wdist, bc, bank: per_time_marginals(
+        wdist, bc, [0.2, 0.6], bank),
+    "pair_nll": lambda wdist, bc, bank: pair_nll(
+        TimePairBatch(np.array([[0.2, 0.6]]), np.zeros((1, 2 * bc.dofs))), wdist, bc, bank),
+    "sample_trajectories": lambda wdist, bc, bank: sample_trajectories(
+        wdist, bc, [0.2, 0.6], bank, 3, seed=0),
+    "replan_segment": lambda wdist, bc, bank: replan_segment(bc, wdist, 0.5, bank, 10.0),
+}
+
+
+def _wrong_sized_case(bank, dofs=2):
+    """A D-DoF state and a distribution of D (N+2) entries: a multiple of D
+    that a bare reshape(D, -1) would take."""
+    dim = dofs * (bank.weight_dim + 1)
+    return (WeightsDistribution(np.zeros(dim), np.eye(dim)),
+            BoundaryCondition(0.0, np.zeros(dofs), np.zeros(dofs)))
+
+
+@pytest.mark.parametrize("read", READS)
+def test_every_read_rejects_a_wrong_weights_dimension(small_bank, read):
+    wdist, bc = _wrong_sized_case(small_bank)
+    with pytest.raises(DimensionError, match=f"{wdist.dim}"):
+        READS[read](wdist, bc, small_bank)
+
+
+def test_sampling_checks_the_dimension_before_drawing(small_bank):
+    wdist, bc = _wrong_sized_case(small_bank)
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    with pytest.raises(DimensionError):
+        sample_trajectories(wdist, bc, [0.2, 0.6], small_bank, 3, rng)
+    assert rng.bit_generator.state == state
 
 
 class TestMarginal:

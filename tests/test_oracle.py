@@ -29,6 +29,31 @@ class TestIntegratorSpec:
             IntegratorSpec("rk4", dt)
 
 
+class TestInputs:
+    """Inputs integrate_dmp cannot honour are ValidationErrors before any
+    step: 1e-300 once ended in numpy's "Maximum allowed size exceeded",
+    1e-320 in an OverflowError, and a non-finite state or weight in a
+    RuntimeWarning or a divergence at step 1."""
+
+    # 3e-6 on the 3 s config asks for 10**6 steps, so 10**6 + 1 times: one
+    # more than the bound
+    @pytest.mark.parametrize("dt", [3e-6, 1e-9, 1e-300, 1e-320], ids=repr)
+    def test_step_count_bounded_before_allocation(self, reference_config, dt):
+        with pytest.raises(ValidationError, match="takes more than 1000000 steps"):
+            integrate_dmp(np.zeros(reference_config.weight_dim), [0.0], [0.0],
+                          reference_config, IntegratorSpec("rk4", dt))
+
+    @pytest.mark.parametrize("which", ["w_g", "y0", "dy0"])
+    @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+    def test_non_finite_input_rejected(self, reference_config, which, bad):
+        inputs = {"w_g": np.zeros(reference_config.weight_dim), "y0": [0.0], "dy0": [0.0]}
+        inputs[which] = np.array(inputs[which], dtype=float)
+        inputs[which][0] = bad
+        with pytest.raises(ValidationError, match="must be finite"):
+            integrate_dmp(inputs["w_g"], inputs["y0"], inputs["dy0"], reference_config,
+                          IntegratorSpec("rk4", 0.05))
+
+
 class TestGrid:
     def test_divisible_dt_lands_on_duration(self, reference_config):
         w = np.zeros(reference_config.weight_dim)

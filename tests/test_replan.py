@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from mptraj import (BasisBank, BoundaryCondition, NumericalError, ReplanSegment,
-                    TrajectoryGenerator, ValidationError, WeightsDistribution,
-                    evaluate_position, replan_segment, run_chain, smoothness_metric)
+from mptraj import (BasisBank, BoundaryCondition, IntegratorSpec, NumericalError,
+                    ReplanSegment, TimePairBatch, TrajectoryGenerator, ValidationError,
+                    WeightsDistribution, evaluate_position, pair_nll, per_time_marginals,
+                    replan_segment, run_chain, smoothness_metric)
 from mptraj.errors import DimensionError
 from mptraj.trajectory import MAX_QUERY_SAMPLES
 from tests.conftest import random_weights_distribution
@@ -281,3 +282,36 @@ class TestSmoothness:
             smoothness_metric(np.zeros(2), 0.1)
         with pytest.raises(ValidationError):
             smoothness_metric(np.zeros(5), 0.0)
+
+    # each once returned nan or inf
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=repr)
+    def test_non_finite_positions_rejected(self, bad):
+        positions = np.zeros((2, 5))
+        positions[1, 2] = bad
+        with pytest.raises(ValidationError, match="finite positions"):
+            smoothness_metric(positions, 0.1)
+
+
+# each once ran with True taken as 1.0, or, for run_chain, failed on the
+# sample period 1/True
+BOOL_CASES = {
+    "run_chain rate": lambda bank, wdist, bc, flag: run_chain(
+        bc, [(wdist, 0.5)], bank, rate=flag),
+    "replan_segment horizon": lambda bank, wdist, bc, flag: replan_segment(
+        bc, wdist, flag, bank, 10.0),
+    "pair_nll noise_var": lambda bank, wdist, bc, flag: pair_nll(
+        TimePairBatch(np.array([[0.2, 0.6]]), np.zeros((1, 2 * bc.dofs))), wdist, bc, bank,
+        noise_var=flag),
+    "per_time_marginals noise_var": lambda bank, wdist, bc, flag: per_time_marginals(
+        wdist, bc, [0.2, 0.6], bank, noise_var=flag),
+    "smoothness_metric dt": lambda bank, wdist, bc, flag: smoothness_metric(np.zeros(5), flag),
+    "IntegratorSpec dt": lambda bank, wdist, bc, flag: IntegratorSpec("rk4", flag),
+}
+
+
+@pytest.mark.parametrize("case", BOOL_CASES)
+@pytest.mark.parametrize("flag", [True, np.True_], ids=repr)
+def test_bool_is_not_a_number(small_bank, case, flag):
+    wdists, initial = _setup(small_bank)
+    with pytest.raises(ValidationError, match="must be finite and"):
+        BOOL_CASES[case](small_bank, wdists[0], initial, flag)

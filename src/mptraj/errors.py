@@ -45,18 +45,29 @@ class DimensionError(MptrajError):
     category = "dimension"
 
 
+def _is_real(value) -> bool:
+    """Whether value is one real number that is not a bool: a numbers.Real
+    (numpy's integer and float scalars among them) or a 0-d integer or
+    float array."""
+    if isinstance(value, np.ndarray):
+        return value.ndim == 0 and value.dtype.kind in "iuf"
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def check_finite_nonneg(name: str, value: float) -> float:
-    """value, if it is finite and >= 0 and not a bool; ValidationError otherwise."""
+    """value, if it is a real number, finite and >= 0, and not a bool;
+    ValidationError otherwise."""
     # negated so that NaN fails the check
-    if isinstance(value, (bool, np.bool_)) or not 0.0 <= value < math.inf:
+    if not _is_real(value) or not 0.0 <= value < math.inf:
         raise ValidationError(f"{name} must be finite and >= 0, got {value}")
     return value
 
 
 def check_finite_positive(name: str, value: float) -> float:
-    """value, if it is finite and > 0 and not a bool; ValidationError otherwise."""
+    """value, if it is a real number, finite and > 0, and not a bool;
+    ValidationError otherwise."""
     # negated so that NaN fails the check
-    if isinstance(value, (bool, np.bool_)) or not 0.0 < value < math.inf:
+    if not _is_real(value) or not 0.0 < value < math.inf:
         raise ValidationError(f"{name} must be finite and > 0, got {value}")
     return value
 

@@ -7,13 +7,17 @@ writes all or none.
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import os
 import secrets
 
+import numpy as np
+
 from .errors import IoError, ValidationError
 
-# rows per format operation in write_csv_table; one for the whole table costs memory
+# rows per block of write_csv_table: a table is formatted and written one
+# block at a time, so no text of the whole table is ever held in memory
 CSV_BLOCK_ROWS = 4096
 
 # the rename that completes an atomic write; staged_writes holds it back
@@ -35,17 +39,174 @@ def atomic_write_json(path: str, obj) -> None:
 
 def write_csv_table(path: str, header, table) -> None:
     """A header line, then one line per row of the 2-D float array table,
-    every value written with 17 significant digits (lossless double
-    round-trip; integral values below 2**53 print as integers)."""
-    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
-    parts = [",".join(header) + "\n"]
-    for start in range(0, table.shape[0], CSV_BLOCK_ROWS):
-        block = table[start:start + CSV_BLOCK_ROWS]
-        parts.append(row * block.shape[0] % tuple(block.ravel().tolist()))
-    atomic_write_text(path, "".join(parts))
+    every value written as the bytes of "%.17g" % value (lossless double
+    round-trip; integral values below 2**53 print as integers).
+
+    The text is made per block of CSV_BLOCK_ROWS rows by an exact integer
+    kernel for zeros and 1e-4 <= |value| < 1e16, the values "%.17g" writes
+    without an exponent, and by one "%" over the block's other values; each
+    block goes to the file as it is made."""
+    table = np.asarray(table, dtype=np.float64)
+    rows, width = table.shape
+    # "," after each value, a newline after the last of a row
+    seps = np.tile(np.array([44] * (width - 1) + [10], np.uint8), CSV_BLOCK_ROWS)
+
+    def chunks():
+        yield (",".join(header) + "\n").encode("utf-8")
+        for start in range(0, rows, CSV_BLOCK_ROWS):
+            block = table[start:start + CSV_BLOCK_ROWS]
+            yield _csv_block(block.reshape(-1), seps[:block.size])
+
+    _atomic_write(path, _Stream(chunks()))
 
 
-def _atomic_write(path: str, data: bytes) -> None:
+# bytes per cell of a formatted block: the longest "%.17g" text,
+# -2.2250738585072014e-308, then the separator
+_SLOTS = 25
+# 10**s for 0 <= s <= 22, exact in float64, and each split into halves of
+# 26 bits, so that a product with them can be made exact (Dekker's product)
+_POW10 = np.array([float(10 ** s) for s in range(23)])
+_SPLITTER = 134217729.0  # 2**27 + 1
+_POW10_HI = _POW10 * _SPLITTER - (_POW10 * _SPLITTER - _POW10)
+_POW10_LO = _POW10 - _POW10_HI
+
+
+def _csv_block(cells, seps) -> bytes:
+    """The CSV text of the values cells, each written as "%.17g" % value and
+    followed by its separator in seps."""
+    with np.errstate(all="ignore"):
+        size = np.abs(cells)
+        fixed = ((size >= 1e-4) & (size < 1e16)) | (size == 0.0)
+        rows = np.empty((cells.size, _SLOTS), np.uint8)
+        rows[fixed, :-1] = _fixed_text(cells[fixed])
+        rows[~fixed, :-1] = _fallback_text(cells[~fixed])
+        rows[:, -1] = seps
+    # one cell per row of _SLOTS bytes, padded by NULs or spaces, which no
+    # text of a value holds
+    return rows.tobytes().translate(None, b" \0")
+
+
+def _fallback_text(cells) -> np.ndarray:
+    """(n, _SLOTS - 1) bytes: the text of "%.17g" % value for each value,
+    right aligned by spaces, made by one "%" over all of them."""
+    text = ("%24.17g" * cells.size % tuple(cells.tolist())).encode("ascii")
+    return np.frombuffer(text, np.uint8).reshape(cells.size, _SLOTS - 1)
+
+
+def _fixed_text(cells) -> np.ndarray:
+    """(n, _SLOTS - 1) bytes: the text of "%.17g" % value for each value that
+    is 0 or -0 or has 1e-4 <= |value| < 1e16, padded by NULs.
+
+    Such a value is written in fixed notation with 16 - k decimals, k the
+    exponent of its 17 significant digits: the sign, the digits and the
+    point, without trailing zeros after the point."""
+    size = np.abs(cells)
+    zero = size == 0.0
+    size[zero] = 1.0
+    digits, exponent = _digits17(size)
+    # the characters 0000ddddddddddddddddd: the 17 digits behind the four
+    # zeros that a value below 1 writes before them (0.000ddd...); the point
+    # goes after character 4 + exponent.  One row per character, so that
+    # each step below runs on whole rows
+    chars = np.full((21, cells.size), 48, np.uint8)
+    lead, rest = np.divmod(digits, 10 ** 16)
+    chars[4] += np.where(zero, 0, lead).astype(np.uint8)
+    high, low = np.divmod(rest, 10 ** 8)
+    # character positions are int8: the (21, n) comparisons below run on bytes
+    last = np.full(cells.size, 4, np.int8)  # the last nonzero digit's
+    digits4, trailing_zeros4 = _digits4()
+    for end, part in zip((8, 12, 16, 20), (*np.divmod(high, 10 ** 4), *np.divmod(low, 10 ** 4))):
+        np.take(digits4, part, axis=1, out=chars[end - 3:end + 1])
+        last = np.where(part != 0, end - np.take(trailing_zeros4, part), last)
+    # written: from the zero before the point (4 + exponent < 4 below 1) up
+    # to the last nonzero digit or the point, whichever comes later
+    point = (4 + exponent).astype(np.int8)
+    index = np.arange(21, dtype=np.int8)[:, None]
+    slots = np.zeros((_SLOTS - 1, cells.size), np.uint8)
+    slots[0] = np.signbit(cells) * np.uint8(45)
+    slots[1:22] = chars * ((index >= np.minimum(point, 4)) & (index <= point))
+    slots[2:23] += chars * ((index > point) & (index <= last))
+    slots[point + 2, np.arange(cells.size)] = (last > point) * np.uint8(46)
+    return slots.T
+
+
+@functools.cache
+def _digits4():
+    """The four ASCII digits of each of 0..9999, one digit per row, and how
+    many of them end in zeros (four for 0).  Made at first use: building
+    them raises a process's peak memory by most of a megabyte."""
+    digits = (48 + np.arange(10000) // np.array([[1000], [100], [10], [1]]) % 10).astype(np.uint8)
+    zeros = (digits[::-1] == 48).cumprod(axis=0).sum(axis=0).astype(np.int8)
+    # shared by every call
+    digits.flags.writeable = zeros.flags.writeable = False
+    return digits, zeros
+
+
+def _digits17(size):
+    """(digits, k) for each value of size, 1e-4 <= size < 1e16, with
+    digits = size * 10**(16 - k) rounded half to even, an integer in
+    [10**16, 10**17), as "%.17g" rounds it: k is the decimal exponent of size
+    rounded to 17 significant digits."""
+    exponent = np.floor(np.log10(size)).astype(np.int64)
+    product, error = _scaled(size, exponent)
+    while True:
+        # log10 may put the exponent one off at a power of ten: step it so
+        # that the exact product lies in [10**16, 10**17)
+        step = (_at_least(product, error, 1e17).astype(np.int64)
+                - ~_at_least(product, error, 1e16))
+        off = np.flatnonzero(step)
+        if not off.size:
+            break
+        exponent[off] += step[off]
+        product[off], error[off] = _scaled(size[off], exponent[off])
+    # product, >= 10**16 > 2**53, is an even integer, so adding its error
+    # rounded half to even rounds the exact product half to even
+    digits = product.astype(np.int64) + np.rint(error).astype(np.int64)
+    carry = digits == 10 ** 17
+    return np.where(carry, 10 ** 16, digits), exponent + carry
+
+
+def _scaled(size, exponent):
+    """size * 10**(16 - exponent) exactly, as a product rounded to a double
+    and its rounding error (Dekker's product)."""
+    scale = 16 - exponent
+    product = size * np.take(_POW10, scale)
+    split = size * _SPLITTER
+    high = split - (split - size)
+    low = size - high
+    scale_high, scale_low = np.take(_POW10_HI, scale), np.take(_POW10_LO, scale)
+    error = (((high * scale_high - product) + high * scale_low + low * scale_high)
+             + low * scale_low)
+    return product, error
+
+
+def _at_least(product, error, bound):
+    """Whether the exact product + error is >= bound, a double."""
+    return (product > bound) | ((product == bound) & (error >= 0.0))
+
+
+class _Stream:
+    """Byte chunks made while they are written.  len() is the number of
+    bytes made so far: once written, the size of the file, as it is for the
+    bytes of a whole file (perfbench's fileio.bytes_written takes len() of
+    what _atomic_write is given)."""
+
+    def __init__(self, chunks):
+        self._chunks = chunks
+        self._size = 0
+
+    def __iter__(self):
+        for chunk in self._chunks:
+            self._size += len(chunk)
+            yield chunk
+
+    def __len__(self) -> int:
+        return self._size
+
+
+def _atomic_write(path: str, data) -> None:
+    """Write data, bytes or a _Stream of byte chunks, to path through a temp
+    file renamed over it."""
     directory = os.path.dirname(os.path.abspath(path))
     tmp = os.path.join(directory, f".tmp-{secrets.token_hex(8)}~")
     try:
@@ -55,7 +216,7 @@ def _atomic_write(path: str, data: bytes) -> None:
                      | getattr(os, "O_BINARY", 0), 0o666)
         try:
             with os.fdopen(fd, "wb") as fh:
-                fh.write(data)
+                fh.writelines([data] if isinstance(data, bytes) else data)
             _rename(tmp, path)
         except BaseException:
             if os.path.exists(tmp):

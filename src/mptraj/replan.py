@@ -27,7 +27,8 @@ import numpy as np
 from .basis import BasisBank
 from .distribution import (DEFAULT_NOISE_VAR, TrajectoryDistribution,
                            WeightsDistribution, _fold_distribution)
-from .errors import DimensionError, ValidationError, check_finite_positive, check_seed
+from .errors import (DimensionError, NumericalError, ValidationError, check_finite_positive,
+                     check_seed)
 from .trajectory import BoundaryCondition, TrajectoryGenerator, window_steps
 
 
@@ -181,4 +182,10 @@ def smoothness_metric(positions, dt: float) -> float:
         raise ValidationError("smoothness metric needs finite positions")
     check_finite_positive("dt", dt)
     second = positions[:, 2:] - 2.0 * positions[:, 1:-1] + positions[:, :-2]
-    return float(np.mean((second / dt ** 2) ** 2))
+    # dt**2 underflows to 0 for dt below about 1e-162, and a large second
+    # difference overflows when squared
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return float(np.mean((second / dt ** 2) ** 2))
+    except FloatingPointError as exc:
+        raise NumericalError(f"floating-point {exc} (smoothness metric, dt = {dt})") from exc

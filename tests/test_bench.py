@@ -45,6 +45,11 @@ class TestScenario:
         with pytest.raises(ValidationError, match="duration"):
             BenchScenario(duration=duration)
 
+    def test_string_duration_rejected(self):
+        # once a TypeError from comparing the string with 0.0
+        with pytest.raises(ValidationError, match="duration must be finite and > 0"):
+            BenchScenario(duration="1")
+
     # 1.5 and "2" ended in a TypeError from run_benchmark or the constructor;
     # num_basis=1 constructed and failed only inside run_benchmark
     @pytest.mark.parametrize("field, value, message", [

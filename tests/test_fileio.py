@@ -1,15 +1,17 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mptraj import DimensionError, IoError, ValidationError
+from mptraj import DimensionError, IoError, ValidationError, fileio
 from mptraj.distribution import write_samples_csv
-from mptraj.fileio import (CSV_BLOCK_ROWS, atomic_write_bytes, atomic_write_json,
-                           atomic_write_text, read_json, read_text, staged_writes)
+from mptraj.fileio import (CSV_BLOCK_ROWS, _csv_block, atomic_write_bytes, atomic_write_json,
+                           atomic_write_text, read_json, read_text, staged_writes,
+                           write_csv_table)
 from mptraj.svgplot import line_plot
 from mptraj.trajectory import write_trajectory_csv
 from tests import reference
@@ -136,6 +138,128 @@ class TestCsvTable:
         column = [line.rsplit(",", 1)[1] for line in
                   (tmp_path / "ids.csv").read_text().splitlines()[1:]]
         assert column == [str(int(i)) for i in ids]
+
+
+def _lines(values) -> bytes:
+    """The text "%.17g" gives each of values, one per line."""
+    return "".join("%.17g\n" % value for value in values).encode("ascii")
+
+
+def _block(values) -> bytes:
+    """The text _csv_block gives values, one per line."""
+    values = np.asarray(values, dtype=np.float64)
+    return _csv_block(values, np.full(values.size, ord("\n"), np.uint8))
+
+
+def _ulps_around(centre, count):
+    """centre, a double > 0, and the count doubles on each side of it: the
+    bit patterns of positive doubles count up with their values."""
+    bits = np.array(centre).view(np.int64) + np.arange(-count, count + 1)
+    return bits.view(np.float64)
+
+
+class TestCsvKernel:
+    """The block formatter against "%" itself: its kernel writes zeros and
+    1e-4 <= |value| < 1e16, and "%" every other value."""
+
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=40))
+    def test_matches_percent_format(self, values):
+        # lists of both kinds of value go through both of the block's paths
+        assert _block(values) == _lines(values)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_powers_of_ten_and_their_neighbours(self, sign):
+        # log10 puts the exponent one off just below a power of ten, and the
+        # kernel's range ends at two of them
+        values = sign * np.concatenate([_ulps_around(10.0 ** j, 2000) for j in range(-5, 18)])
+        assert _block(values) == _lines(values)
+
+    def test_range_edges(self):
+        values = [1e-4, np.nextafter(1e-4, 0.0), 1e16, np.nextafter(1e16, 0.0),
+                  -1e-4, -np.nextafter(1e16, 0.0)]
+        assert _block(values) == _lines(values)
+        assert _block(values).split(b"\n")[:4] == [
+            b"0.0001", b"9.9999999999999991e-05", b"10000000000000000", b"9999999999999998"]
+
+    def test_ties_round_half_to_even(self):
+        # quarters in [2**50, 2**51) fall exactly halfway between two
+        # 17-digit decimals
+        assert _block([1125899906842624.25, 1125899906842624.75, -1125899906842624.25]) == (
+            b"1125899906842624.2\n1125899906842624.8\n-1125899906842624.2\n")
+        rng = np.random.default_rng(5)
+        base = 2.0**50 + rng.integers(0, 2**50, 20000).astype(np.float64)
+        values = np.concatenate([base + 0.25, base + 0.75])
+        assert _block(values) == _lines(values)
+
+    def test_signed_zeros(self):
+        assert _block([0.0, -0.0, 0.0]) == b"0\n-0\n0\n"
+
+    def test_wide_and_random_values(self):
+        rng = np.random.default_rng(11)
+        for values in (rng.standard_normal(5000) * 10.0 ** rng.integers(-8, 18, 5000),
+                       rng.integers(0, 2**63, 5000, dtype=np.int64).view(np.float64),
+                       _rows(3, 50, 100).reshape(-1), AWKWARD):
+            assert _block(values) == _lines(values)
+
+    def test_in_range_values_never_reach_the_fallback(self, monkeypatch):
+        # the "%" fallback is the slow path: a table of ordinary values must
+        # be formatted by the kernel alone
+        sizes = []
+        fallback = fileio._fallback_text
+        monkeypatch.setattr(fileio, "_fallback_text",
+                            lambda cells: sizes.append(cells.size) or fallback(cells))
+        rng = np.random.default_rng(2)
+        values = np.concatenate([rng.standard_normal(3000), np.arange(-50.0, 50.0),
+                                 rng.uniform(1e-4, 1e16, 1000), [0.0, -0.0, 1e-4]])
+        assert _block(values) == _lines(values)
+        assert sum(sizes) == 0
+
+
+class TestStreamedWrite:
+    def _fail_after_first_block(self, monkeypatch):
+        calls = []
+
+        def block(cells, seps):
+            calls.append(cells.size)
+            if len(calls) > 1:
+                raise RuntimeError("formatting failed")
+            return _csv_block(cells, seps)
+
+        monkeypatch.setattr(fileio, "_csv_block", block)
+        return calls
+
+    def test_failure_after_a_block_leaves_nothing(self, tmp_path, monkeypatch):
+        calls = self._fail_after_first_block(monkeypatch)
+        with pytest.raises(RuntimeError, match="formatting failed"):
+            write_csv_table(str(tmp_path / "t.csv"), ["a", "b"], np.ones((CSV_BLOCK_ROWS + 1, 2)))
+        assert len(calls) == 2
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failure_inside_staged_writes_leaves_nothing(self, tmp_path, monkeypatch):
+        self._fail_after_first_block(monkeypatch)
+        (tmp_path / "t.csv").write_text("earlier")
+        with pytest.raises(RuntimeError, match="formatting failed"), staged_writes():
+            atomic_write_text(str(tmp_path / "a.txt"), "a")
+            write_csv_table(str(tmp_path / "t.csv"), ["a"], np.ones((CSV_BLOCK_ROWS + 1, 1)))
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["t.csv"]
+        assert (tmp_path / "t.csv").read_text() == "earlier"
+
+    def test_io_error_names_the_destination(self, tmp_path):
+        missing = str(tmp_path / "no" / "t.csv")
+        with pytest.raises(IoError, match=re.escape(f"cannot write {missing}: ")):
+            write_csv_table(missing, ["a"], np.ones((3, 1)))
+        (tmp_path / "dir").mkdir()
+        with pytest.raises(IoError, match=re.escape(f"cannot write {tmp_path / 'dir'}: ")):
+            write_csv_table(str(tmp_path / "dir"), ["a"], np.ones((3, 1)))
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["dir"]
+
+    def test_awkward_table_under_raising_errstate(self, tmp_path):
+        table = np.concatenate([AWKWARD, AWKWARD[::-1]]).reshape(-1, 4)
+        with np.errstate(all="raise"):
+            write_csv_table(str(tmp_path / "t.csv"), ["a", "b", "c", "d"], table)
+        expected = "a,b,c,d\n" + "".join(",".join("%.17g" % v for v in row) + "\n"
+                                          for row in table)
+        assert (tmp_path / "t.csv").read_bytes() == expected.encode("ascii")
 
 
 class TestLinePlot:

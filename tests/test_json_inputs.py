@@ -14,7 +14,7 @@ from mptraj import BasisBank, DmpConfig
 from mptraj.cli import _bc_from_dict, _load_weights, main
 from mptraj.distribution import (weights_distribution_from_dict,
                                  weights_distribution_json_dict)
-from mptraj.errors import ValidationError
+from mptraj.errors import ValidationError, check_finite_nonneg, check_finite_positive
 from mptraj.probops import gaussian_sequence_from_dict
 from tests.conftest import random_weights_distribution
 from tests.test_cli import CONFIG, _run_to
@@ -307,3 +307,19 @@ def test_extreme_numbers_in_valid_shapes(files, tmp_path_factory, field, data):
 def test_overflow_is_numerical_error(files, tmp_path, kind, keys, value):
     code, stderr = _check(files, tmp_path, kind, keys, value)
     assert code == 4 and stderr.startswith("error[numerical]: floating-point overflow")
+
+
+# each once ended in a TypeError from comparing the value with 0.0
+@pytest.mark.parametrize("value", [None, [1.0], 1 + 0j, "0.1", np.array([0.5])], ids=repr)
+@pytest.mark.parametrize("check, message", [(check_finite_positive, "> 0"),
+                                            (check_finite_nonneg, ">= 0")])
+def test_finite_checks_reject_what_is_not_a_real_number(check, message, value):
+    with pytest.raises(ValidationError, match=f"x must be finite and {message}, got"):
+        check("x", value)
+
+
+@pytest.mark.parametrize("value", [0.5, 2, np.float32(0.5), np.int64(3), np.array(0.5),
+                                   np.array(2)], ids=repr)
+def test_finite_checks_take_real_numbers(value):
+    assert check_finite_positive("x", value) is value
+    assert check_finite_nonneg("x", value) is value

@@ -28,6 +28,11 @@ class TestIntegratorSpec:
         with pytest.raises(ValidationError, match="dt must be finite"):
             IntegratorSpec("rk4", dt)
 
+    def test_rejects_string_dt(self):
+        # once a TypeError from comparing the string with 0.0
+        with pytest.raises(ValidationError, match="dt must be finite and > 0"):
+            IntegratorSpec("rk4", "0.1")
+
 
 class TestInputs:
     """Inputs integrate_dmp cannot honour are ValidationErrors before any

@@ -291,6 +291,15 @@ class TestSmoothness:
         with pytest.raises(ValidationError, match="finite positions"):
             smoothness_metric(positions, 0.1)
 
+    # dt**2 underflows to 0 (a division by zero, then 0/0) or the squares
+    # overflow: each once returned inf or nan with a RuntimeWarning
+    @pytest.mark.parametrize("positions, dt", [([0.0, 1.0, 0.0], 1e-200),
+                                               ([0.0, 0.0, 0.0], 1e-200),
+                                               ([0.0, 1e300, 0.0], 1e-3)], ids=repr)
+    def test_non_finite_result_is_numerical_error(self, positions, dt):
+        with pytest.raises(NumericalError, match="floating-point .*smoothness metric"):
+            smoothness_metric(positions, dt)
+
 
 # each once ran with True taken as 1.0, or, for run_chain, failed on the
 # sample period 1/True

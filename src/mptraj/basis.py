@@ -28,6 +28,16 @@ previous block.  Every power of d is at most 1, so every evaluated exponent is
 <= 0.  The weight columns are then t*A - B (position) and (1 - k t)*A + k*B
 (velocity); the goal columns have exact closed forms 1 - (1 + k t) exp(-k t)
 and k^2 t exp(-k t).
+
+The grid is processed as a stream of chunks of whole scan blocks: the first
+chunk holds row 0 (where A = B = 0) plus _CHUNK_ROWS rows, each later chunk
+the next _CHUNK_ROWS rows, so every block, and every product in it, falls
+where a whole-grid pass puts it.  Between chunks only the accumulator row
+A_prev and the last forcing row f(t) of the trapezoid pass on.  Each chunk
+computes phase, forcing rows, increments, scan and table columns, then the
+self-check rows it can now difference, so a build holds the finished table
+plus one chunk's temporaries; a default grid of 3000 intervals is a single
+chunk.
 """
 from __future__ import annotations
 
@@ -53,6 +63,10 @@ MAX_BANK_CELLS = 2 * 10**7
 
 # rows per block of the blocked scan in precompute_basis
 _SCAN_BLOCK = 64
+# rows per chunk of precompute_basis's stream (the first chunk has row 0
+# too): whole scan blocks, and enough of them that a default grid of 3000
+# intervals is one chunk
+_CHUNK_ROWS = 48 * _SCAN_BLOCK
 
 _CONFIG_REQUIRED = ("alpha", "tau", "alpha_x", "num_basis", "duration")
 _CONFIG_OPTIONAL = ("grid_dt", "basis_overlap", "beta")
@@ -340,53 +354,97 @@ def precompute_basis(config: DmpConfig) -> BasisBank:
     no evaluated exponent is ever positive.  A finite-difference
     self-consistency check (d/dt position rows == velocity rows) guards
     against a grid too coarse for the configured dynamics.
+
+    The grid is streamed in chunks of _CHUNK_ROWS rows, the first chunk
+    holding row 0 as well, so chunks and scan blocks share their borders.  A
+    chunk goes from phase to filled table columns; only the accumulator row
+    and the last forcing row pass to the next, and the self-check trails by
+    the one row whose centered difference needs the next chunk.  Beside the
+    table a build holds the grid times and one chunk's temporaries, fewer
+    than 10 * _CHUNK_ROWS * num_basis floats, and every value is bit for bit
+    the one a whole-grid pass gives.
     """
     forcing = ForcingBasis(config)
     m = config.grid_intervals
     dt = config.duration / m
     times = config.grid()
     k = config.decay_rate
-
-    x = phase(times, config)
+    n = config.num_basis
     # numpy's pow overflows to inf where Python's raises OverflowError
-    f = forcing.normalized_scaled(x) / np.float64(config.tau)**2  # (M+1, N) integrand
-    fg = np.hstack([f, times[:, None] * f])               # A and B integrands
+    tau2 = np.float64(config.tau)**2
     decay = np.exp(-k * dt)
-
-    # A and B advance together as one 2N-wide recurrence; the trapezoid
-    # increments do not depend on the accumulator, so each row starts as its
-    # increment and the blocked scan overwrites it, block by block, with
-    # scan @ increments + carry * (last row of the previous block)
-    big_ab = np.zeros_like(fg)
-    big_ab[1:] = 0.5 * dt * (decay * fg[:-1] + fg[1:])
     powers = decay ** np.arange(_SCAN_BLOCK + 1)         # all <= 1; 0**0 is 1
     lag = np.arange(_SCAN_BLOCK)
     scan = np.tril(powers[np.abs(lag[:, None] - lag)])   # decay^(i-l), i >= l
     carry = powers[1:, None]                             # decay^(i+1)
-    acc = big_ab[0]
-    for start in range(1, m + 1, _SCAN_BLOCK):
-        block = big_ab[start:start + _SCAN_BLOCK]
-        r = block.shape[0]
-        block[:] = scan[:r, :r] @ block + carry[:r] * acc
-        acc = block[-1]
-    n = config.num_basis
-    big_a, big_b = big_ab[:, :n], big_ab[:, n:]
 
-    kt = k * times
-    env = np.exp(-kt)
-    # filled through its (M, N+1) views, the table becomes the bank's own
-    table = np.empty((2, n + 1, m + 1))
-    pos_basis, vel_basis = table[0].T, table[1].T
-    pos_basis[:, :n] = times[:, None] * big_a - big_b
-    vel_basis[:, :n] = (1.0 - kt)[:, None] * big_a + k * big_b
-    pos_basis[:, n] = 1.0 - (1.0 + kt) * env
-    vel_basis[:, n] = k * k * times * env
+    table = None
 
-    fd = (pos_basis[2:] - pos_basis[:-2]) / (2.0 * dt)
-    deviation = float(np.max(np.abs(fd - vel_basis[1:-1])))
+    def fill(lo, hi, acc, fg_last):
+        """Fill table columns lo..hi-1 from A and B at row lo-1 (acc) and
+        their integrands there (fg_last, None for the first chunk); return
+        both at row hi-1, then the largest self-check deviation of rows
+        max(lo-1, 1)..hi-2 and whether the velocity columns are finite.  The
+        chunk's temporaries die with the call."""
+        nonlocal table
+        t = times[lo:hi]
+        f = forcing.normalized_scaled(phase(t, config)) / tau2  # integrand rows
+        fg = np.hstack([f, t[:, None] * f])                     # A and B integrands
+
+        # A and B advance together as one 2N-wide recurrence; the trapezoid
+        # increments do not depend on the accumulator, so each row starts as
+        # its increment and the blocked scan overwrites it, block by block,
+        # with scan @ increments + carry * (last row of the previous block)
+        big_ab = np.empty_like(fg)
+        big_ab[1:] = 0.5 * dt * (decay * fg[:-1] + fg[1:])
+        if fg_last is None:
+            big_ab[0] = 0.0
+        else:
+            big_ab[0] = 0.5 * dt * (decay * fg_last + fg[0])
+        for start in range(1 if lo == 0 else 0, hi - lo, _SCAN_BLOCK):
+            block = big_ab[start:start + _SCAN_BLOCK]
+            r = block.shape[0]
+            block[:] = scan[:r, :r] @ block + carry[:r] * acc
+            acc = block[-1]
+        big_a, big_b = big_ab[:, :n], big_ab[:, n:]
+
+        kt = k * t
+        env = np.exp(-kt)
+        if table is None:
+            # allocated above the first chunk's buffers: the allocator returns
+            # freed memory at the top of the heap to the system, so buffers
+            # freed below the live table are reused by the next build without
+            # page faults (about 480 per build of a 3001-point bank otherwise)
+            table = np.empty((2, n + 1, m + 1))
+        # filled through its (M, N+1) views, the table becomes the bank's own
+        pos_basis, vel_basis = table[0].T, table[1].T
+        pos, vel = pos_basis[lo:hi], vel_basis[lo:hi]
+        pos[:, :n] = t[:, None] * big_a - big_b
+        vel[:, :n] = (1.0 - kt)[:, None] * big_a + k * big_b
+        pos[:, n] = 1.0 - (1.0 + kt) * env
+        vel[:, n] = k * k * t * env
+
+        # the first row checked is the previous chunk's last, whose centered
+        # difference needed this chunk's first row
+        a, b = max(lo - 1, 1), hi - 1
+        fd = (pos_basis[a + 1:b + 1] - pos_basis[a - 1:b - 1]) / (2.0 * dt)
+        return (acc.copy(), fg[-1].copy(), np.max(np.abs(fd - vel_basis[a:b])),
+                bool(np.isfinite(vel).all()))
+
+    acc, fg_last = np.zeros(2 * n), None
+    deviation, finite = -np.inf, True
+    # row 0 rides in the first chunk, and every chunk after it starts a scan block
+    bounds = [0, *range(1 + _CHUNK_ROWS, m + 1, _CHUNK_ROWS), m + 1]
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        acc, fg_last, chunk_deviation, chunk_finite = fill(lo, hi, acc, fg_last)
+        # np.maximum, not max(): a NaN deviation must survive every later chunk
+        deviation = np.maximum(deviation, chunk_deviation)
+        finite = finite and chunk_finite
+
+    deviation = float(deviation)
     tol = 10.0 * dt
     # negated so that NaN fails the check
-    if not (deviation <= tol and np.isfinite(vel_basis).all()):
+    if not (deviation <= tol and finite):
         raise NumericalError(
             f"precomputation self-check failed: finite-difference derivative of the "
             f"position basis deviates from the velocity basis by {deviation:.3e} "

@@ -263,13 +263,17 @@ def _cmd_replan(args) -> int:
     seed = _seed(check_int("seed", scenario.get("seed", 0)))
     base_dir = os.path.dirname(os.path.abspath(args.scenario))
     segments = []
+    # each distinct wdist path is read and checked once, at its first segment
+    loaded = {}
     for i, spec in enumerate(check_type("segments", scenario["segments"], list)):
         what = f"scenario segment {i}"
         check_record(spec, what, ("horizon", "wdist"))
         horizon = check_number(f"{what} horizon", spec["horizon"])
         # an absolute wdist path replaces base_dir
-        wdist, dofs = _load_wdist(os.path.join(
-            base_dir, check_type(f"{what} wdist", spec["wdist"], str)), bank)
+        path = os.path.join(base_dir, check_type(f"{what} wdist", spec["wdist"], str))
+        if path not in loaded:
+            loaded[path] = _load_wdist(path, bank)
+        wdist, dofs = loaded[path]
         if dofs != initial.dofs:
             raise DimensionError(f"{what} has {dofs} DoFs, initial state has {initial.dofs}")
         segments.append((wdist, horizon))

@@ -54,12 +54,18 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _shown(value) -> str:
+    """value as a rejection message shows it: a real number as it prints, and
+    anything else as its repr, so that the string '0.1' does not read as 0.1."""
+    return f"{value}" if _is_real(value) else f"{value!r}"
+
+
 def check_finite_nonneg(name: str, value: float) -> float:
     """value, if it is a real number, finite and >= 0, and not a bool;
     ValidationError otherwise."""
     # negated so that NaN fails the check
     if not _is_real(value) or not 0.0 <= value < math.inf:
-        raise ValidationError(f"{name} must be finite and >= 0, got {value}")
+        raise ValidationError(f"{name} must be finite and >= 0, got {_shown(value)}")
     return value
 
 
@@ -68,7 +74,7 @@ def check_finite_positive(name: str, value: float) -> float:
     ValidationError otherwise."""
     # negated so that NaN fails the check
     if not _is_real(value) or not 0.0 < value < math.inf:
-        raise ValidationError(f"{name} must be finite and > 0, got {value}")
+        raise ValidationError(f"{name} must be finite and > 0, got {_shown(value)}")
     return value
 
 

@@ -50,6 +50,22 @@ def small_bank(small_config):
     return precompute_basis(small_config)
 
 
+@pytest.fixture(scope="session")
+def streamed_and_whole_grid():
+    """(precompute_basis(config), reference.whole_grid_bank(config)) for a
+    dict of config keywords, each pair built once a session."""
+    from tests.reference import whole_grid_bank
+    built = {}
+
+    def banks(kwargs):
+        key = tuple(sorted(kwargs.items()))
+        if key not in built:
+            config = DmpConfig(**kwargs)
+            built[key] = precompute_basis(config), whole_grid_bank(config)
+        return built[key]
+    return banks
+
+
 def random_weights_distribution(dofs, weight_dim, rng, scale=0.5):
     from mptraj import WeightsDistribution
     dim = dofs * weight_dim

@@ -9,7 +9,8 @@ as independent cross-checks and not as production code.
 
 Beside them sit routes that the package replaced with faster ones: the
 row-major boundary fold and the bank file writer of the (M, N+1) row
-layout, the row-by-row precompute recurrence, the pair NLL through a dense block design
+layout, the row-by-row precompute recurrence and the whole-grid precompute
+pass, the pair NLL through a dense block design
 matrix and scipy, the per-time combination loop, the per-demo fit loop, the
 ridge least squares on the augmented design matrix, the loops that add
 per-primitive or per-observation terms one at a time, and the per-value CSV
@@ -24,7 +25,7 @@ from scipy.stats import multivariate_normal
 
 from mptraj import (BasisBank, BoundaryCondition, ForcingBasis, LatentGaussian,
                     NumericalError, fit_weights, phase, run_chain)
-from mptraj.basis import BANK_FORMAT
+from mptraj.basis import _SCAN_BLOCK, BANK_FORMAT
 from mptraj.learning import RIDGE_SCALE, _ridge_lstsq
 from mptraj.probops import GaussianSequence
 from mptraj.svgplot import (_HEIGHT, _MARGIN_B, _MARGIN_L, _MARGIN_R, _MARGIN_T, _PALETTE,
@@ -120,6 +121,68 @@ def sequential_bank(config) -> BasisBank:
     vel_basis = np.column_stack([(1.0 - kt)[:, None] * big_a + k * big_b,
                                  k * k * times * env])
     return BasisBank(config=config, table=np.stack([pos_basis.T, vel_basis.T]))
+
+
+# overflow, 0/0 and x/0 leave a non-finite bank, which the self-check rejects
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def whole_grid_bank(config) -> BasisBank:
+    """precompute_basis as one pass over the whole grid: every intermediate
+    (forcing rows, increments, scan, self-check products) is a grid-sized
+    array.  The chunked stream must give its table bit for bit, and raise
+    where it raises."""
+    forcing = ForcingBasis(config)
+    m = config.grid_intervals
+    dt = config.duration / m
+    times = config.grid()
+    k = config.decay_rate
+
+    x = phase(times, config)
+    # numpy's pow overflows to inf where Python's raises OverflowError
+    f = forcing.normalized_scaled(x) / np.float64(config.tau)**2  # (M+1, N) integrand
+    fg = np.hstack([f, times[:, None] * f])               # A and B integrands
+    decay = np.exp(-k * dt)
+
+    # A and B advance together as one 2N-wide recurrence; the trapezoid
+    # increments do not depend on the accumulator, so each row starts as its
+    # increment and the blocked scan overwrites it, block by block, with
+    # scan @ increments + carry * (last row of the previous block)
+    big_ab = np.zeros_like(fg)
+    big_ab[1:] = 0.5 * dt * (decay * fg[:-1] + fg[1:])
+    powers = decay ** np.arange(_SCAN_BLOCK + 1)         # all <= 1; 0**0 is 1
+    lag = np.arange(_SCAN_BLOCK)
+    scan = np.tril(powers[np.abs(lag[:, None] - lag)])   # decay^(i-l), i >= l
+    carry = powers[1:, None]                             # decay^(i+1)
+    acc = big_ab[0]
+    for start in range(1, m + 1, _SCAN_BLOCK):
+        block = big_ab[start:start + _SCAN_BLOCK]
+        r = block.shape[0]
+        block[:] = scan[:r, :r] @ block + carry[:r] * acc
+        acc = block[-1]
+    n = config.num_basis
+    big_a, big_b = big_ab[:, :n], big_ab[:, n:]
+
+    kt = k * times
+    env = np.exp(-kt)
+    # filled through its (M, N+1) views, the table becomes the bank's own
+    table = np.empty((2, n + 1, m + 1))
+    pos_basis, vel_basis = table[0].T, table[1].T
+    pos_basis[:, :n] = times[:, None] * big_a - big_b
+    vel_basis[:, :n] = (1.0 - kt)[:, None] * big_a + k * big_b
+    pos_basis[:, n] = 1.0 - (1.0 + kt) * env
+    vel_basis[:, n] = k * k * times * env
+
+    fd = (pos_basis[2:] - pos_basis[:-2]) / (2.0 * dt)
+    deviation = float(np.max(np.abs(fd - vel_basis[1:-1])))
+    tol = 10.0 * dt
+    # negated so that NaN fails the check
+    if not (deviation <= tol and np.isfinite(vel_basis).all()):
+        raise NumericalError(
+            f"precomputation self-check failed: finite-difference derivative of the "
+            f"position basis deviates from the velocity basis by {deviation:.3e} "
+            f"(allowed {tol:.3e}); the grid step {dt:.3e} is too coarse for "
+            f"alpha={config.alpha}, tau={config.tau}, num_basis={config.num_basis}")
+
+    return BasisBank(config=config, table=table)
 
 
 class RowMajorFold:

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 import zipfile
 from pathlib import Path
@@ -15,10 +16,11 @@ import pytest
 import mptraj
 from mptraj import (DimensionError, DmpConfig, ForcingBasis, IoError, NumericalError,
                     ValidationError, phase, precompute_basis)
-from mptraj.basis import BANK_FORMAT, MAX_BANK_CELLS, BasisBank
+from mptraj.basis import _CHUNK_ROWS, _SCAN_BLOCK, BANK_FORMAT, MAX_BANK_CELLS, BasisBank
 from tests.conftest import (GRID_DEFECTS, REFERENCE_CONFIG, ROW_LAYOUT_BANK, SMALL_CONFIG,
                             write_edited_bank, write_unversioned_bank)
-from tests.reference import complementary, q_terms, save_row_major, sequential_bank
+from tests.reference import (complementary, q_terms, save_row_major, sequential_bank,
+                             whole_grid_bank)
 
 # the bank of perfbench's online_replan workload: 10 001 points, N = 10
 ONLINE_REPLAN_CONFIG = dict(alpha=25.0, tau=10.0, alpha_x=2.0, num_basis=10,
@@ -242,6 +244,83 @@ SCAN_CONFIGS = {
     "long-horizon": (dict(alpha=25.0, tau=1.0, alpha_x=2.0, num_basis=25,
                           duration=100.0, grid_dt=0.01), None),
 }
+
+
+# grids around the chunk borders of precompute_basis's stream (row 0 plus
+# _CHUNK_ROWS rows, then _CHUNK_ROWS rows a chunk), as (config, intervals)
+CHUNK_CONFIGS = {
+    "one-chunk": (dict(SMALL_CONFIG, grid_dt=1.0 / _CHUNK_ROWS), _CHUNK_ROWS),
+    "one-chunk-and-a-row": (dict(SMALL_CONFIG, grid_dt=1.0 / (_CHUNK_ROWS + 1)),
+                            _CHUNK_ROWS + 1),
+    "three-chunks": (dict(SMALL_CONFIG, grid_dt=1.0 / (3 * _CHUNK_ROWS)), 3 * _CHUNK_ROWS),
+    "ragged-tail": (dict(SMALL_CONFIG, grid_dt=1.0 / (2 * _CHUNK_ROWS + 100)),
+                    2 * _CHUNK_ROWS + 100),
+}
+
+# every bank the stream must give bit for bit as one whole-grid pass
+STREAM_CONFIGS = {**{name: kwargs for name, (kwargs, _) in SCAN_CONFIGS.items()},
+                  "small": SMALL_CONFIG,
+                  **{name: kwargs for name, (kwargs, _) in CHUNK_CONFIGS.items()}}
+
+
+class TestStreamedPrecompute:
+    """precompute_basis streams the grid in chunks of whole scan blocks; the
+    whole-grid pass in tests/reference.py is its referee."""
+
+    def test_chunks_are_whole_scan_blocks_and_hold_a_default_grid(self, reference_config):
+        assert _CHUNK_ROWS % _SCAN_BLOCK == 0
+        assert reference_config.grid_intervals == 3000 <= _CHUNK_ROWS
+        for name, (kwargs, intervals) in CHUNK_CONFIGS.items():
+            assert DmpConfig(**kwargs).grid_intervals == intervals, name
+
+    @pytest.mark.parametrize("name", STREAM_CONFIGS)
+    def test_table_is_bit_identical_to_whole_grid_pass(self, streamed_and_whole_grid, name):
+        streamed, whole = streamed_and_whole_grid(STREAM_CONFIGS[name])
+        assert streamed.table.tobytes() == whole.table.tobytes()
+        assert streamed.content_checksum() == whole.content_checksum()
+
+    @pytest.mark.parametrize("kwargs, ratio", [
+        (ONLINE_REPLAN_CONFIG, 3.0),
+        (dict(ONLINE_REPLAN_CONFIG, duration=50.0), 1.5),
+    ], ids=["online-replan", "50001-points"])
+    def test_build_peaks_near_its_table(self, kwargs, ratio):
+        # the table is the only grid-sized array of the (M, N) or wider
+        # kind; a whole-grid pass peaked at 5x the table, numpy's buffers as
+        # tracemalloc sees them
+        config = DmpConfig(**kwargs)
+        tracemalloc.start()
+        try:
+            bank = precompute_basis(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= ratio * bank.table.nbytes
+
+    @pytest.mark.parametrize("spoil", ["nan-from-row-7000", "spike-at-row-7000"])
+    def test_self_check_fails_on_a_later_chunk(self, monkeypatch, spoil):
+        # row 7000 of the online_replan grid lies in the third chunk; the
+        # failure, and its text, must be the whole-grid pass's: a NaN
+        # deviation is not dropped by the chunks before it
+        config = DmpConfig(**ONLINE_REPLAN_CONFIG)
+        assert 1 + 2 * _CHUNK_ROWS <= 7000 < 1 + 3 * _CHUNK_ROWS
+        spoiled_phase = phase(config.grid()[7000], config)
+        original = ForcingBasis.normalized_scaled
+
+        def normalized_scaled(self, x):
+            rows = original(self, x)
+            if spoil.startswith("nan"):
+                rows[x <= spoiled_phase] = np.nan
+            else:
+                rows[x == spoiled_phase] = 1e12
+            return rows
+
+        monkeypatch.setattr(ForcingBasis, "normalized_scaled", normalized_scaled)
+        with pytest.raises(NumericalError) as whole:
+            whole_grid_bank(config)
+        with pytest.raises(NumericalError, match="self-check failed") as streamed:
+            precompute_basis(config)
+        assert str(streamed.value) == str(whole.value)
+        assert ("by nan " in str(whole.value)) == spoil.startswith("nan")
 
 
 class TestPrecompute:

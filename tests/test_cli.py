@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mptraj import BoundaryCondition, DmpConfig, precompute_basis
+from mptraj import BoundaryCondition, DmpConfig, cli, fileio, precompute_basis
 from mptraj.basis import BasisBank
 from mptraj.cli import main
 from mptraj.distribution import write_weights_distribution_json
@@ -422,6 +422,48 @@ class TestReplan:
             assert code == 2
             assert f"unknown scenario keys: {key}" in stderr
 
+
+    def test_each_wdist_file_is_read_once(self, env, capsys, tmp_path, monkeypatch):
+        # six segments on two files read the scenario and the two files; the
+        # trace is the one of six segments each reading its own copy
+        other = tmp_path / "other.json"
+        write_weights_distribution_json(
+            str(other), random_weights_distribution(2, 6, np.random.default_rng(7)), 2, 5)
+        copies = []
+        for i, source in enumerate([env["wdist"], other] * 3):
+            copies.append(tmp_path / f"copy{i}.json")
+            copies[-1].write_bytes(source.read_bytes())
+        reads = []
+        monkeypatch.setattr(cli, "read_json", lambda path: reads.append(path)
+                            or fileio.read_json(path))
+        traces = []
+        for files in ([env["wdist"], other] * 3, copies):
+            reads.clear()
+            path = self._scenario(env, tmp_path, anchor="follow", segments=[
+                {"horizon": 0.15, "wdist": str(file)} for file in files])
+            traces.append(tmp_path / f"plan{len(traces)}.csv")
+            code, _, stderr = _run(capsys, ["replan", "--bank", str(env["bank"]),
+                                            "--scenario", str(path),
+                                            "--out", str(traces[-1])])
+            assert code == 0 and stderr == "", stderr
+            assert len(reads) == 1 + len(set(files))
+        assert traces[0].read_bytes() == traces[1].read_bytes()
+
+    def test_bad_wdist_fails_at_its_first_segment(self, env, capsys, tmp_path):
+        three_dofs = tmp_path / "three.json"
+        write_weights_distribution_json(
+            str(three_dofs), random_weights_distribution(3, 6, np.random.default_rng(8)), 3, 5)
+        missing = tmp_path / "missing.json"
+        for files, code, message in (
+                ([env["wdist"], env["wdist"], three_dofs, three_dofs], 5,
+                 "error[dimension]: scenario segment 2 has 3 DoFs, initial state has 2"),
+                ([env["wdist"], missing, env["wdist"], missing], 3,
+                 f"error[io]: cannot read {missing}: ")):
+            path = self._scenario(env, tmp_path, segments=[
+                {"horizon": 0.15, "wdist": str(file)} for file in files])
+            result = _run(capsys, ["replan", "--bank", str(env["bank"]), "--scenario",
+                                   str(path), "--out", str(tmp_path / "x.csv")])
+            assert result[0] == code and result[2].startswith(message), result
 
     # "abc" and [1] ended in a traceback, 1.5 ran as seed 1, -1 reached
     # numpy as a traceback

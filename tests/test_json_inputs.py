@@ -4,6 +4,7 @@ checks its record (object, unknown keys, missing keys) and its fields
 import copy
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -314,7 +315,23 @@ def test_overflow_is_numerical_error(files, tmp_path, kind, keys, value):
 @pytest.mark.parametrize("check, message", [(check_finite_positive, "> 0"),
                                             (check_finite_nonneg, ">= 0")])
 def test_finite_checks_reject_what_is_not_a_real_number(check, message, value):
-    with pytest.raises(ValidationError, match=f"x must be finite and {message}, got"):
+    # shown as its repr, so that the string '0.1' does not read as a number
+    with pytest.raises(ValidationError, match=f"x must be finite and {message}, got "
+                                              f"{re.escape(repr(value))}$"):
+        check("x", value)
+
+
+# a rejected real number, numpy's scalars and 0-d arrays among them, is shown
+# as it prints
+@pytest.mark.parametrize("value, shown", [
+    (-0.5, "-0.5"), (np.float64(-0.5), "-0.5"), (np.float32(-0.5), "-0.5"),
+    (np.int64(-3), "-3"), (np.array(-0.5), "-0.5"), (math.nan, "nan"),
+    (np.float64(math.inf), "inf")], ids=repr)
+@pytest.mark.parametrize("check, message", [(check_finite_positive, "> 0"),
+                                            (check_finite_nonneg, ">= 0")])
+def test_finite_checks_show_real_numbers_as_printed(check, message, value, shown):
+    with pytest.raises(ValidationError, match=f"x must be finite and {message}, got "
+                                              f"{re.escape(shown)}$"):
         check("x", value)
 
 

@@ -30,7 +30,7 @@ class TestIntegratorSpec:
 
     def test_rejects_string_dt(self):
         # once a TypeError from comparing the string with 0.0
-        with pytest.raises(ValidationError, match="dt must be finite and > 0"):
+        with pytest.raises(ValidationError, match="dt must be finite and > 0, got '0.1'$"):
             IntegratorSpec("rk4", "0.1")
 
 

@@ -30,7 +30,7 @@ from .basis import BasisBank
 from .errors import (DimensionError, NumericalError, ValidationError,
                      check_count, check_finite_nonneg, check_int, check_numbers,
                      check_record, check_seed, freeze)
-from .fileio import atomic_write_json, write_csv_table
+from .fileio import _write_sample_table, atomic_write_json
 from .trajectory import (BoundaryCondition, TrajectoryGenerator, folded_basis,
                          weight_blocks)
 
@@ -382,8 +382,5 @@ def write_samples_csv(path: str, times, samples: np.ndarray) -> None:
     if samples.ndim != 3 or samples.shape[2] != times.shape[0]:
         raise DimensionError(
             f"samples must have shape (count, D, {times.shape[0]}), got {samples.shape}")
-    count, dofs, t_count = samples.shape
-    header = ["sample_id", "t"] + [f"dof{d}_pos" for d in range(dofs)]
-    table = np.column_stack([np.repeat(np.arange(count), t_count), np.tile(times, count),
-                             samples.transpose(0, 2, 1).reshape(count * t_count, dofs)])
-    write_csv_table(path, header, table)
+    header = ["sample_id", "t"] + [f"dof{d}_pos" for d in range(samples.shape[1])]
+    _write_sample_table(path, header, times, samples)

@@ -3,6 +3,12 @@
 Every artifact the library writes goes through a temp-file-plus-rename so a
 failure mid-write leaves no partial output; staged_writes makes a block's
 writes all or none.
+
+CSV files hold every value as the text of "%.17g" % value, made in two steps
+per block of rows and streamed to the file: an exact numpy kernel makes each
+value's text, then the texts are joined with their separators.  A text that
+repeats, such as the times and the sample ids of a sample dump, is made once
+per file and copied into each block.
 """
 from __future__ import annotations
 
@@ -16,8 +22,8 @@ import numpy as np
 
 from .errors import IoError, ValidationError
 
-# rows per block of write_csv_table: a table is formatted and written one
-# block at a time, so no text of the whole table is ever held in memory
+# rows per block of a CSV file: a table is formatted and written one block
+# at a time, so no text of the whole table is ever held in memory
 CSV_BLOCK_ROWS = 4096
 
 # the rename that completes an atomic write; staged_writes holds it back
@@ -47,15 +53,51 @@ def write_csv_table(path: str, header, table) -> None:
     without an exponent, and by one "%" over the block's other values; each
     block goes to the file as it is made."""
     table = np.asarray(table, dtype=np.float64)
-    rows, width = table.shape
-    # "," after each value, a newline after the last of a row
-    seps = np.tile(np.array([44] * (width - 1) + [10], np.uint8), CSV_BLOCK_ROWS)
+    seps = _separators(table.shape[1])
+    blocks = (_csv_block(table[start:start + CSV_BLOCK_ROWS], seps)
+              for start in range(0, len(table), CSV_BLOCK_ROWS))
+    _write_csv(path, header, blocks)
 
+
+def _write_sample_table(path: str, header, times, samples) -> None:
+    """The file write_csv_table writes of the table whose rows are, for each
+    sample c of samples (count, D, T) and each time j, the row c, times[j],
+    samples[c, :, j], without that table: the text of the times and of each
+    c is made once, and only the D values of a row go through the kernel,
+    per block of at most CSV_BLOCK_ROWS rows of one sample."""
+    count, dofs, t_count = samples.shape
+    time_text = _cell_text(times)
+    id_text = _cell_text(np.arange(count, dtype=np.float64))
+    seps = _separators(dofs + 2)
+    # one call per block: a block's arrays are freed before the next is made
+    blocks = (_sample_block(id_text[c], time_text[start:start + CSV_BLOCK_ROWS],
+                            samples[c, :, start:start + CSV_BLOCK_ROWS], seps)
+              for c in range(count) for start in range(0, t_count, CSV_BLOCK_ROWS))
+    _write_csv(path, header, blocks)
+
+
+def _sample_block(id_text, time_text, values, seps) -> bytes:
+    """The rows of one sample's block: its id's text, then per time j the
+    time's text in time_text and the D values values[:, j]."""
+    value_text = _cell_text(values.T)
+    text = np.empty((len(time_text), len(values) + 2, _SLOTS - 1), np.uint8)
+    text[:, 0] = id_text
+    text[:, 1] = time_text
+    text[:, 2:] = value_text
+    return _joined(text, seps)
+
+
+def _separators(width) -> np.ndarray:
+    """The byte after each value of a row of width values: "," after each,
+    a newline after the last."""
+    return np.array([44] * (width - 1) + [10], np.uint8)
+
+
+def _write_csv(path: str, header, blocks) -> None:
+    """The header line, then the byte blocks, streamed to path."""
     def chunks():
         yield (",".join(header) + "\n").encode("utf-8")
-        for start in range(0, rows, CSV_BLOCK_ROWS):
-            block = table[start:start + CSV_BLOCK_ROWS]
-            yield _csv_block(block.reshape(-1), seps[:block.size])
+        yield from blocks
 
     _atomic_write(path, _Stream(chunks()))
 
@@ -73,17 +115,33 @@ _POW10_LO = _POW10 - _POW10_HI
 
 def _csv_block(cells, seps) -> bytes:
     """The CSV text of the values cells, each written as "%.17g" % value and
-    followed by its separator in seps."""
+    followed by its separator in seps, which broadcasts against cells."""
+    return _joined(_cell_text(cells), seps)
+
+
+def _cell_text(cells) -> np.ndarray:
+    """(..., _SLOTS - 1) bytes: the text of "%.17g" % value for each value
+    of the array cells, padded by NULs or spaces, which no text of a value
+    holds."""
     with np.errstate(all="ignore"):
-        size = np.abs(cells)
-        fixed = ((size >= 1e-4) & (size < 1e16)) | (size == 0.0)
-        rows = np.empty((cells.size, _SLOTS), np.uint8)
-        rows[fixed, :-1] = _fixed_text(cells[fixed])
-        rows[~fixed, :-1] = _fallback_text(cells[~fixed])
-        rows[:, -1] = seps
-    # one cell per row of _SLOTS bytes, padded by NULs or spaces, which no
-    # text of a value holds
-    return rows.tobytes().translate(None, b" \0")
+        fixed = ((np.abs(cells) >= 1e-4) & (np.abs(cells) < 1e16)) | (cells == 0.0)
+        # made before the output, so that the kernel's temporaries and the
+        # output are not held at once
+        fixed_text = _fixed_text(cells[fixed])
+        text = np.empty(cells.shape + (_SLOTS - 1,), np.uint8)
+        text[fixed] = fixed_text
+        text[~fixed] = _fallback_text(cells[~fixed])
+    return text
+
+
+def _joined(text, seps) -> bytes:
+    """The bytes of the cell texts text (..., _SLOTS - 1), in order, each
+    without its padding and followed by its separator in seps, which
+    broadcasts against text.shape[:-1]."""
+    padded = np.empty(text.shape[:-1] + (_SLOTS,), np.uint8)
+    padded[..., :-1] = text
+    padded[..., -1] = seps
+    return padded.tobytes().translate(None, b" \0")
 
 
 def _fallback_text(cells) -> np.ndarray:

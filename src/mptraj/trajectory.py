@@ -17,6 +17,7 @@ is t >= t_b (the exponential in xi then grows with t_b - t).
 """
 from __future__ import annotations
 
+import contextlib
 import copy
 import re
 from dataclasses import dataclass
@@ -236,7 +237,11 @@ def read_trajectory_csv(path: str):
     """Inverse of write_trajectory_csv; returns (times, positions, velocities).
 
     Velocity columns are optional (demonstrations may carry positions only);
-    absent velocities come back as None.
+    absent velocities come back as None.  Every cell parses as Python's
+    float() parses it: numpy's C reader runs first, and float() parses the
+    files it refuses.  So a cell such as 1_0, or a digit of another script,
+    which only float() reads, is taken, and a file with a cell float()
+    refuses ends in float()'s error for the first such cell.
     """
     text = read_text(path).strip()
     if not text:
@@ -245,11 +250,13 @@ def read_trajectory_csv(path: str):
     header = [c.strip() for c in lines[0].split(",")]
     if header[0] != "t":
         raise ValidationError(f"trajectory CSV must start with a 't' column: {path}")
+    if header.count("segment_id") > 1:
+        raise ValidationError(f"column 'segment_id' repeats in {path}")
     pos_cols, vel_cols = {}, {}
     for idx, name in enumerate(header[1:], start=1):
         if name == "segment_id":
             continue
-        column = re.fullmatch(r"dof(\d{1,9})_(pos|vel)", name)
+        column = re.fullmatch(r"dof([0-9]{1,9})_(pos|vel)", name)
         if column is None:
             raise ValidationError(f"unrecognized trajectory column {name!r} in {path}")
         cols, dof = (pos_cols if column[2] == "pos" else vel_cols), int(column[1])
@@ -263,12 +270,20 @@ def read_trajectory_csv(path: str):
     if not rows or any(row.count(",") != len(header) - 1 for row in rows):
         raise ValidationError(
             f"trajectory rows in {path} must each have {len(header)} values")
-    cells = ",".join(rows).split(",")
-    try:
-        data = np.fromiter(map(float, cells), dtype=float, count=len(cells))
-    except ValueError as exc:
-        raise ValidationError(f"malformed trajectory row in {path}: {exc}") from exc
-    data = data.reshape(len(rows), len(header))
+    # numpy's C reader takes a cell only where float() takes it, and with
+    # float()'s value, but for one character: it strips the unit separator
+    # \x1f around a cell as space, and float() refuses it
+    data = None
+    if "\x1f" not in text:
+        with contextlib.suppress(ValueError):
+            data = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2, dtype=float)
+    if data is None:
+        cells = ",".join(rows).split(",")
+        try:
+            data = np.fromiter(map(float, cells), dtype=float, count=len(cells))
+        except ValueError as exc:
+            raise ValidationError(f"malformed trajectory row in {path}: {exc}") from exc
+        data = data.reshape(len(rows), len(header))
     times = data[:, 0]
     positions = data[:, [pos_cols[d] for d in range(len(pos_cols))]].T
     velocities = None

@@ -13,18 +13,20 @@ layout, the row-by-row precompute recurrence and the whole-grid precompute
 pass, the pair NLL through a dense block design
 matrix and scipy, the per-time combination loop, the per-demo fit loop, the
 ridge least squares on the augmented design matrix, the loops that add
-per-primitive or per-observation terms one at a time, and the per-value CSV
-writers, the per-point SVG plot and the per-record Gaussian-sequence JSON.
+per-primitive or per-observation terms one at a time, the per-value CSV
+writers, the float()-per-cell trajectory CSV reader, the per-point SVG plot
+and the per-record Gaussian-sequence JSON.
 stale_chain is the negative control of replanning: a chain that ignores the
 executed state.
 """
+import re
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import multivariate_normal
 
 from mptraj import (BasisBank, BoundaryCondition, ForcingBasis, LatentGaussian,
-                    NumericalError, fit_weights, phase, run_chain)
+                    NumericalError, ValidationError, fit_weights, phase, run_chain)
 from mptraj.basis import _SCAN_BLOCK, BANK_FORMAT
 from mptraj.learning import RIDGE_SCALE, _ridge_lstsq
 from mptraj.probops import GaussianSequence
@@ -428,6 +430,54 @@ def write_samples_csv(path, times, samples):
             lines.append(",".join(row))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def read_trajectory_csv(path):
+    """The trajectory CSV reader that parses every cell by float() on its
+    own: (times, positions, velocities), or the ValidationError the package
+    reader raises."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        text = fh.read().strip()
+    if not text:
+        raise ValidationError(f"empty trajectory file: {path}")
+    lines = text.splitlines()
+    header = [c.strip() for c in lines[0].split(",")]
+    if header[0] != "t":
+        raise ValidationError(f"trajectory CSV must start with a 't' column: {path}")
+    if header.count("segment_id") > 1:
+        raise ValidationError(f"column 'segment_id' repeats in {path}")
+    columns = {"pos": {}, "vel": {}}
+    for idx, name in enumerate(header[1:], start=1):
+        if name == "segment_id":
+            continue
+        column = re.fullmatch(r"dof([0-9]{1,9})_(pos|vel)", name)
+        if column is None:
+            raise ValidationError(f"unrecognized trajectory column {name!r} in {path}")
+        dof = int(column[1])
+        if dof in columns[column[2]]:
+            raise ValidationError(f"column {name!r} repeats DoF {dof} {column[2]} in {path}")
+        columns[column[2]][dof] = idx
+    pos_cols, vel_cols = columns["pos"], columns["vel"]
+    if sorted(pos_cols) != list(range(len(pos_cols))) or not pos_cols:
+        raise ValidationError(f"missing position columns in {path}")
+    rows = [row.split(",") for row in lines[1:]]
+    if not rows or any(len(row) != len(header) for row in rows):
+        raise ValidationError(
+            f"trajectory rows in {path} must each have {len(header)} values")
+    data = np.empty((len(rows), len(header)))
+    for i, row in enumerate(rows):
+        for j, cell in enumerate(row):
+            try:
+                data[i, j] = float(cell)
+            except ValueError as exc:
+                raise ValidationError(f"malformed trajectory row in {path}: {exc}") from exc
+    positions = data[:, [pos_cols[d] for d in range(len(pos_cols))]].T
+    velocities = None
+    if vel_cols:
+        if sorted(vel_cols) != sorted(pos_cols):
+            raise ValidationError(f"velocity columns do not match position columns in {path}")
+        velocities = data[:, [vel_cols[d] for d in range(len(vel_cols))]].T
+    return data[:, 0], positions, velocities
 
 
 def gaussian_sequence_json_dict(seq):

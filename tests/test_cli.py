@@ -970,6 +970,12 @@ DEMO_CSV_CASES = {
                       2, "column 'dof0_vel' repeats DoF 0 vel"),
     "dof00-next-to-dof0": (_demo_csv("t,dof0_pos,dof00_pos", DEMO_T, _SIN, _COS),
                            2, "column 'dof00_pos' repeats DoF 0 pos"),
+    "duplicate-segment-id": (_demo_csv("t,dof0_pos,segment_id,segment_id", DEMO_T, _SIN,
+                                       0 * DEMO_T, 0 * DEMO_T),
+                             2, "column 'segment_id' repeats"),
+    # int() reads the digits of every script; a column name takes ASCII ones
+    "arabic-indic-dof": (_demo_csv("t,dof\u0660_pos", DEMO_T, _SIN),
+                         2, "unrecognized trajectory column 'dof\u0660_pos'"),
     # spreadsheet programs write a byte-order mark; it once stuck to the 't' cell
     "utf8-bom": ("\ufeff" + _CLEAN_DEMO, 0, None),
     "crlf": (_demo_csv("t,dof0_pos", DEMO_T, _SIN, newline="\r\n"), 0, None),

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -123,13 +124,32 @@ class TestCsvTable:
                                        vel, segment_ids=ids)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
-    @pytest.mark.parametrize("count, t_count", [(2, 3), (3, CSV_BLOCK_ROWS // 2 + 5)])
+    # one sample over two formatting blocks, and the CLI's 20 samples of 3001 times
+    @pytest.mark.parametrize("count, t_count", [(2, 3), (3, CSV_BLOCK_ROWS // 2 + 5),
+                                                (1, CSV_BLOCK_ROWS + 904), (20, 3001)])
     def test_samples_csv_matches_per_value_writer(self, tmp_path, count, t_count):
         data = _rows(2, count * 2 + 1, t_count)
+        # the times are written once per file: awkward ones among them too
+        data[0, :AWKWARD.size] = AWKWARD[:t_count]
         samples = data[1:].reshape(count, 2, t_count)
         write_samples_csv(str(tmp_path / "new.csv"), data[0], samples)
         reference.write_samples_csv(str(tmp_path / "old.csv"), data[0], samples)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_samples_csv_holds_no_table(self, tmp_path):
+        # the (count * T, D + 2) float table of the rows is never built: the
+        # peak stays below its size
+        rng = np.random.default_rng(4)
+        times = np.arange(3001) / 1000.0
+        samples = np.cumsum(rng.standard_normal((20, 3, 3001)), axis=2)
+        write_samples_csv(str(tmp_path / "warm.csv"), times, samples)
+        tracemalloc.start()
+        try:
+            write_samples_csv(str(tmp_path / "s.csv"), times, samples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 3001 * (3 + 2) * 8
 
     def test_integral_ids_below_two_to_the_53_print_as_integers(self, tmp_path):
         ids = np.array([0, 7, -3, 2**53 - 1, 2**53])

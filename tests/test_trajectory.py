@@ -8,6 +8,7 @@ from mptraj import (BasisBank, BoundaryCondition, DimensionError, DmpConfig,
                     evaluate_velocity, precompute_basis)
 from mptraj.trajectory import (MAX_QUERY_SAMPLES, folded_basis, read_trajectory_csv,
                                weight_blocks, window_steps, write_trajectory_csv)
+from tests import reference
 from tests.reference import (RowMajorFold, complementary, position_from_coefficients,
                              solve_coefficients, velocity_from_coefficients)
 
@@ -287,21 +288,92 @@ class TestCsv:
         with pytest.raises(ValidationError, match="must each have 4 values"):
             read_trajectory_csv(str(path))
 
-    # spellings that a parser other than float() might read differently
+    # spellings that a parser other than float() might read differently; numpy's
+    # C reader strips the unit separator \x1f around a cell as space
     @pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "Infinity", "-inf", " 1.5",
-                                      "1_0", "+1", "0x10", "\u0661", "", "1e400", "1e"])
+                                      "1_0", "+1", "0x10", "\u0661", "", "1e400", "1e",
+                                      "\uff11.\uff15", "1__0", "# 1", '"1"', "1 2",
+                                      "1\x1f", "\x1f1"])
     def test_cells_parse_as_float_does(self, tmp_path, cell):
         path = tmp_path / "cell.csv"
-        path.write_text(f"t,dof0_pos\n0.0,{cell}\n", encoding="utf-8")
+        # a row after the cell's: the file's text is stripped before it is read
+        path.write_text(f"t,dof0_pos\n0.0,{cell}\n1.0,0.0\n", encoding="utf-8")
         try:
             expected = float(cell)
-        except ValueError:
-            with pytest.raises(ValidationError, match="cell.csv"):
+        except ValueError as exc:
+            with pytest.raises(ValidationError) as raised:
                 read_trajectory_csv(str(path))
+            assert str(raised.value) == f"malformed trajectory row in {path}: {exc}"
             return
         _, positions, _ = read_trajectory_csv(str(path))
         assert positions[0, 0] == expected or (np.isnan(expected)
                                                and np.isnan(positions[0, 0]))
+
+    @pytest.mark.parametrize("header, message", [
+        # digits of other scripts, which \d matches and int() reads
+        ("t,dof\u0661_pos,dof0_pos", "unrecognized trajectory column 'dof\u0661_pos'"),
+        ("t,dof\uff10_pos", "unrecognized trajectory column 'dof\uff10_pos'"),
+        ("t,dof0_pos,segment_id,segment_id", "column 'segment_id' repeats"),
+    ])
+    def test_header_rejected(self, tmp_path, header, message):
+        path = tmp_path / "head.csv"
+        path.write_text(f"{header}\n" + ",".join(["0"] * header.count(",")) + ",0\n",
+                        encoding="utf-8")
+        with pytest.raises(ValidationError) as raised:
+            read_trajectory_csv(str(path))
+        assert str(raised.value) == f"{message} in {path}"
+
+    def test_mutated_cells_read_as_float_referee(self, tmp_path):
+        """Files of write_trajectory_csv with random cells changed read back
+        bit for bit as the float()-per-cell reader reads them, or end in the
+        same error text."""
+        rng = np.random.default_rng(17)
+        # whole cells, and characters put into or in place of one: digits of
+        # other scripts, the space and separator characters the two parsers
+        # treat apart, and what decimal text is made of
+        cells = ["1_0", "1__0", "\u0661", "\uff11.\uff15", "# 1", '"1"', "1 2", "",
+                 "nan", "-inf", "1e400", "0x10", " 1.5 ", "\u20001"]
+        chars = list("0123456789.eE+-_ #\"'x") + ["\x1f", "\xa0", "\u2000", "\u3000",
+                                                  "\u0661", "\uff11", "\x00", "\t"]
+        outcomes = set()
+        for case in range(300):
+            times = np.linspace(0.0, 1.0, 9)
+            pos, vel = rng.standard_normal((2, 2, 9)) * 10.0 ** rng.integers(-6, 6, (2, 2, 9))
+            path = tmp_path / f"m{case}.csv"
+            write_trajectory_csv(str(path), times, pos, vel if case % 2 else None)
+            lines = path.read_text().splitlines()
+            grid = [line.split(",") for line in lines[1:]]
+            for _ in range(rng.integers(1, 4)):
+                row = grid[rng.integers(len(grid))]
+                col = rng.integers(len(row))
+                text = row[col]
+                # at either end of the cell, where the parsers strip space, or inside
+                where = rng.choice([0, len(text), rng.integers(len(text) + 1)])
+                kind = rng.integers(3)
+                if kind == 0:
+                    row[col] = str(rng.choice(cells))
+                elif kind == 1:
+                    row[col] = text[:where] + str(rng.choice(chars)) + text[where:]
+                else:
+                    row[col] = text[:where] + str(rng.choice(chars)) + text[where + 1:]
+            path.write_text("\n".join([lines[0]] + [",".join(r) for r in grid]) + "\n",
+                            encoding="utf-8")
+            try:
+                expected = reference.read_trajectory_csv(str(path))
+            except ValidationError as exc:
+                with pytest.raises(ValidationError) as raised:
+                    read_trajectory_csv(str(path))
+                assert str(raised.value) == str(exc)
+                outcomes.add("error")
+                continue
+            got = read_trajectory_csv(str(path))
+            for new, old in zip(got, expected):
+                assert (new is None) == (old is None)
+                if old is not None:
+                    assert new.shape == old.shape
+                    assert np.array_equal(new.view(np.int64), old.view(np.int64))
+            outcomes.add("read")
+        assert outcomes == {"error", "read"}
 
     def test_misaligned_rejected(self, tmp_path):
         with pytest.raises(DimensionError):

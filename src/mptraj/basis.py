@@ -54,7 +54,7 @@ from .errors import (DimensionError, IoError, NumericalError, ValidationError,
 from .fileio import atomic_write_bytes
 
 # version of the bank file layout; load() rejects any other
-BANK_FORMAT = 2
+BANK_FORMAT = 3
 
 # bounds on bank grid points and on grid points x weight_dim (the cells of
 # one basis array), checked before precompute_basis allocates them
@@ -175,8 +175,9 @@ def phase(t, config: DmpConfig) -> float | np.ndarray:
     """Exponentially decaying phase x = exp(-alpha_x t / tau): a float for a
     scalar t, an array of t's shape otherwise."""
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0.0):
-        raise ValidationError("phase is undefined for negative time")
+    # negated so that NaN fails the check
+    if not np.all(t >= 0.0):
+        raise ValidationError("phase is undefined for negative or NaN time")
     x = np.exp(-config.alpha_x * t / config.tau)
     return float(x) if t.ndim == 0 else x
 
@@ -221,10 +222,10 @@ class BasisBank:
     A bank is its config and its table; `times` is config.grid(), not a field.
     Both row kinds live in one read-only, time-major table of shape
     (2, N+1, M): row kind (position, velocity), then basis column, then grid
-    point.  The properties pos_basis and vel_basis are its (M, N+1) views.
-    lookup() gathers and interpolates both kinds at once, so every elementwise
-    step of it, and of the boundary fold that consumes it, runs along the time
-    axis.  Bank files keep the C-ordered (M, N+1) arrays.
+    point.  lookup() gathers and interpolates both kinds at once, so every
+    elementwise step of it, and of the boundary fold that consumes it, runs
+    along the time axis.  A bank file holds the same two things: the config
+    and the table as it is.
     """
 
     config: DmpConfig
@@ -237,14 +238,6 @@ class BasisBank:
             raise DimensionError(
                 f"basis table {table.shape} does not match grid/config {shape}")
         freeze(self, times=self.config.grid(), table=table)
-
-    @property
-    def pos_basis(self) -> np.ndarray:
-        return self.table[0].T
-
-    @property
-    def vel_basis(self) -> np.ndarray:
-        return self.table[1].T
 
     @property
     def duration(self) -> float:
@@ -290,57 +283,46 @@ class BasisBank:
 
     def content_checksum(self) -> str:
         digest = hashlib.sha256(self.config.canonical_json().encode("utf-8"))
-        for arr in (self.times, self.pos_basis, self.vel_basis):
-            digest.update(np.ascontiguousarray(arr))
+        digest.update(self.table)
         return digest.hexdigest()
 
     def save(self, path: str) -> None:
-        """Lossless binary container: arrays bit-exact plus a config echo."""
+        """Lossless binary container: the format key, the config echo, the
+        table bit-exact and its content checksum."""
         buffer = io.BytesIO()
         config_raw = np.frombuffer(self.config.canonical_json().encode("utf-8"),
                                    dtype=np.uint8)
         checksum_raw = np.frombuffer(self.content_checksum().encode("ascii"),
                                      dtype=np.uint8)
-        # C-ordered (M, N+1) copies of the table's views: the file layout
-        # predates the table and does not depend on it
-        np.savez(buffer, format=np.array(BANK_FORMAT), times=self.times,
-                 pos_basis=np.ascontiguousarray(self.pos_basis),
-                 vel_basis=np.ascontiguousarray(self.vel_basis),
-                 config_json=config_raw, checksum=checksum_raw)
+        np.savez(buffer, format=np.array(BANK_FORMAT), config_json=config_raw,
+                 table=self.table, checksum=checksum_raw)
         atomic_write_bytes(path, buffer.getvalue())
 
     @classmethod
     def load(cls, path: str) -> "BasisBank":
         try:
             with np.load(path, allow_pickle=False) as data:
-                if "format" not in data.files or data["format"].tolist() != BANK_FORMAT:
+                version = data["format"] if "format" in data.files else None
+                # a 0-d integer: 3.0, True and [3] are not format 3
+                if not (version is not None and version.shape == ()
+                        and version.dtype.kind in "iu" and version == BANK_FORMAT):
                     raise ValidationError(
                         f"bank file {path} is not in format {BANK_FORMAT}, which this "
                         f"version reads; re-run mptraj precompute to rebuild it")
                 config = DmpConfig.from_dict(
                     json.loads(data["config_json"].tobytes().decode("utf-8")))
-                # one row kind read at a time, straight into the table
-                table = np.empty((2, config.weight_dim, config.grid_points))
-                for plane, name in zip(table, ("pos_basis", "vel_basis")):
-                    rows = data[name]
-                    if rows.shape != plane.T.shape:
-                        raise DimensionError(f"basis arrays {rows.shape} do not match "
-                                             f"grid/config {plane.T.shape}")
-                    plane.T[...] = rows
-                bank = cls(config=config, table=table)
-                times = np.asarray(data["times"], dtype=float)
+                bank = cls(config=config, table=data["table"])
                 stored = data["checksum"].tobytes().decode("ascii")
         except OSError as exc:
             raise IoError(f"cannot read bank {path}: {exc}") from exc
         except (KeyError, ValueError, zipfile.BadZipFile) as exc:
             raise ValidationError(f"not a bank file: {path}: {exc}") from exc
-        if times.shape != bank.times.shape:
-            raise DimensionError(
-                f"bank times {times.shape} do not match the config's grid {bank.times.shape}")
-        if not np.array_equal(times, bank.times):
-            raise ValidationError(f"bank file {path}: its times are not the config's grid")
         if bank.content_checksum() != stored:
             raise ValidationError(f"bank file {path} failed its checksum")
+        # the checksum is a content hash, not a seal: a file edited and
+        # hashed again passes it
+        if not np.isfinite(bank.table).all():
+            raise ValidationError(f"bank file {path} holds non-finite basis values")
         return bank
 
 

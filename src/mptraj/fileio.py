@@ -162,28 +162,44 @@ def _fixed_text(cells) -> np.ndarray:
     zero = size == 0.0
     size[zero] = 1.0
     digits, exponent = _digits17(size)
+    del size
+    # character positions are int8: the (21, n) comparisons below run on bytes
+    point = (4 + exponent).astype(np.int8)
+    del exponent
     # the characters 0000ddddddddddddddddd: the 17 digits behind the four
     # zeros that a value below 1 writes before them (0.000ddd...); the point
-    # goes after character 4 + exponent.  One row per character, so that
-    # each step below runs on whole rows
+    # goes after character point.  One row per character, so that each step
+    # below runs on whole rows, and each temporary is freed once its digits
+    # are laid out
     chars = np.full((21, cells.size), 48, np.uint8)
-    lead, rest = np.divmod(digits, 10 ** 16)
-    chars[4] += np.where(zero, 0, lead).astype(np.uint8)
-    high, low = np.divmod(rest, 10 ** 8)
-    # character positions are int8: the (21, n) comparisons below run on bytes
     last = np.full(cells.size, 4, np.int8)  # the last nonzero digit's
     digits4, trailing_zeros4 = _digits4()
-    for end, part in zip((8, 12, 16, 20), (*np.divmod(high, 10 ** 4), *np.divmod(low, 10 ** 4))):
+    part = np.empty_like(digits)
+    # the four 4-digit parts, split off from the end: the first nonzero one
+    # found holds the last nonzero digit (a zero has none and keeps 4)
+    for end in (20, 16, 12, 8):
+        np.divmod(digits, 10 ** 4, out=(digits, part))
         np.take(digits4, part, axis=1, out=chars[end - 3:end + 1])
-        last = np.where(part != 0, end - np.take(trailing_zeros4, part), last)
-    # written: from the zero before the point (4 + exponent < 4 below 1) up
-    # to the last nonzero digit or the point, whichever comes later
-    point = (4 + exponent).astype(np.int8)
+        found = (part != 0) & (last == 4)
+        last[found] = end - trailing_zeros4[part[found]]
+    del part
+    # what is left is the leading digit; a zero's 1 (from size 1.0) is dropped
+    digits[zero] = 0
+    chars[4] += digits.astype(np.uint8)
+    del digits
+    # written: from the zero before the point (point < 4 below 1) up to the
+    # last nonzero digit or the point, whichever comes later
     index = np.arange(21, dtype=np.int8)[:, None]
     slots = np.zeros((_SLOTS - 1, cells.size), np.uint8)
     slots[0] = np.signbit(cells) * np.uint8(45)
-    slots[1:22] = chars * ((index >= np.minimum(point, 4)) & (index <= point))
-    slots[2:23] += chars * ((index > point) & (index <= last))
+    mask = index >= np.minimum(point, 4)
+    mask &= index <= point
+    np.multiply(chars, mask, out=slots[1:22])
+    np.greater(index, point, out=mask)
+    mask &= index <= last
+    chars *= mask
+    del mask
+    slots[2:23] += chars
     slots[point + 2, np.arange(cells.size)] = (last > point) * np.uint8(46)
     return slots.T
 

@@ -193,6 +193,10 @@ def bayesian_aggregate(prior: LatentGaussian, observations) -> LatentGaussian:
 
     var  = 1 / (1/var_prior + sum_m 1/var_m)
     mean = mean_prior + var * sum_m (mean_m - mean_prior) / var_m
+
+    An element whose total precision is 0 (the prior and every observation
+    have variance +inf) is informed by nothing and keeps the prior's mean and
+    variance.
     """
     observations = list(observations)
     if not observations:
@@ -208,6 +212,11 @@ def bayesian_aggregate(prior: LatentGaussian, observations) -> LatentGaussian:
     # accumulate adds the rows strictly in order; sum may pair them up
     prec_sum = np.add.accumulate(1.0 / obs_var)[-1]
     shift_sum = np.add.accumulate((obs_mean - prior.mean) / obs_var)[-1]
-    var = 1.0 / (1.0 / prior.var + prec_sum)
-    mean = prior.mean + var * shift_sum
+    precision = 1.0 / prior.var + prec_sum
+    # an element of total precision 0 keeps the prior: its update would
+    # take 1/0 and then inf * 0
+    informed = precision > 0.0
+    mean, var = prior.mean.copy(), prior.var.copy()
+    var[informed] = 1.0 / precision[informed]
+    mean[informed] += var[informed] * shift_sum[informed]
     return LatentGaussian(mean=mean, var=var)

@@ -76,67 +76,61 @@ def random_weights_distribution(dofs, weight_dim, rng, scale=0.5):
 
 def write_unversioned_bank(bank, path):
     """Write bank in the layout that preceded the format key: no format entry,
-    a fifth array of homogeneous-solution columns (y1, y2, dy1, dy2), and a
-    checksum that covers it too.  path must end in .npz."""
+    times, the (M, N+1) row arrays, a fifth array of homogeneous-solution
+    columns (y1, y2, dy1, dy2), and a checksum that covers them all.  path
+    must end in .npz."""
     k = bank.config.decay_rate
     env = np.exp(-k * bank.times)
     comp = np.column_stack([env, bank.times * env, -k * env,
                             (1.0 - k * bank.times) * env])
+    pos_basis, vel_basis = bank.table[0].T, bank.table[1].T
     digest = hashlib.sha256(bank.config.canonical_json().encode("utf-8"))
-    for arr in (bank.times, bank.pos_basis, bank.vel_basis, comp):
+    for arr in (bank.times, pos_basis, vel_basis, comp):
         digest.update(np.ascontiguousarray(arr).tobytes())
-    np.savez(path, times=bank.times, pos_basis=bank.pos_basis,
-             vel_basis=bank.vel_basis, complementary=comp,
+    np.savez(path, times=bank.times, pos_basis=pos_basis,
+             vel_basis=vel_basis, complementary=comp,
              config_json=np.frombuffer(bank.config.canonical_json().encode("utf-8"),
                                        dtype=np.uint8),
              checksum=np.frombuffer(digest.hexdigest().encode("ascii"), dtype=np.uint8))
 
 
-# a bank (alpha=25, tau=1, alpha_x=2, num_basis=3, duration=1, grid_dt=0.02)
-# saved before the bank held its rows in one time-major table
+# a format-2 bank (alpha=25, tau=1, alpha_x=2, num_basis=3, duration=1,
+# grid_dt=0.02): times and C-ordered (M, N+1) row arrays beside the config
 ROW_LAYOUT_BANK = Path(__file__).resolve().parent / "data" / "bank_rows_v2.npz"
 
 
-def _swap_two_times(times, pos, vel):
-    times = times.copy()
-    times[[10, 11]] = times[[11, 10]]
-    return times, pos, vel
-
-
-def _nan_time(times, pos, vel):
-    times = times.copy()
-    times[20] = np.nan
-    return times, pos, vel
-
-
-def _warp_interior(times, pos, vel):
-    # still strictly increasing from 0 to the same end, but not uniform
-    return times[-1] * (times / times[-1]) ** 1.25, pos, vel
-
-
-# edits of a format-2 bank file's (times, pos_basis, vel_basis) that leave a
-# grid other than the config's, with the error loading it raises: two grid
-# times swapped, the first 46 of 51 grid points (a bank that reported a
-# duration of 0.9), a NaN time, and a warped interior with both ends kept
-GRID_DEFECTS = {
-    "swapped-times": (_swap_two_times, ValidationError),
-    "46-of-51-points": (lambda times, pos, vel: (times[:46], pos[:46], vel[:46]),
-                        DimensionError),
-    "nan-time": (_nan_time, ValidationError),
-    "warped-interior": (_warp_interior, ValidationError),
-}
-
-
-def write_edited_bank(source, path, edit):
-    """Write the format-2 bank file source to path with its arrays replaced by
-    edit(times, pos_basis, vel_basis) and its checksum recomputed over them,
-    as BasisBank.content_checksum computes it."""
-    with np.load(source) as data:
+def write_bank_table(bank, path, table):
+    """Write bank's file to path with its table replaced by table, of any
+    shape or values, and its checksum recomputed over it as
+    BasisBank.content_checksum computes it: the checksum is a content hash,
+    not a seal, so only load's own checks stand between such a file and a
+    trajectory."""
+    bank.save(str(path))
+    with np.load(path) as data:
         arrays = {name: data[name] for name in data.files}
-    times, pos, vel = edit(arrays["times"], arrays["pos_basis"], arrays["vel_basis"])
     digest = hashlib.sha256(arrays["config_json"].tobytes())
-    for arr in (times, pos, vel):
-        digest.update(np.ascontiguousarray(arr).tobytes())
-    np.savez(path, **{**arrays, "times": times, "pos_basis": pos, "vel_basis": vel,
+    digest.update(np.ascontiguousarray(table).tobytes())
+    np.savez(path, **{**arrays, "table": table,
                       "checksum": np.frombuffer(digest.hexdigest().encode("ascii"),
                                                 dtype=np.uint8)})
+
+
+def _with_value(table, index, value):
+    """A copy of table with the entry at index set to value."""
+    table = table.copy()
+    table[index] = value
+    return table
+
+
+# edits of a saved bank's table, with the error loading it raises and the
+# text it holds: a NaN or an inf in one position or velocity entry, and a
+# table one grid point or one basis column short
+_NON_FINITE = (ValidationError, "bank.npz holds non-finite basis values")
+_OTHER_SHAPE = (DimensionError, "does not match grid/config")
+TABLE_DEFECTS = {
+    "nan-position": (lambda table: _with_value(table, (0, 1, 7), np.nan), *_NON_FINITE),
+    "inf-velocity": (lambda table: _with_value(table, (1, -1, -1), np.inf), *_NON_FINITE),
+    "-inf-goal": (lambda table: _with_value(table, (0, -1, 20), -np.inf), *_NON_FINITE),
+    "short-grid": (lambda table: table[..., :-1], *_OTHER_SHAPE),
+    "short-basis": (lambda table: table[:, :-1], *_OTHER_SHAPE),
+}

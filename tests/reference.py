@@ -8,9 +8,8 @@ exp(k t), so they are usable only on short horizons, which is why they serve
 as independent cross-checks and not as production code.
 
 Beside them sit routes that the package replaced with faster ones: the
-row-major boundary fold and the bank file writer of the (M, N+1) row
-layout, the row-by-row precompute recurrence and the whole-grid precompute
-pass, the pair NLL through a dense block design
+row-major boundary fold, the row-by-row precompute recurrence and the
+whole-grid precompute pass, the pair NLL through a dense block design
 matrix and scipy, the per-time combination loop, the per-demo fit loop, the
 ridge least squares on the augmented design matrix, the loops that add
 per-primitive or per-observation terms one at a time, the per-value CSV
@@ -27,7 +26,7 @@ from scipy.stats import multivariate_normal
 
 from mptraj import (BasisBank, BoundaryCondition, ForcingBasis, LatentGaussian,
                     NumericalError, ValidationError, fit_weights, phase, run_chain)
-from mptraj.basis import _SCAN_BLOCK, BANK_FORMAT
+from mptraj.basis import _SCAN_BLOCK
 from mptraj.learning import RIDGE_SCALE, _ridge_lstsq
 from mptraj.probops import GaussianSequence
 from mptraj.svgplot import (_HEIGHT, _MARGIN_B, _MARGIN_L, _MARGIN_R, _MARGIN_T, _PALETTE,
@@ -203,8 +202,8 @@ class RowMajorFold:
         frac = (t - grid[idx]) / (grid[idx + 1] - grid[idx])
         lo, hi = (1.0 - frac)[:, None], frac[:, None]
         phi, dphi = (lo * values[idx] + hi * values[idx + 1]
-                     for values in (np.ascontiguousarray(bank.pos_basis),
-                                    np.ascontiguousarray(bank.vel_basis)))
+                     for values in (np.ascontiguousarray(bank.table[0].T),
+                                    np.ascontiguousarray(bank.table[1].T)))
         k = bank.config.decay_rate
         rel = times - bc.t_b
         env = np.exp(-k * rel)
@@ -255,19 +254,6 @@ def augmented_lstsq(design, target, ridge) -> np.ndarray:
         raise NumericalError(
             f"design matrix is rank deficient ({rank} < {dim}); supply ridge > 0")
     return solution
-
-
-def save_row_major(bank, path) -> None:
-    """Write bank in the file layout of the (M, N+1) row arrays: the format
-    key, times, C-ordered pos_basis and vel_basis, the config echo and the
-    content checksum, as np.savez stores them."""
-    np.savez(path, format=np.array(BANK_FORMAT), times=bank.times,
-             pos_basis=np.array(bank.pos_basis, order="C"),
-             vel_basis=np.array(bank.vel_basis, order="C"),
-             config_json=np.frombuffer(bank.config.canonical_json().encode("utf-8"),
-                                       dtype=np.uint8),
-             checksum=np.frombuffer(bank.content_checksum().encode("ascii"),
-                                    dtype=np.uint8))
 
 
 def pair_nll_dense(batch, wdist, bc, bank, noise_var) -> float:

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -17,10 +18,9 @@ import mptraj
 from mptraj import (DimensionError, DmpConfig, ForcingBasis, IoError, NumericalError,
                     ValidationError, phase, precompute_basis)
 from mptraj.basis import _CHUNK_ROWS, _SCAN_BLOCK, BANK_FORMAT, MAX_BANK_CELLS, BasisBank
-from tests.conftest import (GRID_DEFECTS, REFERENCE_CONFIG, ROW_LAYOUT_BANK, SMALL_CONFIG,
-                            write_edited_bank, write_unversioned_bank)
-from tests.reference import (complementary, q_terms, save_row_major, sequential_bank,
-                             whole_grid_bank)
+from tests.conftest import (REFERENCE_CONFIG, ROW_LAYOUT_BANK, SMALL_CONFIG, TABLE_DEFECTS,
+                            write_bank_table, write_unversioned_bank)
+from tests.reference import complementary, q_terms, sequential_bank, whole_grid_bank
 
 # the bank of perfbench's online_replan workload: 10 001 points, N = 10
 ONLINE_REPLAN_CONFIG = dict(alpha=25.0, tau=10.0, alpha_x=2.0, num_basis=10,
@@ -155,6 +155,12 @@ class TestPhase:
     def test_negative_time_rejected(self, reference_config):
         with pytest.raises(ValidationError):
             phase(-0.1, reference_config)
+
+    @pytest.mark.parametrize("t", [math.nan, np.array([0.0, 0.5, math.nan, 1.0])],
+                             ids=["scalar", "in-array"])
+    def test_nan_time_rejected(self, reference_config, t):
+        with pytest.raises(ValidationError, match="NaN"):
+            phase(t, reference_config)
 
     def test_strictly_decreasing(self, reference_config):
         t = np.linspace(0.0, 3.0, 50)
@@ -347,13 +353,14 @@ class TestPrecompute:
         p1 = cumtrapz(-y2[:, None] * forcing / wron[:, None])
         p2 = cumtrapz(y1[:, None] * forcing / wron[:, None])
         naive_pos = y1[:, None] * p1 + y2[:, None] * p2
-        np.testing.assert_allclose(small_bank.pos_basis[:, :-1], naive_pos,
+        np.testing.assert_allclose(small_bank.table[0, :-1].T, naive_pos,
                                    rtol=0, atol=1e-12)
 
     def test_velocity_columns_are_position_derivatives(self, small_bank):
         dt = small_bank.config.duration / small_bank.config.grid_intervals
-        fd = (small_bank.pos_basis[2:] - small_bank.pos_basis[:-2]) / (2 * dt)
-        dev = np.max(np.abs(fd - small_bank.vel_basis[1:-1]))
+        pos, vel = small_bank.table
+        fd = (pos[:, 2:] - pos[:, :-2]) / (2 * dt)
+        dev = np.max(np.abs(fd - vel[:, 1:-1]))
         assert dev < 10.0 * dt
 
     def test_self_check_rejects_coarse_grid(self):
@@ -372,9 +379,8 @@ class TestPrecompute:
             assert cfg.grid_points % 64 == points_mod_64
         blocked, sequential = precompute_basis(cfg), sequential_bank(cfg)
         assert np.array_equal(blocked.times, sequential.times)
-        for kind in ("pos_basis", "vel_basis"):
-            ref = getattr(sequential, kind)
-            drift = np.max(np.abs(getattr(blocked, kind) - ref))
+        for kind, got, ref in zip(("position", "velocity"), blocked.table, sequential.table):
+            drift = np.max(np.abs(got - ref))
             assert drift <= 1e-14 * np.max(np.abs(ref)), (kind, drift)
 
     def test_decay_underflow_fails_self_check(self):
@@ -408,22 +414,23 @@ class TestPrecompute:
     def test_all_exponents_bounded(self, reference_bank):
         # stability contract: every stored value stays O(1); nothing grows
         # like exp(+k t)
-        assert np.all(np.isfinite(reference_bank.pos_basis))
-        assert np.max(np.abs(reference_bank.pos_basis)) < 1e3
-        assert np.max(np.abs(reference_bank.vel_basis)) < 1e4
+        pos, vel = reference_bank.table
+        assert np.all(np.isfinite(pos))
+        assert np.max(np.abs(pos)) < 1e3
+        assert np.max(np.abs(vel)) < 1e4
 
 
 class TestBankInterp:
     def test_exact_at_grid_nodes(self, small_bank):
         idx = np.array([0, 17, 100, 400])
         rows = small_bank.pos_rows(small_bank.times[idx])
-        assert np.array_equal(rows, small_bank.pos_basis[idx])
+        assert np.array_equal(rows, small_bank.table[0][:, idx].T)
 
     def test_linear_between_nodes(self, small_bank):
         t0, t1 = small_bank.times[10], small_bank.times[11]
         mid = 0.5 * (t0 + t1)
         row = small_bank.pos_rows(np.array([mid]))[0]
-        expected = 0.5 * (small_bank.pos_basis[10] + small_bank.pos_basis[11])
+        expected = 0.5 * (small_bank.table[0, :, 10] + small_bank.table[0, :, 11])
         np.testing.assert_allclose(row, expected, rtol=0, atol=1e-15)
 
     def test_nan_query_rejected(self, small_bank):
@@ -447,7 +454,7 @@ class TestBankInterp:
         pos, vel = small_bank.lookup(t)
         assert np.array_equal(pos.T, small_bank.pos_rows(t))
         assert np.array_equal(vel.T, small_bank.vel_rows(t))
-        assert np.array_equal(small_bank.lookup(grid[-1])[0].T, small_bank.pos_basis[-1:])
+        assert np.array_equal(small_bank.lookup(grid[-1])[0].T, small_bank.table[0][:, -1:].T)
         assert small_bank.lookup([]).shape == (2, small_bank.weight_dim, 0)
         for rows in (small_bank.pos_rows, small_bank.vel_rows):
             assert rows([]).shape == (0, small_bank.weight_dim)
@@ -479,7 +486,7 @@ class TestOffGridAccuracy:
     @staticmethod
     def _error(small_bank, fine_bank, kind, times):
         rows = f"{kind}_rows"
-        scale = np.max(np.abs(getattr(fine_bank, f"{kind}_basis")))
+        scale = np.max(np.abs(fine_bank.table[("pos", "vel").index(kind)]))
         diff = getattr(small_bank, rows)(times) - getattr(fine_bank, rows)(times)
         return np.max(np.abs(diff)) / scale
 
@@ -501,17 +508,22 @@ class TestBankFile:
         loaded = BasisBank.load(path)
         assert loaded.config == small_bank.config
         assert np.array_equal(loaded.times, small_bank.times)
-        assert np.array_equal(loaded.pos_basis, small_bank.pos_basis)
-        assert np.array_equal(loaded.vel_basis, small_bank.vel_basis)
+        assert loaded.table.tobytes() == small_bank.table.tobytes()
         assert loaded.content_checksum() == small_bank.content_checksum()
 
     def test_file_layout(self, small_bank, tmp_path):
         path = tmp_path / "bank.npz"
         small_bank.save(str(path))
         with np.load(path) as data:
-            assert sorted(data.files) == ["checksum", "config_json", "format",
-                                          "pos_basis", "times", "vel_basis"]
-            assert data["format"].shape == () and data["format"] == BANK_FORMAT
+            assert sorted(data.files) == ["checksum", "config_json", "format", "table"]
+            assert data["format"].shape == () and data["format"] == BANK_FORMAT == 3
+            assert data["format"].dtype.kind == "i"
+            assert np.array_equal(data["table"], small_bank.table)
+
+    def test_checksum_covers_config_then_table(self, small_bank):
+        digest = hashlib.sha256(small_bank.config.canonical_json().encode("utf-8"))
+        digest.update(small_bank.table.tobytes())
+        assert small_bank.content_checksum() == digest.hexdigest()
 
     def test_unversioned_bank_rejected(self, small_bank, tmp_path):
         path = tmp_path / "old.npz"
@@ -519,7 +531,22 @@ class TestBankFile:
         with pytest.raises(ValidationError, match=r"old\.npz.*precompute"):
             BasisBank.load(str(path))
 
-    @pytest.mark.parametrize("value", [BANK_FORMAT - 1, BANK_FORMAT + 1, "2"])
+    def test_format_2_bank_rejected(self):
+        # times and (M, N+1) row arrays: a grid the config already fixes
+        with np.load(ROW_LAYOUT_BANK) as data:
+            assert data["format"] == 2
+            assert sorted(data.files) == ["checksum", "config_json", "format",
+                                          "pos_basis", "times", "vel_basis"]
+        with pytest.raises(ValidationError, match=r"bank_rows_v2\.npz is not in format 3.*"
+                                                  r"re-run mptraj precompute"):
+            BasisBank.load(str(ROW_LAYOUT_BANK))
+
+    # the format key is a 0-d integer array: a float, a bool, a string or a
+    # 1-element array of the right value is another format
+    @pytest.mark.parametrize("value", [BANK_FORMAT - 1, BANK_FORMAT + 1, "2", "3",
+                                       float(BANK_FORMAT), True, [BANK_FORMAT]],
+                             ids=["previous", "next", "str-2", "str-3", "float",
+                                  "bool", "1-d"])
     def test_other_format_rejected(self, small_bank, tmp_path, value):
         path = tmp_path / "bank.npz"
         small_bank.save(str(path))
@@ -551,22 +578,21 @@ class TestBankFile:
 
     def test_arrays_are_read_only(self, small_bank):
         with pytest.raises(ValueError):
-            small_bank.pos_basis[0, 0] = 1.0
+            small_bank.table[0, 0, 0] = 1.0
 
 
 class TestBankTable:
-    def test_basis_arrays_view_one_read_only_table(self, small_bank, tmp_path):
+    def test_table_is_one_read_only_array(self, small_bank, tmp_path):
         path = str(tmp_path / "bank.npz")
         small_bank.save(path)
         for bank in (small_bank, BasisBank.load(path)):
             table = bank.table
             assert table.shape == (2, bank.weight_dim, bank.times.size)
-            assert table.flags.c_contiguous and table.flags.owndata
-            assert not table.flags.writeable
-            # the bank holds one copy of its rows
-            assert bank.pos_basis.base is table and bank.vel_basis.base is table
-            assert np.array_equal(bank.pos_basis, table[0].T)
-            assert np.array_equal(bank.vel_basis, table[1].T)
+            assert table.flags.c_contiguous and not table.flags.writeable
+            # the bank holds one copy of its rows: a loaded table views the
+            # flat buffer np.load read them into
+            owner = table if table.base is None else table.base
+            assert owner.flags.owndata and owner.nbytes == table.nbytes
 
     def test_table_is_the_only_stored_array_besides_times(self, small_bank):
         # a bank is its config and its table; the times are the config's grid
@@ -584,7 +610,7 @@ class TestBankTable:
         assert bank.table.flags.c_contiguous and not np.shares_memory(bank.table, fortran)
         assert np.array_equal(bank.table, small_bank.table)
         with pytest.raises(AttributeError):
-            small_bank.pos_basis = small_bank.vel_basis
+            small_bank.table = fortran
 
     def test_lookup_is_both_row_kinds_time_major(self, small_bank):
         grid = small_bank.times
@@ -615,85 +641,26 @@ class TestBankFileStability:
                     _, fortran_order, _ = readers[np.lib.format.read_magic(fh)](fh)
                 assert fortran_order is False, name
 
-    def test_file_is_the_row_layout(self, small_bank, tmp_path):
-        ours, rows = tmp_path / "ours.npz", tmp_path / "rows.npz"
-        small_bank.save(str(ours))
-        save_row_major(small_bank, str(rows))
-        assert ours.read_bytes() == rows.read_bytes()
-
-    @pytest.mark.parametrize("name", ["pos_basis", "vel_basis"])
-    def test_rows_of_another_shape_rejected(self, small_bank, tmp_path, name):
+    @pytest.mark.parametrize("defect", TABLE_DEFECTS)
+    def test_edited_table_rejected(self, small_bank, tmp_path, defect):
+        # the checksum is recomputed over the edited table, so load's own
+        # shape and finiteness checks are what refuse it
+        edit, error, match = TABLE_DEFECTS[defect]
         path = tmp_path / "bank.npz"
-        small_bank.save(str(path))
-        with np.load(path) as data:
-            arrays = {key: data[key] for key in data.files}
-        np.savez(path, **{**arrays, name: arrays[name][:, :-1]})
-        with pytest.raises(DimensionError, match="do not match"):
+        write_bank_table(small_bank, path, edit(small_bank.table))
+        with pytest.raises(error, match=match):
             BasisBank.load(str(path))
 
-    def test_row_layout_file_still_loads(self, tmp_path):
-        # load checks the stored checksum against content_checksum, and the
-        # file saved again holds that checksum too
-        bank = BasisBank.load(str(ROW_LAYOUT_BANK))
-        assert bank.times.shape == (51,) and bank.weight_dim == 4
-        resaved = tmp_path / "resaved.npz"
-        bank.save(str(resaved))
-        assert resaved.read_bytes() == ROW_LAYOUT_BANK.read_bytes()
+    def test_unedited_table_written_again_loads(self, small_bank, tmp_path):
+        # the edited files above fail on their table, not on their checksum
+        path = tmp_path / "bank.npz"
+        write_bank_table(small_bank, path, small_bank.table)
+        loaded = BasisBank.load(str(path))
+        assert loaded.content_checksum() == small_bank.content_checksum()
+        assert loaded.table.tobytes() == small_bank.table.tobytes()
 
 
 def test_bank_shape_validation(small_config, small_bank):
     for table in (small_bank.table[:, :-1], small_bank.table[:1], small_bank.table[0]):
         with pytest.raises(DimensionError, match="does not match"):
             BasisBank(config=small_config, table=table)
-
-
-class TestBankGrid:
-    """A bank's times are its config's grid, derived, not taken.  A bank file
-    stores them too, and load refuses a file whose stored times are not that
-    grid, also when its checksum, a content hash and not a seal, was
-    recomputed over the edited times."""
-
-    @staticmethod
-    def _edited_times(tmp_path, edit):
-        path = tmp_path / "bank.npz"
-        write_edited_bank(ROW_LAYOUT_BANK, path, lambda times, pos, vel: (edit(times), pos, vel))
-        return str(path)
-
-    @pytest.mark.parametrize("times", [lambda t: t[:-1], lambda t: t[:, None],
-                                       lambda t: t[0]],
-                             ids=["short", "2-d", "scalar"])
-    def test_times_of_another_shape_rejected(self, tmp_path, times):
-        # the row arrays keep their shape, so only the stored grid is wrong
-        with pytest.raises(DimensionError, match="config's grid"):
-            BasisBank.load(self._edited_times(tmp_path, times))
-
-    @pytest.mark.parametrize("index,value", [(0, 1e-9), (-1, 1.0 + 1e-9), (-1, math.inf),
-                                             (7, math.nan), (7, math.inf),
-                                             (7, -math.inf), (7, 0.5)],
-                             ids=["start", "end", "inf-end", "nan", "inf", "-inf",
-                                  "not-increasing"])
-    def test_times_off_the_grid_rejected(self, tmp_path, index, value):
-        def edit(times):
-            times = times.copy()
-            times[index] = value
-            return times
-        path = self._edited_times(tmp_path, edit)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValidationError, match="not the config's grid"):
-                BasisBank.load(path)
-
-    def test_unedited_copy_loads(self, tmp_path):
-        # the edited files below fail on their grid, not on their checksum
-        path = tmp_path / "copy.npz"
-        write_edited_bank(ROW_LAYOUT_BANK, path, lambda *arrays: arrays)
-        assert (BasisBank.load(str(path)).content_checksum()
-                == BasisBank.load(str(ROW_LAYOUT_BANK)).content_checksum())
-
-    @pytest.mark.parametrize("defect", GRID_DEFECTS)
-    def test_file_off_the_grid_rejected(self, tmp_path, defect):
-        path = tmp_path / "bank.npz"
-        edit, error = GRID_DEFECTS[defect]
-        write_edited_bank(ROW_LAYOUT_BANK, path, edit)
-        with pytest.raises(error, match="config's grid|do not match grid/config"):
-            BasisBank.load(str(path))

@@ -16,8 +16,8 @@ from mptraj.basis import BasisBank
 from mptraj.cli import main
 from mptraj.distribution import write_weights_distribution_json
 from mptraj.trajectory import MAX_QUERY_SAMPLES, read_trajectory_csv
-from tests.conftest import (GRID_DEFECTS, ROW_LAYOUT_BANK, SMALL_CONFIG,
-                            random_weights_distribution, write_edited_bank,
+from tests.conftest import (ROW_LAYOUT_BANK, SMALL_CONFIG, TABLE_DEFECTS,
+                            random_weights_distribution, write_bank_table,
                             write_unversioned_bank)
 from tests.reference import sequential_bank
 
@@ -138,8 +138,7 @@ class TestGenerate:
         old = sequential_bank(DmpConfig(**CONFIG))
         old.save(str(tmp_path / "old.npz"))
         loaded = BasisBank.load(str(tmp_path / "old.npz"))
-        assert np.array_equal(loaded.pos_basis, old.pos_basis)
-        assert np.array_equal(loaded.vel_basis, old.vel_basis)
+        assert np.array_equal(loaded.table, old.table)
         trajectories = []
         for bank in (tmp_path / "old.npz", env["bank"]):
             out = tmp_path / f"{bank.stem}.csv"
@@ -672,9 +671,12 @@ class TestErrorReporting:
                                                         command, rate):
         _assert_window_rejected(env, capsys, tmp_path, command, f"--rate={rate}")
 
-    def test_unversioned_bank_is_validation_error(self, env, capsys, tmp_path):
-        old = tmp_path / "old.npz"
-        write_unversioned_bank(BasisBank.load(str(env["bank"])), str(old))
+    @pytest.mark.parametrize("layout", ["unversioned", "format-2"])
+    def test_old_bank_is_validation_error(self, env, capsys, tmp_path, layout):
+        old = ROW_LAYOUT_BANK
+        if layout == "unversioned":
+            old = tmp_path / "old.npz"
+            write_unversioned_bank(BasisBank.load(str(env["bank"])), str(old))
         out = tmp_path / "never.csv"
         code, _, stderr = _run(capsys, [
             "generate", "--bank", str(old), "--weights", str(env["weights"]),
@@ -785,20 +787,18 @@ def _run_to(argv, out, svg=None):
     return code, stderr.getvalue()
 
 
-@pytest.mark.parametrize("defect", GRID_DEFECTS)
-def test_bank_off_the_grid_is_one_error_line(tmp_path, defect):
-    # the checksum is recomputed over the edited arrays, so only the grid
-    # check stands between such a file and a trajectory
-    edit, error = GRID_DEFECTS[defect]
-    bank = tmp_path / "bank.npz"
-    write_edited_bank(ROW_LAYOUT_BANK, bank, edit)
-    weights = tmp_path / "weights.json"
-    weights.write_text(json.dumps({"dofs": 1, "num_basis": 3,
-                                   "weights": [1.0, -0.5, 0.25, 2.0]}))
-    code, stderr = _run_to(["generate", "--bank", str(bank), "--weights", str(weights)],
-                           tmp_path / "traj.csv")
+@pytest.mark.parametrize("defect", TABLE_DEFECTS)
+def test_edited_bank_table_is_one_error_line(env, tmp_path, defect):
+    # the checksum is recomputed over the edited table, so only load's shape
+    # and finiteness checks stand between such a file and a trajectory
+    edit, error, match = TABLE_DEFECTS[defect]
+    bank = BasisBank.load(str(env["bank"]))
+    path = tmp_path / "bank.npz"
+    write_bank_table(bank, path, edit(bank.table))
+    code, stderr = _run_to(["generate", "--bank", str(path), "--weights", str(env["weights"]),
+                            "--rate", "50"], tmp_path / "traj.csv")
     assert code == EXIT_CODES[error.category]
-    assert stderr.startswith(f"error[{error.category}]: ") and "Traceback" not in stderr
+    assert stderr.startswith(f"error[{error.category}]: ") and match in stderr
 
 
 class TestAllOrNoOutputs:

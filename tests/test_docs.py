@@ -1,12 +1,13 @@
 """README command-line usage stays in step with the parser: every flag it
-shows exists, the scenario keys it names are the ones replan accepts, and
-the benchmark stages it lists are the ones bench reports."""
+shows exists, the scenario keys it names are the ones replan accepts, the
+benchmark stages it lists are the ones bench reports, and the bank format
+it names is the one load reads."""
 import argparse
 import json
 import re
 from pathlib import Path
 
-from mptraj import BenchScenario, cli, run_benchmark
+from mptraj import BenchScenario, basis, cli, run_benchmark
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
@@ -47,3 +48,8 @@ def test_bench_stages_match_the_stage_table():
     listed = re.findall(r"^- `(\w+)`:", bench, flags=re.MULTILINE)
     tiny = BenchScenario(dofs=1, duration=1.0, rate_hz=200.0, num_basis=5)
     assert listed == list(run_benchmark(tiny, repetitions=1))
+
+
+def test_bank_format_number_is_the_one_load_reads():
+    named = re.findall(r"format\s+number\s+\(currently\s+(\d+)\)", README)
+    assert named == [str(basis.BANK_FORMAT)]

@@ -151,6 +151,27 @@ class TestCsvTable:
             tracemalloc.stop()
         assert peak < 20 * 3001 * (3 + 2) * 8
 
+    def test_fixed_text_frees_its_temporaries(self):
+        # the int64 digit temporaries of the fixed-notation kernel are freed
+        # once their digits are laid out: about 97 B per cell at the peak,
+        # against 175 B when every one of them lives until the return
+        rng = np.random.default_rng(6)
+        # the values it writes: 0 and 1e-4 <= |value| < 1e16
+        cells = (rng.choice([-1.0, 1.0], 9003) * rng.uniform(1.0, 9.9, 9003)
+                 * 10.0 ** rng.integers(-4, 16, 9003))
+        cells[::97] = 0.0
+        fileio._fixed_text(cells)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            text = fileio._fixed_text(cells)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 130 * cells.size
+        assert [bytes(row).replace(b"\0", b"").decode() for row in text[:500]] == \
+            ["%.17g" % value for value in cells[:500]]
+
     def test_integral_ids_below_two_to_the_53_print_as_integers(self, tmp_path):
         ids = np.array([0, 7, -3, 2**53 - 1, 2**53])
         write_trajectory_csv(str(tmp_path / "ids.csv"), np.zeros(5), np.zeros((1, 5)),

@@ -463,6 +463,31 @@ class TestBayesianAggregate:
         assert abs(post.mean[0] - 2.0) < 1e-9
         assert abs(post.var[0] - 1.0) < 1e-9
 
+    # an element with variance +inf in the prior and in every observation
+    # has total precision 0: nothing informs it, and it keeps the prior
+    def test_element_informed_by_nothing_keeps_the_prior(self):
+        rng = np.random.default_rng(49)
+        var = rng.uniform(0.1, 2.0, 3)
+        prior = LatentGaussian(rng.standard_normal(3), [var[0], np.inf, var[2]])
+        obs = [LatentGaussian(rng.standard_normal(3), [v, np.inf, np.inf])
+               for v in rng.uniform(0.1, 2.0, 4)]
+        post = bayesian_aggregate(prior, obs)
+        assert post.mean[1] == prior.mean[1] and post.var[1] == np.inf
+        # every other element is the one it is aggregated on its own
+        for i in (0, 2):
+            alone = bayesian_aggregate_loop(
+                LatentGaussian(prior.mean[[i]], prior.var[[i]]),
+                [LatentGaussian(o.mean[[i]], o.var[[i]]) for o in obs])
+            assert post.mean[[i]].tobytes() == alone.mean.tobytes()
+            assert post.var[[i]].tobytes() == alone.var.tobytes()
+
+    def test_all_uninformative_returns_the_prior(self):
+        prior = LatentGaussian(np.array([2.0, -0.5]), np.array([np.inf, np.inf]))
+        obs = [LatentGaussian(np.array([-50.0, 3.0]), np.array([np.inf, np.inf]))] * 3
+        post = bayesian_aggregate(prior, obs)
+        assert np.array_equal(post.mean, prior.mean)
+        assert np.array_equal(post.var, prior.var)
+
     def test_empty_observations_return_prior(self):
         prior = LatentGaussian(np.array([1.0]), np.array([2.0]))
         assert bayesian_aggregate(prior, []) is prior

@@ -50,7 +50,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DimensionError, IoError, NumericalError, ValidationError,
-                     check_finite_positive, check_int, check_number, check_record, freeze)
+                     check_finite_positive, check_int, check_number, check_record, freeze,
+                     take_value)
 from .fileio import atomic_write_bytes
 
 # version of the bank file layout; load() rejects any other
@@ -91,8 +92,7 @@ class DmpConfig:
 
     def __post_init__(self):
         for name in ("alpha", "tau", "alpha_x", "duration"):
-            object.__setattr__(self, name,
-                               check_finite_positive(name, float(getattr(self, name))))
+            check_finite_positive(name, take_value(self, name))
         num_basis = self.num_basis
         if isinstance(num_basis, float) and num_basis.is_integer():
             num_basis = int(num_basis)
@@ -102,13 +102,13 @@ class DmpConfig:
                 f"num_basis must be at least 2 (width rule needs neighbors), got {num_basis}")
         object.__setattr__(self, "num_basis", num_basis)
 
-        grid_dt = self.duration / 3000.0 if self.grid_dt is None else float(self.grid_dt)
-        object.__setattr__(self, "grid_dt", check_finite_positive("grid_dt", grid_dt))
+        if self.grid_dt is None:
+            object.__setattr__(self, "grid_dt", self.duration / 3000.0)
+        check_finite_positive("grid_dt", take_value(self, "grid_dt"))
 
-        overlap = float(self.basis_overlap)
+        overlap = take_value(self, "basis_overlap")
         if not 0.0 < overlap < 1.0:
             raise ValidationError(f"basis_overlap must lie in (0, 1), got {overlap}")
-        object.__setattr__(self, "basis_overlap", overlap)
 
         if self.grid_points > MAX_GRID_POINTS:
             raise ValidationError(
@@ -315,6 +315,8 @@ class BasisBank:
                 stored = data["checksum"].tobytes().decode("ascii")
         except OSError as exc:
             raise IoError(f"cannot read bank {path}: {exc}") from exc
+        except DimensionError as exc:
+            raise DimensionError(f"bank file {path}: {exc}") from exc
         except (KeyError, ValueError, zipfile.BadZipFile) as exc:
             raise ValidationError(f"not a bank file: {path}: {exc}") from exc
         if bank.content_checksum() != stored:

@@ -29,7 +29,7 @@ import numpy as np
 from .basis import BasisBank
 from .errors import (DimensionError, NumericalError, ValidationError,
                      check_count, check_finite_nonneg, check_int, check_numbers,
-                     check_record, check_seed, freeze)
+                     check_record, check_seed, take_array, take_value)
 from .fileio import _write_sample_table, atomic_write_json
 from .trajectory import (BoundaryCondition, TrajectoryGenerator, folded_basis,
                          weight_blocks)
@@ -51,21 +51,16 @@ class WeightsDistribution:
     chol: np.ndarray
 
     def __post_init__(self):
-        mean = np.atleast_1d(np.array(self.mean, dtype=float))
-        chol = np.array(self.chol, dtype=float)
-        if mean.ndim != 1:
-            raise DimensionError("weights mean must be a vector")
+        mean = take_array(self, "mean", 1)
+        chol = take_array(self, "chol", 2)
         if chol.shape != (mean.shape[0], mean.shape[0]):
             raise DimensionError(
                 f"Cholesky factor {chol.shape} does not match mean length {mean.shape[0]}")
-        if not (np.isfinite(mean).all() and np.isfinite(chol).all()):
-            raise ValidationError("weights mean and Cholesky factor must be finite")
         if np.any(np.triu(chol, k=1) != 0.0):
             raise ValidationError("Cholesky factor must be lower-triangular")
         if np.any(np.diag(chol) <= 0.0):
             raise ValidationError(
                 "Cholesky diagonal must be strictly positive (use from_covariance)")
-        freeze(self, mean=mean, chol=chol)
 
     @property
     def dim(self) -> int:
@@ -97,19 +92,16 @@ class TrajectoryDistribution:
     noise_var: float
 
     def __post_init__(self):
-        mean = np.atleast_1d(np.array(self.mean, dtype=float))
-        cov = np.array(self.cov, dtype=float)
-        if cov.shape != (mean.shape[0], mean.shape[0]) or len(self.index_set) != mean.shape[0]:
+        index_set = take_value(self, "index_set", tuple)
+        mean = take_array(self, "mean", 1)
+        cov = take_array(self, "cov", 2)
+        if cov.shape != (mean.shape[0], mean.shape[0]) or len(index_set) != mean.shape[0]:
             raise DimensionError(
-                f"index set ({len(self.index_set)}), mean ({mean.shape}) and "
+                f"index set ({len(index_set)}), mean ({mean.shape}) and "
                 f"cov ({cov.shape}) do not align")
         check_finite_nonneg("noise_var", self.noise_var)
-        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
-            raise ValidationError("trajectory mean and covariance must be finite")
         if not np.array_equal(cov, cov.T):
             raise ValidationError("trajectory covariance must be symmetric")
-        object.__setattr__(self, "index_set", tuple(self.index_set))
-        freeze(self, mean=mean, cov=cov)
 
     @property
     def dim(self) -> int:
@@ -264,24 +256,17 @@ class TimePairBatch:
     values: np.ndarray | None = None
 
     def __post_init__(self):
-        times = np.array(self.times, dtype=float)
-        if times.ndim != 2 or times.shape[1] != 2 or times.shape[0] < 1:
+        times = take_array(self, "times", 2)
+        if times.shape[1] != 2 or times.shape[0] < 1:
             raise DimensionError(f"pair times must have shape (J, 2), got {times.shape}")
-        if not np.isfinite(times).all():
-            raise ValidationError("pair times must be finite")
         if np.any(times[:, 0] == times[:, 1]):
             raise ValidationError(
                 "pairs with t == t' are forbidden (their covariance is singular at "
                 "zero noise)")
-        freeze(self, times=times)
-        if self.values is not None:
-            values = np.array(self.values, dtype=float)
-            if values.ndim != 2 or values.shape[0] != times.shape[0] or values.shape[1] % 2:
-                raise DimensionError(
-                    f"truth values must have shape (J, 2*D), got {values.shape}")
-            if not np.isfinite(values).all():
-                raise ValidationError("pair truth values must be finite")
-            freeze(self, values=values)
+        values = take_array(self, "values", 2)
+        if values is not None and (values.shape[0] != times.shape[0] or values.shape[1] % 2):
+            raise DimensionError(
+                f"truth values must have shape (J, 2*D), got {values.shape}")
 
     @property
     def count(self) -> int:

@@ -1,6 +1,7 @@
 """Exception hierarchy shared by the library and the CLI, the checks that
 every reader of user input shares, so that a malformed value fails the same
-way everywhere (a ValidationError naming the field), and record freezing.
+way everywhere (a ValidationError naming the field), and the one intake of
+record fields: take_array for arrays, take_value for scalars.
 
 Each error category carries the process exit code the CLI maps it to.
 """
@@ -161,3 +162,41 @@ def freeze(record, **arrays) -> None:
     for name, arr in arrays.items():
         arr.flags.writeable = False
         object.__setattr__(record, name, arr)
+
+
+def take_array(record, name: str, ndim: int, finite: bool = True):
+    """Field name of the frozen dataclass record as a new float array with
+    ndim axes, a value with fewer promoted as np.atleast_1d/atleast_2d
+    promote, stored read-only and returned; None stays None.  A value numpy
+    cannot read as floats, and with finite a NaN or inf, is a ValidationError,
+    and more than ndim axes a DimensionError, each naming <Record>.<field>."""
+    value = getattr(record, name)
+    if value is None:
+        return None
+    try:
+        arr = np.array(value, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{type(record).__name__}.{name} must be numbers: {exc}") from exc
+    if arr.ndim != ndim:
+        if arr.ndim > ndim:
+            raise DimensionError(f"{type(record).__name__}.{name} has shape {arr.shape}: "
+                                 f"{arr.ndim} axes, more than {ndim}")
+        arr = arr.reshape((1,) * (ndim - arr.ndim) + arr.shape)
+    if finite and not np.isfinite(arr).all():
+        raise ValidationError(f"{type(record).__name__}.{name} must be finite")
+    arr.flags.writeable = False
+    object.__setattr__(record, name, arr)
+    return arr
+
+
+def take_value(record, name: str, kind: type = float):
+    """kind(field name of the frozen dataclass record), stored and returned;
+    a value kind cannot take is a ValidationError naming <Record>.<field>.
+    float keeps its leniency: True reads as 1.0 and '0.5' as 0.5."""
+    try:
+        value = kind(getattr(record, name))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{type(record).__name__}.{name} cannot be read as a "
+                              f"{kind.__name__}: {exc}") from exc
+    object.__setattr__(record, name, value)
+    return value

@@ -23,7 +23,7 @@ import numpy as np
 from .basis import BasisBank
 from .distribution import WeightsDistribution
 from .errors import (DimensionError, NumericalError, ValidationError,
-                     check_finite_nonneg, freeze)
+                     check_finite_nonneg, take_array)
 from .trajectory import BoundaryCondition, folded_basis
 
 DEFAULT_COV_FLOOR = 1e-8
@@ -41,27 +41,22 @@ class Demonstration:
     velocities: np.ndarray | None = None
 
     def __post_init__(self):
-        times = np.atleast_1d(np.array(self.times, dtype=float))
-        positions = np.atleast_2d(np.array(self.positions, dtype=float))
-        if times.ndim != 1 or times.shape[0] < 2:
+        times = take_array(self, "times", 1)
+        positions = take_array(self, "positions", 2)
+        if times.shape[0] < 2:
             raise ValidationError("a demonstration needs at least 2 time samples")
         if np.any(np.diff(times) <= 0.0):
             raise ValidationError("demonstration times must be strictly increasing")
         if positions.shape[1] != times.shape[0]:
             raise DimensionError(
                 f"positions must have shape (D, {times.shape[0]}), got {positions.shape}")
-        if not (np.isfinite(times).all() and np.isfinite(positions).all()):
-            raise ValidationError("demonstration times and positions must be finite")
-        freeze(self, times=times, positions=positions)
-        if self.velocities is not None:
-            velocities = np.atleast_2d(np.array(self.velocities, dtype=float))
-            if velocities.shape != positions.shape:
-                raise DimensionError(
-                    f"velocities shape {velocities.shape} does not match "
-                    f"positions {positions.shape}")
-            if not np.isfinite(velocities).all():
-                raise ValidationError("demonstration velocities must be finite")
-            freeze(self, velocities=velocities)
+        # taken after the checks above, so that a rejected demonstration copies
+        # no velocities
+        velocities = take_array(self, "velocities", 2)
+        if velocities is not None and velocities.shape != positions.shape:
+            raise DimensionError(
+                f"velocities shape {velocities.shape} does not match "
+                f"positions {positions.shape}")
 
     @property
     def dofs(self) -> int:
@@ -171,17 +166,14 @@ class LatentGaussian:
     var: np.ndarray
 
     def __post_init__(self):
-        mean = np.atleast_1d(np.array(self.mean, dtype=float))
-        var = np.atleast_1d(np.array(self.var, dtype=float))
-        if mean.shape != var.shape or mean.ndim != 1:
+        mean = take_array(self, "mean", 1)
+        var = take_array(self, "var", 1, finite=False)
+        if mean.shape != var.shape:
             raise DimensionError(
                 f"mean {mean.shape} and var {var.shape} must be equal-length vectors")
-        if not np.isfinite(mean).all():
-            raise ValidationError("latent means must be finite")
         # negated so that NaN fails the check
         if not np.all(var > 0.0):
             raise ValidationError("variances must be strictly positive")
-        freeze(self, mean=mean, var=var)
 
     @property
     def dim(self) -> int:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (DimensionError, NumericalError, ValidationError, check_count,
-                     check_number, check_numbers, check_record, check_type, freeze)
+                     check_number, check_numbers, check_record, check_type, take_array)
 from .fileio import atomic_write_json
 
 # fallback added to a covariance diagonal when its Cholesky factorization fails
@@ -45,23 +45,18 @@ class GaussianSequence:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        times = np.atleast_1d(np.array(self.times, dtype=float))
-        means = np.array(self.means, dtype=float)
-        covs = np.array(self.covs, dtype=float)
-        t_count = times.shape[0]
-        if means.ndim != 2 or means.shape[0] != t_count:
+        t_count = take_array(self, "times", 1).shape[0]
+        means = take_array(self, "means", 2)
+        covs = take_array(self, "covs", 3)
+        if means.shape[0] != t_count:
             raise DimensionError(
                 f"means must have shape ({t_count}, D), got {means.shape}")
         dofs = means.shape[1]
         if covs.shape != (t_count, dofs, dofs):
             raise DimensionError(
                 f"covs must have shape ({t_count}, {dofs}, {dofs}), got {covs.shape}")
-        for name, arr in (("times", times), ("means", means), ("covs", covs)):
-            if not np.isfinite(arr).all():
-                raise ValidationError(f"{name} must be finite")
         if not np.array_equal(covs, covs.transpose(0, 2, 1)):
             raise ValidationError("per-time covariances must be symmetric")
-        freeze(self, times=times, means=means, covs=covs)
 
     @property
     def dofs(self) -> int:
@@ -77,9 +72,10 @@ class ActivationProfile:
     values: np.ndarray
 
     def __post_init__(self):
-        times = np.atleast_1d(np.array(self.times, dtype=float))
-        values = np.atleast_2d(np.array(self.values, dtype=float))
-        if times.ndim != 1 or values.ndim != 2 or values.shape[1] != times.shape[0]:
+        times = take_array(self, "times", 1)
+        # the [0, 1] check below rejects NaN and inf with its own message
+        values = take_array(self, "values", 2, finite=False)
+        if values.shape[1] != times.shape[0]:
             raise DimensionError(
                 f"activation times and values must have shapes (T,) and (K, T), "
                 f"got {times.shape} and {values.shape}")
@@ -90,7 +86,6 @@ class ActivationProfile:
         if dead.size:
             raise ValidationError(
                 f"all activations vanish at t = {times[dead[0]]:.6g}")
-        freeze(self, times=times, values=values)
 
     @property
     def count(self) -> int:

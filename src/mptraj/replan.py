@@ -176,6 +176,9 @@ def smoothness_metric(positions, dt: float) -> float:
     """Average squared acceleration of a uniformly sampled trace: mean over
     DoFs and samples of the squared second difference divided by dt**4."""
     positions = np.atleast_2d(np.asarray(positions, dtype=float))
+    if positions.ndim > 2:
+        raise DimensionError(
+            f"smoothness metric needs positions of shape (D, T), got {positions.shape}")
     if positions.shape[1] < 3:
         raise ValidationError("smoothness metric needs at least 3 samples")
     if not np.isfinite(positions).all():

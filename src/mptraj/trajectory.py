@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import BasisBank
-from .errors import DimensionError, ValidationError, check_finite_nonneg, freeze
+from .errors import (DimensionError, ValidationError, check_finite_nonneg, take_array,
+                     take_value)
 from .fileio import read_text, write_csv_table
 
 # bound on samples per query window or replanning segment: a 1 kHz controller
@@ -42,15 +43,12 @@ class BoundaryCondition:
     dy_b: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "t_b", check_finite_nonneg("boundary time", float(self.t_b)))
-        y_b = np.atleast_1d(np.array(self.y_b, dtype=float))
-        dy_b = np.atleast_1d(np.array(self.dy_b, dtype=float))
-        if y_b.ndim != 1 or y_b.shape != dy_b.shape or not y_b.size:
+        check_finite_nonneg("boundary time", take_value(self, "t_b"))
+        y_b = take_array(self, "y_b", 1)
+        dy_b = take_array(self, "dy_b", 1)
+        if y_b.shape != dy_b.shape or not y_b.size:
             raise DimensionError(f"y_b {y_b.shape} and dy_b {dy_b.shape} must be "
                                  f"equal-length vectors of at least one DoF")
-        if not (np.isfinite(y_b).all() and np.isfinite(dy_b).all()):
-            raise ValidationError("boundary state y_b and dy_b must be finite")
-        freeze(self, y_b=y_b, dy_b=dy_b)
 
     @property
     def dofs(self) -> int:

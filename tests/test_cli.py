@@ -790,7 +790,8 @@ def _run_to(argv, out, svg=None):
 @pytest.mark.parametrize("defect", TABLE_DEFECTS)
 def test_edited_bank_table_is_one_error_line(env, tmp_path, defect):
     # the checksum is recomputed over the edited table, so only load's shape
-    # and finiteness checks stand between such a file and a trajectory
+    # and finiteness checks stand between such a file and a trajectory; each
+    # names the file
     edit, error, match = TABLE_DEFECTS[defect]
     bank = BasisBank.load(str(env["bank"]))
     path = tmp_path / "bank.npz"
@@ -799,6 +800,7 @@ def test_edited_bank_table_is_one_error_line(env, tmp_path, defect):
                             "--rate", "50"], tmp_path / "traj.csv")
     assert code == EXIT_CODES[error.category]
     assert stderr.startswith(f"error[{error.category}]: ") and match in stderr
+    assert f"bank file {path}" in stderr
 
 
 class TestAllOrNoOutputs:

@@ -439,10 +439,10 @@ class TestTimePairs:
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
     def test_non_finite_times_and_values_rejected(self, small_bank, bad):
         # a NaN pair would otherwise score as a NaN mean NLL, with no error
-        with pytest.raises(ValidationError, match="pair times must be finite"):
+        with pytest.raises(ValidationError, match=r"^TimePairBatch\.times must be finite$"):
             TimePairBatch(np.array([[0.2, bad]]))
         batch = TimePairBatch(np.array([[0.2, 0.7]]))
-        with pytest.raises(ValidationError, match="values must be finite"):
+        with pytest.raises(ValidationError, match=r"^TimePairBatch\.values must be finite$"):
             batch.with_values(np.array([[0.0, bad, 0.0, 0.0]]))
 
     def test_sampled_pairs_are_distinct_and_sorted(self, small_bank):

@@ -149,14 +149,16 @@ def test_zero_dofs_rejected(files, tmp_path, kind, record):
     assert code == 5 and "at least one DoF" in stderr
 
 
-@pytest.mark.parametrize("record", [
-    {"times": [0.0, 0.5, 1.0], "values": [[[1.0], [0.5], [0.0]]]},
-    {"times": [[0.0], [0.5], [1.0]], "values": [[1.0, 0.5, 0.0]]}],
+@pytest.mark.parametrize("record, message", [
+    ({"times": [0.0, 0.5, 1.0], "values": [[[1.0], [0.5], [0.0]]]},
+     "ActivationProfile.values has shape (1, 3, 1): 3 axes, more than 2"),
+    ({"times": [[0.0], [0.5], [1.0]], "values": [[1.0, 0.5, 0.0]]},
+     "ActivationProfile.times has shape (3, 1): 2 axes, more than 1")],
     ids=["values-3d", "times-2d"])
-def test_activation_shapes(files, tmp_path, record):
+def test_activation_shapes(files, tmp_path, record, message):
     # read as "all activations vanish at t = 1" and as a string-format error
     code, stderr = _check(files, tmp_path, "activations", (), record)
-    assert code == 5 and "shapes (T,) and (K, T)" in stderr
+    assert code == 5 and message in stderr
 
 
 def test_byte_order_mark_is_read_past(files, tmp_path):

@@ -503,9 +503,9 @@ class TestBayesianAggregate:
             LatentGaussian(np.zeros(2), np.array([1.0, 0.0]))
 
     @pytest.mark.parametrize("mean, var, message", [
-        ([math.nan], [1.0], "means must be finite"),
-        ([math.inf], [1.0], "means must be finite"),
-        ([-math.inf], [1.0], "means must be finite"),
+        ([math.nan], [1.0], r"^LatentGaussian\.mean must be finite$"),
+        ([math.inf], [1.0], r"^LatentGaussian\.mean must be finite$"),
+        ([-math.inf], [1.0], r"^LatentGaussian\.mean must be finite$"),
         ([1.0], [math.nan], "variances must be strictly positive")],
         ids=["nan-mean", "inf-mean", "-inf-mean", "nan-var"])
     def test_non_finite_rejected(self, mean, var, message):

@@ -282,6 +282,10 @@ class TestSmoothness:
             smoothness_metric(np.zeros(2), 0.1)
         with pytest.raises(ValidationError):
             smoothness_metric(np.zeros(5), 0.0)
+        # a (2, 3, 4) stack once returned 1.02e7
+        with pytest.raises(DimensionError, match=r"^smoothness metric needs positions of "
+                           r"shape \(D, T\), got \(2, 3, 4\)$"):
+            smoothness_metric(np.arange(24.0).reshape(2, 3, 4) ** 2, 0.1)
 
     # each once returned nan or inf
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=repr)

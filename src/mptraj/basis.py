@@ -309,14 +309,15 @@ class BasisBank:
                     raise ValidationError(
                         f"bank file {path} is not in format {BANK_FORMAT}, which this "
                         f"version reads; re-run mptraj precompute to rebuild it")
-                config = DmpConfig.from_dict(
-                    json.loads(data["config_json"].tobytes().decode("utf-8")))
-                bank = cls(config=config, table=data["table"])
+                config = json.loads(data["config_json"].tobytes().decode("utf-8"))
+                try:
+                    bank = cls(config=DmpConfig.from_dict(config), table=data["table"])
+                # the config's and the table's own checks, which do not name the file
+                except (DimensionError, ValidationError) as exc:
+                    raise type(exc)(f"bank file {path}: {exc}") from exc
                 stored = data["checksum"].tobytes().decode("ascii")
         except OSError as exc:
             raise IoError(f"cannot read bank {path}: {exc}") from exc
-        except DimensionError as exc:
-            raise DimensionError(f"bank file {path}: {exc}") from exc
         except (KeyError, ValueError, zipfile.BadZipFile) as exc:
             raise ValidationError(f"not a bank file: {path}: {exc}") from exc
         if bank.content_checksum() != stored:

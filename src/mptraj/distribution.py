@@ -30,7 +30,7 @@ from .basis import BasisBank
 from .errors import (DimensionError, NumericalError, ValidationError,
                      check_count, check_finite_nonneg, check_int, check_numbers,
                      check_record, check_seed, take_array, take_value)
-from .fileio import _write_sample_table, atomic_write_json
+from .fileio import atomic_write_json, write_csv_table
 from .trajectory import (BoundaryCondition, TrajectoryGenerator, folded_basis,
                          weight_blocks)
 
@@ -368,4 +368,5 @@ def write_samples_csv(path: str, times, samples: np.ndarray) -> None:
         raise DimensionError(
             f"samples must have shape (count, D, {times.shape[0]}), got {samples.shape}")
     header = ["sample_id", "t"] + [f"dof{d}_pos" for d in range(samples.shape[1])]
-    _write_sample_table(path, header, times, samples)
+    write_csv_table(path, header, times, samples.transpose(0, 2, 1),
+                    labels=np.arange(samples.shape[0]))

@@ -168,22 +168,28 @@ def take_array(record, name: str, ndim: int, finite: bool = True):
     """Field name of the frozen dataclass record as a new float array with
     ndim axes, a value with fewer promoted as np.atleast_1d/atleast_2d
     promote, stored read-only and returned; None stays None.  A value numpy
-    cannot read as floats, and with finite a NaN or inf, is a ValidationError,
-    and more than ndim axes a DimensionError, each naming <Record>.<field>."""
+    cannot read as floats, a complex one among them, and with finite a NaN or
+    inf, is a ValidationError, and more than ndim axes a DimensionError, each
+    naming <Record>.<field>."""
     value = getattr(record, name)
     if value is None:
         return None
+    where = f"{type(record).__name__}.{name}"
     try:
+        # tested before the conversion, which reads a numpy complex value as
+        # its real part with only a warning
+        if np.asarray(value).dtype.kind == "c":
+            raise ValidationError(f"{where} must be numbers: got complex values")
         arr = np.array(value, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"{type(record).__name__}.{name} must be numbers: {exc}") from exc
+        raise ValidationError(f"{where} must be numbers: {exc}") from exc
     if arr.ndim != ndim:
         if arr.ndim > ndim:
-            raise DimensionError(f"{type(record).__name__}.{name} has shape {arr.shape}: "
+            raise DimensionError(f"{where} has shape {arr.shape}: "
                                  f"{arr.ndim} axes, more than {ndim}")
         arr = arr.reshape((1,) * (ndim - arr.ndim) + arr.shape)
     if finite and not np.isfinite(arr).all():
-        raise ValidationError(f"{type(record).__name__}.{name} must be finite")
+        raise ValidationError(f"{where} must be finite")
     arr.flags.writeable = False
     object.__setattr__(record, name, arr)
     return arr

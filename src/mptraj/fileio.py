@@ -4,11 +4,12 @@ Every artifact the library writes goes through a temp-file-plus-rename so a
 failure mid-write leaves no partial output; staged_writes makes a block's
 writes all or none.
 
-CSV files hold every value as the text of "%.17g" % value, made in two steps
-per block of rows and streamed to the file: an exact numpy kernel makes each
-value's text, then the texts are joined with their separators.  A text that
-repeats, such as the times and the sample ids of a sample dump, is made once
-per file and copied into each block.
+write_csv_table is the one CSV table writer: the trajectory and the sample
+CSVs are both its rows of (label,) time, values.  It writes every value as
+the text of "%.17g" % value, made in two steps per block of rows and
+streamed to the file: an exact numpy kernel makes each value's text, then
+the texts are joined with their separators.  The text of the times and of
+the labels, which repeat, is made once per file and copied into each block.
 """
 from __future__ import annotations
 
@@ -43,61 +44,41 @@ def atomic_write_json(path: str, obj) -> None:
     atomic_write_text(path, json.dumps(obj, indent=1) + "\n")
 
 
-def write_csv_table(path: str, header, table) -> None:
-    """A header line, then one line per row of the 2-D float array table,
-    every value written as the bytes of "%.17g" % value (lossless double
-    round-trip; integral values below 2**53 print as integers).
+def write_csv_table(path: str, header, times, values, labels=None) -> None:
+    """A header line, then for each group c of the float array values
+    (B, T, W) and each time j the row labels[c] (when labels are given),
+    times[j], values[c, j], every value written as the bytes of
+    "%.17g" % value (lossless double round-trip; integral values below 2**53
+    print as integers).
 
-    The text is made per block of CSV_BLOCK_ROWS rows by an exact integer
-    kernel for zeros and 1e-4 <= |value| < 1e16, the values "%.17g" writes
-    without an exponent, and by one "%" over the block's other values; each
-    block goes to the file as it is made."""
-    table = np.asarray(table, dtype=np.float64)
-    seps = _separators(table.shape[1])
-    blocks = (_csv_block(table[start:start + CSV_BLOCK_ROWS], seps)
-              for start in range(0, len(table), CSV_BLOCK_ROWS))
-    _write_csv(path, header, blocks)
+    The text of the times and of the labels is made once.  The values' text
+    is made per block of at most CSV_BLOCK_ROWS rows of one group, by an
+    exact integer kernel for zeros and 1e-4 <= |value| < 1e16, the values
+    "%.17g" writes without an exponent, and by one "%" over the block's
+    other values; each block goes to the file as it is made."""
+    values = np.asarray(values, dtype=np.float64)
+    groups, t_count, width = values.shape
+    time_text = _cell_text(np.asarray(times, dtype=np.float64))
+    if labels is not None:
+        label_text = _cell_text(np.asarray(labels, dtype=np.float64))
+    lead = 1 if labels is None else 2  # the columns before the values
+    # "," after each value of a row, a newline after the last
+    seps = np.array([44] * (lead + width - 1) + [10], np.uint8)
 
+    def block(c, rows) -> bytes:
+        text = np.empty((len(time_text[rows]), lead + width, _SLOTS - 1), np.uint8)
+        if labels is not None:
+            text[:, 0] = label_text[c]
+        text[:, lead - 1] = time_text[rows]
+        text[:, lead:] = _cell_text(values[c, rows])
+        return _joined(text, seps)
 
-def _write_sample_table(path: str, header, times, samples) -> None:
-    """The file write_csv_table writes of the table whose rows are, for each
-    sample c of samples (count, D, T) and each time j, the row c, times[j],
-    samples[c, :, j], without that table: the text of the times and of each
-    c is made once, and only the D values of a row go through the kernel,
-    per block of at most CSV_BLOCK_ROWS rows of one sample."""
-    count, dofs, t_count = samples.shape
-    time_text = _cell_text(times)
-    id_text = _cell_text(np.arange(count, dtype=np.float64))
-    seps = _separators(dofs + 2)
-    # one call per block: a block's arrays are freed before the next is made
-    blocks = (_sample_block(id_text[c], time_text[start:start + CSV_BLOCK_ROWS],
-                            samples[c, :, start:start + CSV_BLOCK_ROWS], seps)
-              for c in range(count) for start in range(0, t_count, CSV_BLOCK_ROWS))
-    _write_csv(path, header, blocks)
-
-
-def _sample_block(id_text, time_text, values, seps) -> bytes:
-    """The rows of one sample's block: its id's text, then per time j the
-    time's text in time_text and the D values values[:, j]."""
-    value_text = _cell_text(values.T)
-    text = np.empty((len(time_text), len(values) + 2, _SLOTS - 1), np.uint8)
-    text[:, 0] = id_text
-    text[:, 1] = time_text
-    text[:, 2:] = value_text
-    return _joined(text, seps)
-
-
-def _separators(width) -> np.ndarray:
-    """The byte after each value of a row of width values: "," after each,
-    a newline after the last."""
-    return np.array([44] * (width - 1) + [10], np.uint8)
-
-
-def _write_csv(path: str, header, blocks) -> None:
-    """The header line, then the byte blocks, streamed to path."""
     def chunks():
         yield (",".join(header) + "\n").encode("utf-8")
-        yield from blocks
+        # one call per block: a block's arrays are freed before the next is made
+        for c in range(groups):
+            for start in range(0, t_count, CSV_BLOCK_ROWS):
+                yield block(c, slice(start, start + CSV_BLOCK_ROWS))
 
     _atomic_write(path, _Stream(chunks()))
 
@@ -111,12 +92,6 @@ _POW10 = np.array([float(10 ** s) for s in range(23)])
 _SPLITTER = 134217729.0  # 2**27 + 1
 _POW10_HI = _POW10 * _SPLITTER - (_POW10 * _SPLITTER - _POW10)
 _POW10_LO = _POW10 - _POW10_HI
-
-
-def _csv_block(cells, seps) -> bytes:
-    """The CSV text of the values cells, each written as "%.17g" % value and
-    followed by its separator in seps, which broadcasts against cells."""
-    return _joined(_cell_text(cells), seps)
 
 
 def _cell_text(cells) -> np.ndarray:

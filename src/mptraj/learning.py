@@ -101,8 +101,8 @@ def _fit_grid(demos, bcs, bank: BasisBank, ridge: float | None) -> np.ndarray:
             f"demonstration has {demos[0].times.shape[0]} samples but the basis has "
             f"{bank.weight_dim} parameters per DoF; the fit would be underdetermined")
     fold = folded_basis(bcs[0], demos[0].times, bank)
-    offsets = fold.position_offsets(np.concatenate([bc.y_b for bc in bcs]),
-                                    np.concatenate([bc.dy_b for bc in bcs]))
+    offsets = fold.state_offsets(np.concatenate([bc.y_b for bc in bcs]),
+                                 np.concatenate([bc.dy_b for bc in bcs]), kind=0)
     # the target is written over the offsets: two (K*D, T) arrays at most
     target = np.subtract(np.concatenate([demo.positions for demo in demos]), offsets,
                          out=offsets)

@@ -79,6 +79,8 @@ class ActivationProfile:
             raise DimensionError(
                 f"activation times and values must have shapes (T,) and (K, T), "
                 f"got {times.shape} and {values.shape}")
+        if not values.shape[0]:
+            raise ValidationError("an activation profile needs at least one primitive row")
         # negated so that NaN fails the check
         if not np.all((values >= 0.0) & (values <= 1.0)):
             raise ValidationError("activations must lie in [0, 1]")
@@ -145,8 +147,6 @@ def combine(sequences, profile: ActivationProfile) -> GaussianSequence:
     if len(sequences) != profile.count:
         raise DimensionError(
             f"{len(sequences)} sequences but {profile.count} activation rows")
-    if not sequences:
-        raise ValidationError("combine needs at least one sequence")
     base = sequences[0]
     for seq in sequences[1:]:
         if seq.dofs != base.dofs:

@@ -28,7 +28,7 @@ from .basis import BasisBank
 from .distribution import (DEFAULT_NOISE_VAR, TrajectoryDistribution,
                            WeightsDistribution, _fold_distribution)
 from .errors import (DimensionError, NumericalError, ValidationError, check_finite_positive,
-                     check_seed)
+                     check_seed, freeze, take_array)
 from .trajectory import BoundaryCondition, TrajectoryGenerator, window_steps
 
 
@@ -42,8 +42,14 @@ class ReplanSegment:
     distribution: TrajectoryDistribution
 
     def __post_init__(self):
-        if (self.velocities.shape[1] != self.times.shape[0]
-                or self.velocities.size != self.distribution.dim):
+        times = take_array(self, "times", 1)
+        velocities = take_array(self, "velocities", 2)
+        if not isinstance(self.distribution, TrajectoryDistribution):
+            raise ValidationError(f"ReplanSegment.distribution must be a "
+                                  f"TrajectoryDistribution, got "
+                                  f"{type(self.distribution).__name__}")
+        if (velocities.shape[1] != times.shape[0]
+                or velocities.size != self.distribution.dim):
             raise DimensionError("segment trace arrays do not align")
 
     @property
@@ -66,9 +72,17 @@ class SegmentPlan:
     vel_jumps: np.ndarray
 
     def __post_init__(self):
-        t_count = self.times.shape[0]
-        if (self.positions.shape[1] != t_count or self.velocities.shape[1] != t_count
-                or self.segment_ids.shape[0] != t_count):
+        times = take_array(self, "times", 1)
+        positions = take_array(self, "positions", 2)
+        velocities = take_array(self, "velocities", 2)
+        ids = take_array(self, "segment_ids", 1)
+        take_array(self, "pos_jumps", 1)
+        take_array(self, "vel_jumps", 1)
+        # read as floats like every field, and stored as the integers they are
+        if not np.array_equal(ids, np.trunc(ids)):
+            raise ValidationError("SegmentPlan.segment_ids must be integers")
+        freeze(self, segment_ids=ids.astype(np.int64))
+        if not positions.shape[1] == velocities.shape[1] == ids.shape[0] == times.shape[0]:
             raise DimensionError("plan trace arrays do not align")
 
     @property

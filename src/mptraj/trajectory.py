@@ -84,15 +84,6 @@ def _xi_arrays(times: np.ndarray, t_b: float, k: float):
     return first, second
 
 
-def _offsets(first: np.ndarray, second: np.ndarray, y_b: np.ndarray,
-             dy_b: np.ndarray) -> np.ndarray:
-    """first * y_b + second * dy_b over the states' axis, (..., S, T), with the
-    second product added into the first."""
-    out = first * y_b[:, None]
-    out += second * dy_b[:, None]
-    return out
-
-
 def weight_blocks(w_g, dofs: int, weight_dim: int) -> np.ndarray:
     """Validate a stacked weights-and-goal vector and view it as (D, N+1)."""
     w_g = np.asarray(w_g, dtype=float)
@@ -114,10 +105,10 @@ class TrajectoryGenerator:
     `rows`, one contiguous (2, N+1, T) array of folded position and velocity
     rows, and `offsets`, one (2, D, T) array; readers index them directly.
     The rows depend on (t_b, times) only and the offsets on the boundary
-    state as well, so with_state() refolds another state at the same t_b and
-    times by rebuilding the offsets alone from the stored xi factors, and
-    position_offsets() gives the position offsets of any number of states at
-    once, as the fit reads them.
+    state as well.  state_offsets() is the one place a boundary state becomes
+    offsets, from the stored xi factors: the fold's own, those with_state()
+    rebuilds for another state at the same t_b and times, and the position
+    offsets of any number of states at once, as the fit reads them.
 
     positions()/velocities() then cost one (D, N+1) x (N+1, T) product per
     weight vector against a contiguous row slice, with the offset added into
@@ -136,20 +127,19 @@ class TrajectoryGenerator:
         self._xi = first, second = _xi_arrays(times, bc.t_b, bank.config.decay_rate)
         self.times = times
         self.rows = table[:, :, 1:] - first * table[0, :, :1] - second * table[1, :, :1]
-        self._set_state(bc)
-
-    def _set_state(self, bc: BoundaryCondition) -> None:
-        first, second = self._xi
         self.bc = bc
-        self.offsets = _offsets(first, second, bc.y_b, bc.dy_b)
+        self.offsets = self.state_offsets(bc.y_b, bc.dy_b)
 
-    def position_offsets(self, y_b, dy_b) -> np.ndarray:
-        """Position offsets (S, T) of S boundary positions y_b and velocities
-        dy_b at this fold's t_b and times, bit for bit the offsets[0] rows a
-        fold of those states would hold: several states, such as those of
-        demos sharing a grid, cost one (S, T) array and no velocity offsets."""
+    def state_offsets(self, y_b, dy_b, kind=slice(None)) -> np.ndarray:
+        """Offsets (2, S, T), position kind first, of S boundary positions y_b
+        and velocities dy_b at this fold's t_b and times, or the (S, T) offsets
+        of one kind: xi1 * y_b + xi2 * dy_b, with the second product added
+        into the first.  Several states, such as those of demos sharing a
+        grid, cost one array, and kind=0 builds no velocity offsets."""
         first, second = self._xi
-        return _offsets(first[0], second[0], np.asarray(y_b), np.asarray(dy_b))
+        out = first[kind] * np.asarray(y_b)[:, None]
+        out += second[kind] * np.asarray(dy_b)[:, None]
+        return out
 
     def with_state(self, bc: BoundaryCondition) -> "TrajectoryGenerator":
         """The fold of boundary state bc at the same t_b and times, bit for
@@ -158,7 +148,8 @@ class TrajectoryGenerator:
             raise ValidationError(
                 f"boundary time {bc.t_b} differs from the fold's {self.bc.t_b}")
         gen = copy.copy(self)
-        gen._set_state(bc)
+        gen.bc = bc
+        gen.offsets = self.state_offsets(bc.y_b, bc.dy_b)
         return gen
 
     def _blocks(self, w_g) -> np.ndarray:
@@ -202,7 +193,8 @@ def evaluate_velocity(w_g, bc: BoundaryCondition, times, bank: BasisBank) -> np.
 def write_trajectory_csv(path: str, times, positions, velocities,
                          segment_ids=None) -> None:
     """Schema: t, dof0_pos, dof0_vel, ..., one row per time, 17 significant
-    digits (lossless double round-trip).  segment_ids adds a trailing column."""
+    digits (lossless double round-trip).  segment_ids, finite integers, adds
+    a trailing column."""
     times = np.atleast_1d(np.asarray(times, dtype=float))
     positions = np.atleast_2d(np.asarray(positions, dtype=float))
     if velocities is not None:
@@ -215,7 +207,7 @@ def write_trajectory_csv(path: str, times, positions, velocities,
         raise DimensionError(
             f"positions {positions.shape} and times {times.shape} do not align")
     header = ["t"]
-    columns = [times]
+    columns = []
     for d in range(positions.shape[0]):
         header.append(f"dof{d}_pos")
         columns.append(positions[d])
@@ -223,12 +215,16 @@ def write_trajectory_csv(path: str, times, positions, velocities,
             header.append(f"dof{d}_vel")
             columns.append(velocities[d])
     if segment_ids is not None:
-        segment_ids = np.asarray(segment_ids).astype(np.int64)
-        if segment_ids.shape[0] != times.shape[0]:
+        segment_ids = np.asarray(segment_ids, dtype=float)
+        if segment_ids.shape != times.shape:
             raise DimensionError("segment_ids must align with times")
+        integral = np.isfinite(segment_ids) & (segment_ids == np.trunc(segment_ids))
+        if not integral.all():
+            raise ValidationError(f"segment_ids must be finite integers, got "
+                                  f"{segment_ids[~integral][0]:g}")
         header.append("segment_id")
         columns.append(segment_ids)
-    write_csv_table(path, header, np.column_stack(columns))
+    write_csv_table(path, header, times, np.column_stack(columns)[None])
 
 
 def read_trajectory_csv(path: str):

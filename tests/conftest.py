@@ -1,4 +1,5 @@
 import hashlib
+import json
 import shutil
 import tempfile
 from pathlib import Path
@@ -113,6 +114,29 @@ def write_bank_table(bank, path, table):
     np.savez(path, **{**arrays, "table": table,
                       "checksum": np.frombuffer(digest.hexdigest().encode("ascii"),
                                                 dtype=np.uint8)})
+
+
+def write_bank_config(bank, path, config):
+    """Write bank's file to path with its config JSON replaced by the JSON of
+    the dict config, and its checksum recomputed over it."""
+    bank.save(str(path))
+    with np.load(path) as data:
+        arrays = {name: data[name] for name in data.files}
+    raw = np.frombuffer(json.dumps(config).encode("utf-8"), dtype=np.uint8)
+    digest = hashlib.sha256(raw.tobytes())
+    digest.update(arrays["table"].tobytes())
+    np.savez(path, **{**arrays, "config_json": raw,
+                      "checksum": np.frombuffer(digest.hexdigest().encode("ascii"),
+                                                dtype=np.uint8)})
+
+
+# edits of a saved bank's config, with the ValidationError text loading it
+# raises after "bank file <path>: "
+CONFIG_DEFECTS = {
+    "negative-alpha": (lambda config: {**config, "alpha": -1.0},
+                       "alpha must be finite and > 0, got -1.0"),
+    "extra-key": (lambda config: {**config, "extra": 1}, "unknown config keys: extra"),
+}
 
 
 def _with_value(table, index, value):

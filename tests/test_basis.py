@@ -18,8 +18,9 @@ import mptraj
 from mptraj import (DimensionError, DmpConfig, ForcingBasis, IoError, NumericalError,
                     ValidationError, phase, precompute_basis)
 from mptraj.basis import _CHUNK_ROWS, _SCAN_BLOCK, BANK_FORMAT, MAX_BANK_CELLS, BasisBank
-from tests.conftest import (REFERENCE_CONFIG, ROW_LAYOUT_BANK, SMALL_CONFIG, TABLE_DEFECTS,
-                            write_bank_table, write_unversioned_bank)
+from tests.conftest import (CONFIG_DEFECTS, REFERENCE_CONFIG, ROW_LAYOUT_BANK, SMALL_CONFIG,
+                            TABLE_DEFECTS, write_bank_config, write_bank_table,
+                            write_unversioned_bank)
 from tests.reference import complementary, q_terms, sequential_bank, whole_grid_bank
 
 # the bank of perfbench's online_replan workload: 10 001 points, N = 10
@@ -649,6 +650,14 @@ class TestBankFileStability:
         path = tmp_path / "bank.npz"
         write_bank_table(small_bank, path, edit(small_bank.table))
         with pytest.raises(error, match=match):
+            BasisBank.load(str(path))
+
+    @pytest.mark.parametrize("defect", CONFIG_DEFECTS)
+    def test_edited_config_names_the_file(self, small_bank, tmp_path, defect):
+        edit, text = CONFIG_DEFECTS[defect]
+        path = tmp_path / "bank.npz"
+        write_bank_config(small_bank, path, edit(json.loads(small_bank.config.canonical_json())))
+        with pytest.raises(ValidationError, match=f"^{re.escape(f'bank file {path}: {text}')}$"):
             BasisBank.load(str(path))
 
     def test_unedited_table_written_again_loads(self, small_bank, tmp_path):

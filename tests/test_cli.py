@@ -16,8 +16,8 @@ from mptraj.basis import BasisBank
 from mptraj.cli import main
 from mptraj.distribution import write_weights_distribution_json
 from mptraj.trajectory import MAX_QUERY_SAMPLES, read_trajectory_csv
-from tests.conftest import (ROW_LAYOUT_BANK, SMALL_CONFIG, TABLE_DEFECTS,
-                            random_weights_distribution, write_bank_table,
+from tests.conftest import (CONFIG_DEFECTS, ROW_LAYOUT_BANK, SMALL_CONFIG, TABLE_DEFECTS,
+                            random_weights_distribution, write_bank_config, write_bank_table,
                             write_unversioned_bank)
 from tests.reference import sequential_bank
 
@@ -801,6 +801,19 @@ def test_edited_bank_table_is_one_error_line(env, tmp_path, defect):
     assert code == EXIT_CODES[error.category]
     assert stderr.startswith(f"error[{error.category}]: ") and match in stderr
     assert f"bank file {path}" in stderr
+
+
+@pytest.mark.parametrize("defect", CONFIG_DEFECTS)
+def test_edited_bank_config_is_one_error_line(env, tmp_path, defect):
+    # the config's own checks do not know the file; load names it once
+    edit, text = CONFIG_DEFECTS[defect]
+    bank = BasisBank.load(str(env["bank"]))
+    path = tmp_path / "bank.npz"
+    write_bank_config(bank, path, edit(json.loads(bank.config.canonical_json())))
+    code, stderr = _run_to(["generate", "--bank", str(path), "--weights", str(env["weights"]),
+                            "--rate", "50"], tmp_path / "traj.csv")
+    assert code == 2
+    assert stderr == f"error[validation]: bank file {path}: {text}\n"
 
 
 class TestAllOrNoOutputs:

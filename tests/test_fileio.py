@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from mptraj import DimensionError, IoError, ValidationError, fileio
 from mptraj.distribution import write_samples_csv
-from mptraj.fileio import (CSV_BLOCK_ROWS, _csv_block, atomic_write_bytes, atomic_write_json,
+from mptraj.fileio import (CSV_BLOCK_ROWS, atomic_write_bytes, atomic_write_json,
                            atomic_write_text, read_json, read_text, staged_writes,
                            write_csv_table)
 from mptraj.svgplot import line_plot
@@ -136,6 +137,27 @@ class TestCsvTable:
         reference.write_samples_csv(str(tmp_path / "old.csv"), data[0], samples)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
+    @pytest.mark.parametrize("velocities", [False, True])
+    def test_zero_times_write_the_header_alone(self, tmp_path, velocities):
+        vel = np.zeros((2, 0)) if velocities else None
+        for name, module in (("new", sys.modules[__name__]), ("old", reference)):
+            module.write_trajectory_csv(str(tmp_path / f"{name}.csv"), np.zeros(0),
+                                        np.zeros((2, 0)), vel, segment_ids=np.zeros(0))
+            module.write_samples_csv(str(tmp_path / f"{name}-samples.csv"), np.zeros(0),
+                                     np.zeros((3, 2, 0)))
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+        assert (tmp_path / "new-samples.csv").read_bytes() == \
+            (tmp_path / "old-samples.csv").read_bytes() == b"sample_id,t,dof0_pos,dof1_pos\n"
+
+    @pytest.mark.parametrize("bad", [0.5, np.nan, np.inf, -2.25])
+    def test_non_integral_segment_ids_write_nothing(self, tmp_path, bad):
+        ids = np.array([0.0, 1.0, bad])
+        with pytest.raises(ValidationError, match=rf"^segment_ids must be finite integers, "
+                           rf"got {re.escape(f'{bad:g}')}$"):
+            write_trajectory_csv(str(tmp_path / "t.csv"), np.zeros(3), np.zeros((1, 3)), None,
+                                 segment_ids=ids)
+        assert list(tmp_path.iterdir()) == []
+
     def test_samples_csv_holds_no_table(self, tmp_path):
         # the (count * T, D + 2) float table of the rows is never built: the
         # peak stays below its size
@@ -187,9 +209,9 @@ def _lines(values) -> bytes:
 
 
 def _block(values) -> bytes:
-    """The text _csv_block gives values, one per line."""
+    """The text the table writer's kernel gives values, one per line."""
     values = np.asarray(values, dtype=np.float64)
-    return _csv_block(values, np.full(values.size, ord("\n"), np.uint8))
+    return fileio._joined(fileio._cell_text(values), np.full(values.size, ord("\n"), np.uint8))
 
 
 def _ulps_around(centre, count):
@@ -256,50 +278,74 @@ class TestCsvKernel:
         assert sum(sizes) == 0
 
 
+# the two public CSV writers, each given a table of two formatting blocks
+WRITERS = {
+    "trajectory": lambda path: write_trajectory_csv(
+        path, np.arange(CSV_BLOCK_ROWS + 1.0), np.ones((2, CSV_BLOCK_ROWS + 1)), None),
+    "samples": lambda path: write_samples_csv(
+        path, np.arange(CSV_BLOCK_ROWS + 1.0), np.ones((1, 2, CSV_BLOCK_ROWS + 1))),
+}
+
+
 class TestStreamedWrite:
     def _fail_after_first_block(self, monkeypatch):
         calls = []
+        original = fileio._joined
 
-        def block(cells, seps):
-            calls.append(cells.size)
+        def joined(text, seps):
+            calls.append(len(text))
             if len(calls) > 1:
                 raise RuntimeError("formatting failed")
-            return _csv_block(cells, seps)
+            return original(text, seps)
 
-        monkeypatch.setattr(fileio, "_csv_block", block)
+        monkeypatch.setattr(fileio, "_joined", joined)
         return calls
 
-    def test_failure_after_a_block_leaves_nothing(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("writer", WRITERS)
+    def test_failure_after_a_block_leaves_nothing(self, tmp_path, monkeypatch, writer):
         calls = self._fail_after_first_block(monkeypatch)
         with pytest.raises(RuntimeError, match="formatting failed"):
-            write_csv_table(str(tmp_path / "t.csv"), ["a", "b"], np.ones((CSV_BLOCK_ROWS + 1, 2)))
-        assert len(calls) == 2
+            WRITERS[writer](str(tmp_path / "t.csv"))
+        assert calls == [CSV_BLOCK_ROWS, 1]
         assert list(tmp_path.iterdir()) == []
 
-    def test_failure_inside_staged_writes_leaves_nothing(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("writer", WRITERS)
+    def test_failure_inside_staged_writes_leaves_nothing(self, tmp_path, monkeypatch, writer):
         self._fail_after_first_block(monkeypatch)
         (tmp_path / "t.csv").write_text("earlier")
         with pytest.raises(RuntimeError, match="formatting failed"), staged_writes():
             atomic_write_text(str(tmp_path / "a.txt"), "a")
-            write_csv_table(str(tmp_path / "t.csv"), ["a"], np.ones((CSV_BLOCK_ROWS + 1, 1)))
+            WRITERS[writer](str(tmp_path / "t.csv"))
         assert sorted(path.name for path in tmp_path.iterdir()) == ["t.csv"]
         assert (tmp_path / "t.csv").read_text() == "earlier"
 
     def test_io_error_names_the_destination(self, tmp_path):
         missing = str(tmp_path / "no" / "t.csv")
         with pytest.raises(IoError, match=re.escape(f"cannot write {missing}: ")):
-            write_csv_table(missing, ["a"], np.ones((3, 1)))
+            write_csv_table(missing, ["t", "a"], np.zeros(3), np.ones((1, 3, 1)))
         (tmp_path / "dir").mkdir()
         with pytest.raises(IoError, match=re.escape(f"cannot write {tmp_path / 'dir'}: ")):
-            write_csv_table(str(tmp_path / "dir"), ["a"], np.ones((3, 1)))
+            write_csv_table(str(tmp_path / "dir"), ["t", "a"], np.zeros(3), np.ones((1, 3, 1)))
         assert sorted(path.name for path in tmp_path.iterdir()) == ["dir"]
 
     def test_awkward_table_under_raising_errstate(self, tmp_path):
         table = np.concatenate([AWKWARD, AWKWARD[::-1]]).reshape(-1, 4)
         with np.errstate(all="raise"):
-            write_csv_table(str(tmp_path / "t.csv"), ["a", "b", "c", "d"], table)
+            write_csv_table(str(tmp_path / "t.csv"), ["a", "b", "c", "d"], table[:, 0],
+                            table[None, :, 1:])
         expected = "a,b,c,d\n" + "".join(",".join("%.17g" % v for v in row) + "\n"
                                           for row in table)
+        assert (tmp_path / "t.csv").read_bytes() == expected.encode("ascii")
+
+    def test_awkward_labels_and_groups(self, tmp_path):
+        # row c * T + j holds labels[c], times[j] and values[c, j]
+        values = np.concatenate([AWKWARD, AWKWARD[::-1]]).reshape(2, 3, 4)
+        labels, times = AWKWARD[-2:], AWKWARD[3:6]
+        write_csv_table(str(tmp_path / "t.csv"), ["id", "t", "a", "b", "c", "d"], times,
+                        values, labels=labels)
+        expected = "id,t,a,b,c,d\n" + "".join(
+            ",".join("%.17g" % v for v in (labels[c], times[j], *values[c, j])) + "\n"
+            for c in range(2) for j in range(3))
         assert (tmp_path / "t.csv").read_bytes() == expected.encode("ascii")
 
 

@@ -7,8 +7,8 @@ import pytest
 import mptraj
 from mptraj import (ActivationProfile, BasisBank, BoundaryCondition, Demonstration,
                     DimensionError, DmpConfig, ForcingBasis, GaussianSequence,
-                    LatentGaussian, TimePairBatch, TrajectoryDistribution,
-                    ValidationError, WeightsDistribution)
+                    LatentGaussian, ReplanSegment, SegmentPlan, TimePairBatch,
+                    TrajectoryDistribution, ValidationError, WeightsDistribution)
 from tests.conftest import SMALL_CONFIG
 
 # record -> (array inputs, other fields); every array field gets an input with
@@ -26,12 +26,17 @@ RECORDS = {
                             covs=[[[1.0]], [[2.0]]]), {}),
     ActivationProfile: (dict(times=[0.0, 0.1], values=[[1.0, 0.5]]), {}),
     BoundaryCondition: (dict(y_b=[1.0, 2.0], dy_b=[0.0, 1.0]), dict(t_b=0.0)),
+    ReplanSegment: (dict(times=[0.0, 0.1], velocities=[[1.0, 2.0]]),
+                    dict(distribution=TrajectoryDistribution(
+                        mean=[0.0, 1.0], cov=np.eye(2), index_set=[(0.0, 0), (0.1, 0)],
+                        noise_var=0.0))),
+    SegmentPlan: (dict(times=[0.0, 0.1], positions=[[0.0, 1.0]], velocities=[[1.0, 1.0]],
+                       segment_ids=[0.0, 1.0], pos_jumps=[0.5], vel_jumps=[0.25]), {}),
 }
 
 # public records with an array field that are not in RECORDS: the bank
-# freezes its table without copying it and has its own tests below, and a
-# replanned segment and plan hold the arrays replan computed, as given
-NOT_IN_RECORDS = {"BasisBank", "ReplanSegment", "SegmentPlan"}
+# freezes its table without copying it and has its own tests below
+NOT_IN_RECORDS = {"BasisBank"}
 
 # array fields whose own check rejects NaN with its own message: +inf is a
 # valid variance, and activations must lie in [0, 1]
@@ -87,8 +92,12 @@ def test_array_field_intake(cls, name):
     for value, numpy_text in [
             ("x", "could not convert string to float: 'x'"),
             ([[1.0], [1.0, 2.0]], "setting an array element with a sequence."),
-            (1j, "float() argument must be a string or a real number, not 'complex'"),
-            (10**400, "int too large to convert to float")]:
+            (10**400, "int too large to convert to float"),
+            # complex values, which numpy would read as their real parts
+            (1j, "got complex values"),
+            (np.array([1 + 2j]), "got complex values"),
+            ([np.complex128(1.0)], "got complex values"),
+            (np.array([0, 1 + 0j]), "got complex values")]:
         with pytest.raises(ValidationError,
                            match=rf"^{field} must be numbers: {re.escape(numpy_text)}"):
             _with_field(cls, name, value)
@@ -102,6 +111,36 @@ def test_array_field_intake(cls, name):
         bad.flat[0] = np.nan
         with pytest.raises(ValidationError, match=rf"^{field} must be finite$"):
             _with_field(cls, name, bad)
+
+
+def test_segment_ids_are_stored_as_the_integers_given():
+    ids = np.array([0, 0, 1], dtype=np.int64)
+    arrays = {**RECORDS[SegmentPlan][0], "times": [0.0, 0.1, 0.2],
+              "positions": [[0.0, 1.0, 2.0]], "velocities": [[1.0, 1.0, 1.0]]}
+    plan = SegmentPlan(**{**arrays, "segment_ids": ids})
+    assert plan.segment_ids.dtype == np.int64
+    assert plan.segment_ids.tobytes() == ids.tobytes()
+    assert plan.switch_times == (0.0, 0.1)
+    for bad in ([0.0, 0.5, 1.0], [0, 1, 2.25]):
+        with pytest.raises(ValidationError, match=r"^SegmentPlan\.segment_ids must be "
+                           r"integers$"):
+            SegmentPlan(**{**arrays, "segment_ids": bad})
+
+
+def test_segment_distribution_must_be_a_trajectory_distribution():
+    arrays, other = RECORDS[ReplanSegment]
+    for value in (None, other["distribution"].mean):
+        with pytest.raises(ValidationError, match=r"^ReplanSegment\.distribution must be a "
+                           rf"TrajectoryDistribution, got {type(value).__name__}$"):
+            ReplanSegment(**arrays, distribution=value)
+
+
+def test_activation_profile_needs_a_primitive_row():
+    for t_count in (0, 1, 3):
+        with pytest.raises(ValidationError, match=r"^an activation profile needs at least "
+                           r"one primitive row$"):
+            ActivationProfile(times=np.linspace(0.0, 1.0, t_count),
+                              values=np.zeros((0, t_count)))
 
 
 @pytest.mark.parametrize("name", ["alpha", "tau", "alpha_x", "duration", "grid_dt",

@@ -486,16 +486,20 @@ class TestTimeMajorFold:
             assert out.nbytes == 16 * 7 * 3001 * 8
             assert peak <= 1.05 * out.nbytes, product.__name__
 
-    def test_position_offsets_equal_a_fold_of_each_state(self, reference_bank):
+    def test_state_offsets_equal_a_fold_of_each_state(self, reference_bank):
         rng = np.random.default_rng(23)
         times = np.linspace(0.5, 2.0, 41)
         states = [_random_case(rng, 3, reference_bank.weight_dim, t_b=0.5)[0]
                   for _ in range(4)]
         fold = TrajectoryGenerator(states[0], times, reference_bank)
-        offsets = fold.position_offsets(np.concatenate([bc.y_b for bc in states]),
-                                        np.concatenate([bc.dy_b for bc in states]))
-        assert np.array_equal(offsets, np.concatenate(
-            [TrajectoryGenerator(bc, times, reference_bank).offsets[0] for bc in states]))
+        y_b, dy_b = (np.concatenate([getattr(bc, name) for bc in states])
+                     for name in ("y_b", "dy_b"))
+        folds = [TrajectoryGenerator(bc, times, reference_bank) for bc in states]
+        # both kinds, and the position kind alone, bit for bit
+        assert np.array_equal(fold.state_offsets(y_b, dy_b),
+                              np.concatenate([f.offsets for f in folds], axis=1))
+        assert np.array_equal(fold.state_offsets(y_b, dy_b, kind=0),
+                              np.concatenate([f.offsets[0] for f in folds]))
 
     def test_rows_are_one_contiguous_time_major_array(self, reference_bank):
         bc, times, _ = self._case(reference_bank, 3, False, seed=5)

@@ -29,15 +29,13 @@ previous block.  Every power of d is at most 1, so every evaluated exponent is
 (velocity); the goal columns have exact closed forms 1 - (1 + k t) exp(-k t)
 and k^2 t exp(-k t).
 
-The grid is processed as a stream of chunks of whole scan blocks: the first
-chunk holds row 0 (where A = B = 0) plus _CHUNK_ROWS rows, each later chunk
-the next _CHUNK_ROWS rows, so every block, and every product in it, falls
-where a whole-grid pass puts it.  Between chunks only the accumulator row
-A_prev and the last forcing row f(t) of the trapezoid pass on.  Each chunk
-computes phase, forcing rows, increments, scan and table columns, then the
-self-check rows it can now difference, so a build holds the finished table
-plus one chunk's temporaries; a default grid of 3000 intervals is a single
-chunk.
+Row 0, where A = B = 0 and every table column is 0, seeds the scan with its
+forcing row.  The rows after it are scanned in chunks of _CHUNK_ROWS rows,
+whole scan blocks, so every block, and every product in it, falls where a
+whole-grid pass puts it; between chunks only the accumulator row A_prev and
+the last forcing row f(t) of the trapezoid pass on.  The self-check then
+reads the finished table, a chunk at a time, so a build holds the table plus
+one chunk's temporaries; a default grid of 3000 intervals is a single chunk.
 """
 from __future__ import annotations
 
@@ -64,9 +62,9 @@ MAX_BANK_CELLS = 2 * 10**7
 
 # rows per block of the blocked scan in precompute_basis
 _SCAN_BLOCK = 64
-# rows per chunk of precompute_basis's stream (the first chunk has row 0
-# too): whole scan blocks, and enough of them that a default grid of 3000
-# intervals is one chunk
+# rows per chunk of precompute_basis's scan and of its self-check (row 0
+# seeds the scan): whole scan blocks, and enough of them that a default grid
+# of 3000 intervals is one chunk
 _CHUNK_ROWS = 48 * _SCAN_BLOCK
 
 _CONFIG_REQUIRED = ("alpha", "tau", "alpha_x", "num_basis", "duration")
@@ -188,14 +186,24 @@ class ForcingBasis:
     the phase images of N time-uniform points on [0, duration], with width
     h_i = -ln(overlap) / (c_{i+1} - c_i)^2, so each basis evaluates to
     basis_overlap at its next neighbor's center; the last basis reuses its
-    neighbor's width.  centers and widths are derived, read-only attributes."""
+    neighbor's width.  Every width must be finite, so no two centers may
+    coincide.  centers and widths are derived, read-only attributes."""
 
     config: DmpConfig
 
     def __post_init__(self):
         config = self.config
         centers = phase(np.linspace(0.0, config.duration, config.num_basis), config)
-        widths = -np.log(config.basis_overlap) / np.diff(centers)**2
+        with np.errstate(divide="ignore", over="ignore"):
+            widths = -np.log(config.basis_overlap) / np.diff(centers)**2
+        # centers that coincide, or whose gap squared underflows, give
+        # infinite widths, which no grid step can mend
+        if not np.isfinite(widths).all():
+            raise ValidationError(
+                f"basis centers coincide or lie too close for float64: the phase "
+                f"exp(-alpha_x*t/tau) underflows toward 0 or rounds to 1 with "
+                f"alpha_x*duration/tau = "
+                f"{config.alpha_x * config.duration / config.tau:.6g}")
         freeze(self, centers=centers, widths=np.append(widths, widths[-1]))
 
     @property
@@ -340,14 +348,13 @@ def precompute_basis(config: DmpConfig) -> BasisBank:
     self-consistency check (d/dt position rows == velocity rows) guards
     against a grid too coarse for the configured dynamics.
 
-    The grid is streamed in chunks of _CHUNK_ROWS rows, the first chunk
-    holding row 0 as well, so chunks and scan blocks share their borders.  A
-    chunk goes from phase to filled table columns; only the accumulator row
-    and the last forcing row pass to the next, and the self-check trails by
-    the one row whose centered difference needs the next chunk.  Beside the
-    table a build holds the grid times and one chunk's temporaries, fewer
-    than 10 * _CHUNK_ROWS * num_basis floats, and every value is bit for bit
-    the one a whole-grid pass gives.
+    Row 0 seeds the scan, and rows 1..M-1 follow in chunks of _CHUNK_ROWS
+    rows, so chunks and scan blocks share their borders; only the
+    accumulator row and the last forcing row pass from one chunk to the
+    next, and the self-check reads the finished table.  Beside the table a
+    build holds the grid times and one chunk's temporaries, fewer than
+    10 * _CHUNK_ROWS * num_basis floats, and every value is bit for bit the
+    one a whole-grid pass gives.
     """
     forcing = ForcingBasis(config)
     m = config.grid_intervals
@@ -363,18 +370,20 @@ def precompute_basis(config: DmpConfig) -> BasisBank:
     scan = np.tril(powers[np.abs(lag[:, None] - lag)])   # decay^(i-l), i >= l
     carry = powers[1:, None]                             # decay^(i+1)
 
+    def integrand(t):
+        """The A and B integrand rows [f, t f] at times t."""
+        f = forcing.normalized_scaled(phase(t, config)) / tau2
+        return np.hstack([f, t[:, None] * f])
+
     table = None
 
     def fill(lo, hi, acc, fg_last):
         """Fill table columns lo..hi-1 from A and B at row lo-1 (acc) and
-        their integrands there (fg_last, None for the first chunk); return
-        both at row hi-1, then the largest self-check deviation of rows
-        max(lo-1, 1)..hi-2 and whether the velocity columns are finite.  The
+        their integrands there (fg_last); return both at row hi-1.  The
         chunk's temporaries die with the call."""
         nonlocal table
         t = times[lo:hi]
-        f = forcing.normalized_scaled(phase(t, config)) / tau2  # integrand rows
-        fg = np.hstack([f, t[:, None] * f])                     # A and B integrands
+        fg = integrand(t)
 
         # A and B advance together as one 2N-wide recurrence; the trapezoid
         # increments do not depend on the accumulator, so each row starts as
@@ -382,11 +391,8 @@ def precompute_basis(config: DmpConfig) -> BasisBank:
         # with scan @ increments + carry * (last row of the previous block)
         big_ab = np.empty_like(fg)
         big_ab[1:] = 0.5 * dt * (decay * fg[:-1] + fg[1:])
-        if fg_last is None:
-            big_ab[0] = 0.0
-        else:
-            big_ab[0] = 0.5 * dt * (decay * fg_last + fg[0])
-        for start in range(1 if lo == 0 else 0, hi - lo, _SCAN_BLOCK):
+        big_ab[0] = 0.5 * dt * (decay * fg_last + fg[0])
+        for start in range(0, hi - lo, _SCAN_BLOCK):
             block = big_ab[start:start + _SCAN_BLOCK]
             r = block.shape[0]
             block[:] = scan[:r, :r] @ block + carry[:r] * acc
@@ -401,35 +407,34 @@ def precompute_basis(config: DmpConfig) -> BasisBank:
             # freed below the live table are reused by the next build without
             # page faults (about 480 per build of a 3001-point bank otherwise)
             table = np.empty((2, n + 1, m + 1))
+            table[..., 0] = 0.0
         # filled through its (M, N+1) views, the table becomes the bank's own
-        pos_basis, vel_basis = table[0].T, table[1].T
-        pos, vel = pos_basis[lo:hi], vel_basis[lo:hi]
+        pos, vel = table[0].T[lo:hi], table[1].T[lo:hi]
         pos[:, :n] = t[:, None] * big_a - big_b
         vel[:, :n] = (1.0 - kt)[:, None] * big_a + k * big_b
         pos[:, n] = 1.0 - (1.0 + kt) * env
         vel[:, n] = k * k * t * env
+        return acc.copy(), fg[-1].copy()
 
-        # the first row checked is the previous chunk's last, whose centered
-        # difference needed this chunk's first row
-        a, b = max(lo - 1, 1), hi - 1
-        fd = (pos_basis[a + 1:b + 1] - pos_basis[a - 1:b - 1]) / (2.0 * dt)
-        return (acc.copy(), fg[-1].copy(), np.max(np.abs(fd - vel_basis[a:b])),
-                bool(np.isfinite(vel).all()))
+    # row 0 seeds the scan: A = B = 0 there, so each chunk starts a scan block
+    acc, fg_last = np.zeros(2 * n), integrand(times[:1])[0]
+    for lo in range(1, m + 1, _CHUNK_ROWS):
+        acc, fg_last = fill(lo, min(lo + _CHUNK_ROWS, m + 1), acc, fg_last)
 
-    acc, fg_last = np.zeros(2 * n), None
-    deviation, finite = -np.inf, True
-    # row 0 rides in the first chunk, and every chunk after it starts a scan block
-    bounds = [0, *range(1 + _CHUNK_ROWS, m + 1, _CHUNK_ROWS), m + 1]
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        acc, fg_last, chunk_deviation, chunk_finite = fill(lo, hi, acc, fg_last)
+    # the self-check: the centered difference of rows 1..M-2 of each position
+    # column against its velocity column, a chunk at a time
+    pos, vel = table
+    deviation = -np.inf
+    for lo in range(1, m, _CHUNK_ROWS):
+        hi = min(lo + _CHUNK_ROWS, m)
+        fd = (pos[:, lo + 1:hi + 1] - pos[:, lo - 1:hi - 1]) / (2.0 * dt)
         # np.maximum, not max(): a NaN deviation must survive every later chunk
-        deviation = np.maximum(deviation, chunk_deviation)
-        finite = finite and chunk_finite
+        deviation = np.maximum(deviation, np.max(np.abs(fd - vel[:, lo:hi])))
 
     deviation = float(deviation)
     tol = 10.0 * dt
     # negated so that NaN fails the check
-    if not (deviation <= tol and finite):
+    if not (deviation <= tol and np.isfinite(vel).all()):
         raise NumericalError(
             f"precomputation self-check failed: finite-difference derivative of the "
             f"position basis deviates from the velocity basis by {deviation:.3e} "

@@ -193,8 +193,8 @@ def evaluate_velocity(w_g, bc: BoundaryCondition, times, bank: BasisBank) -> np.
 def write_trajectory_csv(path: str, times, positions, velocities,
                          segment_ids=None) -> None:
     """Schema: t, dof0_pos, dof0_vel, ..., one row per time, 17 significant
-    digits (lossless double round-trip).  segment_ids, finite integers, adds
-    a trailing column."""
+    digits (lossless double round-trip).  segment_ids, finite integers of
+    magnitude at most 2**53, adds a trailing column."""
     times = np.atleast_1d(np.asarray(times, dtype=float))
     positions = np.atleast_2d(np.asarray(positions, dtype=float))
     if velocities is not None:
@@ -215,15 +215,19 @@ def write_trajectory_csv(path: str, times, positions, velocities,
             header.append(f"dof{d}_vel")
             columns.append(velocities[d])
     if segment_ids is not None:
-        segment_ids = np.asarray(segment_ids, dtype=float)
-        if segment_ids.shape != times.shape:
+        ids = np.asarray(segment_ids)
+        if ids.shape != times.shape:
             raise DimensionError("segment_ids must align with times")
-        integral = np.isfinite(segment_ids) & (segment_ids == np.trunc(segment_ids))
-        if not integral.all():
-            raise ValidationError(f"segment_ids must be finite integers, got "
-                                  f"{segment_ids[~integral][0]:g}")
+        values = ids.astype(float)
+        # float64 holds every integer up to 2**53 in magnitude; integer ids are
+        # bounded before the conversion rounds them (2**53 + 1 reads as 2**53)
+        bounded = ids if ids.dtype.kind in "iuO" else values
+        valid = (bounded >= -2**53) & (bounded <= 2**53) & (values == np.trunc(values))
+        if not valid.all():
+            raise ValidationError(f"segment_ids must be finite integers of magnitude at "
+                                  f"most 2**53, got {ids[~valid].tolist()[0]}")
         header.append("segment_id")
-        columns.append(segment_ids)
+        columns.append(values)
     write_csv_table(path, header, times, np.column_stack(columns)[None])
 
 

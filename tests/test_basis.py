@@ -176,6 +176,21 @@ class TestForcingBasis:
             ForcingBasis(DmpConfig(alpha=25.0, tau=3.0, alpha_x=2.0,
                                    num_basis=1, duration=3.0))
 
+    @pytest.mark.parametrize("alpha_x, ratio", [(1000.0, "1000"), (1e-17, "1e-17"),
+                                                (700.0, "700")],
+                             ids=["phase-underflows", "phase-rounds-to-1", "gap-underflows"])
+    def test_coinciding_centers_are_refused(self, alpha_x, ratio):
+        # the last three centers underflow to 0, every center is 1, or the
+        # last gap, about 6e-271, underflows when squared: the widths are
+        # infinite, which no grid step mends, and nothing warns
+        config = DmpConfig(alpha=25.0, tau=1.0, alpha_x=alpha_x, num_basis=10,
+                           duration=1.0, grid_dt=1e-4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=rf"^basis centers coincide or lie too "
+                               rf"close for float64: .* alpha_x\*duration/tau = {ratio}$"):
+                ForcingBasis(config)
+
     def test_centers_are_phase_values(self, reference_config):
         basis = ForcingBasis(reference_config)
         expected = phase(np.linspace(0.0, 3.0, reference_config.num_basis),
@@ -303,14 +318,20 @@ class TestStreamedPrecompute:
             tracemalloc.stop()
         assert peak <= ratio * bank.table.nbytes
 
-    @pytest.mark.parametrize("spoil", ["nan-from-row-7000", "spike-at-row-7000"])
+    # the spikes sit at and beside the chunk borders and on the last row the
+    # check differences, 9999 of the 10 001-point grid
+    @pytest.mark.parametrize("spoil", ["nan-from-row-7000", "spike-at-row-7000",
+                                       f"spike-at-row-{_CHUNK_ROWS}",
+                                       f"spike-at-row-{_CHUNK_ROWS + 1}",
+                                       f"spike-at-row-{2 * _CHUNK_ROWS + 1}",
+                                       "spike-at-row-9999"])
     def test_self_check_fails_on_a_later_chunk(self, monkeypatch, spoil):
         # row 7000 of the online_replan grid lies in the third chunk; the
         # failure, and its text, must be the whole-grid pass's: a NaN
         # deviation is not dropped by the chunks before it
         config = DmpConfig(**ONLINE_REPLAN_CONFIG)
         assert 1 + 2 * _CHUNK_ROWS <= 7000 < 1 + 3 * _CHUNK_ROWS
-        spoiled_phase = phase(config.grid()[7000], config)
+        spoiled_phase = phase(config.grid()[int(spoil.rsplit("-", 1)[1])], config)
         original = ForcingBasis.normalized_scaled
 
         def normalized_scaled(self, x):

@@ -88,6 +88,21 @@ class TestPrecompute:
         assert code == 0
         assert "columns per DoF: 26" in stdout
 
+    def test_coinciding_centers_end_in_one_validation_line(self, capsys, tmp_path):
+        # alpha_x*duration/tau = 1000 underflows the last three centers to 0:
+        # no grid step mends that, so it is not the self-check's to report
+        config = tmp_path / "flat.json"
+        config.write_text(json.dumps({"alpha": 25, "tau": 1, "alpha_x": 1000,
+                                      "num_basis": 10, "duration": 1, "grid_dt": 1e-4}))
+        out = tmp_path / "bank.npz"
+        code, _, stderr = _run(capsys, [
+            "precompute", "--config", str(config), "--out", str(out)])
+        assert code == 2
+        assert stderr.startswith("error[validation]: basis centers coincide or lie too close")
+        assert "alpha_x*duration/tau = 1000" in stderr
+        assert len(stderr.strip().splitlines()) == 1
+        assert not out.exists()
+
     def test_malformed_config_leaves_no_partial_file(self, capsys, tmp_path):
         config = tmp_path / "bad.json"
         config.write_text('{"alpha": ')

@@ -149,11 +149,13 @@ class TestCsvTable:
         assert (tmp_path / "new-samples.csv").read_bytes() == \
             (tmp_path / "old-samples.csv").read_bytes() == b"sample_id,t,dof0_pos,dof1_pos\n"
 
-    @pytest.mark.parametrize("bad", [0.5, np.nan, np.inf, -2.25])
+    # 2**53 + 1 would read as 2**53 once converted to float64, so integer
+    # ids are judged as integers
+    @pytest.mark.parametrize("bad", [0.5, np.nan, np.inf, -2.25, 2**53 + 1, 2**60, 2.0**60])
     def test_non_integral_segment_ids_write_nothing(self, tmp_path, bad):
-        ids = np.array([0.0, 1.0, bad])
-        with pytest.raises(ValidationError, match=rf"^segment_ids must be finite integers, "
-                           rf"got {re.escape(f'{bad:g}')}$"):
+        ids = np.array([0, 1, bad])
+        with pytest.raises(ValidationError, match=rf"^segment_ids must be finite integers of "
+                           rf"magnitude at most 2\*\*53, got {re.escape(str(bad))}$"):
             write_trajectory_csv(str(tmp_path / "t.csv"), np.zeros(3), np.zeros((1, 3)), None,
                                  segment_ids=ids)
         assert list(tmp_path.iterdir()) == []

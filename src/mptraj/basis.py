@@ -49,7 +49,7 @@ import numpy as np
 
 from .errors import (DimensionError, IoError, NumericalError, ValidationError,
                      check_finite_positive, check_int, check_number, check_record, freeze,
-                     take_value)
+                     take_floats, take_value)
 from .fileio import atomic_write_bytes
 
 # version of the bank file layout; load() rejects any other
@@ -172,7 +172,7 @@ class DmpConfig:
 def phase(t, config: DmpConfig) -> float | np.ndarray:
     """Exponentially decaying phase x = exp(-alpha_x t / tau): a float for a
     scalar t, an array of t's shape otherwise."""
-    t = np.asarray(t, dtype=float)
+    t = take_floats("t", t, None, finite=False)
     # negated so that NaN fails the check
     if not np.all(t >= 0.0):
         raise ValidationError("phase is undefined for negative or NaN time")
@@ -212,12 +212,12 @@ class ForcingBasis:
 
     def raw(self, x) -> np.ndarray:
         """Unnormalized activations, shape (..., N)."""
-        x = np.asarray(x, dtype=float)
+        x = take_floats("x", x, None, finite=False)
         return np.exp(-self.widths * (x[..., None] - self.centers) ** 2)
 
     def normalized_scaled(self, x) -> np.ndarray:
         """Forcing feature rows x * phi_i(x) / sum_j phi_j(x); rows sum to x."""
-        x = np.asarray(x, dtype=float)
+        x = take_floats("x", x, None, finite=False)
         raw = self.raw(x)
         return x[..., None] * raw / raw.sum(axis=-1, keepdims=True)
 
@@ -263,7 +263,7 @@ class BasisBank:
         """Both row kinds at query times t, time-major: shape (2, N+1, T),
         position rows first, from one range check and one searchsorted
         (linear interpolation off-grid)."""
-        t = np.atleast_1d(np.asarray(t, dtype=float))
+        t = take_floats("t", t, 1, finite=False)
         table = self.table
         if t.size == 0:
             return np.empty(table.shape[:-1] + (0,))

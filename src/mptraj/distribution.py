@@ -29,7 +29,7 @@ import numpy as np
 from .basis import BasisBank
 from .errors import (DimensionError, NumericalError, ValidationError,
                      check_count, check_finite_nonneg, check_int, check_numbers,
-                     check_record, check_seed, take_array, take_value)
+                     check_record, check_seed, take_array, take_floats, take_value)
 from .fileio import atomic_write_json, write_csv_table
 from .trajectory import (BoundaryCondition, TrajectoryGenerator, folded_basis,
                          weight_blocks)
@@ -71,7 +71,14 @@ class WeightsDistribution:
 
     @classmethod
     def from_covariance(cls, mean, cov) -> "WeightsDistribution":
-        cov = np.asarray(cov, dtype=float)
+        """The distribution of mean and covariance cov, a square matrix of the
+        mean's length, factored by Cholesky."""
+        mean = take_floats("WeightsDistribution.mean", mean, 1)
+        cov = take_floats("cov", cov, None, finite=False)
+        dim = mean.shape[0]
+        if cov.shape != (dim, dim):
+            raise DimensionError(f"cov has shape {cov.shape}, expected ({dim}, {dim}) "
+                                 f"for a mean of length {dim}")
         try:
             chol = np.linalg.cholesky(cov)
         except np.linalg.LinAlgError as exc:
@@ -213,12 +220,10 @@ def marginal(dist: TrajectoryDistribution, subset) -> TrajectoryDistribution:
 
 def gaussian_nll(dist: TrajectoryDistribution, values) -> float:
     """Negative log density of finite `values` under the distribution."""
-    values = np.asarray(values, dtype=float).ravel()
+    values = take_floats("values", values, None).ravel()
     if values.shape[0] != dist.dim:
         raise DimensionError(
             f"observation length {values.shape[0]} does not match dimension {dist.dim}")
-    if not np.isfinite(values).all():
-        raise ValidationError("observation values must be finite")
     total = _nll_sum(dist.cov[None], (values - dist.mean)[None],
                      "singular trajectory covariance; supply noise_var > 0 or a jitter")
     return 0.5 * (dist.dim * math.log(2.0 * math.pi) + total)
@@ -278,7 +283,7 @@ class TimePairBatch:
 
 def sample_time_pairs(times, count: int, seed) -> TimePairBatch:
     """Uniformly random unordered pairs of distinct grid times (no truth values)."""
-    times = np.unique(np.asarray(times, dtype=float))
+    times = np.unique(take_floats("times", times, None, finite=False))
     if times.size < 2:
         raise ValidationError("pair sampling needs at least 2 distinct times")
     count = check_count("count", count)
@@ -362,8 +367,8 @@ def weights_distribution_from_dict(data):
 
 def write_samples_csv(path: str, times, samples: np.ndarray) -> None:
     """Long-format sample dump: sample_id, t, dof0_pos, ... dof{D-1}_pos."""
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    samples = np.asarray(samples, dtype=float)
+    times = take_floats("times", times, 1, finite=False)
+    samples = take_floats("samples", samples, None, finite=False)
     if samples.ndim != 3 or samples.shape[2] != times.shape[0]:
         raise DimensionError(
             f"samples must have shape (count, D, {times.shape[0]}), got {samples.shape}")

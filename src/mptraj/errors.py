@@ -1,7 +1,7 @@
 """Exception hierarchy shared by the library and the CLI, the checks that
 every reader of user input shares, so that a malformed value fails the same
 way everywhere (a ValidationError naming the field), and the one intake of
-record fields: take_array for arrays, take_value for scalars.
+arrays: take_floats, and take_array and take_value for record fields.
 
 Each error category carries the process exit code the CLI maps it to.
 """
@@ -164,32 +164,42 @@ def freeze(record, **arrays) -> None:
         object.__setattr__(record, name, arr)
 
 
-def take_array(record, name: str, ndim: int, finite: bool = True):
-    """Field name of the frozen dataclass record as a new float array with
-    ndim axes, a value with fewer promoted as np.atleast_1d/atleast_2d
-    promote, stored read-only and returned; None stays None.  A value numpy
-    cannot read as floats, a complex one among them, and with finite a NaN or
-    inf, is a ValidationError, and more than ndim axes a DimensionError, each
-    naming <Record>.<field>."""
-    value = getattr(record, name)
-    if value is None:
-        return None
-    where = f"{type(record).__name__}.{name}"
+def take_floats(where: str, value, ndim: int | None, finite: bool = True) -> np.ndarray:
+    """value as a float array with ndim axes (its own for None, fewer promoted
+    as np.atleast_1d/atleast_2d promote), a float64 array not copied.  A value
+    numpy cannot read as floats, a complex one among them, and with finite a NaN
+    or inf, is a ValidationError, and more axes a DimensionError, naming where."""
     try:
-        # tested before the conversion, which reads a numpy complex value as
-        # its real part with only a warning
-        if np.asarray(value).dtype.kind == "c":
-            raise ValidationError(f"{where} must be numbers: got complex values")
-        arr = np.array(value, dtype=float)
+        arr = np.asarray(value)
+        if arr.dtype != float:
+            # tested first, as the conversion reads a complex value as its real part;
+            # value converts, not arr, so that numpy's messages quote it as given
+            if arr.dtype.kind == "c":
+                raise ValidationError(f"{where} must be numbers: got complex values")
+            arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{where} must be numbers: {exc}") from exc
-    if arr.ndim != ndim:
+    if arr.ndim != ndim and ndim is not None:
         if arr.ndim > ndim:
             raise DimensionError(f"{where} has shape {arr.shape}: "
                                  f"{arr.ndim} axes, more than {ndim}")
         arr = arr.reshape((1,) * (ndim - arr.ndim) + arr.shape)
     if finite and not np.isfinite(arr).all():
         raise ValidationError(f"{where} must be finite")
+    return arr
+
+
+def take_array(record, name: str, ndim: int, finite: bool = True):
+    """Field name of the frozen dataclass record through take_floats naming
+    <Record>.<field>, as a new array stored read-only; None stays None."""
+    value = getattr(record, name)
+    if value is None:
+        return None
+    arr = take_floats(f"{type(record).__name__}.{name}", value, ndim, finite)
+    # a new array numpy made of a list, a tuple or another dtype is the record's
+    # own; order K keeps the layout that a BLAS product's bits follow
+    if arr is value or arr.base is not None or not isinstance(value, (np.ndarray, list, tuple)):
+        arr = arr.copy(order="K")
     arr.flags.writeable = False
     object.__setattr__(record, name, arr)
     return arr

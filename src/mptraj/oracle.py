@@ -7,8 +7,12 @@ Serves two distinct purposes, kept deliberately separate:
   * explicit-euler at the trajectory rate is the timed baseline (the
     integration style per-step pipelines have to run).
 
-The forcing term reuses the exact same basis construction as the bank, so any
-disagreement is attributable to the solution method, not the model.
+The forcing term uses the bank's basis: the same centers, widths and
+normalization as ForcingBasis, though not bit for bit.  Its per-step row,
+_scaled_row, computes (x / sum phi) * phi where ForcingBasis.normalized_scaled
+computes x * phi / sum phi, so the rows differ in the last bits at most
+phases; the scalar fast path keeps the Euler baseline cheap.  A disagreement
+beyond that rounding is attributable to the solution method, not the model.
 """
 from __future__ import annotations
 
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import DmpConfig, ForcingBasis
-from .errors import NumericalError, ValidationError, check_finite_positive
+from .errors import NumericalError, ValidationError, check_finite_positive, take_floats
 from .trajectory import MAX_QUERY_SAMPLES, weight_blocks
 
 _METHODS = ("explicit-euler", "rk4")
@@ -51,15 +55,13 @@ def integrate_dmp(w_g, y0, dy0, config: DmpConfig, spec: IntegratorSpec):
     integrated; NumericalError with the step index reports a state that
     leaves the finite range (divergence).
     """
-    y = np.atleast_1d(np.asarray(y0, dtype=float)).copy()
-    v = np.atleast_1d(np.asarray(dy0, dtype=float)).copy()
-    if y.shape != v.shape or y.ndim != 1:
+    y = take_floats("y0", y0, 1)
+    v = take_floats("dy0", dy0, 1)
+    if y.shape != v.shape:
         raise ValidationError(
             f"y0 and dy0 must be equal-length vectors, got {y.shape} and {v.shape}")
     dofs = y.shape[0]
-    blocks = weight_blocks(w_g, dofs, config.weight_dim)
-    if not (np.isfinite(blocks).all() and np.isfinite(y).all() and np.isfinite(v).all()):
-        raise ValidationError("integrator inputs w_g, y0 and dy0 must be finite")
+    blocks = weight_blocks(take_floats("w_g", w_g, 1), dofs, config.weight_dim)
     dt = spec.dt
     # min() first, so that a quotient overflowing to inf still fails here
     steps = int(math.ceil(min(config.duration / dt, MAX_QUERY_SAMPLES) - 1e-12))

@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (DimensionError, NumericalError, ValidationError, check_count,
-                     check_number, check_numbers, check_record, check_type, take_array)
+                     check_number, check_numbers, check_record, check_type, take_array,
+                     take_floats)
 from .fileio import atomic_write_json
 
 # fallback added to a covariance diagonal when its Cholesky factorization fails
@@ -100,7 +101,7 @@ def falling_ramp(times, t_start: float, t_end: float) -> np.ndarray:
     if not -np.inf < t_start < t_end < np.inf:
         raise ValidationError(
             f"ramp needs finite t_start < t_end, got [{t_start}, {t_end}]")
-    times = np.atleast_1d(np.asarray(times, dtype=float))
+    times = take_floats("times", times, 1, finite=False)
     return np.clip((t_end - times) / (t_end - t_start), 0.0, 1.0)
 
 
@@ -198,7 +199,7 @@ def blend(seq_a: GaussianSequence, seq_b: GaussianSequence,
           activation) -> GaussianSequence:
     """Transition from seq_a to seq_b: activation a(t) on seq_a, 1 - a(t) on
     seq_b.  At a(t) = 1 or 0 the corresponding input passes through exactly."""
-    activation = np.atleast_1d(np.asarray(activation, dtype=float))
+    activation = take_floats("activation", activation, 1, finite=False)
     if activation.shape != seq_a.times.shape:
         raise DimensionError(
             f"activation must have shape {seq_a.times.shape}, got {activation.shape}")

@@ -28,7 +28,7 @@ from .basis import BasisBank
 from .distribution import (DEFAULT_NOISE_VAR, TrajectoryDistribution,
                            WeightsDistribution, _fold_distribution)
 from .errors import (DimensionError, NumericalError, ValidationError, check_finite_positive,
-                     check_seed, freeze, take_array)
+                     check_seed, freeze, take_array, take_floats)
 from .trajectory import BoundaryCondition, TrajectoryGenerator, window_steps
 
 
@@ -130,6 +130,20 @@ def replan_segment(current: BoundaryCondition, wdist: WeightsDistribution,
                                                          global_times))
 
 
+def _chain_segment(k: int, segment):
+    """(wdist, horizon) of chain segment k, if it unpacks as a pair whose
+    first item is a WeightsDistribution; the horizon is checked with the
+    segment's frame."""
+    try:
+        wdist, horizon = segment
+    except (TypeError, ValueError):
+        wdist = None
+    if not isinstance(wdist, WeightsDistribution):
+        raise ValidationError(f"chain segment {k} must be a (WeightsDistribution, "
+                              f"horizon) pair")
+    return wdist, horizon
+
+
 def run_chain(initial: BoundaryCondition, segments, bank: BasisBank, rate: float,
               anchor: str = "local", mode: str = "mean", seed=None) -> SegmentPlan:
     """Execute a chain of (wdist, horizon) segments and return the executed
@@ -140,7 +154,7 @@ def run_chain(initial: BoundaryCondition, segments, bank: BasisBank, rate: float
     vector per segment.  With anchor "local", segments of equal horizon share
     one fold (TrajectoryGenerator.with_state), bit for bit.
     """
-    segments = list(segments)
+    segments = [_chain_segment(k, segment) for k, segment in enumerate(segments)]
     if not segments:
         raise ValidationError("chain needs at least one segment")
     if anchor not in ("local", "follow"):
@@ -189,14 +203,9 @@ def run_chain(initial: BoundaryCondition, segments, bank: BasisBank, rate: float
 def smoothness_metric(positions, dt: float) -> float:
     """Average squared acceleration of a uniformly sampled trace: mean over
     DoFs and samples of the squared second difference divided by dt**4."""
-    positions = np.atleast_2d(np.asarray(positions, dtype=float))
-    if positions.ndim > 2:
-        raise DimensionError(
-            f"smoothness metric needs positions of shape (D, T), got {positions.shape}")
+    positions = take_floats("positions", positions, 2)
     if positions.shape[1] < 3:
         raise ValidationError("smoothness metric needs at least 3 samples")
-    if not np.isfinite(positions).all():
-        raise ValidationError("smoothness metric needs finite positions")
     check_finite_positive("dt", dt)
     second = positions[:, 2:] - 2.0 * positions[:, 1:-1] + positions[:, :-2]
     # dt**2 underflows to 0 for dt below about 1e-162, and a large second

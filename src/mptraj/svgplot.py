@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionError, ValidationError
+from .errors import DimensionError, ValidationError, take_floats
 from .fileio import atomic_write_text
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
@@ -26,8 +26,8 @@ def line_plot(path: str, times, values, labels, bands=None, title: str = "") -> 
     """Write an SVG with one polyline per row of values (K, T), labelled by
     the K labels; bands, an optional (lower, upper) pair of (K, T) arrays,
     are drawn as translucent fills."""
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    values = np.atleast_2d(np.asarray(values, dtype=float))
+    times = take_floats("times", times, 1)
+    values = take_floats("values", values, 2)
     labels = [str(label) for label in labels]
     if not labels:
         raise ValidationError("plot needs at least one curve")
@@ -36,13 +36,11 @@ def line_plot(path: str, times, values, labels, bands=None, title: str = "") -> 
                              f"does not match times {times.shape}")
     y_values = values.ravel()
     if bands is not None:
-        bands = np.asarray(bands, dtype=float)
+        bands = take_floats("bands", bands, 3)
         if bands.shape != (2,) + values.shape:
             raise DimensionError(f"bands {bands.shape} do not match curves {values.shape}")
         # curves, then each lower and upper row: a 0.0/-0.0 tie goes by position
         y_values = np.concatenate([y_values, bands.transpose(1, 0, 2).ravel()])
-    if not (np.all(np.isfinite(times)) and np.all(np.isfinite(y_values))):
-        raise ValidationError("plot data must be finite")
 
     x_low, x_high = float(times.min()), float(times.max())
     y_low, y_high = float(y_values.min()), float(y_values.max())

@@ -26,7 +26,7 @@ import numpy as np
 
 from .basis import BasisBank
 from .errors import (DimensionError, ValidationError, check_finite_nonneg, take_array,
-                     take_value)
+                     take_floats, take_value)
 from .fileio import read_text, write_csv_table
 
 # bound on samples per query window or replanning segment: a 1 kHz controller
@@ -86,12 +86,16 @@ def _xi_arrays(times: np.ndarray, t_b: float, k: float):
 
 def weight_blocks(w_g, dofs: int, weight_dim: int) -> np.ndarray:
     """Validate a stacked weights-and-goal vector and view it as (D, N+1)."""
-    w_g = np.asarray(w_g, dtype=float)
-    if w_g.ndim != 1 or w_g.shape[0] != dofs * weight_dim:
+    return _as_blocks(take_floats("w_g", w_g, 1, finite=False), dofs, weight_dim)
+
+
+def _as_blocks(w_g: np.ndarray, dofs: int, weight_dim: int) -> np.ndarray:
+    """Float weights (..., D*(N+1)) viewed as blocks (..., D, N+1)."""
+    if w_g.shape[-1:] != (dofs * weight_dim,):
         raise DimensionError(
             f"weights vector has {w_g.shape} entries, expected "
             f"{dofs}*{weight_dim} = {dofs * weight_dim}")
-    return w_g.reshape(dofs, weight_dim)
+    return w_g.reshape(w_g.shape[:-1] + (dofs, weight_dim))
 
 
 class TrajectoryGenerator:
@@ -116,9 +120,7 @@ class TrajectoryGenerator:
     """
 
     def __init__(self, bc: BoundaryCondition, times, bank: BasisBank):
-        times = np.atleast_1d(np.asarray(times, dtype=float))
-        if times.ndim != 1:
-            raise DimensionError(f"query times must be a vector, got shape {times.shape}")
+        times = take_floats("times", times, 1, finite=False)
         if not times.size:
             raise ValidationError("query times must hold at least one time")
         # column 0 is the boundary time; the lerp is elementwise, so sharing
@@ -154,12 +156,8 @@ class TrajectoryGenerator:
 
     def _blocks(self, w_g) -> np.ndarray:
         """Weight blocks (..., D, N+1) of one vector or a stack (..., D*(N+1))."""
-        dofs, weight_dim = self.bc.dofs, self.rows.shape[1]
-        w_g = np.asarray(w_g, dtype=float)
-        if w_g.ndim > 1 and w_g.shape[-1] == dofs * weight_dim:
-            return w_g.reshape(w_g.shape[:-1] + (dofs, weight_dim))
-        # one vector, or a stack with the wrong last axis: DimensionError
-        return weight_blocks(w_g, dofs, weight_dim)
+        return _as_blocks(take_floats("w_g", w_g, None, finite=False),
+                          self.bc.dofs, self.rows.shape[1])
 
     def positions(self, w_g) -> np.ndarray:
         """Positions (..., D, T) of one weights vector or a stack of them."""
@@ -195,10 +193,10 @@ def write_trajectory_csv(path: str, times, positions, velocities,
     """Schema: t, dof0_pos, dof0_vel, ..., one row per time, 17 significant
     digits (lossless double round-trip).  segment_ids, finite integers of
     magnitude at most 2**53, adds a trailing column."""
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    positions = np.atleast_2d(np.asarray(positions, dtype=float))
+    times = take_floats("times", times, 1, finite=False)
+    positions = take_floats("positions", positions, 2, finite=False)
     if velocities is not None:
-        velocities = np.atleast_2d(np.asarray(velocities, dtype=float))
+        velocities = take_floats("velocities", velocities, 2, finite=False)
         if positions.shape != velocities.shape:
             raise DimensionError(
                 f"positions {positions.shape} and velocities {velocities.shape} "

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -70,6 +71,19 @@ class TestWeightsDistribution:
         cov = a @ a.T + 0.5 * np.eye(4)
         wdist = WeightsDistribution.from_covariance(rng.standard_normal(4), cov)
         np.testing.assert_allclose(wdist.covariance(), cov, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(1, 2), (2, 1), (1,), ()], ids=str)
+    def test_from_covariance_needs_a_square_matrix_of_the_means_length(self, shape,
+                                                                       monkeypatch):
+        # (1, 2) and (2, 1) once broadcast to a (2, 2) sum and ended in its
+        # negative eigenvalue; (1,) and () in a bare LinAlgError
+        def factor(_):
+            raise AssertionError("factored")
+
+        monkeypatch.setattr(np.linalg, "cholesky", factor)
+        with pytest.raises(DimensionError, match=rf"^cov has shape {re.escape(str(shape))}, "
+                           r"expected \(1, 1\) for a mean of length 1$"):
+            WeightsDistribution.from_covariance(np.zeros(1), np.ones(shape))
 
     def test_from_covariance_rejects_indefinite(self):
         cov = np.diag([1.0, -2.0])
@@ -355,7 +369,7 @@ class TestNll:
     def test_non_finite_observation_rejected(self, bad):
         # once returned nan
         dist = TrajectoryDistribution(((0.0, 0), (1.0, 0)), np.zeros(2), np.eye(2), 1.0)
-        with pytest.raises(ValidationError, match="must be finite"):
+        with pytest.raises(ValidationError, match=r"^values must be finite$"):
             gaussian_nll(dist, [0.0, bad])
 
 

@@ -54,7 +54,7 @@ class TestInputs:
         inputs = {"w_g": np.zeros(reference_config.weight_dim), "y0": [0.0], "dy0": [0.0]}
         inputs[which] = np.array(inputs[which], dtype=float)
         inputs[which][0] = bad
-        with pytest.raises(ValidationError, match="must be finite"):
+        with pytest.raises(ValidationError, match=rf"^{which} must be finite$"):
             integrate_dmp(inputs["w_g"], inputs["y0"], inputs["dy0"], reference_config,
                           IntegratorSpec("rk4", 0.05))
 

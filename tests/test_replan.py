@@ -148,6 +148,15 @@ class TestRunChain:
         assert np.max(np.abs(plan.positions - single)) > 1e-4 * amp
         assert np.all(plan.pos_jumps == 0.0)
 
+    def test_segment_must_be_a_distribution_horizon_pair(self, small_bank):
+        # each once ended in a bare ValueError or a TypeError from ndarray.mean
+        wdists, initial = _setup(small_bank)
+        for segments, k in [([(wdists[0],)], 0), ([(wdists[0].mean, 0.5)], 0),
+                            ([wdists[0]], 0), ([(wdists[0], 0.25), (wdists[1], 0.25, 1)], 1)]:
+            with pytest.raises(ValidationError, match=rf"^chain segment {k} must be a "
+                               r"\(WeightsDistribution, horizon\) pair$"):
+                run_chain(initial, segments, small_bank, rate=100.0)
+
     def test_grid_is_uniform_and_labeled(self, small_bank):
         wdists, initial = _setup(small_bank)
         plan = run_chain(initial, [(w, 0.25) for w in wdists], small_bank,
@@ -283,8 +292,8 @@ class TestSmoothness:
         with pytest.raises(ValidationError):
             smoothness_metric(np.zeros(5), 0.0)
         # a (2, 3, 4) stack once returned 1.02e7
-        with pytest.raises(DimensionError, match=r"^smoothness metric needs positions of "
-                           r"shape \(D, T\), got \(2, 3, 4\)$"):
+        with pytest.raises(DimensionError, match=r"^positions has shape \(2, 3, 4\): "
+                           r"3 axes, more than 2$"):
             smoothness_metric(np.arange(24.0).reshape(2, 3, 4) ** 2, 0.1)
 
     # each once returned nan or inf
@@ -292,7 +301,7 @@ class TestSmoothness:
     def test_non_finite_positions_rejected(self, bad):
         positions = np.zeros((2, 5))
         positions[1, 2] = bad
-        with pytest.raises(ValidationError, match="finite positions"):
+        with pytest.raises(ValidationError, match=r"^positions must be finite$"):
             smoothness_metric(positions, 0.1)
 
     # dt**2 underflows to 0 (a division by zero, then 0/0) or the squares

@@ -241,7 +241,9 @@ class BasisBank:
 
     def __post_init__(self):
         shape = (2, self.config.weight_dim, self.config.grid_points)
-        table = np.ascontiguousarray(self.table, dtype=float)
+        # a float64 C-ordered table is stored as given, not copied
+        table = np.ascontiguousarray(
+            take_floats("BasisBank.table", self.table, None, finite=False))
         if table.shape != shape:
             raise DimensionError(
                 f"basis table {table.shape} does not match grid/config {shape}")

@@ -37,8 +37,8 @@ from .trajectory import (BoundaryCondition, TrajectoryGenerator, folded_basis,
 # the observation white-noise default keeps pair covariances invertible
 DEFAULT_NOISE_VAR = 1e-6
 
-# pairs per stacked factorization in pair_nll; bounds its (block, 2D, D(N+1))
-# intermediate for any batch size
+# pairs per fold and stacked factorization in pair_nll; bounds its fold and
+# (block, 2D, D(N+1)) intermediate for any batch size
 PAIR_BLOCK = 256
 
 
@@ -116,11 +116,10 @@ class TrajectoryDistribution:
 
 
 def _group_gaussians(wdist: WeightsDistribution, fold: TrajectoryGenerator,
-                     group: int, noise_var: float, columns=slice(None)):
-    """Gaussians of consecutive groups of `group` of the fold's times, taken
-    at `columns`: means (B, D*group) and covariances (B, D*group, D*group) =
-    G G^T + noise_var I, rows DoF-major within each group (dof0@t1..ts,
-    dof1@t1..ts, ...).
+                     group: int, noise_var: float):
+    """Gaussians of consecutive groups of `group` of the fold's times: means
+    (B, D*group) and covariances (B, D*group, D*group) = G G^T + noise_var I,
+    rows DoF-major within each group (dof0@t1..ts, dof1@t1..ts, ...).
 
     The one reader of a fold's arrays here: it takes the position offsets
     (D, T) and folded position rows (N+1, T) as stored.  A weights
@@ -128,7 +127,7 @@ def _group_gaussians(wdist: WeightsDistribution, fold: TrajectoryGenerator,
     DimensionError, and one too wide for float64 overflows, which raises
     NumericalError."""
     check_finite_nonneg("noise_var", noise_var)
-    offsets, rows = fold.offsets[0][:, columns], fold.rows[0][:, columns]
+    offsets, rows = fold.offsets[0], fold.rows[0]
     dofs = fold.bc.dofs
     if wdist.dim != dofs * rows.shape[0]:
         raise DimensionError(
@@ -301,12 +300,13 @@ def pair_nll(batch: TimePairBatch, wdist: WeightsDistribution, bc: BoundaryCondi
              bank: BasisBank, noise_var: float = DEFAULT_NOISE_VAR) -> float:
     """Mean negative log-likelihood over the batch's 2D-dimensional pair Gaussians.
 
-    All 2J pair times are folded once.  Pair j's covariance is
-    G_j G_j^T + noise_var I with G_j[(d, s), :] = h_{t_s} L_d, where L_d is
-    DoF d's row block of wdist.chol (rows DoF-major: dof0@t, dof0@t',
-    dof1@t, ...).  Pairs are scored PAIR_BLOCK at a time: each block's
-    covariances are built, Cholesky-factored and whitened as stacked arrays,
-    so memory stays bounded however large J is.  A singular pair covariance
+    Pair j's covariance is G_j G_j^T + noise_var I with G_j[(d, s), :] =
+    h_{t_s} L_d, where L_d is DoF d's row block of wdist.chol (rows
+    DoF-major: dof0@t, dof0@t', dof1@t, ...).  Pairs are scored PAIR_BLOCK
+    at a time: each block's times are folded, and its covariances built,
+    Cholesky-factored and whitened as stacked arrays, so memory stays bounded
+    however large J is.  The fold is elementwise along time, so the result is
+    bit for bit that of one fold of all 2J times.  A singular pair covariance
     (e.g. a pair time at t_b at zero noise) raises NumericalError.
     """
     if batch.values is None:
@@ -314,13 +314,12 @@ def pair_nll(batch: TimePairBatch, wdist: WeightsDistribution, bc: BoundaryCondi
     if batch.values.shape[1] != 2 * bc.dofs:
         raise DimensionError(
             f"truth vectors have {batch.values.shape[1]} entries, expected 2*{bc.dofs}")
-    fold = folded_basis(bc, batch.times.ravel(), bank)
     total = 0.0
     for start in range(0, batch.count, PAIR_BLOCK):
-        stop = min(start + PAIR_BLOCK, batch.count)
-        means, covs = _group_gaussians(wdist, fold, 2, noise_var,
-                                       slice(2 * start, 2 * stop))
-        total += _nll_sum(covs, batch.values[start:stop] - means,
+        block = slice(start, start + PAIR_BLOCK)
+        fold = folded_basis(bc, batch.times[block].ravel(), bank)
+        means, covs = _group_gaussians(wdist, fold, 2, noise_var)
+        total += _nll_sum(covs, batch.values[block] - means,
                           "singular pair covariance; supply noise_var > 0 or "
                           "distinct pair times")
     return 0.5 * (2 * bc.dofs * math.log(2.0 * math.pi) + total / batch.count)

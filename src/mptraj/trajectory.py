@@ -155,8 +155,9 @@ class TrajectoryGenerator:
         return gen
 
     def _blocks(self, w_g) -> np.ndarray:
-        """Weight blocks (..., D, N+1) of one vector or a stack (..., D*(N+1))."""
-        return _as_blocks(take_floats("w_g", w_g, None, finite=False),
+        """Weight blocks (..., D, N+1) of one vector or a stack (..., D*(N+1)),
+        all finite: a NaN or inf weight would give a NaN trajectory."""
+        return _as_blocks(take_floats("w_g", w_g, None),
                           self.bc.dofs, self.rows.shape[1])
 
     def positions(self, w_g) -> np.ndarray:
@@ -262,18 +263,23 @@ def read_trajectory_csv(path: str):
     if sorted(pos_cols) != list(range(len(pos_cols))) or not pos_cols:
         raise ValidationError(f"missing position columns in {path}")
     rows = lines[1:]
-    # counted per row: a flat reshape would take a short row and a long one
-    if not rows or any(row.count(",") != len(header) - 1 for row in rows):
-        raise ValidationError(
-            f"trajectory rows in {path} must each have {len(header)} values")
+    width = ValidationError(f"trajectory rows in {path} must each have {len(header)} values")
+    if not rows:
+        raise width
     # numpy's C reader takes a cell only where float() takes it, and with
     # float()'s value, but for one character: it strips the unit separator
-    # \x1f around a cell as space, and float() refuses it
+    # \x1f around a cell as space, and float() refuses it.  It refuses rows of
+    # unequal width, and skips a blank one, which the shape shows
     data = None
     if "\x1f" not in text:
         with contextlib.suppress(ValueError):
             data = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2, dtype=float)
+        if data is not None and data.shape != (len(rows), len(header)):
+            raise width
     if data is None:
+        # counted per row: a flat reshape would take a short row and a long one
+        if any(row.count(",") != len(header) - 1 for row in rows):
+            raise width
         cells = ",".join(rows).split(",")
         try:
             data = np.fromiter(map(float, cells), dtype=float, count=len(cells))

@@ -10,14 +10,17 @@ as independent cross-checks and not as production code.
 Beside them sit routes that the package replaced with faster ones: the
 row-major boundary fold, the row-by-row precompute recurrence and the
 whole-grid precompute pass, the pair NLL through a dense block design
-matrix and scipy, the per-time combination loop, the per-demo fit loop, the
-ridge least squares on the augmented design matrix, the loops that add
+matrix and scipy, the pair NLL over one fold of all pair times, the
+per-time combination loop, the per-demo fit loop, the ridge least squares
+on the augmented design matrix, the loops that add
 per-primitive or per-observation terms one at a time, the per-value CSV
 writers, the float()-per-cell trajectory CSV reader, the per-point SVG plot
 and the per-record Gaussian-sequence JSON.
 stale_chain is the negative control of replanning: a chain that ignores the
 executed state.
 """
+import copy
+import math
 import re
 from dataclasses import dataclass
 
@@ -27,11 +30,12 @@ from scipy.stats import multivariate_normal
 from mptraj import (BasisBank, BoundaryCondition, ForcingBasis, LatentGaussian,
                     NumericalError, ValidationError, fit_weights, phase, run_chain)
 from mptraj.basis import _SCAN_BLOCK
+from mptraj.distribution import PAIR_BLOCK, _group_gaussians, _nll_sum
 from mptraj.learning import RIDGE_SCALE, _ridge_lstsq
 from mptraj.probops import GaussianSequence
 from mptraj.svgplot import (_HEIGHT, _MARGIN_B, _MARGIN_L, _MARGIN_R, _MARGIN_T, _PALETTE,
                             _WIDTH)
-from mptraj.trajectory import weight_blocks
+from mptraj.trajectory import folded_basis, weight_blocks
 
 
 @dataclass(frozen=True)
@@ -280,6 +284,21 @@ def pair_nll_dense(batch, wdist, bc, bank, noise_var) -> float:
         cov = design @ cov_w @ design.T + noise_var * np.eye(2 * dofs)
         total -= multivariate_normal(mean, cov).logpdf(values)
     return total / batch.count
+
+
+def pair_nll_one_fold(batch, wdist, bc, bank, noise_var) -> float:
+    """Mean pair NLL with all 2J pair times folded at once, each block of
+    PAIR_BLOCK pairs scored from its columns of that one fold."""
+    fold = folded_basis(bc, batch.times.ravel(), bank)
+    total = 0.0
+    for start in range(0, batch.count, PAIR_BLOCK):
+        stop = min(start + PAIR_BLOCK, batch.count)
+        columns = copy.copy(fold)
+        columns.rows = fold.rows[:, :, 2 * start:2 * stop]
+        columns.offsets = fold.offsets[:, :, 2 * start:2 * stop]
+        means, covs = _group_gaussians(wdist, columns, 2, noise_var)
+        total += _nll_sum(covs, batch.values[start:stop] - means, "singular pair covariance")
+    return 0.5 * (2 * bc.dofs * math.log(2.0 * math.pi) + total / batch.count)
 
 
 def stale_chain(initial, segments, bank, rate) -> np.ndarray:

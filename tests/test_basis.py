@@ -690,6 +690,16 @@ class TestBankFileStability:
         assert loaded.table.tobytes() == small_bank.table.tobytes()
 
 
+@pytest.mark.parametrize("table, text", [
+    ("complex", "got complex values"), ("x", "could not convert string to float: 'x'")])
+def test_bank_table_must_be_real_numbers(small_config, small_bank, table, text):
+    # a complex table was once read as its real part, and a string ended in a
+    # bare ValueError
+    table = small_bank.table + 1j if table == "complex" else table
+    with pytest.raises(ValidationError, match=f"^BasisBank.table must be numbers: {text}$"):
+        BasisBank(config=small_config, table=table)
+
+
 def test_bank_shape_validation(small_config, small_bank):
     for table in (small_bank.table[:, :-1], small_bank.table[:1], small_bank.table[0]):
         with pytest.raises(DimensionError, match="does not match"):

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,17 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from mptraj import (BoundaryCondition, DimensionError, NumericalError,
+from mptraj import (BoundaryCondition, DimensionError, DmpConfig, NumericalError,
                     TimePairBatch, TrajectoryDistribution, ValidationError,
                     WeightsDistribution, evaluate_position, folded_basis,
                     gaussian_nll, marginal, pair_nll, per_time_marginals,
-                    replan_segment, sample_time_pairs, sample_trajectories,
-                    trajectory_distribution)
+                    precompute_basis, replan_segment, sample_time_pairs,
+                    sample_trajectories, trajectory_distribution)
 from mptraj.distribution import (PAIR_BLOCK, _group_gaussians,
                                  weights_distribution_from_dict,
                                  weights_distribution_json_dict)
-from tests.conftest import random_weights_distribution
-from tests.reference import pair_nll_dense
+from tests.conftest import SMALL_CONFIG, random_weights_distribution
+from tests.reference import pair_nll_dense, pair_nll_one_fold
 
 LN_TWO_PI = 1.8378770664093455
 
@@ -498,6 +499,13 @@ class TestTimePairs:
             pair_nll(batch, wdist, bc, small_bank)
 
 
+@pytest.fixture(scope="module")
+def pair_banks():
+    """Banks of 10 and 25 basis functions over the small configuration's horizon."""
+    return {num_basis: precompute_basis(DmpConfig(**dict(SMALL_CONFIG, num_basis=num_basis)))
+            for num_basis in (10, 25)}
+
+
 class TestBatchedPairNll:
     # the constant term 2D ln(2 pi) / 2 sets the rounding scale, so a mean
     # NLL that happens to cancel to near zero is held to the same absolute
@@ -532,6 +540,40 @@ class TestBatchedPairNll:
         batch = _rollout_pairs(wdist, bc, small_bank, times, 1e-6, rng)
         self._assert_matches(pair_nll(batch, wdist, bc, small_bank, 1e-6),
                              _pair_nll_loop(batch, wdist, bc, small_bank, 1e-6), 3)
+
+    @pytest.mark.parametrize("num_basis", [10, 25])
+    @pytest.mark.parametrize("dofs", [1, 2, 7])
+    def test_block_folds_equal_one_fold(self, pair_banks, dofs, num_basis):
+        # each block folds its own times, and every fold step is elementwise
+        # along time, so the NLL is bit for bit that of one fold of all pair
+        # times: one pair, a block short, full or one over, and several blocks
+        bank = pair_banks[num_basis]
+        for count in (1, PAIR_BLOCK - 1, PAIR_BLOCK, PAIR_BLOCK + 1, 2 * PAIR_BLOCK + 1):
+            for noise_var in (1e-6, 1e-2):
+                rng = np.random.default_rng(count)
+                wdist, bc = _case(bank, dofs=dofs, seed=count, t_b=0.1)
+                times = rng.uniform(0.1, bank.duration, size=(count, 2))
+                batch = _rollout_pairs(wdist, bc, bank, times, noise_var, rng)
+                assert (pair_nll(batch, wdist, bc, bank, noise_var)
+                        == pair_nll_one_fold(batch, wdist, bc, bank, noise_var))
+
+    def test_peak_memory_is_one_blocks(self, pair_banks):
+        # one fold of all pair times made the peak grow with the batch: 5.3x
+        # from one block's pairs to 20 000 (7 DoFs, 10 basis functions)
+        bank = pair_banks[10]
+        wdist, bc = _case(bank, dofs=7, seed=41)
+        rng = np.random.default_rng(41)
+        peaks = []
+        for count in (PAIR_BLOCK, 20000):
+            batch = TimePairBatch(rng.uniform(0.05, bank.duration, size=(count, 2)),
+                                  rng.standard_normal((count, 14)))
+            tracemalloc.start()
+            try:
+                pair_nll(batch, wdist, bc, bank)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0]
 
     def test_negative_noise_rejected(self, small_bank):
         wdist, bc = _case(small_bank)

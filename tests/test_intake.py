@@ -126,12 +126,12 @@ KEPT_CONVERSIONS = {
 
 def _is_conversion(call: ast.Call) -> bool:
     """Whether call is np.asarray, np.atleast_1d, np.atleast_2d, or np.array
-    with a float dtype."""
+    or np.ascontiguousarray with a float dtype."""
     func = call.func
     if not (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
             and func.value.id == "np"):
         return False
-    if func.attr == "array":
+    if func.attr in ("array", "ascontiguousarray"):
         dtypes = call.args[1:2] + [kw.value for kw in call.keywords if kw.arg == "dtype"]
         return any(ast.unparse(dtype) in ("float", "np.float64") for dtype in dtypes)
     return func.attr in ("asarray", "atleast_1d", "atleast_2d")

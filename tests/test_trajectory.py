@@ -182,6 +182,20 @@ class TestGenerator:
         with pytest.raises(DimensionError):
             evaluate_position(np.zeros(52), bc, np.full((2, 3), 0.5), reference_bank)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weights_rejected(self, small_bank, bad):
+        # each query once returned NaN positions or velocities with no error
+        bc = BoundaryCondition(0.0, [0.0], [0.0])
+        gen = TrajectoryGenerator(bc, [0.1, 0.2], small_bank)
+        w = np.zeros(small_bank.weight_dim)
+        w[-1] = bad
+        for query in (gen.positions, gen.velocities,
+                      lambda v: evaluate_position(v, bc, [0.1], small_bank),
+                      lambda v: evaluate_velocity(v, bc, [0.1], small_bank)):
+            for weights in (w, np.stack([np.zeros_like(w), w])):
+                with pytest.raises(ValidationError, match="^w_g must be finite$"):
+                    query(weights)
+
     def test_times_outside_bank_rejected(self, reference_bank):
         bc = BoundaryCondition(0.0, np.zeros(1), np.zeros(1))
         with pytest.raises(ValidationError):
@@ -280,6 +294,26 @@ class TestCsv:
         path.write_text(text)
         with pytest.raises(ValidationError, match="bad.csv"):
             read_trajectory_csv(str(path))
+
+    # rows under the header t,dof0_pos,dof0_vel; numpy's reader refuses rows of
+    # unequal width and skips a blank one, and float()'s route counts cells
+    @pytest.mark.parametrize("rows", [
+        "0,1,2\n\n1,2,3", "0,1,2\n   \n1,2,3", "0,1,2\n\t\n1,2,3", "0,1,2\n1,2",
+        "0,1,2\n1,2,3,4", "0,1\n1,2,3,4", "0,1,2,3\n1,2,3,4", "0,1\n1,2", "0,1,2,\n1,2,3,",
+        "0\n1"], ids=["blank-line", "space-line", "tab-line", "short-row", "long-row",
+                      "short-and-long", "all-too-wide", "all-too-narrow", "trailing-comma",
+                      "one-column"])
+    @pytest.mark.parametrize("cell", ["0", "0_0"], ids=["numpy-reader", "float-route"])
+    def test_row_width_defects_read_as_float_referee(self, tmp_path, rows, cell):
+        # 0_0, which only float() reads, sends the file down float()'s route
+        path = tmp_path / "rows.csv"
+        path.write_text(f"t,dof0_pos,dof0_vel\n{cell}{rows[1:]}\n")
+        with pytest.raises(ValidationError) as expected:
+            reference.read_trajectory_csv(str(path))
+        assert str(expected.value) == f"trajectory rows in {path} must each have 3 values"
+        with pytest.raises(ValidationError) as raised:
+            read_trajectory_csv(str(path))
+        assert str(raised.value) == str(expected.value)
 
     def test_rows_short_and_long_by_the_same_count(self, tmp_path):
         # 3 and 5 cells under a 4-column header hold 8 cells, as 2 rows of 4 do

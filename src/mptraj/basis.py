@@ -234,6 +234,10 @@ class BasisBank:
     elementwise step of it, and of the boundary fold that consumes it, runs
     along the time axis.  A bank file holds the same two things: the config
     and the table as it is.
+
+    Beside them a bank keeps one entry that is no field: `_last_fold`, the
+    last fold trajectory.folded_basis made of it (None until the first), so
+    that readers of one time grid share its rows.
     """
 
     config: DmpConfig
@@ -248,6 +252,7 @@ class BasisBank:
             raise DimensionError(
                 f"basis table {table.shape} does not match grid/config {shape}")
         freeze(self, times=self.config.grid(), table=table)
+        object.__setattr__(self, "_last_fold", None)
 
     @property
     def duration(self) -> float:

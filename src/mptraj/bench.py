@@ -1,18 +1,22 @@
 """Online-generation benchmark: closed-form bank versus per-step integration.
 
 The timed comparison is a full trajectory at the playback rate, generated from
-one weight vector.  One run times three stages over the same weight draws:
+one weight vector.  One run times four stages over the same weight draws:
 
 - euler: explicit Euler stepping at the playback rate, the baseline;
 - positions: the bank with the boundary fold built once and reused, a
   matrix-vector product against the folded basis rows;
 - fold_positions: the bank with the fold rebuilt on every call, which is
-  what an online boundary-condition update costs.
+  what an online boundary-condition update costs;
+- refold_positions: the bank through folded_basis on every call, at the
+  same boundary state and times, which is what a repeated read of one time
+  grid costs: the bank keeps that grid's fold, so only the offsets are
+  rebuilt.
 
 Bank precomputation happens before any clock starts (it is the offline
 stage).  Timings are medians over the repetitions, after one untimed warm-up
 call per stage.  Each stage carries the checksum of its last output, so
-determinism, and the equality of the two bank stages, can be asserted
+determinism, and the equality of the three bank stages, can be asserted
 independently of the (naturally noisy) timings.
 """
 from __future__ import annotations
@@ -27,7 +31,7 @@ from .basis import DmpConfig, precompute_basis
 from .errors import ValidationError, check_count, check_finite_positive, check_seed
 from .oracle import IntegratorSpec, integrate_dmp
 from .trajectory import (MAX_QUERY_SAMPLES, BoundaryCondition, TrajectoryGenerator,
-                         window_steps)
+                         folded_basis, window_steps)
 
 # spring gain and phase decay rate of the benchmarked DMP
 ALPHA = 25.0
@@ -110,6 +114,7 @@ def run_benchmark(scenario: BenchScenario, repetitions: int = 7,
         "euler": lambda w: integrate_dmp(w, y0, dy0, config, euler)[1],
         "positions": TrajectoryGenerator(bc, times, bank).positions,
         "fold_positions": lambda w: TrajectoryGenerator(bc, times, bank).positions(w),
+        "refold_positions": lambda w: folded_basis(bc, times, bank).positions(w),
     }
     table = {}
     for name, call in stages.items():

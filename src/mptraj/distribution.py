@@ -242,7 +242,12 @@ def sample_trajectories(wdist: WeightsDistribution, bc: BoundaryCondition, times
     weight_blocks(wdist.mean, bc.dofs, bank.weight_dim)
     rng = np.random.default_rng(check_seed(seed))
     z = rng.standard_normal((count, wdist.dim))
-    draws = wdist.mean + z @ wdist.chol.T
+    # an overflow leaves inf or NaN, reported once below
+    with np.errstate(over="ignore", invalid="ignore"):
+        draws = wdist.mean + z @ wdist.chol.T
+    if not np.isfinite(draws).all():
+        raise NumericalError(
+            "weight-space draws overflow float64; the weights distribution is too wide")
 
     fold = folded_basis(bc, times, bank)
     if not with_velocities:
@@ -282,7 +287,10 @@ class TimePairBatch:
 
 def sample_time_pairs(times, count: int, seed) -> TimePairBatch:
     """Uniformly random unordered pairs of distinct grid times (no truth values)."""
-    times = np.unique(take_floats("times", times, None, finite=False))
+    times = take_floats("times", times, None, finite=False)
+    # a strictly increasing grid (no NaN compares greater) is its own np.unique
+    if not (times.ndim == 1 and (times[1:] > times[:-1]).all()):
+        times = np.unique(times)
     if times.size < 2:
         raise ValidationError("pair sampling needs at least 2 distinct times")
     count = check_count("count", count)
@@ -317,7 +325,8 @@ def pair_nll(batch: TimePairBatch, wdist: WeightsDistribution, bc: BoundaryCondi
     total = 0.0
     for start in range(0, batch.count, PAIR_BLOCK):
         block = slice(start, start + PAIR_BLOCK)
-        fold = folded_basis(bc, batch.times[block].ravel(), bank)
+        # random pair times: a fold of its own, leaving the bank's kept grid fold
+        fold = TrajectoryGenerator(bc, batch.times[block].ravel(), bank)
         means, covs = _group_gaussians(wdist, fold, 2, noise_var)
         total += _nll_sum(covs, batch.values[block] - means,
                           "singular pair covariance; supply noise_var > 0 or "

@@ -176,7 +176,22 @@ class TrajectoryGenerator:
 
 
 def folded_basis(bc: BoundaryCondition, times, bank: BasisBank) -> TrajectoryGenerator:
-    return TrajectoryGenerator(bc, times, bank)
+    """The fold TrajectoryGenerator(bc, times, bank) makes, bit for bit, made
+    once per time grid: the bank keeps the last fold made here, and a call at
+    its t_b and times, equal in every bit (so -0.0 is not 0.0), shares its
+    rows and rebuilds only the offsets (with_state).  Any other call folds
+    anew, on its own copy of the times, and that fold replaces the kept one;
+    its rows and times are read-only, so neither the caller's times array nor
+    a reader of the fold can change what a later call gets."""
+    times = take_floats("times", times, 1, finite=False)
+    last = bank._last_fold
+    if (last is not None and np.float64(bc.t_b).tobytes() == np.float64(last.bc.t_b).tobytes()
+            and np.array_equal(times.view(np.int64), last.times.view(np.int64))):
+        return last.with_state(bc)
+    fold = TrajectoryGenerator(bc, times.copy(), bank)
+    fold.times.flags.writeable = fold.rows.flags.writeable = False
+    object.__setattr__(bank, "_last_fold", fold)
+    return fold
 
 
 def evaluate_position(w_g, bc: BoundaryCondition, times, bank: BasisBank) -> np.ndarray:

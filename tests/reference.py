@@ -10,8 +10,9 @@ as independent cross-checks and not as production code.
 Beside them sit routes that the package replaced with faster ones: the
 row-major boundary fold, the row-by-row precompute recurrence and the
 whole-grid precompute pass, the pair NLL through a dense block design
-matrix and scipy, the pair NLL over one fold of all pair times, the
-per-time combination loop, the per-demo fit loop, the ridge least squares
+matrix and scipy, the pair NLL over one fold of all pair times, pair
+time sampling from np.unique of every grid, the per-time combination
+loop, the per-demo fit loop, the ridge least squares
 on the augmented design matrix, the loops that add
 per-primitive or per-observation terms one at a time, the per-value CSV
 writers, the float()-per-cell trajectory CSV reader, the per-point SVG plot
@@ -299,6 +300,18 @@ def pair_nll_one_fold(batch, wdist, bc, bank, noise_var) -> float:
         means, covs = _group_gaussians(wdist, columns, 2, noise_var)
         total += _nll_sum(covs, batch.values[start:stop] - means, "singular pair covariance")
     return 0.5 * (2 * bc.dofs * math.log(2.0 * math.pi) + total / batch.count)
+
+
+def pair_times_by_unique(times, count, seed) -> np.ndarray:
+    """The (count, 2) pair times sample_time_pairs draws, each from the
+    sorted distinct times np.unique gives of every grid, sorted or not."""
+    grid = np.unique(np.asarray(times, dtype=float))
+    rng = np.random.default_rng(seed)
+    first = rng.integers(0, grid.size, size=count)
+    second = rng.integers(0, grid.size - 1, size=count)
+    second = second + (second >= first)
+    return np.stack([grid[np.minimum(first, second)], grid[np.maximum(first, second)]],
+                    axis=1)
 
 
 def stale_chain(initial, segments, bank, rate) -> np.ndarray:

@@ -66,7 +66,7 @@ class TestScenario:
         assert (config.alpha, config.alpha_x) == (25.0, 2.0)
 
 
-STAGES = ["euler", "positions", "fold_positions"]
+STAGES = ["euler", "positions", "fold_positions", "refold_positions"]
 
 
 class TestRunBenchmark:
@@ -89,10 +89,12 @@ class TestRunBenchmark:
             assert c[stage]["checksum"] != a[stage]["checksum"]
 
     def test_bc_recompute_changes_timing_not_output(self):
-        # the stage that rebuilds the boundary fold per call generates the
-        # same trajectories as the one that reuses it
+        # the stages that rebuild the boundary fold per call, or refold it
+        # from the bank's kept grid fold, generate the same trajectories as
+        # the one that reuses it
         table = run_benchmark(TINY, repetitions=3, seed=5)
         assert table["fold_positions"]["checksum"] == table["positions"]["checksum"]
+        assert table["refold_positions"]["checksum"] == table["positions"]["checksum"]
 
     def test_repetitions_validated(self):
         with pytest.raises(ValidationError):
@@ -131,6 +133,7 @@ class TestReport:
         assert stages["positions"]["speedup"] == pytest.approx(
             stages["euler"]["median_s"] / stages["positions"]["median_s"])
         assert stages["fold_positions"]["checksum"] == stages["positions"]["checksum"]
+        assert stages["refold_positions"]["checksum"] == stages["positions"]["checksum"]
 
     def test_text_table(self, tmp_path, capsys):
         text, data = self._bench(tmp_path, capsys)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import tracemalloc
@@ -8,17 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from mptraj import (BoundaryCondition, DimensionError, DmpConfig, NumericalError,
-                    TimePairBatch, TrajectoryDistribution, ValidationError,
-                    WeightsDistribution, evaluate_position, folded_basis,
-                    gaussian_nll, marginal, pair_nll, per_time_marginals,
-                    precompute_basis, replan_segment, sample_time_pairs,
-                    sample_trajectories, trajectory_distribution)
+from mptraj import (BasisBank, BoundaryCondition, Demonstration, DimensionError,
+                    DmpConfig, NumericalError, TimePairBatch, TrajectoryDistribution,
+                    ValidationError, WeightsDistribution, evaluate_position,
+                    fit_distribution, fit_weights, folded_basis, gaussian_nll, marginal,
+                    pair_nll, per_time_marginals, precompute_basis, replan_segment,
+                    sample_time_pairs, sample_trajectories, trajectory_distribution)
 from mptraj.distribution import (PAIR_BLOCK, _group_gaussians,
                                  weights_distribution_from_dict,
                                  weights_distribution_json_dict)
 from tests.conftest import SMALL_CONFIG, random_weights_distribution
-from tests.reference import pair_nll_dense, pair_nll_one_fold
+from tests.reference import pair_nll_dense, pair_nll_one_fold, pair_times_by_unique
 
 LN_TWO_PI = 1.8378770664093455
 
@@ -235,6 +236,15 @@ class TestOverflow:
         batch = TimePairBatch(np.array([times]), np.zeros((1, 2)))
         with pytest.raises(NumericalError, match="overflows"):
             pair_nll(batch, wdist, bc, small_bank)
+
+    def test_sample_trajectories(self, small_bank):
+        # the weight-space draws overflow: once a ValidationError naming w_g,
+        # after a RuntimeWarning from the product
+        wdist = WeightsDistribution(np.zeros(6), 1e308 * np.eye(6))
+        with pytest.raises(NumericalError, match="draws overflow float64; the weights "
+                                                 "distribution is too wide"):
+            sample_trajectories(wdist, BoundaryCondition(0.0, [0.0], [0.0]), [0.5, 0.7],
+                                small_bank, 3, seed=0)
 
 
 # every read of a weights distribution, as (wdist, bc, bank) -> result
@@ -467,6 +477,23 @@ class TestTimePairs:
         assert np.all(batch.times[:, 0] < batch.times[:, 1])
         assert np.all(np.isin(batch.times, times))
 
+    @pytest.mark.parametrize("times", [
+        np.linspace(0.0, 1.0, 11), [0.7, 0.1, 0.4, 0.9, 0.2], [0.0, 0.5, 0.5, 1.0, 0.25],
+        [0.0, np.nan, 0.5, 1.0, 0.75], [-0.0, 0.5, 1.0], [0.5, -0.0, 0.0, 1.0],
+        [[0.0, 0.5], [1.0, 0.25]]],
+        ids=["sorted", "unsorted", "duplicates", "nan", "negative-zero", "both-zeros", "2d"])
+    @pytest.mark.parametrize("count", [1, 40])
+    def test_pair_times_are_those_of_np_unique(self, times, count):
+        # a strictly increasing grid is used as given, any other goes through
+        # np.unique; both draw the same pair times, bit for bit
+        expected = pair_times_by_unique(times, count, 7)
+        if np.isnan(expected).any():
+            with pytest.raises(ValidationError, match="must be finite"):
+                sample_time_pairs(times, count, 7)
+        else:
+            got = sample_time_pairs(times, count, 7).times
+            assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
     def test_pair_frequencies_are_uniform(self):
         # 5 grid times -> 10 unordered pairs; chi-square with 9 degrees of
         # freedom has a 0.999 quantile of 27.9
@@ -602,6 +629,95 @@ class TestBatchedPairNll:
                               np.zeros((2, 2)))
         with pytest.raises(NumericalError, match="singular pair covariance"):
             pair_nll(batch, wdist, bc, small_bank, noise_var=0.0)
+
+
+def _bits(out) -> list:
+    """The bytes of every array in a read's output: a record's fields, a
+    tuple's items or one array."""
+    if dataclasses.is_dataclass(out):
+        out = vars(out).values()
+    elif isinstance(out, np.ndarray):
+        out = (out,)
+    return [np.asarray(item).tobytes() for item in out]
+
+
+class TestGridFoldMemo:
+    """The grid reads share the fold the bank keeps (folded_basis) and give
+    the bits of a new bank, which keeps none."""
+
+    @staticmethod
+    def _case(bank):
+        wdist, bc = _case(bank, dofs=2, seed=4, t_b=0.1)
+        _, other = _case(bank, dofs=2, seed=5, t_b=0.1)
+        times = np.linspace(0.1, 1.0, 37)
+        pos, vel = sample_trajectories(wdist, bc, times, bank, 3, seed=1,
+                                       with_velocities=True)
+        demos = [Demonstration(times, p, v) for p, v in zip(pos, vel)]
+        return wdist, bc, other, times, demos
+
+    READS = {
+        "sample_trajectories": lambda wdist, bc, times, demos, bank: sample_trajectories(
+            wdist, bc, times, bank, 5, seed=2, with_velocities=True),
+        "per_time_marginals": lambda wdist, bc, times, demos, bank: per_time_marginals(
+            wdist, bc, times, bank),
+        "trajectory_distribution": lambda wdist, bc, times, demos, bank: (
+            trajectory_distribution(wdist, bc, times, bank)),
+        "fit_distribution": lambda wdist, bc, times, demos, bank: fit_distribution(
+            demos, bank),
+        "fit_weights": lambda wdist, bc, times, demos, bank: fit_weights(demos[1], bank),
+    }
+
+    @pytest.mark.parametrize("read", READS)
+    def test_warm_read_equals_a_new_bank(self, small_bank, read):
+        wdist, bc, other, times, demos = self._case(small_bank)
+        warm = BasisBank(small_bank.config, small_bank.table)
+        # kept at another state of the same t_b, in another array of the times
+        rows = folded_basis(other, times.copy(), warm).rows
+        got = self.READS[read](wdist, bc, times, demos, warm)
+        assert folded_basis(other, times, warm).rows is rows
+        fresh = BasisBank(small_bank.config, small_bank.table)
+        assert _bits(got) == _bits(self.READS[read](wdist, bc, times, demos, fresh))
+
+    def test_pair_nll_leaves_the_kept_fold(self, small_bank):
+        wdist, bc, _, times, _ = self._case(small_bank)
+        bank = BasisBank(small_bank.config, small_bank.table)
+        rows = folded_basis(bc, times, bank).rows
+        pairs = sample_time_pairs(times, 300, seed=3)
+        values = np.random.default_rng(3).standard_normal((300, 4))
+        nll = pair_nll(pairs.with_values(values), wdist, bc, bank)
+        assert folded_basis(bc, times, bank).rows is rows
+        assert nll == pair_nll(pairs.with_values(values), wdist, bc,
+                               BasisBank(small_bank.config, small_bank.table))
+
+    def test_policy_update_cycle_folds_its_grid_once(self, small_bank, monkeypatch):
+        # sample 16 rollouts, score 32 pairs of each, refit on 8: the grid is
+        # looked up on the first cycle only (the sampling and the fit each
+        # folded it once a cycle before); every block of pair times once
+        bank = BasisBank(small_bank.config, small_bank.table)
+        wdist, bc = _case(bank, dofs=2, seed=6)
+        times = np.arange(401) / 400
+        rng = np.random.default_rng(8)
+        lookups, lookup = [], BasisBank.lookup
+        monkeypatch.setattr(BasisBank, "lookup",
+                            lambda bank, t: lookups.append(len(t)) or lookup(bank, t))
+        grid, pairs = [], []
+        for _ in range(3):
+            lookups.clear()
+            pos, vel = sample_trajectories(wdist, bc, times, bank, 16, rng,
+                                           with_velocities=True)
+            for rollout in pos:
+                batch = sample_time_pairs(times, 32, rng)
+                truth = rollout[:, np.rint(batch.times * 400).astype(int)]
+                truth = truth.transpose(1, 0, 2).reshape(32, -1)
+                pair_nll(batch.with_values(truth + 1e-3 * rng.standard_normal(truth.shape)),
+                         wdist, bc, bank)
+            wdist = fit_distribution([Demonstration(times, p, v)
+                                      for p, v in zip(pos[:8], vel[:8])],
+                                     bank, cov_floor=1e-4)
+            grid.append(lookups.count(times.size + 1))
+            pairs.append(lookups.count(2 * 32 + 1))
+        assert grid == [1, 0, 0]
+        assert pairs == [16, 16, 16]
 
 
 class TestJson:

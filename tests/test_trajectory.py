@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from mptraj import (BasisBank, BoundaryCondition, DimensionError, DmpConfig,
-                    TrajectoryGenerator, ValidationError, evaluate_position,
-                    evaluate_velocity, precompute_basis)
+                    TrajectoryGenerator, ValidationError, WeightsDistribution,
+                    evaluate_position, evaluate_velocity, precompute_basis, run_chain)
 from mptraj.trajectory import (MAX_QUERY_SAMPLES, folded_basis, read_trajectory_csv,
                                weight_blocks, window_steps, write_trajectory_csv)
 from tests import reference
@@ -229,7 +229,9 @@ class TestFoldedBasis:
                 return _rows(bank, t)
             monkeypatch.setattr(BasisBank, name, counted)
         bc = BoundaryCondition(0.5, np.zeros(2), np.zeros(2))
-        folded_basis(bc, np.linspace(0.5, 2.5, 9), reference_bank)
+        # a new bank keeps no fold that this call could share
+        folded_basis(bc, np.linspace(0.5, 2.5, 9),
+                     BasisBank(reference_bank.config, reference_bank.table))
         assert calls == ["lookup"]
 
     def test_stack_equals_single_calls(self, reference_bank):
@@ -567,3 +569,93 @@ class TestWithState:
         fold = folded_basis(BoundaryCondition(0.0, [0.0], [0.0]), [0.5], reference_bank)
         with pytest.raises(ValidationError, match="boundary time"):
             fold.with_state(BoundaryCondition(0.1, [0.0], [0.0]))
+
+
+def _counted_lookups(monkeypatch) -> list:
+    """Records the length of every BasisBank.lookup query."""
+    lookups, lookup = [], BasisBank.lookup
+    monkeypatch.setattr(BasisBank, "lookup",
+                        lambda bank, t: lookups.append(len(t)) or lookup(bank, t))
+    return lookups
+
+
+class TestGridFoldMemo:
+    """folded_basis keeps the last fold a bank made through it, keyed by the
+    bits of t_b and of the times, and refolds only the offsets on a hit."""
+
+    @staticmethod
+    def _case(bank, seed=31, t_b=0.5):
+        # a new bank, so that no fold kept by another test is shared
+        rng = np.random.default_rng(seed)
+        bcs = [_random_case(rng, 3, bank.weight_dim, t_b=t_b)[0] for _ in range(2)]
+        w = rng.standard_normal((4, 3 * bank.weight_dim)) * 5.0
+        return BasisBank(bank.config, bank.table), bcs, np.linspace(t_b, 2.5, 57), w
+
+    @staticmethod
+    def _assert_fresh(fold, bc, times, bank, w):
+        fresh = TrajectoryGenerator(bc, times, bank)
+        assert fold.bc is bc
+        for name in ("times", "rows", "offsets"):
+            assert np.array_equal(getattr(fold, name), getattr(fresh, name)), name
+        assert np.array_equal(fold.positions(w), fresh.positions(w))
+        assert np.array_equal(fold.velocities(w), fresh.velocities(w))
+
+    def test_hit_shares_the_rows_bit_for_bit(self, reference_bank, monkeypatch):
+        bank, (first, second), times, w = self._case(reference_bank)
+        lookups = _counted_lookups(monkeypatch)
+        kept = folded_basis(first, times, bank)
+        # the same times in another array, at another state of the same t_b
+        hit = folded_basis(second, times.copy(), bank)
+        assert lookups == [times.size + 1]
+        assert hit.rows is kept.rows and hit.times is kept.times
+        self._assert_fresh(hit, second, times, bank, w)
+        self._assert_fresh(folded_basis(first, list(times), bank), first, times, bank, w)
+
+    def test_one_ulp_and_a_signed_zero_miss(self, reference_bank):
+        bank, (bc, _), times, w = self._case(reference_bank, t_b=0.0)
+        kept = folded_basis(bc, times, bank)
+        moved = times.copy()
+        moved[7] = np.nextafter(moved[7], np.inf)
+        negative = BoundaryCondition(-0.0, bc.y_b, bc.dy_b)
+        for other_bc, other_times in ((bc, moved), (negative, times)):
+            fold = folded_basis(other_bc, other_times, bank)
+            assert fold.rows is not kept.rows
+            self._assert_fresh(fold, other_bc, other_times, bank, w)
+        # one entry: the last miss replaced the first fold, which now misses
+        assert folded_basis(bc, times, bank).rows is not kept.rows
+
+    def test_caller_times_changed_after_a_call(self, reference_bank):
+        bank, (first, second), times, w = self._case(reference_bank)
+        given = times.copy()
+        kept = folded_basis(first, given, bank)
+        given[3] += 0.125
+        # the kept fold is of the times as they were when it was made: the
+        # same times share it, the changed array does not
+        hit = folded_basis(second, times, bank)
+        assert hit.rows is kept.rows
+        self._assert_fresh(hit, second, times, bank, w)
+        miss = folded_basis(second, given, bank)
+        assert miss.rows is not kept.rows
+        self._assert_fresh(miss, second, given, bank, w)
+
+    def test_kept_rows_and_times_are_read_only(self, reference_bank):
+        bank, (first, second), times, _ = self._case(reference_bank)
+        for fold in (folded_basis(first, times, bank), folded_basis(second, times, bank)):
+            for arr in (fold.rows, fold.times):
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[..., 0] = 1.0
+
+    def test_other_folds_leave_the_kept_fold(self, reference_bank, monkeypatch):
+        bank, (first, second), times, w = self._case(reference_bank)
+        kept = folded_basis(first, times, bank)
+        TrajectoryGenerator(second, times[1:], bank)
+        evaluate_position(w[0], second, times[:9], bank)
+        evaluate_velocity(w[0], second, times[:9], bank)
+        dim = 3 * bank.weight_dim
+        segments = [(WeightsDistribution(np.zeros(dim), np.eye(dim)), 0.2)] * 3
+        run_chain(first, segments, bank, rate=40.0)
+        run_chain(first, segments, bank, rate=40.0, anchor="follow")
+        lookups = _counted_lookups(monkeypatch)
+        assert folded_basis(second, times, bank).rows is kept.rows
+        assert lookups == []

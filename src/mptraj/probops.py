@@ -6,16 +6,18 @@ Combination follows the activated product of Gaussians:
     cov*(t) = (sum_k a_k(t) cov_k(t)^-1)^-1
     mu*(t)  = cov*(t) sum_k a_k(t) cov_k(t)^-1 mu_k(t)
 
-Only the times with two or more active primitives are combined.  One
-Cholesky factorization and one solve invert the active covariances at those
-times, gathered into one flat stack, and one more pair inverts the combined
-precisions there.  Components with zero activation at a time step drop out
-of the sums exactly, and at a time with one active component that component
-is passed through bit for bit (at activation a < 1 its covariance is divided
-by a) without being factored.
-A stack whose factorization fails is retried slice by slice, and each slice
-that needs a diagonal jitter counts once in meta["jitter_applied"].  A
-combined mean or covariance that is not finite raises NumericalError.
+Only the times with two or more active primitives are combined.  The active
+covariances at those times are gathered into one stack and inverted by one
+Cholesky factorization run along the stack axis, every slice at once; one
+more such factorization inverts the combined precisions there.  Components
+with zero activation at a time step drop out of the sums exactly, and at a
+time with one active component that component is passed through bit for bit
+(at activation a < 1 its covariance is divided by a) without being factored.
+Jitter is per slice: only a slice whose factorization meets a pivot that is
+not > 0 gets a 1e-12 diagonal jitter and is factored once more, with no
+retry pass over the rest of the stack, and each such slice counts once in
+meta["jitter_applied"].  A combined mean or covariance that is not finite
+raises NumericalError.
 """
 from __future__ import annotations
 
@@ -105,35 +107,61 @@ def falling_ramp(times, t_start: float, t_end: float) -> np.ndarray:
     return np.clip((t_end - times) / (t_end - t_start), 0.0, 1.0)
 
 
-def _chol_with_jitter(mat: np.ndarray, counter: list, what: str) -> np.ndarray:
-    try:
-        return np.linalg.cholesky(mat)
-    except np.linalg.LinAlgError:
-        counter[0] += 1
-        bumped = mat + PRECISION_JITTER * np.eye(mat.shape[0])
-        try:
-            return np.linalg.cholesky(bumped)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(
-                f"{what} is singular even after {PRECISION_JITTER:g} jitter") from exc
+def _spd_inverse(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inverses of a stack-last (D, D, n) array of SPD matrices, and a mask of
+    the slices whose factorization succeeded.
+
+    The Cholesky factor L is built column by column; a pivot
+    a_jj - sum_k l_jk^2 that is not > 0 fails its slice.  X = L^-1 follows by
+    forward substitution and the inverse is sum_k X_ki X_kj.  Every sum runs
+    in k order from zero, so the inverse is exactly symmetric and a slice's
+    bits do not depend on the rest of the stack."""
+    dofs, _, count = mats.shape
+    chol = np.zeros_like(mats)
+    factored = np.ones(count, dtype=bool)
+    for j in range(dofs):
+        dots = np.zeros((dofs - j, count))
+        for k in range(j):
+            dots += chol[j:, k] * chol[j, k]
+        col = mats[j:, j] - dots
+        factored &= col[0] > 0.0
+        chol[j, j] = np.sqrt(col[0])
+        chol[j + 1:, j] = col[1:] / chol[j, j]
+    inv_l = np.zeros_like(mats)
+    for i in range(dofs):
+        dots = np.zeros((i, count))
+        for k in range(i):
+            dots[:k + 1] += chol[i, k] * inv_l[k, :k + 1]
+        inv_l[i, :i] = -dots / chol[i, i]
+        inv_l[i, i] = 1.0 / chol[i, i]
+    inv = np.zeros_like(mats)
+    for k in range(dofs):
+        row = inv_l[k, :k + 1]
+        inv[:k + 1, :k + 1] += row[:, None] * row[None, :]
+    # inv is symmetric already; the sum turns an entry beyond half the float
+    # range into inf, so that a precision round trip at the edge of float64
+    # ends in the finiteness check
+    return 0.5 * (inv + inv.transpose(1, 0, 2)), factored
 
 
 def _inverse_stack(stack: np.ndarray, counter: list, what) -> np.ndarray:
-    """Symmetric inverses of a flat stack (n, D, D) of SPD matrices through one
-    batched Cholesky factorization.  When that fails, every slice is factored
-    alone, so jitter is added, and counted, only where a slice needs it;
-    what(j) names slice j in the error."""
-    try:
-        chol = np.linalg.cholesky(stack)
-    except np.linalg.LinAlgError:
-        chol = np.empty_like(stack)
-        for j, mat in enumerate(stack):
-            chol[j] = _chol_with_jitter(mat, counter, what(j))
-    # an identity per slice: numpy < 2 reads a (D, D) right-hand side beside a
-    # 3-D stack as D vectors
-    inv_l = np.linalg.solve(chol, np.broadcast_to(np.eye(stack.shape[-1]), stack.shape))
-    inv = np.swapaxes(inv_l, -1, -2) @ inv_l
-    return 0.5 * (inv + np.swapaxes(inv, -1, -2))
+    """Symmetric inverses of a flat stack (n, D, D) of SPD matrices, factored
+    together along the stack axis.  Only the slices whose factorization fails
+    get a diagonal jitter, counted once each, and are factored again; what(j)
+    names slice j in the error when that fails too."""
+    mats = np.ascontiguousarray(np.moveaxis(stack, 0, -1))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        inv, factored = _spd_inverse(mats)
+        failed = np.flatnonzero(~factored)
+        if failed.size:
+            counter[0] += failed.size
+            jitter = PRECISION_JITTER * np.eye(stack.shape[-1])[..., None]
+            inv[..., failed], factored = _spd_inverse(mats[..., failed] + jitter)
+            if not factored.all():
+                j = failed[np.flatnonzero(~factored)[0]]
+                raise NumericalError(
+                    f"{what(j)} is singular even after {PRECISION_JITTER:g} jitter")
+    return np.ascontiguousarray(np.moveaxis(inv, -1, 0))
 
 
 def _primitive_sum(terms: np.ndarray) -> np.ndarray:
@@ -224,6 +252,8 @@ def gaussian_sequence_from_dict(data) -> GaussianSequence:
     dofs = check_count("dofs", data["dofs"])
     meta = check_type("meta", data.get("meta", {}), dict)
     records = check_type("records", data["records"], list)
+    if not records:
+        raise ValidationError("the Gaussian sequence has no records")
     for i, rec in enumerate(records):
         check_record(rec, f"Gaussian-sequence record {i}", ("t", "mean", "cov_lower"))
     times = np.array([check_number("t", rec["t"]) for rec in records])

@@ -12,8 +12,8 @@ row-major boundary fold, the row-by-row precompute recurrence and the
 whole-grid precompute pass, the pair NLL through a dense block design
 matrix and scipy, the pair NLL over one fold of all pair times, pair
 time sampling from np.unique of every grid, the per-time combination
-loop, the per-demo fit loop, the ridge least squares
-on the augmented design matrix, the loops that add
+loop, the LAPACK inverse of a covariance stack, the per-demo fit loop,
+the ridge least squares on the augmented design matrix, the loops that add
 per-primitive or per-observation terms one at a time, the per-value CSV
 writers, the float()-per-cell trajectory CSV reader, the per-point SVG plot
 and the per-record Gaussian-sequence JSON.
@@ -336,6 +336,68 @@ def per_demo_fits(demos, bank, ridge=None) -> np.ndarray:
     return np.stack([fit_weights(demo, bank, ridge) for demo in demos])
 
 
+def lapack_spd_inverse(stack, counter, what):
+    """Symmetric inverses of a stack (n, D, D) of SPD matrices through one
+    batched LAPACK Cholesky factorization and one solve against the identity,
+    retrying every slice alone with a 1e-12 diagonal jitter when the stack
+    fails: the route that probops' stack-axis factorization replaced."""
+    def chol_with_jitter(mat, name):
+        try:
+            return np.linalg.cholesky(mat)
+        except np.linalg.LinAlgError:
+            counter[0] += 1
+            try:
+                return np.linalg.cholesky(mat + 1e-12 * np.eye(mat.shape[0]))
+            except np.linalg.LinAlgError as exc:
+                raise NumericalError(f"{name} is singular even after 1e-12 jitter") from exc
+
+    try:
+        chol = np.linalg.cholesky(stack)
+    except np.linalg.LinAlgError:
+        chol = np.stack([chol_with_jitter(mat, what(j)) for j, mat in enumerate(stack)])
+    inv_l = np.linalg.solve(chol, np.broadcast_to(np.eye(stack.shape[-1]), stack.shape))
+    inv = np.swapaxes(inv_l, -1, -2) @ inv_l
+    return 0.5 * (inv + np.swapaxes(inv, -1, -2))
+
+
+def spd_inverse_one(mat):
+    """Inverse of one SPD matrix in plain Python floats, or None where a pivot
+    is not > 0: probops' stack-axis kernel for a single slice, in its pivot
+    and summation order.  Column by column, pivot a_jj - sum_k l_jk^2; then
+    X = L^-1 by forward substitution and inv_ij = sum_k X_ki X_kj, each sum
+    in k order from 0.0."""
+    a = mat.tolist()
+    dofs = len(a)
+    chol = [[0.0] * dofs for _ in range(dofs)]
+    for j in range(dofs):
+        for i in range(j, dofs):
+            dot = 0.0
+            for k in range(j):
+                dot += chol[i][k] * chol[j][k]
+            if i == j:
+                pivot = a[j][j] - dot
+                if not pivot > 0.0:
+                    return None
+                chol[j][j] = math.sqrt(pivot)
+            else:
+                chol[i][j] = (a[i][j] - dot) / chol[j][j]
+    inv_l = [[0.0] * dofs for _ in range(dofs)]
+    for i in range(dofs):
+        for j in range(i):
+            dot = 0.0
+            for k in range(j, i):
+                dot += chol[i][k] * inv_l[k][j]
+            inv_l[i][j] = -dot / chol[i][i]
+        inv_l[i][i] = 1.0 / chol[i][i]
+    inv = [[0.0] * dofs for _ in range(dofs)]
+    for i in range(dofs):
+        for j in range(dofs):
+            for k in range(max(i, j), dofs):
+                inv[i][j] += inv_l[k][i] * inv_l[k][j]
+    return np.array([[0.5 * (inv[i][j] + inv[j][i]) for j in range(dofs)]
+                     for i in range(dofs)])
+
+
 def combine_loop(sequences, profile) -> GaussianSequence:
     """Activated product of per-time Gaussians, one time step and one active
     primitive at a time: a lone active primitive passes through (its
@@ -343,17 +405,13 @@ def combine_loop(sequences, profile) -> GaussianSequence:
     activation-weighted precisions of its active primitives."""
     def inverse(mat, counter, what):
         # a 1e-12 diagonal jitter where the factorization fails, counted once
-        try:
-            chol = np.linalg.cholesky(mat)
-        except np.linalg.LinAlgError:
+        inv = spd_inverse_one(mat)
+        if inv is None:
             counter[0] += 1
-            try:
-                chol = np.linalg.cholesky(mat + 1e-12 * np.eye(mat.shape[0]))
-            except np.linalg.LinAlgError as exc:
-                raise NumericalError(f"{what} is singular even after 1e-12 jitter") from exc
-        inv_l = np.linalg.solve(chol, np.eye(mat.shape[0]))
-        inv = inv_l.T @ inv_l
-        return 0.5 * (inv + inv.T)
+            inv = spd_inverse_one(mat + 1e-12 * np.eye(mat.shape[0]))
+            if inv is None:
+                raise NumericalError(f"{what} is singular even after 1e-12 jitter")
+        return inv
 
     base = sequences[0]
     t_count, dofs = base.means.shape

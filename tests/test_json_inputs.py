@@ -255,6 +255,8 @@ class TestReaders:
         ({"dofs": 1, "records": [], "meta": "abc"}, "meta must be a JSON object"),
         ({"records": []}, "missing Gaussian-sequence keys: dofs"),
         ({"dofs": -1, "records": []}, "dofs must be >= 1"),
+        # the packed-covariance check named a (0,) shape that no file holds
+        ({"dofs": 2, "records": []}, "the Gaussian sequence has no records"),
     ])
     def test_gaussian_sequence_record(self, data, message):
         with pytest.raises(ValidationError, match=message):

@@ -1,12 +1,13 @@
 import json
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from mptraj import (ActivationProfile, DimensionError, GaussianSequence,
                     NumericalError, ValidationError, blend, combine, falling_ramp)
-from mptraj.probops import (_primitive_sum, gaussian_sequence_from_dict,
+from mptraj.probops import (_inverse_stack, _primitive_sum, gaussian_sequence_from_dict,
                             gaussian_sequence_json_dict)
 from tests import reference
 
@@ -248,6 +249,111 @@ class TestCombine:
         profile = ActivationProfile(np.array([0.0, 1.0]), np.ones((2, 2)))
         with pytest.raises(DimensionError):
             combine([seq], profile)
+
+
+def _exact_inverse(mat):
+    """Inverse of a float matrix in exact rationals, by Gauss-Jordan."""
+    dofs = mat.shape[0]
+    rows = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(dofs)]
+            for i, row in enumerate(mat.tolist())]
+    for c in range(dofs):
+        p = next(r for r in range(c, dofs) if rows[r][c])
+        rows[c], rows[p] = rows[p], rows[c]
+        rows[c] = [v / rows[c][c] for v in rows[c]]
+        for r in range(dofs):
+            if r != c:
+                rows[r] = [v - rows[r][c] * w for v, w in zip(rows[r], rows[c])]
+    return [row[dofs:] for row in rows]
+
+
+def _scaled_error(got, mat):
+    """Largest entry error of got, the computed inverse of mat, relative to
+    the exact inverse's largest entry and divided by mat's condition number.
+    Unscaled, the worst slice of a sample is the one with the largest
+    condition number, which spreads the ratio of two routes' worst cases
+    over 0.4-2.3 from sample to sample; scaled, both routes' worst cases sit
+    near the same bound."""
+    exact = _exact_inverse(mat)
+    largest = max(abs(e) for row in exact for e in row)
+    error = max(abs(Fraction(g) - e) for g_row, e_row in zip(got.tolist(), exact)
+                for g, e in zip(g_row, e_row))
+    return float(error / largest) / np.linalg.cond(mat)
+
+
+class TestInverseStack:
+    @pytest.mark.parametrize("dofs", [1, 2, 3, 7])
+    def test_matches_lapack_on_well_conditioned_stacks(self, dofs):
+        rng = np.random.default_rng(10 + dofs)
+        a = rng.standard_normal((300, dofs, dofs))
+        stack = a @ a.transpose(0, 2, 1) + 0.5 * np.eye(dofs)
+        got = _inverse_stack(stack, [0], str)
+        want = reference.lapack_spd_inverse(stack, [0], str)
+        scale = np.abs(want).max(axis=(1, 2))
+        assert (np.abs(got - want).max(axis=(1, 2)) <= 1e-13 * scale).all()
+        if dofs == 1:
+            assert got.tobytes() == want.tobytes()
+
+    # a rank-deficient covariance plus the 1e-12 jitter has a condition
+    # number near 1e12, so both routes lose digits; the kernel may not lose
+    # notably more than LAPACK
+    @pytest.mark.parametrize("dofs", [1, 2, 3])
+    def test_as_accurate_as_lapack_on_jittered_rank_deficient_slices(self, dofs):
+        rng = np.random.default_rng(20 + dofs)
+        b = rng.standard_normal((1000, dofs, dofs - 1))
+        stack = b @ b.transpose(0, 2, 1) + 1e-12 * np.eye(dofs)
+        stack = 0.5 * (stack + stack.transpose(0, 2, 1))
+        kernel_counter, lapack_counter = [0], [0]
+        routes = (_inverse_stack(stack, kernel_counter, str),
+                  reference.lapack_spd_inverse(stack, lapack_counter, str))
+        assert kernel_counter == lapack_counter == [0]
+        kernel, lapack = (np.array([_scaled_error(got, mat) for got, mat in zip(route, stack)])
+                          for route in routes)
+        assert np.median(kernel) <= 1.5 * np.median(lapack)
+        assert kernel.max() <= 1.5 * lapack.max()
+
+    def test_combine_and_blend_call_no_lapack_inverse(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        cases = []
+        for dofs in (1, 2, 3):
+            times = np.linspace(0.0, 1.0, 30)
+            seqs = [_random_sequence(rng, times, dofs) for _ in range(3)]
+            values = rng.uniform(0.05, 1.0, size=(3, 30))
+            values[1:, :10] = 0.0
+            cases.append((seqs, ActivationProfile(times, values), falling_ramp(times, 0.2, 0.8)))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a LAPACK inverse was called")
+
+        for name in ("cholesky", "solve", "inv"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        for seqs, profile, ramp in cases:
+            for out in (combine(seqs, profile), blend(seqs[0], seqs[1], ramp)):
+                assert np.isfinite(out.covs).all() and np.isfinite(out.means).all()
+
+    def test_jitter_stays_on_the_failing_slices(self):
+        # each of these factors in exact arithmetic, so one pivot is exactly 0
+        deficient = {17: [[1.0, 2.0, 2.0], [2.0, 4.0, 4.0], [2.0, 4.0, 4.0]],
+                     600: [[4.0, 0.0, 2.0], [0.0, 0.0, 0.0], [2.0, 0.0, 1.0]],
+                     1111: [[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 2.0]]}
+        rng = np.random.default_rng(12)
+        times = np.linspace(0.0, 1.0, 1200)
+        seq_a = _random_sequence(rng, times, dofs=3)
+        seq_b = _random_sequence(rng, times, dofs=3)
+        covs = seq_a.covs.copy()
+        for i, mat in deficient.items():
+            covs[i] = mat
+        seq_a = GaussianSequence(times, seq_a.means, covs)
+        failing = sum(reference.spd_inverse_one(mat) is None
+                      for seq in (seq_a, seq_b) for mat in seq.covs)
+        out = blend(seq_a, seq_b, np.full(1200, 0.5))
+        assert out.meta["jitter_applied"] == failing == len(deficient)
+
+        keep = np.setdiff1d(np.arange(1200), list(deficient))
+        alone = blend(*(GaussianSequence(times[keep], seq.means[keep], seq.covs[keep])
+                        for seq in (seq_a, seq_b)), np.full(keep.size, 0.5))
+        assert alone.meta["jitter_applied"] == 0
+        assert out.means[keep].tobytes() == alone.means.tobytes()
+        assert out.covs[keep].tobytes() == alone.covs.tobytes()
 
 
 class TestBlend:

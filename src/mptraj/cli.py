@@ -33,8 +33,8 @@ from .probops import (ActivationProfile, GaussianSequence, blend, combine,
 from .replan import run_chain, smoothness_metric
 from .svgplot import line_plot
 from .trajectory import (MAX_QUERY_SAMPLES, BoundaryCondition, TrajectoryGenerator,
-                         evaluate_position, read_trajectory_csv, weight_blocks,
-                         window_steps, write_trajectory_csv)
+                         folded_basis, read_trajectory_csv, weight_blocks, window_steps,
+                         write_trajectory_csv)
 
 
 def _load_bank(args) -> BasisBank:
@@ -179,10 +179,11 @@ def _cmd_fit(args) -> int:
     demos = [Demonstration(*read_trajectory_csv(path)) for path in args.demo]
     bc = _load_bc(args.bc) if args.bc else None
     if len(demos) == 1:
-        weights = fit_weights(demos[0], bank, ridge=args.ridge, bc=bc)
         demo = demos[0]
-        recon = evaluate_position(weights, bc or demo.boundary_condition(),
-                                  demo.times, bank)
+        bc = bc or demo.boundary_condition()
+        weights = fit_weights(demo, bank, ridge=args.ridge, bc=bc)
+        # the fit kept its fold of the demo's grid, which the reconstruction reads
+        recon = folded_basis(bc, demo.times, bank).positions(weights)
         rmse = float(np.sqrt(np.mean((recon - demo.positions) ** 2)))
         atomic_write_json(args.out, {
             "dofs": demo.dofs,

@@ -29,7 +29,8 @@ import numpy as np
 from .basis import BasisBank
 from .errors import (DimensionError, NumericalError, ValidationError,
                      check_count, check_finite_nonneg, check_int, check_numbers,
-                     check_record, check_seed, take_array, take_floats, take_value)
+                     check_record, check_seed, numerical_errors, take_array, take_floats,
+                     take_value)
 from .fileio import atomic_write_json, write_csv_table
 from .trajectory import (BoundaryCondition, TrajectoryGenerator, folded_basis,
                          weight_blocks)
@@ -250,9 +251,9 @@ def sample_trajectories(wdist: WeightsDistribution, bc: BoundaryCondition, times
             "weight-space draws overflow float64; the weights distribution is too wide")
 
     fold = folded_basis(bc, times, bank)
-    if not with_velocities:
-        return fold.positions(draws)
-    return fold.positions(draws), fold.velocities(draws)
+    with numerical_errors("sampled trajectories; the weights distribution is too wide"):
+        positions = fold.positions(draws)
+        return (positions, fold.velocities(draws)) if with_velocities else positions
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ arrays: take_floats, and take_array and take_value for record fields.
 
 Each error category carries the process exit code the CLI maps it to.
 """
+import contextlib
 import math
 import numbers
 
@@ -154,6 +155,18 @@ def check_numbers(name: str, value) -> np.ndarray:
         return arr.astype(float)
     except OverflowError as exc:
         raise ValidationError(f"{name} holds an integer too large for a float") from exc
+
+
+@contextlib.contextmanager
+def numerical_errors(what: str):
+    """An overflow, invalid operation or division by zero in the block ends in
+    one NumericalError, "floating-point <numpy's message> (<what>)", where it
+    happens: no inf or NaN is returned, and no pass over the output checks."""
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise NumericalError(f"floating-point {exc} ({what})") from exc
 
 
 def freeze(record, **arrays) -> None:

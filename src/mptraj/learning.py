@@ -23,7 +23,7 @@ import numpy as np
 from .basis import BasisBank
 from .distribution import WeightsDistribution
 from .errors import (DimensionError, NumericalError, ValidationError,
-                     check_finite_nonneg, take_array)
+                     check_finite_nonneg, numerical_errors, take_array)
 from .trajectory import BoundaryCondition, folded_basis
 
 DEFAULT_COV_FLOOR = 1e-8
@@ -149,10 +149,11 @@ def fit_distribution(demos, bank: BasisBank, ridge: float | None = None,
     for members in grids.values():
         group = [demos[i] for i in members]
         fits[members] = _fit_grid(group, [d.boundary_condition() for d in group], bank, ridge)
-    mean = fits.mean(axis=0)
-    centered = fits - mean
-    cov = (centered.T @ centered) / (len(demos) - 1)
-    cov[np.diag_indices_from(cov)] += cov_floor
+    with numerical_errors("covariance of the fitted weights"):
+        mean = fits.mean(axis=0)
+        centered = fits - mean
+        cov = (centered.T @ centered) / (len(demos) - 1)
+        cov[np.diag_indices_from(cov)] += cov_floor
     return WeightsDistribution.from_covariance(mean, cov)
 
 
@@ -201,14 +202,15 @@ def bayesian_aggregate(prior: LatentGaussian, observations) -> LatentGaussian:
     observations.sort(key=lambda obs: (obs.mean.tobytes(), obs.var.tobytes()))
     obs_mean = np.stack([obs.mean for obs in observations])
     obs_var = np.stack([obs.var for obs in observations])
-    # accumulate adds the rows strictly in order; sum may pair them up
-    prec_sum = np.add.accumulate(1.0 / obs_var)[-1]
-    shift_sum = np.add.accumulate((obs_mean - prior.mean) / obs_var)[-1]
-    precision = 1.0 / prior.var + prec_sum
-    # an element of total precision 0 keeps the prior: its update would
-    # take 1/0 and then inf * 0
-    informed = precision > 0.0
-    mean, var = prior.mean.copy(), prior.var.copy()
-    var[informed] = 1.0 / precision[informed]
-    mean[informed] += var[informed] * shift_sum[informed]
+    with numerical_errors("Bayesian aggregation"):
+        # accumulate adds the rows strictly in order; sum may pair them up
+        prec_sum = np.add.accumulate(1.0 / obs_var)[-1]
+        shift_sum = np.add.accumulate((obs_mean - prior.mean) / obs_var)[-1]
+        precision = 1.0 / prior.var + prec_sum
+        # an element of total precision 0 keeps the prior: its update would
+        # take 1/0 and then inf * 0
+        informed = precision > 0.0
+        mean, var = prior.mean.copy(), prior.var.copy()
+        var[informed] = 1.0 / precision[informed]
+        mean[informed] += var[informed] * shift_sum[informed]
     return LatentGaussian(mean=mean, var=var)

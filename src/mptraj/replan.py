@@ -13,10 +13,11 @@ with unchanged parameters continues the original path; it requires the chain
 to fit inside the bank horizon.
 
 A chain computes only the executed trace: each segment is two matrix
-products on a boundary fold.  Local-anchored segments of one horizon share
-one fold, whose rows depend on bank time and horizon alone, and refold only
-the offsets from each executed state.  replan_segment additionally returns
-the segment's trajectory distribution, whose mean is its position trace.
+products on a boundary fold.  Local segments sit at bank time 0, so equal
+horizons repeat one grid: they read the bank's kept fold (folded_basis) and
+refold only the offsets.  Follow segments, and replan_segment, fold on their
+own and leave the kept fold alone.  replan_segment additionally returns the
+segment's trajectory distribution, whose mean is its position trace.
 """
 from __future__ import annotations
 
@@ -27,9 +28,9 @@ import numpy as np
 from .basis import BasisBank
 from .distribution import (DEFAULT_NOISE_VAR, TrajectoryDistribution,
                            WeightsDistribution, _fold_distribution)
-from .errors import (DimensionError, NumericalError, ValidationError, check_finite_positive,
-                     check_seed, freeze, take_array, take_floats)
-from .trajectory import BoundaryCondition, TrajectoryGenerator, window_steps
+from .errors import (DimensionError, ValidationError, check_finite_positive, check_seed,
+                     freeze, numerical_errors, take_array, take_floats)
+from .trajectory import BoundaryCondition, TrajectoryGenerator, folded_basis, window_steps
 
 
 @dataclass(frozen=True)
@@ -151,8 +152,10 @@ def run_chain(initial: BoundaryCondition, segments, bank: BasisBank, rate: float
     executed state of the one before it.
 
     mode "mean" follows each segment's mean; mode "sample" draws one weight
-    vector per segment.  With anchor "local", segments of equal horizon share
-    one fold (TrajectoryGenerator.with_state), bit for bit.
+    vector per segment.  With anchor "local" each segment folds through
+    folded_basis, so a run of one horizon folds once, and an alternating
+    horizon folds at every change; "follow" segments fold anew.  The trace
+    is that of a fresh fold per segment, bit for bit.
     """
     segments = [_chain_segment(k, segment) for k, segment in enumerate(segments)]
     if not segments:
@@ -165,9 +168,7 @@ def run_chain(initial: BoundaryCondition, segments, bank: BasisBank, rate: float
 
     state = initial
     traces = []
-    # local segments of one horizon all sit at bank time 0 over the same bank
-    # times, so they share one fold's rows; each refolds only its offsets
-    folds = {}
+    fold = folded_basis if anchor == "local" else TrajectoryGenerator
     for wdist, horizon in segments:
         bank_anchor = 0.0 if anchor == "local" else state.t_b
         times, local_times, local_bc = _segment_frame(state, horizon, bank, rate,
@@ -175,10 +176,7 @@ def run_chain(initial: BoundaryCondition, segments, bank: BasisBank, rate: float
         w = wdist.mean
         if mode == "sample":
             w = wdist.mean + wdist.chol @ rng.standard_normal(wdist.dim)
-        if anchor == "local" and horizon in folds:
-            gen = folds[horizon].with_state(local_bc)
-        else:
-            gen = folds[horizon] = TrajectoryGenerator(local_bc, local_times, bank)
+        gen = fold(local_bc, local_times, bank)
         positions, velocities = gen.positions(w), gen.velocities(w)
         traces.append((times, positions, velocities))
         state = BoundaryCondition(t_b=float(times[-1]),
@@ -207,11 +205,9 @@ def smoothness_metric(positions, dt: float) -> float:
     if positions.shape[1] < 3:
         raise ValidationError("smoothness metric needs at least 3 samples")
     check_finite_positive("dt", dt)
-    second = positions[:, 2:] - 2.0 * positions[:, 1:-1] + positions[:, :-2]
-    # dt**2 underflows to 0 for dt below about 1e-162, and a large second
-    # difference overflows when squared
-    try:
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            return float(np.mean((second / dt ** 2) ** 2))
-    except FloatingPointError as exc:
-        raise NumericalError(f"floating-point {exc} (smoothness metric, dt = {dt})") from exc
+    # the second difference of large samples overflows, dt**2 underflows to 0
+    # for dt below about 1e-162, and a large second difference overflows when
+    # squared
+    with numerical_errors(f"smoothness metric, dt = {dt}"):
+        second = positions[:, 2:] - 2.0 * positions[:, 1:-1] + positions[:, :-2]
+        return float(np.mean((second / dt ** 2) ** 2))

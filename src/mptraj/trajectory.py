@@ -110,9 +110,9 @@ class TrajectoryGenerator:
     rows, and `offsets`, one (2, D, T) array; readers index them directly.
     The rows depend on (t_b, times) only and the offsets on the boundary
     state as well.  state_offsets() is the one place a boundary state becomes
-    offsets, from the stored xi factors: the fold's own, those with_state()
-    rebuilds for another state at the same t_b and times, and the position
-    offsets of any number of states at once, as the fit reads them.
+    offsets, from the stored xi factors: the fold's own, those folded_basis()
+    rebuilds for another state at a kept grid's t_b and times, and the
+    position offsets of any number of states at once, as the fit reads them.
 
     positions()/velocities() then cost one (D, N+1) x (N+1, T) product per
     weight vector against a contiguous row slice, with the offset added into
@@ -143,17 +143,6 @@ class TrajectoryGenerator:
         out += second[kind] * np.asarray(dy_b)[:, None]
         return out
 
-    def with_state(self, bc: BoundaryCondition) -> "TrajectoryGenerator":
-        """The fold of boundary state bc at the same t_b and times, bit for
-        bit: it shares this fold's rows and rebuilds only the offsets."""
-        if bc.t_b != self.bc.t_b:
-            raise ValidationError(
-                f"boundary time {bc.t_b} differs from the fold's {self.bc.t_b}")
-        gen = copy.copy(self)
-        gen.bc = bc
-        gen.offsets = self.state_offsets(bc.y_b, bc.dy_b)
-        return gen
-
     def _blocks(self, w_g) -> np.ndarray:
         """Weight blocks (..., D, N+1) of one vector or a stack (..., D*(N+1)),
         all finite: a NaN or inf weight would give a NaN trajectory."""
@@ -178,8 +167,8 @@ class TrajectoryGenerator:
 def folded_basis(bc: BoundaryCondition, times, bank: BasisBank) -> TrajectoryGenerator:
     """The fold TrajectoryGenerator(bc, times, bank) makes, bit for bit, made
     once per time grid: the bank keeps the last fold made here, and a call at
-    its t_b and times, equal in every bit (so -0.0 is not 0.0), shares its
-    rows and rebuilds only the offsets (with_state).  Any other call folds
+    its t_b and times, equal in every bit (so -0.0 is not 0.0), gets a copy
+    that shares its rows and holds only new offsets.  Any other call folds
     anew, on its own copy of the times, and that fold replaces the kept one;
     its rows and times are read-only, so neither the caller's times array nor
     a reader of the fold can change what a later call gets."""
@@ -187,7 +176,9 @@ def folded_basis(bc: BoundaryCondition, times, bank: BasisBank) -> TrajectoryGen
     last = bank._last_fold
     if (last is not None and np.float64(bc.t_b).tobytes() == np.float64(last.bc.t_b).tobytes()
             and np.array_equal(times.view(np.int64), last.times.view(np.int64))):
-        return last.with_state(bc)
+        hit = copy.copy(last)
+        hit.bc, hit.offsets = bc, last.state_offsets(bc.y_b, bc.dy_b)
+        return hit
     fold = TrajectoryGenerator(bc, times.copy(), bank)
     fold.times.flags.writeable = fold.rows.flags.writeable = False
     object.__setattr__(bank, "_last_fold", fold)

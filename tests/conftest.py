@@ -67,6 +67,15 @@ def streamed_and_whole_grid():
     return banks
 
 
+def counted_lookups(monkeypatch) -> list:
+    """Records the length of every BasisBank.lookup query: one per fold."""
+    from mptraj import BasisBank
+    lookups, lookup = [], BasisBank.lookup
+    monkeypatch.setattr(BasisBank, "lookup",
+                        lambda bank, t: lookups.append(len(t)) or lookup(bank, t))
+    return lookups
+
+
 def random_weights_distribution(dofs, weight_dim, rng, scale=0.5):
     from mptraj import WeightsDistribution
     dim = dofs * weight_dim

@@ -63,9 +63,15 @@ def test_public_record_fields_are_pinned():
 
 def test_fold_stores_only_its_arrays_and_state(small_bank):
     # the fold keeps its rows and offsets, the xi factors that refold the
-    # offsets, and its inputs; no view of them is stored under another name
+    # offsets, and its inputs; no view of them is stored under another name,
+    # and a folded_basis hit, which holds another state's offsets, stores the same
+    bank = mptraj.BasisBank(small_bank.config, small_bank.table)
     bc = mptraj.BoundaryCondition(0.25, [0.1, -0.2], [0.3, 0.0])
-    gen = mptraj.TrajectoryGenerator(bc, np.linspace(0.25, 0.75, 11), small_bank)
-    moved = gen.with_state(mptraj.BoundaryCondition(0.25, [1.0, 2.0], [0.0, 0.5]))
-    for fold in (gen, moved):
+    times = np.linspace(0.25, 0.75, 11)
+    gen = mptraj.TrajectoryGenerator(bc, times, bank)
+    kept = mptraj.folded_basis(bc, times, bank)
+    moved = mptraj.folded_basis(mptraj.BoundaryCondition(0.25, [1.0, 2.0], [0.0, 0.5]),
+                                times, bank)
+    assert moved.rows is kept.rows
+    for fold in (gen, kept, moved):
         assert sorted(vars(fold)) == ["_xi", "bc", "offsets", "rows", "times"]

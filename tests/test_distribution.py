@@ -11,14 +11,14 @@ from scipy import stats
 
 from mptraj import (BasisBank, BoundaryCondition, Demonstration, DimensionError,
                     DmpConfig, NumericalError, TimePairBatch, TrajectoryDistribution,
-                    ValidationError, WeightsDistribution, evaluate_position,
+                    TrajectoryGenerator, ValidationError, WeightsDistribution, evaluate_position,
                     fit_distribution, fit_weights, folded_basis, gaussian_nll, marginal,
                     pair_nll, per_time_marginals, precompute_basis, replan_segment,
                     sample_time_pairs, sample_trajectories, trajectory_distribution)
 from mptraj.distribution import (PAIR_BLOCK, _group_gaussians,
                                  weights_distribution_from_dict,
                                  weights_distribution_json_dict)
-from tests.conftest import SMALL_CONFIG, random_weights_distribution
+from tests.conftest import SMALL_CONFIG, counted_lookups, random_weights_distribution
 from tests.reference import pair_nll_dense, pair_nll_one_fold, pair_times_by_unique
 
 LN_TWO_PI = 1.8378770664093455
@@ -245,6 +245,29 @@ class TestOverflow:
                                                  "distribution is too wide"):
             sample_trajectories(wdist, BoundaryCondition(0.0, [0.0], [0.0]), [0.5, 0.7],
                                 small_bank, 3, seed=0)
+
+    @pytest.mark.parametrize("with_velocities", [False, True])
+    def test_sample_trajectories_products(self, with_velocities):
+        # 16 finite draws of 7 DoF x 11 weights over 3001 times, as a policy
+        # update samples them, whose product passes float64 where the weights'
+        # signs match the rows: positions with weights at the float64 limit,
+        # velocities, whose rows are larger, with weights whose positions
+        # stay finite.  Velocities once came back inf with no error
+        bank = precompute_basis(DmpConfig(alpha=25.0, tau=3.0, alpha_x=2.0, num_basis=10,
+                                          duration=3.0))
+        bc = BoundaryCondition(0.0, np.zeros(7), np.zeros(7))
+        times = np.arange(3001) / 1000
+        rows = TrajectoryGenerator(bc, times, bank).rows[int(with_velocities)]
+        signs = np.sign(rows[:, np.argmax(np.abs(rows).sum(axis=0))])
+        scale = 1.2e308 if with_velocities else 1.797e308
+        wdist = WeightsDistribution(np.tile(scale * signs, 7), np.eye(77))
+        if with_velocities:
+            assert np.isfinite(sample_trajectories(wdist, bc, times, bank, 16, seed=0)).all()
+        with pytest.raises(NumericalError, match=r"^floating-point overflow encountered in "
+                           r"matmul \(sampled trajectories; the weights distribution is "
+                           r"too wide\)$"):
+            sample_trajectories(wdist, bc, times, bank, 16, seed=0,
+                                with_velocities=with_velocities)
 
 
 # every read of a weights distribution, as (wdist, bc, bank) -> result
@@ -697,9 +720,7 @@ class TestGridFoldMemo:
         wdist, bc = _case(bank, dofs=2, seed=6)
         times = np.arange(401) / 400
         rng = np.random.default_rng(8)
-        lookups, lookup = [], BasisBank.lookup
-        monkeypatch.setattr(BasisBank, "lookup",
-                            lambda bank, t: lookups.append(len(t)) or lookup(bank, t))
+        lookups = counted_lookups(monkeypatch)
         grid, pairs = [], []
         for _ in range(3):
             lookups.clear()

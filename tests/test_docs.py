@@ -82,7 +82,12 @@ def test_readme_code_names_exist():
                and not name.startswith("_")}
     known = set().union(*map(_names, modules + list(classes.values())))
     unknown = []
-    for span in re.findall(r"`([^`\n]+)`", README):
+    # backticks pair within a paragraph, so a span may wrap a line; fenced
+    # blocks are shell, not code names
+    prose = re.sub(r"^```.*?^```$", "", README, flags=re.MULTILINE | re.DOTALL)
+    spans = [span for paragraph in re.split(r"\n\s*\n", prose)
+             for span in re.findall(r"`([^`]+)`", paragraph)]
+    for span in spans:
         for match in re.finditer(r"(?<![\w.])([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)(\()?", span):
             parts = match[1].split(".")
             if ((len(parts) == 1 and not match[2]) or parts[0] in NOT_MPTRAJ

@@ -207,6 +207,16 @@ class TestFitDistribution:
         with pytest.raises(ValidationError, match="cov_floor must be finite and >= 0"):
             fit_distribution([demo, demo], small_bank, cov_floor=cov_floor)
 
+    def test_overflowing_covariance_is_numerical_error(self, small_bank):
+        # fits near +-1e300 square past float64: once a ValidationError
+        # naming WeightsDistribution.chol, a field the caller never passed
+        times = np.arange(401) / 400
+        ramp = 1e300 * np.linspace(1.0, 2.0, 401)[None]
+        demos = [Demonstration(times, sign * ramp) for sign in (1.0, -1.0, 1.0)]
+        with pytest.raises(NumericalError, match=r"^floating-point overflow encountered "
+                           r"in \w+ \(covariance of the fitted weights\)$"):
+            fit_distribution(demos, small_bank)
+
     def test_matches_weight_space_moments(self, small_bank):
         # dual route: fitting noiseless demos synthesized from known weight
         # draws must reproduce the draws' empirical mean and covariance
@@ -394,6 +404,16 @@ class TestSharedGridFit:
 
 
 class TestBayesianAggregate:
+    # the posterior mean overflows: once a ValidationError naming
+    # LatentGaussian.mean, a field the caller never passed
+    @pytest.mark.parametrize("obs_var", [1e-308, 1e-10], ids=repr)
+    def test_overflowing_posterior_is_numerical_error(self, obs_var):
+        prior = LatentGaussian(np.array([0.0]), np.array([1e-308]))
+        obs = LatentGaussian(np.array([1e308]), np.array([obs_var]))
+        with pytest.raises(NumericalError, match=r"^floating-point overflow encountered "
+                           r"in \w+ \(Bayesian aggregation\)$"):
+            bayesian_aggregate(prior, [obs])
+
     def test_unit_example(self):
         prior = LatentGaussian(np.array([0.0]), np.array([1.0]))
         obs = LatentGaussian(np.array([1.0]), np.array([1.0]))

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
+import mptraj.replan
 from mptraj import (BasisBank, BoundaryCondition, IntegratorSpec, NumericalError,
                     ReplanSegment, TimePairBatch, TrajectoryGenerator, ValidationError,
                     WeightsDistribution, evaluate_position, pair_nll, per_time_marginals,
                     replan_segment, run_chain, smoothness_metric)
 from mptraj.errors import DimensionError
 from mptraj.trajectory import MAX_QUERY_SAMPLES
-from tests.conftest import random_weights_distribution
+from tests.conftest import counted_lookups, random_weights_distribution
 from tests.reference import stale_chain
 
 
@@ -195,26 +196,40 @@ class TestRunChain:
     @pytest.mark.parametrize("anchor", ["local", "follow"])
     def test_local_chain_folds_once_per_horizon(self, small_bank, monkeypatch,
                                                 anchor, mode):
-        # equal-horizon local segments share one fold and refold only their
-        # offsets; the plan equals that of a fresh fold per segment, bit for bit
-        wdists, initial = _setup(small_bank, dofs=7)
+        # local segments read the bank's kept fold, so a run of one horizon
+        # folds once and each change of horizon folds again: 4 folds here;
+        # follow segments fold anew.  The plan equals that of a fresh fold per
+        # segment, bit for bit
+        bank = BasisBank(small_bank.config, small_bank.table)
+        wdists, initial = _setup(bank, dofs=7)
         horizons = (0.1, 0.1, 0.2, 0.1, 0.2)
         segments = [(wdists[k % 3], h) for k, h in enumerate(horizons)]
-        lookups = []
-        lookup = BasisBank.lookup
-        monkeypatch.setattr(BasisBank, "lookup",
-                            lambda bank, t: lookups.append(len(t)) or lookup(bank, t))
-        plan = run_chain(initial, segments, small_bank, rate=40.0, anchor=anchor,
+        lookups = counted_lookups(monkeypatch)
+        plan = run_chain(initial, segments, bank, rate=40.0, anchor=anchor,
                          mode=mode, seed=3)
-        assert len(lookups) == (2 if anchor == "local" else 5)
-        monkeypatch.setattr(TrajectoryGenerator, "with_state",
-                            lambda fold, bc: TrajectoryGenerator(bc, fold.times, small_bank))
-        fresh = run_chain(initial, segments, small_bank, rate=40.0, anchor=anchor,
+        assert len(lookups) == (4 if anchor == "local" else 5)
+        monkeypatch.setattr(mptraj.replan, "folded_basis", TrajectoryGenerator)
+        fresh = run_chain(initial, segments, bank, rate=40.0, anchor=anchor,
                           mode=mode, seed=3)
-        assert len(lookups) == (2 if anchor == "local" else 5) + 5
+        assert len(lookups) == (4 if anchor == "local" else 5) + 5
         for name in ("times", "positions", "velocities", "segment_ids",
                      "pos_jumps", "vel_jumps"):
             assert np.array_equal(getattr(plan, name), getattr(fresh, name)), name
+
+    @pytest.mark.parametrize("anchor, folds", [("local", 1), ("follow", 5)])
+    def test_chain_of_one_horizon_folds(self, small_bank, monkeypatch, anchor, folds):
+        # a local chain folds its one grid once, and a second call reads the
+        # kept fold and folds nothing; a follow chain folds every segment
+        bank = BasisBank(small_bank.config, small_bank.table)
+        wdists, initial = _setup(bank)
+        segments = [(wdists[k % 3], 0.2) for k in range(5)]
+        lookups = counted_lookups(monkeypatch)
+        first = run_chain(initial, segments, bank, rate=40.0, anchor=anchor)
+        assert len(lookups) == folds
+        second = run_chain(initial, segments, bank, rate=40.0, anchor=anchor)
+        assert len(lookups) == (1 if anchor == "local" else 10)
+        assert np.array_equal(first.positions, second.positions)
+        assert np.array_equal(first.velocities, second.velocities)
 
     def test_one_segment_chain_is_replan_segment_mean(self, small_bank):
         # no interior switch: nothing dropped, no jump measured
@@ -304,11 +319,13 @@ class TestSmoothness:
         with pytest.raises(ValidationError, match=r"^positions must be finite$"):
             smoothness_metric(positions, 0.1)
 
-    # dt**2 underflows to 0 (a division by zero, then 0/0) or the squares
-    # overflow: each once returned inf or nan with a RuntimeWarning
+    # dt**2 underflows to 0 (a division by zero, then 0/0), the squares
+    # overflow or the second difference itself does: each once returned inf
+    # or nan with a RuntimeWarning, the last, with warnings ignored, inf
     @pytest.mark.parametrize("positions, dt", [([0.0, 1.0, 0.0], 1e-200),
                                                ([0.0, 0.0, 0.0], 1e-200),
-                                               ([0.0, 1e300, 0.0], 1e-3)], ids=repr)
+                                               ([0.0, 1e300, 0.0], 1e-3),
+                                               ([[0.0, 1e308, -1e308]], 1.0)], ids=repr)
     def test_non_finite_result_is_numerical_error(self, positions, dt):
         with pytest.raises(NumericalError, match="floating-point .*smoothness metric"):
             smoothness_metric(positions, dt)

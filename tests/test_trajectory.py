@@ -3,12 +3,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mptraj import (BasisBank, BoundaryCondition, DimensionError, DmpConfig,
+from mptraj import (BasisBank, BoundaryCondition, DimensionError, DmpConfig, TimePairBatch,
                     TrajectoryGenerator, ValidationError, WeightsDistribution,
-                    evaluate_position, evaluate_velocity, precompute_basis, run_chain)
+                    evaluate_position, evaluate_velocity, pair_nll, precompute_basis,
+                    run_chain)
 from mptraj.trajectory import (MAX_QUERY_SAMPLES, folded_basis, read_trajectory_csv,
                                weight_blocks, window_steps, write_trajectory_csv)
 from tests import reference
+from tests.conftest import counted_lookups
 from tests.reference import (RowMajorFold, complementary, position_from_coefficients,
                              solve_coefficients, velocity_from_coefficients)
 
@@ -546,39 +548,6 @@ class TestTimeMajorFold:
         assert fold.offsets.flags.c_contiguous
 
 
-class TestWithState:
-    def test_equals_a_fresh_fold(self, reference_bank):
-        rng = np.random.default_rng(21)
-        times = np.linspace(0.0, 1.5, 31)
-        first, _ = _random_case(rng, 3, reference_bank.weight_dim)
-        second, w = _random_case(rng, 3, reference_bank.weight_dim)
-        fold = TrajectoryGenerator(first, times, reference_bank)
-        refold = fold.with_state(second)
-        fresh = TrajectoryGenerator(second, times, reference_bank)
-        assert refold.bc is second and fold.bc is first
-        assert refold.rows is fold.rows
-        assert np.array_equal(refold.offsets, fresh.offsets)
-        assert np.array_equal(refold.rows, fresh.rows)
-        assert np.array_equal(refold.positions(w), fresh.positions(w))
-        assert np.array_equal(refold.velocities(w), fresh.velocities(w))
-        # the fold it came from keeps its own state
-        assert np.array_equal(fold.offsets,
-                              TrajectoryGenerator(first, times, reference_bank).offsets)
-
-    def test_other_boundary_time_rejected(self, reference_bank):
-        fold = folded_basis(BoundaryCondition(0.0, [0.0], [0.0]), [0.5], reference_bank)
-        with pytest.raises(ValidationError, match="boundary time"):
-            fold.with_state(BoundaryCondition(0.1, [0.0], [0.0]))
-
-
-def _counted_lookups(monkeypatch) -> list:
-    """Records the length of every BasisBank.lookup query."""
-    lookups, lookup = [], BasisBank.lookup
-    monkeypatch.setattr(BasisBank, "lookup",
-                        lambda bank, t: lookups.append(len(t)) or lookup(bank, t))
-    return lookups
-
-
 class TestGridFoldMemo:
     """folded_basis keeps the last fold a bank made through it, keyed by the
     bits of t_b and of the times, and refolds only the offsets on a hit."""
@@ -602,7 +571,7 @@ class TestGridFoldMemo:
 
     def test_hit_shares_the_rows_bit_for_bit(self, reference_bank, monkeypatch):
         bank, (first, second), times, w = self._case(reference_bank)
-        lookups = _counted_lookups(monkeypatch)
+        lookups = counted_lookups(monkeypatch)
         kept = folded_basis(first, times, bank)
         # the same times in another array, at another state of the same t_b
         hit = folded_basis(second, times.copy(), bank)
@@ -611,13 +580,27 @@ class TestGridFoldMemo:
         self._assert_fresh(hit, second, times, bank, w)
         self._assert_fresh(folded_basis(first, list(times), bank), first, times, bank, w)
 
+    def test_hit_leaves_the_kept_fold_its_state(self, reference_bank):
+        # a hit is a copy holding new offsets: the fold it came from, and the
+        # next hit at the kept state, keep that state's offsets
+        bank, (first, second), times, w = self._case(reference_bank)
+        kept = folded_basis(first, times, bank)
+        offsets = kept.offsets.copy()
+        hit = folded_basis(second, times, bank)
+        assert hit is not kept and hit.offsets is not kept.offsets
+        assert kept.bc is first
+        assert np.array_equal(kept.offsets, offsets)
+        self._assert_fresh(kept, first, times, bank, w)
+        self._assert_fresh(folded_basis(first, times, bank), first, times, bank, w)
+
     def test_one_ulp_and_a_signed_zero_miss(self, reference_bank):
         bank, (bc, _), times, w = self._case(reference_bank, t_b=0.0)
         kept = folded_basis(bc, times, bank)
         moved = times.copy()
         moved[7] = np.nextafter(moved[7], np.inf)
         negative = BoundaryCondition(-0.0, bc.y_b, bc.dy_b)
-        for other_bc, other_times in ((bc, moved), (negative, times)):
+        later = BoundaryCondition(np.nextafter(0.0, 1.0), bc.y_b, bc.dy_b)
+        for other_bc, other_times in ((bc, moved), (negative, times), (later, times)):
             fold = folded_basis(other_bc, other_times, bank)
             assert fold.rows is not kept.rows
             self._assert_fresh(fold, other_bc, other_times, bank, w)
@@ -653,9 +636,21 @@ class TestGridFoldMemo:
         evaluate_position(w[0], second, times[:9], bank)
         evaluate_velocity(w[0], second, times[:9], bank)
         dim = 3 * bank.weight_dim
-        segments = [(WeightsDistribution(np.zeros(dim), np.eye(dim)), 0.2)] * 3
-        run_chain(first, segments, bank, rate=40.0)
-        run_chain(first, segments, bank, rate=40.0, anchor="follow")
-        lookups = _counted_lookups(monkeypatch)
+        wdist = WeightsDistribution(np.zeros(dim), np.eye(dim))
+        batch = TimePairBatch(np.stack([times[1:5], times[5:9]], axis=1), np.zeros((4, 6)))
+        pair_nll(batch, wdist, second, bank)
+        run_chain(first, [(wdist, 0.2)] * 3, bank, rate=40.0, anchor="follow")
+        lookups = counted_lookups(monkeypatch)
         assert folded_basis(second, times, bank).rows is kept.rows
         assert lookups == []
+
+    def test_local_chain_takes_the_kept_fold(self, reference_bank, monkeypatch):
+        # a local segment reads its grid through folded_basis, which keeps it
+        bank, (first, _), times, _ = self._case(reference_bank)
+        kept = folded_basis(first, times, bank)
+        dim = 3 * bank.weight_dim
+        run_chain(first, [(WeightsDistribution(np.zeros(dim), np.eye(dim)), 0.2)] * 3,
+                  bank, rate=40.0)
+        lookups = counted_lookups(monkeypatch)
+        assert folded_basis(first, times, bank).rows is not kept.rows
+        assert lookups == [times.size + 1]

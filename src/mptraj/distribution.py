@@ -14,6 +14,12 @@ times, each time, each pair); full-horizon materialization is deliberately
 not the default path.  Index layout is DoF-major within a group: all its
 times of DoF 0, then DoF 1, ...
 
+A group of two or more times forms G G^T as one stacked product per group.
+The per-time read forms each D x D covariance as dot products along the
+weight axis instead, entry (i, j) = h_t L_i . h_t L_j, cut where L's
+triangular blocks are zero and taken one block of TIME_BLOCK times at a
+time, so it makes no BLAS call per time and its temporaries stay bounded.
+
 Covariances are carried as Cholesky factors end-to-end; sampling happens in
 weight space (w = mu + L z), so every sample satisfies the boundary condition
 exactly, bit for bit.
@@ -41,6 +47,10 @@ DEFAULT_NOISE_VAR = 1e-6
 # pairs per fold and stacked factorization in pair_nll; bounds its fold and
 # (block, 2D, D(N+1)) intermediate for any batch size
 PAIR_BLOCK = 256
+
+# times per block of the per-time covariances; bounds their (D, D(N+1), block)
+# intermediate for any number of times
+TIME_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -116,17 +126,53 @@ class TrajectoryDistribution:
         return self.mean.shape[0]
 
 
+def _time_covariances(rows: np.ndarray, chol: np.ndarray, dofs: int,
+                      noise_var: float) -> np.ndarray:
+    """Per-time covariances (T, D, D): entry (i, j) at time t is the dot
+    product of h_t L_i and h_t L_j along the weight axis, plus noise_var on
+    the diagonal, for folded position rows (N+1, T) and the lower Cholesky
+    factor L.
+
+    L_i's row block is zero beyond column (i+1)(N+1), so h_t L_i is formed
+    only up to there, and entry (i, j), i >= j, sums only the first
+    (j+1)(N+1) terms.  Each entry is written to both (i, j) and (j, i), so
+    every covariance is exactly symmetric.  Times are taken TIME_BLOCK at a
+    time through one (D, D(N+1), block) buffer."""
+    width, count = rows.shape
+    # (D, D(N+1), N+1): L_d^T, whose rows beyond (d+1)(N+1) are zero
+    factors = chol.reshape(dofs, width, -1).transpose(0, 2, 1)
+    covs = np.empty((count, dofs, dofs))
+    gmat = np.empty((dofs, chol.shape[1], min(count, TIME_BLOCK)))
+    for start in range(0, count, TIME_BLOCK):
+        block = slice(start, start + TIME_BLOCK)
+        part = rows[:, block]
+        size = part.shape[1]
+        for d in range(dofs):
+            # (L_d^T h_t) for the block's times, a column per time
+            cut = (d + 1) * width
+            np.matmul(factors[d, :cut], part, out=gmat[d, :cut, :size])
+        for j in range(dofs):
+            cut = (j + 1) * width
+            # (block, D - j): entries (j..D-1, j), the first on the diagonal
+            dots = np.einsum("ikt,kt->ti", gmat[j:, :cut, :size], gmat[j, :cut, :size])
+            dots[:, 0] += noise_var
+            covs[block, j:, j] = dots
+            covs[block, j, j:] = dots
+    return covs
+
+
 def _group_gaussians(wdist: WeightsDistribution, fold: TrajectoryGenerator,
                      group: int, noise_var: float):
     """Gaussians of consecutive groups of `group` of the fold's times: means
     (B, D*group) and covariances (B, D*group, D*group) = G G^T + noise_var I,
     rows DoF-major within each group (dof0@t1..ts, dof1@t1..ts, ...).
 
-    The one reader of a fold's arrays here: it takes the position offsets
-    (D, T) and folded position rows (N+1, T) as stored.  A weights
-    distribution of another dimension than the fold's D x (N+1) raises
-    DimensionError, and one too wide for float64 overflows, which raises
-    NumericalError."""
+    A group of one time takes its covariances from _time_covariances; larger
+    groups form G G^T as one stacked product.  The one reader of a fold's
+    arrays here: it takes the position offsets (D, T) and folded position
+    rows (N+1, T) as stored.  A weights distribution of another dimension
+    than the fold's D x (N+1) raises DimensionError, and one too wide for
+    float64 overflows, which raises NumericalError."""
     check_finite_nonneg("noise_var", noise_var)
     offsets, rows = fold.offsets[0], fold.rows[0]
     dofs = fold.bc.dofs
@@ -135,18 +181,22 @@ def _group_gaussians(wdist: WeightsDistribution, fold: TrajectoryGenerator,
             f"weights distribution dimension {wdist.dim} does not match "
             f"{dofs} DoFs x {rows.shape[0]} parameters")
     count = rows.shape[1] // group
-    diag = np.arange(dofs * group)
     # an overflow leaves inf or NaN, reported once below
     with np.errstate(over="ignore", invalid="ignore"):
         means = offsets + wdist.mean.reshape(dofs, -1) @ rows
         means = means.reshape(dofs, count, group).transpose(1, 0, 2).reshape(
             count, dofs * group)
-        # (D, T, D(N+1)) -> (B, D*group, D(N+1)): row (d, s) of group b is h_t L_d
-        gmat = (rows.T @ wdist.chol.reshape(dofs, -1, wdist.dim)).reshape(
-            dofs, count, group, -1).transpose(1, 0, 2, 3).reshape(count, dofs * group, -1)
-        # exactly symmetric as computed: numpy evaluates G G^T as a symmetric rank-k update
-        covs = gmat @ gmat.transpose(0, 2, 1)
-        covs[:, diag, diag] += noise_var
+        if group == 1:
+            covs = _time_covariances(rows, wdist.chol, dofs, noise_var)
+        else:
+            # (D, T, D(N+1)) -> (B, D*group, D(N+1)): row (d, s) of group b is h_t L_d
+            gmat = (rows.T @ wdist.chol.reshape(dofs, -1, wdist.dim)).reshape(
+                dofs, count, group, -1).transpose(1, 0, 2, 3).reshape(count, dofs * group, -1)
+            # exactly symmetric as computed: numpy evaluates the stacked
+            # G G^T with a symmetric rank-k update per group
+            covs = gmat @ gmat.transpose(0, 2, 1)
+            diag = np.arange(dofs * group)
+            covs[:, diag, diag] += noise_var
     if not (np.isfinite(means).all() and np.isfinite(covs).all()):
         raise NumericalError(
             "trajectory mean or covariance overflows float64; the weights "
@@ -186,8 +236,9 @@ def trajectory_distribution(wdist: WeightsDistribution, bc: BoundaryCondition,
 
 def per_time_marginals(wdist: WeightsDistribution, bc: BoundaryCondition, times,
                        bank: BasisBank, noise_var: float = DEFAULT_NOISE_VAR):
-    """Per-time D x D Gaussians (means (T, D), covs (T, D, D)) computed
-    blockwise, without materializing the joint covariance."""
+    """Per-time D x D Gaussians (means (T, D), covs (T, D, D)), each
+    covariance as dot products along the weight axis, TIME_BLOCK times at a
+    time, without materializing the joint covariance."""
     fold = folded_basis(bc, times, bank)
     means, covs = _group_gaussians(wdist, fold, 1, noise_var)
     return fold.times.copy(), means, covs

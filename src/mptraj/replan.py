@@ -126,7 +126,9 @@ def replan_segment(current: BoundaryCondition, wdist: WeightsDistribution,
     global_times, local_times, local_bc = _segment_frame(current, horizon, bank,
                                                          rate, bank_anchor)
     fold = TrajectoryGenerator(local_bc, local_times, bank)
-    return ReplanSegment(times=global_times, velocities=fold.velocities(wdist.mean),
+    with numerical_errors("segment velocities; the weights distribution is too wide"):
+        velocities = fold.velocities(wdist.mean)
+    return ReplanSegment(times=global_times, velocities=velocities,
                          distribution=_fold_distribution(wdist, fold, noise_var,
                                                          global_times))
 
@@ -155,7 +157,8 @@ def run_chain(initial: BoundaryCondition, segments, bank: BasisBank, rate: float
     vector per segment.  With anchor "local" each segment folds through
     folded_basis, so a run of one horizon folds once, and an alternating
     horizon folds at every change; "follow" segments fold anew.  The trace
-    is that of a fresh fold per segment, bit for bit.
+    is that of a fresh fold per segment, bit for bit.  A draw or trace that
+    overflows float64 raises NumericalError naming the segment.
     """
     segments = [_chain_segment(k, segment) for k, segment in enumerate(segments)]
     if not segments:
@@ -169,15 +172,16 @@ def run_chain(initial: BoundaryCondition, segments, bank: BasisBank, rate: float
     state = initial
     traces = []
     fold = folded_basis if anchor == "local" else TrajectoryGenerator
-    for wdist, horizon in segments:
+    for k, (wdist, horizon) in enumerate(segments):
         bank_anchor = 0.0 if anchor == "local" else state.t_b
         times, local_times, local_bc = _segment_frame(state, horizon, bank, rate,
                                                       bank_anchor)
-        w = wdist.mean
-        if mode == "sample":
-            w = wdist.mean + wdist.chol @ rng.standard_normal(wdist.dim)
         gen = fold(local_bc, local_times, bank)
-        positions, velocities = gen.positions(w), gen.velocities(w)
+        with numerical_errors(f"chain segment {k}; the weights distribution is too wide"):
+            w = wdist.mean
+            if mode == "sample":
+                w = wdist.mean + wdist.chol @ rng.standard_normal(wdist.dim)
+            positions, velocities = gen.positions(w), gen.velocities(w)
         traces.append((times, positions, velocities))
         state = BoundaryCondition(t_b=float(times[-1]),
                                   y_b=positions[:, -1], dy_b=velocities[:, -1])

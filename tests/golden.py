@@ -1,7 +1,8 @@
 """Golden digests: a SHA-256 of each output of the package on seeded inputs.
 
     PYTHONPATH=src python -m tests.golden            # print the record
-    PYTHONPATH=src python -m tests.golden --write    # rewrite tests/data/golden.json
+    PYTHONPATH=src python -m tests.golden --write    # rewrite tests/data/golden.json,
+                                                     # naming each digest that moved
 
 Run as a script, the recorder pins the BLAS to one thread before numpy is
 imported: with two threads, a BLAS product at a large enough shape may sum
@@ -260,10 +261,20 @@ def record() -> dict:
             "digests": {**library_digests(bank), **policy_digests(), **cli_digests()}}
 
 
+def moved(old: dict, new: dict) -> list:
+    """Names of the digests that differ between two records, or that only
+    one of them holds, sorted."""
+    return sorted(name for name in old["digests"].keys() | new["digests"].keys()
+                  if old["digests"].get(name) != new["digests"].get(name))
+
+
 def main(argv) -> int:
     result = record()
     text = json.dumps(result, indent=1, sort_keys=True) + "\n"
     if "--write" in argv:
+        previous = json.loads(RECORD.read_text()) if RECORD.exists() else {"digests": {}}
+        for name in moved(previous, result):
+            print(f"moved: {name}")
         RECORD.write_text(text)
         print(f"written: {RECORD}")
     else:

@@ -10,7 +10,8 @@ as independent cross-checks and not as production code.
 Beside them sit routes that the package replaced with faster ones: the
 row-major boundary fold, the row-by-row precompute recurrence and the
 whole-grid precompute pass, the pair NLL through a dense block design
-matrix and scipy, the pair NLL over one fold of all pair times, pair
+matrix and scipy, the pair NLL over one fold of all pair times, the
+per-time covariances as one stacked G G^T product per time, pair
 time sampling from np.unique of every grid, the per-time combination
 loop, the LAPACK inverse of a covariance stack, the per-demo fit loop,
 the ridge least squares on the augmented design matrix, the loops that add
@@ -300,6 +301,17 @@ def pair_nll_one_fold(batch, wdist, bc, bank, noise_var) -> float:
         means, covs = _group_gaussians(wdist, columns, 2, noise_var)
         total += _nll_sum(covs, batch.values[start:stop] - means, "singular pair covariance")
     return 0.5 * (2 * bc.dofs * math.log(2.0 * math.pi) + total / batch.count)
+
+
+def stacked_time_covariances(wdist, fold, noise_var) -> np.ndarray:
+    """Per-time covariances (T, D, D) as numpy's stacked G G^T, one small
+    product per time, on G (D, T, D(N+1)) seen time-major, row (t, d) h_t L_d."""
+    rows, dofs = fold.rows[0], fold.bc.dofs
+    gmat = (rows.T @ wdist.chol.reshape(dofs, -1, wdist.dim)).transpose(1, 0, 2)
+    covs = gmat @ gmat.transpose(0, 2, 1)
+    diag = np.arange(dofs)
+    covs[:, diag, diag] += noise_var
+    return covs
 
 
 def pair_times_by_unique(times, count, seed) -> np.ndarray:

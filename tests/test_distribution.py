@@ -15,11 +15,12 @@ from mptraj import (BasisBank, BoundaryCondition, Demonstration, DimensionError,
                     fit_distribution, fit_weights, folded_basis, gaussian_nll, marginal,
                     pair_nll, per_time_marginals, precompute_basis, replan_segment,
                     sample_time_pairs, sample_trajectories, trajectory_distribution)
-from mptraj.distribution import (PAIR_BLOCK, _group_gaussians,
+from mptraj.distribution import (PAIR_BLOCK, TIME_BLOCK, _group_gaussians,
                                  weights_distribution_from_dict,
                                  weights_distribution_json_dict)
 from tests.conftest import SMALL_CONFIG, counted_lookups, random_weights_distribution
-from tests.reference import pair_nll_dense, pair_nll_one_fold, pair_times_by_unique
+from tests.reference import (pair_nll_dense, pair_nll_one_fold, pair_times_by_unique,
+                             stacked_time_covariances)
 
 LN_TWO_PI = 1.8378770664093455
 
@@ -652,6 +653,45 @@ class TestBatchedPairNll:
                               np.zeros((2, 2)))
         with pytest.raises(NumericalError, match="singular pair covariance"):
             pair_nll(batch, wdist, bc, small_bank, noise_var=0.0)
+
+
+class TestTimeCovariances:
+    """The per-time covariances are dot products along the weight axis, taken
+    TIME_BLOCK times at a time; the stacked G G^T product, one per time,
+    referees them."""
+
+    @pytest.mark.parametrize("count", [1, TIME_BLOCK - 1, TIME_BLOCK, TIME_BLOCK + 1,
+                                       3 * TIME_BLOCK + 5])
+    @pytest.mark.parametrize("dofs", [1, 2, 3, 7])
+    def test_match_the_stacked_product(self, pair_banks, dofs, count):
+        # one time, a block short, full or one over, and several blocks
+        bank = pair_banks[10]
+        wdist, bc = _case(bank, dofs=dofs, seed=count + dofs)
+        fold = TrajectoryGenerator(bc, np.linspace(0.05, bank.duration, count), bank)
+        means, covs = _group_gaussians(wdist, fold, 1, 1e-6)
+        expected = stacked_time_covariances(wdist, fold, 1e-6)
+        assert covs.shape == expected.shape == (count, dofs, dofs)
+        np.testing.assert_array_equal(covs, covs.transpose(0, 2, 1))
+        assert np.max(np.abs(covs - expected)) <= 2e-15 * np.max(np.abs(expected))
+        # the means are the mean weights' positions, bit for bit
+        np.testing.assert_array_equal(means, fold.positions(wdist.mean).T)
+
+    def test_working_memory_is_one_blocks(self, pair_banks):
+        # the stacked product held all of G, (D, T, D(N+1)) floats, so the
+        # memory beyond the returned arrays grew with T: 4.5 MB at one block
+        # of times, 89 MB at 20 (7 DoFs, 10 basis functions)
+        bank = pair_banks[10]
+        wdist, bc = _case(bank, dofs=7, seed=43)
+        extra = []
+        for count in (TIME_BLOCK, 20 * TIME_BLOCK):
+            fold = TrajectoryGenerator(bc, np.linspace(0.05, bank.duration, count), bank)
+            tracemalloc.start()
+            try:
+                means, covs = _group_gaussians(wdist, fold, 1, 1e-6)
+                extra.append(tracemalloc.get_traced_memory()[1] - means.nbytes - covs.nbytes)
+            finally:
+                tracemalloc.stop()
+        assert extra[1] <= 1.5 * extra[0]
 
 
 def _bits(out) -> list:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from tests.golden import RECORD, THREAD_VARS, environment
+from tests.golden import RECORD, THREAD_VARS, environment, moved
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -32,6 +32,11 @@ def test_outputs_match_the_golden_digests():
     assert run.returncode == 0, run.stderr
     fresh = json.loads(run.stdout)
     assert fresh["environment"] == recorded["environment"]
-    moved = sorted(name for name in recorded["digests"].keys() | fresh["digests"].keys()
-                   if recorded["digests"].get(name) != fresh["digests"].get(name))
-    assert moved == []
+    assert moved(recorded, fresh) == []
+
+
+def test_moved_names_changed_added_and_dropped_digests():
+    old = {"digests": {"kept": "1", "changed": "2", "dropped": "3"}}
+    new = {"digests": {"kept": "1", "changed": "4", "added": "5"}}
+    assert moved(old, new) == ["added", "changed", "dropped"]
+    assert moved(old, old) == []

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 import mptraj.replan
-from mptraj import (BasisBank, BoundaryCondition, IntegratorSpec, NumericalError,
+from mptraj import (BasisBank, BoundaryCondition, DmpConfig, IntegratorSpec, NumericalError,
                     ReplanSegment, TimePairBatch, TrajectoryGenerator, ValidationError,
                     WeightsDistribution, evaluate_position, pair_nll, per_time_marginals,
-                    replan_segment, run_chain, smoothness_metric)
+                    precompute_basis, replan_segment, run_chain, smoothness_metric)
 from mptraj.errors import DimensionError
 from mptraj.trajectory import MAX_QUERY_SAMPLES
 from tests.conftest import counted_lookups, random_weights_distribution
@@ -65,6 +65,14 @@ class TestReplanSegment:
         with pytest.raises(NumericalError, match="overflows"):
             replan_segment(rest, wdist, 0.2, small_bank, 10.0)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_velocities_are_numerical_error(self, tiny_bank):
+        # once a ValidationError naming ReplanSegment.velocities
+        wdist = WeightsDistribution(np.full(4, 1.5e308), np.eye(4))
+        rest = BoundaryCondition(0.0, [0.0], [0.0])
+        with pytest.raises(NumericalError, match=r"floating-point .*\(segment velocities"):
+            replan_segment(rest, wdist, 0.2, tiny_bank, 100.0)
+
     def test_horizon_must_fit_bank(self, small_bank):
         wdists, initial = _setup(small_bank)
         with pytest.raises(ValidationError, match="exceeds the bank horizon"):
@@ -98,7 +106,27 @@ class TestReplanSegment:
             run_chain(initial, [(wdists[0], horizon)], small_bank, rate=rate)
 
 
+@pytest.fixture(scope="module")
+def tiny_bank():
+    """A bank of 3 basis functions: 4 weights per DoF."""
+    return precompute_basis(DmpConfig(alpha=25.0, tau=1.0, alpha_x=2.0, num_basis=3,
+                                      duration=1.0))
+
+
 class TestRunChain:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("mode, scale", [("mean", 1.0), ("sample", 1.0),
+                                             ("sample", 1e308)])
+    def test_overflowing_segment_is_numerical_error(self, tiny_bank, mode, scale):
+        # an overflowing trace once reached the next segment's state as a
+        # ValidationError naming BoundaryCondition.dy_b; at scale 1e308 the
+        # weight draw itself overflows
+        wdist = WeightsDistribution(np.full(4, 1.5e308), scale * np.eye(4))
+        rest = BoundaryCondition(0.0, [0.0], [0.0])
+        with pytest.raises(NumericalError, match=r"floating-point .*\(chain segment 0;"):
+            run_chain(rest, [(wdist, 0.2), (wdist, 0.2)], tiny_bank, 100.0, mode=mode,
+                      seed=1)
+
     def test_mean_mode_joins_without_jumps(self, small_bank):
         wdists, initial = _setup(small_bank)
         plan = run_chain(initial, [(w, 0.25) for w in wdists], small_bank,

@@ -236,8 +236,9 @@ class BasisBank:
     and the table as it is.
 
     Beside them a bank keeps one entry that is no field: `_last_fold`, the
-    last fold trajectory.folded_basis made of it (None until the first), so
-    that readers of one time grid share its rows.
+    trajectory.GridFold of the last grid a TrajectoryGenerator read (None
+    until the first), so that readers of one time grid share its rows.  It
+    holds the grid's folded rows, times and xi factors, no boundary state.
     """
 
     config: DmpConfig

@@ -6,12 +6,13 @@ one weight vector.  One run times four stages over the same weight draws:
 - euler: explicit Euler stepping at the playback rate, the baseline;
 - positions: the bank with the boundary fold built once and reused, a
   matrix-vector product against the folded basis rows;
-- fold_positions: the bank with the fold rebuilt on every call, which is
-  what an online boundary-condition update costs;
-- refold_positions: the bank through folded_basis on every call, at the
-  same boundary state and times, which is what a repeated read of one time
-  grid costs: the bank keeps that grid's fold, so only the offsets are
-  rebuilt.
+- fold_positions: the bank with the fold rebuilt on every call, a GridFold
+  the bank does not keep, which is what an online boundary-condition update
+  costs;
+- refold_positions: the bank through a new TrajectoryGenerator on every
+  call, at the same boundary state and times, which is what a repeated read
+  of one time grid costs: the bank keeps that grid's fold, so only the
+  offsets are rebuilt.
 
 Bank precomputation happens before any clock starts (it is the offline
 stage).  Timings are medians over the repetitions, after one untimed warm-up
@@ -30,8 +31,8 @@ import numpy as np
 from .basis import DmpConfig, precompute_basis
 from .errors import ValidationError, check_count, check_finite_positive, check_seed
 from .oracle import IntegratorSpec, integrate_dmp
-from .trajectory import (MAX_QUERY_SAMPLES, BoundaryCondition, TrajectoryGenerator,
-                         folded_basis, window_steps)
+from .trajectory import (MAX_QUERY_SAMPLES, BoundaryCondition, GridFold,
+                         TrajectoryGenerator, weight_blocks, window_steps)
 
 # spring gain and phase decay rate of the benchmarked DMP
 ALPHA = 25.0
@@ -110,11 +111,17 @@ def run_benchmark(scenario: BenchScenario, repetitions: int = 7,
     times = scenario.query_times()
     euler = IntegratorSpec(method="explicit-euler", dt=1.0 / scenario.rate_hz)
 
+    def fold_positions(w):
+        # a GridFold, not a generator, so that the kept fold does not spare the rebuild
+        fold = GridFold(bc.t_b, times, bank)
+        return (weight_blocks(w, bc.dofs, bank.weight_dim) @ fold.rows[0]
+                + fold.offsets(bc.y_b, bc.dy_b, kind=0))
+
     stages = {
         "euler": lambda w: integrate_dmp(w, y0, dy0, config, euler)[1],
         "positions": TrajectoryGenerator(bc, times, bank).positions,
-        "fold_positions": lambda w: TrajectoryGenerator(bc, times, bank).positions(w),
-        "refold_positions": lambda w: folded_basis(bc, times, bank).positions(w),
+        "fold_positions": fold_positions,
+        "refold_positions": lambda w: TrajectoryGenerator(bc, times, bank).positions(w),
     }
     table = {}
     for name, call in stages.items():

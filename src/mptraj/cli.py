@@ -33,7 +33,7 @@ from .probops import (ActivationProfile, GaussianSequence, blend, combine,
 from .replan import run_chain, smoothness_metric
 from .svgplot import line_plot
 from .trajectory import (MAX_QUERY_SAMPLES, BoundaryCondition, TrajectoryGenerator,
-                         folded_basis, read_trajectory_csv, weight_blocks, window_steps,
+                         read_trajectory_csv, weight_blocks, window_steps,
                          write_trajectory_csv)
 
 
@@ -183,7 +183,7 @@ def _cmd_fit(args) -> int:
         bc = bc or demo.boundary_condition()
         weights = fit_weights(demo, bank, ridge=args.ridge, bc=bc)
         # the fit kept its fold of the demo's grid, which the reconstruction reads
-        recon = folded_basis(bc, demo.times, bank).positions(weights)
+        recon = TrajectoryGenerator(bc, demo.times, bank).positions(weights)
         rmse = float(np.sqrt(np.mean((recon - demo.positions) ** 2)))
         atomic_write_json(args.out, {
             "dofs": demo.dofs,

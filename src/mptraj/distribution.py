@@ -38,8 +38,7 @@ from .errors import (DimensionError, NumericalError, ValidationError,
                      check_record, check_seed, numerical_errors, take_array, take_floats,
                      take_value)
 from .fileio import atomic_write_json, write_csv_table
-from .trajectory import (BoundaryCondition, TrajectoryGenerator, folded_basis,
-                         weight_blocks)
+from .trajectory import BoundaryCondition, GridFold, TrajectoryGenerator, weight_blocks
 
 # the observation white-noise default keeps pair covariances invertible
 DEFAULT_NOISE_VAR = 1e-6
@@ -161,21 +160,20 @@ def _time_covariances(rows: np.ndarray, chol: np.ndarray, dofs: int,
     return covs
 
 
-def _group_gaussians(wdist: WeightsDistribution, fold: TrajectoryGenerator,
+def _group_gaussians(wdist: WeightsDistribution, rows: np.ndarray, offsets: np.ndarray,
                      group: int, noise_var: float):
-    """Gaussians of consecutive groups of `group` of the fold's times: means
+    """Gaussians of consecutive groups of `group` of a fold's times: means
     (B, D*group) and covariances (B, D*group, D*group) = G G^T + noise_var I,
     rows DoF-major within each group (dof0@t1..ts, dof1@t1..ts, ...).
 
     A group of one time takes its covariances from _time_covariances; larger
     groups form G G^T as one stacked product.  The one reader of a fold's
-    arrays here: it takes the position offsets (D, T) and folded position
-    rows (N+1, T) as stored.  A weights distribution of another dimension
+    arrays here: it takes the folded position rows (N+1, T) and position
+    offsets (D, T) as stored.  A weights distribution of another dimension
     than the fold's D x (N+1) raises DimensionError, and one too wide for
     float64 overflows, which raises NumericalError."""
     check_finite_nonneg("noise_var", noise_var)
-    offsets, rows = fold.offsets[0], fold.rows[0]
-    dofs = fold.bc.dofs
+    dofs = offsets.shape[0]
     if wdist.dim != dofs * rows.shape[0]:
         raise DimensionError(
             f"weights distribution dimension {wdist.dim} does not match "
@@ -220,7 +218,8 @@ def _fold_distribution(wdist: WeightsDistribution, fold: TrajectoryGenerator,
                        noise_var: float, index_times) -> TrajectoryDistribution:
     """Joint Gaussian over all times of an existing fold, DoF-major, with
     index_times naming the fold's times in the index set."""
-    means, covs = _group_gaussians(wdist, fold, fold.times.shape[0], noise_var)
+    means, covs = _group_gaussians(wdist, fold.rows[0], fold.offsets[0],
+                                   fold.times.shape[0], noise_var)
     index_set = tuple((float(t), d) for d in range(fold.bc.dofs) for t in index_times)
     return TrajectoryDistribution(index_set=index_set, mean=means[0], cov=covs[0],
                                   noise_var=noise_var)
@@ -230,7 +229,7 @@ def trajectory_distribution(wdist: WeightsDistribution, bc: BoundaryCondition,
                             times, bank: BasisBank,
                             noise_var: float = DEFAULT_NOISE_VAR) -> TrajectoryDistribution:
     """Joint Gaussian over all (requested time, DoF) pairs, DoF-major."""
-    fold = folded_basis(bc, times, bank)
+    fold = TrajectoryGenerator(bc, times, bank)
     return _fold_distribution(wdist, fold, noise_var, fold.times)
 
 
@@ -239,8 +238,8 @@ def per_time_marginals(wdist: WeightsDistribution, bc: BoundaryCondition, times,
     """Per-time D x D Gaussians (means (T, D), covs (T, D, D)), each
     covariance as dot products along the weight axis, TIME_BLOCK times at a
     time, without materializing the joint covariance."""
-    fold = folded_basis(bc, times, bank)
-    means, covs = _group_gaussians(wdist, fold, 1, noise_var)
+    fold = TrajectoryGenerator(bc, times, bank)
+    means, covs = _group_gaussians(wdist, fold.rows[0], fold.offsets[0], 1, noise_var)
     return fold.times.copy(), means, covs
 
 
@@ -301,7 +300,7 @@ def sample_trajectories(wdist: WeightsDistribution, bc: BoundaryCondition, times
         raise NumericalError(
             "weight-space draws overflow float64; the weights distribution is too wide")
 
-    fold = folded_basis(bc, times, bank)
+    fold = TrajectoryGenerator(bc, times, bank)
     with numerical_errors("sampled trajectories; the weights distribution is too wide"):
         positions = fold.positions(draws)
         return (positions, fold.velocities(draws)) if with_velocities else positions
@@ -378,8 +377,9 @@ def pair_nll(batch: TimePairBatch, wdist: WeightsDistribution, bc: BoundaryCondi
     for start in range(0, batch.count, PAIR_BLOCK):
         block = slice(start, start + PAIR_BLOCK)
         # random pair times: a fold of its own, leaving the bank's kept grid fold
-        fold = TrajectoryGenerator(bc, batch.times[block].ravel(), bank)
-        means, covs = _group_gaussians(wdist, fold, 2, noise_var)
+        fold = GridFold(bc.t_b, batch.times[block].ravel(), bank)
+        means, covs = _group_gaussians(wdist, fold.rows[0],
+                                       fold.offsets(bc.y_b, bc.dy_b, kind=0), 2, noise_var)
         total += _nll_sum(covs, batch.values[block] - means,
                           "singular pair covariance; supply noise_var > 0 or "
                           "distinct pair times")

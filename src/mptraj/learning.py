@@ -5,7 +5,9 @@ fit_weights inverts the linear trajectory model per DoF: with the boundary
 offset subtracted from the demonstrated positions, the weights solve a ridge
 least-squares problem against the folded basis rows H, through one thin SVD
 of H; fit_distribution folds each time grid once and solves for every DoF of
-every demo on it, each demo's offsets built from that fold's xi factors.  The
+every demo on it, each demo's offsets built from that fold's xi factors.
+Both read the bank's kept fold of a grid (trajectory.kept_fold), which holds
+no boundary state, so a fit builds the offsets of its demos' states only.  The
 default ridge is scale-free (1e-9 * trace(H^T H) / dim) so near-singular Gram
 matrices stay factorizable without visibly biasing well-posed fits.
 
@@ -24,7 +26,7 @@ from .basis import BasisBank
 from .distribution import WeightsDistribution
 from .errors import (DimensionError, NumericalError, ValidationError,
                      check_finite_nonneg, numerical_errors, take_array)
-from .trajectory import BoundaryCondition, folded_basis
+from .trajectory import BoundaryCondition, kept_fold
 
 DEFAULT_COV_FLOOR = 1e-8
 # scale-free ridge factor: lam = RIDGE_SCALE * trace(H^T H) / dim
@@ -92,17 +94,17 @@ def _ridge_lstsq(design: np.ndarray, target: np.ndarray, ridge: float) -> np.nda
 
 
 def _fit_grid(demos, bcs, bank: BasisBank, ridge: float | None) -> np.ndarray:
-    """Weights (K, D*(N+1)) of K demos sampled at the same times: one fold at the
-    first boundary state (one t_b for all), the position offsets of every demo's
+    """Weights (K, D*(N+1)) of K demos sampled at the same times: the bank's
+    kept fold at their t_b (one for all), the position offsets of every demo's
     own state from its xi factors, and one ridge solve with K*D right-hand
     sides."""
     if demos[0].times.shape[0] < bank.weight_dim:
         raise ValidationError(
             f"demonstration has {demos[0].times.shape[0]} samples but the basis has "
             f"{bank.weight_dim} parameters per DoF; the fit would be underdetermined")
-    fold = folded_basis(bcs[0], demos[0].times, bank)
-    offsets = fold.state_offsets(np.concatenate([bc.y_b for bc in bcs]),
-                                 np.concatenate([bc.dy_b for bc in bcs]), kind=0)
+    fold = kept_fold(bcs[0].t_b, demos[0].times, bank)
+    offsets = fold.offsets(np.concatenate([bc.y_b for bc in bcs]),
+                           np.concatenate([bc.dy_b for bc in bcs]), kind=0)
     # the target is written over the offsets: two (K*D, T) arrays at most
     target = np.subtract(np.concatenate([demo.positions for demo in demos]), offsets,
                          out=offsets)

@@ -13,11 +13,12 @@ with unchanged parameters continues the original path; it requires the chain
 to fit inside the bank horizon.
 
 A chain computes only the executed trace: each segment is two matrix
-products on a boundary fold.  Local segments sit at bank time 0, so equal
-horizons repeat one grid: they read the bank's kept fold (folded_basis) and
-refold only the offsets.  Follow segments, and replan_segment, fold on their
-own and leave the kept fold alone.  replan_segment additionally returns the
-segment's trajectory distribution, whose mean is its position trace.
+products on a boundary fold.  Every segment, and replan_segment, reads the
+bank's kept fold through TrajectoryGenerator, whatever its anchor: local
+segments sit at bank time 0, so equal horizons repeat one grid and refold
+only the offsets, while a follow segment's grid moves with its switch time
+and folds anew.  replan_segment additionally returns the segment's
+trajectory distribution, whose mean is its position trace.
 """
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ from .distribution import (DEFAULT_NOISE_VAR, TrajectoryDistribution,
                            WeightsDistribution, _fold_distribution)
 from .errors import (DimensionError, ValidationError, check_finite_positive, check_seed,
                      freeze, numerical_errors, take_array, take_floats)
-from .trajectory import BoundaryCondition, TrajectoryGenerator, folded_basis, window_steps
+from .trajectory import BoundaryCondition, TrajectoryGenerator, window_steps
 
 
 @dataclass(frozen=True)
@@ -154,11 +155,12 @@ def run_chain(initial: BoundaryCondition, segments, bank: BasisBank, rate: float
     executed state of the one before it.
 
     mode "mean" follows each segment's mean; mode "sample" draws one weight
-    vector per segment.  With anchor "local" each segment folds through
-    folded_basis, so a run of one horizon folds once, and an alternating
-    horizon folds at every change; "follow" segments fold anew.  The trace
-    is that of a fresh fold per segment, bit for bit.  A draw or trace that
-    overflows float64 raises NumericalError naming the segment.
+    vector per segment.  Each segment reads the bank's kept fold, so with
+    anchor "local" a run of one horizon folds once, and an alternating
+    horizon folds at every change; "follow" segments, whose grids move,
+    fold every time.  The trace is that of a fresh fold per segment, bit
+    for bit.  A draw or trace that overflows float64 raises NumericalError
+    naming the segment.
     """
     segments = [_chain_segment(k, segment) for k, segment in enumerate(segments)]
     if not segments:
@@ -171,12 +173,11 @@ def run_chain(initial: BoundaryCondition, segments, bank: BasisBank, rate: float
 
     state = initial
     traces = []
-    fold = folded_basis if anchor == "local" else TrajectoryGenerator
     for k, (wdist, horizon) in enumerate(segments):
         bank_anchor = 0.0 if anchor == "local" else state.t_b
         times, local_times, local_bc = _segment_frame(state, horizon, bank, rate,
                                                       bank_anchor)
-        gen = fold(local_bc, local_times, bank)
+        gen = TrajectoryGenerator(local_bc, local_times, bank)
         with numerical_errors(f"chain segment {k}; the weights distribution is too wide"):
             w = wdist.mean
             if mode == "sample":

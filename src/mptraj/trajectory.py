@@ -18,7 +18,7 @@ is t >= t_b (the exponential in xi then grows with t_b - t).
 from __future__ import annotations
 
 import contextlib
-import copy
+import math
 import re
 from dataclasses import dataclass
 
@@ -77,10 +77,11 @@ def _xi_arrays(times: np.ndarray, t_b: float, k: float):
     krel = k * rel
     env = np.exp(-krel)
     first, second = np.empty((2, 2, 1, times.shape[0]))
-    first[0, 0] = (1.0 + krel) * env
-    first[1, 0] = -k * k * rel * env
-    second[0, 0] = rel * env
-    second[1, 0] = (1.0 - krel) * env
+    # written in place: the bits of each product, without a temporary and a copy
+    np.multiply(1.0 + krel, env, out=first[0, 0])
+    np.multiply(-k * k * rel, env, out=first[1, 0])
+    np.multiply(rel, env, out=second[0, 0])
+    np.multiply(1.0 - krel, env, out=second[1, 0])
     return first, second
 
 
@@ -98,41 +99,35 @@ def _as_blocks(w_g: np.ndarray, dofs: int, weight_dim: int) -> np.ndarray:
     return w_g.reshape(w_g.shape[:-1] + (dofs, weight_dim))
 
 
-class TrajectoryGenerator:
-    """Boundary fold of the bank at fixed (bc, times), the one place the
-    boundary state enters: y(t) = offsets[0] + W rows[0] and yd(t) =
-    offsets[1] + W rows[1] for weight blocks W of shape (D, N+1).  Shared by
-    the deterministic, distribution, sampling and fitting paths; a replanning
-    chain computes only the trace from it.
+class GridFold:
+    """Boundary fold of the bank at fixed (t_b, times), with no boundary
+    state: the folded position and velocity rows, one read-only (2, N+1, T)
+    array `rows`, time-major like the bank's table, its own read-only copy of
+    the times, and the xi factors from which offsets() makes any state's
+    offsets.  The rows vanish at t_b, which makes adherence exact to the bit.
 
-    The fold is time-major, like the bank's table, and stores two arrays:
-    `rows`, one contiguous (2, N+1, T) array of folded position and velocity
-    rows, and `offsets`, one (2, D, T) array; readers index them directly.
-    The rows depend on (t_b, times) only and the offsets on the boundary
-    state as well.  state_offsets() is the one place a boundary state becomes
-    offsets, from the stored xi factors: the fold's own, those folded_basis()
-    rebuilds for another state at a kept grid's t_b and times, and the
-    position offsets of any number of states at once, as the fit reads them.
-
-    positions()/velocities() then cost one (D, N+1) x (N+1, T) product per
-    weight vector against a contiguous row slice, with the offset added into
-    it, which is the online generation path worth benchmarking.
+    TrajectoryGenerator reads the bank's kept fold through kept_fold(); a
+    fold made here directly is one the bank does not keep.
     """
 
-    def __init__(self, bc: BoundaryCondition, times, bank: BasisBank):
+    def __init__(self, t_b: float, times, bank: BasisBank):
         times = take_floats("times", times, 1, finite=False)
         if not times.size:
             raise ValidationError("query times must hold at least one time")
         # column 0 is the boundary time; the lerp is elementwise, so sharing
-        # one lookup leaves every row unchanged
-        table = bank.lookup(np.concatenate(([bc.t_b], times)))
-        self._xi = first, second = _xi_arrays(times, bc.t_b, bank.config.decay_rate)
-        self.times = times
+        # one lookup leaves every row unchanged.  The times are the tail of
+        # that array, so the fold's copy of them costs nothing more
+        stamped = np.concatenate(([t_b], times))
+        table = bank.lookup(stamped)
+        self._xi = first, second = _xi_arrays(stamped[1:], t_b, bank.config.decay_rate)
         self.rows = table[:, :, 1:] - first * table[0, :, :1] - second * table[1, :, :1]
-        self.bc = bc
-        self.offsets = self.state_offsets(bc.y_b, bc.dy_b)
+        # read-only before the times are sliced off, so that their view is too;
+        # setflags costs half of what the flags attribute does
+        stamped.setflags(write=False)
+        self.rows.setflags(write=False)
+        self.t_b, self.times = t_b, stamped[1:]
 
-    def state_offsets(self, y_b, dy_b, kind=slice(None)) -> np.ndarray:
+    def offsets(self, y_b, dy_b, kind=slice(None)) -> np.ndarray:
         """Offsets (2, S, T), position kind first, of S boundary positions y_b
         and velocities dy_b at this fold's t_b and times, or the (S, T) offsets
         of one kind: xi1 * y_b + xi2 * dy_b, with the second product added
@@ -142,6 +137,43 @@ class TrajectoryGenerator:
         out = first[kind] * np.asarray(y_b)[:, None]
         out += second[kind] * np.asarray(dy_b)[:, None]
         return out
+
+
+def kept_fold(t_b: float, times, bank: BasisBank) -> GridFold:
+    """The bank's kept fold if it is at t_b and times, equal in every bit (so
+    -0.0 is not 0.0); otherwise a new fold, which the bank keeps instead."""
+    times = take_floats("times", times, 1, finite=False)
+    kept = bank._last_fold
+    # the sign tells -0.0 from 0.0, which compare equal; comparing t_b's bytes
+    # would take 20 times as long on the miss every query at a new t_b makes
+    if (kept is None or kept.t_b != t_b or math.copysign(1, kept.t_b) != math.copysign(1, t_b)
+            or not np.array_equal(times.view(np.int64), kept.times.view(np.int64))):
+        kept = GridFold(t_b, times, bank)
+        object.__setattr__(bank, "_last_fold", kept)
+    return kept
+
+
+class TrajectoryGenerator:
+    """A boundary state on the bank's fold at (bc.t_b, times), the one place
+    the state enters: y(t) = offsets[0] + W rows[0] and yd(t) = offsets[1] +
+    W rows[1] for weight blocks W of shape (D, N+1).  Shared by the
+    deterministic, distribution and sampling paths; a replanning chain
+    computes only the trace from it.
+
+    It stores the fold's read-only `rows` and `times` (see GridFold) beside
+    the state and its (2, D, T) `offsets`; readers index them directly.
+    Every generator reads the bank's kept fold (kept_fold), so generators of
+    one grid share its rows, and a generator of another grid replaces it.
+
+    positions()/velocities() then cost one (D, N+1) x (N+1, T) product per
+    weight vector against a contiguous row slice, with the offset added into
+    it, which is the online generation path worth benchmarking.
+    """
+
+    def __init__(self, bc: BoundaryCondition, times, bank: BasisBank):
+        fold = kept_fold(bc.t_b, times, bank)
+        self.bc, self.times, self.rows = bc, fold.times, fold.rows
+        self.offsets = fold.offsets(bc.y_b, bc.dy_b)
 
     def _blocks(self, w_g) -> np.ndarray:
         """Weight blocks (..., D, N+1) of one vector or a stack (..., D*(N+1)),
@@ -165,24 +197,9 @@ class TrajectoryGenerator:
 
 
 def folded_basis(bc: BoundaryCondition, times, bank: BasisBank) -> TrajectoryGenerator:
-    """The fold TrajectoryGenerator(bc, times, bank) makes, bit for bit, made
-    once per time grid: the bank keeps the last fold made here, and a call at
-    its t_b and times, equal in every bit (so -0.0 is not 0.0), gets a copy
-    that shares its rows and holds only new offsets.  Any other call folds
-    anew, on its own copy of the times, and that fold replaces the kept one;
-    its rows and times are read-only, so neither the caller's times array nor
-    a reader of the fold can change what a later call gets."""
-    times = take_floats("times", times, 1, finite=False)
-    last = bank._last_fold
-    if (last is not None and np.float64(bc.t_b).tobytes() == np.float64(last.bc.t_b).tobytes()
-            and np.array_equal(times.view(np.int64), last.times.view(np.int64))):
-        hit = copy.copy(last)
-        hit.bc, hit.offsets = bc, last.state_offsets(bc.y_b, bc.dy_b)
-        return hit
-    fold = TrajectoryGenerator(bc, times.copy(), bank)
-    fold.times.flags.writeable = fold.rows.flags.writeable = False
-    object.__setattr__(bank, "_last_fold", fold)
-    return fold
+    """TrajectoryGenerator(bc, times, bank), a public name kept for callers
+    outside the package."""
+    return TrajectoryGenerator(bc, times, bank)
 
 
 def evaluate_position(w_g, bc: BoundaryCondition, times, bank: BasisBank) -> np.ndarray:

@@ -91,7 +91,7 @@ def library_digests(bank) -> dict:
     stack = rng.standard_normal((4, dim)) * 2.0
     out = {"bank": digest(bank.table, bank.times)}
 
-    fold = mptraj.folded_basis(bc, times, bank)
+    fold = mptraj.TrajectoryGenerator(bc, times, bank)
     out["fold rows and offsets"] = digest(fold.rows, fold.offsets)
     out["positions and velocities"] = digest(fold.positions(stack), fold.velocities(stack),
                                              fold.positions(stack[0]),

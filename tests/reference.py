@@ -1,7 +1,7 @@
 """Textbook routes of the closed-form solution, kept as test references.
 
 The package evaluates trajectories through one boundary fold of the bank
-(`mptraj.trajectory.folded_basis`).  The routes below are the steps of its
+(`mptraj.trajectory.GridFold`).  The routes below are the steps of its
 derivation: the homogeneous solutions, the growing goal integrals q1/q2 and
 the constants c1/c2 solved through 1/Wronskian.  Their factors grow like
 exp(k t), so they are usable only on short horizons, which is why they serve
@@ -21,7 +21,6 @@ and the per-record Gaussian-sequence JSON.
 stale_chain is the negative control of replanning: a chain that ignores the
 executed state.
 """
-import copy
 import math
 import re
 from dataclasses import dataclass
@@ -30,14 +29,15 @@ import numpy as np
 from scipy.stats import multivariate_normal
 
 from mptraj import (BasisBank, BoundaryCondition, ForcingBasis, LatentGaussian,
-                    NumericalError, ValidationError, fit_weights, phase, run_chain)
+                    NumericalError, TrajectoryGenerator, ValidationError, fit_weights,
+                    phase, run_chain)
 from mptraj.basis import _SCAN_BLOCK
 from mptraj.distribution import PAIR_BLOCK, _group_gaussians, _nll_sum
 from mptraj.learning import RIDGE_SCALE, _ridge_lstsq
 from mptraj.probops import GaussianSequence
 from mptraj.svgplot import (_HEIGHT, _MARGIN_B, _MARGIN_L, _MARGIN_R, _MARGIN_T, _PALETTE,
                             _WIDTH)
-from mptraj.trajectory import folded_basis, weight_blocks
+from mptraj.trajectory import weight_blocks
 
 
 @dataclass(frozen=True)
@@ -265,7 +265,7 @@ def augmented_lstsq(design, target, ridge) -> np.ndarray:
 def pair_nll_dense(batch, wdist, bc, bank, noise_var) -> float:
     """Mean pair NLL through an explicit (2D, D(N+1)) block design matrix per
     pair, built from the bank rows and the closed-form xi1/xi2 (not through
-    folded_basis), scored by scipy's multivariate_normal."""
+    the package's fold), scored by scipy's multivariate_normal."""
     dofs, wd = bc.dofs, bank.weight_dim
     k = bank.config.decay_rate
     phi_b = bank.pos_rows(bc.t_b)[0]
@@ -291,14 +291,13 @@ def pair_nll_dense(batch, wdist, bc, bank, noise_var) -> float:
 def pair_nll_one_fold(batch, wdist, bc, bank, noise_var) -> float:
     """Mean pair NLL with all 2J pair times folded at once, each block of
     PAIR_BLOCK pairs scored from its columns of that one fold."""
-    fold = folded_basis(bc, batch.times.ravel(), bank)
+    fold = TrajectoryGenerator(bc, batch.times.ravel(), bank)
     total = 0.0
     for start in range(0, batch.count, PAIR_BLOCK):
         stop = min(start + PAIR_BLOCK, batch.count)
-        columns = copy.copy(fold)
-        columns.rows = fold.rows[:, :, 2 * start:2 * stop]
-        columns.offsets = fold.offsets[:, :, 2 * start:2 * stop]
-        means, covs = _group_gaussians(wdist, columns, 2, noise_var)
+        columns = slice(2 * start, 2 * stop)
+        means, covs = _group_gaussians(wdist, fold.rows[0][:, columns],
+                                       fold.offsets[0][:, columns], 2, noise_var)
         total += _nll_sum(covs, batch.values[start:stop] - means, "singular pair covariance")
     return 0.5 * (2 * bc.dofs * math.log(2.0 * math.pi) + total / batch.count)
 

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 
 import mptraj
+from mptraj.trajectory import GridFold
 
 # the package surface; a name joins it deliberately, by editing this list.
 # Routes that only cross-check production live in tests/reference.py.
@@ -62,16 +63,23 @@ def test_public_record_fields_are_pinned():
 
 
 def test_fold_stores_only_its_arrays_and_state(small_bank):
-    # the fold keeps its rows and offsets, the xi factors that refold the
-    # offsets, and its inputs; no view of them is stored under another name,
-    # and a folded_basis hit, which holds another state's offsets, stores the same
+    # the bank's kept fold holds its boundary time, rows, times and the xi
+    # factors that make offsets, no boundary state; a generator holds its
+    # state, its offsets and the kept fold's rows and times, no view of them
+    # under another name.  Neither aliases the caller's times array, which
+    # stays writable
     bank = mptraj.BasisBank(small_bank.config, small_bank.table)
     bc = mptraj.BoundaryCondition(0.25, [0.1, -0.2], [0.3, 0.0])
     times = np.linspace(0.25, 0.75, 11)
     gen = mptraj.TrajectoryGenerator(bc, times, bank)
-    kept = mptraj.folded_basis(bc, times, bank)
-    moved = mptraj.folded_basis(mptraj.BoundaryCondition(0.25, [1.0, 2.0], [0.0, 0.5]),
-                                times, bank)
-    assert moved.rows is kept.rows
-    for fold in (gen, kept, moved):
-        assert sorted(vars(fold)) == ["_xi", "bc", "offsets", "rows", "times"]
+    moved = mptraj.TrajectoryGenerator(mptraj.BoundaryCondition(0.25, [1.0, 2.0], [0.0, 0.5]),
+                                       times, bank)
+    kept = bank._last_fold
+    assert isinstance(kept, GridFold)
+    assert sorted(vars(kept)) == ["_xi", "rows", "t_b", "times"]
+    for fold in (gen, moved):
+        assert sorted(vars(fold)) == ["bc", "offsets", "rows", "times"]
+        assert fold.rows is kept.rows and fold.times is kept.times
+    for fold in (kept, gen, moved):
+        assert not np.shares_memory(fold.times, times)
+    assert times.flags.writeable

@@ -3,9 +3,11 @@ import json
 import numpy as np
 import pytest
 
+import mptraj.bench
 from mptraj import BenchScenario, ValidationError, run_benchmark
 from mptraj.cli import main
 from mptraj.trajectory import MAX_QUERY_SAMPLES
+from tests.conftest import counted_lookups
 
 TINY = BenchScenario(dofs=1, duration=1.0, rate_hz=200.0, num_basis=5)
 
@@ -95,6 +97,23 @@ class TestRunBenchmark:
         table = run_benchmark(TINY, repetitions=3, seed=5)
         assert table["fold_positions"]["checksum"] == table["positions"]["checksum"]
         assert table["refold_positions"]["checksum"] == table["positions"]["checksum"]
+
+    def test_fold_stage_rebuilds_and_refold_stage_reads_the_kept_fold(self, monkeypatch):
+        # lookups per stage, warm-up call included: fold_positions folds on
+        # every call, and refold_positions reads the fold the bank kept when
+        # the positions stage built its generator
+        lookups, per_stage, timed = counted_lookups(monkeypatch), [], mptraj.bench._time_path
+
+        def counted(call, draws):
+            lookups.clear()
+            out = timed(call, draws)
+            per_stage.append(len(lookups))
+            return out
+
+        monkeypatch.setattr(mptraj.bench, "_time_path", counted)
+        table = run_benchmark(TINY, repetitions=3)
+        assert dict(zip(table, per_stage)) == {
+            "euler": 0, "positions": 0, "fold_positions": 4, "refold_positions": 0}
 
     def test_repetitions_validated(self):
         with pytest.raises(ValidationError):

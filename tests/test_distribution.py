@@ -12,7 +12,7 @@ from scipy import stats
 from mptraj import (BasisBank, BoundaryCondition, Demonstration, DimensionError,
                     DmpConfig, NumericalError, TimePairBatch, TrajectoryDistribution,
                     TrajectoryGenerator, ValidationError, WeightsDistribution, evaluate_position,
-                    fit_distribution, fit_weights, folded_basis, gaussian_nll, marginal,
+                    fit_distribution, fit_weights, gaussian_nll, marginal,
                     pair_nll, per_time_marginals, precompute_basis, replan_segment,
                     sample_time_pairs, sample_trajectories, trajectory_distribution)
 from mptraj.distribution import (PAIR_BLOCK, TIME_BLOCK, _group_gaussians,
@@ -109,8 +109,8 @@ class TestTrajectoryDistribution:
         wdist, bc = _case(small_bank, dofs=dofs, seed=dofs)
         times = np.linspace(0.0, 1.0, 25)
         _, _, covs = per_time_marginals(wdist, bc, times, small_bank)
-        fold = folded_basis(bc, times[1:], small_bank)
-        _, pair_covs = _group_gaussians(wdist, fold, 2, 0.0)
+        fold = TrajectoryGenerator(bc, times[1:], small_bank)
+        _, pair_covs = _group_gaussians(wdist, fold.rows[0], fold.offsets[0], 2, 0.0)
         joint = trajectory_distribution(wdist, bc, times, small_bank).cov
         for stack in (covs, pair_covs, joint[None]):
             np.testing.assert_array_equal(stack, stack.transpose(0, 2, 1))
@@ -668,7 +668,7 @@ class TestTimeCovariances:
         bank = pair_banks[10]
         wdist, bc = _case(bank, dofs=dofs, seed=count + dofs)
         fold = TrajectoryGenerator(bc, np.linspace(0.05, bank.duration, count), bank)
-        means, covs = _group_gaussians(wdist, fold, 1, 1e-6)
+        means, covs = _group_gaussians(wdist, fold.rows[0], fold.offsets[0], 1, 1e-6)
         expected = stacked_time_covariances(wdist, fold, 1e-6)
         assert covs.shape == expected.shape == (count, dofs, dofs)
         np.testing.assert_array_equal(covs, covs.transpose(0, 2, 1))
@@ -687,7 +687,7 @@ class TestTimeCovariances:
             fold = TrajectoryGenerator(bc, np.linspace(0.05, bank.duration, count), bank)
             tracemalloc.start()
             try:
-                means, covs = _group_gaussians(wdist, fold, 1, 1e-6)
+                means, covs = _group_gaussians(wdist, fold.rows[0], fold.offsets[0], 1, 1e-6)
                 extra.append(tracemalloc.get_traced_memory()[1] - means.nbytes - covs.nbytes)
             finally:
                 tracemalloc.stop()
@@ -705,8 +705,8 @@ def _bits(out) -> list:
 
 
 class TestGridFoldMemo:
-    """The grid reads share the fold the bank keeps (folded_basis) and give
-    the bits of a new bank, which keeps none."""
+    """The grid reads share the fold the bank keeps and give the bits of a
+    new bank, which keeps none."""
 
     @staticmethod
     def _case(bank):
@@ -735,20 +735,20 @@ class TestGridFoldMemo:
         wdist, bc, other, times, demos = self._case(small_bank)
         warm = BasisBank(small_bank.config, small_bank.table)
         # kept at another state of the same t_b, in another array of the times
-        rows = folded_basis(other, times.copy(), warm).rows
+        rows = TrajectoryGenerator(other, times.copy(), warm).rows
         got = self.READS[read](wdist, bc, times, demos, warm)
-        assert folded_basis(other, times, warm).rows is rows
+        assert TrajectoryGenerator(other, times, warm).rows is rows
         fresh = BasisBank(small_bank.config, small_bank.table)
         assert _bits(got) == _bits(self.READS[read](wdist, bc, times, demos, fresh))
 
     def test_pair_nll_leaves_the_kept_fold(self, small_bank):
         wdist, bc, _, times, _ = self._case(small_bank)
         bank = BasisBank(small_bank.config, small_bank.table)
-        rows = folded_basis(bc, times, bank).rows
+        rows = TrajectoryGenerator(bc, times, bank).rows
         pairs = sample_time_pairs(times, 300, seed=3)
         values = np.random.default_rng(3).standard_normal((300, 4))
         nll = pair_nll(pairs.with_values(values), wdist, bc, bank)
-        assert folded_basis(bc, times, bank).rows is rows
+        assert TrajectoryGenerator(bc, times, bank).rows is rows
         assert nll == pair_nll(pairs.with_values(values), wdist, bc,
                                BasisBank(small_bank.config, small_bank.table))
 

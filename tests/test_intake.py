@@ -119,8 +119,8 @@ KEPT_CONVERSIONS = {
     ("fileio.py", "write_csv_table", "np.asarray(times, dtype=np.float64)"),
     ("fileio.py", "write_csv_table", "np.asarray(labels, dtype=np.float64)"),
     ("trajectory.py", "write_trajectory_csv", "np.asarray(segment_ids)"),
-    ("trajectory.py", "TrajectoryGenerator.state_offsets", "np.asarray(y_b)"),
-    ("trajectory.py", "TrajectoryGenerator.state_offsets", "np.asarray(dy_b)"),
+    ("trajectory.py", "GridFold.offsets", "np.asarray(y_b)"),
+    ("trajectory.py", "GridFold.offsets", "np.asarray(dy_b)"),
 }
 
 

@@ -6,10 +6,9 @@ import pytest
 
 import mptraj.learning
 from mptraj import (BoundaryCondition, Demonstration, DimensionError, DmpConfig,
-                    LatentGaussian, NumericalError, ValidationError,
+                    LatentGaussian, NumericalError, TrajectoryGenerator, ValidationError,
                     bayesian_aggregate, evaluate_position, evaluate_velocity,
-                    fit_distribution, fit_weights, folded_basis, precompute_basis,
-                    sample_trajectories)
+                    fit_distribution, fit_weights, precompute_basis, sample_trajectories)
 from mptraj.learning import RIDGE_SCALE
 from tests.conftest import random_weights_distribution
 from tests.reference import (augmented_lstsq, bayesian_aggregate_loop, per_demo_fits,
@@ -114,7 +113,7 @@ class TestFitWeights:
         with pytest.raises(NumericalError, match="rank deficient") as err:
             fit_weights(demo, small_bank, ridge=0.0, bc=bc)
         # the rank is lstsq's on the same design, so the message is its message
-        fold = folded_basis(bc, times, small_bank)
+        fold = TrajectoryGenerator(bc, times, small_bank)
         with pytest.raises(NumericalError) as ref:
             augmented_lstsq(np.ascontiguousarray(fold.rows[0].T),
                             (demo.positions - fold.offsets[0]).T, 0.0)
@@ -176,7 +175,7 @@ class TestRidgeSolve:
         clean = evaluate_position(rng.standard_normal(3 * bank.weight_dim) * 3.0, bc,
                                   times, bank)
         demo = Demonstration(times, clean + 1e-3 * rng.standard_normal(clean.shape))
-        fold = folded_basis(demo.boundary_condition(), times, bank)
+        fold = TrajectoryGenerator(demo.boundary_condition(), times, bank)
         design = np.ascontiguousarray(fold.rows[0].T)
         target = (demo.positions - fold.offsets[0]).T
         ridge = RIDGE_SCALE * np.einsum("ij,ij->", design, design) / bank.weight_dim
@@ -258,18 +257,18 @@ class TestFitDistribution:
 
 
 def _count_folds(monkeypatch) -> list:
-    """Records the times of every fold the learning module makes; fails on
+    """Records the times of every fold the learning module reads; fails on
     any fit_weights call."""
-    folds, fold = [], mptraj.learning.folded_basis
+    folds, fold = [], mptraj.learning.kept_fold
 
-    def counted(bc, times, bank):
+    def counted(t_b, times, bank):
         folds.append(np.asarray(times))
-        return fold(bc, times, bank)
+        return fold(t_b, times, bank)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("fit_distribution called fit_weights")
 
-    monkeypatch.setattr(mptraj.learning, "folded_basis", counted)
+    monkeypatch.setattr(mptraj.learning, "kept_fold", counted)
     monkeypatch.setattr(mptraj.learning, "fit_weights", forbidden)
     return folds
 

@@ -224,10 +224,10 @@ class TestRunChain:
     @pytest.mark.parametrize("anchor", ["local", "follow"])
     def test_local_chain_folds_once_per_horizon(self, small_bank, monkeypatch,
                                                 anchor, mode):
-        # local segments read the bank's kept fold, so a run of one horizon
-        # folds once and each change of horizon folds again: 4 folds here;
-        # follow segments fold anew.  The plan equals that of a fresh fold per
-        # segment, bit for bit
+        # every segment reads the bank's kept fold: a local run of one horizon
+        # folds once and each change of horizon folds again, 4 folds here;
+        # follow segments, whose grids move, fold every time.  The plan equals
+        # that of a fresh fold per segment, bit for bit
         bank = BasisBank(small_bank.config, small_bank.table)
         wdists, initial = _setup(bank, dofs=7)
         horizons = (0.1, 0.1, 0.2, 0.1, 0.2)
@@ -236,7 +236,12 @@ class TestRunChain:
         plan = run_chain(initial, segments, bank, rate=40.0, anchor=anchor,
                          mode=mode, seed=3)
         assert len(lookups) == (4 if anchor == "local" else 5)
-        monkeypatch.setattr(mptraj.replan, "folded_basis", TrajectoryGenerator)
+
+        def fresh_fold(bc, times, bank):
+            object.__setattr__(bank, "_last_fold", None)
+            return TrajectoryGenerator(bc, times, bank)
+
+        monkeypatch.setattr(mptraj.replan, "TrajectoryGenerator", fresh_fold)
         fresh = run_chain(initial, segments, bank, rate=40.0, anchor=anchor,
                           mode=mode, seed=3)
         assert len(lookups) == (4 if anchor == "local" else 5) + 5

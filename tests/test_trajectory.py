@@ -1,14 +1,18 @@
+import ast
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mptraj
 from mptraj import (BasisBank, BoundaryCondition, DimensionError, DmpConfig, TimePairBatch,
                     TrajectoryGenerator, ValidationError, WeightsDistribution,
                     evaluate_position, evaluate_velocity, pair_nll, precompute_basis,
                     run_chain)
-from mptraj.trajectory import (MAX_QUERY_SAMPLES, folded_basis, read_trajectory_csv,
-                               weight_blocks, window_steps, write_trajectory_csv)
+from mptraj.trajectory import (MAX_QUERY_SAMPLES, GridFold, folded_basis,
+                               read_trajectory_csv, weight_blocks, window_steps,
+                               write_trajectory_csv)
 from tests import reference
 from tests.conftest import counted_lookups
 from tests.reference import (RowMajorFold, complementary, position_from_coefficients,
@@ -32,7 +36,7 @@ def _xi(t, t_b, bank):
     y_b = 0, dy_b = 1 exactly xi2."""
     def offset(y_b, dy_b):
         bc = BoundaryCondition(t_b, [y_b], [dy_b])
-        return folded_basis(bc, [t], bank).offsets[0, 0, 0]
+        return TrajectoryGenerator(bc, [t], bank).offsets[0, 0, 0]
     return offset(1.0, 0.0), offset(0.0, 1.0)
 
 
@@ -207,14 +211,14 @@ class TestGenerator:
 class TestFoldedBasis:
     def test_h_rows_vanish_at_boundary(self, reference_bank):
         bc = BoundaryCondition(1.25, np.array([0.3]), np.array([0.1]))
-        fold = folded_basis(bc, np.array([1.25, 2.0]), reference_bank)
+        fold = TrajectoryGenerator(bc, np.array([1.25, 2.0]), reference_bank)
         assert np.all(fold.rows[0][:, 0] == 0.0)
         assert np.all(fold.rows[1][:, 0] == 0.0)
 
     def test_offsets_equal_boundary_state_at_boundary(self, reference_bank):
         rng = np.random.default_rng(4)
         bc = BoundaryCondition(0.75, rng.standard_normal(3), rng.standard_normal(3))
-        fold = folded_basis(bc, np.array([0.5, 0.75, 2.0]), reference_bank)
+        fold = TrajectoryGenerator(bc, np.array([0.5, 0.75, 2.0]), reference_bank)
         assert fold.offsets.shape == (2, 3, 3)
         assert np.array_equal(fold.offsets[0][:, 1], bc.y_b)
         assert np.array_equal(fold.offsets[1][:, 1], bc.dy_b)
@@ -232,14 +236,14 @@ class TestFoldedBasis:
             monkeypatch.setattr(BasisBank, name, counted)
         bc = BoundaryCondition(0.5, np.zeros(2), np.zeros(2))
         # a new bank keeps no fold that this call could share
-        folded_basis(bc, np.linspace(0.5, 2.5, 9),
-                     BasisBank(reference_bank.config, reference_bank.table))
+        TrajectoryGenerator(bc, np.linspace(0.5, 2.5, 9),
+                            BasisBank(reference_bank.config, reference_bank.table))
         assert calls == ["lookup"]
 
     def test_stack_equals_single_calls(self, reference_bank):
         rng = np.random.default_rng(8)
         bc, _ = _random_case(rng, 3, reference_bank.weight_dim, t_b=0.4)
-        fold = folded_basis(bc, np.linspace(0.4, 2.8, 50), reference_bank)
+        fold = TrajectoryGenerator(bc, np.linspace(0.4, 2.8, 50), reference_bank)
         stack = rng.standard_normal((6, 3 * reference_bank.weight_dim))
         assert np.array_equal(fold.positions(stack),
                               np.stack([fold.positions(w) for w in stack]))
@@ -250,7 +254,7 @@ class TestFoldedBasis:
     def test_stack_with_wrong_last_axis_rejected(self, reference_bank, shape):
         # 3 DoFs x 26 parameters = 78 per weights vector
         bc = BoundaryCondition(0.0, np.zeros(3), np.zeros(3))
-        fold = folded_basis(bc, [1.0, 2.0], reference_bank)
+        fold = TrajectoryGenerator(bc, [1.0, 2.0], reference_bank)
         with pytest.raises(DimensionError):
             fold.positions(np.zeros(shape))
         with pytest.raises(DimensionError):
@@ -524,19 +528,19 @@ class TestTimeMajorFold:
             assert out.nbytes == 16 * 7 * 3001 * 8
             assert peak <= 1.05 * out.nbytes, product.__name__
 
-    def test_state_offsets_equal_a_fold_of_each_state(self, reference_bank):
+    def test_grid_fold_offsets_equal_a_generator_of_each_state(self, reference_bank):
         rng = np.random.default_rng(23)
         times = np.linspace(0.5, 2.0, 41)
         states = [_random_case(rng, 3, reference_bank.weight_dim, t_b=0.5)[0]
                   for _ in range(4)]
-        fold = TrajectoryGenerator(states[0], times, reference_bank)
+        fold = GridFold(0.5, times, reference_bank)
         y_b, dy_b = (np.concatenate([getattr(bc, name) for bc in states])
                      for name in ("y_b", "dy_b"))
         folds = [TrajectoryGenerator(bc, times, reference_bank) for bc in states]
         # both kinds, and the position kind alone, bit for bit
-        assert np.array_equal(fold.state_offsets(y_b, dy_b),
+        assert np.array_equal(fold.offsets(y_b, dy_b),
                               np.concatenate([f.offsets for f in folds], axis=1))
-        assert np.array_equal(fold.state_offsets(y_b, dy_b, kind=0),
+        assert np.array_equal(fold.offsets(y_b, dy_b, kind=0),
                               np.concatenate([f.offsets[0] for f in folds]))
 
     def test_rows_are_one_contiguous_time_major_array(self, reference_bank):
@@ -549,8 +553,9 @@ class TestTimeMajorFold:
 
 
 class TestGridFoldMemo:
-    """folded_basis keeps the last fold a bank made through it, keyed by the
-    bits of t_b and of the times, and refolds only the offsets on a hit."""
+    """Every TrajectoryGenerator reads the fold the bank keeps, keyed by the
+    bits of t_b and of the times: a hit shares its rows and builds only its
+    own offsets, and a miss folds anew and replaces the kept fold."""
 
     @staticmethod
     def _case(bank, seed=31, t_b=0.5):
@@ -562,7 +567,8 @@ class TestGridFoldMemo:
 
     @staticmethod
     def _assert_fresh(fold, bc, times, bank, w):
-        fresh = TrajectoryGenerator(bc, times, bank)
+        # a bank of the same table that has kept no fold
+        fresh = TrajectoryGenerator(bc, times, BasisBank(bank.config, bank.table))
         assert fold.bc is bc
         for name in ("times", "rows", "offsets"):
             assert np.array_equal(getattr(fold, name), getattr(fresh, name)), name
@@ -572,85 +578,137 @@ class TestGridFoldMemo:
     def test_hit_shares_the_rows_bit_for_bit(self, reference_bank, monkeypatch):
         bank, (first, second), times, w = self._case(reference_bank)
         lookups = counted_lookups(monkeypatch)
-        kept = folded_basis(first, times, bank)
+        kept = TrajectoryGenerator(first, times, bank)
         # the same times in another array, at another state of the same t_b
-        hit = folded_basis(second, times.copy(), bank)
+        hit = TrajectoryGenerator(second, times.copy(), bank)
         assert lookups == [times.size + 1]
         assert hit.rows is kept.rows and hit.times is kept.times
+        assert bank._last_fold.rows is kept.rows
         self._assert_fresh(hit, second, times, bank, w)
-        self._assert_fresh(folded_basis(first, list(times), bank), first, times, bank, w)
+        self._assert_fresh(TrajectoryGenerator(first, list(times), bank), first, times, bank,
+                           w)
 
-    def test_hit_leaves_the_kept_fold_its_state(self, reference_bank):
-        # a hit is a copy holding new offsets: the fold it came from, and the
-        # next hit at the kept state, keep that state's offsets
+    def test_generators_of_one_fold_keep_their_own_states(self, reference_bank):
+        # the kept fold holds no state: each generator on it holds its own
+        # offsets, and a later one leaves an earlier one's alone
         bank, (first, second), times, w = self._case(reference_bank)
-        kept = folded_basis(first, times, bank)
+        kept = TrajectoryGenerator(first, times, bank)
         offsets = kept.offsets.copy()
-        hit = folded_basis(second, times, bank)
-        assert hit is not kept and hit.offsets is not kept.offsets
+        hit = TrajectoryGenerator(second, times, bank)
+        assert hit.offsets is not kept.offsets
         assert kept.bc is first
         assert np.array_equal(kept.offsets, offsets)
         self._assert_fresh(kept, first, times, bank, w)
-        self._assert_fresh(folded_basis(first, times, bank), first, times, bank, w)
+        self._assert_fresh(TrajectoryGenerator(first, times, bank), first, times, bank, w)
 
     def test_one_ulp_and_a_signed_zero_miss(self, reference_bank):
         bank, (bc, _), times, w = self._case(reference_bank, t_b=0.0)
-        kept = folded_basis(bc, times, bank)
+        kept = TrajectoryGenerator(bc, times, bank)
         moved = times.copy()
         moved[7] = np.nextafter(moved[7], np.inf)
         negative = BoundaryCondition(-0.0, bc.y_b, bc.dy_b)
         later = BoundaryCondition(np.nextafter(0.0, 1.0), bc.y_b, bc.dy_b)
         for other_bc, other_times in ((bc, moved), (negative, times), (later, times)):
-            fold = folded_basis(other_bc, other_times, bank)
+            fold = TrajectoryGenerator(other_bc, other_times, bank)
             assert fold.rows is not kept.rows
             self._assert_fresh(fold, other_bc, other_times, bank, w)
         # one entry: the last miss replaced the first fold, which now misses
-        assert folded_basis(bc, times, bank).rows is not kept.rows
+        assert TrajectoryGenerator(bc, times, bank).rows is not kept.rows
 
     def test_caller_times_changed_after_a_call(self, reference_bank):
         bank, (first, second), times, w = self._case(reference_bank)
         given = times.copy()
-        kept = folded_basis(first, given, bank)
+        kept = TrajectoryGenerator(first, given, bank)
         given[3] += 0.125
         # the kept fold is of the times as they were when it was made: the
         # same times share it, the changed array does not
-        hit = folded_basis(second, times, bank)
+        hit = TrajectoryGenerator(second, times, bank)
         assert hit.rows is kept.rows
         self._assert_fresh(hit, second, times, bank, w)
-        miss = folded_basis(second, given, bank)
+        miss = TrajectoryGenerator(second, given, bank)
         assert miss.rows is not kept.rows
         self._assert_fresh(miss, second, given, bank, w)
 
     def test_kept_rows_and_times_are_read_only(self, reference_bank):
         bank, (first, second), times, _ = self._case(reference_bank)
-        for fold in (folded_basis(first, times, bank), folded_basis(second, times, bank)):
+        folds = [TrajectoryGenerator(first, times, bank), TrajectoryGenerator(second, times, bank),
+                 bank._last_fold, GridFold(0.5, times, bank)]
+        for fold in folds:
             for arr in (fold.rows, fold.times):
                 assert not arr.flags.writeable
                 with pytest.raises(ValueError, match="read-only"):
                     arr[..., 0] = 1.0
 
-    def test_other_folds_leave_the_kept_fold(self, reference_bank, monkeypatch):
-        bank, (first, second), times, w = self._case(reference_bank)
-        kept = folded_basis(first, times, bank)
-        TrajectoryGenerator(second, times[1:], bank)
-        evaluate_position(w[0], second, times[:9], bank)
-        evaluate_velocity(w[0], second, times[:9], bank)
+    def test_pair_nll_leaves_the_kept_fold(self, reference_bank, monkeypatch):
+        bank, (first, second), times, _ = self._case(reference_bank)
+        kept = TrajectoryGenerator(first, times, bank)
         dim = 3 * bank.weight_dim
         wdist = WeightsDistribution(np.zeros(dim), np.eye(dim))
         batch = TimePairBatch(np.stack([times[1:5], times[5:9]], axis=1), np.zeros((4, 6)))
         pair_nll(batch, wdist, second, bank)
-        run_chain(first, [(wdist, 0.2)] * 3, bank, rate=40.0, anchor="follow")
         lookups = counted_lookups(monkeypatch)
-        assert folded_basis(second, times, bank).rows is kept.rows
+        assert TrajectoryGenerator(second, times, bank).rows is kept.rows
         assert lookups == []
 
+    @pytest.mark.parametrize("read", [
+        lambda bc, times, bank, w: TrajectoryGenerator(bc, times[1:], bank),
+        lambda bc, times, bank, w: evaluate_position(w, bc, times[:9], bank),
+        lambda bc, times, bank, w: evaluate_velocity(w, bc, times[:9], bank),
+        lambda bc, times, bank, w: run_chain(
+            bc, [(WeightsDistribution(np.zeros(w.size), np.eye(w.size)), 0.2)] * 3, bank,
+            rate=40.0, anchor="follow"),
+    ], ids=["generator", "evaluate_position", "evaluate_velocity", "follow-chain"])
+    def test_every_generator_of_another_grid_replaces_it(self, reference_bank, monkeypatch,
+                                                         read):
+        bank, (first, second), times, w = self._case(reference_bank)
+        kept = TrajectoryGenerator(first, times, bank)
+        read(second, times, bank, w[0])
+        assert bank._last_fold.rows is not kept.rows
+        lookups = counted_lookups(monkeypatch)
+        assert TrajectoryGenerator(first, times, bank).rows is not kept.rows
+        assert lookups == [times.size + 1]
+
     def test_local_chain_takes_the_kept_fold(self, reference_bank, monkeypatch):
-        # a local segment reads its grid through folded_basis, which keeps it
+        # a local segment reads its grid through the kept fold, which keeps it
         bank, (first, _), times, _ = self._case(reference_bank)
-        kept = folded_basis(first, times, bank)
+        kept = TrajectoryGenerator(first, times, bank)
         dim = 3 * bank.weight_dim
         run_chain(first, [(WeightsDistribution(np.zeros(dim), np.eye(dim)), 0.2)] * 3,
                   bank, rate=40.0)
         lookups = counted_lookups(monkeypatch)
-        assert folded_basis(first, times, bank).rows is not kept.rows
+        assert TrajectoryGenerator(first, times, bank).rows is not kept.rows
         assert lookups == [times.size + 1]
+
+
+PACKAGE = Path(mptraj.__file__).resolve().parent
+
+
+def _package_nodes():
+    """(module file, qualified function, node) of every node in the package."""
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = scope + (child.name,)
+            yield ".".join(scope), child
+            yield from walk(child, inner)
+    for path in sorted(PACKAGE.glob("*.py")):
+        for function, node in walk(ast.parse(path.read_text(), str(path)), ()):
+            yield path.name, function, node
+
+
+def test_the_keep_policy_stays_in_trajectory():
+    # folded_basis is a name kept for outside callers: inside the package only
+    # trajectory.py and the re-export name it.  A GridFold is made by the
+    # kept-fold check, and apart from the bank's keeping only by pair_nll's
+    # blocks of random pair times and the benchmark stage that times a rebuild
+    named = {(module, function) for module, function, node in _package_nodes()
+             if "folded_basis" in (getattr(node, "id", None), getattr(node, "attr", None),
+                                   getattr(node, "name", None))}
+    assert {module for module, _ in named} == {"__init__.py", "trajectory.py"}
+    assert ("__init__.py", "") in named
+    made = {(module, function) for module, function, node in _package_nodes()
+            if isinstance(node, ast.Call)
+            and "GridFold" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))}
+    assert made == {("trajectory.py", "kept_fold"), ("distribution.py", "pair_nll"),
+                    ("bench.py", "run_benchmark.fold_positions")}

@@ -441,6 +441,7 @@ def precompute_basis(config: DmpConfig) -> BasisBank:
 
     deviation = float(deviation)
     tol = 10.0 * dt
+    # an explicit pass, a correctness gate that no float flag stands for;
     # negated so that NaN fails the check
     if not (deviation <= tol and np.isfinite(vel).all()):
         raise NumericalError(

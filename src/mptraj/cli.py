@@ -6,6 +6,12 @@ writes all of its outputs or none, and prints its report once they are in
 place.  Failures, usage errors included, print one line to stderr in the form
 "error[category]: message" and exit with the category's code (2 validation,
 3 I/O, 4 numerical, 5 dimension mismatch).
+
+Each command runs inside errors.numerical_errors, so that a float fault numpy
+flags and no read below names ends in "floating-point <numpy's message>
+(mptraj <command>)".  A fault numpy sets no flag for (einsum, LAPACK, a
+product OpenBLAS splits over threads) is left to the explicit pass of the
+read that makes it, as is one whose message names an index.
 """
 from __future__ import annotations
 
@@ -23,9 +29,9 @@ from .bench import BenchScenario, run_benchmark
 from .distribution import (DEFAULT_NOISE_VAR, per_time_marginals,
                            sample_trajectories, weights_distribution_from_dict,
                            write_samples_csv, write_weights_distribution_json)
-from .errors import (DimensionError, MptrajError, NumericalError, ValidationError,
-                     check_finite_nonneg, check_finite_positive, check_int,
-                     check_number, check_numbers, check_record, check_seed, check_type)
+from .errors import (DimensionError, MptrajError, ValidationError, check_finite_nonneg,
+                     check_finite_positive, check_int, check_number, check_numbers,
+                     check_record, check_seed, check_type, numerical_errors)
 from .fileio import atomic_write_json, read_json, staged_writes
 from .learning import DEFAULT_COV_FLOOR, Demonstration, fit_distribution, fit_weights
 from .probops import (ActivationProfile, GaussianSequence, blend, combine,
@@ -435,17 +441,17 @@ _PARSER = build_parser()
 def main(argv=None) -> int:
     try:
         args = _PARSER.parse_args(argv)
-        # numpy overflow and invalid operations raise, so that no inf or NaN
-        # they leave reaches an output; the command is resolved by name at
-        # call time, so a wrapper installed on the module attribute sees it;
-        # its files and its report appear only once all of it has succeeded
-        with (np.errstate(over="raise", invalid="raise", divide="raise"), staged_writes(),
+        # a float fault numpy flags ends the command in one NumericalError
+        # naming it, so that no inf or NaN it leaves reaches an output; the
+        # command is resolved by name at call time, so a wrapper installed on
+        # the module attribute sees it; its files and its report appear only
+        # once all of it has succeeded
+        with (numerical_errors(f"mptraj {args.command}"), staged_writes(),
               contextlib.redirect_stdout(io.StringIO()) as report):
             code = globals()[f"_cmd_{args.command}"](args)
         sys.stdout.write(report.getvalue())
         return code
-    except (MptrajError, FloatingPointError) as exc:
-        err = exc if isinstance(exc, MptrajError) else NumericalError(f"floating-point {exc}")
+    except MptrajError as err:
         # a path may carry a line break; the message stays one line
         message = "\\n".join(str(err).splitlines())
         print(f"error[{err.category}]: {message}", file=sys.stderr)

@@ -35,8 +35,8 @@ import numpy as np
 from .basis import BasisBank
 from .errors import (DimensionError, NumericalError, ValidationError,
                      check_count, check_finite_nonneg, check_int, check_numbers,
-                     check_record, check_seed, numerical_errors, take_array, take_floats,
-                     take_value)
+                     check_record, check_seed, finite_result, numerical_errors, take_array,
+                     take_floats, take_value)
 from .fileio import atomic_write_json, write_csv_table
 from .trajectory import BoundaryCondition, GridFold, TrajectoryGenerator, weight_blocks
 
@@ -77,7 +77,10 @@ class WeightsDistribution:
         return self.mean.shape[0]
 
     def covariance(self) -> np.ndarray:
-        return self.chol @ self.chol.T
+        """L L^T; NumericalError if it overflows float64."""
+        what = "weights covariance L L^T overflows float64"
+        with numerical_errors(what):
+            return finite_result(what, self.chol @ self.chol.T)
 
     @classmethod
     def from_covariance(cls, mean, cov) -> "WeightsDistribution":
@@ -179,7 +182,8 @@ def _group_gaussians(wdist: WeightsDistribution, rows: np.ndarray, offsets: np.n
             f"weights distribution dimension {wdist.dim} does not match "
             f"{dofs} DoFs x {rows.shape[0]} parameters")
     count = rows.shape[1] // group
-    # an overflow leaves inf or NaN, reported once below
+    # an overflow leaves inf or NaN, reported once below: the per-time einsum
+    # returns inf with no flag even where numpy is set to raise
     with np.errstate(over="ignore", invalid="ignore"):
         means = offsets + wdist.mean.reshape(dofs, -1) @ rows
         means = means.reshape(dofs, count, group).transpose(1, 0, 2).reshape(
@@ -195,11 +199,8 @@ def _group_gaussians(wdist: WeightsDistribution, rows: np.ndarray, offsets: np.n
             covs = gmat @ gmat.transpose(0, 2, 1)
             diag = np.arange(dofs * group)
             covs[:, diag, diag] += noise_var
-    if not (np.isfinite(means).all() and np.isfinite(covs).all()):
-        raise NumericalError(
-            "trajectory mean or covariance overflows float64; the weights "
-            "distribution is too wide")
-    return means, covs
+    what = "trajectory mean or covariance overflows float64; the weights distribution is too wide"
+    return finite_result(what, means), finite_result(what, covs)
 
 
 def _nll_sum(covs: np.ndarray, resid: np.ndarray, singular: str) -> float:
@@ -212,6 +213,19 @@ def _nll_sum(covs: np.ndarray, resid: np.ndarray, singular: str) -> float:
     white = np.linalg.solve(factor, resid[:, :, None])
     return (2.0 * float(np.sum(np.log(np.diagonal(factor, axis1=1, axis2=2))))
             + float(np.sum(white * white)))
+
+
+def _nll(what: str, dim: int, total: float) -> float:
+    """0.5 (dim log 2 pi + total), the NLL `what` of a dim-dimensional
+    Gaussian from the total of _nll_sum, if finite; NumericalError naming
+    what otherwise."""
+    nll = 0.5 * (dim * math.log(2.0 * math.pi) + total)
+    # LAPACK's solve returns NaN for a residual too large for its pivots, and
+    # pair_nll's finite block totals can overflow when added, with no flag
+    if not math.isfinite(nll):
+        raise NumericalError(f"{what} is not finite; the values lie too far from the "
+                             f"mean for float64")
+    return nll
 
 
 def _fold_distribution(wdist: WeightsDistribution, fold: TrajectoryGenerator,
@@ -274,9 +288,10 @@ def gaussian_nll(dist: TrajectoryDistribution, values) -> float:
     if values.shape[0] != dist.dim:
         raise DimensionError(
             f"observation length {values.shape[0]} does not match dimension {dist.dim}")
-    total = _nll_sum(dist.cov[None], (values - dist.mean)[None],
-                     "singular trajectory covariance; supply noise_var > 0 or a jitter")
-    return 0.5 * (dist.dim * math.log(2.0 * math.pi) + total)
+    with numerical_errors("Gaussian NLL"):
+        total = _nll_sum(dist.cov[None], (values - dist.mean)[None],
+                         "singular trajectory covariance; supply noise_var > 0 or a jitter")
+    return _nll("Gaussian NLL", dist.dim, total)
 
 
 def sample_trajectories(wdist: WeightsDistribution, bc: BoundaryCondition, times,
@@ -293,14 +308,14 @@ def sample_trajectories(wdist: WeightsDistribution, bc: BoundaryCondition, times
     weight_blocks(wdist.mean, bc.dofs, bank.weight_dim)
     rng = np.random.default_rng(check_seed(seed))
     z = rng.standard_normal((count, wdist.dim))
-    # an overflow leaves inf or NaN, reported once below
-    with np.errstate(over="ignore", invalid="ignore"):
-        draws = wdist.mean + z @ wdist.chol.T
-    if not np.isfinite(draws).all():
-        raise NumericalError(
-            "weight-space draws overflow float64; the weights distribution is too wide")
+    what = "weight-space draws overflow float64; the weights distribution is too wide"
+    # from about 256 x 77 draws the product runs on OpenBLAS threads, whose
+    # overflows set no flag here
+    with numerical_errors(what):
+        draws = finite_result(what, wdist.mean + z @ wdist.chol.T)
 
-    fold = TrajectoryGenerator(bc, times, bank)
+    with numerical_errors("offsets of the boundary state; the state is too large"):
+        fold = TrajectoryGenerator(bc, times, bank)
     with numerical_errors("sampled trajectories; the weights distribution is too wide"):
         positions = fold.positions(draws)
         return (positions, fold.velocities(draws)) if with_velocities else positions
@@ -374,16 +389,18 @@ def pair_nll(batch: TimePairBatch, wdist: WeightsDistribution, bc: BoundaryCondi
         raise DimensionError(
             f"truth vectors have {batch.values.shape[1]} entries, expected 2*{bc.dofs}")
     total = 0.0
-    for start in range(0, batch.count, PAIR_BLOCK):
-        block = slice(start, start + PAIR_BLOCK)
-        # random pair times: a fold of its own, leaving the bank's kept grid fold
-        fold = GridFold(bc.t_b, batch.times[block].ravel(), bank)
-        means, covs = _group_gaussians(wdist, fold.rows[0],
-                                       fold.offsets(bc.y_b, bc.dy_b, kind=0), 2, noise_var)
-        total += _nll_sum(covs, batch.values[block] - means,
-                          "singular pair covariance; supply noise_var > 0 or "
-                          "distinct pair times")
-    return 0.5 * (2 * bc.dofs * math.log(2.0 * math.pi) + total / batch.count)
+    with numerical_errors("pair NLL"):
+        for start in range(0, batch.count, PAIR_BLOCK):
+            block = slice(start, start + PAIR_BLOCK)
+            # random pair times: a fold of its own, leaving the bank's kept grid fold
+            fold = GridFold(bc.t_b, batch.times[block].ravel(), bank)
+            means, covs = _group_gaussians(wdist, fold.rows[0],
+                                           fold.offsets(bc.y_b, bc.dy_b, kind=0), 2,
+                                           noise_var)
+            total += _nll_sum(covs, batch.values[block] - means,
+                              "singular pair covariance; supply noise_var > 0 or "
+                              "distinct pair times")
+    return _nll("pair NLL", 2 * bc.dofs, total / batch.count)
 
 
 def _unpack_lower(values: np.ndarray, dim: int) -> np.ndarray:

@@ -4,6 +4,14 @@ way everywhere (a ValidationError naming the field), and the one intake of
 arrays: take_floats, and take_array and take_value for record fields.
 
 Each error category carries the process exit code the CLI maps it to.
+
+Float faults take one route.  Where numpy sets a flag (a ufunc's overflow,
+invalid operation or division by zero), the computation runs inside
+numerical_errors, the only code that turns a FloatingPointError into a
+NumericalError.  An explicit pass over the output stays only where numpy sets
+no flag or where its message names an index: einsum, LAPACK and a product
+OpenBLAS splits over threads set none in the calling thread, and finite_result
+is that pass for an output that needs no index in its message.
 """
 import contextlib
 import math
@@ -167,6 +175,16 @@ def numerical_errors(what: str):
             yield
     except FloatingPointError as exc:
         raise NumericalError(f"floating-point {exc} ({what})") from exc
+
+
+def finite_result(what: str, arr: np.ndarray) -> np.ndarray:
+    """arr, if every entry is finite; NumericalError(what) otherwise.  The pass
+    after a product numpy cannot flag: OpenBLAS sets no flag in the calling
+    thread for the part of a product it hands to another thread, so an
+    overflow there returns inf or NaN inside numerical_errors too."""
+    if np.count_nonzero(np.isfinite(arr)) != arr.size:
+        raise NumericalError(what)
+    return arr
 
 
 def freeze(record, **arrays) -> None:

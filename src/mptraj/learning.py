@@ -25,7 +25,7 @@ import numpy as np
 from .basis import BasisBank
 from .distribution import WeightsDistribution
 from .errors import (DimensionError, NumericalError, ValidationError,
-                     check_finite_nonneg, numerical_errors, take_array)
+                     check_finite_nonneg, finite_result, numerical_errors, take_array)
 from .trajectory import BoundaryCondition, kept_fold
 
 DEFAULT_COV_FLOOR = 1e-8
@@ -68,8 +68,10 @@ class Demonstration:
         if self.velocities is not None:
             dy_b = self.velocities[:, 0]
         else:
-            dy_b = ((self.positions[:, 1] - self.positions[:, 0])
-                    / (self.times[1] - self.times[0]))
+            with numerical_errors(f"first-difference velocity over the demonstration's "
+                                  f"first step, t = {self.times[0]} to {self.times[1]}"):
+                dy_b = ((self.positions[:, 1] - self.positions[:, 0])
+                        / (self.times[1] - self.times[0]))
         return BoundaryCondition(t_b=float(self.times[0]),
                                  y_b=self.positions[:, 0], dy_b=dy_b)
 
@@ -103,22 +105,23 @@ def _fit_grid(demos, bcs, bank: BasisBank, ridge: float | None) -> np.ndarray:
             f"demonstration has {demos[0].times.shape[0]} samples but the basis has "
             f"{bank.weight_dim} parameters per DoF; the fit would be underdetermined")
     fold = kept_fold(bcs[0].t_b, demos[0].times, bank)
-    offsets = fold.offsets(np.concatenate([bc.y_b for bc in bcs]),
-                           np.concatenate([bc.dy_b for bc in bcs]), kind=0)
-    # the target is written over the offsets: two (K*D, T) arrays at most
-    target = np.subtract(np.concatenate([demo.positions for demo in demos]), offsets,
-                         out=offsets)
     # einsum sums in memory order, so the default ridge is taken over C-ordered
     # (T, N+1) rows, not over the fold's transposed view
     design = np.ascontiguousarray(fold.rows[0].T)
     if ridge is None:
         ridge = RIDGE_SCALE * np.einsum("ij,ij->", design, design) / bank.weight_dim
     check_finite_nonneg("ridge", ridge)
-    weights = _ridge_lstsq(design, target.T, ridge).T.reshape(len(demos), -1)
-    if not np.isfinite(weights).all():
-        raise NumericalError(
-            "fitted weights are not finite; the demonstrations' values overflow the solve")
-    return weights
+    what = "fitted weights are not finite; the demonstrations' values overflow the solve"
+    with numerical_errors(what):
+        offsets = fold.offsets(np.concatenate([bc.y_b for bc in bcs]),
+                               np.concatenate([bc.dy_b for bc in bcs]), kind=0)
+        # the target is written over the offsets: two (K*D, T) arrays at most
+        target = np.subtract(np.concatenate([demo.positions for demo in demos]), offsets,
+                             out=offsets)
+        # the solve's products, split over threads at a policy update's 3001 x 56
+        # shape, can overflow with no flag
+        weights = finite_result(what, _ridge_lstsq(design, target.T, ridge))
+    return weights.T.reshape(len(demos), -1)
 
 
 def fit_weights(demo: Demonstration, bank: BasisBank,
@@ -151,10 +154,14 @@ def fit_distribution(demos, bank: BasisBank, ridge: float | None = None,
     for members in grids.values():
         group = [demos[i] for i in members]
         fits[members] = _fit_grid(group, [d.boundary_condition() for d in group], bank, ridge)
-    with numerical_errors("covariance of the fitted weights"):
+    what = "covariance of the fitted weights"
+    with numerical_errors(what):
         mean = fits.mean(axis=0)
         centered = fits - mean
-        cov = (centered.T @ centered) / (len(demos) - 1)
+        # from about 300 fits of 77 weights the product runs on OpenBLAS
+        # threads, whose overflows set no flag here
+        cov = finite_result(f"{what} overflows float64",
+                            (centered.T @ centered) / (len(demos) - 1))
         cov[np.diag_indices_from(cov)] += cov_floor
     return WeightsDistribution.from_covariance(mean, cov)
 

@@ -108,6 +108,7 @@ def integrate_dmp(w_g, y0, dy0, config: DmpConfig, spec: IntegratorSpec):
 
     for i in range(steps):
         y, v = step(times[i], y, v)
+        # an explicit pass, so that the message names the step that diverged
         if not (np.all(np.isfinite(y)) and np.all(np.isfinite(v))):
             raise NumericalError(
                 f"{spec.method} diverged at step {i + 1} (t = {times[i + 1]:.6g})")

@@ -214,6 +214,7 @@ def combine(sequences, profile: ActivationProfile) -> GaussianSequence:
         k_lone = act.argmax(axis=0)[lone]
         means[lone] = in_means[k_lone, lone]
         covs[lone] = in_covs[k_lone, lone] / act[k_lone, lone][:, None, None]
+    # an explicit pass: the inverses overflow on purpose, and the message names the index
     finite = np.isfinite(means).all(axis=1) & np.isfinite(covs).all(axis=(1, 2))
     if not finite.all():
         i = np.flatnonzero(~finite)[0]

@@ -126,8 +126,9 @@ def replan_segment(current: BoundaryCondition, wdist: WeightsDistribution,
     at the current state.  bank_anchor maps the switch instant into bank time."""
     global_times, local_times, local_bc = _segment_frame(current, horizon, bank,
                                                          rate, bank_anchor)
-    fold = TrajectoryGenerator(local_bc, local_times, bank)
-    with numerical_errors("segment velocities; the weights distribution is too wide"):
+    with numerical_errors("segment velocities; the state or the weights distribution "
+                          "is too large"):
+        fold = TrajectoryGenerator(local_bc, local_times, bank)
         velocities = fold.velocities(wdist.mean)
     return ReplanSegment(times=global_times, velocities=velocities,
                          distribution=_fold_distribution(wdist, fold, noise_var,
@@ -159,7 +160,7 @@ def run_chain(initial: BoundaryCondition, segments, bank: BasisBank, rate: float
     anchor "local" a run of one horizon folds once, and an alternating
     horizon folds at every change; "follow" segments, whose grids move,
     fold every time.  The trace is that of a fresh fold per segment, bit
-    for bit.  A draw or trace that overflows float64 raises NumericalError
+    for bit.  A state, draw or trace that overflows float64 raises NumericalError
     naming the segment.
     """
     segments = [_chain_segment(k, segment) for k, segment in enumerate(segments)]
@@ -177,8 +178,9 @@ def run_chain(initial: BoundaryCondition, segments, bank: BasisBank, rate: float
         bank_anchor = 0.0 if anchor == "local" else state.t_b
         times, local_times, local_bc = _segment_frame(state, horizon, bank, rate,
                                                       bank_anchor)
-        gen = TrajectoryGenerator(local_bc, local_times, bank)
-        with numerical_errors(f"chain segment {k}; the weights distribution is too wide"):
+        with numerical_errors(f"chain segment {k}; the state or the weights distribution "
+                              f"is too large"):
+            gen = TrajectoryGenerator(local_bc, local_times, bank)
             w = wdist.mean
             if mode == "sample":
                 w = wdist.mean + wdist.chol @ rng.standard_normal(wdist.dim)

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import shutil
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import configuration, settings
 
+import mptraj
 from mptraj import DimensionError, DmpConfig, ValidationError, precompute_basis
 
 # every run draws the same examples and keeps no example database
@@ -65,6 +67,20 @@ def streamed_and_whole_grid():
             built[key] = precompute_basis(config), whole_grid_bank(config)
         return built[key]
     return banks
+
+
+def package_nodes():
+    """(module file, qualified function, node) of every node in the package."""
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = scope + (child.name,)
+            yield ".".join(scope), child
+            yield from walk(child, inner)
+    for path in sorted(Path(mptraj.__file__).resolve().parent.glob("*.py")):
+        for function, node in walk(ast.parse(path.read_text(), str(path)), ()):
+            yield path.name, function, node
 
 
 def counted_lookups(monkeypatch) -> list:

@@ -247,6 +247,24 @@ class TestOverflow:
             sample_trajectories(wdist, BoundaryCondition(0.0, [0.0], [0.0]), [0.5, 0.7],
                                 small_bank, 3, seed=0)
 
+    def test_one_draw_overflowing_on_a_blas_thread(self):
+        # one draw of 512 x 77 overflows, in a row OpenBLAS computes on another
+        # thread, which sets no flag for it: without the pass over the draws
+        # the generator refuses it as a ValidationError about w_g, an argument
+        # the caller never passed
+        bank = precompute_basis(DmpConfig(alpha=25.0, tau=3.0, alpha_x=2.0, num_basis=10,
+                                          duration=3.0))
+        scale = 1.797e308 / 3.5
+        z = np.random.default_rng(0).standard_normal((512, 77))
+        assert np.flatnonzero(np.abs(z[:, -1]) > 3.5).tolist() == [454]
+        chol = np.eye(77)
+        chol[-1, -1] = scale
+        with pytest.raises(NumericalError, match="draws overflow float64; the weights "
+                                                 "distribution is too wide"):
+            sample_trajectories(WeightsDistribution(np.zeros(77), chol),
+                                BoundaryCondition(0.0, np.zeros(7), np.zeros(7)), [0.5],
+                                bank, 512, seed=0)
+
     @pytest.mark.parametrize("with_velocities", [False, True])
     def test_sample_trajectories_products(self, with_velocities):
         # 16 finite draws of 7 DoF x 11 weights over 3001 times, as a policy
@@ -269,6 +287,67 @@ class TestOverflow:
                            r"too wide\)$"):
             sample_trajectories(wdist, bc, times, bank, 16, seed=0,
                                 with_velocities=with_velocities)
+
+
+@pytest.fixture(scope="module")
+def three_basis_bank():
+    return precompute_basis(DmpConfig(alpha=25.0, tau=1.0, alpha_x=2.0, num_basis=3,
+                                      duration=1.0))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestNllOverflow:
+    """An NLL that float64 cannot hold is one NumericalError naming the read,
+    with no RuntimeWarning before it.  Each case once returned nan, or inf
+    after an overflow warning."""
+
+    REST = BoundaryCondition(0.0, np.zeros(2), np.zeros(2))
+
+    def test_pair_nll_of_values_beyond_the_pair_covariance(self, three_basis_bank):
+        # LAPACK's solve returned NaN for the finite residual, with no flag
+        dim = 2 * three_basis_bank.weight_dim
+        wdist = WeightsDistribution(np.zeros(dim), math.sqrt(1e-3) * np.eye(dim))
+        batch = TimePairBatch(np.array([[0.2, 0.5]]), np.full((1, 4), 1.7e308))
+        with pytest.raises(NumericalError, match=r"^pair NLL is not finite"):
+            pair_nll(batch, wdist, self.REST, three_basis_bank)
+
+    def test_gaussian_nll_of_values_beyond_the_covariance(self, three_basis_bank):
+        dim = 2 * three_basis_bank.weight_dim
+        dist = trajectory_distribution(WeightsDistribution(np.zeros(dim), np.eye(dim)),
+                                       self.REST, [0.1, 0.2], three_basis_bank)
+        for regime in ("ignore", "raise"):
+            with np.errstate(all=regime), pytest.raises(
+                    NumericalError, match=r"^Gaussian NLL is not finite"):
+                gaussian_nll(dist, np.full(4, 1.7e308))
+
+    def test_pair_nll_of_a_mean_at_1e308(self, three_basis_bank):
+        dim = 2 * three_basis_bank.weight_dim
+        wdist = WeightsDistribution(np.full(dim, 1e308), math.sqrt(1e-3) * np.eye(dim))
+        batch = TimePairBatch(np.array([[0.2, 0.5]]), np.zeros((1, 4)))
+        with pytest.raises(NumericalError, match=r"^floating-point overflow encountered "
+                                                 r"in \w+ \(pair NLL\)$"):
+            pair_nll(batch, wdist, self.REST, three_basis_bank)
+
+    def test_pair_nll_of_block_totals_past_float64(self, three_basis_bank):
+        # each block of PAIR_BLOCK pairs sums to a finite 1.2e308, and the two
+        # blocks' sum overflowed to inf with no warning
+        dim = 2 * three_basis_bank.weight_dim
+        wdist = WeightsDistribution(np.zeros(dim), np.eye(dim))
+
+        def batch(count, value):
+            return TimePairBatch(np.tile([[0.2, 0.5]], (count, 1)), np.full((count, 4), value))
+        block = 2 * PAIR_BLOCK * pair_nll(batch(PAIR_BLOCK, 1e150), wdist, self.REST,
+                                          three_basis_bank)
+        value = 1e150 * math.sqrt(1.2e308 / block)
+        assert math.isfinite(pair_nll(batch(PAIR_BLOCK, value), wdist, self.REST,
+                                      three_basis_bank))
+        with pytest.raises(NumericalError, match=r"^pair NLL is not finite"):
+            pair_nll(batch(2 * PAIR_BLOCK, value), wdist, self.REST, three_basis_bank)
+
+    def test_weights_covariance(self):
+        # L L^T of chol 1e200 I once returned inf
+        with pytest.raises(NumericalError, match=r"\(weights covariance L L\^T overflows"):
+            WeightsDistribution(np.zeros(2), 1e200 * np.eye(2)).covariance()
 
 
 # every read of a weights distribution, as (wdist, bc, bank) -> result

@@ -47,6 +47,18 @@ class TestDemonstration:
         assert bc.y_b[0] == 1.0
         assert bc.dy_b[0] == 2.0
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_first_difference_is_numerical_error(self, small_bank):
+        # once a ValidationError naming BoundaryCondition.dy_b, a field the
+        # caller never passed, after an overflow warning
+        demo = Demonstration(np.array([0.0, 5e-324, 1.0]), np.array([[0.0, 1e308, 0.0]]))
+        first_step = r"^floating-point overflow encountered in divide \(first-difference " \
+                     r"velocity over the demonstration's first step, t = 0.0 to 5e-324\)$"
+        with pytest.raises(NumericalError, match=first_step):
+            demo.boundary_condition()
+        with pytest.raises(NumericalError, match=first_step):
+            fit_weights(demo, small_bank)
+
     def test_explicit_velocities_win(self):
         demo = Demonstration(np.array([0.0, 1.0]), np.array([[1.0, 2.0]]),
                              np.array([[0.25, 0.0]]))
@@ -316,6 +328,34 @@ class TestSharedGridFit:
                                            with_velocities=True)
             demos.append(Demonstration(times, pos[0], vel[0] if i % 2 else None))
         return demos
+
+    def test_one_overflowing_demo_of_a_policy_refit_raises(self, bank):
+        # 8 demos x 7 DoF x 3001 t, the last DoF of the last demo near the
+        # float64 limit: the solve's 3001 x 56 products run on OpenBLAS
+        # threads, which set no flag for that one right-hand side: without the
+        # pass over the fitted weights their NaN ends in a ValidationError
+        # about WeightsDistribution.mean, a field the caller never passed
+        times = np.arange(3001) / 1000
+        demos = [Demonstration(times, np.zeros((7, 3001))) for _ in range(8)]
+        last = np.zeros((7, 3001))
+        last[-1] = 1.7e308 * np.linspace(1.0, 0.5, 3001)
+        demos[-1] = Demonstration(times, last)
+        with pytest.raises(NumericalError, match="fitted weights are not finite"):
+            fit_distribution(demos, bank)
+
+    def test_covariance_overflowing_on_a_blas_thread_raises(self, bank):
+        # 300 fits of 7 DoF x 11 weights whose last DoF alternates at +-1e152
+        # times one shape: the covariance's last block overflows in a part of
+        # the product OpenBLAS hands to another thread, which sets no flag, and
+        # ended in a ValidationError about WeightsDistribution.chol
+        times = np.arange(101) / 100
+        demos = []
+        for k in range(300):
+            positions = np.zeros((7, 101))
+            positions[6] = (-1.0) ** k * 1e152 * np.sin(np.pi * times)
+            demos.append(Demonstration(times, positions))
+        with pytest.raises(NumericalError, match=r"covariance of the fitted weights"):
+            fit_distribution(demos, bank)
 
     def test_policy_update_shape_is_one_fold(self, bank, monkeypatch):
         # 8 demos x 7 DoF x 3001 t, as each policy update refits them

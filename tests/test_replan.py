@@ -73,6 +73,16 @@ class TestReplanSegment:
         with pytest.raises(NumericalError, match=r"floating-point .*\(segment velocities"):
             replan_segment(rest, wdist, 0.2, tiny_bank, 100.0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_state_is_numerical_error(self, small_bank):
+        # the fold's offsets of a finite state overflowed with only a warning
+        dim = 2 * small_bank.weight_dim
+        huge = BoundaryCondition(0.0, np.full(2, 1.7e308), np.full(2, 1.7e308))
+        with pytest.raises(NumericalError, match=r"^floating-point overflow encountered in "
+                                                 r"\w+ \(segment velocities; the state"):
+            replan_segment(huge, WeightsDistribution(np.zeros(dim), np.eye(dim)), 0.5,
+                           small_bank, 10.0)
+
     def test_horizon_must_fit_bank(self, small_bank):
         wdists, initial = _setup(small_bank)
         with pytest.raises(ValidationError, match="exceeds the bank horizon"):
@@ -126,6 +136,18 @@ class TestRunChain:
         with pytest.raises(NumericalError, match=r"floating-point .*\(chain segment 0;"):
             run_chain(rest, [(wdist, 0.2), (wdist, 0.2)], tiny_bank, 100.0, mode=mode,
                       seed=1)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("anchor", ["local", "follow"])
+    def test_overflowing_state_is_numerical_error(self, small_bank, anchor):
+        # once a ValidationError naming a velocity field the caller never passed,
+        # after a warning from the fold's offsets
+        dim = 2 * small_bank.weight_dim
+        huge = BoundaryCondition(0.0, np.full(2, 1.7e308), np.full(2, 1.7e308))
+        with pytest.raises(NumericalError, match=r"^floating-point overflow encountered in "
+                                                 r"\w+ \(chain segment 0; the state"):
+            run_chain(huge, [(WeightsDistribution(np.zeros(dim), np.eye(dim)), 0.5)],
+                      small_bank, 10.0, anchor=anchor)
 
     def test_mean_mode_joins_without_jumps(self, small_bank):
         wdists, initial = _setup(small_bank)

@@ -1,11 +1,9 @@
 import ast
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import mptraj
 from mptraj import (BasisBank, BoundaryCondition, DimensionError, DmpConfig, TimePairBatch,
                     TrajectoryGenerator, ValidationError, WeightsDistribution,
                     evaluate_position, evaluate_velocity, pair_nll, precompute_basis,
@@ -14,7 +12,7 @@ from mptraj.trajectory import (MAX_QUERY_SAMPLES, GridFold, folded_basis,
                                read_trajectory_csv, weight_blocks, window_steps,
                                write_trajectory_csv)
 from tests import reference
-from tests.conftest import counted_lookups
+from tests.conftest import counted_lookups, package_nodes
 from tests.reference import (RowMajorFold, complementary, position_from_coefficients,
                              solve_coefficients, velocity_from_coefficients)
 
@@ -680,34 +678,17 @@ class TestGridFoldMemo:
         assert lookups == [times.size + 1]
 
 
-PACKAGE = Path(mptraj.__file__).resolve().parent
-
-
-def _package_nodes():
-    """(module file, qualified function, node) of every node in the package."""
-    def walk(node, scope):
-        for child in ast.iter_child_nodes(node):
-            inner = scope
-            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
-                inner = scope + (child.name,)
-            yield ".".join(scope), child
-            yield from walk(child, inner)
-    for path in sorted(PACKAGE.glob("*.py")):
-        for function, node in walk(ast.parse(path.read_text(), str(path)), ()):
-            yield path.name, function, node
-
-
 def test_the_keep_policy_stays_in_trajectory():
     # folded_basis is a name kept for outside callers: inside the package only
     # trajectory.py and the re-export name it.  A GridFold is made by the
     # kept-fold check, and apart from the bank's keeping only by pair_nll's
     # blocks of random pair times and the benchmark stage that times a rebuild
-    named = {(module, function) for module, function, node in _package_nodes()
+    named = {(module, function) for module, function, node in package_nodes()
              if "folded_basis" in (getattr(node, "id", None), getattr(node, "attr", None),
                                    getattr(node, "name", None))}
     assert {module for module, _ in named} == {"__init__.py", "trajectory.py"}
     assert ("__init__.py", "") in named
-    made = {(module, function) for module, function, node in _package_nodes()
+    made = {(module, function) for module, function, node in package_nodes()
             if isinstance(node, ast.Call)
             and "GridFold" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))}
     assert made == {("trajectory.py", "kept_fold"), ("distribution.py", "pair_nll"),
